@@ -228,9 +228,12 @@ func BenchmarkUniform(b *testing.B) {
 	b.ReportMetric(100*ratioSum/float64(b.N), "costCPS/costMQE-%")
 }
 
-// BenchmarkAblationCombiner compares the naive Figure 1 program against
-// MR-SQE's combiner variant: same answers in distribution, radically
-// different shuffle volume.
+// BenchmarkAblationCombiner compares the naive Figure 1 program — the
+// per-record mapper, every matching tuple shuffled — against the Figure 2
+// program as the engine runs it, map and combine fused into one
+// classify-and-sample scan per split: same answers in distribution,
+// radically different shuffle volume, and no emission stream on the fused
+// side.
 func BenchmarkAblationCombiner(b *testing.B) {
 	w := buildBenchWorkload(b, gen.Small, 400)
 	cluster := benchCluster(10)

@@ -9,9 +9,11 @@
 // as a map task finishes, its per-reducer buckets are encoded and handed to
 // the cluster's Transport (or kept in memory), overlapping the remaining map
 // work; reducers then receive, decode and group their buckets in parallel,
-// one unit per reducer. Combiners draw their intermediate reservoir samples
-// with Algorithm L (geometric skips), so a full-split scan costs
-// O(k(1+log(n/k))) RNG draws instead of one per tuple. Output is
+// one unit per reducer. A job may replace mapper + combiner with one fused
+// whole-split stage (BatchMapper) that aggregates in place and emits only
+// what is shuffled; the sampling jobs do, drawing their intermediate
+// reservoir samples with Algorithm L (geometric skips), so a full-split scan
+// costs O(k(1+log(n/k))) RNG draws instead of one per tuple. Output is
 // byte-identical to a serial shuffle.
 //
 // # Virtual clock

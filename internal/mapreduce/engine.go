@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,7 +296,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		met.MapTaskNanos.Observe(int64(mapDurations[t]))
 		if tr != nil {
 			sent := cnt.out
-			if job.Combiner != nil {
+			if job.combines() {
 				sent = cnt.combineOut
 			}
 			for a := 0; a < plan.attempts; a++ {
@@ -311,7 +312,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 				}
 				tr.Emit(s)
 			}
-			if job.Combiner != nil {
+			if job.combines() {
 				tr.Emit(Span{
 					Job: job.Name, Phase: PhaseCombine, Task: t,
 					Start: cnt.mapDone, Wall: cnt.combineDone - cnt.mapDone,
@@ -530,7 +531,10 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 // runParallel runs fn(0..n-1) on at most `workers` goroutines and waits. The
 // work channel is buffered to n and fully loaded before the workers start,
 // so no goroutine ever blocks on the producer and the call site's only
-// synchronization is the final Wait.
+// synchronization is the final Wait. A panic in fn is re-raised on the
+// calling goroutine, with the worker's stack, once the other workers have
+// finished — where a caller's recover can see it — instead of killing the
+// process from a goroutine nobody can guard.
 func runParallel(n, workers int, fn func(int)) {
 	if n <= 0 {
 		return
@@ -553,14 +557,24 @@ func runParallel(n, workers int, fn func(int)) {
 	}
 	close(next)
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[string] // first panic of a worker goroutine
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					msg := fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+					panicked.CompareAndSwap(nil, &msg)
+				}
+			}()
 			for i := range next {
 				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if msg := panicked.Load(); msg != nil {
+		panic(*msg)
+	}
 }

@@ -183,7 +183,7 @@ func runRemote[I any, K comparable, V any, O any](
 		met.MapTaskNanos.Observe(int64(mapDurations[t]))
 		if tr != nil {
 			sent := st.counters.Out
-			if job.Combiner != nil {
+			if job.combines() {
 				sent = st.counters.CombineOut
 			}
 			// Real failures first: a crashed worker or an expired lease is
@@ -218,7 +218,7 @@ func runRemote[I any, K comparable, V any, O any](
 					attempt+plan.attempts, st.startOff, &st.attr, st.worker,
 					startUnix, frozen)
 			}
-			if job.Combiner != nil {
+			if job.combines() {
 				tr.Emit(Span{
 					Job: job.Name, Phase: PhaseCombine, Task: t,
 					Start: st.mapDone, Wall: st.combineDone - st.mapDone,

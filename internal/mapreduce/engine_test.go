@@ -280,3 +280,92 @@ func TestBadPartitionerPanics(t *testing.T) {
 	}()
 	_, _ = Run(NewCluster(1), job, wcSplits)
 }
+
+// wcFused is word count with in-mapper combining: one (word, count) pair per
+// distinct word of the split, in sorted word order.
+type wcFused struct{}
+
+func (wcFused) MapSplit(_ *TaskContext, split []string, emit func(string, int64)) (matches int64) {
+	counts := map[string]int64{}
+	for _, line := range split {
+		for _, w := range strings.Fields(line) {
+			counts[w]++
+			matches++
+		}
+	}
+	words := make([]string, 0, len(counts))
+	for w := range counts {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for _, w := range words {
+		emit(w, counts[w])
+	}
+	return matches
+}
+
+// TestBatchMapperLogicalCounters: a fused map + combine stage produces the
+// output and reports the counters of the per-record mapper + combiner it
+// stands in for, and the engine never calls the job's Mapper or Combiner.
+func TestBatchMapperLogicalCounters(t *testing.T) {
+	want, err := Run(NewCluster(2), wordCountJob(1, true), wcSplits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(1, false)
+	job.Mapper = MapperFunc[string, string, int64](func(*TaskContext, string, func(string, int64)) {
+		t.Error("per-record Mapper called on a BatchMapper job")
+	})
+	job.BatchMapper = wcFused{}
+	mem := NewMemTracer()
+	c := NewCluster(2)
+	c.Tracer = mem
+	got, err := Run(c, job, wcSplits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sortedWC(got.Output), sortedWC(want.Output)) {
+		t.Errorf("fused output %v, want %v", sortedWC(got.Output), sortedWC(want.Output))
+	}
+	g, w := got.Metrics, want.Metrics
+	if g.MapInputRecords != w.MapInputRecords || g.MapOutputRecords != w.MapOutputRecords ||
+		g.CombineInputRecs != w.CombineInputRecs || g.CombineOutputRecs != w.CombineOutputRecs ||
+		g.ShuffleRecords != w.ShuffleRecords || g.SimulatedMap != w.SimulatedMap {
+		t.Errorf("fused counters %+v\nwant %+v", g, w)
+	}
+	// The combine span survives as the carrier of the logical counts, with
+	// no time of its own.
+	var combines int
+	for _, s := range mem.Spans() {
+		if s.Phase == PhaseCombine {
+			combines++
+			if s.Wall != 0 {
+				t.Errorf("fused task %d has a combine span of %v, want empty", s.Task, s.Wall)
+			}
+		}
+	}
+	if combines != len(wcSplits) {
+		t.Errorf("%d combine spans, want %d", combines, len(wcSplits))
+	}
+}
+
+// TestTaskPanicReachesCaller: a panic on one of the engine's worker
+// goroutines is re-raised where the caller of Run can recover it.
+func TestTaskPanicReachesCaller(t *testing.T) {
+	job := wordCountJob(1, false)
+	job.Mapper = MapperFunc[string, string, int64](func(_ *TaskContext, line string, _ func(string, int64)) {
+		if line == "c" {
+			panic("bad record")
+		}
+	})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("mapper panic did not reach the caller of Run")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "bad record") || !strings.Contains(msg, "goroutine") {
+			t.Fatalf("recovered %v, want the panic value and the worker's stack", r)
+		}
+	}()
+	_, _ = Run(NewCluster(4), job, wcSplits)
+}

@@ -24,16 +24,19 @@ type MapperFunc[I any, K comparable, V any] func(ctx *TaskContext, in I, emit fu
 // Map calls the function.
 func (f MapperFunc[I, K, V]) Map(ctx *TaskContext, in I, emit func(K, V)) { f(ctx, in, emit) }
 
-// BatchMapper is an optional whole-split fast path for the map stage. A job
-// that sets one must make MapSplit produce exactly the emissions the
-// per-record Mapper would: the same (key, value) stream in the same order.
-// The engine then skips the per-record emit closure and lets the batch
-// mapper amortize allocations (value arenas, cached group indexes) across
-// the split, while counters, combine ordering and output stay byte-identical
-// to the per-record path — a correctness contract the engine cannot check,
-// so it is pinned by tests in the packages that provide batch mappers.
+// BatchMapper is the fused map + combine stage of one whole split: a single
+// scan that classifies every record and aggregates in place, emitting only
+// the pairs that go to the shuffle (in-mapper combining — the per-task
+// (reservoir, N) pairs of the paper's Figure 2 without the Figure 1 emission
+// stream in between). It returns the number of (key, record) matches the scan
+// found — what a per-record Mapper would have emitted — and the engine
+// accounts those logical counts: matches are the task's map-output and
+// combine-input records, emitted pairs its combine-output records, so
+// Metrics and the simulated cost model read as for Mapper + Combiner. A
+// deterministic stage draws randomness only from ctx.Rand and emits keys in a
+// fixed order.
 type BatchMapper[I any, K comparable, V any] interface {
-	MapSplit(ctx *TaskContext, split []I, out *Grouper[K, V])
+	MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches int64)
 }
 
 // Combiner performs a partial, per-map-task aggregation of the values of one
@@ -71,10 +74,9 @@ type Job[I any, K comparable, V any, O any] struct {
 	Name string
 	// Mapper processes each input record of each split.
 	Mapper Mapper[I, K, V]
-	// BatchMapper, when non-nil, replaces Mapper on the map stage with a
-	// whole-split call. It must emit exactly what Mapper would (see the
-	// interface contract); Mapper stays required as the semantic definition
-	// and as the reference the batch path is tested against.
+	// BatchMapper, when non-nil, runs the map stage in place of Mapper and
+	// Combiner: one fused map + combine call per split. Mapper stays
+	// required as the job's semantic definition.
 	BatchMapper BatchMapper[I, K, V]
 	// Combiner, when non-nil, aggregates map output per task before the
 	// shuffle.
@@ -101,6 +103,10 @@ type Job[I any, K comparable, V any, O any] struct {
 	Maker  string
 	Config []byte
 }
+
+// combines reports whether map tasks aggregate before the shuffle, through a
+// Combiner or inside a BatchMapper.
+func (j *Job[I, K, V, O]) combines() bool { return j.Combiner != nil || j.BatchMapper != nil }
 
 func (j *Job[I, K, V, O]) keyString(k K) string {
 	if j.KeyString != nil {

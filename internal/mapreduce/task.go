@@ -7,67 +7,10 @@ import (
 
 // This file holds the backend-independent task cores. The in-process engine
 // (engine.go) and remote workers (via the registry in registry.go) both
-// execute map and reduce attempts through these two functions; sharing the
+// execute map and reduce attempts through these functions; sharing the
 // implementation — same seeding, same combine ordering, same partitioning,
 // same per-key reduce RNG — is what keeps job output byte-identical across
 // execution backends.
-
-// Grouper is the emission sink a BatchMapper writes into. Emit is the exact
-// equivalent of the per-record emit closure; Intern/Append split that into a
-// one-time key registration and a per-record append, so a batch mapper that
-// caches the interned index pays no map probe on the per-record path.
-//
-// Intern registers the key immediately (position in first-seen order, exactly
-// as if Emit had delivered its first value), so callers must only intern a
-// key when a value for it follows at once — interning speculatively would
-// create an empty group and change combine/shuffle input.
-type Grouper[K comparable, V any] struct {
-	groups *keyGroups[K, V]
-	out    int64
-}
-
-// Emit delivers one pair, identically to the per-record map emit.
-func (g *Grouper[K, V]) Emit(k K, v V) {
-	g.groups.add(k, v)
-	g.out++
-}
-
-// Intern returns the dense group index of k, registering the key at its
-// first-seen position. A value must be Appended immediately after a first
-// Intern of a key.
-func (g *Grouper[K, V]) Intern(k K) int {
-	if i, ok := g.groups.index[k]; ok {
-		return i
-	}
-	i := len(g.groups.lists)
-	g.groups.index[k] = i
-	g.groups.keyOrder = append(g.groups.keyOrder, k)
-	g.groups.lists = append(g.groups.lists, make([]V, 0, 4))
-	return i
-}
-
-// InternSized is Intern with a capacity hint for the key's value list: a
-// batch mapper that has counted a key's values allocates the list exactly
-// once instead of doubling it up from nothing.
-func (g *Grouper[K, V]) InternSized(k K, capacity int) int {
-	if i, ok := g.groups.index[k]; ok {
-		return i
-	}
-	if capacity < 4 {
-		capacity = 4
-	}
-	i := len(g.groups.lists)
-	g.groups.index[k] = i
-	g.groups.keyOrder = append(g.groups.keyOrder, k)
-	g.groups.lists = append(g.groups.lists, make([]V, 0, capacity))
-	return i
-}
-
-// Append delivers one value to a previously Interned key.
-func (g *Grouper[K, V]) Append(idx int, v V) {
-	g.groups.lists[idx] = append(g.groups.lists[idx], v)
-	g.out++
-}
 
 // mapTaskRun is everything one map-task execution produced: per-reducer
 // buckets, counters, custom histograms, and — when a clock was supplied —
@@ -87,6 +30,9 @@ func execMapTask[I any, K comparable, V any, O any](
 	job *Job[I, K, V, O], seed int64, split []I, task, numReducers int,
 	elapsed func() time.Duration,
 ) mapTaskRun[K, V] {
+	if job.BatchMapper != nil {
+		return execFusedTask(job, seed, split, task, numReducers, elapsed)
+	}
 	var run mapTaskRun[K, V]
 	id := strconv.Itoa(task)
 	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, "map", id))
@@ -94,22 +40,13 @@ func execMapTask[I any, K comparable, V any, O any](
 	// Buffer map output per key, preserving key first-seen order for
 	// deterministic combiner invocation order.
 	groups := newKeyGroups[K, V](len(split))
-	if job.BatchMapper != nil {
-		// Whole-split fast path: the batch mapper promises the same emission
-		// stream as Mapper, so counters and grouping come out identical.
-		g := &Grouper[K, V]{groups: groups}
-		job.BatchMapper.MapSplit(ctx, split, g)
-		run.in = int64(len(split))
-		run.out = g.out
-	} else {
-		emit := func(k K, v V) {
-			groups.add(k, v)
-			run.out++
-		}
-		for i := range split {
-			run.in++
-			job.Mapper.Map(ctx, split[i], emit)
-		}
+	emit := func(k K, v V) {
+		groups.add(k, v)
+		run.out++
+	}
+	for i := range split {
+		run.in++
+		job.Mapper.Map(ctx, split[i], emit)
 	}
 	if elapsed != nil {
 		run.mapDone = elapsed()
@@ -153,6 +90,32 @@ func execMapTask[I any, K comparable, V any, O any](
 		run.combineDone = elapsed()
 	}
 	run.buckets = buckets
+	return run
+}
+
+// execFusedTask runs a BatchMapper job's map task: one fused map + combine
+// call whose emissions go straight into the per-reducer buckets — no group
+// table, no separate combine stage (its span is empty). The stage draws from
+// the task's combine stream, the only random stream of such a task.
+func execFusedTask[I any, K comparable, V any, O any](
+	job *Job[I, K, V, O], seed int64, split []I, task, numReducers int,
+	elapsed func() time.Duration,
+) mapTaskRun[K, V] {
+	var run mapTaskRun[K, V]
+	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, "combine", strconv.Itoa(task)))
+	ctx.observe = histObserver(&run.custom)
+	run.buckets = make([][]Pair[K, V], numReducers)
+	run.in = int64(len(split))
+	run.out = job.BatchMapper.MapSplit(ctx, split, func(k K, v V) {
+		run.combineOut++
+		p := job.partition(k, numReducers)
+		run.buckets[p] = append(run.buckets[p], Pair[K, V]{k, v})
+	})
+	run.combineIn = run.out
+	if elapsed != nil {
+		run.mapDone = elapsed()
+		run.combineDone = run.mapDone
+	}
 	return run
 }
 

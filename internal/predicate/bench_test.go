@@ -48,3 +48,29 @@ func BenchmarkDisjoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClassify measures the fused stage's inner loop: one tuple against
+// a four-stratum, two-attribute grid (the worst case is the last stratum).
+func BenchmarkClassify(b *testing.B) {
+	schema := dataset.MustSchema(
+		dataset.Field{Name: "a", Min: 0, Max: 1000},
+		dataset.Field{Name: "b", Min: 0, Max: 1000},
+	)
+	conds := []Expr{
+		MustParse("a < 500 and b < 400"), MustParse("a < 500 and b >= 400"),
+		MustParse("a >= 500 and b < 400"), MustParse("a >= 500 and b >= 400"),
+	}
+	cls, err := NewClassifier(conds, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tuples := make([]dataset.Tuple, 1<<16) // too many for the branch predictor to learn
+	for i := range tuples {
+		tuples[i] = dataset.Tuple{Attrs: []int64{rng.Int63n(1001), rng.Int63n(1001)}}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cls.Classify(&tuples[i%len(tuples)])
+	}
+}

@@ -9,13 +9,15 @@
 //   - a parser for a small textual syntax, e.g.
 //     "gender = 1 and (income < 50000 or income > 100000)";
 //   - compilation of a formula against a dataset.Schema into a fast tuple
-//     predicate (Compile), used by the mappers on every tuple;
+//     predicate (Compile);
 //   - box decomposition (Boxes): a formula lowered to a union of axis-aligned
 //     boxes — disjunctive normal form over per-attribute integer intervals,
 //     clipped to the schema's declared domains;
 //   - a decision procedure for pairwise disjointness of formulas (Disjoint),
 //     built on box decomposition — SSD validation requires it of every pair
-//     of stratum constraints.
+//     of stratum constraints;
+//   - a flat first-match Classifier over a list of formulas, also built on
+//     box decomposition — the stratum scan of the sampling map tasks.
 //
 // Box decomposition is the package's semantic workhorse: two formulas are
 // disjoint iff their box unions do not intersect, and the serve daemon

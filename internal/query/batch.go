@@ -1,90 +1,28 @@
 package query
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/predicate"
 )
 
-// BatchClassifier assigns tuples to strata without walking a closure tree per
-// tuple. Each stratum condition is lowered once, via predicate.Boxes, to its
-// DNF over attribute intervals; classification is then a flat scan of
-// (attribute, lo, hi) triples — branch-predictable, allocation-free, and
-// directly applicable to the columnar rows of a dataset.TupleBatch.
-//
-// Semantics match MatchStratum over Compile'd predicates for every tuple whose
-// attributes lie in the schema's domains (the invariant Relation.Add
-// enforces): Boxes clips intervals to the domains, so out-of-domain values —
-// impossible for tuples that came out of a Relation — are the only inputs on
-// which the two could disagree.
+// BatchClassifier assigns whole splits or columnar batches of tuples to
+// strata through the query's flat predicate.Classifier: no closure tree per
+// tuple, no allocation per row, and directly applicable to the rows of a
+// dataset.TupleBatch. Semantics match MatchStratum over Compile'd predicates
+// for every tuple whose attributes lie in the schema's domains (see
+// predicate.Classifier).
 type BatchClassifier struct {
-	strata  [][]classBox
-	maxAttr int // highest attribute index any interval touches, -1 if none
+	cls *predicate.Classifier
 }
 
-// classBox is one DNF disjunct: a conjunction of interval constraints over
-// attribute positions. Unconstrained attributes simply do not appear.
-type classBox []attrInterval
-
-type attrInterval struct {
-	attr   int
-	lo, hi int64
-}
-
-// NewBatchClassifier lowers every stratum condition of the query to interval
-// boxes over the schema. It fails where Boxes fails: unknown attributes, or a
-// DNF expansion past predicate.MaxBoxes — callers keep compiled predicates as
-// the fallback.
+// NewBatchClassifier lowers every stratum condition of the query over the
+// schema. It fails only on conditions that do not compile.
 func NewBatchClassifier(q *SSD, schema *dataset.Schema) (*BatchClassifier, error) {
-	c := &BatchClassifier{strata: make([][]classBox, len(q.Strata)), maxAttr: -1}
-	for k, s := range q.Strata {
-		boxes, err := predicate.Boxes(s.Cond, schema)
-		if err != nil {
-			return nil, fmt.Errorf("query %s stratum %d: %w", q.Name, k, err)
-		}
-		lowered := make([]classBox, 0, len(boxes))
-		for _, b := range boxes {
-			cb := make(classBox, 0, len(b))
-			// Walk schema order so equal boxes lower identically regardless
-			// of map iteration order.
-			for idx := 0; idx < schema.NumFields(); idx++ {
-				name := schema.Field(idx).Name
-				iv, ok := b[name]
-				if !ok {
-					continue
-				}
-				cb = append(cb, attrInterval{attr: idx, lo: iv.Lo, hi: iv.Hi})
-				if idx > c.maxAttr {
-					c.maxAttr = idx
-				}
-			}
-			lowered = append(lowered, cb)
-		}
-		c.strata[k] = lowered
+	cls, err := q.Classifier(schema)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
-}
-
-// matchRow reports the first stratum some box of which contains the row —
-// the same first-match rule as MatchStratum (disjointness makes the order
-// irrelevant for valid queries, but ill-formed ones degrade identically).
-func (c *BatchClassifier) matchRow(attrs []int64) int {
-	for k, boxes := range c.strata {
-		for _, b := range boxes {
-			hit := true
-			for _, iv := range b {
-				if v := attrs[iv.attr]; v < iv.lo || v > iv.hi {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				return k
-			}
-		}
-	}
-	return -1
+	return &BatchClassifier{cls: cls}, nil
 }
 
 // ClassifyTuples writes each tuple's stratum index (or -1) into out, growing
@@ -93,28 +31,22 @@ func (c *BatchClassifier) matchRow(attrs []int64) int {
 func (c *BatchClassifier) ClassifyTuples(ts []dataset.Tuple, out []int) []int {
 	out = growClass(out, len(ts))
 	for i := range ts {
-		out[i] = c.matchRow(ts[i].Attrs)
+		out[i] = c.cls.Classify(&ts[i])
 	}
 	return out
 }
 
 // Classify writes each batch row's stratum index (or -1) into out, growing it
 // as needed, and returns it. Rows are classified in place over the columnar
-// attribute block — no per-row Tuple is materialized.
+// attribute block — no per-row Tuple is materialized. It panics, like
+// ClassifyTuples, if the batch has fewer columns than a condition references.
 func (c *BatchClassifier) Classify(b *dataset.TupleBatch, out []int) []int {
-	if b.Stride <= c.maxAttr {
-		panic(fmt.Sprintf("query: batch stride %d but conditions reference attribute %d", b.Stride, c.maxAttr))
-	}
 	n := b.Len()
 	out = growClass(out, n)
-	if b.Stride == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = c.matchRow(nil)
-		}
-		return out
-	}
+	var row dataset.Tuple
 	for i := 0; i < n; i++ {
-		out[i] = c.matchRow(b.Attrs[i*b.Stride : (i+1)*b.Stride])
+		row.Attrs = b.Row(i)
+		out[i] = c.cls.Classify(&row)
 	}
 	return out
 }

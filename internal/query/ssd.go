@@ -56,6 +56,21 @@ func (q *SSD) Compile(schema *dataset.Schema) ([]predicate.Pred, error) {
 	return preds, nil
 }
 
+// Classifier lowers the stratum conditions to one flat first-match
+// classifier over the schema: Classify returns what MatchStratum returns over
+// Compile'd predicates for every tuple within the schema's domains.
+func (q *SSD) Classifier(schema *dataset.Schema) (*predicate.Classifier, error) {
+	conds := make([]predicate.Expr, len(q.Strata))
+	for i, s := range q.Strata {
+		conds[i] = s.Cond
+	}
+	c, err := predicate.NewClassifier(conds, schema)
+	if err != nil {
+		return nil, fmt.Errorf("query %s: %w", q.Name, err)
+	}
+	return c, nil
+}
+
 // MatchStratum returns the index of the stratum whose condition the tuple
 // satisfies, or -1. Disjointness guarantees at most one stratum matches;
 // preds must come from Compile.

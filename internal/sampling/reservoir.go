@@ -49,8 +49,18 @@ func NewReservoir[T any](k int, rng *rand.Rand) *Reservoir[T] {
 	return &Reservoir[T]{k: k, items: make([]T, 0, k), rng: rng}
 }
 
-// Add offers one stream item to the reservoir.
+// Add offers one stream item to the reservoir. A full reservoir inside a
+// rejected run — nearly every call of a long scan — is decided first.
 func (r *Reservoir[T]) Add(item T) {
+	if r.skip > 0 && len(r.items) == r.k {
+		r.skip--
+		r.seen++
+		return
+	}
+	r.add(item)
+}
+
+func (r *Reservoir[T]) add(item T) {
 	r.seen++
 	if len(r.items) < r.k {
 		r.items = append(r.items, item)

@@ -43,8 +43,13 @@ type Sizer interface {
 // does not implement Sizer).
 func (w Weighted[T]) ByteSize() int {
 	n := 8
-	for _, item := range w.Sample {
-		if s, ok := any(item).(Sizer); ok {
+	for i := range w.Sample {
+		// Ask the element's address first: boxing a pointer is free, boxing
+		// the element copies it to the heap — once per sampled tuple per
+		// shuffle-size estimate.
+		if s, ok := any(&w.Sample[i]).(Sizer); ok {
+			n += s.ByteSize()
+		} else if s, ok := any(w.Sample[i]).(Sizer); ok {
 			n += s.ByteSize()
 		} else {
 			n += 8

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -342,10 +344,33 @@ func (x *executor) boundedPass(g *seedGroup, cur *batch, idx int) {
 	x.runPass(g, cur, idx)
 }
 
+// fail resolves every still-waiting entry of the group with err.
+func (g *seedGroup) fail(err error, passStart time.Time) {
+	passEnd := time.Now()
+	for _, e := range g.entries {
+		select {
+		case <-e.done: // answered before the pass went wrong
+		default:
+			e.passStart, e.passEnd = passStart, passEnd
+			e.err = err
+			close(e.done)
+		}
+	}
+}
+
 // runPass answers one seed group with a single MapReduce pass. idx is the
 // group's position within the batch, naming the pass run "b<seq>.p<idx>".
+// A panic anywhere in the pass fails the group's waiters instead of taking
+// the daemon down with them stranded.
 func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	passStart := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			x.stats.addPassPanic()
+			slog.Error("serve: pass panicked", "batch", cur.runName(), "pass", idx, "panic", r, "stack", string(debug.Stack()))
+			g.fail(fmt.Errorf("serve: pass panicked: %v", r), passStart)
+		}
+	}()
 	queries := make([]*query.SSD, len(g.entries))
 	requests := 0
 	for i, e := range g.entries {
@@ -365,7 +390,6 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	}
 
 	c := x.pool.get()
-	defer x.pool.put(c)
 	traced := x.traced(cur)
 	passRun := fmt.Sprintf("%s.p%d", cur.runName(), idx)
 	var passSpan uint64
@@ -394,15 +418,13 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	} else {
 		answers, met, err = stratified.RunMQE(c, queries, x.schema, splits, opts)
 	}
+	// Only a cluster whose pass returned goes back to the pool: one that
+	// panicked mid-run is dropped with whatever state it was left in.
+	x.pool.put(c)
 	passEnd := time.Now()
 	if err != nil {
-		err = fmt.Errorf("serve: pass failed: %w", err)
 		x.stats.addError()
-		for _, e := range g.entries {
-			e.passStart, e.passEnd = passStart, passEnd
-			e.err = err
-			close(e.done)
-		}
+		g.fail(fmt.Errorf("serve: pass failed: %w", err), passStart)
 		return
 	}
 	if x.onMetrics != nil {

@@ -12,9 +12,10 @@ import (
 
 // BenchmarkServePass measures one warm 8-query MQE batch over a resident
 // 100k population, end to end through the batcher: submit, fire, pooled
-// cluster, engine pass, demux. Its allocs/op is gated by
+// cluster, engine pass, demux. Its allocs/op and B/op are gated by
 // scripts/bench_regress.sh — this is the daemon's hot loop, and the pooled
-// pass state plus the batch-mapper fast path are what keep it flat.
+// pass state plus the fused map stage (no emission stream) are what keep
+// both flat.
 func BenchmarkServePass(b *testing.B) {
 	pop := gen.Population(100000, 1)
 	s, err := NewServer(Config{

@@ -28,6 +28,7 @@ type Stats struct {
 	singleFlown int64 // requests that attached to an already-batched identical query
 	pruned      int64 // splits skipped by box pre-filtering, across passes
 	errors      int64 // passes or submissions that failed
+	passPanics  int64 // passes that panicked and were recovered
 	adaptive    int64 // batches fired immediately by the adaptive idle window
 
 	rejected map[string]int64 // per-tenant quota rejections
@@ -125,6 +126,12 @@ func (s *Stats) addError() {
 	s.mu.Unlock()
 }
 
+func (s *Stats) addPassPanic() {
+	s.mu.Lock()
+	s.passPanics++
+	s.mu.Unlock()
+}
+
 func (s *Stats) addSingleFlight() {
 	s.mu.Lock()
 	s.singleFlown++
@@ -187,6 +194,7 @@ type Snapshot struct {
 	SingleFlight  int64            `json:"single_flight"`
 	PrunedSplits  int64            `json:"pruned_splits"`
 	Errors        int64            `json:"errors"`
+	PassPanics    int64            `json:"pass_panics,omitempty"`
 	AdaptiveFires int64            `json:"adaptive_fires,omitempty"`
 	Rejected      map[string]int64 `json:"rejected_by_tenant,omitempty"`
 	BatchMean     float64          `json:"batch_occupancy_mean"`
@@ -229,6 +237,7 @@ func (s *Stats) snapshot() Snapshot {
 		Queries: s.queries, CacheHits: s.cacheHits, CacheMisses: s.cacheMisses,
 		Passes: s.passes, PassQueries: s.passQueries, Coalesced: s.coalesced,
 		SingleFlight: s.singleFlown, PrunedSplits: s.pruned, Errors: s.errors,
+		PassPanics:    s.passPanics,
 		AdaptiveFires: s.adaptive,
 		Rejected:      rej,
 		CachePurges:   s.cachePurges, CachePurged: s.cachePurged,
@@ -302,6 +311,7 @@ func (s *Stats) WritePrometheus(w io.Writer) error {
 		{"strata_serve_single_flight_total", "Requests deduplicated onto an identical in-batch query.", snap.SingleFlight},
 		{"strata_serve_pruned_splits_total", "Splits skipped by box pre-filtering.", snap.PrunedSplits},
 		{"strata_serve_errors_total", "Failed passes or submissions.", snap.Errors},
+		{"strata_serve_pass_panics_total", "Passes that panicked; their waiters were failed, the daemon kept serving.", snap.PassPanics},
 		{"strata_serve_adaptive_fires_total", "Batches fired immediately by the adaptive idle window.", snap.AdaptiveFires},
 		{"strata_serve_cache_purges_total", "Epoch bumps that purged the result cache.", snap.CachePurges},
 		{"strata_serve_cache_purged_total", "Result-cache entries dropped by epoch bumps.", snap.CachePurged},

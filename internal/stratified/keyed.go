@@ -58,3 +58,44 @@ func RunKeyed(c *mapreduce.Cluster, classify Classifier, freqs map[string]int, s
 	}
 	return out, res.Metrics, nil
 }
+
+// combiner builds the Figure 2 combine function for RunKeyed's per-record
+// mapper: it locally selects an intermediate sample of capacity freq(key)
+// using Algorithm R over the map task's tuples for that key and tags it with
+// the number of tuples it saw. Each emitted intermediate sample's size is
+// observed into the job's "reservoir_size" histogram (Metrics.Custom) — the
+// paper's intermediate-sample-size measurement.
+func combiner[K comparable](freq func(K) int) mapreduce.Combiner[K, WeightedTuples] {
+	return mapreduce.CombinerFunc[K, WeightedTuples](
+		func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
+			n := sampling.TotalN(vs)
+			target := freq(k)
+			exhaustive := true
+			for _, w := range vs {
+				if w.N != int64(len(w.Sample)) {
+					exhaustive = false
+					break
+				}
+			}
+			if exhaustive {
+				// Common case: every part is raw map output (singletons),
+				// so stream the tuples through the reservoir, as in the
+				// paper's combine function. AddSlice rides Algorithm L's
+				// skip counts, so a full-split scan costs O(k(1+log(n/k)))
+				// RNG draws rather than one per tuple.
+				res := sampling.NewReservoir[dataset.Tuple](target, ctx.Rand)
+				for _, w := range vs {
+					res.AddSlice(w.Sample)
+				}
+				sample := res.Sample()
+				ctx.Observe("reservoir_size", int64(len(sample)))
+				emit(WeightedTuples{Sample: sample, N: n})
+				return
+			}
+			// Some parts were already subsampled (a combiner re-run):
+			// merge them without bias via the unified sampler.
+			sample := sampling.UnifiedSample(vs, target, ctx.Rand)
+			ctx.Observe("reservoir_size", int64(len(sample)))
+			emit(WeightedTuples{Sample: sample, N: n})
+		})
+}

@@ -34,17 +34,13 @@ func buildMQEJob(queries []*query.SSD, schema *dataset.Schema, opts Options) (*m
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("stratified: no queries")
 	}
-	compiled := make([][]predicate.Pred, len(queries))
-	freqs := make(map[QSKey]int)
+	classes := make([]*predicate.Classifier, len(queries))
 	for qi, q := range queries {
-		ps, err := q.Compile(schema)
+		cls, err := q.Classifier(schema)
 		if err != nil {
 			return nil, err
 		}
-		compiled[qi] = ps
-		for k, s := range q.Strata {
-			freqs[QSKey{qi, k}] = s.Freq
-		}
+		classes[qi] = cls
 	}
 
 	job := &mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut]{
@@ -54,27 +50,24 @@ func buildMQEJob(queries []*query.SSD, schema *dataset.Schema, opts Options) (*m
 				if _, skip := opts.Exclude[t.ID]; skip {
 					return
 				}
-				for qi := range compiled {
-					for k, pred := range compiled[qi] {
-						if pred(&t) {
-							emit(QSKey{qi, k}, sampling.Singleton(t))
-							break // strata of one query are disjoint
-						}
+				for qi, cls := range classes {
+					if k := cls.Classify(&t); k >= 0 {
+						emit(QSKey{qi, k}, sampling.Singleton(t))
 					}
 				}
 			}),
 		Reducer: mapreduce.ReducerFunc[QSKey, WeightedTuples, qsOut](
 			func(ctx *mapreduce.TaskContext, k QSKey, vs []WeightedTuples, emit func(qsOut)) {
-				emit(qsOut{Key: k, Sample: sampling.UnifiedSample(vs, freqs[k], ctx.Rand)})
+				emit(qsOut{Key: k, Sample: sampling.UnifiedSample(vs, queries[k.Query].Strata[k.Stratum].Freq, ctx.Rand)})
 			}),
 		KeyString: func(k QSKey) string { return fmt.Sprintf("q%04d/s%06d", k.Query, k.Stratum) },
 	}
-	// Whole-split fast path (fastmap.go): same emission stream, amortized
-	// allocations. Present on every backend because workers rebuild the job
-	// through this same function.
-	job.BatchMapper = &mqeBatchMapper{compiled: compiled, exclude: opts.Exclude}
 	if !opts.Naive {
-		job.Combiner = combiner(func(k QSKey) int { return freqs[k] })
+		job.BatchMapper = &fusedStage[QSKey]{
+			queries: queries, classes: classes,
+			key:     func(query, stratum int) QSKey { return QSKey{query, stratum} },
+			exclude: opts.Exclude,
+		}
 	}
 	return job, nil
 }

@@ -4,48 +4,30 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
 
 // splitClassifier assigns every tuple of a split to its stratum in one call.
-// It prefers the interval-box BatchClassifier (no closure tree per tuple) and
-// keeps compiled predicates as the fallback for conditions Boxes cannot lower
-// (DNF blow-up past predicate.MaxBoxes). The out slice is reused across
-// splits, so steady-state classification allocates nothing.
+// The out slice is reused across splits, so steady-state classification
+// allocates nothing.
 type splitClassifier struct {
-	cls   *query.BatchClassifier
-	preds []predicate.Pred
-	out   []int
+	cls *query.BatchClassifier
+	out []int
 }
 
 func newSplitClassifier(q *query.SSD, schema *dataset.Schema) (*splitClassifier, error) {
-	preds, err := q.Compile(schema)
+	cls, err := query.NewBatchClassifier(q, schema)
 	if err != nil {
 		return nil, err
 	}
-	sc := &splitClassifier{preds: preds}
-	if cls, err := query.NewBatchClassifier(q, schema); err == nil {
-		sc.cls = cls
-	}
-	return sc, nil
+	return &splitClassifier{cls: cls}, nil
 }
 
 // classify returns one stratum index (or -1) per tuple of the split. The
 // returned slice is owned by the classifier and valid until the next call.
 func (sc *splitClassifier) classify(split dataset.Split) []int {
-	if sc.cls != nil {
-		sc.out = sc.cls.ClassifyTuples(split, sc.out)
-		return sc.out
-	}
-	if cap(sc.out) < len(split) {
-		sc.out = make([]int, len(split))
-	}
-	sc.out = sc.out[:len(split)]
-	for i := range split {
-		sc.out[i] = query.MatchStratum(sc.preds, &split[i])
-	}
+	sc.out = sc.cls.ClassifyTuples(split, sc.out)
 	return sc.out
 }
 

@@ -1,12 +1,14 @@
 // Package stratified implements the paper's distributed stratified-sampling
 // algorithms on top of the MapReduce engine:
 //
-//   - MR-SQE (Section 4.2.2, Figure 2): map partitions tuples by stratum
-//     constraint, a combiner draws per-map-task reservoir samples tagged with
-//     the size of the set they were drawn from, and the reducer applies the
+//   - MR-SQE (Section 4.2.2, Figure 2): each map task classifies its tuples
+//     by stratum constraint straight into per-stratum reservoir samples
+//     tagged with the size of the set they were drawn from (map and combine
+//     fused into one scan, fused.go), and the reducer applies the
 //     unified-sampler (Algorithm 1) to produce an unbiased final sample.
-//   - the naive variant (Section 4.2.1, Figure 1), which shuffles every
-//     matching tuple — used as a baseline to show what the combiner saves.
+//   - the naive variant (Section 4.2.1, Figure 1), which maps record by
+//     record and shuffles every matching tuple — the baseline that shows
+//     what sampling inside the map task saves.
 //   - MR-MQE (Section 5.1): the multi-query extension keyed by (Q_i, s_k)
 //     pairs, answering a whole set of SSD queries in a single pass over R.
 package stratified
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
+	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
@@ -28,8 +31,9 @@ type WeightedTuples = sampling.Weighted[dataset.Tuple]
 type Options struct {
 	// Seed makes the run reproducible.
 	Seed int64
-	// Naive disables the combiner, shuffling every matching tuple
-	// (Figure 1). The default (false) is the MR-SQE of Figure 2.
+	// Naive maps record by record and shuffles every matching tuple
+	// (Figure 1). The default (false) is the MR-SQE of Figure 2, sampling
+	// inside each map task.
 	Naive bool
 	// Exclude removes individuals (by ID) from consideration before
 	// sampling; the CPS residual phase uses it to avoid re-selecting
@@ -48,13 +52,9 @@ type stratumOut struct {
 // "mr-sqe" maker in portable.go), which is what keeps task execution
 // identical across backends.
 func buildSQEJob(q *query.SSD, schema *dataset.Schema, opts Options) (*mapreduce.Job[dataset.Tuple, int, WeightedTuples, stratumOut], error) {
-	preds, err := q.Compile(schema)
+	cls, err := q.Classifier(schema)
 	if err != nil {
 		return nil, err
-	}
-	freqs := make([]int, len(q.Strata))
-	for k, s := range q.Strata {
-		freqs[k] = s.Freq
 	}
 
 	job := &mapreduce.Job[dataset.Tuple, int, WeightedTuples, stratumOut]{
@@ -64,22 +64,22 @@ func buildSQEJob(q *query.SSD, schema *dataset.Schema, opts Options) (*mapreduce
 				if _, skip := opts.Exclude[t.ID]; skip {
 					return
 				}
-				if k := query.MatchStratum(preds, &t); k >= 0 {
+				if k := cls.Classify(&t); k >= 0 {
 					emit(k, sampling.Singleton(t))
 				}
 			}),
 		Reducer: mapreduce.ReducerFunc[int, WeightedTuples, stratumOut](
 			func(ctx *mapreduce.TaskContext, k int, vs []WeightedTuples, emit func(stratumOut)) {
-				emit(stratumOut{Stratum: k, Sample: sampling.UnifiedSample(vs, freqs[k], ctx.Rand)})
+				emit(stratumOut{Stratum: k, Sample: sampling.UnifiedSample(vs, q.Strata[k].Freq, ctx.Rand)})
 			}),
 		KeyString: func(k int) string { return fmt.Sprintf("s%06d", k) },
 	}
-	// Whole-split fast path (fastmap.go): same emission stream, amortized
-	// allocations. Present on every backend because workers rebuild the job
-	// through this same function.
-	job.BatchMapper = &sqeBatchMapper{preds: preds, exclude: opts.Exclude}
 	if !opts.Naive {
-		job.Combiner = combiner(func(k int) int { return freqs[k] })
+		job.BatchMapper = &fusedStage[int]{
+			queries: []*query.SSD{q}, classes: []*predicate.Classifier{cls},
+			key:     func(_, stratum int) int { return stratum },
+			exclude: opts.Exclude,
+		}
 	}
 	return job, nil
 }
@@ -108,47 +108,6 @@ func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits [
 		ans.Strata[out.Stratum] = out.Sample
 	}
 	return ans, res.Metrics, nil
-}
-
-// combiner builds the MR-SQE combine function: it locally selects an
-// intermediate sample of capacity freq(key) using Algorithm R over the map
-// task's tuples for that key and tags it with the number of tuples it saw.
-// Each emitted intermediate sample's size is observed into the job's
-// "reservoir_size" histogram (Metrics.Custom) — the paper's
-// intermediate-sample-size measurement.
-func combiner[K comparable](freq func(K) int) mapreduce.Combiner[K, WeightedTuples] {
-	return mapreduce.CombinerFunc[K, WeightedTuples](
-		func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
-			n := sampling.TotalN(vs)
-			target := freq(k)
-			exhaustive := true
-			for _, w := range vs {
-				if w.N != int64(len(w.Sample)) {
-					exhaustive = false
-					break
-				}
-			}
-			if exhaustive {
-				// Common case: every part is raw map output (singletons),
-				// so stream the tuples through the reservoir, as in the
-				// paper's combine function. AddSlice rides Algorithm L's
-				// skip counts, so a full-split scan costs O(k(1+log(n/k)))
-				// RNG draws rather than one per tuple.
-				res := sampling.NewReservoir[dataset.Tuple](target, ctx.Rand)
-				for _, w := range vs {
-					res.AddSlice(w.Sample)
-				}
-				sample := res.Sample()
-				ctx.Observe("reservoir_size", int64(len(sample)))
-				emit(WeightedTuples{Sample: sample, N: n})
-				return
-			}
-			// Some parts were already subsampled (a combiner re-run):
-			// merge them without bias via the unified sampler.
-			sample := sampling.UnifiedSample(vs, target, ctx.Rand)
-			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(WeightedTuples{Sample: sample, N: n})
-		})
 }
 
 // tupleSplits converts typed dataset splits to the engine's input shape.

@@ -145,6 +145,64 @@ func TestTCPMatchesInproc(t *testing.T) {
 	}
 }
 
+// TestSeedDeterminismAcrossBackends is the sampling contract since the map
+// task became one fused classify-and-sample scan: an answer is a pure
+// function of (seed, splits, query list), so the same seed gives the same
+// individuals in-process, on gob-wire subprocess workers and on tcp workers —
+// for MR-SQE and for an 8-query MR-MQE pass with an exclusion set.
+func TestSeedDeterminismAcrossBackends(t *testing.T) {
+	splits := testPopulation(t)
+	var queries []*query.SSD
+	for i := 0; i < 8; i++ {
+		cut := 100 + 100*i
+		queries = append(queries, query.NewSSD(fmt.Sprintf("q%d", i),
+			query.Stratum{Cond: predicate.MustParse(fmt.Sprintf("income < %d and gender = 1", cut)), Freq: 3 + i},
+			query.Stratum{Cond: predicate.MustParse(fmt.Sprintf("income >= %d", cut)), Freq: 12 - i},
+		))
+	}
+	opts := stratified.Options{Seed: 7, Exclude: map[int64]struct{}{3: {}, 401: {}, 899: {}}}
+	run := func(exec mapreduce.Executor) (*query.Answer, query.MultiAnswer) {
+		sqe, _, err := stratified.RunSQE(testCluster(exec), testQuery(), testSchema(), splits, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mqe, _, err := stratified.RunMQE(testCluster(exec), queries, testSchema(), splits, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sqe, mqe
+	}
+	wantSQE, wantMQE := run(nil)
+	for qi, q := range queries {
+		for k, s := range q.Strata {
+			if got := len(wantMQE[qi].Strata[k]); got != s.Freq {
+				t.Errorf("in-process query %d stratum %d: %d tuples, want %d", qi, k, got, s.Freq)
+			}
+		}
+	}
+
+	sub := newSubprocess(t, 2, func(int) []string { return []string{"STRATA_WIRE=gob"} })
+	defer sub.Close()
+	tcp, err := worker.NewTCPExecutor(worker.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	tcp.SpawnLocal(2)
+	if err := tcp.AwaitWorkers(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for name, exec := range map[string]mapreduce.Executor{"subprocess/gob": sub, "tcp": tcp} {
+		gotSQE, gotMQE := run(exec)
+		if !reflect.DeepEqual(wantSQE, gotSQE) {
+			t.Errorf("%s MR-SQE answer differs from in-process:\n in: %v\nout: %v", name, wantSQE, gotSQE)
+		}
+		if !reflect.DeepEqual(wantMQE, gotMQE) {
+			t.Errorf("%s MR-MQE answers differ from in-process", name)
+		}
+	}
+}
+
 // TestWorkerCrashRecovery kills a worker mid-job and checks the coordinator
 // reassigns its lease without changing the sample: worker 0 aborts on its
 // first leased task, so the job must finish on the survivors with exactly
