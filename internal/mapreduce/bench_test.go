@@ -76,7 +76,14 @@ func shuffleHeavyJob() *Job[int, int, int64, int64] {
 	}
 }
 
-func benchShuffle(b *testing.B, mk func() (Transport, error), tr Tracer, rows int) {
+func init() {
+	RegisterJobMaker("test-shuffle-heavy",
+		func([]byte) (*Job[int, int, int64, int64], error) { return shuffleHeavyJob(), nil })
+}
+
+// benchShuffle runs the shuffle-heavy job in memory (exec nil) or serialized
+// through the given executor.
+func benchShuffle(b *testing.B, exec Executor, tr Tracer, rows int) {
 	splits := make([][]int, 16)
 	for s := range splits {
 		split := make([]int, rows)
@@ -85,11 +92,9 @@ func benchShuffle(b *testing.B, mk func() (Transport, error), tr Tracer, rows in
 		}
 		splits[s] = split
 	}
-	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr}
-	if mk != nil {
-		cluster.NewTransport = mk
-	}
+	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr, Executor: exec}
 	job := shuffleHeavyJob()
+	job.Maker = "test-shuffle-heavy"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,11 +119,11 @@ func BenchmarkShuffleTraced(b *testing.B) {
 	benchShuffle(b, nil, NewJSONLTracer(io.Discard), 4000)
 }
 
-// BenchmarkShuffleTransport measures the serialized shuffle path: encode,
-// Send/Receive through an in-process transport, decode, group — on the
-// binary wire codec by default, on gob under STRATA_WIRE=gob.
-func BenchmarkShuffleTransport(b *testing.B) {
-	benchShuffle(b, func() (Transport, error) { return NewMemTransport(), nil }, nil, 4000)
+// BenchmarkShuffleSerialized measures the serialized shuffle route: every
+// task a TaskSpec through InprocExecutor — encode, routed hand-over, decode,
+// group — on the binary wire codec by default, on gob under STRATA_WIRE=gob.
+func BenchmarkShuffleSerialized(b *testing.B) {
+	benchShuffle(b, &InprocExecutor{}, nil, 4000)
 }
 
 // BenchmarkShuffleVolume scales the serialized shuffle's record volume to
@@ -128,7 +133,7 @@ func BenchmarkShuffleTransport(b *testing.B) {
 func BenchmarkShuffleVolume(b *testing.B) {
 	for _, rows := range []int{4000, 16000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchShuffle(b, func() (Transport, error) { return NewMemTransport(), nil }, nil, rows)
+			benchShuffle(b, &InprocExecutor{}, nil, rows)
 		})
 	}
 }

@@ -19,27 +19,16 @@ type Cluster struct {
 	// Faults, when non-nil, injects task failures and stragglers into the
 	// virtual clock (deterministic re-execution; see FaultModel).
 	Faults *FaultModel
-	// NewTransport, when non-nil, supplies a fresh shuffle Transport for
-	// every job run; the shuffle then travels serialized (and, for
-	// TCPTransport, over a real network stack) and ShuffleBytes report
-	// wire bytes. Keys and values must be gob-encodable. The engine closes
-	// the transport when the job finishes.
-	NewTransport func() (Transport, error)
-	// ShuffleRetry bounds re-attempts of a shuffle Receive that timed out
-	// with a *ReceiveTimeoutError, instead of failing the job on the first
-	// expiry. The zero value applies the default policy (2 retries, 50ms
-	// linear backoff); MaxRetries < 0 restores fail-on-first-timeout.
-	// Retries performed are counted in Metrics.ShuffleRetries.
-	ShuffleRetry ShuffleRetryPolicy
 	// MaxParallelism caps the real goroutine parallelism used to execute
 	// tasks, independent of the simulated slot count. 0 means "as many as
 	// slots"; negative values are a configuration error.
 	MaxParallelism int
 	// Executor, when non-nil, runs task attempts on an execution backend
 	// instead of in-process goroutines: a pool of subprocess workers, TCP
-	// workers, or any other Executor implementation. A nil Executor — or an
-	// *InprocExecutor — keeps today's in-process engine path. Remote
-	// executors require portable jobs (Job.Maker set); non-portable jobs
+	// workers, or any other Executor implementation — every task then
+	// travels as a serialized TaskSpec, even with an *InprocExecutor. A nil
+	// Executor keeps tasks as in-process closures that never encode.
+	// Executors require portable jobs (Job.Maker set); non-portable jobs
 	// fall back to in-process execution with a warning log.
 	Executor Executor
 	// Tracer, when non-nil and enabled, receives one Span per task attempt,
@@ -99,21 +88,6 @@ func (c *Cluster) workers() int {
 		return c.MaxParallelism
 	}
 	return c.Slots()
-}
-
-// remoteExecutor returns the cluster's executor when it actually moves work
-// off-process, else nil. An *InprocExecutor is deliberately treated as "no
-// executor": it exists so callers can thread an Executor value
-// unconditionally, and the closure-based engine path is both faster and the
-// reference behavior.
-func (c *Cluster) remoteExecutor() Executor {
-	if c.Executor == nil {
-		return nil
-	}
-	if _, ok := c.Executor.(*InprocExecutor); ok {
-		return nil
-	}
-	return c.Executor
 }
 
 // tracer returns the cluster's tracer if spans are wanted, else nil — the

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -55,51 +54,5 @@ func TestRunRejectsInvalidCluster(t *testing.T) {
 	_, err := Run(c, remoteModCountJob(), [][]int{{1, 2, 3}})
 	if err == nil || !strings.Contains(err.Error(), "MaxParallelism") {
 		t.Fatalf("Run = %v, want MaxParallelism validation error", err)
-	}
-}
-
-// TestTCPTransportReceiveTimeout pins the named timeout error: a reducer
-// whose map-side payloads never arrive fails with *ReceiveTimeoutError
-// instead of blocking forever.
-func TestTCPTransportReceiveTimeout(t *testing.T) {
-	tr, err := NewTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.ReceiveTimeout = 50 * time.Millisecond
-
-	// Two map tasks expected; only task 0 ever sends to reducer 1.
-	if _, err := tr.Send(0, 1, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	_, err = tr.Receive(1, 2)
-	if err == nil {
-		t.Fatal("Receive returned without the missing bucket, want timeout")
-	}
-	var te *ReceiveTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("Receive error %T (%v), want *ReceiveTimeoutError", err, err)
-	}
-	if te.Reducer != 1 || te.Task != 1 {
-		t.Errorf("timeout names reducer %d task %d, want reducer 1 task 1", te.Reducer, te.Task)
-	}
-	if want := "mapreduce: reducer 1 timed out waiting for task 1"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q, want prefix %q", err, want)
-	}
-
-	// A fully delivered reducer still receives normally under the deadline.
-	if _, err := tr.Send(0, 0, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Send(1, 0, []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	payloads, err := tr.Receive(0, 2)
-	if err != nil {
-		t.Fatalf("Receive(0) = %v, want success", err)
-	}
-	if len(payloads) != 2 {
-		t.Fatalf("Receive(0) returned %d payloads, want 2", len(payloads))
 	}
 }

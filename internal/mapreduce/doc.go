@@ -1,20 +1,27 @@
-// Package mapreduce implements an in-process MapReduce engine with the
-// semantics the paper's algorithms rely on: a map phase over input splits,
-// an optional per-map-task combiner, a hash-partitioned shuffle with byte
-// accounting, and a reduce phase. Tasks run concurrently on goroutines.
+// Package mapreduce implements a MapReduce engine with the semantics the
+// paper's algorithms rely on: a map phase over input splits, an optional
+// per-map-task combiner, a hash-partitioned shuffle with byte accounting, and
+// a reduce phase. Tasks run concurrently on goroutines, or — with an Executor
+// on the Cluster — on worker processes.
 //
 // # Execution model
 //
-// Map tasks run on a bounded worker pool. The shuffle is pipelined: as soon
-// as a map task finishes, its per-reducer buckets are encoded and handed to
-// the cluster's Transport (or kept in memory), overlapping the remaining map
-// work; reducers then receive, decode and group their buckets in parallel,
-// one unit per reducer. A job may replace mapper + combiner with one fused
-// whole-split stage (BatchMapper) that aggregates in place and emits only
-// what is shuffled; the sampling jobs do, drawing their intermediate
-// reservoir samples with Algorithm L (geometric skips), so a full-split scan
-// costs O(k(1+log(n/k))) RNG draws instead of one per tuple. Output is
-// byte-identical to a serial shuffle.
+// Run is the one engine loop. Map tasks run on a bounded worker pool and
+// leave per-reducer buckets behind; then, one unit of work per reducer, the
+// reducer's bucket column is assembled in map-task order, grouped and
+// reduced. How a task executes and where its buckets stay is behind a
+// two-method backend seam with two implementations: in-process (closures,
+// typed buckets kept in memory, nothing encoded) and remote (TaskSpec →
+// Executor, buckets routed through the coordinator or pushed directly
+// between workers). Scheduling, metric folding, fault charging and span
+// emission exist once, in the loop.
+//
+// A job may replace mapper + combiner with one fused whole-split stage
+// (BatchMapper) that aggregates in place and emits only what is shuffled; the
+// sampling jobs do, drawing their intermediate reservoir samples with
+// Algorithm L (geometric skips), so a full-split scan costs O(k(1+log(n/k)))
+// RNG draws instead of one per tuple. Output is byte-identical to a serial
+// run on every backend.
 //
 // # Virtual clock
 //

@@ -122,27 +122,137 @@ func (m *Metrics) mergeCustom(custom map[string]*Histogram) {
 	}
 }
 
+// backend is the per-run seam between the engine loop and an execution
+// backend: how map task t runs and where its buckets stay, and how reducer
+// r's bucket column is assembled, grouped and reduced. Run owns everything
+// else — scheduling, metric folding, fault charging, spans, logs. Both
+// methods are called concurrently for distinct tasks; every runMap returns
+// before the first runReduce starts.
+type backend[O any] interface {
+	runMap(task int, out *mapOutcome) error
+	runReduce(r int, out *reduceOutcome[O]) error
+}
+
+// attempt is what the loop folds for one executed task, map or reduce: its
+// counters and histograms and, from remote backends only, the worker that
+// ran it, the real attempts that died before it succeeded and the trace
+// attribution of the successful one.
+type attempt struct {
+	TaskCounters
+	custom map[string]*Histogram
+	worker string
+	failed []TaskAttempt
+	attr   *taskAttribution
+	// start and end are the task's offsets from the run start, stamped by
+	// the loop around the backend call; like every duration in an outcome
+	// they are read only when a tracer is enabled.
+	start, end time.Duration
+}
+
+// mapOutcome is one map task's result as the loop sees it; the buckets
+// themselves stay inside the backend.
+type mapOutcome struct {
+	attempt
+	shuffleBytes int64
+	bucketBytes  Histogram
+}
+
+// sent accounts one of the task's shuffle buckets.
+func (m *mapOutcome) sent(bytes int64) {
+	m.shuffleBytes += bytes
+	m.bucketBytes.Observe(bytes)
+}
+
+// reduceOutcome is one reducer's result: In counts the shuffled records,
+// Groups the distinct keys, RecvWall the time from the reducer's start until
+// its bucket column was assembled (the rest of the task is reduce work).
+type reduceOutcome[O any] struct {
+	attempt
+	out       []O
+	perKey    map[string]KeyStats
+	recvBytes int64
+	// recvWorker tags the shuffle-recv span when the receive ran on a
+	// worker (direct shuffle) rather than on the coordinator.
+	recvWorker string
+}
+
+// inprocBackend runs tasks as closures on the calling goroutines. Buckets
+// stay in memory as typed pairs and are never encoded; only their
+// approximate wire size is accounted.
+type inprocBackend[I any, K comparable, V any, O any] struct {
+	job         *Job[I, K, V, O]
+	splits      [][]I
+	numReducers int
+	perKey      bool
+	elapsed     func() time.Duration // nil when untraced
+	buckets     [][][]Pair[K, V]     // [task][reducer]
+}
+
+func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
+	run := execMapTask(b.job, b.job.Seed, b.splits[task], task, b.numReducers, b.elapsed)
+	out.In, out.Out = run.in, run.out
+	out.CombineIn, out.CombineOut = run.combineIn, run.combineOut
+	out.custom = run.custom
+	if b.elapsed != nil {
+		out.MapWall, out.CombineWall = run.mapDone-out.start, run.combineDone-run.mapDone
+	}
+	for r := range run.buckets {
+		out.sent(bucketApproxSize(run.buckets[r]))
+	}
+	b.buckets[task] = run.buckets
+	return nil
+}
+
+func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) error {
+	// Concatenate the reducer's buckets in task order, then group by key:
+	// value order within a key is (task index, emission order), so parallel
+	// grouping is byte-identical to a serial one.
+	parts := make([][]Pair[K, V], len(b.buckets))
+	for t := range b.buckets {
+		parts[t] = b.buckets[t][r]
+		if b.elapsed != nil {
+			out.recvBytes += bucketApproxSize(parts[t])
+		}
+	}
+	groups := groupPairs(parts)
+	// Deterministic reduce order within the reducer; the names feed the
+	// per-key reduce seeds without re-rendering.
+	names := groups.sortByName(b.job.keyString)
+	if b.elapsed != nil {
+		out.RecvWall = b.elapsed() - out.start
+	}
+	run := execReduceTask(b.job, b.job.Seed, groups, names, r, b.perKey)
+	out.In, out.Groups = run.inRecs, int64(len(groups.keyOrder))
+	out.out, out.custom, out.perKey = run.out, run.custom, run.perKey
+	return nil
+}
+
 // Run executes the job over the input splits on the cluster. Each split is
 // one map task. The error is non-nil only for configuration problems or
-// transport failures; user code panics propagate.
+// executor failures; user code panics propagate.
 //
-// Concurrency model: map tasks run on a bounded worker pool and — when a
-// Transport is installed — each task encodes and sends its shuffle buckets
-// as soon as it finishes mapping, so sends overlap the remaining map work
-// (pipelined shuffle). The per-reducer receive, decode and group step then
-// runs on the same pool, one unit per reducer, as does the reduce phase.
-// Output is byte-identical to a serial shuffle: bucket concatenation is in
-// map-task order, reduce order is canonical key order, and every map task
-// and reduce key has a private deterministically-seeded random source.
+// There is one loop and two implementations of the backend seam it drives.
+// With no Executor on the cluster (or a job that is not portable) tasks run
+// in-process; with one, every task is a TaskSpec round-trip to the
+// executor's workers and the shuffle moves worker-to-worker (direct) or
+// through the coordinator (routed).
+//
+// Concurrency model: map tasks run on a bounded worker pool, then one unit
+// of work per reducer — assemble its bucket column, group, reduce — runs on
+// the same pool. Output is byte-identical to a serial run: bucket
+// concatenation is in map-task order, reduce order is canonical key order,
+// and every map task and reduce key has a private deterministically-seeded
+// random source.
 //
 // Observability: when the cluster carries an enabled Tracer, the engine
 // measures per-task wall times and emits one Span per task attempt (fault
-// re-executions included), per-task combine and shuffle-send spans,
-// per-reducer shuffle-recv and reduce spans, and one job span — all from
-// its serial accounting sections, so span order is deterministic. Histogram
-// and counter collection on Metrics is always on; only span assembly and
-// wall-clock reads are gated, which keeps the untraced hot path at its
-// benchmarked speed.
+// re-executions and real worker failures included), per-task combine and
+// shuffle-send spans, per-reducer shuffle-recv and reduce spans, and one job
+// span — all from its serial accounting sections, so span order is
+// deterministic and, under a frozen clock, byte-identical across backends
+// modulo the Span.Worker tag. Histogram and counter collection on Metrics is
+// always on; only span assembly and wall-clock reads are gated, which keeps
+// the untraced hot path at its benchmarked speed.
 func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], splits [][]I) (*Result[O], error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -159,12 +269,14 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	}
 
 	tr := c.tracer()
+	var tctx *TraceContext
 	if tr != nil && c.TraceContext != nil {
 		// Distributed tracing: stamp every span of this run with the
 		// cluster's trace identity. Ids are deterministic hashes of span
 		// identity (SpanID), so no per-span coordination is needed and
 		// frozen-clock runs stay byte-identical.
-		tr = stampTracer(*c.TraceContext, tr)
+		tctx = c.TraceContext
+		tr = stampTracer(*tctx, tr)
 	}
 	perKey := c.PerKeyMetrics || tr != nil
 	logDebug := slog.Default().Enabled(context.Background(), slog.LevelDebug)
@@ -177,302 +289,195 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	now := c.now()
 	start := now()
 	elapsed := func() time.Duration { return now().Sub(start) }
+	var clock func() time.Duration // nil keeps untraced tasks free of clock reads
+	if tr != nil {
+		clock = elapsed
+	}
 	var met Metrics
 	met.Job = job.Name
 	met.MapTasks = len(splits)
 	met.ReduceTasks = numReducers
 
-	var transport Transport
-	if c.NewTransport != nil {
-		var err error
-		transport, err = c.NewTransport()
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-		defer transport.Close()
-	}
-
-	// A remote executor (subprocess or TCP workers) takes over task
-	// execution when the job is portable; the engine keeps all scheduling,
-	// fault accounting and span emission so the observable behavior matches
-	// the in-process path exactly. Non-portable jobs (no Maker registered)
-	// stay in-process — real distribution needs code the worker binary can
-	// reconstruct.
-	if exec := c.remoteExecutor(); exec != nil {
-		if job.Maker != "" {
-			return runRemote(c, job, splits, numReducers, exec, transport, tr, &met, now, start)
-		}
+	// Pick the backend. Remote execution needs a job the worker binary can
+	// rebuild from its (Maker, Config) registration; bespoke closure jobs
+	// stay in-process, loudly.
+	exec := c.Executor
+	if exec != nil && job.Maker == "" {
 		nonPortableFallbacks.Add(1)
 		slog.Warn("mapreduce: job is not portable, running in-process",
 			"job", job.Name, "executor", exec.Name(), "reason", "no job maker registered",
 			"fallbacks_total", nonPortableFallbacks.Load())
+		exec = nil
+	}
+	var be backend[O]
+	backendName := "inproc"
+	if exec != nil {
+		backendName = exec.Name()
+		be = newRemoteBackend[I, O](exec, TaskSpec{
+			Job: job.Name, Maker: job.Maker, Config: job.Config, Seed: job.Seed,
+			NumReducers: numReducers, NumMapTasks: len(splits), Frozen: c.Clock != nil,
+		}, splits, tctx, perKey, clock)
+	} else {
+		be = &inprocBackend[I, K, V, O]{
+			job: job, splits: splits, numReducers: numReducers, perKey: perKey,
+			elapsed: clock, buckets: make([][][]Pair[K, V], len(splits)),
+		}
 	}
 
-	// ---- Map phase (with per-task combine and pipelined shuffle sends) ----
+	// emitAttempts emits one task's attempt spans: the real failed attempts
+	// first — a crashed worker or an expired lease is an attempt that
+	// genuinely ran and died, so it precedes the deterministic fault-model
+	// attempts — then the plan's attempts, the last of which succeeded and
+	// carries the wall time, then the successful remote attempt's child
+	// spans. s arrives holding the successful attempt's identity and counts.
+	emitAttempts := func(s Span, a *attempt, plan attemptPlan, base, wall time.Duration) {
+		died := len(a.failed)
+		for i, fa := range a.failed {
+			tr.Emit(Span{
+				Job: s.Job, Phase: s.Phase, Task: s.Task, Attempt: i + 1,
+				Failed: true, Start: s.Start, Worker: fa.Worker,
+			})
+		}
+		for i := 0; i < plan.attempts; i++ {
+			s.Attempt = died + i + 1
+			s.Failed = i < plan.attempts-1
+			s.Simulated = time.Duration(float64(base) * plan.attemptFactor(i))
+			if !s.Failed {
+				s.Wall = wall
+			}
+			tr.Emit(s)
+		}
+		if a.attr != nil {
+			emitRemoteChildren(tr, *tctx, s.Job, s.Phase, s.Task, died+plan.attempts,
+				s.Start, a.attr, a.worker, start.UnixNano(), c.Clock != nil)
+		}
+	}
+
+	// ---- Map phase (with per-task combine; buckets stay in the backend) ----
 	// All counters are accumulated per task and folded into Metrics once
 	// after the phase: nothing touches shared counters per record.
-	type mapCounters struct {
-		in, out, combineIn, combineOut, shuffleBytes int64
-		bucketBytes                                  Histogram
-		custom                                       map[string]*Histogram
-		// Wall-clock trace points, as offsets from the run start; written
-		// only when a tracer is enabled.
-		startOff, mapDone, combineDone, sendDone time.Duration
-	}
-	perTask := make([][][]Pair[K, V], len(splits)) // [task][reducer]
-	taskCounts := make([]mapCounters, len(splits))
-	taskErrs := make([]error, len(splits))
-
-	runParallel(len(splits), c.workers(), func(task int) {
-		cnt := &taskCounts[task]
+	maps := make([]mapOutcome, len(splits))
+	mapErrs := make([]error, len(splits))
+	runParallel(len(splits), c.workers(), func(t int) {
+		m := &maps[t]
 		if tr != nil {
-			cnt.startOff = elapsed()
+			m.start = elapsed()
 		}
-		var stage func() time.Duration
+		mapErrs[t] = be.runMap(t, m)
 		if tr != nil {
-			stage = elapsed
+			m.end = elapsed()
 		}
-		run := execMapTask(job, job.Seed, splits[task], task, numReducers, stage)
-		cnt.in, cnt.out = run.in, run.out
-		cnt.combineIn, cnt.combineOut = run.combineIn, run.combineOut
-		cnt.custom = run.custom
-		cnt.mapDone, cnt.combineDone = run.mapDone, run.combineDone
-		// Pipelined shuffle: this task's buckets leave the map worker as
-		// soon as they exist, overlapping the remaining map tasks. Without
-		// a transport the buckets stay in memory and only their approximate
-		// wire size is accounted, one bucket at a time.
-		if transport != nil {
-			for r := range run.buckets {
-				payload, err := encodeBucket(run.buckets[r])
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				n, err := transport.Send(task, r, payload)
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				cnt.shuffleBytes += int64(n)
-				cnt.bucketBytes.Observe(int64(n))
-			}
-		} else {
-			for r := range run.buckets {
-				n := bucketApproxSize(run.buckets[r])
-				cnt.shuffleBytes += n
-				cnt.bucketBytes.Observe(n)
-			}
-		}
-		if tr != nil {
-			cnt.sendDone = elapsed()
-		}
-		perTask[task] = run.buckets
 	})
-	for _, err := range taskErrs {
+	for _, err := range mapErrs {
 		if err != nil {
 			return nil, fmt.Errorf("job %q: %w", job.Name, err)
 		}
 	}
 
 	mapDurations := make([]time.Duration, len(splits))
-	for t := range taskCounts {
-		cnt := &taskCounts[t]
-		met.MapInputRecords += cnt.in
-		met.MapOutputRecords += cnt.out
-		met.CombineInputRecs += cnt.combineIn
-		met.CombineOutputRecs += cnt.combineOut
-		met.ShuffleBytes += cnt.shuffleBytes
-		met.BucketBytes.Merge(cnt.bucketBytes)
-		met.mergeCustom(cnt.custom)
+	for t := range maps {
+		m := &maps[t]
+		met.MapInputRecords += m.In
+		met.MapOutputRecords += m.Out
+		met.CombineInputRecs += m.CombineIn
+		met.CombineOutputRecs += m.CombineOut
+		met.ShuffleBytes += m.shuffleBytes
+		met.BucketBytes.Merge(m.bucketBytes)
+		met.mergeCustom(m.custom)
 		base := c.Cost.TaskOverhead +
-			time.Duration(cnt.in)*c.Cost.MapPerRecord +
-			time.Duration(cnt.combineIn)*c.Cost.CombinePerRecord
+			time.Duration(m.In)*c.Cost.MapPerRecord +
+			time.Duration(m.CombineIn)*c.Cost.CombinePerRecord
 		plan, err := c.Faults.plan("map", t)
 		if err != nil {
 			return nil, fmt.Errorf("job %q: %w", job.Name, err)
 		}
-		met.MapAttempts += int64(plan.attempts)
+		met.MapAttempts += int64(plan.attempts + len(m.failed))
 		mapDurations[t] = time.Duration(float64(base) * plan.factor)
 		met.MapTaskNanos.Observe(int64(mapDurations[t]))
 		if tr != nil {
-			sent := cnt.out
+			mapDone := m.start + m.MapWall
+			combineDone := mapDone + m.CombineWall
+			emitAttempts(Span{
+				Job: job.Name, Phase: PhaseMap, Task: t, Start: m.start,
+				Records: m.In, Out: m.Out, Worker: m.worker,
+			}, &m.attempt, plan, base, m.MapWall)
+			sent := m.Out
 			if job.combines() {
-				sent = cnt.combineOut
-			}
-			for a := 0; a < plan.attempts; a++ {
-				s := Span{
-					Job: job.Name, Phase: PhaseMap, Task: t, Attempt: a + 1,
-					Failed:    a < plan.attempts-1,
-					Start:     cnt.startOff,
-					Simulated: time.Duration(float64(base) * plan.attemptFactor(a)),
-					Records:   cnt.in, Out: cnt.out,
-				}
-				if a == plan.attempts-1 {
-					s.Wall = cnt.mapDone - cnt.startOff
-				}
-				tr.Emit(s)
-			}
-			if job.combines() {
+				sent = m.CombineOut
 				tr.Emit(Span{
 					Job: job.Name, Phase: PhaseCombine, Task: t,
-					Start: cnt.mapDone, Wall: cnt.combineDone - cnt.mapDone,
-					Records: cnt.combineIn, Out: cnt.combineOut,
+					Start: mapDone, Wall: m.CombineWall,
+					Records: m.CombineIn, Out: m.CombineOut, Worker: m.worker,
 				})
 			}
 			tr.Emit(Span{
 				Job: job.Name, Phase: PhaseShuffleSend, Task: t,
-				Start: cnt.combineDone, Wall: cnt.sendDone - cnt.combineDone,
-				Records: sent, Bytes: cnt.shuffleBytes,
+				Start: combineDone, Wall: m.end - combineDone,
+				Records: sent, Bytes: m.shuffleBytes, Worker: m.worker,
 			})
 		}
 	}
 	met.SimulatedMap = makespan(mapDurations, c.Slots())
 	if logDebug {
-		slog.Debug("mapreduce map phase done", "job", job.Name,
+		slog.Debug("mapreduce map phase done", "job", job.Name, "backend", backendName,
 			"tasks", met.MapTasks, "attempts", met.MapAttempts,
 			"records_in", met.MapInputRecords, "records_out", met.MapOutputRecords,
 			"simulated", met.SimulatedMap, "wall", elapsed())
 	}
 
-	// ---- Shuffle: parallel per-reducer receive, decode and group ----
-	// For each reducer, concatenate task buckets in task order, then group
-	// by key. Value order within a key is (task index, emission order):
-	// deterministic, so the parallel grouping is byte-identical to a serial
-	// one. With a Transport installed, buckets travel serialized (and, for
-	// TCPTransport, over real sockets) and ShuffleBytes are wire bytes;
-	// otherwise they are estimated from the in-memory pairs.
-	reducerGroups := make([]*keyGroups[K, V], numReducers)
-	reducerNames := make([][]string, numReducers)
-	shuffleRecs := make([]int64, numReducers)
-	shuffleRetries := make([]int64, numReducers)
-	reducerErrs := make([]error, numReducers)
-	var recvStart, recvDur []time.Duration
-	var recvBytes []int64
-	if tr != nil {
-		recvStart = make([]time.Duration, numReducers)
-		recvDur = make([]time.Duration, numReducers)
-		recvBytes = make([]int64, numReducers)
-	}
-
+	// ---- Shuffle receive + reduce: one unit of work per reducer ----
+	reds := make([]reduceOutcome[O], numReducers)
+	redErrs := make([]error, numReducers)
 	runParallel(numReducers, c.workers(), func(r int) {
+		o := &reds[r]
 		if tr != nil {
-			recvStart[r] = elapsed()
+			o.start = elapsed()
 		}
-		var parts [][]Pair[K, V] // task-ordered bucket list for this reducer
-		if transport != nil {
-			payloads, retries, err := receiveRetrying(transport, r, len(splits), c.ShuffleRetry, nil)
-			shuffleRetries[r] = retries
-			if err != nil {
-				reducerErrs[r] = fmt.Errorf("reducer %d: %w", r, err)
-				return
-			}
-			parts = make([][]Pair[K, V], 0, len(payloads))
-			for task, payload := range payloads {
-				pairs, err := decodeBucket[K, V](payload)
-				if err != nil {
-					// Name the originating map task: payloads arrive in
-					// map-task order, so the slice index is the task id.
-					reducerErrs[r] = fmt.Errorf("reducer %d: bucket from map task %d: %w", r, task, err)
-					return
-				}
-				if tr != nil {
-					recvBytes[r] += int64(len(payload))
-				}
-				parts = append(parts, pairs)
-			}
-		} else {
-			parts = make([][]Pair[K, V], len(perTask))
-			for t := range perTask {
-				parts[t] = perTask[t][r]
-				if tr != nil {
-					recvBytes[r] += bucketApproxSize(parts[t])
-				}
-			}
-		}
-		groups := groupPairs(parts)
-		var total int64
-		for _, pairs := range parts {
-			total += int64(len(pairs))
-		}
-		shuffleRecs[r] = total
-		// Deterministic reduce order within the reducer; the names feed the
-		// per-key reduce seeds without re-rendering.
-		reducerNames[r] = groups.sortByName(job.keyString)
-		reducerGroups[r] = groups
+		redErrs[r] = be.runReduce(r, o)
 		if tr != nil {
-			recvDur[r] = elapsed() - recvStart[r]
+			o.end = elapsed()
 		}
 	})
-	for _, err := range reducerErrs {
+	for _, err := range redErrs {
 		if err != nil {
 			return nil, fmt.Errorf("job %q: %w", job.Name, err)
 		}
 	}
-	for r := 0; r < numReducers; r++ {
-		met.ShuffleRecords += shuffleRecs[r]
-		met.ShuffleRetries += shuffleRetries[r]
+	for r := range reds {
+		o := &reds[r]
+		met.ShuffleRecords += o.In
 		if tr != nil {
 			// Each recv leg carries its reducer's share of the simulated
-			// transfer, so the legs sum to SimulatedShuffle (exactly with
-			// the in-memory shuffle, minus framing overhead with a real
-			// Transport); the send legs carry bytes only, to avoid double
-			// counting.
+			// transfer, so the legs sum to SimulatedShuffle; the send legs
+			// carry bytes only, to avoid double counting.
 			tr.Emit(Span{
 				Job: job.Name, Phase: PhaseShuffleRecv, Task: r,
-				Start: recvStart[r], Wall: recvDur[r],
-				Simulated: time.Duration(recvBytes[r]) * c.Cost.ShufflePerByte,
-				Records:   shuffleRecs[r], Bytes: recvBytes[r],
+				Start: o.start, Wall: o.RecvWall,
+				Simulated: time.Duration(o.recvBytes) * c.Cost.ShufflePerByte,
+				Records:   o.In, Bytes: o.recvBytes, Worker: o.recvWorker,
 			})
 		}
 	}
 	met.SimulatedShuffle = time.Duration(met.ShuffleBytes) * c.Cost.ShufflePerByte
 	if logDebug {
-		slog.Debug("mapreduce shuffle done", "job", job.Name,
+		slog.Debug("mapreduce shuffle done", "job", job.Name, "backend", backendName,
 			"records", met.ShuffleRecords, "bytes", met.ShuffleBytes,
 			"simulated", met.SimulatedShuffle, "wall", elapsed())
 	}
 
-	// ---- Reduce phase ----
-	outputs := make([][]O, numReducers)
-	reduceCounts := make([]int64, numReducers)
-	reduceCustom := make([]map[string]*Histogram, numReducers)
-	var keyStats []map[string]KeyStats
-	if perKey {
-		keyStats = make([]map[string]KeyStats, numReducers)
-	}
-	var redStart, redDur []time.Duration
-	if tr != nil {
-		redStart = make([]time.Duration, numReducers)
-		redDur = make([]time.Duration, numReducers)
-	}
-	runParallel(numReducers, c.workers(), func(r int) {
-		if tr != nil {
-			redStart[r] = elapsed()
-		}
-		run := execReduceTask(job, job.Seed, reducerGroups[r], reducerNames[r], r, perKey)
-		outputs[r] = run.out
-		reduceCounts[r] = run.inRecs
-		reduceCustom[r] = run.custom
-		if perKey {
-			keyStats[r] = run.perKey
-		}
-		if tr != nil {
-			redDur[r] = elapsed() - redStart[r]
-		}
-	})
-
 	reduceDurations := make([]time.Duration, numReducers)
 	var final []O
-	for r := 0; r < numReducers; r++ {
-		met.ReduceInputGroups += int64(len(reducerGroups[r].keyOrder))
-		met.ReduceInputRecs += reduceCounts[r]
-		met.OutputRecords += int64(len(outputs[r]))
-		met.mergeCustom(reduceCustom[r])
+	for r := range reds {
+		o := &reds[r]
+		met.ReduceInputGroups += o.Groups
+		met.ReduceInputRecs += o.In
+		met.OutputRecords += int64(len(o.out))
+		met.mergeCustom(o.custom)
 		if perKey {
 			if met.PerKey == nil {
-				met.PerKey = make(map[string]KeyStats, len(keyStats[r]))
+				met.PerKey = make(map[string]KeyStats, len(o.perKey))
 			}
-			for key, ks := range keyStats[r] {
+			for key, ks := range o.perKey {
 				// Accumulate rather than assign: distinct keys can render
 				// to the same name under a lossy KeyString.
 				acc := met.PerKey[key]
@@ -481,32 +486,22 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 				met.PerKey[key] = acc
 			}
 		}
-		base := c.Cost.TaskOverhead + time.Duration(reduceCounts[r])*c.Cost.ReducePerRecord
+		base := c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord
 		plan, err := c.Faults.plan("reduce", r)
 		if err != nil {
 			return nil, fmt.Errorf("job %q: %w", job.Name, err)
 		}
-		met.ReduceAttempts += int64(plan.attempts)
+		met.ReduceAttempts += int64(plan.attempts + len(o.failed))
 		reduceDurations[r] = time.Duration(float64(base) * plan.factor)
 		met.ReduceTaskNanos.Observe(int64(reduceDurations[r]))
 		if tr != nil {
-			for a := 0; a < plan.attempts; a++ {
-				s := Span{
-					Job: job.Name, Phase: PhaseReduce, Task: r, Attempt: a + 1,
-					Failed:    a < plan.attempts-1,
-					Start:     redStart[r],
-					Simulated: time.Duration(float64(base) * plan.attemptFactor(a)),
-					Records:   reduceCounts[r],
-					Groups:    int64(len(reducerGroups[r].keyOrder)),
-					Out:       int64(len(outputs[r])),
-				}
-				if a == plan.attempts-1 {
-					s.Wall = redDur[r]
-				}
-				tr.Emit(s)
-			}
+			redStart := o.start + o.RecvWall
+			emitAttempts(Span{
+				Job: job.Name, Phase: PhaseReduce, Task: r, Start: redStart,
+				Records: o.In, Groups: o.Groups, Out: int64(len(o.out)), Worker: o.worker,
+			}, &o.attempt, plan, base, o.end-redStart)
 		}
-		final = append(final, outputs[r]...)
+		final = append(final, o.out...)
 	}
 	met.SimulatedReduce = makespan(reduceDurations, c.Slots())
 	met.WallTime = elapsed()
@@ -519,7 +514,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		})
 	}
 	if logDebug {
-		slog.Debug("mapreduce job done", "job", job.Name,
+		slog.Debug("mapreduce job done", "job", job.Name, "backend", backendName,
 			"output_records", met.OutputRecords, "groups", met.ReduceInputGroups,
 			"attempts", met.MapAttempts+met.ReduceAttempts,
 			"simulated", met.SimulatedTotal(), "wall", met.WallTime)

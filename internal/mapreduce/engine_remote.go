@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -9,527 +8,226 @@ import (
 	"time"
 )
 
-// runRemote executes a portable job through an Executor: map, combine and
-// reduce attempts run on the executor's workers (subprocess pools, TCP
-// workers, ...) while the coordinator — this function — keeps everything
-// that defines the engine's observable behavior: scheduling, fault-model
-// accounting, metric folding and span emission, in exactly the order the
-// in-process path (Run) uses. Under a frozen clock and fixed seed the span
-// stream and job output are byte-identical to in-process execution, modulo
-// the Span.Worker tag; that is the contract the cross-backend golden test
-// locks in.
-//
-// Differences from the in-process path are confined to genuine distribution
-// effects: task payloads travel serialized (gob, the Transport wire format),
-// and real worker failures surface as extra failed attempt spans — tagged
-// with the worker that died — ahead of the deterministic fault-model
-// attempts.
-func runRemote[I any, K comparable, V any, O any](
-	c *Cluster, job *Job[I, K, V, O], splits [][]I, numReducers int,
-	exec Executor, transport Transport, tr Tracer, met *Metrics,
-	now func() time.Time, start time.Time,
-) (*Result[O], error) {
-	elapsed := func() time.Duration { return now().Sub(start) }
-	perKey := c.PerKeyMetrics || tr != nil
-	logDebug := slog.Default().Enabled(context.Background(), slog.LevelDebug)
-	// Any injected clock (FrozenClock above all) cannot be shared with a
-	// worker process, so workers report zero wall durations and every
-	// coordinator-side timestamp comes from the injected clock — which is
-	// what keeps traced runs reproducible.
-	frozen := c.Clock != nil
+// remoteBackend runs every task as a TaskSpec round-trip through an Executor
+// (subprocess pools, TCP workers, the in-process registry loopback): payloads
+// travel serialized, map buckets either move worker-to-worker under a direct
+// ShufflePlan or are retained here and handed to the reduce spec (routed),
+// and real worker failures come back as extra failed attempts. The engine
+// loop (Run) is the same as for in-process execution.
+type remoteBackend[I any, O any] struct {
+	exec Executor
+	// spec is the template every task spec starts from: job identity, seed,
+	// task counts and the frozen-clock flag. Any injected clock cannot be
+	// shared with a worker process, so under one workers report zero wall
+	// durations and every timestamp comes from the coordinator's clock.
+	spec    TaskSpec
+	splits  [][]I
+	tctx    *TraceContext // non-nil when specs carry the trace identity
+	perKey  bool
+	elapsed func() time.Duration // nil when untraced
 
-	// Distributed tracing: with a TraceContext (and an enabled tracer, in
-	// which case tr arrives here already wrapped in the span stamper),
-	// every TaskSpec carries the trace identity and every successful
-	// attempt decomposes into queue/wire/decode/exec/push/recv child
-	// spans from the pool's and the worker's own measurements.
-	tctx := c.TraceContext
-	if tr == nil {
-		tctx = nil
-	}
-	var startUnix int64
-	if tctx != nil && !frozen {
-		startUnix = start.UnixNano()
-	}
-	stampSpec := func(spec *TaskSpec, phase string, task int) {
-		if tctx == nil {
-			return
-		}
-		spec.Trace = tctx.Trace
-		spec.TraceRun = tctx.Run
-		spec.TraceParent = attemptSpanID(*tctx, job.Name, phase, task, 1)
-	}
+	// Direct shuffle (control plane only): the assignment of reducers to
+	// workers plus the peer endpoints. With a plan the coordinator exchanges
+	// only this metadata; the bucket bytes flow between workers.
+	ds   DirectShuffler
+	plan *ShufflePlan
 
-	// ---- Direct shuffle plan (control plane only) ----
-	// When the executor can move buckets worker-to-worker and no explicit
-	// Transport was asked for, obtain a shuffle plan: the assignment of
-	// reducers to workers plus the peer endpoints. From here on the
-	// coordinator exchanges only this metadata; the bucket bytes themselves
-	// flow between workers.
-	var plan *ShufflePlan
-	var ds DirectShuffler
-	if transport == nil {
-		if d, ok := exec.(DirectShuffler); ok {
-			if p := d.PlanShuffle(job.Name, numReducers); p != nil {
-				ds, plan = d, p
-				if logDebug {
-					slog.Debug("mapreduce direct shuffle planned", "job", job.Name,
-						"backend", exec.Name(), "session", p.Session, "reducers", numReducers)
-				}
-			}
-		}
-	}
+	// What the map phase leaves behind, per map task: the encoded buckets
+	// the coordinator holds (all of them when routed; under a direct plan
+	// only those a worker failed to deliver, the rest are nil) and the
+	// approximate size of every bucket.
+	payloads [][][]byte
+	sizes    [][]int64
 
-	// ---- Map phase (pipelined: each task's buckets ship as they exist) ----
-	type remoteMapState struct {
-		payloads                                 [][]byte // per-reducer payloads, retained without a transport
-		counters                                 TaskCounters
-		custom                                   map[string]*Histogram
-		worker                                   string
-		failed                                   []TaskAttempt
-		shuffleBytes                             int64
-		bucketBytes                              Histogram
-		startOff, mapDone, combineDone, sendDone time.Duration
-		attr                                     taskAttribution
-	}
-	states := make([]remoteMapState, len(splits))
-	taskErrs := make([]error, len(splits))
+	// Memoised map replays for the routed fallback of a lost direct shuffle.
+	replayMu sync.Mutex
+	replayed map[int][][]byte
+}
 
-	runParallel(len(splits), c.workers(), func(task int) {
-		st := &states[task]
-		if tr != nil {
-			st.startOff = elapsed()
-		}
-		splitPayload, err := encodeSlice(splits[task])
-		if err != nil {
-			taskErrs[task] = fmt.Errorf("encoding split of map task %d: %w", task, err)
-			return
-		}
-		spec := &TaskSpec{
-			Job: job.Name, Maker: job.Maker, Config: job.Config,
-			Phase: "map", Task: task, Seed: job.Seed,
-			NumReducers: numReducers, NumMapTasks: len(splits),
-			Split: splitPayload, Frozen: frozen, Shuffle: plan,
-		}
-		stampSpec(spec, PhaseMap, task)
-		res, err := exec.Execute(spec)
-		if err != nil {
-			taskErrs[task] = fmt.Errorf("map task %d on %s executor: %w", task, exec.Name(), err)
-			return
-		}
-		if tctx != nil {
-			st.attr = attribution(res)
-		}
-		st.counters = res.Counters
-		st.custom = res.Custom
-		st.worker = res.Worker
-		st.failed = res.FailedAttempts
-		if tr != nil {
-			st.mapDone = st.startOff + res.Counters.MapWall
-			st.combineDone = st.mapDone + res.Counters.CombineWall
-		}
-		if transport != nil {
-			for r, payload := range res.Buckets {
-				n, err := transport.Send(task, r, payload)
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				st.shuffleBytes += int64(n)
-				st.bucketBytes.Observe(int64(n))
-			}
-		} else {
-			// No transport: keep the payloads for the reduce phase and
-			// account the same approximate sizes the in-process engine
-			// would, so metrics agree across backends. Under a direct
-			// shuffle plan Buckets is sparse — nil for every bucket the
-			// worker already delivered to its peer — but the counters still
-			// describe all of them, so the accounting is unchanged.
-			st.payloads = res.Buckets
-			for _, n := range res.Counters.BucketSizes {
-				st.shuffleBytes += n
-				st.bucketBytes.Observe(n)
-			}
-		}
-		if tr != nil {
-			st.sendDone = elapsed()
-		}
-	})
-	for _, err := range taskErrs {
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
+func newRemoteBackend[I any, O any](
+	exec Executor, spec TaskSpec, splits [][]I,
+	tctx *TraceContext, perKey bool, elapsed func() time.Duration,
+) *remoteBackend[I, O] {
+	b := &remoteBackend[I, O]{
+		exec: exec, spec: spec, splits: splits, tctx: tctx, perKey: perKey, elapsed: elapsed,
+		payloads: make([][][]byte, len(splits)),
+		sizes:    make([][]int64, len(splits)),
+		replayed: make(map[int][][]byte),
+	}
+	if d, ok := exec.(DirectShuffler); ok {
+		if p := d.PlanShuffle(spec.Job, spec.NumReducers); p != nil {
+			b.ds, b.plan = d, p
+			slog.Debug("mapreduce direct shuffle planned", "job", spec.Job,
+				"backend", exec.Name(), "session", p.Session, "reducers", spec.NumReducers)
 		}
 	}
+	return b
+}
 
-	mapDurations := make([]time.Duration, len(splits))
-	for t := range states {
-		st := &states[t]
-		met.MapInputRecords += st.counters.In
-		met.MapOutputRecords += st.counters.Out
-		met.CombineInputRecs += st.counters.CombineIn
-		met.CombineOutputRecs += st.counters.CombineOut
-		met.ShuffleBytes += st.shuffleBytes
-		met.BucketBytes.Merge(st.bucketBytes)
-		met.mergeCustom(st.custom)
-		base := c.Cost.TaskOverhead +
-			time.Duration(st.counters.In)*c.Cost.MapPerRecord +
-			time.Duration(st.counters.CombineIn)*c.Cost.CombinePerRecord
-		plan, err := c.Faults.plan("map", t)
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-		met.MapAttempts += int64(plan.attempts + len(st.failed))
-		mapDurations[t] = time.Duration(float64(base) * plan.factor)
-		met.MapTaskNanos.Observe(int64(mapDurations[t]))
-		if tr != nil {
-			sent := st.counters.Out
-			if job.combines() {
-				sent = st.counters.CombineOut
-			}
-			// Real failures first: a crashed worker or an expired lease is
-			// an attempt that genuinely ran (partially) and died, so it
-			// precedes the deterministic fault-model attempts. Without
-			// failures this loop is empty and the stream matches in-process
-			// execution exactly.
-			attempt := 0
-			for _, fa := range st.failed {
-				attempt++
-				tr.Emit(Span{
-					Job: job.Name, Phase: PhaseMap, Task: t, Attempt: attempt,
-					Failed: true, Start: st.startOff, Worker: fa.Worker,
-				})
-			}
-			for a := 0; a < plan.attempts; a++ {
-				s := Span{
-					Job: job.Name, Phase: PhaseMap, Task: t, Attempt: attempt + a + 1,
-					Failed:    a < plan.attempts-1,
-					Start:     st.startOff,
-					Simulated: time.Duration(float64(base) * plan.attemptFactor(a)),
-					Records:   st.counters.In, Out: st.counters.Out,
-					Worker: st.worker,
-				}
-				if a == plan.attempts-1 {
-					s.Wall = st.mapDone - st.startOff
-				}
-				tr.Emit(s)
-			}
-			if tctx != nil {
-				emitRemoteChildren(tr, *tctx, job.Name, PhaseMap, t,
-					attempt+plan.attempts, st.startOff, &st.attr, st.worker,
-					startUnix, frozen)
-			}
-			if job.combines() {
-				tr.Emit(Span{
-					Job: job.Name, Phase: PhaseCombine, Task: t,
-					Start: st.mapDone, Wall: st.combineDone - st.mapDone,
-					Records: st.counters.CombineIn, Out: st.counters.CombineOut,
-					Worker: st.worker,
-				})
-			}
-			tr.Emit(Span{
-				Job: job.Name, Phase: PhaseShuffleSend, Task: t,
-				Start: st.combineDone, Wall: st.sendDone - st.combineDone,
-				Records: sent, Bytes: st.shuffleBytes,
-				Worker: st.worker,
-			})
-		}
-	}
-	met.SimulatedMap = makespan(mapDurations, c.Slots())
-	if logDebug {
-		slog.Debug("mapreduce map phase done", "job", job.Name, "backend", exec.Name(),
-			"tasks", met.MapTasks, "attempts", met.MapAttempts,
-			"records_in", met.MapInputRecords, "records_out", met.MapOutputRecords,
-			"simulated", met.SimulatedMap, "wall", elapsed())
-	}
+// newSpec copies the template for one task.
+func (b *remoteBackend[I, O]) newSpec(phase string, task int) *TaskSpec {
+	spec := b.spec
+	spec.Phase, spec.Task = phase, task
+	return &spec
+}
 
-	// ---- Shuffle fetch + reduce phase (one worker round-trip per reducer) ----
-	outputs := make([][]O, numReducers)
-	redCounters := make([]TaskCounters, numReducers)
-	redCustom := make([]map[string]*Histogram, numReducers)
-	redPerKey := make([]map[string]KeyStats, numReducers)
-	redWorker := make([]string, numReducers)
-	redFailed := make([][]TaskAttempt, numReducers)
-	var redAttr []taskAttribution
-	if tctx != nil {
-		redAttr = make([]taskAttribution, numReducers)
+// stamp puts the trace identity on a spec: its successful attempt then comes
+// back decomposed into queue/wire/decode/exec/push/recv measurements.
+func (b *remoteBackend[I, O]) stamp(spec *TaskSpec) {
+	if b.tctx == nil {
+		return
 	}
-	reducerErrs := make([]error, numReducers)
-	shuffleRetries := make([]int64, numReducers)
-	var recvStart, recvDur, redStart, redDur []time.Duration
-	var recvBytes []int64
-	if tr != nil {
-		recvStart = make([]time.Duration, numReducers)
-		recvDur = make([]time.Duration, numReducers)
-		redStart = make([]time.Duration, numReducers)
-		redDur = make([]time.Duration, numReducers)
-		recvBytes = make([]int64, numReducers)
-	}
+	spec.Trace = b.tctx.Trace
+	spec.TraceRun = b.tctx.Run
+	spec.TraceParent = attemptSpanID(*b.tctx, spec.Job, spec.Phase, spec.Task, 1)
+}
 
-	// Routed fallback for direct-shuffle reducers whose peer-held buckets
-	// were lost (worker crash, missing receiver, peer receive timeout): the
-	// coordinator rebuilds the reducer's bucket column and runs the reduce
-	// routed, on any worker. Map re-execution is deterministic — the same
-	// split, seed and task id produce byte-identical buckets — and memoized
-	// under replayMu so several lost reducers share one replay per map task.
-	var replayMu sync.Mutex
-	replayed := make(map[int][][]byte)
-	replayBuckets := func(t int) ([][]byte, error) {
-		replayMu.Lock()
-		defer replayMu.Unlock()
-		if b, ok := replayed[t]; ok {
-			return b, nil
-		}
-		splitPayload, err := encodeSlice(splits[t])
-		if err != nil {
-			return nil, err
-		}
-		res, err := exec.Execute(&TaskSpec{
-			Job: job.Name, Maker: job.Maker, Config: job.Config,
-			Phase: "map", Task: t, Seed: job.Seed,
-			NumReducers: numReducers, NumMapTasks: len(splits),
-			Split: splitPayload, Frozen: frozen,
-		})
-		if err != nil {
-			return nil, err
-		}
-		replayed[t] = res.Buckets
-		return res.Buckets, nil
+// fold copies what the loop needs out of a task result.
+func (b *remoteBackend[I, O]) fold(res *TaskResult, a *attempt) {
+	a.TaskCounters = res.Counters
+	a.custom = res.Custom
+	a.worker = res.Worker
+	a.failed = res.FailedAttempts
+	if b.tctx != nil {
+		a.attr = attribution(res)
 	}
-	directFallback := func(r int, spec *TaskSpec, lost *ShuffleLostError) (*TaskResult, error) {
-		slog.Warn("mapreduce: direct shuffle lost, replaying buckets over the routed path",
-			"job", job.Name, "reducer", r, "worker", lost.Worker, "reason", lost.Reason)
-		payloads := make([][]byte, len(states))
-		for t := range states {
-			if bks := states[t].payloads; r < len(bks) && len(bks[r]) > 0 {
-				payloads[t] = bks[r] // retained by the map phase, never left the coordinator
-				continue
-			}
-			bks, err := replayBuckets(t)
-			if err != nil {
-				return nil, fmt.Errorf("replaying buckets of map task %d: %w", t, err)
-			}
-			if r < len(bks) {
-				payloads[t] = bks[r]
-			}
-		}
-		routed := *spec
-		routed.Shuffle = nil
-		routed.Buckets = payloads
-		res, err := exec.Execute(&routed)
-		if err != nil {
-			return nil, err
-		}
-		// The lost direct attempt ran (at least partially) on a real worker
-		// and died, so it precedes the successful routed attempt — the same
-		// ordering crash recovery uses for re-executed tasks.
-		res.FailedAttempts = append([]TaskAttempt{{Worker: lost.Worker, Err: lost.Reason}}, res.FailedAttempts...)
-		return res, nil
-	}
+}
 
-	runParallel(numReducers, c.workers(), func(r int) {
-		if tr != nil {
-			recvStart[r] = elapsed()
-		}
-		spec := &TaskSpec{
-			Job: job.Name, Maker: job.Maker, Config: job.Config,
-			Phase: "reduce", Task: r, Seed: job.Seed,
-			NumReducers: numReducers, NumMapTasks: len(splits),
-			CollectKeys: perKey, Frozen: frozen,
-		}
-		stampSpec(spec, PhaseReduce, r)
-		var res *TaskResult
-		var err error
-		switch {
-		case plan != nil:
-			// Direct path: the reducer's worker already holds the buckets its
-			// peers pushed. Ship only the stragglers the map phase had to
-			// retain (a send to a dead endpoint keeps the payload on the
-			// coordinator) and pin the reduce to the worker the plan named.
-			spec.Shuffle = plan
-			spec.Buckets = make([][]byte, len(states))
-			for t := range states {
-				if bks := states[t].payloads; r < len(bks) {
-					spec.Buckets[t] = bks[r]
-				}
-			}
-			res, err = ds.ExecuteOn(plan.Workers[r], spec)
-			var lost *ShuffleLostError
-			if err != nil && errors.As(err, &lost) {
-				res, err = directFallback(r, spec, lost)
-			}
-			if tr != nil {
-				// Same approximate sizes as the in-process engine, so recv
-				// spans agree across backends.
-				for t := range states {
-					recvBytes[r] += states[t].counters.BucketSizes[r]
-				}
-			}
-		case transport != nil:
-			payloads, retries, rerr := receiveRetrying(transport, r, len(splits), c.ShuffleRetry, executorAlive(exec))
-			shuffleRetries[r] = retries
-			if rerr != nil {
-				reducerErrs[r] = fmt.Errorf("reducer %d: %w", r, rerr)
-				return
-			}
-			if tr != nil {
-				for _, p := range payloads {
-					recvBytes[r] += int64(len(p))
-				}
-				recvDur[r] = elapsed() - recvStart[r]
-				redStart[r] = elapsed()
-			}
-			spec.Buckets = payloads
-			res, err = exec.Execute(spec)
-		default:
-			payloads := make([][]byte, len(states))
-			for t := range states {
-				payloads[t] = states[t].payloads[r]
-				if tr != nil {
-					recvBytes[r] += states[t].counters.BucketSizes[r]
-				}
-			}
-			if tr != nil {
-				recvDur[r] = elapsed() - recvStart[r]
-				redStart[r] = elapsed()
-			}
-			spec.Buckets = payloads
-			res, err = exec.Execute(spec)
-		}
-		if err != nil {
-			reducerErrs[r] = fmt.Errorf("reduce task %d on %s executor: %w", r, exec.Name(), err)
-			return
-		}
-		if tctx != nil {
-			redAttr[r] = attribution(res)
-		}
-		if plan != nil && tr != nil {
-			// The receive happened inside the worker's task execution: split
-			// the round-trip into the recv wall the worker measured and the
-			// remainder as reduce work. Zero under a frozen clock, like every
-			// other worker-side wall reading.
-			recvDur[r] = res.Counters.RecvWall
-			redStart[r] = recvStart[r] + recvDur[r]
-		}
-		out, err := DecodeTaskOutput[O](res.Output)
-		if err != nil {
-			reducerErrs[r] = fmt.Errorf("reducer %d: %w", r, err)
-			return
-		}
-		outputs[r] = out
-		redCounters[r] = res.Counters
-		redCustom[r] = res.Custom
-		redPerKey[r] = res.PerKey
-		redWorker[r] = res.Worker
-		redFailed[r] = res.FailedAttempts
-		if tr != nil {
-			redDur[r] = elapsed() - redStart[r]
-		}
-	})
-	for _, err := range reducerErrs {
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
+// executeMap ships a map spec with its encoded split and checks the shape of
+// the reply: it crossed a process boundary, and the reduce side indexes it
+// by reducer.
+func (b *remoteBackend[I, O]) executeMap(spec *TaskSpec) (*TaskResult, error) {
+	var err error
+	if spec.Split, err = encodeSlice(b.splits[spec.Task]); err != nil {
+		return nil, fmt.Errorf("encoding split of map task %d: %w", spec.Task, err)
 	}
-	for r := 0; r < numReducers; r++ {
-		met.ShuffleRecords += redCounters[r].In
-		met.ShuffleRetries += shuffleRetries[r]
-		if tr != nil {
-			s := Span{
-				Job: job.Name, Phase: PhaseShuffleRecv, Task: r,
-				Start: recvStart[r], Wall: recvDur[r],
-				Simulated: time.Duration(recvBytes[r]) * c.Cost.ShufflePerByte,
-				Records:   redCounters[r].In, Bytes: recvBytes[r],
-			}
-			if plan != nil {
-				// Direct mode: the receive ran on a worker, not here.
-				s.Worker = redWorker[r]
-			}
-			tr.Emit(s)
-		}
+	res, err := b.exec.Execute(spec)
+	if err != nil {
+		return nil, fmt.Errorf("map task %d on %s executor: %w", spec.Task, b.exec.Name(), err)
 	}
-	met.SimulatedShuffle = time.Duration(met.ShuffleBytes) * c.Cost.ShufflePerByte
-	if logDebug {
-		slog.Debug("mapreduce shuffle done", "job", job.Name, "backend", exec.Name(),
-			"records", met.ShuffleRecords, "bytes", met.ShuffleBytes, "direct", plan != nil,
-			"simulated", met.SimulatedShuffle, "wall", elapsed())
+	if n := spec.NumReducers; len(res.Buckets) != n || len(res.Counters.BucketSizes) != n {
+		return nil, fmt.Errorf("map task %d on %s executor: worker %q returned %d buckets and %d bucket sizes, want %d of each",
+			spec.Task, b.exec.Name(), res.Worker, len(res.Buckets), len(res.Counters.BucketSizes), n)
 	}
+	return res, nil
+}
 
-	reduceDurations := make([]time.Duration, numReducers)
-	var final []O
-	for r := 0; r < numReducers; r++ {
-		met.ReduceInputGroups += redCounters[r].Groups
-		met.ReduceInputRecs += redCounters[r].In
-		met.OutputRecords += int64(len(outputs[r]))
-		met.mergeCustom(redCustom[r])
-		if perKey {
-			if met.PerKey == nil {
-				met.PerKey = make(map[string]KeyStats, len(redPerKey[r]))
-			}
-			for key, ks := range redPerKey[r] {
-				acc := met.PerKey[key]
-				acc.Records += ks.Records
-				acc.Output += ks.Output
-				met.PerKey[key] = acc
-			}
+func (b *remoteBackend[I, O]) runMap(task int, out *mapOutcome) error {
+	spec := b.newSpec("map", task)
+	spec.Shuffle = b.plan
+	b.stamp(spec)
+	res, err := b.executeMap(spec)
+	if err != nil {
+		return err
+	}
+	b.fold(res, &out.attempt)
+	// Account the same approximate sizes the in-process backend would, so
+	// metrics agree across backends; under a direct plan Buckets is sparse
+	// but the sizes still describe every bucket.
+	b.payloads[task], b.sizes[task] = res.Buckets, res.Counters.BucketSizes
+	for _, n := range res.Counters.BucketSizes {
+		out.sent(n)
+	}
+	return nil
+}
+
+func (b *remoteBackend[I, O]) runReduce(r int, out *reduceOutcome[O]) error {
+	spec := b.newSpec("reduce", r)
+	spec.CollectKeys = b.perKey
+	b.stamp(spec)
+	// The reducer's bucket column. Routed, that is every bucket; direct, the
+	// reducer's worker already holds what its peers pushed and only the
+	// stragglers the map phase had to retain (a send to a dead endpoint keeps
+	// the payload on the coordinator) ride along.
+	spec.Buckets = make([][]byte, len(b.payloads))
+	for t := range b.payloads {
+		spec.Buckets[t] = b.payloads[t][r]
+		if b.elapsed != nil {
+			out.recvBytes += b.sizes[t][r]
 		}
-		base := c.Cost.TaskOverhead + time.Duration(redCounters[r].In)*c.Cost.ReducePerRecord
-		plan, err := c.Faults.plan("reduce", r)
+	}
+	var res *TaskResult
+	var err error
+	var assembled time.Duration // routed: the coordinator's own receive wall
+	if b.plan != nil {
+		// Pin the reduce to the worker the plan named.
+		spec.Shuffle = b.plan
+		res, err = b.ds.ExecuteOn(b.plan.Workers[r], spec)
+		var lost *ShuffleLostError
+		if errors.As(err, &lost) {
+			res, err = b.routedFallback(r, spec, lost)
+		}
+	} else {
+		if b.elapsed != nil {
+			assembled = b.elapsed() - out.start
+		}
+		res, err = b.exec.Execute(spec)
+	}
+	if err != nil {
+		return fmt.Errorf("reduce task %d on %s executor: %w", r, b.exec.Name(), err)
+	}
+	b.fold(res, &out.attempt)
+	if b.plan != nil {
+		// The receive happened inside the worker's task execution: RecvWall
+		// is the worker's reading (zero under a frozen clock, like every
+		// other worker-side wall) and the recv span is tagged with it.
+		out.recvWorker = res.Worker
+	} else {
+		out.RecvWall = assembled
+	}
+	out.perKey = res.PerKey
+	if out.out, err = DecodeTaskOutput[O](res.Output); err != nil {
+		return fmt.Errorf("reducer %d: %w", r, err)
+	}
+	return nil
+}
+
+// routedFallback serves a direct-shuffle reducer whose peer-held buckets were
+// lost (worker crash, missing receiver, peer receive timeout): the coordinator
+// rebuilds the reducer's bucket column and runs the reduce routed, on any
+// worker. Map re-execution is deterministic — the same split, seed and task
+// id produce byte-identical buckets — and memoized, so several lost reducers
+// share one replay per map task.
+func (b *remoteBackend[I, O]) routedFallback(r int, spec *TaskSpec, lost *ShuffleLostError) (*TaskResult, error) {
+	slog.Warn("mapreduce: direct shuffle lost, replaying buckets over the routed path",
+		"job", spec.Job, "reducer", r, "worker", lost.Worker, "reason", lost.Reason)
+	routed := *spec
+	routed.Shuffle = nil
+	routed.Buckets = make([][]byte, len(b.payloads))
+	for t := range b.payloads {
+		if held := b.payloads[t][r]; len(held) > 0 {
+			routed.Buckets[t] = held // retained by the map phase, never left the coordinator
+			continue
+		}
+		bks, err := b.replayBuckets(t)
 		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
+			return nil, fmt.Errorf("replaying buckets of map task %d: %w", t, err)
 		}
-		met.ReduceAttempts += int64(plan.attempts + len(redFailed[r]))
-		reduceDurations[r] = time.Duration(float64(base) * plan.factor)
-		met.ReduceTaskNanos.Observe(int64(reduceDurations[r]))
-		if tr != nil {
-			attempt := 0
-			for _, fa := range redFailed[r] {
-				attempt++
-				tr.Emit(Span{
-					Job: job.Name, Phase: PhaseReduce, Task: r, Attempt: attempt,
-					Failed: true, Start: redStart[r], Worker: fa.Worker,
-				})
-			}
-			for a := 0; a < plan.attempts; a++ {
-				s := Span{
-					Job: job.Name, Phase: PhaseReduce, Task: r, Attempt: attempt + a + 1,
-					Failed:    a < plan.attempts-1,
-					Start:     redStart[r],
-					Simulated: time.Duration(float64(base) * plan.attemptFactor(a)),
-					Records:   redCounters[r].In,
-					Groups:    redCounters[r].Groups,
-					Out:       int64(len(outputs[r])),
-					Worker:    redWorker[r],
-				}
-				if a == plan.attempts-1 {
-					s.Wall = redDur[r]
-				}
-				tr.Emit(s)
-			}
-			if tctx != nil {
-				emitRemoteChildren(tr, *tctx, job.Name, PhaseReduce, r,
-					attempt+plan.attempts, redStart[r], &redAttr[r], redWorker[r],
-					startUnix, frozen)
-			}
-		}
-		final = append(final, outputs[r]...)
+		routed.Buckets[t] = bks[r]
 	}
-	met.SimulatedReduce = makespan(reduceDurations, c.Slots())
-	met.WallTime = elapsed()
-	if tr != nil {
-		tr.Emit(Span{
-			Job: job.Name, Phase: PhaseJob,
-			Wall: met.WallTime, Simulated: met.SimulatedTotal(),
-			Records: met.MapInputRecords, Out: met.OutputRecords,
-			Groups: met.ReduceInputGroups, Bytes: met.ShuffleBytes,
-		})
+	res, err := b.exec.Execute(&routed)
+	if err != nil {
+		return nil, err
 	}
-	if logDebug {
-		slog.Debug("mapreduce job done", "job", job.Name, "backend", exec.Name(),
-			"output_records", met.OutputRecords, "groups", met.ReduceInputGroups,
-			"attempts", met.MapAttempts+met.ReduceAttempts,
-			"simulated", met.SimulatedTotal(), "wall", met.WallTime)
+	// The lost direct attempt ran (at least partially) on a real worker
+	// and died, so it precedes the successful routed attempt — the same
+	// ordering crash recovery uses for re-executed tasks.
+	res.FailedAttempts = append([]TaskAttempt{{Worker: lost.Worker, Err: lost.Reason}}, res.FailedAttempts...)
+	return res, nil
+}
+
+func (b *remoteBackend[I, O]) replayBuckets(task int) ([][]byte, error) {
+	b.replayMu.Lock()
+	defer b.replayMu.Unlock()
+	if bks, ok := b.replayed[task]; ok {
+		return bks, nil
 	}
-	return &Result[O]{Output: final, Metrics: *met}, nil
+	res, err := b.executeMap(b.newSpec("map", task))
+	if err != nil {
+		return nil, err
+	}
+	b.replayed[task] = res.Buckets
+	return res.Buckets, nil
 }
 
 // taskAttribution is the per-task latency attribution a traced remote
@@ -543,8 +241,8 @@ type taskAttribution struct {
 	clockOK        bool
 }
 
-func attribution(res *TaskResult) taskAttribution {
-	return taskAttribution{
+func attribution(res *TaskResult) *taskAttribution {
+	return &taskAttribution{
 		spans:      res.Spans,
 		queueNanos: res.QueueNanos,
 		sentAt:     res.SentAtNanos,

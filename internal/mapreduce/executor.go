@@ -9,8 +9,7 @@ import (
 // process needs to reconstruct the job (Maker + Config), seed its RNGs
 // identically to an in-process run (Seed, Task, Phase), and the input bytes.
 // Payloads carry a one-byte format tag (binary codec or gob fallback, see
-// wire.go), so the wire format is shared with the Transport path and mixed
-// pools interoperate per payload.
+// wire.go), so mixed pools interoperate per payload.
 type TaskSpec struct {
 	// Job is the job name, used in task contexts and error messages.
 	Job string
@@ -77,10 +76,9 @@ type TaskCounters struct {
 	Groups int64
 	// BucketSizes are the approximate (bucketApproxSize) per-reducer sizes
 	// of a map attempt's buckets — what the coordinator accounts as shuffle
-	// bytes when no Transport is installed, keeping metrics identical to an
-	// in-process run. The direct path keeps using these for Metrics, so
-	// ShuffleBytes stay byte-identical across backends; the wire bytes the
-	// worker edge actually carried travel in TaskResult.DirectBytes.
+	// bytes, routed or direct, so Metrics.ShuffleBytes stay byte-identical
+	// to an in-process run; the wire bytes the worker edge actually carried
+	// travel in TaskResult.DirectBytes.
 	BucketSizes []int64
 	// MapWall and CombineWall are worker-measured stage durations (zero
 	// under a frozen clock).
@@ -106,7 +104,7 @@ type TaskAttempt struct {
 // TaskResult is the outcome of one successfully executed task attempt.
 type TaskResult struct {
 	// Buckets are a map attempt's per-reducer shuffle payloads
-	// (encodeBucket format, exactly what the Transport path ships). On the
+	// (encodeBucket format), one per reducer. On the
 	// direct-shuffle path an entry is nil when the worker delivered it
 	// straight to its reducer's endpoint; payloads whose delivery failed
 	// (dead endpoint) stay in place, so the coordinator retains them as the
@@ -252,12 +250,30 @@ func (e *ShuffleLostError) Error() string {
 		e.Reducer, e.Worker, e.Reason)
 }
 
-// InprocExecutor executes task specs in-process through the same registry
-// path remote workers use. Installing it on a cluster is equivalent to
-// leaving Cluster.Executor nil — the engine recognizes it and keeps the
-// faster closure-based path — but Execute is also usable directly, which is
-// how tests verify that the registry round-trip is byte-identical to native
-// execution.
+// ReceiveTimeoutError reports that a direct-shuffle reduce attempt gave up
+// waiting for a peer-delivered bucket: the sending worker died, hung, or its
+// map task was reassigned. Task is the first missing map task. The worker
+// reports it to the coordinator as a lost shuffle.
+type ReceiveTimeoutError struct {
+	// Reducer is the waiting reduce task.
+	Reducer int
+	// Task is the lowest-numbered map task whose bucket never arrived.
+	Task int
+	// Timeout is the configured receive deadline that expired.
+	Timeout time.Duration
+}
+
+// Error renders the timeout, naming both ends of the missing transfer.
+func (e *ReceiveTimeoutError) Error() string {
+	return fmt.Sprintf("mapreduce: reducer %d timed out waiting for task %d (after %v)",
+		e.Reducer, e.Task, e.Timeout)
+}
+
+// InprocExecutor executes task specs in this process through the same
+// registry path remote workers use: splits, buckets and outputs are encoded
+// and decoded, only the process boundary is missing. It is how tests and
+// benchmarks hold the serialized route byte-identical to closure execution
+// (a nil Cluster.Executor) without spawning workers.
 type InprocExecutor struct{}
 
 // Name reports "inproc".

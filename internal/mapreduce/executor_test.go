@@ -11,8 +11,8 @@ import (
 )
 
 // The tests here pin the executor seam's core contract: a job routed
-// through the portable path — (Maker, Config) registry, gob-serialized
-// splits and buckets, TaskSpec/TaskResult round-trips — produces output,
+// through the portable path — (Maker, Config) registry, serialized splits
+// and buckets, TaskSpec/TaskResult round-trips via InprocExecutor — produces output,
 // metrics and (under a frozen clock) span streams byte-identical to the
 // in-process engine.
 
@@ -54,14 +54,6 @@ func init() {
 		})
 }
 
-// loopbackExecutor drives the full remote path (runRemote + registry +
-// serialization) without processes: Execute is what a worker would run.
-type loopbackExecutor struct{}
-
-func (loopbackExecutor) Name() string                                { return "loopback" }
-func (loopbackExecutor) Execute(spec *TaskSpec) (*TaskResult, error) { return ExecuteTask(spec) }
-func (loopbackExecutor) Close() error                                { return nil }
-
 func remoteTestSplits() [][]int {
 	splits := make([][]int, 7)
 	for s := range splits {
@@ -95,7 +87,7 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := remoteTestCluster()
-	remote.Executor = loopbackExecutor{}
+	remote.Executor = &InprocExecutor{}
 	got, err := Run(remote, portableJob(42), splits)
 	if err != nil {
 		t.Fatal(err)
@@ -108,33 +100,9 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 	}
 }
 
-func TestRemoteExecutorMatchesInprocWithTransport(t *testing.T) {
-	splits := remoteTestSplits()
-	inproc := remoteTestCluster()
-	inproc.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-	want, err := Run(inproc, portableJob(7), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := remoteTestCluster()
-	remote.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-	remote.Executor = loopbackExecutor{}
-	got, err := Run(remote, portableJob(7), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("remote output differs from in-process over a transport")
-	}
-	if want.Metrics.ShuffleBytes != got.Metrics.ShuffleBytes {
-		t.Errorf("wire shuffle bytes: in-process %d, remote %d",
-			want.Metrics.ShuffleBytes, got.Metrics.ShuffleBytes)
-	}
-}
-
 // TestRemoteGoldenSpans locks the executor seam's observability contract:
 // under a frozen clock the remote path's span file is byte-identical to the
-// in-process one (the loopback executor reports no worker id, so not even
+// in-process one (InprocExecutor reports no worker id, so not even
 // normalization is needed).
 func TestRemoteGoldenSpans(t *testing.T) {
 	splits := remoteTestSplits()
@@ -159,7 +127,7 @@ func TestRemoteGoldenSpans(t *testing.T) {
 		return buf.Bytes()
 	}
 	inproc := run(nil)
-	remote := run(loopbackExecutor{})
+	remote := run(&InprocExecutor{})
 	if !bytes.Equal(inproc, remote) {
 		t.Errorf("span files differ between in-process and remote execution:\n--- inproc ---\n%s\n--- remote ---\n%s", inproc, remote)
 	}
@@ -183,7 +151,7 @@ func TestNonPortableJobFallsBack(t *testing.T) {
 	before := NonPortableFallbacks()
 
 	c := remoteTestCluster()
-	c.Executor = loopbackExecutor{}
+	c.Executor = &InprocExecutor{}
 	job := remoteModCountJob() // no Maker set
 	job.Seed = 5
 	got, err := Run(c, job, splits)
@@ -203,31 +171,8 @@ func TestNonPortableJobFallsBack(t *testing.T) {
 	if !strings.Contains(out, "job="+job.Name) {
 		t.Errorf("fallback warning does not name job %q:\n%s", job.Name, out)
 	}
-	if !strings.Contains(out, "executor=loopback") {
+	if !strings.Contains(out, "executor=inproc") {
 		t.Errorf("fallback warning does not name the bypassed executor:\n%s", out)
-	}
-}
-
-// TestInprocExecutorIsRecognized checks the engine treats an installed
-// *InprocExecutor like no executor (the fast closure path), and that its
-// Execute method still works standalone through the registry.
-func TestInprocExecutorIsRecognized(t *testing.T) {
-	c := remoteTestCluster()
-	c.Executor = &InprocExecutor{}
-	if c.remoteExecutor() != nil {
-		t.Fatal("InprocExecutor must not be treated as a remote executor")
-	}
-	splits := remoteTestSplits()
-	want, err := Run(remoteTestCluster(), portableJob(3), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(c, portableJob(3), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("InprocExecutor cluster output differs")
 	}
 }
 
@@ -235,5 +180,36 @@ func TestExecuteTaskUnknownMaker(t *testing.T) {
 	_, err := ExecuteTask(&TaskSpec{Job: "x", Maker: "no-such-maker", Phase: "map"})
 	if err == nil {
 		t.Fatal("want error for unregistered maker")
+	}
+}
+
+// shortResultExecutor answers map specs the way a skewed or hostile peer
+// might: a well-formed result whose per-reducer slices are one entry short.
+type shortResultExecutor struct{ InprocExecutor }
+
+func (e *shortResultExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
+	res, err := e.InprocExecutor.Execute(spec)
+	if err == nil && spec.Phase == "map" && spec.Task == 2 {
+		res.Worker = "w-short"
+		res.Buckets = res.Buckets[:len(res.Buckets)-1]
+		res.Counters.BucketSizes = res.Counters.BucketSizes[:len(res.Counters.BucketSizes)-1]
+	}
+	return res, err
+}
+
+// TestShortMapResultFailsJob: the coordinator indexes a map result by
+// reducer, so a reply with too few buckets or sizes must fail the job with
+// an error naming task and worker — not panic an engine goroutine.
+func TestShortMapResultFailsJob(t *testing.T) {
+	c := remoteTestCluster()
+	c.Executor = &shortResultExecutor{}
+	_, err := Run(c, portableJob(1), remoteTestSplits())
+	if err == nil {
+		t.Fatal("short map result went unnoticed")
+	}
+	for _, want := range []string{"map task 2", "w-short", "buckets"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

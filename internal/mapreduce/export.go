@@ -44,7 +44,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	pw.counter("strata_combine_output_records_total", "Pairs emitted by combiners.", float64(m.CombineOutputRecs))
 	pw.counter("strata_shuffle_records_total", "Pairs moved by the shuffle.", float64(m.ShuffleRecords))
 	pw.counter("strata_shuffle_bytes_total", "Shuffle volume in bytes.", float64(m.ShuffleBytes))
-	pw.counter("strata_shuffle_retries_total", "Shuffle receives retried after a transient timeout.", float64(m.ShuffleRetries))
 	pw.counter("strata_reduce_input_groups_total", "Distinct keys reduced.", float64(m.ReduceInputGroups))
 	pw.counter("strata_reduce_input_records_total", "Values fed to reducers.", float64(m.ReduceInputRecs))
 	pw.counter("strata_output_records_total", "Final output records.", float64(m.OutputRecords))

@@ -32,10 +32,6 @@ type Metrics struct {
 	MapAttempts    int64
 	ReduceAttempts int64
 
-	// ShuffleRetries counts shuffle Receive attempts that were retried after
-	// a transient timeout (see Cluster.ShuffleRetry). Zero on a healthy run.
-	ShuffleRetries int64
-
 	// SimulatedMap includes per-task map and combine work scheduled over
 	// the cluster's slots; SimulatedShuffle models the network transfer;
 	// SimulatedReduce the reduce wave.
@@ -53,8 +49,8 @@ type Metrics struct {
 	MapTaskNanos    Histogram
 	ReduceTaskNanos Histogram
 	// BucketBytes is a histogram of per-bucket shuffle sizes, one
-	// observation per (map task, reducer) pair: wire bytes with a Transport
-	// installed, approximated otherwise.
+	// observation per (map task, reducer) pair, approximated from the
+	// in-memory pairs on every backend.
 	BucketBytes Histogram
 
 	// Custom holds histograms observed by user code through
@@ -99,7 +95,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.OutputRecords += o.OutputRecords
 	m.MapAttempts += o.MapAttempts
 	m.ReduceAttempts += o.ReduceAttempts
-	m.ShuffleRetries += o.ShuffleRetries
 	m.SimulatedMap += o.SimulatedMap
 	m.SimulatedShuffle += o.SimulatedShuffle
 	m.SimulatedReduce += o.SimulatedReduce

@@ -6,11 +6,38 @@ import (
 	"testing"
 )
 
-// TestPipelinedShuffleStress drives the pipelined shuffle hard — many map
-// tasks racing to hand buckets to many reducers, with and without a
-// transport — and checks the output is byte-identical to a fully serial
-// (one-slot) run. Run under `go test -race ./internal/mapreduce/` this is
-// the main concurrency check for the map→shuffle→reduce pipeline.
+func pipelineStressJob() *Job[int, int, int64, Pair[int, int64]] {
+	return &Job[int, int, int64, Pair[int, int64]]{
+		Name:  "pipeline-stress",
+		Maker: "test-pipeline-stress",
+		Seed:  42,
+		Mapper: MapperFunc[int, int, int64](func(ctx *TaskContext, v int, emit func(int, int64)) {
+			// Draw from the task RNG so determinism depends on correct
+			// per-task seeding, not just on pure data flow.
+			emit(v%101, int64(v)+ctx.Rand.Int63n(3))
+		}),
+		Reducer: ReducerFunc[int, int64, Pair[int, int64]](func(ctx *TaskContext, k int, vs []int64, emit func(Pair[int, int64])) {
+			var sum int64
+			for _, v := range vs {
+				sum += v
+			}
+			emit(Pair[int, int64]{k, sum + ctx.Rand.Int63n(3)})
+		}),
+		NumReducers: 8,
+		KeyString:   func(k int) string { return strconv.Itoa(k) },
+	}
+}
+
+func init() {
+	RegisterJobMaker("test-pipeline-stress",
+		func([]byte) (*Job[int, int, int64, Pair[int, int64]], error) { return pipelineStressJob(), nil })
+}
+
+// TestPipelinedShuffleStress drives the shuffle hard — many map tasks
+// racing to hand buckets to many reducers, in memory and serialized through
+// InprocExecutor — and checks the output is byte-identical to a fully serial
+// (one-slot) run. Under `go test -race` this is the main concurrency check
+// for the map→shuffle→reduce pipeline on both backend implementations.
 func TestPipelinedShuffleStress(t *testing.T) {
 	splits := make([][]int, 32)
 	for s := range splits {
@@ -20,39 +47,15 @@ func TestPipelinedShuffleStress(t *testing.T) {
 		}
 		splits[s] = rows
 	}
-	mkJob := func() *Job[int, int, int64, Pair[int, int64]] {
-		return &Job[int, int, int64, Pair[int, int64]]{
-			Name: "pipeline-stress",
-			Seed: 42,
-			Mapper: MapperFunc[int, int, int64](func(ctx *TaskContext, v int, emit func(int, int64)) {
-				// Draw from the task RNG so determinism depends on correct
-				// per-task seeding, not just on pure data flow.
-				emit(v%101, int64(v)+ctx.Rand.Int63n(3))
-			}),
-			Reducer: ReducerFunc[int, int64, Pair[int, int64]](func(ctx *TaskContext, k int, vs []int64, emit func(Pair[int, int64])) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(Pair[int, int64]{k, sum + ctx.Rand.Int63n(3)})
-			}),
-			NumReducers: 8,
-			KeyString:   func(k int) string { return strconv.Itoa(k) },
-		}
-	}
-
 	serial := &Cluster{Slaves: 1, SlotsPerSlave: 1, Cost: ZeroCostModel()}
-	want, err := Run(serial, mkJob(), splits)
+	want, err := Run(serial, pipelineStressJob(), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	wide := func(name string, transport bool) {
-		c := &Cluster{Slaves: 8, SlotsPerSlave: 2, Cost: ZeroCostModel()}
-		if transport {
-			c.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-		}
-		got, err := Run(c, mkJob(), splits)
+	wide := func(name string, exec Executor) {
+		c := &Cluster{Slaves: 8, SlotsPerSlave: 2, Cost: ZeroCostModel(), Executor: exec}
+		got, err := Run(c, pipelineStressJob(), splits)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,17 +66,11 @@ func TestPipelinedShuffleStress(t *testing.T) {
 			t.Fatalf("%s: shuffle records %d, want %d", name,
 				got.Metrics.ShuffleRecords, want.Metrics.ShuffleRecords)
 		}
-		if transport {
-			// Transport runs count encoded wire bytes, not approxSize, so
-			// only sanity-check them.
-			if got.Metrics.ShuffleBytes <= 0 {
-				t.Fatalf("%s: no shuffle bytes accounted", name)
-			}
-		} else if got.Metrics.ShuffleBytes != want.Metrics.ShuffleBytes {
+		if got.Metrics.ShuffleBytes != want.Metrics.ShuffleBytes {
 			t.Fatalf("%s: shuffle bytes %d, want %d", name,
 				got.Metrics.ShuffleBytes, want.Metrics.ShuffleBytes)
 		}
 	}
-	wide("in-memory", false)
-	wide("transport", true)
+	wide("in-memory", nil)
+	wide("serialized", &InprocExecutor{})
 }

@@ -84,8 +84,8 @@ type Span struct {
 	Out int64 `json:"out,omitempty"`
 	// Groups is the number of distinct keys a reduce span processed.
 	Groups int64 `json:"groups,omitempty"`
-	// Bytes is the byte volume a shuffle span moved (wire bytes with a
-	// Transport installed, approximated otherwise).
+	// Bytes is the byte volume a shuffle span moved (approximated from the
+	// in-memory pairs; worker push/recv child spans carry wire bytes).
 	Bytes int64 `json:"bytes,omitempty"`
 	// Worker identifies the worker that ran the attempt when the cluster
 	// executes on a remote backend (subprocess or TCP workers); empty for

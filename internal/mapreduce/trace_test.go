@@ -297,52 +297,32 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-// corruptTransport wraps a Transport and corrupts the payloads sent by one
-// map task, to prove decode failures name the originating task.
-type corruptTransport struct {
-	Transport
+// corruptingExecutor corrupts one map task's entry in every routed reduce
+// spec's bucket column, to prove decode failures name the originating task.
+type corruptingExecutor struct {
+	InprocExecutor
 	task int
 }
 
-func (c *corruptTransport) Send(task, reducer int, payload []byte) (int, error) {
-	if task == c.task && len(payload) > 0 {
-		payload = append([]byte("garbage:"), payload...)
+func (e *corruptingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
+	if spec.Phase == "reduce" {
+		spec.Buckets[e.task] = append([]byte("garbage:"), spec.Buckets[e.task]...)
 	}
-	return c.Transport.Send(task, reducer, payload)
+	return e.InprocExecutor.Execute(spec)
 }
 
-// TestDecodeErrorNamesOriginatingTask is the transport bugfix regression: a
-// reducer that fails to decode a bucket must say which map task sent it.
+// TestDecodeErrorNamesOriginatingTask is the shuffle-decode bugfix
+// regression: a reducer that fails to decode a bucket must say which map
+// task sent it.
 func TestDecodeErrorNamesOriginatingTask(t *testing.T) {
 	c := NewCluster(3)
-	c.NewTransport = func() (Transport, error) {
-		return &corruptTransport{Transport: NewMemTransport(), task: 1}, nil
-	}
-	_, err := Run(c, wordCountJob(1, true), wcSplits)
+	c.Executor = &corruptingExecutor{task: 1}
+	_, err := Run(c, portableJob(1), remoteTestSplits())
 	if err == nil {
 		t.Fatal("corrupted shuffle payload went unnoticed")
 	}
 	if !strings.Contains(err.Error(), "map task 1") {
 		t.Fatalf("error does not name the originating map task: %v", err)
-	}
-}
-
-// TestMemTransportNamesMissingTasks is the other half of the bugfix: a
-// bucket shortfall lists exactly the absent map tasks.
-func TestMemTransportNamesMissingTasks(t *testing.T) {
-	tr := NewMemTransport()
-	for _, task := range []int{0, 2} {
-		if _, err := tr.Send(task, 7, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := tr.Receive(7, 4)
-	if err == nil {
-		t.Fatal("want shortfall error")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "reducer 7") || !strings.Contains(msg, "[1 3]") {
-		t.Fatalf("shortfall error does not name reducer and missing tasks: %v", err)
 	}
 }
 

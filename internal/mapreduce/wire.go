@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"reflect"
@@ -63,15 +65,17 @@ type SliceCodec[T any] struct {
 	Read   func(r *wire.Reader) ([]T, error)
 }
 
-// codecs maps reflect.Type of *[]Pair[K,V] (buckets) or *[]T (slices) to
-// the registered codec. sync.Map: written during init, read on the hot path.
+// codecs maps reflect.Type of *Pair[K,V] (buckets) or *[]T (slices) to the
+// registered codec — distinct key shapes, so a job whose output records are
+// themselves pairs cannot collide with its bucket codec. sync.Map: written
+// during init, read on the hot path.
 var codecs sync.Map
 
 // RegisterBucketCodec installs the binary codec for one pair type. Call it
 // from an init function alongside RegisterJobMaker, so coordinator and
 // worker binaries agree on the format.
 func RegisterBucketCodec[K comparable, V any](c BucketCodec[K, V]) {
-	codecs.Store(reflect.TypeOf((*[]Pair[K, V])(nil)), c)
+	codecs.Store(reflect.TypeOf((*Pair[K, V])(nil)), c)
 }
 
 // RegisterSliceCodec installs the binary codec for []T payloads.
@@ -80,7 +84,7 @@ func RegisterSliceCodec[T any](c SliceCodec[T]) {
 }
 
 func lookupBucketCodec[K comparable, V any]() (BucketCodec[K, V], bool) {
-	v, ok := codecs.Load(reflect.TypeOf((*[]Pair[K, V])(nil)))
+	v, ok := codecs.Load(reflect.TypeOf((*Pair[K, V])(nil)))
 	if !ok {
 		return BucketCodec[K, V]{}, false
 	}
@@ -138,6 +142,71 @@ func decodeSlice[T any](payload []byte) ([]T, error) {
 		return v, r.Done()
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
+	}
+}
+
+// --- tagged bucket payloads (shuffle) ----------------------------------------
+
+// encodeBucket serializes one map task's pairs for the wire: one payload
+// tag byte, then either the registered binary pair codec or gob. The tag
+// makes every bucket self-describing, which direct shuffle needs — the
+// sending worker cannot know the consuming worker's negotiated format. A
+// bucket payload is therefore never empty (the tag byte is always present),
+// which the engine relies on as its hole marker.
+func encodeBucket[K comparable, V any](pairs []Pair[K, V]) ([]byte, error) {
+	if c, ok := lookupBucketCodec[K, V](); ok && !gobPayloads.Load() {
+		buf := make([]byte, 1, 64)
+		buf[0] = payloadBinary
+		buf = wire.AppendUvarint(buf, uint64(len(pairs)))
+		for _, p := range pairs {
+			buf = c.AppendPair(buf, p)
+		}
+		return buf, nil
+	}
+	var buf bytes.Buffer
+	buf.WriteByte(payloadGob)
+	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
+		return nil, fmt.Errorf("mapreduce: encoding shuffle bucket: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBucket reverses encodeBucket, dispatching on the payload tag.
+func decodeBucket[K comparable, V any](payload []byte) ([]Pair[K, V], error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("mapreduce: empty shuffle bucket: %w", wire.ErrTruncated)
+	}
+	switch payload[0] {
+	case payloadGob:
+		var pairs []Pair[K, V]
+		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&pairs); err != nil {
+			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+		}
+		return pairs, nil
+	case payloadBinary:
+		c, ok := lookupBucketCodec[K, V]()
+		if !ok {
+			return nil, fmt.Errorf("mapreduce: binary shuffle bucket for unregistered pair type %T", (Pair[K, V]{}))
+		}
+		r := wire.NewReader(payload[1:])
+		n := r.Count(1)
+		var pairs []Pair[K, V]
+		if n > 0 {
+			pairs = make([]Pair[K, V], 0, n)
+		}
+		for i := 0; i < n; i++ {
+			p, err := c.ReadPair(r)
+			if err != nil {
+				return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+			}
+			pairs = append(pairs, p)
+		}
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+		}
+		return pairs, nil
+	default:
+		return nil, fmt.Errorf("mapreduce: shuffle bucket with unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
 	}
 }
 

@@ -161,6 +161,32 @@ func TestHistogramWireRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEncodeDecodeBucket(t *testing.T) {
+	pairs := []Pair[string, int64]{{"a", 1}, {"b", 2}}
+	payload, err := encodeBucket(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeBucket[string, int64](payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pairs, back) {
+		t.Fatalf("round trip %v", back)
+	}
+	if _, err := decodeBucket[string, int64]([]byte("garbage")); err == nil {
+		t.Fatal("want decode error")
+	}
+	empty, err := encodeBucket[string, int64](nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backEmpty, err := decodeBucket[string, int64](empty)
+	if err != nil || len(backEmpty) != 0 {
+		t.Fatalf("empty round trip: %v, %v", backEmpty, err)
+	}
+}
+
 // TestBucketCodecRoundTripAndFallback: a registered pair codec round-trips
 // through encodeBucket/decodeBucket, unregistered types fall back to gob,
 // and the escape hatch forces gob even for registered types. All paths

@@ -13,7 +13,7 @@ import (
 )
 
 // The direct shuffle data plane: every TCP worker runs a shuffleReceiver — a
-// loopback listener speaking TCPTransport-style length-prefixed frames — and
+// loopback listener speaking length-prefixed frames — and
 // map attempts push each bucket straight to the endpoint of the reducer that
 // will consume it. The coordinator never touches the bytes; it only hands out
 // the (worker, endpoint) assignment in a ShufflePlan and keeps the routed path
@@ -21,10 +21,9 @@ import (
 // crashed worker.
 
 // shuffle frame header: session length, map task, reducer, payload length —
-// four big-endian int32s, followed by the session string and the payload. The
-// session field is what the engine's TCPTransport framing lacks: one worker
-// pool serves many job runs back to back, so buckets must be namespaced per
-// run to never mix payloads.
+// four big-endian int32s, followed by the session string and the payload. One
+// worker pool serves many job runs back to back, so the session field
+// namespaces buckets per run to never mix payloads.
 const shuffleHeaderSize = 16
 
 // maxShuffleSessions bounds how many job runs' buckets one receiver retains

@@ -166,10 +166,6 @@ func (e *SubprocessExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskR
 	return e.pool.execute(spec)
 }
 
-// LiveWorkers reports how many worker processes are attached; the engine's
-// shuffle retry policy uses it to stop retrying once every sender is gone.
-func (e *SubprocessExecutor) LiveWorkers() int { return e.pool.liveWorkers() }
-
 // ShuffleStats reports where this executor's shuffle bytes traveled. A
 // subprocess pool always shuffles through the coordinator, so DirectBytes
 // stays zero and RoutedBucketBytes counts the whole shuffle.

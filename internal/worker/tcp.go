@@ -182,10 +182,6 @@ func (e *TCPExecutor) PlanShuffle(job string, numReducers int) *mapreduce.Shuffl
 	return plan
 }
 
-// LiveWorkers reports how many workers are attached; the engine's shuffle
-// retry policy uses it to stop retrying once every sender is gone.
-func (e *TCPExecutor) LiveWorkers() int { return e.pool.liveWorkers() }
-
 // ShuffleStats reports where this executor's shuffle bytes traveled. On a
 // healthy direct run RoutedBucketBytes is zero — the coordinator carried no
 // bucket payloads at all.

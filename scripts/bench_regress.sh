@@ -30,7 +30,7 @@ run() { # pkg bench-regex [bytes]: prints "name allocs/op [B/op]"
 }
 
 {
-  run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkShuffleTransport$|BenchmarkShuffleVolume'
+  run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkShuffleSerialized$|BenchmarkShuffleVolume'
   run ./internal/worker/ 'BenchmarkEngine/backend=inproc$|BenchmarkEngine/backend=tcp'
   run ./internal/serve/ 'BenchmarkServePass$' bytes
 } >"$out"
