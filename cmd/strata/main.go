@@ -7,7 +7,7 @@
 //
 //	strata [-v] [-log level] [-trace spans.jsonl] [-debug-addr addr] [-progress]
 //	       [-backend inproc|subprocess|tcp] [-workers n] [-routed-shuffle]
-//	       [-wire binary|gob] <command> ...
+//	       <command> ...
 //
 //	strata generate    -n 10000 [-uniform] [-graph] [-seed 1] [-stats] [-csv]
 //	strata sample      -n 10000 -query "nop >= 100 : 5; nop < 100 : 10" [-slaves 4]

@@ -39,11 +39,6 @@ type obs struct {
 	// -backend tcp, forcing every bucket through the coordinator.
 	routedShuffle bool
 
-	// wire selects the payload wire format: "binary" (default) or "gob",
-	// the escape hatch that forces every payload and frame onto the gob
-	// codec (equivalent to STRATA_WIRE=gob).
-	wire string
-
 	executor mapreduce.Executor
 
 	tracer    *mapreduce.JSONLTracer
@@ -83,20 +78,7 @@ func parseGlobalFlags(args []string) ([]string, error) {
 	fs.StringVar(&globalObs.backend, "backend", "inproc", "task execution `backend`: inproc, subprocess (worker child processes) or tcp (workers register over TCP)")
 	fs.IntVar(&globalObs.workers, "workers", 2, "worker count for -backend subprocess or tcp")
 	fs.BoolVar(&globalObs.routedShuffle, "routed-shuffle", false, "with -backend tcp, route all shuffle buckets through the coordinator instead of worker-to-worker")
-	fs.StringVar(&globalObs.wire, "wire", "", "payload wire `format`: binary (default) or gob (escape hatch; also STRATA_WIRE=gob)")
 	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	switch globalObs.wire {
-	case "", "binary":
-		// default; STRATA_WIRE=gob in the environment still applies
-	case "gob":
-		mapreduce.SetWireGob(true)
-	default:
-		// fs.Parse prints its own errors; this validation must too, since
-		// main exits without printing parse failures.
-		err := fmt.Errorf("unknown -wire format %q (want binary or gob)", globalObs.wire)
-		fmt.Fprintf(os.Stderr, "strata: %v\n", err)
 		return nil, err
 	}
 	return fs.Args(), nil

@@ -8,8 +8,7 @@ import (
 
 // globalFlagsHelp is the one authoritative rendering of the global flag set;
 // the top-level usage and every subcommand's -h print it, so the list cannot
-// drift per command (PR 6 added -wire without updating all usage strings —
-// this helper is the fix).
+// drift per command.
 const globalFlagsHelp = `global flags (before the command):
   -v, -log <level>          debug logging / explicit level (debug, info, warn, error)
   -trace <spans.jsonl>      write one JSON span per engine task ("strata trace" renders it)
@@ -17,8 +16,7 @@ const globalFlagsHelp = `global flags (before the command):
   -debug-addr <addr>        serve /metrics /progress /quality /debug/pprof /debug/vars
   -backend <b>              task execution: inproc (default), subprocess or tcp
   -workers <n>              worker count for -backend subprocess or tcp
-  -routed-shuffle           with -backend tcp, route shuffle buckets via the coordinator
-  -wire <format>            payload wire format: binary (default) or gob (escape hatch)`
+  -routed-shuffle           with -backend tcp, route shuffle buckets via the coordinator`
 
 // subUsage installs a usage function on a subcommand's flag set that prints
 // the synopsis, the command's own flags, and the shared global-flag help.

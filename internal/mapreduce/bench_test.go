@@ -9,55 +9,28 @@ import (
 	"repro/internal/wire"
 )
 
-// The benchmark jobs use (int, int64) pairs and []int splits; registering
-// codecs for them puts the benchmarks on the binary wire path, the way
-// production jobs register theirs next to RegisterJobMaker.
+// The benchmark and test jobs use (int, int64) pairs, []int splits and
+// []int64 outputs; their codecs are registered here the way production jobs
+// register theirs next to RegisterJobMaker.
+var intPairCodec = BucketCodec[int, int64]{
+	AppendPair: func(buf []byte, p Pair[int, int64]) []byte {
+		buf = wire.AppendVarint(buf, int64(p.Key))
+		return wire.AppendVarint(buf, p.Value)
+	},
+	ReadPair: func(r *wire.Reader) (Pair[int, int64], error) {
+		k := r.Varint()
+		v := r.Varint()
+		return Pair[int, int64]{Key: int(k), Value: v}, r.Err()
+	},
+}
+
 func init() {
-	RegisterBucketCodec(BucketCodec[int, int64]{
-		AppendPair: func(buf []byte, p Pair[int, int64]) []byte {
-			buf = wire.AppendVarint(buf, int64(p.Key))
-			return wire.AppendVarint(buf, p.Value)
-		},
-		ReadPair: func(r *wire.Reader) (Pair[int, int64], error) {
-			k := r.Varint()
-			v := r.Varint()
-			return Pair[int, int64]{Key: int(k), Value: v}, r.Err()
-		},
-	})
-	RegisterSliceCodec(SliceCodec[int]{
-		Append: func(buf []byte, v []int) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(v)))
-			for _, x := range v {
-				buf = wire.AppendVarint(buf, int64(x))
-			}
-			return buf
-		},
-		Read: func(r *wire.Reader) ([]int, error) {
-			n := r.Count(1)
-			out := make([]int, n)
-			for i := range out {
-				out[i] = int(r.Varint())
-			}
-			return out, r.Err()
-		},
-	})
-	RegisterSliceCodec(SliceCodec[int64]{
-		Append: func(buf []byte, v []int64) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(v)))
-			for _, x := range v {
-				buf = wire.AppendVarint(buf, x)
-			}
-			return buf
-		},
-		Read: func(r *wire.Reader) ([]int64, error) {
-			n := r.Count(1)
-			out := make([]int64, n)
-			for i := range out {
-				out[i] = r.Varint()
-			}
-			return out, r.Err()
-		},
-	})
+	RegisterBucketCodec(intPairCodec)
+	RegisterSliceCodec(RecordsCodec(
+		func(buf []byte, x int) []byte { return wire.AppendVarint(buf, int64(x)) },
+		func(r *wire.Reader) (int, error) { return int(r.Varint()), r.Err() }))
+	RegisterSliceCodec(RecordsCodec(wire.AppendVarint,
+		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
 }
 
 // shuffleHeavyJob emits every record unchanged under a wide key space with
@@ -121,15 +94,14 @@ func BenchmarkShuffleTraced(b *testing.B) {
 
 // BenchmarkShuffleSerialized measures the serialized shuffle route: every
 // task a TaskSpec through InprocExecutor — encode, routed hand-over, decode,
-// group — on the binary wire codec by default, on gob under STRATA_WIRE=gob.
+// group.
 func BenchmarkShuffleSerialized(b *testing.B) {
 	benchShuffle(b, &InprocExecutor{}, nil, 4000)
 }
 
 // BenchmarkShuffleVolume scales the serialized shuffle's record volume to
 // show how codec allocations grow with bytes moved — the allocs/op column is
-// the budget the wire codec is held to (flat per record vs gob's per-value
-// decoding; A/B with STRATA_WIRE=gob).
+// the budget the wire codec is held to (flat per record).
 func BenchmarkShuffleVolume(b *testing.B) {
 	for _, rows := range []int{4000, 16000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -8,8 +9,7 @@ import (
 // TaskSpec is one task attempt in backend-portable form: everything a worker
 // process needs to reconstruct the job (Maker + Config), seed its RNGs
 // identically to an in-process run (Seed, Task, Phase), and the input bytes.
-// Payloads carry a one-byte format tag (binary codec or gob fallback, see
-// wire.go), so mixed pools interoperate per payload.
+// Payloads lead with a one-byte format byte (see wire.go).
 type TaskSpec struct {
 	// Job is the job name, used in task contexts and error messages.
 	Job string
@@ -34,7 +34,7 @@ type TaskSpec struct {
 	// the direct-shuffle path an empty entry is a hole: the payload was (or
 	// will be) delivered worker-to-worker and the reduce attempt receives it
 	// from its peer instead of from this spec. A bucket payload is never
-	// empty (encodeBucket of zero pairs still carries its format tag byte),
+	// empty (encodeBucket of zero pairs still carries its format byte),
 	// so emptiness is an unambiguous hole marker.
 	Buckets [][]byte
 	// NumMapTasks is the job's map-task count; reduce attempts on the direct
@@ -58,11 +58,38 @@ type TaskSpec struct {
 	// under (best-effort: the spec is built before the pool knows which
 	// real attempt it serves, so it names the first attempt). All
 	// zero when tracing is off — workers then skip span collection
-	// entirely. On the binary wire path these ride a version-gated
-	// extension (wire version ≥ 2); gob carries them natively.
+	// entirely.
 	Trace       string
 	TraceRun    string
 	TraceParent uint64
+}
+
+// ErrInvalidSpec is the cause of every error Validate returns.
+var ErrInvalidSpec = errors.New("invalid task spec")
+
+// maxSpecTasks bounds the task counts a spec may claim. Task cores size
+// slices by them, so a hostile count must not reach a make(); no frame
+// relates a map spec's reducer count to its size, hence a fixed cap, far
+// above any job this engine schedules.
+const maxSpecTasks = 1 << 20
+
+// Validate checks the shape of a spec that crossed a process boundary,
+// before any task core indexes or allocates by its counts.
+func (s *TaskSpec) Validate() error {
+	var what string
+	switch {
+	case s.Task < 0:
+		what = fmt.Sprintf("task index %d", s.Task)
+	case s.NumReducers < 1 || s.NumReducers > maxSpecTasks:
+		what = fmt.Sprintf("%d reducers", s.NumReducers)
+	case s.NumMapTasks < 0 || s.NumMapTasks > maxSpecTasks:
+		what = fmt.Sprintf("%d map tasks", s.NumMapTasks)
+	case len(s.Buckets) > s.NumMapTasks:
+		what = fmt.Sprintf("%d buckets for %d map tasks", len(s.Buckets), s.NumMapTasks)
+	default:
+		return nil
+	}
+	return fmt.Errorf("mapreduce: %s task of job %q: %w: %s", s.Phase, s.Job, ErrInvalidSpec, what)
 }
 
 // TaskCounters are the measured counters of one executed task attempt.
@@ -133,15 +160,14 @@ type TaskResult struct {
 	FailedAttempts []TaskAttempt
 	// Spans are the worker-side measurements of this attempt (decode,
 	// exec, push, recv — see the Phase* constants), present only when the
-	// spec carried a trace context and the worker speaks wire version ≥ 2.
+	// spec carried a trace context.
 	// The coordinator lifts them into child spans of the attempt span.
 	Spans []WorkerSpan
 
 	// The remaining fields are coordinator-local attribution, filled in by
-	// the executor pool on the coordinator side and never wire-encoded
-	// (gob sends their zero values, the binary codec omits them): how long
-	// the task waited in the dispatch queue, when its frame was sent and
-	// its result received (coordinator clock, unix nanos), and the
+	// the executor pool on the coordinator side and never wire-encoded: how
+	// long the task waited in the dispatch queue, when its frame was sent
+	// and its result received (coordinator clock, unix nanos), and the
 	// worker's estimated clock offset from the hello handshake.
 	QueueNanos       int64
 	SentAtNanos      int64

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"log/slog"
 	"reflect"
 	"strconv"
@@ -177,9 +178,29 @@ func TestNonPortableJobFallsBack(t *testing.T) {
 }
 
 func TestExecuteTaskUnknownMaker(t *testing.T) {
-	_, err := ExecuteTask(&TaskSpec{Job: "x", Maker: "no-such-maker", Phase: "map"})
-	if err == nil {
-		t.Fatal("want error for unregistered maker")
+	_, err := ExecuteTask(&TaskSpec{Job: "x", Maker: "no-such-maker", Phase: "map", NumReducers: 1})
+	if err == nil || !strings.Contains(err.Error(), "no-such-maker") {
+		t.Fatalf("want an error naming the unregistered maker, got %v", err)
+	}
+}
+
+// TestExecuteTaskRejectsBadSpec: a decoded spec is outside input. Counts the
+// task cores divide, index or allocate by are checked before any of that,
+// and a bad one is a task error — not a panic that takes the worker down.
+func TestExecuteTaskRejectsBadSpec(t *testing.T) {
+	specs, _ := sampleTasks(t) // [1] and [2]: a map and a reduce spec that execute
+	for name, mutate := range map[string]func(m, r *TaskSpec) *TaskSpec{
+		"zero reducers":       func(m, _ *TaskSpec) *TaskSpec { m.NumReducers = 0; return m },
+		"negative reducers":   func(m, _ *TaskSpec) *TaskSpec { m.NumReducers = -1; return m },
+		"overflowed reducers": func(m, _ *TaskSpec) *TaskSpec { m.NumReducers = int(^uint64(0) >> 2); return m },
+		"negative task":       func(m, _ *TaskSpec) *TaskSpec { m.Task = -1; return m },
+		"huge map tasks":      func(_, r *TaskSpec) *TaskSpec { r.NumMapTasks = maxSpecTasks + 1; return r },
+		"too many buckets":    func(_, r *TaskSpec) *TaskSpec { r.NumMapTasks = 0; return r },
+	} {
+		m, r := *specs[1], *specs[2]
+		if _, err := ExecuteTask(mutate(&m, &r)); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: %v, want ErrInvalidSpec", name, err)
+		}
 	}
 }
 

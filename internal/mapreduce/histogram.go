@@ -211,14 +211,6 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// GobEncode makes histograms portable across process boundaries (the worker
-// runtime ships per-task Custom histograms back to the coordinator). It reuses
-// the JSON wire form, which round-trips the histogram exactly.
-func (h Histogram) GobEncode() ([]byte, error) { return h.MarshalJSON() }
-
-// GobDecode reverses GobEncode.
-func (h *Histogram) GobDecode(data []byte) error { return h.UnmarshalJSON(data) }
-
 // String renders a one-line summary: count, mean and the quartile spread.
 func (h Histogram) String() string {
 	if h.count == 0 {

@@ -31,6 +31,8 @@ func pipelineStressJob() *Job[int, int, int64, Pair[int, int64]] {
 func init() {
 	RegisterJobMaker("test-pipeline-stress",
 		func([]byte) (*Job[int, int, int64, Pair[int, int64]], error) { return pipelineStressJob(), nil })
+	// Output records are pairs, encoded like the shuffle pairs of bench_test.go.
+	RegisterSliceCodec(RecordsCodec(intPairCodec.AppendPair, intPairCodec.ReadPair))
 }
 
 // TestPipelinedShuffleStress drives the shuffle hard — many map tasks

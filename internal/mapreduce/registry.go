@@ -1,8 +1,7 @@
 package mapreduce
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -22,22 +21,30 @@ type taskRunner interface {
 	runTask(spec *TaskSpec) (*TaskResult, error)
 }
 
+// jobMaker is one registered factory: build rebuilds the job from its
+// config; codecs reports the job's payload types (split, shuffle pair,
+// output) that have no registered wire codec.
+type jobMaker struct {
+	build  func(name string, config []byte) (taskRunner, error)
+	codecs func() error
+}
+
 var registry = struct {
 	sync.Mutex
-	makers map[string]func(name string, config []byte) (taskRunner, error)
+	makers map[string]jobMaker
 	// cache holds built runners keyed by maker+config, so a worker serving
 	// many tasks of one job compiles its predicates once, not per attempt.
 	// Workers run a handful of job families; the cache stays small.
 	cache map[string]taskRunner
 }{
-	makers: make(map[string]func(name string, config []byte) (taskRunner, error)),
+	makers: make(map[string]jobMaker),
 	cache:  make(map[string]taskRunner),
 }
 
 // RegisterJobMaker registers a named job factory. Call it from an init
 // function of the package that builds the job, so every binary linking that
 // package — the coordinator and its workers alike — can reconstruct the job
-// from its serialized config. It panics on duplicate names, like gob.Register.
+// from its serialized config. It panics on duplicate names.
 //
 // The factory receives the TaskSpec's Config bytes and must deterministically
 // rebuild the job: mapper, combiner, reducer, Partition and KeyString all
@@ -49,13 +56,21 @@ func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func
 	if _, dup := registry.makers[name]; dup {
 		panic(fmt.Sprintf("mapreduce: RegisterJobMaker: duplicate maker %q", name))
 	}
-	registry.makers[name] = func(jobName string, config []byte) (taskRunner, error) {
-		job, err := maker(config)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: maker %q: %w", name, err)
-		}
-		job.Name = jobName
-		return &jobRunner[I, K, V, O]{job: job}, nil
+	registry.makers[name] = jobMaker{
+		build: func(jobName string, config []byte) (taskRunner, error) {
+			job, err := maker(config)
+			if err != nil {
+				return nil, fmt.Errorf("mapreduce: maker %q: %w", name, err)
+			}
+			job.Name = jobName
+			return &jobRunner[I, K, V, O]{job: job}, nil
+		},
+		codecs: func() error {
+			_, split := lookupCodec[SliceCodec[I], []I]()
+			_, pair := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
+			_, out := lookupCodec[SliceCodec[O], []O]()
+			return errors.Join(split, pair, out)
+		},
 	}
 }
 
@@ -71,7 +86,11 @@ func runnerFor(spec *TaskSpec) (taskRunner, error) {
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: no job maker registered as %q (worker binary missing a registration?)", spec.Maker)
 	}
-	r, err := mk(spec.Job, spec.Config)
+	// Fail before any task work, not when the first payload is encoded.
+	if err := mk.codecs(); err != nil {
+		return nil, fmt.Errorf("mapreduce: maker %q: %w", spec.Maker, err)
+	}
+	r, err := mk.build(spec.Job, spec.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +101,9 @@ func runnerFor(spec *TaskSpec) (taskRunner, error) {
 // ExecuteTask runs one portable task spec in this process: the worker-side
 // entry point (and the InprocExecutor's implementation).
 func ExecuteTask(spec *TaskSpec) (*TaskResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	r, err := runnerFor(spec)
 	if err != nil {
 		return nil, err
@@ -184,19 +206,4 @@ func DecodeTaskOutput[O any](payload []byte) ([]O, error) {
 		return nil, fmt.Errorf("mapreduce: decoding reduce output: %w", err)
 	}
 	return out, nil
-}
-
-// gobEncode serializes v with gob (deterministic for a fixed static type and
-// value, since every payload uses a fresh encoder).
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// gobDecode reverses gobEncode into the pointed-to value.
-func gobDecode(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }

@@ -1,57 +1,30 @@
 package mapreduce
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// This file is the engine's side of the binary wire codec (PR 6): payload
-// encodings for task splits, shuffle buckets and reduce outputs, plus the
-// TaskSpec/TaskResult frame bodies the worker protocol embeds. gob remains
-// as a tagged fallback — for types without a registered codec, and for the
-// `-wire gob` escape hatch — so every payload stays decodable by every peer
-// regardless of which side negotiated what.
+// This file is the engine's side of the wire codec: payload encodings for
+// task splits, shuffle buckets and reduce outputs, plus the
+// TaskSpec/TaskResult frame bodies the worker protocol embeds. It is the only
+// serialization that crosses a process boundary; a payload type without a
+// registered codec is an error, not a slower route.
 
-// gobPayloads forces the gob fallback for every payload this process
-// encodes, and keeps frame connections in gob mode. It is the `-wire gob`
-// escape hatch (STRATA_WIRE=gob), for debugging codec suspicions in the
-// field and for A/B benchmarking the two formats on one binary.
-var gobPayloads atomic.Bool
-
-func init() {
-	if os.Getenv("STRATA_WIRE") == "gob" {
-		gobPayloads.Store(true)
-	}
-}
-
-// SetWireGob toggles the gob escape hatch at runtime (the CLI's -wire flag).
-func SetWireGob(v bool) { gobPayloads.Store(v) }
-
-// WireGob reports whether payloads are forced to gob.
-func WireGob() bool { return gobPayloads.Load() }
-
-// Every payload (split, bucket, output) starts with one tag byte, making it
-// self-describing: direct shuffle ships buckets worker-to-worker, where the
-// sender cannot know whether the consumer negotiated the binary format.
-const (
-	payloadGob    = 0x00
-	payloadBinary = 0x01
-)
+// payloadFormat leads every payload (split, bucket, output). Any other first
+// byte is wire.ErrCorrupt. Because the byte is always present a bucket
+// payload is never empty, which the engine relies on as its hole marker.
+const payloadFormat = 0x01
 
 // --- codec registries -------------------------------------------------------
 
 // BucketCodec encodes/decodes one shuffle pair of a concrete (K, V)
 // instantiation. AppendPair appends one pair's binary form; ReadPair
-// reverses it. Registered codecs put their pair type on the binary fast
-// path; unregistered pair types ride the gob fallback unchanged.
+// reverses it.
 type BucketCodec[K comparable, V any] struct {
 	AppendPair func(buf []byte, p Pair[K, V]) []byte
 	ReadPair   func(r *wire.Reader) (Pair[K, V], error)
@@ -65,149 +38,145 @@ type SliceCodec[T any] struct {
 	Read   func(r *wire.Reader) ([]T, error)
 }
 
+// RecordsCodec builds the slice codec of a record type from its per-record
+// encoder and decoder: a count, then the records in order.
+func RecordsCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) (T, error)) SliceCodec[T] {
+	return SliceCodec[T]{
+		Append: func(buf []byte, recs []T) []byte {
+			buf = wire.AppendUvarint(buf, uint64(len(recs)))
+			for _, rec := range recs {
+				buf = app(buf, rec)
+			}
+			return buf
+		},
+		Read: func(r *wire.Reader) ([]T, error) {
+			recs := make([]T, r.Count(1))
+			for i := range recs {
+				var err error
+				if recs[i], err = read(r); err != nil {
+					return nil, err
+				}
+			}
+			return recs, r.Err()
+		},
+	}
+}
+
 // codecs maps reflect.Type of *Pair[K,V] (buckets) or *[]T (slices) to the
 // registered codec — distinct key shapes, so a job whose output records are
 // themselves pairs cannot collide with its bucket codec. sync.Map: written
 // during init, read on the hot path.
 var codecs sync.Map
 
-// RegisterBucketCodec installs the binary codec for one pair type. Call it
-// from an init function alongside RegisterJobMaker, so coordinator and
-// worker binaries agree on the format.
+// RegisterBucketCodec installs the codec for one pair type. Call it from an
+// init function alongside RegisterJobMaker, so coordinator and worker
+// binaries agree on the format.
 func RegisterBucketCodec[K comparable, V any](c BucketCodec[K, V]) {
 	codecs.Store(reflect.TypeOf((*Pair[K, V])(nil)), c)
 }
 
-// RegisterSliceCodec installs the binary codec for []T payloads.
+// RegisterSliceCodec installs the codec for []T payloads.
 func RegisterSliceCodec[T any](c SliceCodec[T]) {
 	codecs.Store(reflect.TypeOf((*[]T)(nil)), c)
 }
 
-func lookupBucketCodec[K comparable, V any]() (BucketCodec[K, V], bool) {
-	v, ok := codecs.Load(reflect.TypeOf((*Pair[K, V])(nil)))
+// lookupCodec returns the codec registered for *T (a *Pair[K,V] or *[]T),
+// or an error naming the type.
+func lookupCodec[C, T any]() (C, error) {
+	v, ok := codecs.Load(reflect.TypeOf((*T)(nil)))
 	if !ok {
-		return BucketCodec[K, V]{}, false
+		var zero C
+		return zero, fmt.Errorf("mapreduce: no wire codec registered for %v", reflect.TypeOf((*T)(nil)).Elem())
 	}
-	return v.(BucketCodec[K, V]), true
+	return v.(C), nil
 }
 
-func lookupSliceCodec[T any]() (SliceCodec[T], bool) {
-	v, ok := codecs.Load(reflect.TypeOf((*[]T)(nil)))
-	if !ok {
-		return SliceCodec[T]{}, false
+// payloadReader checks a payload's format byte and returns a reader over
+// the body.
+func payloadReader(payload []byte) (*wire.Reader, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("mapreduce: empty payload: %w", wire.ErrTruncated)
 	}
-	return v.(SliceCodec[T]), true
+	if payload[0] != payloadFormat {
+		return nil, fmt.Errorf("mapreduce: unknown payload format %#x: %w", payload[0], wire.ErrCorrupt)
+	}
+	return wire.NewReader(payload[1:]), nil
 }
 
-// --- tagged slice payloads (splits, reduce outputs) -------------------------
+// --- slice payloads (splits, reduce outputs) --------------------------------
 
-// encodeSlice serializes a []T payload: binary when a codec is registered
-// and the escape hatch is off, tagged gob otherwise.
+// encodeSlice serializes a []T payload with T's registered codec.
 func encodeSlice[T any](v []T) ([]byte, error) {
-	if c, ok := lookupSliceCodec[T](); ok && !gobPayloads.Load() {
-		buf := make([]byte, 1, 64)
-		buf[0] = payloadBinary
-		return c.Append(buf, v), nil
-	}
-	raw, err := gobEncode(v)
+	c, err := lookupCodec[SliceCodec[T], []T]()
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte{payloadGob}, raw...), nil
+	buf := make([]byte, 1, 64)
+	buf[0] = payloadFormat
+	return c.Append(buf, v), nil
 }
 
-// decodeSlice reverses encodeSlice, dispatching on the tag byte — the
-// decoder side never guesses, so mixed pools interoperate per payload.
+// decodeSlice reverses encodeSlice.
 func decodeSlice[T any](payload []byte) ([]T, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("mapreduce: empty slice payload: %w", wire.ErrTruncated)
+	c, err := lookupCodec[SliceCodec[T], []T]()
+	if err != nil {
+		return nil, err
 	}
-	switch payload[0] {
-	case payloadGob:
-		var v []T
-		if err := gobDecode(payload[1:], &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case payloadBinary:
-		c, ok := lookupSliceCodec[T]()
-		if !ok {
-			return nil, fmt.Errorf("mapreduce: binary slice payload for unregistered type %T", ([]T)(nil))
-		}
-		r := wire.NewReader(payload[1:])
-		v, err := c.Read(r)
-		if err != nil {
-			return nil, err
-		}
-		return v, r.Done()
-	default:
-		return nil, fmt.Errorf("mapreduce: unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
+	r, err := payloadReader(payload)
+	if err != nil {
+		return nil, err
 	}
+	v, err := c.Read(r)
+	if err != nil {
+		return nil, err
+	}
+	return v, r.Done()
 }
 
-// --- tagged bucket payloads (shuffle) ----------------------------------------
+// --- bucket payloads (shuffle) ----------------------------------------------
 
-// encodeBucket serializes one map task's pairs for the wire: one payload
-// tag byte, then either the registered binary pair codec or gob. The tag
-// makes every bucket self-describing, which direct shuffle needs — the
-// sending worker cannot know the consuming worker's negotiated format. A
-// bucket payload is therefore never empty (the tag byte is always present),
-// which the engine relies on as its hole marker.
+// encodeBucket serializes one map task's pairs for one reducer: the format
+// byte, the pair count, then each pair through the registered codec.
 func encodeBucket[K comparable, V any](pairs []Pair[K, V]) ([]byte, error) {
-	if c, ok := lookupBucketCodec[K, V](); ok && !gobPayloads.Load() {
-		buf := make([]byte, 1, 64)
-		buf[0] = payloadBinary
-		buf = wire.AppendUvarint(buf, uint64(len(pairs)))
-		for _, p := range pairs {
-			buf = c.AppendPair(buf, p)
-		}
-		return buf, nil
+	c, err := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
+	if err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(payloadGob)
-	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
-		return nil, fmt.Errorf("mapreduce: encoding shuffle bucket: %w", err)
+	buf := make([]byte, 1, 64)
+	buf[0] = payloadFormat
+	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
+	for _, p := range pairs {
+		buf = c.AppendPair(buf, p)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// decodeBucket reverses encodeBucket, dispatching on the payload tag.
+// decodeBucket reverses encodeBucket.
 func decodeBucket[K comparable, V any](payload []byte) ([]Pair[K, V], error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("mapreduce: empty shuffle bucket: %w", wire.ErrTruncated)
+	c, err := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
+	if err != nil {
+		return nil, err
 	}
-	switch payload[0] {
-	case payloadGob:
-		var pairs []Pair[K, V]
-		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&pairs); err != nil {
+	r, err := payloadReader(payload)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+	}
+	n := r.Count(1)
+	var pairs []Pair[K, V]
+	if n > 0 {
+		pairs = make([]Pair[K, V], 0, n)
+	}
+	for i := 0; i < n; i++ {
+		p, err := c.ReadPair(r)
+		if err != nil {
 			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
 		}
-		return pairs, nil
-	case payloadBinary:
-		c, ok := lookupBucketCodec[K, V]()
-		if !ok {
-			return nil, fmt.Errorf("mapreduce: binary shuffle bucket for unregistered pair type %T", (Pair[K, V]{}))
-		}
-		r := wire.NewReader(payload[1:])
-		n := r.Count(1)
-		var pairs []Pair[K, V]
-		if n > 0 {
-			pairs = make([]Pair[K, V], 0, n)
-		}
-		for i := 0; i < n; i++ {
-			p, err := c.ReadPair(r)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
-			}
-			pairs = append(pairs, p)
-		}
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
-		}
-		return pairs, nil
-	default:
-		return nil, fmt.Errorf("mapreduce: shuffle bucket with unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
+		pairs = append(pairs, p)
 	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+	}
+	return pairs, nil
 }
 
 // --- histograms -------------------------------------------------------------
@@ -263,16 +232,14 @@ const (
 	specHasShuffle  = 1 << 0
 	specCollectKeys = 1 << 1
 	specFrozen      = 1 << 2
-	// specHasTrace marks a trace-context extension after the shuffle
-	// section: trace id, run id, parent span id. Introduced with wire
-	// version 2 — the worker pool strips trace fields from specs bound for
-	// older binary peers, whose decoders reject trailing bytes.
+	// specHasTrace marks a trace-context section after the shuffle
+	// section: trace id, run id, parent span id.
 	specHasTrace = 1 << 3
 )
 
 // AppendTaskSpec appends the spec's binary frame body. The layout mirrors
-// the struct field order; Config/Split/Buckets are embedded verbatim (they
-// carry their own payload tags).
+// the struct field order; Config/Split/Buckets are embedded verbatim (the
+// payloads carry their own format byte).
 func AppendTaskSpec(buf []byte, s *TaskSpec) []byte {
 	buf = wire.AppendString(buf, s.Job)
 	buf = wire.AppendString(buf, s.Maker)
@@ -414,11 +381,10 @@ func AppendTaskResult(buf []byte, t *TaskResult) []byte {
 		buf = wire.AppendString(buf, a.Worker)
 		buf = wire.AppendString(buf, a.Err)
 	}
-	// Trace extension (wire version ≥ 2): worker spans ride as a trailing
-	// section. It is self-describing by position — the result body is
-	// always the last thing in its frame, so its absence is simply "no
-	// bytes left" — and a worker only emits it in reply to a spec that
-	// carried a trace context, which proves the coordinator decodes it.
+	// Worker spans ride as a trailing section, self-describing by position:
+	// the result body is always the last thing in its frame, so its absence
+	// is simply "no bytes left". A worker emits it only in reply to a spec
+	// that carried a trace context.
 	if len(t.Spans) > 0 {
 		buf = wire.AppendUvarint(buf, uint64(len(t.Spans)))
 		for _, ws := range t.Spans {

@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ func sampleSpec() *TaskSpec {
 	return &TaskSpec{
 		Job: "mr-sqe:workers", Maker: "mr-sqe", Config: []byte(`{"query":1}`),
 		Phase: "reduce", Task: 1, Seed: -77, NumReducers: 2,
+		Split:       []byte{0x01, 0x07},
 		Buckets:     [][]byte{{0x00, 0x01}, nil, {0x01, 0x00}},
 		NumMapTasks: 3,
 		Shuffle: &ShufflePlan{
@@ -49,10 +52,9 @@ func sampleResult() *TaskResult {
 	}
 }
 
-// TestTraceWireCompat: the trace extensions are strictly additive. A spec
+// TestTraceWireCompat: the trace sections cost untraced runs nothing. A spec
 // without a trace context encodes without the trace section and round-trips
-// to empty fields, and a result without worker spans has no trailing section
-// — the exact byte shapes a version-1 peer produces and expects.
+// to empty fields, and a result without worker spans has no trailing section.
 func TestTraceWireCompat(t *testing.T) {
 	spec := sampleSpec()
 	spec.Trace, spec.TraceRun, spec.TraceParent = "", "", 0
@@ -106,26 +108,21 @@ func TestTaskResultWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaskWireMatchesGob: the binary codec must preserve exactly what a gob
-// round trip preserves, for the same inputs.
-func TestTaskWireMatchesGob(t *testing.T) {
-	spec := sampleSpec()
-	raw, err := gobEncode(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaGob TaskSpec
-	if err := gobDecode(raw, &viaGob); err != nil {
-		t.Fatal(err)
-	}
-	viaWire, err := ReadTaskSpec(wire.NewReader(AppendTaskSpec(nil, spec)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare through the binary rendering: gob conflates nil and empty
-	// slices, which the engine never distinguishes either.
-	if !reflect.DeepEqual(AppendTaskSpec(nil, &viaGob), AppendTaskSpec(nil, viaWire)) {
-		t.Errorf("wire and gob decode to different specs:\ngob  %+v\nwire %+v", &viaGob, viaWire)
+// TestTaskWireFieldComplete: the round-trip fixtures set every field that
+// crosses the wire, so TestTaskSpecWireRoundTrip / TestTaskResultWireRoundTrip
+// fail when a field is added to a struct and not to its codec. The
+// coordinator-local attribution fields of TaskResult never travel.
+func TestTaskWireFieldComplete(t *testing.T) {
+	local := map[string]bool{"QueueNanos": true, "SentAtNanos": true, "RecvAtNanos": true,
+		"ClockOffsetNanos": true, "ClockOffsetOK": true}
+	spec, res := sampleSpec(), sampleResult()
+	for _, fixture := range []any{*spec, *spec.Shuffle, *res, res.Counters, res.Spans[0]} {
+		v := reflect.ValueOf(fixture)
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; v.Field(i).IsZero() && !local[name] {
+				t.Errorf("fixture leaves %s.%s unset", v.Type().Name(), name)
+			}
+		}
 	}
 }
 
@@ -161,128 +158,61 @@ func TestHistogramWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeBucket: there is one payload format. A registered pair
+// type round-trips; one with no codec is an error naming the type on both
+// sides; a payload leading with any other format byte is ErrCorrupt.
 func TestEncodeDecodeBucket(t *testing.T) {
-	pairs := []Pair[string, int64]{{"a", 1}, {"b", 2}}
+	pairs := []Pair[int, int64]{{1, -3}, {4, 1 << 40}}
 	payload, err := encodeBucket(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeBucket[string, int64](payload)
-	if err != nil {
-		t.Fatal(err)
+	back, err := decodeBucket[int, int64](payload)
+	if err != nil || !reflect.DeepEqual(pairs, back) {
+		t.Fatalf("round trip %v: %v", back, err)
 	}
-	if !reflect.DeepEqual(pairs, back) {
-		t.Fatalf("round trip %v", back)
-	}
-	if _, err := decodeBucket[string, int64]([]byte("garbage")); err == nil {
+	if _, err := decodeBucket[int, int64]([]byte("garbage")); err == nil {
 		t.Fatal("want decode error")
 	}
-	empty, err := encodeBucket[string, int64](nil)
-	if err != nil {
-		t.Fatal(err)
+	// Empty buckets still carry their format byte — never empty, the hole
+	// marker invariant the direct shuffle depends on.
+	empty, err := encodeBucket[int, int64](nil)
+	if err != nil || len(empty) == 0 {
+		t.Fatalf("empty bucket must be a non-empty payload: %v %v", empty, err)
 	}
-	backEmpty, err := decodeBucket[string, int64](empty)
+	backEmpty, err := decodeBucket[int, int64](empty)
 	if err != nil || len(backEmpty) != 0 {
 		t.Fatalf("empty round trip: %v, %v", backEmpty, err)
 	}
-}
 
-// TestBucketCodecRoundTripAndFallback: a registered pair codec round-trips
-// through encodeBucket/decodeBucket, unregistered types fall back to gob,
-// and the escape hatch forces gob even for registered types. All paths
-// produce identical pair values.
-func TestBucketCodecRoundTripAndFallback(t *testing.T) {
-	type key struct{ A, B int }
-	RegisterBucketCodec(BucketCodec[key, int64]{
-		AppendPair: func(buf []byte, p Pair[key, int64]) []byte {
-			buf = wire.AppendVarint(buf, int64(p.Key.A))
-			buf = wire.AppendVarint(buf, int64(p.Key.B))
-			return wire.AppendVarint(buf, p.Value)
-		},
-		ReadPair: func(r *wire.Reader) (Pair[key, int64], error) {
-			var p Pair[key, int64]
-			p.Key.A = int(r.Varint())
-			p.Key.B = int(r.Varint())
-			p.Value = r.Varint()
-			return p, r.Err()
-		},
-	})
-	pairs := []Pair[key, int64]{{Key: key{1, 2}, Value: -3}, {Key: key{4, 5}, Value: 1 << 40}}
-
-	enc, err := encodeBucket(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[0] != payloadBinary {
-		t.Fatalf("registered type encoded with tag %#x, want binary", enc[0])
-	}
-	got, err := decodeBucket[key, int64](enc)
-	if err != nil || !reflect.DeepEqual(pairs, got) {
-		t.Errorf("binary bucket round trip: %v %+v", err, got)
-	}
-
-	// Unregistered pair type → gob tag, still round-trips.
 	type other struct{ S string }
-	opairs := []Pair[string, other]{{Key: "x", Value: other{"y"}}}
-	oenc, err := encodeBucket(opairs)
-	if err != nil {
-		t.Fatal(err)
+	_, err = encodeBucket([]Pair[string, other]{{Key: "x", Value: other{"y"}}})
+	if err == nil || !strings.Contains(err.Error(), "Pair[string,") {
+		t.Errorf("encoding an unregistered pair type: %v, want an error naming it", err)
 	}
-	if oenc[0] != payloadGob {
-		t.Fatalf("unregistered type encoded with tag %#x, want gob", oenc[0])
+	if _, err := decodeBucket[string, other](empty); err == nil || !strings.Contains(err.Error(), "Pair[string,") {
+		t.Errorf("decoding an unregistered pair type: %v, want an error naming it", err)
 	}
-	ogot, err := decodeBucket[string, other](oenc)
-	if err != nil || !reflect.DeepEqual(opairs, ogot) {
-		t.Errorf("gob bucket round trip: %v %+v", err, ogot)
-	}
-
-	// Escape hatch: registered types too must fall back to gob.
-	SetWireGob(true)
-	defer SetWireGob(false)
-	henc, err := encodeBucket(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if henc[0] != payloadGob {
-		t.Fatalf("escape hatch encoded with tag %#x, want gob", henc[0])
-	}
-	hgot, err := decodeBucket[key, int64](henc)
-	if err != nil || !reflect.DeepEqual(pairs, hgot) {
-		t.Errorf("escape-hatch bucket round trip: %v %+v", err, hgot)
-	}
-
-	// Empty buckets still carry their tag — never empty, the hole marker
-	// invariant the direct shuffle depends on.
-	empty, err := encodeBucket[key, int64](nil)
-	if err != nil || len(empty) == 0 {
-		t.Errorf("empty bucket must be non-empty payload: %v %v", empty, err)
-	}
-	egot, err := decodeBucket[key, int64](empty)
-	if err != nil || len(egot) != 0 {
-		t.Errorf("empty bucket round trip: %v %+v", err, egot)
+	for _, format := range []byte{0x00, 0x02, 0xFF} {
+		if _, err := decodeBucket[int, int64]([]byte{format, 0}); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("format byte %#x: %v, want ErrCorrupt", format, err)
+		}
 	}
 }
 
-// TestSliceCodecFallback mirrors the bucket test for whole-slice payloads.
-func TestSliceCodecFallback(t *testing.T) {
+// TestSliceCodecErrors mirrors the bucket errors for whole-slice payloads.
+func TestSliceCodecErrors(t *testing.T) {
 	type rec struct{ N int64 }
-	// No codec registered for rec → gob tag.
-	recs := []rec{{1}, {2}}
-	enc, err := encodeSlice(recs)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := encodeSlice([]rec{{1}}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
+		t.Errorf("encoding an unregistered slice type: %v, want an error naming it", err)
 	}
-	if enc[0] != payloadGob {
-		t.Fatalf("tag %#x, want gob", enc[0])
+	if _, err := decodeSlice[rec]([]byte{payloadFormat, 0}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
+		t.Errorf("decoding an unregistered slice type: %v, want an error naming it", err)
 	}
-	got, err := decodeSlice[rec](enc)
-	if err != nil || !reflect.DeepEqual(recs, got) {
-		t.Errorf("slice round trip: %v %+v", err, got)
+	if _, err := decodeSlice[int](nil); !errors.Is(err, wire.ErrTruncated) {
+		t.Errorf("empty payload: %v, want ErrTruncated", err)
 	}
-	if _, err := decodeSlice[rec](nil); err == nil {
-		t.Error("empty payload must be rejected")
-	}
-	if _, err := decodeSlice[rec]([]byte{0x77}); err == nil {
-		t.Error("unknown tag must be rejected")
+	if _, err := decodeSlice[int]([]byte{0x00, 0}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("unknown format byte: %v, want ErrCorrupt", err)
 	}
 }

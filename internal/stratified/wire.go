@@ -7,11 +7,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Binary wire codecs for the hot payload types of the portable jobs
-// registered in portable.go: tuple splits ship columnar (TupleBatch), and
-// the three shuffle pair shapes — (stratum, weighted tuples) for MR-SQE,
-// (query/stratum, weighted tuples) for MR-MQE, (stratum, count) for
-// mr-stratum-count — get tight hand-rolled pair codecs. Registration lives
+// Wire codecs for every payload type of the portable jobs registered in
+// portable.go: tuple splits ship columnar (TupleBatch); the three shuffle
+// pair shapes — (stratum, weighted tuples) for MR-SQE, (query/stratum,
+// weighted tuples) for MR-MQE, (stratum, count) for mr-stratum-count — and
+// the three reduce output records get hand-rolled codecs. Registration lives
 // in init alongside the job makers so every binary that can run the jobs
 // also speaks their payload format.
 
@@ -60,6 +60,36 @@ func init() {
 			return p, r.Err()
 		},
 	})
+	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
+		func(buf []byte, o stratumOut) []byte {
+			buf = wire.AppendVarint(buf, int64(o.Stratum))
+			return appendTupleSlice(buf, o.Sample)
+		},
+		func(r *wire.Reader) (o stratumOut, err error) {
+			o.Stratum = int(r.Varint())
+			o.Sample, err = readTupleSlice(r)
+			return o, err
+		}))
+	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
+		func(buf []byte, o qsOut) []byte {
+			buf = wire.AppendVarint(buf, int64(o.Key.Query))
+			buf = wire.AppendVarint(buf, int64(o.Key.Stratum))
+			return appendTupleSlice(buf, o.Sample)
+		},
+		func(r *wire.Reader) (o qsOut, err error) {
+			o.Key.Query = int(r.Varint())
+			o.Key.Stratum = int(r.Varint())
+			o.Sample, err = readTupleSlice(r)
+			return o, err
+		}))
+	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
+		func(buf []byte, o stratumCountOut) []byte {
+			buf = wire.AppendVarint(buf, int64(o.Stratum))
+			return wire.AppendVarint(buf, o.Count)
+		},
+		func(r *wire.Reader) (stratumCountOut, error) {
+			return stratumCountOut{Stratum: int(r.Varint()), Count: r.Varint()}, r.Err()
+		}))
 }
 
 // appendTupleSlice ships a []Tuple split columnar when the tuples have

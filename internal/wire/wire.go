@@ -1,12 +1,12 @@
-// Package wire is the hand-rolled binary codec used on the task hot path:
-// append-style encoders over plain byte slices and a bounds-checked Reader
-// with zero-copy views, replacing gob's per-frame reflection and type
-// headers on the coordinator↔worker protocol and the shuffle data plane.
+// Package wire is the hand-rolled binary codec of everything that crosses
+// a process boundary: append-style encoders over plain byte slices and a
+// bounds-checked Reader with zero-copy views, on the coordinator↔worker
+// protocol and the shuffle data plane.
 //
 // The format is deliberately primitive: unsigned and zigzag varints for
 // integers, length-delimited byte strings, and nothing self-describing —
 // every payload's layout is fixed by the code on both ends and versioned by
-// the frame protocol's negotiated wire version (see internal/worker). That
+// the frame protocol's wire version (see internal/worker). That
 // is what buys the speed: no field names, no type descriptors, no interface
 // dispatch, and decoding that can return sub-slice views into the frame
 // buffer instead of copying payload bytes.

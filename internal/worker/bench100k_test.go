@@ -3,7 +3,6 @@ package worker_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
@@ -30,10 +29,8 @@ func bigPopulation(t testing.TB, n int) []dataset.Split {
 
 // BenchmarkEngine100k is BenchmarkEngine at pop=10^5: one full MR-SQE job
 // per op on each backend. At this volume the remote backends are dominated
-// by moving 100k tuples into map tasks, which is exactly what the binary
-// wire codec and columnar tuple batches target; A/B against the gob path by
-// rerunning with STRATA_WIRE=gob (env reaches subprocess children and the
-// in-process TCP workers alike).
+// by moving 100k tuples into map tasks, which is exactly what the wire codec
+// and columnar tuple batches target.
 func BenchmarkEngine100k(b *testing.B) {
 	splits := bigPopulation(b, 100_000)
 	bench := func(b *testing.B, exec mapreduce.Executor) {
@@ -59,15 +56,8 @@ func BenchmarkEngine100k(b *testing.B) {
 		bench(b, exec)
 	})
 	b.Run(fmt.Sprintf("backend=tcp/workers=%d", 3), func(b *testing.B) {
-		exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		exec := newTCP(b, 3, worker.TCPConfig{})
 		defer exec.Close()
-		exec.SpawnLocal(3)
-		if err := exec.AwaitWorkers(3, 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		bench(b, exec)
 	})

@@ -19,9 +19,11 @@
 // real failed attempts surface in the engine's trace as failed spans tagged
 // with the worker id.
 //
-// The protocol (protocol.go) is deliberately small: length-prefixed gob
-// frames carrying hello, task, result, heartbeat and drain messages. Task
-// payloads reuse the engine's shuffle encoding, and workers execute specs
-// through mapreduce.ExecuteTask, so a job's output — and, under a frozen
-// clock, its span file — is byte-identical no matter which backend ran it.
+// The protocol (protocol.go) is deliberately small: length-prefixed frames
+// in the binary wire codec (wire.go) carrying hello, task, result, heartbeat
+// and drain messages. A worker whose hello announces another wire version
+// is refused (ErrWireVersion). Task payloads reuse the engine's shuffle
+// encoding, and workers execute specs through mapreduce.ExecuteTask, so a
+// job's output — and, under a frozen clock, its span file — is
+// byte-identical no matter which backend ran it.
 package worker

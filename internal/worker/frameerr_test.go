@@ -15,7 +15,7 @@ import (
 
 // These tests live in the worker package (not worker_test) because the evil
 // peer below speaks the raw frame protocol: a hand-rolled "worker" that
-// completes the gob hello handshake, leases a task, and then poisons the
+// completes the hello handshake, leases a task, and then poisons the
 // stream — an oversized length prefix in one variant, a mid-frame cut in
 // the other. The contract under test is the satellite requirement: frame
 // violations are worker death (drop + reassign to a survivor), never a
@@ -65,7 +65,7 @@ func frameErrRun(t testing.TB, exec mapreduce.Executor, splits []dataset.Split) 
 	return ans, met
 }
 
-// evilWorker registers over TCP with a well-formed gob hello, then answers
+// evilWorker registers over TCP with a well-formed hello, then answers
 // its first leased task by calling poison on the raw connection.
 func evilWorker(t *testing.T, addr string, poison func(net.Conn)) {
 	t.Helper()
@@ -126,7 +126,7 @@ func testFramePoison(t *testing.T, poison func(net.Conn)) {
 // (*FrameSizeError) drops the worker and reassigns its task.
 func TestOversizedFrameIsWorkerDeath(t *testing.T) {
 	testFramePoison(t, func(conn net.Conn) {
-		conn.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF}) // 2 GiB claim, binary bit clear
+		conn.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF}) // 2 GiB claim
 	})
 }
 

@@ -202,14 +202,12 @@ type frameOrErr struct {
 }
 
 // helloInfo is what awaitHello extracts from a worker's hello frame: its
-// identity, shuffle endpoint, announced wire version, and the clock-offset
-// estimate (worker clock − coordinator clock) from the hello's WallNanos
-// sample. clockOK distinguishes a real estimate from an old build that sent
-// no clock sample.
+// identity, shuffle endpoint, and the clock-offset estimate (worker clock −
+// coordinator clock) from the hello's WallNanos sample. clockOK
+// distinguishes a real estimate from a hello that carried no clock sample.
 type helloInfo struct {
 	id          string
 	shuffleAddr string
-	version     uint8
 	clockOff    int64
 	clockOK     bool
 }
@@ -217,7 +215,6 @@ type helloInfo struct {
 type workerHandle struct {
 	id          string
 	shuffleAddr string // the worker's shuffle-receiver endpoint, "" if none
-	version     uint8  // wire version the worker's hello announced
 	clockOff    int64  // estimated worker−coordinator clock offset (nanos)
 	clockOK     bool   // whether clockOff is a real estimate
 	conn        *frameConn
@@ -235,7 +232,7 @@ type workerHandle struct {
 func (p *pool) attach(h helloInfo, conn *frameConn, closeConn func()) {
 	w := &workerHandle{
 		id: h.id, shuffleAddr: h.shuffleAddr, conn: conn, closeConn: closeConn,
-		version: h.version, clockOff: h.clockOff, clockOK: h.clockOK,
+		clockOff: h.clockOff, clockOK: h.clockOK,
 		frames: make(chan frameOrErr),
 		// The affinity queue is deep enough for any realistic reducer count;
 		// executeOn turns a saturated queue into a lost shuffle rather than
@@ -413,23 +410,12 @@ func (p *pool) retryOrFail(req *taskReq) {
 func (w *workerHandle) do(req *taskReq, lease time.Duration) (res *mapreduce.TaskResult, taskErr, workerErr error) {
 	w.seq++
 	seq := w.seq
-	spec := req.spec
-	if spec.Trace != "" && w.version < traceMinVersion {
-		// The worker predates the trace extensions. Its binary decoder
-		// would reject the spec's trailing trace section, so send a
-		// stripped copy (gob peers would merely ignore the fields, but one
-		// rule for both codecs keeps the capability signal simple: the
-		// hello version). The task runs fine — just untraced on this worker.
-		stripped := *spec
-		stripped.Trace, stripped.TraceRun, stripped.TraceParent = "", "", 0
-		spec = &stripped
-	}
 	traced := req.spec.Trace != "" && !req.spec.Frozen
 	var sentAt int64
 	if traced {
 		sentAt = time.Now().UnixNano()
 	}
-	if err := w.conn.write(&envelope{Kind: msgTask, Seq: seq, Spec: spec}); err != nil {
+	if err := w.conn.write(&envelope{Kind: msgTask, Seq: seq, Spec: req.spec}); err != nil {
 		return nil, nil, err
 	}
 	timer := time.NewTimer(lease)

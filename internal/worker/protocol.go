@@ -1,33 +1,18 @@
 package worker
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/wire"
 )
 
-// The wire protocol: length-prefixed frames, each a single envelope. Two
-// frame encodings share the stream, discriminated by the top bit of the
-// length word (safe: maxFrameSize is 1<<30, so real lengths never set it):
-//
-//   - gob frames (bit clear) — the v0 format, one fresh gob encoder per
-//     frame. Hello frames always use it, carrying the worker's announced
-//     WireVersion; it remains the fallback for old peers and `-wire gob`.
-//   - binary frames (bit set) — the hand-rolled codec (wire.go), used once
-//     the coordinator has seen a hello with WireVersion ≥ 1. The worker
-//     flips to binary sends upon receiving its first binary frame, so
-//     negotiation costs no extra round trip.
-//
-// Both framings are self-contained per frame, so a coordinator can safely
-// resynchronize after dropping a worker mid-frame and the same framing
+// The wire protocol: length-prefixed frames, each a single envelope in the
+// binary codec of wire.go. Frames are self-contained, so the same framing
 // serves pipes and sockets alike.
 
 // msgKind discriminates envelope frames.
@@ -50,10 +35,8 @@ const (
 // envelope is one protocol frame. Only the fields relevant to Kind are set.
 type envelope struct {
 	Kind msgKind
-	// WireVersion is the binary frame version the sender speaks (hello
-	// frames; see wireVersion). Old builds neither set nor read it — gob
-	// silently drops unknown fields, so their hellos decode here as
-	// version 0 and stay on gob frames.
+	// WireVersion is the frame format version the sender speaks (hello
+	// frames; see wireVersion).
 	WireVersion uint8
 	// ID is the worker id (hello frames).
 	ID string
@@ -65,9 +48,7 @@ type envelope struct {
 	// WallNanos is the worker's wall clock when it sent its hello, in unix
 	// nanoseconds. The coordinator subtracts its own receive time to get a
 	// clock-offset estimate, used to align worker-side trace spans to the
-	// coordinator's timeline. Zero from old builds (gob drops unknown
-	// fields) means "unknown". Hello-only, so it needs no binary-frame
-	// encoding — hellos always travel as gob.
+	// coordinator's timeline. Zero means "unknown".
 	WallNanos int64
 	// Seq correlates a result with its task frame.
 	Seq uint64
@@ -88,12 +69,8 @@ type envelope struct {
 
 // maxFrameSize bounds a single frame, as a guard against a corrupted or
 // malicious length prefix allocating unbounded memory. 1 GiB comfortably
-// exceeds any real task payload — and leaves the length word's top bit free
-// to mark binary frames.
+// exceeds any real task payload.
 const maxFrameSize = 1 << 30
-
-// binaryFrameFlag marks a binary-codec frame in the length word.
-const binaryFrameFlag = uint32(1) << 31
 
 // FrameSizeError is the named error for a frame whose length prefix exceeds
 // maxFrameSize — a corrupted stream or a hostile peer, never a real task.
@@ -139,11 +116,6 @@ type frameConn struct {
 	r  io.Reader
 	w  io.Writer
 	mu sync.Mutex // guards w
-	// binary switches writes to the binary frame codec. The coordinator
-	// sets it after a hello announcing wireVersion ≥ binaryMinVersion; the
-	// worker side sets it upon receiving its first binary frame. Atomic
-	// because the reader flips it while writers (heartbeat ticker) read it.
-	binary atomic.Bool
 	// measureDecode makes read record each frame's decode timing below.
 	// Only the worker's serve loop sets it (tracing lifts the numbers into
 	// a decode span when a traced spec asks for one); the coordinator's
@@ -162,37 +134,16 @@ func newFrameConn(r io.Reader, w io.Writer) *frameConn {
 	return &frameConn{r: r, w: w}
 }
 
-// write sends one frame: 4-byte big-endian payload length (top bit marking
-// the binary codec), then the payload. Hello frames always go as gob — they
-// carry the version negotiation itself.
+// write sends one frame — 4-byte big-endian payload length, then the
+// envelope — from a pooled scratch buffer. The buffer is fully flushed to
+// the stream before it returns to the pool, so steady-state sends allocate
+// nothing.
 func (c *frameConn) write(env *envelope) error {
-	if c.binary.Load() && env.Kind != msgHello {
-		return c.writeBinary(env)
-	}
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("worker: encoding %v frame: %w", env.Kind, err)
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.w.Write(frame); err != nil {
-		return fmt.Errorf("worker: writing %v frame: %w", env.Kind, err)
-	}
-	return nil
-}
-
-// writeBinary sends one binary-codec frame from a pooled scratch buffer —
-// the buffer is fully flushed to the stream before it returns to the pool,
-// so steady-state sends allocate nothing.
-func (c *frameConn) writeBinary(env *envelope) error {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	buf = append(buf, 0, 0, 0, 0) // length placeholder
 	buf = appendEnvelope(buf, env)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4)|binaryFrameFlag)
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.w.Write(buf); err != nil {
@@ -201,12 +152,11 @@ func (c *frameConn) writeBinary(env *envelope) error {
 	return nil
 }
 
-// read receives the next frame, auto-detecting its encoding from the length
-// word. It returns io.EOF unwrapped when the stream ends cleanly between
-// frames, so callers can distinguish a graceful close from a mid-frame cut
-// (*FrameTruncatedError). The payload buffer is freshly allocated per frame
-// and ownership passes to the decoded envelope — decoded specs/results hold
-// zero-copy views into it.
+// read receives the next frame. It returns io.EOF unwrapped when the stream
+// ends cleanly between frames, so callers can distinguish a graceful close
+// from a mid-frame cut (*FrameTruncatedError). The payload buffer is freshly
+// allocated per frame and ownership passes to the decoded envelope — decoded
+// specs/results hold zero-copy views into it.
 func (c *frameConn) read() (*envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(c.r, lenBuf[:]); err != nil {
@@ -215,9 +165,7 @@ func (c *frameConn) read() (*envelope, error) {
 		}
 		return nil, &FrameTruncatedError{Want: len(lenBuf), Err: err}
 	}
-	word := binary.BigEndian.Uint32(lenBuf[:])
-	isBinary := word&binaryFrameFlag != 0
-	n := word &^ binaryFrameFlag
+	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > maxFrameSize {
 		return nil, &FrameSizeError{Size: n, Max: maxFrameSize}
 	}
@@ -231,27 +179,14 @@ func (c *frameConn) read() (*envelope, error) {
 		c.decodeStart = t0.UnixNano()
 		c.decodeBytes = int64(n)
 	}
-	if isBinary {
-		env, err := decodeEnvelope(payload)
-		if err != nil {
-			return nil, fmt.Errorf("worker: decoding frame: %w", err)
-		}
-		if c.measureDecode {
-			c.decodeDur = time.Since(t0)
-		}
-		// The peer speaks binary, so answering in kind is always safe:
-		// sends on this connection switch over (no-op once flipped).
-		c.binary.Store(true)
-		return env, nil
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	env, err := decodeEnvelope(payload)
+	if err != nil {
 		return nil, fmt.Errorf("worker: decoding frame: %w", err)
 	}
 	if c.measureDecode {
 		c.decodeDur = time.Since(t0)
 	}
-	return &env, nil
+	return env, nil
 }
 
 // String names the message kind in errors and logs.

@@ -77,12 +77,7 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 	// The serve loop is the read side that wants per-frame decode timing:
 	// traced specs lift it into a decode span.
 	conn.measureDecode = true
-	hello := &envelope{Kind: msgHello, ID: opts.ID, WallNanos: time.Now().UnixNano()}
-	if !mapreduce.WireGob() {
-		// Announce binary support; the coordinator answers with binary
-		// frames and this connection flips over on the first one received.
-		hello.WireVersion = wireVersion
-	}
+	hello := &envelope{Kind: msgHello, ID: opts.ID, WireVersion: wireVersion, WallNanos: time.Now().UnixNano()}
 	if opts.shuffle != nil {
 		hello.ShuffleAddr = opts.shuffle.addr()
 	}
@@ -125,9 +120,6 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 			reply := &envelope{Kind: msgResult, Seq: env.Seq}
 			var rec *spanRecorder
 			if env.Spec != nil && env.Spec.Trace != "" {
-				// The spec carries a trace context, which also proves the
-				// coordinator speaks wire version ≥ 2 and will decode the
-				// trailing span section of the result.
 				rec = &spanRecorder{frozen: env.Spec.Frozen}
 				rec.addMeasured(mapreduce.PhaseDecode, conn.decodeStart, conn.decodeDur, conn.decodeBytes)
 			}
@@ -280,6 +272,10 @@ func deliverBuckets(spec *mapreduce.TaskSpec, res *mapreduce.TaskResult) {
 // are used as-is; only true holes are awaited.
 func executeDirectReduce(spec *mapreduce.TaskSpec, recv *shuffleReceiver, rec *spanRecorder) (*mapreduce.TaskResult, bool, error) {
 	plan := spec.Shuffle
+	// The bucket set below is sized by a count that came off the socket.
+	if err := spec.Validate(); err != nil {
+		return nil, false, err
+	}
 	if recv == nil {
 		return nil, true, fmt.Errorf("worker: no shuffle receiver for direct reduce task %d", spec.Task)
 	}

@@ -69,13 +69,6 @@ func NewSubprocessExecutor(cfg SubprocessConfig) (*SubprocessExecutor, error) {
 func (e *SubprocessExecutor) spawn(i int) error {
 	cmd := exec.Command(e.cfg.Command[0], e.cfg.Command[1:]...)
 	cmd.Env = append(os.Environ(), fmt.Sprintf("STRATA_WORKER_ID=sp-%d", i))
-	if mapreduce.WireGob() {
-		// The escape hatch must cover payload encodings too, and workers
-		// encode payloads themselves — propagate the coordinator's setting
-		// even when it was flipped at runtime (the CLI's -wire flag) rather
-		// than inherited from the environment.
-		cmd.Env = append(cmd.Env, "STRATA_WIRE=gob")
-	}
 	if e.cfg.ExtraEnv != nil {
 		cmd.Env = append(cmd.Env, e.cfg.ExtraEnv(i)...)
 	}
@@ -98,9 +91,6 @@ func (e *SubprocessExecutor) spawn(i int) error {
 	if err != nil {
 		return fmt.Errorf("worker sp-%d: %w", i, err)
 	}
-	if h.version >= binaryMinVersion && !mapreduce.WireGob() {
-		conn.binary.Store(true)
-	}
 	// Stdio workers never announce a shuffle receiver (their only channel is
 	// the coordinator pipe), so this executor always shuffles routed.
 	h.shuffleAddr = ""
@@ -115,15 +105,14 @@ func (e *SubprocessExecutor) spawn(i int) error {
 	return nil
 }
 
-// awaitHello reads the worker's hello frame, bounded by timeout. It returns
-// the announced worker identity: id, shuffle-receiver endpoint ("" for
-// routed-only workers), the binary wire version the worker speaks (0 for
-// gob-only peers — old builds, or workers running with STRATA_WIRE=gob), and
-// a clock-offset estimate from the hello's wall-clock sample (clockOK false
-// when the worker predates WallNanos). The estimate folds the hello's
-// one-way transit time into the offset, which is fine for its only use —
-// aligning trace spans — since transit is microseconds on the loopback and
-// pipe transports this protocol runs over.
+// awaitHello reads the worker's hello frame, bounded by timeout, and rejects
+// a peer that speaks another wire version (ErrWireVersion). It returns the
+// announced worker identity: id, shuffle-receiver endpoint ("" for
+// routed-only workers), and a clock-offset estimate from the hello's
+// wall-clock sample (clockOK false when the hello carried none). The
+// estimate folds the hello's one-way transit time into the offset, which is
+// fine for its only use — aligning trace spans — since transit is
+// microseconds on the loopback and pipe transports this protocol runs over.
 func awaitHello(conn *frameConn, timeout time.Duration) (helloInfo, error) {
 	type helloOrErr struct {
 		env *envelope
@@ -144,11 +133,11 @@ func awaitHello(conn *frameConn, timeout time.Duration) (helloInfo, error) {
 		if h.env.Kind != msgHello {
 			return helloInfo{}, fmt.Errorf("expected hello, got %v frame", h.env.Kind)
 		}
-		info := helloInfo{
-			id:          h.env.ID,
-			shuffleAddr: h.env.ShuffleAddr,
-			version:     h.env.WireVersion,
+		if v := h.env.WireVersion; v != wireVersion {
+			return helloInfo{}, fmt.Errorf("%w: worker %q speaks version %d, this build %d",
+				ErrWireVersion, h.env.ID, v, wireVersion)
 		}
+		info := helloInfo{id: h.env.ID, shuffleAddr: h.env.ShuffleAddr}
 		if h.env.WallNanos != 0 {
 			info.clockOff = h.env.WallNanos - time.Now().UnixNano()
 			info.clockOK = true

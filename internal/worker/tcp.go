@@ -76,11 +76,8 @@ func (e *TCPExecutor) acceptLoop() {
 				conn.Close()
 				return
 			}
-			if h.version >= binaryMinVersion && !mapreduce.WireGob() {
-				fc.binary.Store(true)
-			}
 			slog.Debug("worker: registered", "worker", h.id,
-				"remote", conn.RemoteAddr(), "shuffle_addr", h.shuffleAddr, "wire_version", h.version)
+				"remote", conn.RemoteAddr(), "shuffle_addr", h.shuffleAddr)
 			e.pool.attach(h, fc, func() { conn.Close() })
 		}()
 	}

@@ -1,29 +1,22 @@
 package worker
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mapreduce"
 	"repro/internal/wire"
 )
 
-// wireVersion is the binary frame format this build speaks. Version 0 is
-// gob-only (pre-codec builds, and builds running with STRATA_WIRE=gob); a
-// worker announces its version in the (always-gob) hello frame, and the
-// coordinator switches the connection to binary frames only when the worker
-// announced ≥ binaryMinVersion — old peers on either side interoperate via
-// gob unchanged. Version 2 adds the trace-context extensions: the
-// specHasTrace section of TaskSpec frames, the trailing worker-span section
-// of TaskResult frames, and the WallNanos clock sample in hellos. The
-// extensions are backward compatible on the read side (flag- or
-// tail-gated), but a version-1 binary peer rejects unknown trailing bytes,
-// so the pool strips trace fields from specs bound for workers that
-// announced < traceMinVersion — those workers simply run untraced.
-const (
-	wireVersion      = 2
-	binaryMinVersion = 1
-	traceMinVersion  = 2
-)
+// wireVersion is the frame format this build speaks. A worker announces it
+// in its hello and the coordinator attaches only an exact match
+// (ErrWireVersion otherwise): strata spawns or is dialled by itself, so a
+// different version is a misdeployment, not a peer to accommodate. Bump it
+// with any change to the envelope, TaskSpec or TaskResult layout.
+const wireVersion = 3
+
+// ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
+var ErrWireVersion = errors.New("worker: wire version mismatch")
 
 // envelope flag bits in the binary frame encoding.
 const (
@@ -33,10 +26,8 @@ const (
 )
 
 // appendEnvelope appends the binary form of one frame body: kind byte, flag
-// byte, identity strings, seq, error text, then the spec/result bodies when
-// present. Hello frames never take this path (they are the negotiation
-// carrier and stay gob), but the codec handles every kind anyway so the
-// fuzz corpus covers the full envelope space.
+// byte, identity strings, seq, error text, the version and clock sample of
+// a hello, then the spec/result bodies when present.
 func appendEnvelope(buf []byte, env *envelope) []byte {
 	buf = append(buf, byte(env.Kind))
 	var flags byte
@@ -54,6 +45,10 @@ func appendEnvelope(buf []byte, env *envelope) []byte {
 	buf = wire.AppendString(buf, env.ShuffleAddr)
 	buf = wire.AppendUvarint(buf, env.Seq)
 	buf = wire.AppendString(buf, env.Err)
+	if env.Kind == msgHello {
+		buf = append(buf, env.WireVersion)
+		buf = wire.AppendVarint(buf, env.WallNanos)
+	}
 	if env.Spec != nil {
 		buf = mapreduce.AppendTaskSpec(buf, env.Spec)
 	}
@@ -77,6 +72,10 @@ func decodeEnvelope(payload []byte) (*envelope, error) {
 	env.ShuffleAddr = r.String()
 	env.Seq = r.Uvarint()
 	env.Err = r.String()
+	if env.Kind == msgHello {
+		env.WireVersion = r.Byte()
+		env.WallNanos = r.Varint()
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,11 @@ package worker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +26,7 @@ func sampleHistogram() *mapreduce.Histogram {
 // the table for round-trip tests and the fuzz seed corpus.
 func sampleEnvelopes() []*envelope {
 	return []*envelope{
-		{Kind: msgHello, ID: "tcp-1", ShuffleAddr: "127.0.0.1:4242", WireVersion: wireVersion},
+		{Kind: msgHello, ID: "tcp-1", ShuffleAddr: "127.0.0.1:4242", WireVersion: wireVersion, WallNanos: 1700000000000000001},
 		{Kind: msgHeartbeat},
 		{Kind: msgDrain},
 		{Kind: msgTask, Seq: 7, Spec: &mapreduce.TaskSpec{
@@ -65,87 +68,107 @@ func sampleEnvelopes() []*envelope {
 	}
 }
 
-// TestEnvelopeBinaryRoundTrip: the binary codec must reproduce every
-// envelope kind exactly as a gob round trip does.
+// TestEnvelopeBinaryRoundTrip: every envelope kind — and one envelope with
+// every field set, so a field added to the struct and not to the codec
+// fails — survives the frame layer exactly, the hello's version and clock
+// sample included.
 func TestEnvelopeBinaryRoundTrip(t *testing.T) {
-	for _, env := range sampleEnvelopes() {
-		buf := appendEnvelope(nil, env)
-		got, err := decodeEnvelope(buf)
-		if err != nil {
-			t.Fatalf("%v frame: %v", env.Kind, err)
-		}
-		// WireVersion travels only in the (gob) hello, not the binary body.
-		want := *env
-		want.WireVersion = 0
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v frame round trip:\nwant %+v\n got %+v", env.Kind, &want, got)
+	samples := sampleEnvelopes()
+	full := &envelope{
+		Kind: msgHello, WireVersion: wireVersion, ID: "w", ShuffleAddr: "127.0.0.1:1", WallNanos: -5,
+		Seq: 1 << 40, Spec: samples[4].Spec, Result: samples[5].Result, Err: "boom", ShuffleLost: true,
+	}
+	for v, i := reflect.ValueOf(*full), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("envelope.%s is unset in the field-complete fixture", v.Type().Field(i).Name)
 		}
 	}
-}
-
-// TestEnvelopeBinaryMatchesGob cross-checks the two codecs through the
-// frameConn layer: the same envelope sent over a gob conn and a binary conn
-// must decode to the same value.
-func TestEnvelopeBinaryMatchesGob(t *testing.T) {
-	for _, env := range sampleEnvelopes() {
-		if env.Kind == msgHello {
-			continue // hello always rides gob; nothing to cross-check
+	var buf bytes.Buffer
+	c := newFrameConn(&buf, &buf)
+	for _, env := range append(samples, full) {
+		if err := c.write(env); err != nil {
+			t.Fatal(err)
 		}
-		decodeVia := func(binary bool) *envelope {
-			var buf bytes.Buffer
-			c := newFrameConn(&buf, &buf)
-			c.binary.Store(binary)
-			if err := c.write(env); err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.read()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got
-		}
-		viaGob, viaBinary := decodeVia(false), decodeVia(true)
-		// gob's nil/empty slice conflations are canonicalized by comparing
-		// through the binary side's rendering.
-		if !reflect.DeepEqual(appendEnvelope(nil, viaGob), appendEnvelope(nil, viaBinary)) {
-			t.Errorf("%v frame decodes differently:\ngob    %+v\nbinary %+v", env.Kind, viaGob, viaBinary)
+		if got, err := c.read(); err != nil || !reflect.DeepEqual(env, got) {
+			t.Errorf("%v frame round trip: %v\nwant %+v\n got %+v", env.Kind, err, env, got)
 		}
 	}
 }
 
-// TestFrameConnNegotiation: a conn flips to binary sends after receiving a
-// binary frame, and never before.
-func TestFrameConnNegotiation(t *testing.T) {
-	var aToB, bToA bytes.Buffer
-	a := newFrameConn(&bToA, &aToB)
-	b := newFrameConn(&aToB, &bToA)
-
-	if err := b.write(&envelope{Kind: msgHeartbeat}); err != nil { // b still gob
-		t.Fatal(err)
+// TestHelloVersionMismatchRejected: a peer announcing another wire version
+// is refused with ErrWireVersion on both attach paths — never downgraded —
+// and the coordinator keeps serving.
+func TestHelloVersionMismatchRejected(t *testing.T) {
+	var stale bytes.Buffer // writes to it cannot fail
+	_ = newFrameConn(nil, &stale).write(&envelope{Kind: msgHello, ID: "stale", WireVersion: wireVersion - 1})
+	var octal strings.Builder // the child is a printf of the stale hello
+	for _, b := range stale.Bytes() {
+		fmt.Fprintf(&octal, `\%03o`, b)
 	}
-	if _, err := a.read(); err != nil {
-		t.Fatal(err)
-	}
-	if a.binary.Load() {
-		t.Fatal("gob frame flipped the receiver to binary")
+	_, err := NewSubprocessExecutor(SubprocessConfig{Workers: 1, Command: []string{"sh", "-c", "printf '" + octal.String() + "'"}})
+	if !errors.Is(err, ErrWireVersion) {
+		t.Errorf("subprocess attach: %v, want ErrWireVersion", err)
 	}
 
-	a.binary.Store(true) // coordinator side: hello announced wireVersion
-	if err := a.write(&envelope{Kind: msgTask, Seq: 1}); err != nil {
+	exec, err := NewTCPExecutor(TCPConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.read(); err != nil {
+	defer exec.Close()
+	conn, err := net.Dial("tcp", exec.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.binary.Load() {
-		t.Fatal("binary frame did not flip the receiver's send mode")
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(stale.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF || exec.pool.liveWorkers() != 0 {
+		t.Errorf("tcp attach: read %v with %d workers attached, want a hang-up and none", err, exec.pool.liveWorkers())
+	}
+	exec.SpawnLocal(1)
+	if err := exec.AwaitWorkers(1, 10*time.Second); err != nil {
+		t.Errorf("coordinator stopped accepting after a stale hello: %v", err)
+	}
+}
+
+// TestServeAnswersBadSpecs: a spec whose counts are out of range — on the
+// direct-reduce path too, which sizes its bucket set before the task core
+// sees the spec — is answered with a task error, and the worker serves on.
+func TestServeAnswersBadSpecs(t *testing.T) {
+	coord, work := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- Serve(work, work, ServeOptions{ID: "w", HeartbeatInterval: time.Hour}) }()
+	c := newFrameConn(coord, coord)
+	if _, err := c.read(); err != nil { // the hello
+		t.Fatal(err)
+	}
+	direct := &mapreduce.ShufflePlan{Session: "s"}
+	for i, spec := range []*mapreduce.TaskSpec{
+		{Phase: "map", NumReducers: 0},
+		{Phase: "reduce", NumReducers: 1, NumMapTasks: -1, Shuffle: direct},
+		{Phase: "reduce", NumReducers: 1, NumMapTasks: 1 << 40, Shuffle: direct},
+	} {
+		if err := c.write(&envelope{Kind: msgTask, Seq: uint64(i), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := c.read(); err != nil || !strings.Contains(env.Err, mapreduce.ErrInvalidSpec.Error()) {
+			t.Fatalf("spec %d: reply %+v, %v; want an invalid-spec task error", i, env, err)
+		}
+	}
+	if err := c.write(&envelope{Kind: msgDrain}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("worker did not survive to a clean drain: %v", err)
 	}
 }
 
 // TestFrameErrorsNamed: oversized length prefixes and mid-frame cuts
 // surface as the named error types, and a clean close stays bare io.EOF.
 func TestFrameErrorsNamed(t *testing.T) {
-	oversize := []byte{0x40, 0x00, 0x00, 0x01} // 1 GiB + 1, top bit clear
+	oversize := []byte{0x40, 0x00, 0x00, 0x01} // 1 GiB + 1
 	_, err := newFrameConn(bytes.NewReader(oversize), io.Discard).read()
 	var fse *FrameSizeError
 	if !errors.As(err, &fse) {

@@ -129,15 +129,8 @@ func TestTCPMatchesInproc(t *testing.T) {
 	splits := testPopulation(t)
 	want, _ := runSQE(t, nil, splits)
 
-	exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := newTCP(t, 2, worker.TCPConfig{})
 	defer exec.Close()
-	exec.SpawnLocal(2)
-	if err := exec.AwaitWorkers(2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
 	got, _ := runSQE(t, exec, splits)
 
 	if !reflect.DeepEqual(want, got) {
@@ -148,7 +141,7 @@ func TestTCPMatchesInproc(t *testing.T) {
 // TestSeedDeterminismAcrossBackends is the sampling contract since the map
 // task became one fused classify-and-sample scan: an answer is a pure
 // function of (seed, splits, query list), so the same seed gives the same
-// individuals in-process, on gob-wire subprocess workers and on tcp workers —
+// individuals in-process, on subprocess workers and on tcp workers —
 // for MR-SQE and for an 8-query MR-MQE pass with an exclusion set.
 func TestSeedDeterminismAcrossBackends(t *testing.T) {
 	splits := testPopulation(t)
@@ -181,18 +174,11 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 		}
 	}
 
-	sub := newSubprocess(t, 2, func(int) []string { return []string{"STRATA_WIRE=gob"} })
+	sub := newSubprocess(t, 2, nil)
 	defer sub.Close()
-	tcp, err := worker.NewTCPExecutor(worker.TCPConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tcp := newTCP(t, 2, worker.TCPConfig{})
 	defer tcp.Close()
-	tcp.SpawnLocal(2)
-	if err := tcp.AwaitWorkers(2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for name, exec := range map[string]mapreduce.Executor{"subprocess/gob": sub, "tcp": tcp} {
+	for name, exec := range map[string]mapreduce.Executor{"subprocess": sub, "tcp": tcp} {
 		gotSQE, gotMQE := run(exec)
 		if !reflect.DeepEqual(wantSQE, gotSQE) {
 			t.Errorf("%s MR-SQE answer differs from in-process:\n in: %v\nout: %v", name, wantSQE, gotSQE)
@@ -287,54 +273,6 @@ func TestGoldenSpansAcrossBackends(t *testing.T) {
 			t.Errorf("%s span file differs from in-process (after dropping worker ids):\n--- inproc ---\n%s\n--- %s ---\n%s",
 				b.name, golden, b.name, got)
 		}
-	}
-}
-
-// TestGoldenSpansMixedWirePool runs the golden-span contract on a mixed
-// pool: one worker forced to the gob wire format (STRATA_WIRE=gob, so it
-// announces wire version 0 and encodes gob payloads) alongside a
-// binary-codec worker. Answers, metrics and spans must stay byte-identical
-// to the in-process run — the payload format tag and per-connection
-// negotiation keep the two formats interoperable within one job.
-func TestGoldenSpansMixedWirePool(t *testing.T) {
-	splits := testPopulation(t)
-
-	run := func(exec mapreduce.Executor) (*query.Answer, mapreduce.Metrics, []byte) {
-		var buf bytes.Buffer
-		c := testCluster(exec)
-		tr := mapreduce.NewJSONLTracer(&buf)
-		c.Tracer = tr
-		ans, met, err := stratified.RunSQE(c, testQuery(), testSchema(), splits,
-			stratified.Options{Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return ans, met, buf.Bytes()
-	}
-
-	wantAns, wantMet, wantSpans := run(nil)
-
-	mixed := newSubprocess(t, 2, func(i int) []string {
-		if i == 0 {
-			return []string{"STRATA_WIRE=gob"}
-		}
-		return nil
-	})
-	defer mixed.Close()
-	gotAns, gotMet, gotSpans := run(mixed)
-
-	if !reflect.DeepEqual(wantAns, gotAns) {
-		t.Errorf("mixed-wire answer differs from in-process:\n in: %v\nout: %v", wantAns, gotAns)
-	}
-	if !reflect.DeepEqual(wantMet, gotMet) {
-		t.Errorf("mixed-wire metrics differ from in-process:\n in: %+v\nout: %+v", wantMet, gotMet)
-	}
-	if golden, got := stripWorker(t, wantSpans), stripWorker(t, gotSpans); !bytes.Equal(golden, got) {
-		t.Errorf("mixed-wire span file differs from in-process (after dropping worker ids):\n--- inproc ---\n%s\n--- mixed ---\n%s",
-			golden, got)
 	}
 }
 
@@ -467,15 +405,8 @@ func BenchmarkEngine(b *testing.B) {
 		bench(b, exec)
 	})
 	b.Run(fmt.Sprintf("backend=tcp/workers=%d", 3), func(b *testing.B) {
-		exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		exec := newTCP(b, 3, worker.TCPConfig{})
 		defer exec.Close()
-		exec.SpawnLocal(3)
-		if err := exec.AwaitWorkers(3, 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		bench(b, exec)
 	})
