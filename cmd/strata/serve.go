@@ -30,7 +30,7 @@ func cmdServe(args []string) error {
 	slaves := fs.Int("slaves", 4, "cluster slaves per pass")
 	numSplits := fs.Int("splits", 0, "resident partition splits (0 = max(2*slaves, 2*GOMAXPROCS); match strata sample's -splits for identical answers)")
 	maxPasses := fs.Int("max-passes", 0, "concurrent engine passes (0 = 2*GOMAXPROCS)")
-	adaptiveWindow := fs.Bool("adaptive-window", true, "fire a lone query early when the recent arrival rate says no batch-mate is coming")
+	adaptiveWindow := fs.Bool("adaptive-window", true, "a batch waits only behind a running pass, -window bounding that wait, unless shared passes outlast -window; false waits out the full window every time")
 	layout := fs.String("layout", "contiguous", "data layout across machines: round-robin, contiguous, skewed, shuffled-contiguous")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window (0 = one pass per query)")
 	maxBatch := fs.Int("max-batch", 64, "fire a batch early at this many distinct queries")

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -17,17 +17,28 @@ import (
 
 // The admission-control batcher. Queries that arrive while a batch is
 // collecting are coalesced into a single engine pass over the resident
-// population; the batch fires when its window elapses or it reaches the
-// maximum size. Within a batch, requests with equal canonical form and seed
-// attach to one entry (single flight): the pass answers the query once and
-// every attached request receives the same answer.
+// population. The window is work-conserving (group commit): a batch waits
+// only behind a running pass, and the window is the upper bound on that
+// wait, not a delay every query pays. Within a batch, requests with equal
+// canonical form and seed attach to one entry (single flight): the pass
+// answers the query once and every attached request receives the same answer.
 //
-// Window state machine (DESIGN.md §12):
+// Window state machine (DESIGN.md §12); "idle" is idleLocked — nothing in
+// flight, and no batch-mate worth waiting for:
 //
-//	idle --first query--> collecting(timer=window) --timeout--> executing
+//	idle --query--> executing                       (nothing to wait behind)
+//	else --first query--> collecting(timer=window)
 //	collecting --query--> collecting                (attach or add entry)
-//	collecting --size==max--> executing             (early fire)
-//	executing --done--> entries resolved; next query opens a fresh batch
+//	collecting --idle--> executing                  (the machine came free)
+//	collecting --timeout--> executing               (the window bounds the wait)
+//	collecting --size==max--> executing
+//	collecting --last waiter hung up--> discarded   (no pass)
+//	executing --done--> entries resolved
+//
+// Coalescing therefore grows with load by itself — queries pile up exactly
+// while the machine is busy — and costs nothing when it is not. With
+// adaptive off nothing is ever idle and every batch opens collecting: the
+// strict fixed window.
 //
 // A window of zero degenerates to one-pass-per-query: each submission opens
 // and immediately fires its own batch. That is the baseline the load
@@ -49,16 +60,16 @@ type batcher struct {
 
 	mu  sync.Mutex
 	cur *batch
-	wg  sync.WaitGroup // running passes, for graceful drain
-
-	// Adaptive-window arrival tracking (under mu): an EWMA of inter-arrival
-	// time plus the sample count it is built from. When the daemon is idle
-	// (no batch executing) and history says arrivals are sparse relative to
-	// the window, a batch-opening query fires immediately instead of paying
-	// the full window for coalescing that history predicts will not happen.
-	lastArrival time.Time
-	arrivalEWMA time.Duration
-	arrivals    int64
+	// inflight counts batches that have fired but not finished (under mu):
+	// from fire, not from pass start, so a batch that has detached but whose
+	// passes have not begun already counts as running work.
+	inflight int
+	// lastShared is how long the most recently finished batch ran, fire to
+	// done, if it had company — more than one request aboard, or another
+	// batch in flight or collecting when it finished — and zero if it ran
+	// alone or nothing has run yet (under mu).
+	lastShared time.Duration
+	wg         sync.WaitGroup // running passes, for graceful drain
 }
 
 // batch is one collecting (then executing) admission window.
@@ -127,11 +138,8 @@ type executor struct {
 	stats      *Stats
 	// sem bounds concurrently executing passes daemon-wide: seed groups of
 	// one batch run in parallel under it, and overlapping batches pipeline
-	// through it instead of queueing behind each other. inflight counts
-	// batches that have fired but not finished — the adaptive window's
-	// idleness signal.
-	sem      chan struct{}
-	inflight atomic.Int64
+	// through it instead of queueing behind each other.
+	sem chan struct{}
 	// tracer, when enabled, receives batch/pass/demux spans and threads a
 	// TraceContext into every pass cluster; base is the daemon start time all
 	// serve span offsets are measured from.
@@ -157,13 +165,11 @@ func newBatcher(window time.Duration, maxBatch int, adaptive bool, epoch func() 
 // batch lends the batch its trace identity, so the whole batch — and every
 // engine pass under it — traces under the opener.
 func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, traceSpan uint64) *entry {
-	now := time.Now()
 	b.mu.Lock()
-	opened := false
+	defer b.mu.Unlock()
 	if b.cur == nil {
 		b.openLocked()
 		b.cur.trace, b.cur.parent = trace, traceSpan
-		opened = true
 	}
 	cur := b.cur
 	key := entryKey{canon: canon, seed: seed}
@@ -176,41 +182,50 @@ func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, t
 		cur.entries[key] = e
 		cur.order = append(cur.order, key)
 	}
-	fireNow := len(cur.entries) >= b.maxBatch || b.window <= 0
-	if !fireNow && opened && b.idleFireLocked() {
-		// Adaptive window: the daemon is idle and arrival history says the
-		// next query is much further out than the window — waiting would
-		// coalesce nothing, so answer this one immediately.
+	switch {
+	case len(cur.entries) >= b.maxBatch || b.window <= 0:
+		b.fireLocked(cur)
+	case b.idleLocked():
 		b.stats.addAdaptiveFire()
-		fireNow = true
-	}
-	if fireNow {
 		b.fireLocked(cur)
 	}
-	// Arrival tracking for the adaptive window: EWMA (α=1/4) of inter-arrival
-	// time across all submissions, cache hits excluded by the caller's flow.
-	if !b.lastArrival.IsZero() {
-		dt := now.Sub(b.lastArrival)
-		if b.arrivals == 0 {
-			b.arrivalEWMA = dt
-		} else {
-			b.arrivalEWMA = (3*b.arrivalEWMA + dt) / 4
-		}
-		b.arrivals++
-	}
-	b.lastArrival = now
-	b.mu.Unlock()
 	return e
 }
 
-// idleFireLocked reports whether a batch-opening query should skip the
-// window: nothing is executing, and the observed inter-arrival EWMA (at
-// least two samples) exceeds 4x the window, so the expected coalescing gain
-// is nil. First-ever queries and bursty load keep the full window.
-func (b *batcher) idleFireLocked() bool {
-	return b.adaptive && b.window > 0 &&
-		b.exec.inflight.Load() == 0 &&
-		b.arrivals >= 2 && b.arrivalEWMA > 4*b.window
+// idleLocked reports whether a collecting batch should run now rather than
+// wait out its window: nothing is in flight to wait behind, and no batch-mate
+// is worth waiting for. One is when the last batch both had company (another
+// request is likely) and outlasted the window (sharing a pass saves more than
+// the wait costs). Each condition is measured against its alternative in
+// EXPERIMENTS.md (PR 16), "inflight == 0" against "a core is free" too.
+func (b *batcher) idleLocked() bool {
+	return b.adaptive && b.inflight == 0 && b.lastShared < b.window
+}
+
+// abandon detaches one waiter from e if e's batch is still collecting, and
+// reports whether it did. An entry left with no waiters leaves the batch; a
+// batch left with no entries is discarded without a pass. Once the batch has
+// fired the pass is bought and abandon changes nothing.
+func (b *batcher) abandon(e *entry) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	cur := b.cur
+	key := entryKey{canon: e.canon, seed: e.seed}
+	if cur == nil || cur.entries[key] != e {
+		return false
+	}
+	b.stats.addAbandoned()
+	e.attached--
+	if e.attached > 0 {
+		return true
+	}
+	delete(cur.entries, key)
+	cur.order = slices.DeleteFunc(cur.order, func(k entryKey) bool { return k == key })
+	if len(cur.entries) == 0 {
+		cur.timer.Stop() // a collecting batch always has a timer: window > 0
+		b.cur = nil
+	}
+	return true
 }
 
 // openLocked starts a fresh collecting batch and arms its window timer.
@@ -244,21 +259,34 @@ func (b *batcher) fireLocked(cur *batch) {
 		cur.timer.Stop()
 	}
 	firedAt := time.Now()
+	riders := 0
 	for _, e := range cur.entries {
 		e.firedAt = firedAt
+		riders += e.attached
 	}
 	if b.cur == cur {
 		b.cur = nil
 	}
 	b.wg.Add(1)
-	// inflight counts from fire to completion so the adaptive idle check
-	// sees a batch that has detached but whose passes haven't started yet.
-	b.exec.inflight.Add(1)
+	b.inflight++
 	go func() {
-		defer b.wg.Done()
-		defer b.exec.inflight.Add(-1)
 		b.exec.run(cur)
 		b.stats.observeWindow(time.Since(cur.created).Nanoseconds())
+		b.mu.Lock()
+		b.inflight--
+		b.lastShared = 0
+		if riders > 1 || b.inflight > 0 || b.cur != nil {
+			b.lastShared = time.Since(firedAt)
+		}
+		if b.cur != nil && b.idleLocked() {
+			// The machine came free: the batch that queued behind this one
+			// runs now. Its wg.Add(1) happens here, before this goroutine's
+			// own Done below, so drain's Wait cannot return between the two.
+			b.stats.addAdaptiveFire()
+			b.fireLocked(b.cur)
+		}
+		b.mu.Unlock()
+		b.wg.Done()
 	}()
 }
 

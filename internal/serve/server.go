@@ -51,11 +51,13 @@ type Config struct {
 	// batches pipeline through it. 0 means 2*GOMAXPROCS. Concurrency never
 	// changes answers — each pass owns its seed, cluster and output slots.
 	MaxPasses int
-	// AdaptiveWindow lets a query that opens a batch while the daemon is
-	// idle fire immediately when arrival history (inter-arrival EWMA > 4x
-	// window, at least two samples) says waiting out the window would
-	// coalesce nothing. Bursty load still gets full windows; lone queries
-	// stop paying the window latency tax.
+	// AdaptiveWindow makes the window work-conserving: a batch opened with
+	// none in flight fires at once, and a batch collecting behind running
+	// passes fires as soon as the last of them finishes, so Window only
+	// bounds how long a query may queue behind running work. While batches
+	// that had company run Window or longer — a batch-mate is then likely
+	// and saves more than the wait costs — and always when false, the window
+	// is strict: every batch waits out Window (or MaxBatch).
 	AdaptiveWindow bool
 	// CacheSize bounds the result cache (answers). Defaults to 1024.
 	CacheSize int
@@ -441,7 +443,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": "pending", "trace": trace})
 		return
 	}
-	<-e.done
+	select {
+	case <-e.done:
+	case <-r.Context().Done():
+		// The client hung up. If its batch is still collecting — queued
+		// behind a running pass — it leaves without buying one; once fired
+		// the pass runs regardless and its answer still reaches the cache.
+		if s.batcher.abandon(e) {
+			return
+		}
+		<-e.done
+	}
 	if e.err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", e.err)
 		return

@@ -29,7 +29,8 @@ type Stats struct {
 	pruned      int64 // splits skipped by box pre-filtering, across passes
 	errors      int64 // passes or submissions that failed
 	passPanics  int64 // passes that panicked and were recovered
-	adaptive    int64 // batches fired immediately by the adaptive idle window
+	adaptive    int64 // batches fired ahead of their window: opened idle, or the last running batch finished
+	abandoned   int64 // requests whose client hung up before their batch fired
 
 	rejected map[string]int64 // per-tenant quota rejections
 
@@ -138,11 +139,19 @@ func (s *Stats) addSingleFlight() {
 	s.mu.Unlock()
 }
 
-// addAdaptiveFire records a batch the idle heuristic fired without waiting
-// out its window.
+// addAdaptiveFire records a batch fired ahead of its window because nothing
+// was (or nothing was any longer) in flight.
 func (s *Stats) addAdaptiveFire() {
 	s.mu.Lock()
 	s.adaptive++
+	s.mu.Unlock()
+}
+
+// addAbandoned records a request detached from a collecting batch because
+// its client hung up.
+func (s *Stats) addAbandoned() {
+	s.mu.Lock()
+	s.abandoned++
 	s.mu.Unlock()
 }
 
@@ -196,6 +205,7 @@ type Snapshot struct {
 	Errors        int64            `json:"errors"`
 	PassPanics    int64            `json:"pass_panics,omitempty"`
 	AdaptiveFires int64            `json:"adaptive_fires,omitempty"`
+	Abandoned     int64            `json:"abandoned,omitempty"`
 	Rejected      map[string]int64 `json:"rejected_by_tenant,omitempty"`
 	BatchMean     float64          `json:"batch_occupancy_mean"`
 	BatchMax      int64            `json:"batch_occupancy_max"`
@@ -239,6 +249,7 @@ func (s *Stats) snapshot() Snapshot {
 		SingleFlight: s.singleFlown, PrunedSplits: s.pruned, Errors: s.errors,
 		PassPanics:    s.passPanics,
 		AdaptiveFires: s.adaptive,
+		Abandoned:     s.abandoned,
 		Rejected:      rej,
 		CachePurges:   s.cachePurges, CachePurged: s.cachePurged,
 		LiveHits: s.liveHits, Pushes: s.pushes, Subscriptions: s.subscribers,
@@ -312,7 +323,8 @@ func (s *Stats) WritePrometheus(w io.Writer) error {
 		{"strata_serve_pruned_splits_total", "Splits skipped by box pre-filtering.", snap.PrunedSplits},
 		{"strata_serve_errors_total", "Failed passes or submissions.", snap.Errors},
 		{"strata_serve_pass_panics_total", "Passes that panicked; their waiters were failed, the daemon kept serving.", snap.PassPanics},
-		{"strata_serve_adaptive_fires_total", "Batches fired immediately by the adaptive idle window.", snap.AdaptiveFires},
+		{"strata_serve_adaptive_fires_total", "Batches fired ahead of their window because the daemon was idle: opened with nothing in flight, or released when the in-flight count reached zero.", snap.AdaptiveFires},
+		{"strata_serve_abandoned_total", "Requests whose client hung up while their batch was still collecting; detached without buying a pass.", snap.Abandoned},
 		{"strata_serve_cache_purges_total", "Epoch bumps that purged the result cache.", snap.CachePurges},
 		{"strata_serve_cache_purged_total", "Result-cache entries dropped by epoch bumps.", snap.CachePurged},
 		{"strata_serve_live_hits_total", "Queries answered warm from standing reservoirs.", snap.LiveHits},

@@ -26,6 +26,28 @@ import (
 // namespaces buckets per run to never mix payloads.
 const shuffleHeaderSize = 16
 
+// maxShuffleSessionLen bounds the session string of one frame.
+const maxShuffleSessionLen = 1 << 10
+
+// shuffleHeader is one parsed bucket-frame header.
+type shuffleHeader struct {
+	sessLen, task, reducer, size int
+}
+
+// parseShuffleHeader decodes a frame header off the socket. ok is false for
+// lengths no sender produces, so the reader never allocates more than
+// maxShuffleSessionLen + maxFrameSize on a peer's say-so.
+func parseShuffleHeader(b *[shuffleHeaderSize]byte) (h shuffleHeader, ok bool) {
+	h = shuffleHeader{
+		sessLen: int(int32(binary.BigEndian.Uint32(b[0:]))),
+		task:    int(int32(binary.BigEndian.Uint32(b[4:]))),
+		reducer: int(int32(binary.BigEndian.Uint32(b[8:]))),
+		size:    int(int32(binary.BigEndian.Uint32(b[12:]))),
+	}
+	ok = h.sessLen > 0 && h.sessLen <= maxShuffleSessionLen && h.size >= 0 && h.size <= maxFrameSize
+	return h, ok
+}
+
 // maxShuffleSessions bounds how many job runs' buckets one receiver retains
 // at a time. Completed reducers free their buckets eagerly; the LRU eviction
 // here is the backstop for sessions that never complete on this worker (a
@@ -97,23 +119,20 @@ func (s *shuffleReceiver) acceptLoop() {
 func (s *shuffleReceiver) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	header := make([]byte, shuffleHeaderSize)
+	var header [shuffleHeaderSize]byte
 	for {
-		if _, err := io.ReadFull(conn, header); err != nil {
+		if _, err := io.ReadFull(conn, header[:]); err != nil {
 			return
 		}
-		sessLen := int(int32(binary.BigEndian.Uint32(header[0:])))
-		task := int(int32(binary.BigEndian.Uint32(header[4:])))
-		reducer := int(int32(binary.BigEndian.Uint32(header[8:])))
-		size := int(int32(binary.BigEndian.Uint32(header[12:])))
-		if sessLen <= 0 || sessLen > 1<<10 || size < 0 || size > maxFrameSize {
+		h, ok := parseShuffleHeader(&header)
+		if !ok {
 			return
 		}
-		body := make([]byte, sessLen+size)
+		body := make([]byte, h.sessLen+h.size)
 		if _, err := io.ReadFull(conn, body); err != nil {
 			return
 		}
-		s.store(string(body[:sessLen]), task, reducer, body[sessLen:])
+		s.store(string(body[:h.sessLen]), h.task, h.reducer, body[h.sessLen:])
 	}
 }
 

@@ -2,6 +2,7 @@ package worker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -232,6 +233,34 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			if _, err := decodeEnvelope(appendEnvelope(nil, env)); err != nil {
 				t.Fatalf("re-encode of valid decode failed: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzShuffleHeader: whatever sixteen bytes a peer sends, the shuffle
+// receiver's header parse neither panics nor accepts lengths that would make
+// the reader allocate past maxFrameSize plus the 1 KiB session bound; headers
+// the sender writes round-trip.
+func FuzzShuffleHeader(f *testing.F) {
+	f.Add(appendShuffleFrame(nil, "job-1", 3, 2, []byte("payload")))
+	f.Add(appendShuffleFrame(nil, "s", 0, 0, nil))
+	f.Add(bytes.Repeat([]byte{0xFF}, shuffleHeaderSize))
+	f.Add(make([]byte, shuffleHeaderSize))
+	f.Add([]byte{0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b [shuffleHeaderSize]byte
+		copy(b[:], data)
+		h, ok := parseShuffleHeader(&b)
+		if !ok {
+			return
+		}
+		if h.sessLen <= 0 || h.size < 0 || h.sessLen+h.size > maxFrameSize+maxShuffleSessionLen {
+			t.Fatalf("accepted header would allocate %d+%d bytes", h.sessLen, h.size)
+		}
+		back := appendShuffleFrame(nil, string(make([]byte, h.sessLen)), h.task, h.reducer, nil)
+		binary.BigEndian.PutUint32(back[12:], uint32(h.size))
+		if !bytes.Equal(back[:shuffleHeaderSize], b[:]) {
+			t.Fatalf("header %x re-encodes as %x", b, back[:shuffleHeaderSize])
 		}
 	})
 }

@@ -3,11 +3,15 @@
 #
 # Starts `strata serve`, fires K concurrent identical SSD queries, and
 # asserts the service contract of DESIGN.md §12:
-#   1. the queries coalesce (coalesced counter > 0, exactly one engine pass);
+#   1. under the strict window (-adaptive-window=false) the queries coalesce
+#      (coalesced counter > 0, exactly one engine pass);
 #   2. every client's answer is identical;
 #   3. the daemon's answer is byte-identical to a one-shot `strata sample`
 #      run with the same population, seed, slaves and layout;
-#   4. SIGTERM drains gracefully.
+#   4. SIGTERM drains gracefully;
+#   5. with default flags (work-conserving window) the first query fires
+#      alone and the rest ride the batch behind it: at most 2 passes, every
+#      answer still byte-identical to `strata sample`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,30 +27,41 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 echo "== build"
 go build -o "$tmp/strata" ./cmd/strata
 
-echo "== start daemon"
-"$tmp/strata" serve -addr localhost:0 -n "$POP" -seed "$SEED" -slaves "$SLAVES" \
-  -window 300ms >"$tmp/serve.out" 2>"$tmp/serve.err" &
-SERVE_PID=$!
+# start_daemon FLAGS...: starts `strata serve` with the shared population
+# flags plus FLAGS, and sets SERVE_PID and base once /healthz answers.
+start_daemon() {
+  : >"$tmp/serve.out"
+  "$tmp/strata" serve -addr localhost:0 -n "$POP" -seed "$SEED" -slaves "$SLAVES" \
+    -window 300ms "$@" >"$tmp/serve.out" 2>"$tmp/serve.err" &
+  SERVE_PID=$!
+  base=""
+  for _ in $(seq 1 100); do
+    base="$(sed -n 's|.*on http://\([^ ]*\) .*|\1|p' "$tmp/serve.out" | head -1)"
+    [ -n "$base" ] && curl -sf "http://$base/healthz" >/dev/null 2>&1 && break
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$tmp/serve.err"; echo "FAIL: daemon died"; exit 1; }
+    sleep 0.1
+  done
+  [ -n "$base" ] || { echo "FAIL: daemon never came up"; cat "$tmp/serve.err"; exit 1; }
+  echo "daemon at $base"
+}
 
-base=""
-for _ in $(seq 1 100); do
-  base="$(sed -n 's|.*on http://\([^ ]*\) .*|\1|p' "$tmp/serve.out" | head -1)"
-  [ -n "$base" ] && curl -sf "http://$base/healthz" >/dev/null 2>&1 && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { cat "$tmp/serve.err"; echo "FAIL: daemon died"; exit 1; }
-  sleep 0.1
-done
-[ -n "$base" ] || { echo "FAIL: daemon never came up"; cat "$tmp/serve.err"; exit 1; }
-echo "daemon at $base"
+# fire_identical PREFIX: K concurrent identical queries, answers in PREFIX.<i>.json.
+fire_identical() {
+  local pids=()
+  for i in $(seq 1 "$K"); do
+    curl -sf "http://$base/v1/sample" \
+      -d "{\"query\": \"$QUERY\", \"seed\": $SEED}" >"$1.$i.json" &
+    pids+=("$!")
+  done
+  for p in "${pids[@]}"; do wait "$p"; done
+  kill -0 "$SERVE_PID" 2>/dev/null || { echo "FAIL: daemon died under load"; exit 1; }
+}
+
+echo "== start daemon (strict window: the one-pass / single-flight contract)"
+start_daemon -adaptive-window=false
 
 echo "== fire $K concurrent identical queries"
-pids=()
-for i in $(seq 1 "$K"); do
-  curl -sf "http://$base/v1/sample" \
-    -d "{\"query\": \"$QUERY\", \"seed\": $SEED}" >"$tmp/resp.$i.json" &
-  pids+=("$!")
-done
-for p in "${pids[@]}"; do wait "$p"; done
-kill -0 "$SERVE_PID" 2>/dev/null || { echo "FAIL: daemon died under load"; exit 1; }
+fire_identical "$tmp/resp"
 
 echo "== check coalescing via /v1/stats"
 curl -sf "http://$base/v1/stats" | tee "$tmp/stats.json"
@@ -74,17 +89,22 @@ PY
 echo "== check byte-identity with one-shot strata sample"
 "$tmp/strata" sample -n "$POP" -seed "$SEED" -slaves "$SLAVES" -query "$QUERY" \
   >"$tmp/sample.out"
-python3 - "$tmp" <<'PY'
-import json, re, sys
-tmp = sys.argv[1]
+# check_cli_identity PREFIX: every PREFIX.<i>.json equals the CLI answer.
+check_cli_identity() {
+  python3 - "$tmp/sample.out" "$1" "$K" <<'PY'
+import json, sys
+sample, prefix, k = sys.argv[1], sys.argv[2], int(sys.argv[3])
 # `strata sample` prints each sampled individual as a two-space-indented line.
-cli = [l.strip() for l in open(f"{tmp}/sample.out") if l.startswith("  ")]
-r = json.load(open(f"{tmp}/resp.1.json"))
-daemon = [ind for st in r["strata"] for ind in st["individuals"]]
-assert cli == daemon, (
-    f"daemon answer differs from strata sample:\ncli    {cli}\ndaemon {daemon}")
-print(f"ok: byte-identical with strata sample ({len(daemon)} individuals)")
+cli = [l.strip() for l in open(sample) if l.startswith("  ")]
+for i in range(1, k + 1):
+    r = json.load(open(f"{prefix}.{i}.json"))
+    daemon = [ind for st in r["strata"] for ind in st["individuals"]]
+    assert cli == daemon, (
+        f"client {i}: daemon answer differs from strata sample:\ncli    {cli}\ndaemon {daemon}")
+print(f"ok: {k} answers byte-identical with strata sample ({len(cli)} individuals)")
 PY
+}
+check_cli_identity "$tmp/resp"
 
 echo "== loadgen compare (batched vs window=0, QPS floor)"
 # A short self-hosted load run gates the warm-pass fast path: batched QPS
@@ -111,5 +131,22 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero on SIGTERM"; exit 1; }
 grep -q '^drained:' "$tmp/serve.out" || { echo "FAIL: no drain summary"; cat "$tmp/serve.out"; exit 1; }
 grep '^drained:' "$tmp/serve.out"
+
+echo "== default flags: $K concurrent identical queries, work-conserving window"
+start_daemon
+fire_identical "$tmp/wc"
+curl -sf "http://$base/v1/stats" >"$tmp/wc.stats.json"
+python3 - "$tmp/wc.stats.json" <<'PY'
+import json, sys
+s = json.load(open(sys.argv[1]))
+# The first query finds the daemon idle and fires alone; the others queue
+# behind its pass (or hit the cache once it lands) — never one pass each.
+assert 1 <= s["passes"] <= 2, f"want at most 2 engine passes, got {s['passes']}"
+print(f"ok: {s['passes']} passes, {s.get('adaptive_fires', 0)} early fires, "
+      f"{s['cache_hits']} cache hits for {s['queries']} queries")
+PY
+check_cli_identity "$tmp/wc"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || { echo "FAIL: default-flag daemon exited non-zero on SIGTERM"; exit 1; }
 
 echo "PASS: serve smoke"
