@@ -26,6 +26,14 @@ func (t *Tuple) Clone() Tuple {
 	return Tuple{ID: t.ID, Name: t.Name, Attrs: attrs}
 }
 
+// ResidentBytes estimates the memory the tuple occupies in a resident split:
+// its header (ID, string and slice headers) plus name bytes and attribute
+// values.
+func (t *Tuple) ResidentBytes() int64 {
+	const header = 8 + 16 + 24
+	return header + int64(len(t.Name)) + 8*int64(len(t.Attrs))
+}
+
 // ByteSize is the exact wire size of the tuple in the binary codec (see
 // AppendWire): varint id, length-prefixed name, attr count, varint attrs.
 // The MapReduce engine uses it for shuffle accounting, so it must track the

@@ -76,7 +76,7 @@ func TestChurnInclusionBiasAudit(t *testing.T) {
 	} else if s.MaxStaleness > bound {
 		t.Fatalf("staleness %d exceeded bound %d", s.MaxStaleness, bound)
 	}
-	finalSplits, release := p0.AcquireSplits()
+	finalSplits, _, release := p0.AcquireSplits()
 	ref := make([]dataset.Split, len(finalSplits))
 	for i, sp := range finalSplits {
 		ref[i] = append(dataset.Split(nil), sp...)

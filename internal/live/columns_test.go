@@ -1,0 +1,127 @@
+package live
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/mapreduce"
+	"repro/internal/predicate"
+	"repro/internal/query"
+	"repro/internal/stratified"
+)
+
+// checkMirror fails unless the population's column mirrors equal its rows
+// cell for cell, a pass handed (splits, columns) answers exactly as a pass
+// over the splits alone, and the resident-byte gauges match a recount. It
+// holds the pass's read lock throughout, like the daemon's executor.
+func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
+	splits, cols, release := p.AcquireSplits()
+	defer release()
+	if len(cols) != len(splits) {
+		t.Errorf("%d column mirrors for %d splits", len(cols), len(splits))
+		return
+	}
+	var rowBytes, members int64
+	for si, split := range splits {
+		if got, want := cols[si], dataset.ColumnsOf(split, p.schema.NumFields()); !reflect.DeepEqual(got, want) {
+			t.Errorf("split %d: mirror differs from its rows\n mirror %v\n rows   %v", si, got, want)
+			return
+		}
+		rowBytes += split.ResidentBytes()
+		members += int64(len(split))
+	}
+	// The fields, not ResidentBytes: taking the read lock a second time
+	// deadlocks behind a waiting writer.
+	if p.rowBytes != rowBytes || int64(len(p.loc)) != members {
+		t.Errorf("resident gauges: %d row bytes, %d members; recount %d, %d", p.rowBytes, len(p.loc), rowBytes, members)
+	}
+	cluster := func() *mapreduce.Cluster {
+		return &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	}
+	with, _, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed, Columns: cols})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	without, _, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Errorf("pass over (splits, columns) differs from a pass over the splits:\n with    %v\n without %v", with, without)
+	}
+}
+
+// TestColumnsMirrorRows: through random insert/delete/update/Rebalance
+// streams — with a standing query registered, so repairs run too — the column
+// mirrors stay equal to the rows and change no answer, while a concurrent
+// reader takes passes the whole time (run under -race).
+func TestColumnsMirrorRows(t *testing.T) {
+	p := newTestPop(t, 600, 4, Config{StalenessBound: 4, Columns: true})
+	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
+		t.Fatal(err)
+	}
+	queries := []*query.SSD{
+		genderSSD(6, 4),
+		query.NewSSD("income",
+			query.Stratum{Cond: predicate.MustParse("income < 400 and gender = 1"), Freq: 9},
+			query.Stratum{Cond: predicate.MustParse("income >= 400"), Freq: 5}),
+	}
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for seed := int64(0); ; seed++ {
+			select {
+			case <-stop:
+				return
+			default:
+				checkMirror(t, p, queries, seed)
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(23))
+	ids := make([]int64, 600)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	nextID := int64(10000)
+	for step := 0; step < 300 && !t.Failed(); step++ {
+		if step%40 == 39 {
+			p.Rebalance(1 + rng.Intn(6))
+			continue
+		}
+		batch := make([]Mutation, 1+rng.Intn(8))
+		for i := range batch {
+			switch op := rng.Intn(3); {
+			case op == 0 || len(ids) < 50:
+				batch[i] = Mutation{Op: OpInsert, Tuple: tup(nextID, rng.Int63n(2), rng.Int63n(1001))}
+				ids = append(ids, nextID)
+				nextID++
+			case op == 1:
+				at := rng.Intn(len(ids))
+				batch[i] = Mutation{Op: OpDelete, ID: ids[at]}
+				ids[at] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+			default:
+				batch[i] = Mutation{Op: OpUpdate, Tuple: tup(ids[rng.Intn(len(ids))], rng.Int63n(2), rng.Int63n(1001))}
+			}
+		}
+		if res := p.Apply(batch); len(res.Rejected) > 0 {
+			t.Fatalf("step %d: rejected %v", step, res.Rejected)
+		}
+	}
+	close(stop)
+	reader.Wait()
+	checkMirror(t, p, queries, 99)
+	if rows, cols := p.ResidentBytes(); cols != 4*2*int64(len(ids)) || rows <= cols {
+		t.Errorf("ResidentBytes = %d rows, %d columns for %d members of 2 attributes", rows, cols, len(ids))
+	}
+}

@@ -84,6 +84,10 @@ type Config struct {
 	// splits. Defaults to 64. Lower bounds repair more often (higher scan
 	// cost) but keep the sample deficit smaller.
 	StalenessBound int
+	// Columns keeps the column-major mirror of each resident split that an
+	// in-process pass classifies from. Leave it off when passes run on remote
+	// workers: task specs carry rows only, so the mirror would never be read.
+	Columns bool
 }
 
 // tupleLoc addresses one member inside the resident splits.
@@ -95,12 +99,18 @@ type tupleLoc struct {
 // Population is a mutable population with registered standing SSD queries.
 // It owns the resident splits handed to it at construction: mutations edit
 // them in place, so engine passes run over current data, and stratum repairs
-// rescan them. All methods are safe for concurrent use; mutations serialize
-// behind a write lock while snapshots and pass execution share a read lock.
+// rescan them. With Config.Columns it keeps, beside each split, the
+// column-major mirror of its attributes that a pass classifies from, edited
+// under the same write lock at the same four points (insert, update,
+// removeAt, Rebalance). All methods
+// are safe for concurrent use; mutations serialize behind a write lock while
+// snapshots and pass execution share a read lock.
 type Population struct {
 	mu      sync.RWMutex
 	schema  *dataset.Schema
 	splits  []dataset.Split
+	cols    []dataset.Columns // cols[i] mirrors splits[i]; nil entries without Config.Columns
+	mirror  bool
 	loc     map[int64]tupleLoc
 	next    int // round-robin insert target
 	bound   int
@@ -109,6 +119,7 @@ type Population struct {
 	seq atomic.Int64 // total applied mutations, the mutation epoch
 
 	// Counters (under mu).
+	rowBytes                            int64 // Σ Tuple.ResidentBytes over the splits
 	inserts, deletes, updates, rejected int64
 	repairs, repairScanned              int64
 	maxStaleness                        int64
@@ -130,6 +141,8 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	p := &Population{
 		schema:  schema,
 		splits:  splits,
+		cols:    make([]dataset.Columns, len(splits)),
+		mirror:  cfg.Columns,
 		loc:     make(map[int64]tupleLoc),
 		bound:   cfg.StalenessBound,
 		queries: make(map[string]*Standing),
@@ -142,6 +155,10 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 			}
 			p.loc[id] = tupleLoc{split: si, idx: i}
 		}
+		if p.mirror {
+			p.cols[si] = dataset.ColumnsOf(split, schema.NumFields())
+		}
+		p.rowBytes += split.ResidentBytes()
 	}
 	return p, nil
 }
@@ -159,13 +176,26 @@ func (p *Population) Seq() int64 { return p.seq.Load() }
 // StalenessBound returns the configured repair trigger.
 func (p *Population) StalenessBound() int { return p.bound }
 
-// AcquireSplits returns the resident splits for an engine pass plus a
-// release function. The splits are read-locked until released: mutations
-// wait, which is what keeps a pass's view consistent. Standing queries never
-// need this — their answers come from the warm reservoirs.
-func (p *Population) AcquireSplits() ([]dataset.Split, func()) {
+// AcquireSplits returns the resident splits for an engine pass, their column
+// mirrors (index-aligned; nil entries without Config.Columns) and a release
+// function. Both are read-locked until
+// released: mutations wait, which is what keeps a pass's view consistent.
+// Standing queries never need this — their answers come from the warm
+// reservoirs.
+func (p *Population) AcquireSplits() ([]dataset.Split, []dataset.Columns, func()) {
 	p.mu.RLock()
-	return p.splits, p.mu.RUnlock
+	return p.splits, p.cols, p.mu.RUnlock
+}
+
+// ResidentBytes reports the memory the resident population occupies by
+// layout: the row-major splits and their column-major mirrors.
+func (p *Population) ResidentBytes() (rows, columns int64) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, c := range p.cols {
+		columns += c.ResidentBytes()
+	}
+	return p.rowBytes, columns
 }
 
 // Contains reports whether a member with the ID exists.
@@ -226,6 +256,8 @@ func (p *Population) applyOne(m *Mutation) error {
 		si := p.next
 		p.next = (p.next + 1) % len(p.splits)
 		p.splits[si] = append(p.splits[si], t)
+		p.cols[si].Append(t.Attrs)
+		p.rowBytes += t.ResidentBytes()
 		p.loc[t.ID] = tupleLoc{split: si, idx: len(p.splits[si]) - 1}
 		for _, st := range p.queries {
 			st.insert(t)
@@ -251,6 +283,8 @@ func (p *Population) applyOne(m *Mutation) error {
 		}
 		old := p.splits[l.split][l.idx]
 		p.splits[l.split][l.idx] = t
+		p.cols[l.split].Set(l.idx, t.Attrs)
+		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
 			st.update(p, old, t)
 		}
@@ -266,6 +300,8 @@ func (p *Population) removeAt(l tupleLoc) {
 	split := p.splits[l.split]
 	last := len(split) - 1
 	delete(p.loc, split[l.idx].ID)
+	p.rowBytes -= split[l.idx].ResidentBytes()
+	p.cols[l.split].SwapRemove(l.idx)
 	if l.idx != last {
 		split[l.idx] = split[last]
 		p.loc[split[l.idx].ID] = l
@@ -297,6 +333,7 @@ func (p *Population) Rebalance(k int) int {
 		k = total
 	}
 	splits := make([]dataset.Split, k)
+	cols := make([]dataset.Columns, k)
 	base, rem := 0, 0
 	if total > 0 {
 		base, rem = total/k, total%k
@@ -316,9 +353,12 @@ func (p *Population) Rebalance(k int) int {
 			}
 			p.loc[splits[si][i].ID] = l
 		}
+		if p.mirror {
+			cols[si] = dataset.ColumnsOf(splits[si], p.schema.NumFields())
+		}
 		off += size
 	}
-	p.splits = splits
+	p.splits, p.cols = splits, cols
 	p.next = 0
 	return moved
 }

@@ -243,7 +243,7 @@ func TestAcquireSplitsConsistency(t *testing.T) {
 		{Op: OpDelete, ID: 10}, {Op: OpDelete, ID: 11},
 		{Op: OpInsert, Tuple: tup(500, 1, 1)},
 	})
-	splits, release := p.AcquireSplits()
+	splits, _, release := p.AcquireSplits()
 	defer release()
 	seen := map[int64]bool{}
 	total := 0

@@ -1,6 +1,8 @@
 package predicate
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,12 +65,11 @@ func TestQuickClassifierAgreesWithEval(t *testing.T) {
 	}
 }
 
-// TestClassifierFallsBackPastMaxBoxes: a formula whose DNF Boxes refuses is
-// classified through its compiled predicate, between box-lowered neighbours.
-func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
-	schema := predSchema()
-	// 9 two-way disjunctions conjoined expand to 512 boxes; conjoining two
-	// of those asks for 512² > MaxBoxes.
+// pastMaxBoxes returns a formula over predSchema whose DNF Boxes refuses: 9
+// two-way disjunctions conjoined expand to 512 boxes, and conjoining two of
+// those asks for 512² > MaxBoxes.
+func pastMaxBoxes(t *testing.T, schema *dataset.Schema) Expr {
+	t.Helper()
 	var half Expr = Literal(true)
 	for i := int64(0); i < 9; i++ {
 		half = And{half, Or{Compare{"a", Ge, 10 + i}, Compare{"b", Lt, 40 - i}}}
@@ -77,6 +78,14 @@ func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
 	if _, err := Boxes(wide, schema); err == nil {
 		t.Fatal("test formula no longer overflows Boxes; make it wider")
 	}
+	return wide
+}
+
+// TestClassifierFallsBackPastMaxBoxes: a formula whose DNF Boxes refuses is
+// classified through its compiled predicate, between box-lowered neighbours.
+func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
+	schema := predSchema()
+	wide := pastMaxBoxes(t, schema)
 	conds := []Expr{MustParse("c = 3"), wide, MustParse("c >= 0")}
 	cls, err := NewClassifier(conds, schema)
 	if err != nil {
@@ -99,4 +108,148 @@ func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
 	if _, err := NewClassifier([]Expr{MustParse("zzz < 3")}, schema); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
+}
+
+// columnsAgree fails the test unless ClassifyColumns over the tuples' column
+// mirror — the columns Attrs names, nothing else — equals row-wise Classify.
+func columnsAgree(t *testing.T, cls *Classifier, numFields int, tuples []dataset.Tuple) bool {
+	t.Helper()
+	mirror := dataset.ColumnsOf(tuples, numFields)
+	cols := make(dataset.Columns, numFields)
+	for _, j := range cls.Attrs() {
+		cols[j] = mirror[j]
+	}
+	out := make([]int32, len(tuples))
+	for i := range out {
+		out[i] = 12345 // the kernel must not read what was there
+	}
+	cls.ClassifyColumns(cols, tuples, out)
+	for i := range tuples {
+		if want := cls.Classify(&tuples[i]); int(out[i]) != want {
+			t.Errorf("tuple %v: ClassifyColumns %d, Classify %d", tuples[i].Attrs, out[i], want)
+			return false
+		}
+	}
+	return true
+}
+
+// TestClassifyColumnsAgreesWithClassify: the branch-free column kernel is
+// row-wise Classify for every in-domain tuple — random formulas (1-test,
+// 2-test and wider boxes, unsatisfiable and whole-domain strata, overlapping
+// strata where the first match must win), domain corners, a pred-fallback
+// stratum between box-lowered ones, a query with more strata than an int8
+// holds, and fields too wide for an int32 column next to one that spans all
+// of int32.
+func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
+	schema := predSchema()
+	corners := []dataset.Tuple{
+		{Attrs: []int64{0, -50, 0}}, {Attrs: []int64{100, 50, 10}},
+		{Attrs: []int64{0, 50, 10}}, {Attrs: []int64{100, -50, 0}},
+	}
+	sample := func(rng *rand.Rand, n int) []dataset.Tuple {
+		tuples := append([]dataset.Tuple(nil), corners...)
+		for i := 0; i < n; i++ {
+			tuples = append(tuples, randomTuple(rng))
+		}
+		return tuples
+	}
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			conds := make([]Expr, 1+rng.Intn(5))
+			for i := range conds {
+				conds[i] = randomExpr(rng, 4)
+			}
+			cls, err := NewClassifier(conds, schema)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if !columnsAgree(t, cls, 3, sample(rng, 60)) {
+				t.Logf("conds %v", conds)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("shapes", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, srcs := range [][]string{
+			{"a > 100", "b < -50", "c = 4"},                      // empty boxes first
+			{"a >= 0", "c = 3"},                                  // whole-domain test shadows the rest
+			{"c = 3", "true"},                                    // literal after a 1-test box
+			{"false", "a < 50 and b < 0", "a < 50"},              // overlap: first match wins
+			{"a < 50 and b < 0 and c < 5", "a != 7 and b != -7"}, // 3-test box, multi-box strata
+			{"a >= 0 and b >= -50 and c <= 10"},                  // every test spans its domain
+		} {
+			conds := make([]Expr, len(srcs))
+			for i, src := range srcs {
+				conds[i] = MustParse(src)
+			}
+			if !columnsAgree(t, mustClassifier(t, conds, schema), 3, sample(rng, 300)) {
+				t.Errorf("conds %v", srcs)
+			}
+		}
+		if !columnsAgree(t, mustClassifier(t, []Expr{MustParse("a < 50")}, schema), 3, nil) {
+			t.Error("empty split")
+		}
+	})
+	t.Run("pred-fallback", func(t *testing.T) {
+		conds := []Expr{MustParse("c = 3"), pastMaxBoxes(t, schema), MustParse("c >= 0 and a < 90")}
+		cls := mustClassifier(t, conds, schema)
+		columnsAgree(t, cls, 3, sample(rand.New(rand.NewSource(3)), 2000))
+	})
+	t.Run("200-strata", func(t *testing.T) {
+		var conds []Expr
+		for a := 0; a < 100; a++ {
+			conds = append(conds,
+				MustParse(fmt.Sprintf("a = %d and b < 0", a)), MustParse(fmt.Sprintf("a = %d and b >= 0", a)))
+		}
+		cls := mustClassifier(t, conds, schema)
+		tuples := sample(rand.New(rand.NewSource(5)), 3000)
+		columnsAgree(t, cls, 3, tuples)
+		if last := cls.Classify(&dataset.Tuple{Attrs: []int64{99, 50, 0}}); last != 199 {
+			t.Fatalf("class of the last stratum = %d, want 199", last)
+		}
+	})
+	t.Run("fields-wider-than-int32", func(t *testing.T) {
+		wide := dataset.MustSchema(
+			dataset.Field{Name: "w", Min: math.MinInt64, Max: math.MaxInt64},
+			dataset.Field{Name: "h", Min: 0, Max: math.MaxInt32 + 1}, // one value too many
+			dataset.Field{Name: "n", Min: math.MinInt32, Max: math.MaxInt32},
+		)
+		conds := []Expr{
+			MustParse("w >= -5 and n < 5"), MustParse("w < -7"), MustParse("h >= 4 and n >= 5"),
+			MustParse("n >= 2147483640"), MustParse("n < -2147483640"), MustParse("n = 2"),
+		}
+		cls := mustClassifier(t, conds, wide)
+		// Values 2^32 apart are one int32: a truncated column cannot tell
+		// them apart, so w and h must be read from the rows.
+		edge := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 32, -6, -5, -1, 0, 3, 4, 7, 8, 1<<32 - 6, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+		nEdge := []int64{math.MinInt32, math.MinInt32 + 7, -1, 2, 4, 5, math.MaxInt32 - 7, math.MaxInt32}
+		var tuples []dataset.Tuple
+		for _, w := range edge {
+			for _, h := range []int64{0, 3, 4, math.MaxInt32, math.MaxInt32 + 1} {
+				for _, n := range nEdge {
+					tuples = append(tuples, dataset.Tuple{Attrs: []int64{w, h, n}})
+				}
+			}
+		}
+		columnsAgree(t, cls, 3, tuples)
+		if got := cls.Attrs(); len(got) != 1 || got[0] != 2 {
+			t.Errorf("Attrs = %v, want [2]: boxes testing w or h must stay off the column kernel", got)
+		}
+	})
+}
+
+func mustClassifier(t *testing.T, conds []Expr, schema *dataset.Schema) *Classifier {
+	t.Helper()
+	cls, err := NewClassifier(conds, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cls
 }

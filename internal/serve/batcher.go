@@ -125,12 +125,15 @@ type entry struct {
 type executor struct {
 	schema *dataset.Schema
 	splits []dataset.Split
-	bounds []splitBounds
-	prune  bool
+	// columns and bounds are index-aligned with splits: the column-major
+	// mirror a pass classifies from, and the bounding box pruning tests.
+	columns []dataset.Columns
+	bounds  []splitBounds
+	prune   bool
 	// liveSplits, when set (live mode), supplies the current resident splits
-	// under a read lock held for the pass; pruning is skipped because the
-	// startup bounds go stale under mutation.
-	liveSplits func() ([]dataset.Split, func())
+	// and their column mirrors under a read lock held for the pass; pruning
+	// is skipped because the startup bounds go stale under mutation.
+	liveSplits func() ([]dataset.Split, []dataset.Columns, func())
 	slaves     int
 	pool       *clusterPool
 	onMetrics  func(mapreduce.Metrics)
@@ -406,10 +409,10 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		requests += e.attached
 	}
 
-	splits, pruned := x.splits, 0
+	splits, columns, pruned := x.splits, x.columns, 0
 	if x.liveSplits != nil {
 		var release func()
-		splits, release = x.liveSplits()
+		splits, columns, release = x.liveSplits()
 		defer release()
 	} else if x.prune {
 		if boxes, ok := queryBoxes(queries, x.schema); ok {
@@ -433,7 +436,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 			c.Tracer = x.tracer
 		}
 	}
-	opts := stratified.Options{Seed: g.seed}
+	opts := stratified.Options{Seed: g.seed, Columns: columns}
 	var (
 		answers query.MultiAnswer
 		met     mapreduce.Metrics

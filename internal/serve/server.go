@@ -130,6 +130,10 @@ type Server struct {
 	lp  *live.Population
 	hub *subHub
 
+	// Resident memory by layout, fixed at load; in live mode the population
+	// keeps the current figures instead.
+	rowBytes, columnBytes int64
+
 	epoch    atomic.Int64
 	draining atomic.Bool
 	started  time.Time
@@ -140,9 +144,10 @@ type Server struct {
 	tickets *ticketStore
 }
 
-// NewServer partitions the population, indexes split bounds for pruning, and
-// returns a ready daemon. It does not listen; mount Handler() on an
-// http.Server.
+// NewServer partitions the population, indexes split bounds for pruning,
+// mirrors each split's attributes column-major for the stratum scan when
+// passes run in this process, and returns a ready daemon. It does not listen;
+// mount Handler() on an http.Server.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Population == nil {
 		return nil, fmt.Errorf("serve: Config.Population is required")
@@ -200,8 +205,14 @@ func NewServer(cfg Config) (*Server, error) {
 		base:      s.started,
 		sem:       make(chan struct{}, cfg.MaxPasses),
 	}
+	// A cluster with an Executor ships every map task as a serialized spec
+	// carrying rows only, so only in-process passes would ever read a column
+	// mirror; a daemon in front of remote workers does not pay for one.
+	c := exec.pool.get()
+	mirror := c.Executor == nil
+	exec.pool.put(c)
 	if cfg.Live {
-		lp, err := live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound})
+		lp, err := live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound, Columns: mirror})
 		if err != nil {
 			return nil, fmt.Errorf("serve: live population: %w", err)
 		}
@@ -211,6 +222,17 @@ func NewServer(cfg Config) (*Server, error) {
 		// are stale the moment anything mutates, so pruning is off.
 		exec.liveSplits = lp.AcquireSplits
 		exec.prune = false
+	} else {
+		for _, split := range splits {
+			s.rowBytes += split.ResidentBytes()
+		}
+		if mirror {
+			exec.columns = make([]dataset.Columns, len(splits))
+			for i, split := range splits {
+				exec.columns[i] = dataset.ColumnsOf(split, s.schema.NumFields())
+				s.columnBytes += exec.columns[i].ResidentBytes()
+			}
+		}
 	}
 	s.batcher = newBatcher(cfg.Window, cfg.MaxBatch, cfg.AdaptiveWindow, s.effectiveEpoch, exec, s.stats)
 
@@ -253,7 +275,18 @@ func (s *Server) Stats() Snapshot {
 		ls := s.lp.Stats()
 		snap.Live = &ls
 	}
+	rows, columns := s.residentBytes()
+	snap.ResidentBytes = map[string]int64{"rows": rows, "columns": columns}
 	return snap
+}
+
+// residentBytes is the memory the resident population occupies by layout:
+// the row-major splits and their column-major mirrors.
+func (s *Server) residentBytes() (rows, columns int64) {
+	if s.lp != nil {
+		return s.lp.ResidentBytes()
+	}
+	return s.rowBytes, s.columnBytes
 }
 
 // Epoch returns the current population epoch.
@@ -653,6 +686,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		if err := s.lp.WritePrometheus(w); err != nil {
 			return
 		}
+	}
+	rows, columns := s.residentBytes()
+	if _, err := fmt.Fprintf(w, "# HELP strata_serve_resident_bytes Memory the resident population occupies, by layout.\n# TYPE strata_serve_resident_bytes gauge\nstrata_serve_resident_bytes{layout=\"rows\"} %d\nstrata_serve_resident_bytes{layout=\"columns\"} %d\n", rows, columns); err != nil {
+		return
 	}
 	WriteBuildInfo(w, s.started)
 }

@@ -438,3 +438,66 @@ func TestStructuredStrataForm(t *testing.T) {
 		t.Error("structured form answer differs")
 	}
 }
+
+// TestResidentBytesReported: /v1/stats and /metrics say what the resident
+// population costs in each layout — the rows and the column mirror the
+// stratum scan reads. A daemon whose tasks travel to an Executor as specs
+// (rows only) keeps no mirror, static or live, and reports 0 columns.
+func TestResidentBytesReported(t *testing.T) {
+	pop := gen.Population(500, 3)
+	var rows int64
+	for _, tp := range pop.Tuples() {
+		rows += tp.ResidentBytes()
+	}
+	mirror := int64(500 * pop.Schema().NumFields() * 4)
+	remote := func(slaves int) *mapreduce.Cluster {
+		c := mapreduce.NewCluster(slaves)
+		c.Executor = &mapreduce.InprocExecutor{}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		columns int64
+	}{
+		{"inproc", Config{}, mirror},
+		{"inproc live", Config{Live: true}, mirror},
+		{"executor", Config{NewCluster: remote}, 0},
+		{"executor live", Config{NewCluster: remote, Live: true}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Population, tc.cfg.Slaves, tc.cfg.Layout = pop, 2, dataset.Contiguous
+			d := newTestDaemon(t, tc.cfg)
+			resp, err := http.Get(d.ts.URL + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var snap Snapshot
+			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := snap.ResidentBytes; got["rows"] != rows || got["columns"] != tc.columns {
+				t.Errorf("/v1/stats resident_bytes = %v, want rows %d columns %d", got, rows, tc.columns)
+			}
+
+			resp, err = http.Get(d.ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				fmt.Sprintf("strata_serve_resident_bytes{layout=\"rows\"} %d\n", rows),
+				fmt.Sprintf("strata_serve_resident_bytes{layout=\"columns\"} %d\n", tc.columns),
+			} {
+				if !bytes.Contains(buf.Bytes(), []byte(want)) {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+		})
+	}
+}

@@ -227,6 +227,11 @@ type Snapshot struct {
 	PushP50Usec   int64       `json:"push_latency_p50_us,omitempty"`
 	PushP99Usec   int64       `json:"push_latency_p99_us,omitempty"`
 	Live          *live.Stats `json:"live,omitempty"`
+
+	// ResidentBytes is the memory the resident population occupies by layout
+	// ("rows", "columns"), attached by the server; live mode reads it from
+	// the population.
+	ResidentBytes map[string]int64 `json:"resident_bytes,omitempty"`
 }
 
 // AttrQuantiles is one latency-attribution component's summary.

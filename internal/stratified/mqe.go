@@ -63,11 +63,8 @@ func buildMQEJob(queries []*query.SSD, schema *dataset.Schema, opts Options) (*m
 		KeyString: func(k QSKey) string { return fmt.Sprintf("q%04d/s%06d", k.Query, k.Stratum) },
 	}
 	if !opts.Naive {
-		job.BatchMapper = &fusedStage[QSKey]{
-			queries: queries, classes: classes,
-			key:     func(query, stratum int) QSKey { return QSKey{query, stratum} },
-			exclude: opts.Exclude,
-		}
+		job.BatchMapper = newFusedStage(queries, classes,
+			func(query, stratum int) QSKey { return QSKey{query, stratum} }, opts)
 	}
 	return job, nil
 }
@@ -75,7 +72,8 @@ func buildMQEJob(queries []*query.SSD, schema *dataset.Schema, opts Options) (*m
 // RunMQE answers a set of SSD queries in a single MapReduce pass (Algorithm
 // MR-MQE): the mapper emits a ((Q_i, s_k), ({t}, 1)) pair for every query
 // whose stratum the tuple satisfies; combine and reduce are as in MR-SQE.
-// It returns one answer per query, aligned with the queries slice.
+// It returns one answer per query, aligned with the queries slice. RunSQE's
+// in-domain precondition on the splits applies.
 func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
 	job, err := buildMQEJob(queries, schema, opts)
 	if err != nil {

@@ -4,31 +4,34 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
 
-// splitClassifier assigns every tuple of a split to its stratum in one call.
-// The out slice is reused across splits, so steady-state classification
-// allocates nothing.
+// splitClassifier assigns every tuple of a split to its stratum in one call,
+// through the fused stage's split → class-vector step. Its scratch is reused
+// across splits, so steady-state classification allocates nothing.
 type splitClassifier struct {
-	cls *query.BatchClassifier
-	out []int
+	cls    []*predicate.Classifier // the one query's
+	tested []int
+	scan   classScan
 }
 
 func newSplitClassifier(q *query.SSD, schema *dataset.Schema) (*splitClassifier, error) {
-	cls, err := query.NewBatchClassifier(q, schema)
+	cls, err := q.Classifier(schema)
 	if err != nil {
 		return nil, err
 	}
-	return &splitClassifier{cls: cls}, nil
+	sc := &splitClassifier{cls: []*predicate.Classifier{cls}}
+	sc.tested = testedAttrs(sc.cls)
+	return sc, nil
 }
 
 // classify returns one stratum index (or -1) per tuple of the split. The
 // returned slice is owned by the classifier and valid until the next call.
-func (sc *splitClassifier) classify(split dataset.Split) []int {
-	sc.out = sc.cls.ClassifyTuples(split, sc.out)
-	return sc.out
+func (sc *splitClassifier) classify(split dataset.Split) []int32 {
+	return sc.scan.classify(sc.cls, sc.tested, nil, split, 0, len(split))[0]
 }
 
 // RunSplitLocal is the Grover & Carey (ICDE 2012) style baseline the paper

@@ -39,6 +39,16 @@ type Options struct {
 	// sampling; the CPS residual phase uses it to avoid re-selecting
 	// already-chosen tuples.
 	Exclude map[int64]struct{}
+	// Columns, when set, holds the resident column mirror of each split,
+	// index-aligned with the splits of the run. Precondition: Columns[i] is
+	// the mirror of splits[i] — dataset.ColumnsOf(splits[i]) kept current —
+	// or holds no rows (nil: none kept for that split). Map tasks that
+	// execute in this process classify from the mirror without reading the
+	// rows' attributes, so one that mirrors other rows silently changes the
+	// answer; nothing checks its contents. The one length mismatch the stage
+	// tolerates, by gathering from the rows, is the pruned task's: its split
+	// is nil-ed in place and its mirror left alone.
+	Columns []dataset.Columns
 }
 
 // stratumOut is one reducer output: the final sample of one stratum.
@@ -75,17 +85,20 @@ func buildSQEJob(q *query.SSD, schema *dataset.Schema, opts Options) (*mapreduce
 		KeyString: func(k int) string { return fmt.Sprintf("s%06d", k) },
 	}
 	if !opts.Naive {
-		job.BatchMapper = &fusedStage[int]{
-			queries: []*query.SSD{q}, classes: []*predicate.Classifier{cls},
-			key:     func(_, stratum int) int { return stratum },
-			exclude: opts.Exclude,
-		}
+		job.BatchMapper = newFusedStage([]*query.SSD{q}, []*predicate.Classifier{cls},
+			func(_, stratum int) int { return stratum }, opts)
 	}
 	return job, nil
 }
 
 // RunSQE answers a single SSD query over the distributed population and
 // returns the answer plus the job's metrics.
+//
+// Precondition: every tuple's attributes lie in the schema's domains (the
+// invariant Relation.Add and live.Population enforce; splits decoded on a
+// worker come from such a population). The stratum scan reads attributes as
+// int32 cells (predicate.Classifier.ClassifyColumns), so an out-of-domain
+// value may land in a stratum it does not satisfy.
 func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*query.Answer, mapreduce.Metrics, error) {
 	job, err := buildSQEJob(q, schema, opts)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -197,9 +198,19 @@ func (rec *spanRecorder) addMeasured(phase string, startNanos int64, dur time.Du
 // push their buckets straight to the reducers' endpoints, reduce attempts
 // pull their missing buckets from this worker's receiver. lost=true flags a
 // recoverable lost shuffle (the coordinator replays over the routed path);
-// every other error is a deterministic task failure. rec, when non-nil,
-// collects the attempt's worker-side spans.
+// every other error — a panic in the task's code included — is a
+// deterministic task failure. rec, when non-nil, collects the attempt's
+// worker-side spans.
 func executeSpec(spec *mapreduce.TaskSpec, recv *shuffleReceiver, rec *spanRecorder) (res *mapreduce.TaskResult, lost bool, err error) {
+	// User map/reduce code runs below. A panic in it is that task's failure,
+	// reported like any other; the worker goes on to its next task.
+	defer func() {
+		if r := recover(); r != nil {
+			slog.Error("worker: task panicked", "job", spec.Job, "phase", spec.Phase, "task", spec.Task, "panic", r, "stack", string(debug.Stack()))
+			res, lost = nil, false
+			err = fmt.Errorf("worker: job %q %s task %d panicked: %v", spec.Job, spec.Phase, spec.Task, r)
+		}
+	}()
 	if spec.Shuffle == nil {
 		t0 := rec.start()
 		res, err = mapreduce.ExecuteTask(spec)
