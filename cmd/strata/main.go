@@ -6,7 +6,7 @@
 // Usage:
 //
 //	strata [-v] [-log level] [-trace spans.jsonl] [-debug-addr addr] [-progress]
-//	       [-backend inproc|subprocess|tcp] [-workers n] [-routed-shuffle]
+//	       [-backend inproc|subprocess|tcp] [-workers n]
 //	       <command> ...
 //
 //	strata generate    -n 10000 [-uniform] [-graph] [-seed 1] [-stats] [-csv]

@@ -35,10 +35,6 @@ type obs struct {
 	backend   string
 	workers   int
 
-	// routedShuffle disables the direct worker-to-worker bucket path for
-	// -backend tcp, forcing every bucket through the coordinator.
-	routedShuffle bool
-
 	executor mapreduce.Executor
 
 	tracer    *mapreduce.JSONLTracer
@@ -77,7 +73,6 @@ func parseGlobalFlags(args []string) ([]string, error) {
 	fs.BoolVar(&globalObs.progress, "progress", false, "print a live per-phase progress line to stderr while jobs run")
 	fs.StringVar(&globalObs.backend, "backend", "inproc", "task execution `backend`: inproc, subprocess (worker child processes) or tcp (workers register over TCP)")
 	fs.IntVar(&globalObs.workers, "workers", 2, "worker count for -backend subprocess or tcp")
-	fs.BoolVar(&globalObs.routedShuffle, "routed-shuffle", false, "with -backend tcp, route all shuffle buckets through the coordinator instead of worker-to-worker")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -150,7 +145,7 @@ func (o *obs) setupExecutor() error {
 		o.executor = exec
 		return nil
 	case "tcp":
-		exec, err := worker.NewTCPExecutor(worker.TCPConfig{RoutedShuffle: o.routedShuffle})
+		exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
 		if err != nil {
 			return fmt.Errorf("starting tcp coordinator: %w", err)
 		}
@@ -198,9 +193,6 @@ func (o *obs) serveDebug() error {
 	expvar.Publish("strata_metrics", expvar.Func(func() any {
 		m := o.snapshot()
 		return m
-	}))
-	expvar.Publish("strata_nonportable_fallbacks", expvar.Func(func() any {
-		return mapreduce.NonPortableFallbacks()
 	}))
 	expvar.Publish("strata_shuffle", expvar.Func(func() any {
 		type shuffleStatser interface{ ShuffleStats() worker.ShuffleStats }

@@ -15,8 +15,7 @@ const globalFlagsHelp = `global flags (before the command):
   -progress                 live per-phase task progress line on stderr
   -debug-addr <addr>        serve /metrics /progress /quality /debug/pprof /debug/vars
   -backend <b>              task execution: inproc (default), subprocess or tcp
-  -workers <n>              worker count for -backend subprocess or tcp
-  -routed-shuffle           with -backend tcp, route shuffle buckets via the coordinator`
+  -workers <n>              worker count for -backend subprocess or tcp`
 
 // subUsage installs a usage function on a subcommand's flag set that prints
 // the synopsis, the command's own flags, and the shared global-flag help.

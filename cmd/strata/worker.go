@@ -18,12 +18,11 @@ func cmdWorker(args []string) error {
 	stdio := fs.Bool("stdio", false, "serve a coordinator over stdin/stdout (spawned by -backend subprocess)")
 	connect := fs.String("connect", "", "dial a tcp coordinator at this `addr` and register")
 	id := fs.String("id", "", "worker `id` reported in results and trace spans (default from STRATA_WORKER_ID or the pid)")
-	routed := fs.Bool("routed-shuffle", false, "do not start a direct-shuffle receiver; all buckets travel through the coordinator")
-	subUsage(fs, `strata worker -stdio | -connect host:port [-id name] [-routed-shuffle]`)
+	subUsage(fs, `strata worker -stdio | -connect host:port [-id name]`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := worker.ServeOptions{ID: *id, RoutedShuffle: *routed}
+	opts := worker.ServeOptions{ID: *id}
 	switch {
 	case *stdio && *connect != "":
 		return fmt.Errorf("worker: -stdio and -connect are mutually exclusive")

@@ -20,8 +20,6 @@ type Options struct {
 	Seed int64
 	// Solve configures the constraint-program step (per-σ LP by default).
 	Solve SolveOptions
-	// Naive disables combiners in the underlying sampling jobs.
-	Naive bool
 	// Exclude removes individuals (by ID) from the whole pipeline — e.g.
 	// participants of a previous survey campaign who must not be asked
 	// again (survey fatigue across campaigns, not just within one MSSD).
@@ -97,7 +95,6 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	// Step 1: representative non-optimal answer A (MR-MQE).
 	initial, met, err := stratified.RunMQE(c, queries, schema, splits, stratified.Options{
 		Seed:    opts.Seed + 1,
-		Naive:   opts.Naive,
 		Exclude: opts.Exclude,
 	})
 	if err != nil {
@@ -117,7 +114,7 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	res.LP.Selections = len(stats.Entries)
 
 	// Step 3: stratum-selection limits L(σ) (Figure 4 job).
-	met, err = CountLimits(c, compiled, stats.Entries, splits, opts.Seed+2, opts.Exclude)
+	met, err = CountLimits(c, queries, schema, stats, splits, opts.Seed+2, opts.Exclude)
 	if err != nil {
 		return nil, fmt.Errorf("cps: limits: %w", err)
 	}
@@ -146,20 +143,17 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 			"objective", plan.Objective, "solve", res.LP.SolveTime)
 	}
 
-	// Step 5: answer the derived query Q′ in one pass keyed by stratum
-	// selection, and deal tuples to surveys per X_τ(σ).
+	// Step 5: answer the derived query Q′ — MR-SQE over the selections as
+	// strata, f(σ) = Σ_τ X_τ(σ) — and deal tuples to surveys per X_τ(σ).
 	want := plan.WantPerSelection()
-	classify := func(t *dataset.Tuple, emit func(string)) {
-		sel := SelectionOf(t, compiled)
-		if !sel.Empty() {
-			emit(sel.Key())
-		}
+	keys := stats.SortedKeys()
+	sels := stats.selections(keys)
+	freqs := make([]int, len(keys))
+	for j, key := range keys {
+		freqs[j] = want[key]
 	}
-	samples, met, err := stratified.RunKeyed(c, classify, want, splits, stratified.Options{
-		Seed:    opts.Seed + 3,
-		Naive:   opts.Naive,
-		Exclude: opts.Exclude,
-	})
+	combined, met, err := stratified.SampleSelections(c, queries, schema, splits,
+		sels, [][]int{freqs}, nil, opts.Exclude, opts.Seed+3)
 	if err != nil {
 		return nil, fmt.Errorf("cps: combined answer: %w", err)
 	}
@@ -178,96 +172,54 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	}
 	res.PlannedPerSurvey = make([]int, n)
 	res.ResidualPerSurvey = make([]int, n)
-	dealt := make(map[string][]int64, len(stats.Entries)) // per key, per survey
-	for _, key := range stats.SortedKeys() {
-		byTau := plan.Assign[key]
-		if len(byTau) == 0 {
-			continue
-		}
-		sel := stats.Entries[key].Sel
-		pool := samples[key]
-		counts := make([]int64, n)
-		dealt[key] = counts
-		taus := make([]query.Tau, 0, len(byTau))
-		for tau := range byTau {
-			taus = append(taus, tau)
-		}
-		sort.Slice(taus, func(a, b int) bool { return taus[a] < taus[b] })
-		for _, tau := range taus {
-			take := byTau[tau]
-			for take > 0 && len(pool) > 0 {
-				t := pool[0]
-				pool = pool[1:]
-				take--
-				res.PlannedTuples++
-				for _, i := range tau.Indexes() {
-					answers[i].Strata[sel[i]] = append(answers[i].Strata[sel[i]], t)
-					chosen[i][t.ID] = struct{}{}
-					counts[i]++
-					res.PlannedPerSurvey[i]++
-				}
-			}
-		}
+	dealt := make([][]int64, len(keys)) // per selection, per survey
+	for j, key := range keys {
+		dealt[j] = res.deal(plan.Assign[key], sels[j], combined[0][j], answers, chosen)
 	}
 
 	// Step 6: residual phase — top up each survey's per-selection deficit
 	// (F(A_i, σ) minus what the rounded plan delivered) with fresh uniform
-	// draws from σ(R) excluding the survey's already-chosen individuals.
-	deficit := make(map[string]int) // key: residKey(i, σ)
-	for _, key := range stats.SortedKeys() {
-		e := stats.Entries[key]
-		for i := 0; i < n; i++ {
-			var got int64
-			if counts, ok := dealt[key]; ok {
-				got = counts[i]
-			}
-			if d := e.Freq[i] - got; d > 0 {
-				deficit[residKey(i, key)] = int(d)
+	// draws from σ(R) excluding the survey's already-chosen individuals:
+	// MR-MQE over one derived query per survey.
+	deficit := make([][]int, n) // per survey, per selection
+	for i := range deficit {
+		deficit[i] = make([]int, len(keys))
+	}
+	deficient := 0
+	for j, key := range keys {
+		for i, f := range stats.Entries[key].Freq {
+			if f -= dealt[j][i]; f > 0 {
+				deficit[i][j] = int(f)
+				deficient++
 			}
 		}
 	}
-	if len(deficit) > 0 {
-		classifyResid := func(t *dataset.Tuple, emit func(string)) {
-			sel := SelectionOf(t, compiled)
-			if sel.Empty() {
-				return
-			}
-			key := sel.Key()
-			for i := 0; i < n; i++ {
-				rk := residKey(i, key)
-				if _, need := deficit[rk]; !need {
-					continue
-				}
-				if _, taken := chosen[i][t.ID]; taken {
-					continue
-				}
-				emit(rk)
-			}
-		}
-		residSamples, met, err := stratified.RunKeyed(c, classifyResid, deficit, splits, stratified.Options{
-			Seed:    opts.Seed + 4,
-			Naive:   opts.Naive,
-			Exclude: opts.Exclude,
-		})
+	if deficient > 0 {
+		resid, met, err := stratified.SampleSelections(c, queries, schema, splits,
+			sels, deficit, chosen, opts.Exclude, opts.Seed+4)
 		if err != nil {
 			return nil, fmt.Errorf("cps: residual phase: %w", err)
 		}
 		res.Metrics.Add(met)
-		for rk, sample := range residSamples {
-			i, key := parseResidKey(rk)
-			sel := stats.Entries[key].Sel
-			for _, t := range sample {
-				answers[i].Strata[sel[i]] = append(answers[i].Strata[sel[i]], t)
-				chosen[i][t.ID] = struct{}{}
-				res.ResidualTuples++
-				res.ResidualPerSurvey[i]++
+		for i := range resid {
+			for j, sample := range resid[i] {
+				if len(sample) == 0 {
+					continue // survey i may have no stratum in σ_j at all
+				}
+				stratum := sels[j][i]
+				answers[i].Strata[stratum] = append(answers[i].Strata[stratum], sample...)
+				for _, t := range sample {
+					chosen[i][t.ID] = struct{}{}
+				}
+				res.ResidualTuples += len(sample)
+				res.ResidualPerSurvey[i] += len(sample)
 			}
 		}
 	}
 
 	if logDebug {
 		slog.Debug("cps step 6: residual phase done",
-			"deficient_classes", len(deficit),
+			"deficient_classes", deficient,
 			"planned_tuples", res.PlannedTuples, "residual_tuples", res.ResidualTuples)
 	}
 
@@ -275,13 +227,30 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	return res, nil
 }
 
-// residKey namespaces a residual class by survey index.
-func residKey(i int, selKey string) string {
-	return fmt.Sprintf("%04d/", i) + selKey
-}
-
-func parseResidKey(rk string) (int, string) {
-	var i int
-	fmt.Sscanf(rk[:4], "%d", &i)
-	return i, rk[5:]
+// deal hands pool, the combined sample of selection sel, to the surveys:
+// X_τ(σ) individuals to every survey of each τ, in ascending τ order. It
+// returns how many each survey received.
+func (res *Result) deal(byTau map[query.Tau]int64, sel []int, pool []dataset.Tuple, answers query.MultiAnswer, chosen []map[int64]struct{}) []int64 {
+	counts := make([]int64, len(answers))
+	taus := make([]query.Tau, 0, len(byTau))
+	for tau := range byTau {
+		taus = append(taus, tau)
+	}
+	sort.Slice(taus, func(a, b int) bool { return taus[a] < taus[b] })
+	for _, tau := range taus {
+		take := byTau[tau]
+		for take > 0 && len(pool) > 0 {
+			t := pool[0]
+			pool = pool[1:]
+			take--
+			res.PlannedTuples++
+			for _, i := range tau.Indexes() {
+				answers[i].Strata[sel[i]] = append(answers[i].Strata[sel[i]], t)
+				chosen[i][t.ID] = struct{}{}
+				counts[i]++
+				res.PlannedPerSurvey[i]++
+			}
+		}
+	}
+	return counts
 }

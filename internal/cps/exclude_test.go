@@ -67,10 +67,10 @@ func TestExclusionShrinksLimits(t *testing.T) {
 	}
 	stats := CollectFrequencies(m.Queries, first.Initial, compiled)
 	full := CollectFrequencies(m.Queries, first.Initial, compiled)
-	if _, err := CountLimits(zcluster(2), compiled, full.Entries, splitsOf(t, r, 2), 3, nil); err != nil {
+	if _, err := CountLimits(zcluster(2), m.Queries, r.Schema(), full, splitsOf(t, r, 2), 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CountLimits(zcluster(2), compiled, stats.Entries, splitsOf(t, r, 2), 3, banned); err != nil {
+	if _, err := CountLimits(zcluster(2), m.Queries, r.Schema(), stats, splitsOf(t, r, 2), 3, banned); err != nil {
 		t.Fatal(err)
 	}
 	var fullTotal, exclTotal int64

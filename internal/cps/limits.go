@@ -4,6 +4,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/predicate"
+	"repro/internal/query"
+	"repro/internal/stratified"
 )
 
 // CountLimitsInMemory fills the Limit of every wanted selection by a direct
@@ -25,64 +27,18 @@ func CountLimitsInMemory(r *dataset.Relation, compiled [][]predicate.Pred, wante
 	return matched, nil
 }
 
-// limitOut is one output of the limit-counting job.
-type limitOut struct {
-	Key   string
-	Count int64
-}
-
 // CountLimits runs the MapReduce program of Figure 4 to obtain L(σ) for the
-// relevant selections: map emits (σ(t), 1) for every tuple, a combiner
-// pre-sums per map task, and the reducer sums the partial counts. Selections
-// outside wanted are dropped at the map stage to keep the shuffle small;
-// excluded individuals do not count toward the limits (they cannot be
-// sampled, so the plan must not rely on them).
-func CountLimits(c *mapreduce.Cluster, compiled [][]predicate.Pred, wanted map[string]*SelEntry, splits []dataset.Split, seed int64, exclude map[int64]struct{}) (mapreduce.Metrics, error) {
-	job := &mapreduce.Job[dataset.Tuple, string, int64, limitOut]{
-		Name: "mr-cps-limits",
-		Seed: seed,
-		Mapper: mapreduce.MapperFunc[dataset.Tuple, string, int64](
-			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, int64)) {
-				if _, skip := exclude[t.ID]; skip {
-					return
-				}
-				sel := SelectionOf(&t, compiled)
-				if sel.Empty() {
-					return
-				}
-				key := sel.Key()
-				if _, ok := wanted[key]; ok {
-					emit(key, 1)
-				}
-			}),
-		Combiner: mapreduce.CombinerFunc[string, int64](
-			func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(sum)
-			}),
-		Reducer: mapreduce.ReducerFunc[string, int64, limitOut](
-			func(_ *mapreduce.TaskContext, k string, vs []int64, emit func(limitOut)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(limitOut{Key: k, Count: sum})
-			}),
-		KeyString: func(k string) string { return k },
-	}
-	splitsIn := make([][]dataset.Tuple, len(splits))
-	for i, s := range splits {
-		splitsIn[i] = s
-	}
-	res, err := mapreduce.Run(c, job, splitsIn)
+// relevant selections: the fused scan's per-query classes of a tuple are its
+// σ(t); map tasks count the ones in [[Q]]*, the reducer sums. Excluded
+// individuals do not count (the plan must not rely on the unsamplable).
+func CountLimits(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, stats *Stats, splits []dataset.Split, seed int64, exclude map[int64]struct{}) (mapreduce.Metrics, error) {
+	keys := stats.SortedKeys()
+	counts, met, err := stratified.CountSelections(c, queries, schema, splits, stats.selections(keys), exclude, seed)
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}
-	for _, o := range res.Output {
-		wanted[o.Key].Limit = o.Count
+	for j, key := range keys {
+		stats.Entries[key].Limit = counts[j]
 	}
-	return res.Metrics, nil
+	return met, nil
 }

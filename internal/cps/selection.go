@@ -9,16 +9,18 @@
 //     F(A_i, σ) from stratum-selection tries (SSTs) built over the initial
 //     answers;
 //  3. count the stratum-selection limits L(σ) with a MapReduce job
-//     (Figure 4);
+//     (Figure 4) — the fused scan of internal/stratified, whose per-query
+//     classes of a tuple are its σ(t);
 //  4. formulate the linear program of Figure 3 over decision variables
 //     X_τ(σ) and solve it (per-σ decomposed by default — every constraint
 //     of Figure 3 touches a single σ, so the decomposition is exact; a
 //     joint formulation and an exact integer-programming mode exist for
 //     the ablation and optimality analyses);
-//  5. draw the combined answer for the derived query Q′ in one MapReduce
-//     pass keyed by stratum selection, and deal X_τ(σ) tuples to the
-//     surveys of each τ;
-//  6. top up rounding deficits with a residual sampling pass.
+//  5. draw the combined answer for the derived query Q′ in one pass of the
+//     same scan, sampling by stratum selection, and deal X_τ(σ) tuples to
+//     the surveys of each τ;
+//  6. top up rounding deficits with a residual pass of it, one derived
+//     query per survey.
 package cps
 
 import (
@@ -29,6 +31,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/stratified"
 )
 
 // None marks a query without a stratum constraint in a selection.
@@ -49,15 +52,10 @@ func SelectionOf(t *dataset.Tuple, compiled [][]predicate.Pred) Selection {
 	return sel
 }
 
-// Key encodes the selection as a compact string usable as a map and shuffle
-// key. Each level is two big-endian bytes of (index+1); None encodes as 0.
-func (s Selection) Key() string {
-	buf := make([]byte, 2*len(s))
-	for i, v := range s {
-		binary.BigEndian.PutUint16(buf[2*i:], uint16(v+1))
-	}
-	return string(buf)
-}
+// Key encodes the selection as a compact string usable as a map key — the
+// packing the MapReduce jobs look σ(t) up by. Each level is two big-endian
+// bytes of (index+1); None encodes as 0.
+func (s Selection) Key() string { return stratified.SelectionKey(s) }
 
 // ParseKey decodes a selection key produced by Key for n queries.
 func ParseKey(key string, n int) (Selection, error) {

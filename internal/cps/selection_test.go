@@ -1,10 +1,12 @@
 package cps
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataset"
+	"repro/internal/gen"
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/stratified"
@@ -177,7 +179,7 @@ func TestCountLimitsMapReduceMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	splits := splitsOf(t, r, 3)
-	if _, err := CountLimits(zcluster(3), compiled, statsB.Entries, splits, 4, nil); err != nil {
+	if _, err := CountLimits(zcluster(3), m.Queries, r.Schema(), statsB, splits, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	for key, a := range statsA.Entries {
@@ -187,6 +189,58 @@ func TestCountLimitsMapReduceMatchesInMemory(t *testing.T) {
 		}
 		if a.Limit < a.TotalFreq()/int64(len(m.Queries)) {
 			t.Fatalf("selection %s: limit %d below any single F", a.Sel, a.Limit)
+		}
+	}
+}
+
+// TestCountLimitsMatchesInMemoryOnRandomMSSDs: over generated query groups
+// and a random exclusion set, the fused counting scan finds for every
+// relevant selection exactly the members a sequential scan of the
+// non-excluded population finds.
+func TestCountLimitsMatchesInMemoryOnRandomMSSDs(t *testing.T) {
+	for seed, group := range []gen.GroupParams{gen.Small, gen.Medium, gen.Small, gen.Large} {
+		rng := rand.New(rand.NewSource(int64(seed) + 40))
+		pop := gen.Population(3000, int64(seed)+7)
+		queries, err := gen.QueryGroup(group, pop, 60, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exclude := make(map[int64]struct{})
+		kept := dataset.NewRelation(pop.Schema())
+		for _, tp := range pop.Tuples() {
+			if rng.Intn(4) == 0 {
+				exclude[tp.ID] = struct{}{}
+			} else {
+				kept.MustAdd(tp)
+			}
+		}
+		splits, err := dataset.Partition(pop, 5, dataset.Skewed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial, _, err := stratified.RunMQE(zcluster(3), queries, pop.Schema(), splits, stratified.Options{Seed: int64(seed), Exclude: exclude})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := CompileQueries(queries, pop.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := CollectFrequencies(queries, initial, compiled)
+		fused := CollectFrequencies(queries, initial, compiled)
+		if _, err := CountLimitsInMemory(kept, compiled, oracle.Entries); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CountLimits(zcluster(3), queries, pop.Schema(), fused, splits, 4, exclude); err != nil {
+			t.Fatal(err)
+		}
+		if len(oracle.Entries) < group.N {
+			t.Fatalf("%s: only %d relevant selections", group.Name, len(oracle.Entries))
+		}
+		for key, want := range oracle.Entries {
+			if got := fused.Entries[key].Limit; got != want.Limit || got == 0 {
+				t.Errorf("%s selection %s: fused limit %d, in-memory limit %d", group.Name, want.Sel, got, want.Limit)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cps
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/predicate"
@@ -81,30 +80,8 @@ func Sequential(m *query.MSSD, r *dataset.Relation, rng *rand.Rand, solve SolveO
 		if len(byTau) == 0 {
 			continue
 		}
-		sel := stats.Entries[key].Sel
 		pool := sampling.SRS(bySelection[key], want[key], rng)
-		counts := make([]int64, n)
-		dealt[key] = counts
-		taus := make([]query.Tau, 0, len(byTau))
-		for tau := range byTau {
-			taus = append(taus, tau)
-		}
-		sort.Slice(taus, func(a, b int) bool { return taus[a] < taus[b] })
-		for _, tau := range taus {
-			take := byTau[tau]
-			for take > 0 && len(pool) > 0 {
-				t := pool[0]
-				pool = pool[1:]
-				take--
-				res.PlannedTuples++
-				for _, i := range tau.Indexes() {
-					answers[i].Strata[sel[i]] = append(answers[i].Strata[sel[i]], t)
-					chosen[i][t.ID] = struct{}{}
-					counts[i]++
-					res.PlannedPerSurvey[i]++
-				}
-			}
-		}
+		dealt[key] = res.deal(byTau, stats.Entries[key].Sel, pool, answers, chosen)
 	}
 
 	// Step 6: residual top-up per (survey, selection) deficit.

@@ -44,6 +44,16 @@ func (s *Stats) SortedKeys() []string {
 	return keys
 }
 
+// selections lists the entries' selections in the order of keys — the shape
+// the stratified jobs take them in.
+func (s *Stats) selections(keys []string) [][]int {
+	sels := make([][]int, len(keys))
+	for j, key := range keys {
+		sels[j] = s.Entries[key].Sel
+	}
+	return sels
+}
+
 // CollectFrequencies builds an SST per initial answer A_i and derives [[Q]]*
 // with the frequencies F(A_i, σ), as in Section 5.2.5.1. Selections are
 // keyed by the *maximal* selection σ(t) of each answer tuple.

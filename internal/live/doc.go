@@ -39,7 +39,5 @@
 // internal/serve exposes this machinery over HTTP: POST /v1/mutate feeds the
 // log, POST /v1/subscribe registers a standing query with a push trigger,
 // and /v1/sample answers registered queries from the warm reservoirs without
-// an engine pass. See DESIGN.md §14. Contrast with internal/stream, which
-// solves a different streaming problem (union SRS across distributed sites);
-// its doc comment states the division of labor.
+// an engine pass. See DESIGN.md §14.
 package live

@@ -28,8 +28,8 @@ type Cluster struct {
 	// workers, or any other Executor implementation — every task then
 	// travels as a serialized TaskSpec, even with an *InprocExecutor. A nil
 	// Executor keeps tasks as in-process closures that never encode.
-	// Executors require portable jobs (Job.Maker set); non-portable jobs
-	// fall back to in-process execution with a warning log.
+	// Executors require portable jobs (Job.Maker set); Run refuses any
+	// other.
 	Executor Executor
 	// Tracer, when non-nil and enabled, receives one Span per task attempt,
 	// combine, shuffle leg and job (see the Phase* constants). A nil or

@@ -11,18 +11,6 @@ import (
 	"time"
 )
 
-// nonPortableFallbacks counts jobs that were asked to run on a remote
-// executor but silently stayed in-process because they carry no (Maker,
-// Config) registration — bespoke closure jobs like RunKeyed and the CPS
-// dealing/limit classifiers. The counter makes the fallback visible to
-// operators (exported via NonPortableFallbacks and the strata debug vars)
-// alongside the per-job warning log.
-var nonPortableFallbacks atomic.Int64
-
-// NonPortableFallbacks reports how many jobs fell back to in-process
-// execution because they were not portable to the configured remote executor.
-func NonPortableFallbacks() int64 { return nonPortableFallbacks.Load() }
-
 // Result is the outcome of a job run: output records (in deterministic
 // order: by reducer index, then key order within the reducer) and metrics.
 type Result[O any] struct {
@@ -232,10 +220,11 @@ func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // executor failures; user code panics propagate.
 //
 // There is one loop and two implementations of the backend seam it drives.
-// With no Executor on the cluster (or a job that is not portable) tasks run
-// in-process; with one, every task is a TaskSpec round-trip to the
-// executor's workers and the shuffle moves worker-to-worker (direct) or
-// through the coordinator (routed).
+// With no Executor on the cluster tasks run in-process; with one, every task
+// is a TaskSpec round-trip to the executor's workers — which rebuild the job
+// from its (Maker, Config) registration, so a job without a Maker is an
+// error there — and the shuffle moves worker-to-worker (direct) or through
+// the coordinator (routed).
 //
 // Concurrency model: map tasks run on a bounded worker pool, then one unit
 // of work per reducer — assemble its bucket column, group, reduce — runs on
@@ -257,11 +246,14 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Mapper == nil {
+	if job.Mapper == nil && job.BatchMapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
 	}
 	if job.Reducer == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no reducer", job.Name)
+	}
+	if c.Executor != nil && job.Maker == "" {
+		return nil, fmt.Errorf("mapreduce: job %q has no Maker for the %s executor's workers to rebuild it from", job.Name, c.Executor.Name())
 	}
 	numReducers := job.NumReducers
 	if numReducers <= 0 {
@@ -298,20 +290,9 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	met.MapTasks = len(splits)
 	met.ReduceTasks = numReducers
 
-	// Pick the backend. Remote execution needs a job the worker binary can
-	// rebuild from its (Maker, Config) registration; bespoke closure jobs
-	// stay in-process, loudly.
-	exec := c.Executor
-	if exec != nil && job.Maker == "" {
-		nonPortableFallbacks.Add(1)
-		slog.Warn("mapreduce: job is not portable, running in-process",
-			"job", job.Name, "executor", exec.Name(), "reason", "no job maker registered",
-			"fallbacks_total", nonPortableFallbacks.Load())
-		exec = nil
-	}
 	var be backend[O]
 	backendName := "inproc"
-	if exec != nil {
+	if exec := c.Executor; exec != nil {
 		backendName = exec.Name()
 		be = newRemoteBackend[I, O](exec, TaskSpec{
 			Job: job.Name, Maker: job.Maker, Config: job.Config, Seed: job.Seed,

@@ -3,10 +3,11 @@ package mapreduce
 import (
 	"bytes"
 	"errors"
-	"log/slog"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -134,46 +135,100 @@ func TestRemoteGoldenSpans(t *testing.T) {
 	}
 }
 
-// TestNonPortableJobFallsBack checks that a closure-only job (no Maker)
-// still runs correctly when a remote executor is installed: the engine
-// keeps it in-process instead of failing — and that the fallback is loud,
-// not silent: the counter moves and a structured warning names the job.
-func TestNonPortableJobFallsBack(t *testing.T) {
-	splits := remoteTestSplits()
-	want, err := Run(remoteTestCluster(), portableJob(5), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
+// countingExecutor counts the specs an InprocExecutor is handed.
+type countingExecutor struct {
+	InprocExecutor
+	specs atomic.Int64
+}
 
-	var logs bytes.Buffer
-	prev := slog.Default()
-	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn})))
-	defer slog.SetDefault(prev)
-	before := NonPortableFallbacks()
+func (e *countingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
+	e.specs.Add(1)
+	return e.InprocExecutor.Execute(spec)
+}
 
+// TestMakerlessJobOnExecutorIsAnError: workers rebuild a job from its
+// (Maker, Config) registration, so a closure-only job on a cluster with an
+// executor cannot run there — and does not quietly run here instead: Run
+// returns an error naming the job and the executor before any task starts.
+func TestMakerlessJobOnExecutorIsAnError(t *testing.T) {
+	exec := &countingExecutor{}
 	c := remoteTestCluster()
-	c.Executor = &InprocExecutor{}
+	c.Executor = exec
 	job := remoteModCountJob() // no Maker set
-	job.Seed = 5
-	got, err := Run(c, job, splits)
+	res, err := Run(c, job, remoteTestSplits())
+	if err == nil {
+		t.Fatalf("maker-less job ran on an executor cluster: %d output records", len(res.Output))
+	}
+	for _, want := range []string{job.Name, exec.Name(), "Maker"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if n := exec.specs.Load(); n != 0 {
+		t.Errorf("%d tasks reached the executor", n)
+	}
+	// The same job is fine where nothing has to travel.
+	if _, err := Run(remoteTestCluster(), job, remoteTestSplits()); err != nil {
+		t.Errorf("maker-less job without an executor: %v", err)
+	}
+}
+
+// TestRunnerCacheIsBounded: the worker-side job cache is a fixed-size LRU.
+// One more distinct config than it holds leaves it full, not larger, and a
+// spec whose runner was evicted is rebuilt and executes.
+func TestRunnerCacheIsBounded(t *testing.T) {
+	specs, _ := sampleTasks(t)
+	spec := func(i int) *TaskSpec {
+		s := *specs[1] // a map spec that executes
+		s.Config = []byte(fmt.Sprintf("cfg-%d", i))
+		return &s
+	}
+	cached := func() int {
+		registry.Lock()
+		defer registry.Unlock()
+		return len(registry.cache)
+	}
+	holds := func(s *TaskSpec) bool {
+		registry.Lock()
+		defer registry.Unlock()
+		for _, e := range registry.cache {
+			if e.maker == s.Maker && e.job == s.Job && bytes.Equal(e.config, s.Config) {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i <= runnerCacheSize; i++ {
+		if _, err := ExecuteTask(spec(i)); err != nil {
+			t.Fatal(err)
+		}
+		// Keep config 0 the most recently used but one: it must survive.
+		if _, err := ExecuteTask(spec(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cached(); n != runnerCacheSize {
+		t.Fatalf("%d runners cached after %d distinct configs, want %d", n, runnerCacheSize+1, runnerCacheSize)
+	}
+	if !holds(spec(0)) || !holds(spec(runnerCacheSize)) {
+		t.Error("the two most recently used configs are not cached")
+	}
+	if holds(spec(1)) {
+		t.Error("the least recently used config was not the one evicted")
+	}
+	want, err := ExecuteTask(spec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("fallback output differs from in-process run")
+	got, err := ExecuteTask(spec(1)) // evicted: rebuilt
+	if err != nil {
+		t.Fatalf("re-sent evicted config: %v", err)
 	}
-	if d := NonPortableFallbacks() - before; d != 1 {
-		t.Errorf("NonPortableFallbacks moved by %d, want 1", d)
+	if !reflect.DeepEqual(got.Buckets, want.Buckets) {
+		t.Error("a rebuilt runner produced different buckets")
 	}
-	out := logs.String()
-	if !strings.Contains(out, "job is not portable") {
-		t.Errorf("fallback warning missing from logs:\n%s", out)
-	}
-	if !strings.Contains(out, "job="+job.Name) {
-		t.Errorf("fallback warning does not name job %q:\n%s", job.Name, out)
-	}
-	if !strings.Contains(out, "executor=inproc") {
-		t.Errorf("fallback warning does not name the bypassed executor:\n%s", out)
+	if n := cached(); n != runnerCacheSize {
+		t.Errorf("%d runners cached after the rebuild, want %d", n, runnerCacheSize)
 	}
 }
 

@@ -67,16 +67,16 @@ func (f ReducerFunc[K, V, O]) Reduce(ctx *TaskContext, key K, values []V, emit f
 	f(ctx, key, values, emit)
 }
 
-// Job describes one MapReduce program. Mapper and Reducer are required;
-// Combiner, Partition, KeyString and NumReducers have sensible defaults.
+// Job describes one MapReduce program. A Mapper or a BatchMapper, and a
+// Reducer, are required; Combiner, Partition, KeyString and NumReducers have
+// sensible defaults.
 type Job[I any, K comparable, V any, O any] struct {
 	// Name labels the job in metrics and errors.
 	Name string
 	// Mapper processes each input record of each split.
 	Mapper Mapper[I, K, V]
 	// BatchMapper, when non-nil, runs the map stage in place of Mapper and
-	// Combiner: one fused map + combine call per split. Mapper stays
-	// required as the job's semantic definition.
+	// Combiner: one fused map + combine call per split.
 	BatchMapper BatchMapper[I, K, V]
 	// Combiner, when non-nil, aggregates map output per task before the
 	// shuffle.
@@ -98,8 +98,8 @@ type Job[I any, K comparable, V any, O any] struct {
 	// Maker names the job factory registered with RegisterJobMaker and
 	// Config carries its serialized argument. Together they make the job
 	// portable: a remote executor ships (Maker, Config) to worker processes
-	// that rebuild the job locally. Jobs with an empty Maker run in-process
-	// even when the cluster has a remote executor installed.
+	// that rebuild the job locally. A job with an empty Maker runs only on a
+	// cluster without an Executor.
 	Maker  string
 	Config []byte
 }

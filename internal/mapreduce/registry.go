@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,16 +30,27 @@ type jobMaker struct {
 	codecs func() error
 }
 
+// runnerCacheSize bounds the built runners a process keeps: a job's tasks
+// arrive together, while a long-lived worker sees an unbounded stream of
+// configs (ad-hoc query lists, each MR-CPS run's chosen IDs) never sent again.
+const runnerCacheSize = 16
+
+// cachedRunner is one built job and the spec fields that identify it.
+type cachedRunner struct {
+	maker, job string
+	config     []byte
+	runner     taskRunner
+}
+
 var registry = struct {
 	sync.Mutex
 	makers map[string]jobMaker
-	// cache holds built runners keyed by maker+config, so a worker serving
-	// many tasks of one job compiles its predicates once, not per attempt.
-	// Workers run a handful of job families; the cache stays small.
-	cache map[string]taskRunner
+	// cache holds the most recently used runners, oldest first, so a worker
+	// serving many tasks of one job compiles its predicates once, not per
+	// attempt.
+	cache []cachedRunner
 }{
 	makers: make(map[string]jobMaker),
-	cache:  make(map[string]taskRunner),
 }
 
 // RegisterJobMaker registers a named job factory. Call it from an init
@@ -76,11 +88,14 @@ func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func
 
 // runnerFor returns the (possibly cached) runner for the spec's job.
 func runnerFor(spec *TaskSpec) (taskRunner, error) {
-	key := spec.Maker + "\x00" + spec.Job + "\x00" + string(spec.Config)
 	registry.Lock()
 	defer registry.Unlock()
-	if r, ok := registry.cache[key]; ok {
-		return r, nil
+	for i, e := range registry.cache {
+		if e.maker == spec.Maker && e.job == spec.Job && bytes.Equal(e.config, spec.Config) {
+			copy(registry.cache[i:], registry.cache[i+1:])
+			registry.cache[len(registry.cache)-1] = e
+			return e.runner, nil
+		}
 	}
 	mk, ok := registry.makers[spec.Maker]
 	if !ok {
@@ -94,7 +109,11 @@ func runnerFor(spec *TaskSpec) (taskRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	registry.cache[key] = r
+	if len(registry.cache) == runnerCacheSize {
+		registry.cache = registry.cache[:copy(registry.cache, registry.cache[1:])]
+	}
+	// The spec's bytes belong to the frame they were decoded from.
+	registry.cache = append(registry.cache, cachedRunner{spec.Maker, spec.Job, bytes.Clone(spec.Config), r})
 	return r, nil
 }
 

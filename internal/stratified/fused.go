@@ -11,81 +11,66 @@ import (
 	"repro/internal/sampling"
 )
 
-// fusedStage is the map + combine stage of MR-SQE and MR-MQE (Figure 2) as
+// fusedStage is the map + combine stage of every sampling job (Figure 2) as
 // one scan of the split: every tuple is classified once per query and its row
-// index offered straight to the Algorithm L reservoir of the (query, stratum)
-// it falls in. Only the ≤ f_k sampled tuples per key are materialised, and
-// the task emits one ({sample}, N) pair per key it saw — what the Figure 1
+// index offered straight to the Algorithm L reservoir of the (vector, class)
+// it falls in. Only the sampled tuples of each key are materialised, and the
+// task emits one ({sample}, N) pair per key it saw — what the Figure 1
 // emission stream plus the combiner produce, without building the stream.
-// MR-SQE is the one-query case.
+// For MR-SQE (one query) and MR-MQE a vector is a query and a class one of
+// its strata; for MR-CPS's derived query Q′ and its residual phase the
+// vectors are derived from the queries' (selection.go).
 //
-// Classification runs ahead of the reservoirs a block of rows at a time: the
-// branch-free column kernel (predicate.ClassifyColumns) fills one class
-// vector per query, from the split's resident columns when the pass has
-// them and from attributes gathered out of the rows otherwise. The reservoirs
-// then consume the vectors in tuple-outer, query-inner order from the task's
-// single random stream, so a task's output is a pure function of (seed,
-// split, query list) on every backend, with or without resident columns.
-type fusedStage[K comparable] struct {
-	queries []*query.SSD
-	classes []*predicate.Classifier // aligned with queries
-	key     func(query, stratum int) K
-	exclude map[int64]struct{}
-	tested  []int // testedAttrs(classes)
-	// columns[task] is the mirror of the task's split (Options.Columns'
-	// precondition) and spares the gather.
-	columns []dataset.Columns
+// Classification runs a block of rows ahead of the reservoirs (splitScan),
+// which consume the vectors in tuple-outer, vector-inner order from the
+// task's single random stream: a task's output is a pure function of (seed,
+// split, job config) on every backend, with or without resident columns.
+type fusedStage struct {
+	splitScan
+	freqs [][]int // freqs[v][k] is the sample size of class k of vector v
 }
 
-func newFusedStage[K comparable](queries []*query.SSD, classes []*predicate.Classifier, key func(query, stratum int) K, opts Options) *fusedStage[K] {
-	return &fusedStage[K]{
-		queries: queries, classes: classes, tested: testedAttrs(classes),
-		key: key, exclude: opts.Exclude, columns: opts.Columns,
+// stratumFreqs is MR-MQE's frequency table: per query, per stratum.
+func stratumFreqs(queries []*query.SSD) [][]int {
+	freqs := make([][]int, len(queries))
+	for qi, q := range queries {
+		freqs[qi] = make([]int, len(q.Strata))
+		for k, s := range q.Strata {
+			freqs[qi][k] = s.Freq
+		}
 	}
+	return freqs
 }
 
-func (s *fusedStage[K]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(K, WeightedTuples)) (matches int64) {
-	// One reservoir per (query, stratum), made at the key's first match.
-	reservoirs := make([][]*sampling.Reservoir[int32], len(s.queries))
-	for qi, q := range s.queries {
-		reservoirs[qi] = make([]*sampling.Reservoir[int32], len(q.Strata))
-	}
-	// The length test tells "no mirror for this task" (none kept, or the
-	// split was pruned to nil beside it) from "mirror"; it is not an identity
-	// check.
-	var resident dataset.Columns
-	if ctx.Task < len(s.columns) && s.columns[ctx.Task].Len() == len(split) {
-		resident = s.columns[ctx.Task]
+func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches int64) {
+	// One reservoir per (vector, class), made at the key's first match.
+	reservoirs := make([][]*sampling.Reservoir[int32], len(s.freqs))
+	for v, f := range s.freqs {
+		reservoirs[v] = make([]*sampling.Reservoir[int32], len(f))
 	}
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
-	checkExclude := len(s.exclude) > 0
 	for lo := 0; lo < len(split); lo += scanBlock {
 		hi := min(lo+scanBlock, len(split))
-		classes := sc.classify(s.classes, s.tested, resident, split, lo, hi)
+		classes := s.classify(sc, ctx.Task, split, lo, hi)
 		for ti := lo; ti < hi; ti++ {
-			if checkExclude {
-				if _, skip := s.exclude[split[ti].ID]; skip {
-					continue
-				}
-			}
-			for qi, class := range classes {
+			for v, class := range classes {
 				k := class[ti-lo]
 				if k < 0 {
 					continue
 				}
-				res := reservoirs[qi][k]
+				res := reservoirs[v][k]
 				if res == nil {
-					res = sampling.NewReservoir[int32](s.queries[qi].Strata[k].Freq, ctx.Rand)
-					reservoirs[qi][k] = res
+					res = sampling.NewReservoir[int32](s.freqs[v][k], ctx.Rand)
+					reservoirs[v][k] = res
 				}
 				res.Add(int32(ti))
 				matches++
 			}
 		}
 	}
-	for qi := range reservoirs {
-		for k, res := range reservoirs[qi] {
+	for v := range reservoirs {
+		for k, res := range reservoirs[v] {
 			if res == nil {
 				continue
 			}
@@ -96,10 +81,84 @@ func (s *fusedStage[K]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tup
 			}
 			// The paper's intermediate-sample-size measurement.
 			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(s.key(qi, k), WeightedTuples{Sample: sample, N: res.Seen()})
+			emit(QSKey{v, k}, WeightedTuples{Sample: sample, N: res.Seen()})
 		}
 	}
 	return matches
+}
+
+// countStage is the fused stage with a counter per class in place of a
+// reservoir — the map + combine stage of the counting job: one (class, count)
+// pair per class of the scan's one vector the split held.
+type countStage struct {
+	splitScan
+	classes int
+}
+
+func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches int64) {
+	counts := make([]int64, s.classes)
+	sc := scanPool.Get().(*classScan)
+	defer sc.release()
+	for lo := 0; lo < len(split); lo += scanBlock {
+		for _, k := range s.classify(sc, ctx.Task, split, lo, min(lo+scanBlock, len(split)))[0] {
+			if k >= 0 {
+				counts[k]++
+				matches++
+			}
+		}
+	}
+	for k, n := range counts {
+		if n > 0 {
+			emit(k, n)
+		}
+	}
+	return matches
+}
+
+// splitScan is the classification half of a map task, shared by the sampling
+// and counting stages. A block of rows at a time, the branch-free column
+// kernel (predicate.ClassifyColumns) fills one class vector per query, from
+// the split's resident columns when the pass has them, else from attributes
+// gathered out of the rows; the MR-CPS jobs derive their own vectors from
+// those; excluded rows end up unclassified in every vector.
+type splitScan struct {
+	queries []*predicate.Classifier
+	tested  []int       // testedAttrs(queries)
+	derive  *selections // nil: the stage consumes the queries' vectors
+	exclude map[int64]struct{}
+	// columns[task] is the mirror of the task's split (Options.Columns'
+	// precondition) and spares the gather.
+	columns []dataset.Columns
+}
+
+func newSplitScan(queries []*predicate.Classifier, derive *selections, exclude map[int64]struct{}, columns []dataset.Columns) splitScan {
+	return splitScan{queries: queries, tested: testedAttrs(queries), derive: derive, exclude: exclude, columns: columns}
+}
+
+// classify returns the class vectors of split[lo:hi], the task's next
+// block, indexed from lo and valid until the next call.
+func (s *splitScan) classify(sc *classScan, task int, split []dataset.Tuple, lo, hi int) [][]int32 {
+	// The length test tells "no mirror for this task" (none kept, or the
+	// split was pruned to nil beside it) from "mirror"; it is not an identity
+	// check.
+	var resident dataset.Columns
+	if task < len(s.columns) && s.columns[task].Len() == len(split) {
+		resident = s.columns[task]
+	}
+	classes := sc.classify(s.queries, s.tested, resident, split, lo, hi)
+	if s.derive != nil {
+		classes = s.derive.apply(sc, classes, split[lo:hi])
+	}
+	if len(s.exclude) > 0 {
+		for i := range split[lo:hi] {
+			if _, skip := s.exclude[split[lo+i].ID]; skip {
+				for _, class := range classes {
+					class[i] = -1
+				}
+			}
+		}
+	}
+	return classes
 }
 
 // scanBlock is how many rows are classified ahead of their consumer: small
@@ -115,6 +174,10 @@ type classScan struct {
 	gathered []int32         // backing of cols when they are gathered from rows
 	classes  [][]int32
 	classBuf []int32 // backing of classes
+	// Scratch of the derive step (selections.apply).
+	derived    [][]int32
+	derivedBuf []int32 // backing of derived, and of the selection vector
+	key        []byte
 }
 
 var scanPool = sync.Pool{New: func() any { return new(classScan) }}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -17,6 +18,145 @@ import (
 // The fused stage (fused.go) promises what Figure 2 promises — exact fill,
 // uniform inclusion, the per-record path's logical counters — not the
 // per-record path's random stream. These tests pin exactly that.
+
+// combiner is the Figure 2 combine function of the per-record path the fused
+// stage replaced, kept as the reference the stage's counters are checked
+// against: it locally selects an intermediate sample of capacity freq(key)
+// over the map task's tuples for that key and tags it with the number of
+// tuples it saw, observing each sample's size into "reservoir_size".
+func combiner[K comparable](freq func(K) int) mapreduce.Combiner[K, WeightedTuples] {
+	return mapreduce.CombinerFunc[K, WeightedTuples](
+		func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
+			n := sampling.TotalN(vs)
+			target := freq(k)
+			exhaustive := true
+			for _, w := range vs {
+				if w.N != int64(len(w.Sample)) {
+					exhaustive = false
+					break
+				}
+			}
+			if exhaustive {
+				// Common case: every part is raw map output (singletons),
+				// so stream the tuples through the reservoir, as in the
+				// paper's combine function.
+				res := sampling.NewReservoir[dataset.Tuple](target, ctx.Rand)
+				for _, w := range vs {
+					res.AddSlice(w.Sample)
+				}
+				sample := res.Sample()
+				ctx.Observe("reservoir_size", int64(len(sample)))
+				emit(WeightedTuples{Sample: sample, N: n})
+				return
+			}
+			// Some parts were already subsampled (a combiner re-run):
+			// merge them without bias via the unified sampler.
+			sample := sampling.UnifiedSample(vs, target, ctx.Rand)
+			ctx.Observe("reservoir_size", int64(len(sample)))
+			emit(WeightedTuples{Sample: sample, N: n})
+		})
+}
+
+// keyedReference is the per-record job the derived MR-CPS stages replaced:
+// classify names the string-keyed classes a tuple falls in, classes absent
+// from freqs are dropped at the map stage, every match is a singleton the
+// combiner samples down.
+func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, WeightedTuples, int] {
+	return &mapreduce.Job[dataset.Tuple, string, WeightedTuples, int]{
+		Name: "keyed-reference",
+		Mapper: mapreduce.MapperFunc[dataset.Tuple, string, WeightedTuples](
+			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, WeightedTuples)) {
+				if _, skip := exclude[t.ID]; skip {
+					return
+				}
+				classify(&t, func(key string) {
+					if _, want := freqs[key]; want {
+						emit(key, sampling.Singleton(t))
+					}
+				})
+			}),
+		Combiner: combiner(func(k string) int { return freqs[k] }),
+		Reducer: mapreduce.ReducerFunc[string, WeightedTuples, int](
+			func(ctx *mapreduce.TaskContext, k string, vs []WeightedTuples, emit func(int)) {
+				emit(len(sampling.UnifiedSample(vs, freqs[k], ctx.Rand)))
+			}),
+		KeyString: func(k string) string { return k },
+	}
+}
+
+// countReference is the per-record limits job: (key, 1) per listed match, a
+// summing combiner and reducer.
+func countReference(classify func(t *dataset.Tuple, emit func(string)), listed map[string]bool, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, int64, int64] {
+	sum := func(vs []int64) (n int64) {
+		for _, v := range vs {
+			n += v
+		}
+		return n
+	}
+	return &mapreduce.Job[dataset.Tuple, string, int64, int64]{
+		Name: "count-reference",
+		Mapper: mapreduce.MapperFunc[dataset.Tuple, string, int64](
+			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, int64)) {
+				if _, skip := exclude[t.ID]; skip {
+					return
+				}
+				classify(&t, func(key string) {
+					if listed[key] {
+						emit(key, 1)
+					}
+				})
+			}),
+		Combiner: mapreduce.CombinerFunc[string, int64](
+			func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) { emit(sum(vs)) }),
+		Reducer: mapreduce.ReducerFunc[string, int64, int64](
+			func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) { emit(sum(vs)) }),
+		KeyString: func(k string) string { return k },
+	}
+}
+
+// selectionFixture is a random population of n over testSchema (IDs 0..n-1),
+// a three-query list and its ordered selection list: every σ(t) the
+// population has except the first (so some tuples' selections are unlisted),
+// plus one no tuple has. selOf is the row-wise σ(t).
+func selectionFixture(t *testing.T, n int) (r *dataset.Relation, queries []*query.SSD, sels [][]int, selOf func(*dataset.Tuple) []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	r = dataset.NewRelation(testSchema())
+	for id := 0; id < n; id++ {
+		r.MustAdd(dataset.Tuple{ID: int64(id), Attrs: []int64{rng.Int63n(2), rng.Int63n(1001)}})
+	}
+	queries = []*query.SSD{
+		genderSSD(7, 5),
+		incomeSSD(6, 9),
+		query.NewSSD("young-men", query.Stratum{Cond: predicate.MustParse("income < 120 and gender = 1"), Freq: 4}),
+	}
+	classes, err := classifiers(queries, r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	selOf = func(tp *dataset.Tuple) []int {
+		sel := make([]int, len(classes))
+		for qi, cls := range classes {
+			sel[qi] = cls.Classify(tp)
+		}
+		return sel
+	}
+	seen := map[string][]int{}
+	for _, tp := range r.Tuples() {
+		sel := selOf(&tp)
+		seen[SelectionKey(sel)] = sel
+	}
+	keys := make([]string, 0, len(seen))
+	for key := range seen {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys[1:] {
+		sels = append(sels, seen[key])
+	}
+	sels = append(sels, []int{1, 1, 0}) // a woman among the young men
+	return r, queries, sels, selOf
+}
 
 // TestFusedExactFill: every stratum gets min(f_k, |stratum|) distinct members
 // of the stratum, including strata smaller than f_k, Freq = 0 and a stratum
@@ -105,32 +245,126 @@ func TestFusedMQEUniformOverUnequalSplits(t *testing.T) {
 	}
 }
 
+// TestSelectionStagesUniformAndExact: the derived stages keep Algorithm 1's
+// guarantee. Over the same unequal layouts, Q′ (one vector) and the residual
+// (one vector per survey, with chosen IDs) fill every wanted selection with
+// exactly min(f, |eligible|) tuples of it, never offer a chosen ID, and
+// include every eligible member equally often, at the strata audit gate.
+func TestSelectionStagesUniformAndExact(t *testing.T) {
+	const runs, alpha = 3000, 1e-4
+	r := genderPop(30, 34) // income = id
+	all := r.Tuples()
+	men, women := all[:30], all[30:]
+	example5 := []dataset.Split{
+		append(append(dataset.Split(nil), men[:20]...), women[:16]...),
+		append(append(dataset.Split(nil), men[20:]...), women[16:]...),
+	}
+	skewed, err := dataset.Partition(r, 8, dataset.Skewed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []*query.SSD{
+		genderSSD(1, 1),
+		query.NewSSD("low-id", query.Stratum{Cond: predicate.MustParse("income < 10"), Freq: 1}),
+	}
+	// Men 0..9, men 10..29, women 30..63.
+	sels := [][]int{{0, 0}, {0, -1}, {1, -1}}
+	combined := [][]int{{4, 6, 9}}
+	deficit := [][]int{{3, 0, 5}, {0, 4, 40}} // 40 > 34 women: take them all
+	chosen := []map[int64]struct{}{{0: {}, 1: {}, 30: {}, 31: {}}, {10: {}, 11: {}}}
+	for name, splits := range map[string][]dataset.Split{"example5": example5, "skewed8": skewed} {
+		counts := make([][]int64, 3) // Q′, residual vector 0, residual vector 1
+		for i := range counts {
+			counts[i] = make([]int64, r.Len())
+		}
+		tally := func(what string, counts []int64, samples [][]dataset.Tuple, want []int) {
+			for j, sample := range samples {
+				if len(sample) != want[j] {
+					t.Fatalf("%s %s selection %d: %d tuples, want %d", name, what, j, len(sample), want[j])
+				}
+				for _, tp := range sample {
+					counts[tp.ID]++
+				}
+			}
+		}
+		for run := 0; run < runs; run++ {
+			q, _, err := SampleSelections(zeroCluster(4), queries, r.Schema(), splits, sels, combined, nil, nil, int64(run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally("Q′", counts[0], q[0], []int{4, 6, 9})
+			res, _, err := SampleSelections(zeroCluster(4), queries, r.Schema(), splits, sels, deficit, chosen, nil, int64(run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally("residual 0", counts[1], res[0], []int{3, 0, 5})
+			tally("residual 1", counts[2], res[1], []int{0, 4, 34})
+		}
+		for id := range chosen[0] {
+			if counts[1][id] != 0 {
+				t.Errorf("%s: residual vector 0 sampled its chosen ID %d", name, id)
+			}
+		}
+		for id := range chosen[1] {
+			if counts[2][id] != 0 {
+				t.Errorf("%s: residual vector 1 sampled its chosen ID %d", name, id)
+			}
+		}
+		for id := 0; id < 30; id++ {
+			if id < 10 && counts[2][id] != 0 || id >= 10 && counts[1][id] != 0 {
+				t.Errorf("%s: ID %d sampled into a selection with no deficit", name, id)
+			}
+		}
+		cells := map[string][]int64{
+			"Q′/men<10": counts[0][:10], "Q′/men>=10": counts[0][10:30], "Q′/women": counts[0][30:],
+			"residual 0/men<10": counts[1][2:10], "residual 0/women": counts[1][32:],
+			"residual 1/men>=10": counts[2][12:30], "residual 1/women": counts[2][30:],
+		}
+		for cell, c := range cells {
+			p, err := stats.ChiSquareUniformP(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p < alpha {
+				t.Errorf("%s %s: inclusion biased, p = %g", name, cell, p)
+			}
+		}
+	}
+}
+
 // TestFusedCountersMatchPerRecordPath: a fused job reports the logical
 // counters of the per-record mapper + combiner on the same input, so Metrics,
 // the simulated cost model and the paper's combiner-output counts read the
-// same whichever way the map task ran.
+// same whichever way the map task ran — for MR-MQE and for the derived
+// MR-CPS jobs (Q′, residual, limits), whose reference is the string-keyed
+// per-record job they replaced.
 func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 	r := genderPop(500, 450)
 	splits, _ := dataset.Partition(r, 5, dataset.Skewed, nil)
+	cluster := func() *mapreduce.Cluster {
+		return &mapreduce.Cluster{Slaves: 3, SlotsPerSlave: 1, Cost: mapreduce.DefaultCostModel()}
+	}
+	counters := func(m mapreduce.Metrics) string {
+		return fmt.Sprintf("map in %d out %d, combine in %d out %d, shuffle %d, groups %d, simulated map %v, reservoir sizes %v",
+			m.MapInputRecords, m.MapOutputRecords, m.CombineInputRecs, m.CombineOutputRecs,
+			m.ShuffleRecords, m.ReduceInputGroups, m.SimulatedMap, m.Custom["reservoir_size"])
+	}
 	queries := []*query.SSD{genderSSD(7, 5), incomeSSD(6, 9), genderSSD(0, 3)}
-	for _, opts := range []Options{
-		{Seed: 11},
-		{Seed: 11, Exclude: map[int64]struct{}{2: {}, 499: {}, 900: {}}},
-	} {
-		fused, err := buildMQEJob(queries, r.Schema(), opts)
+	excludes := []map[int64]struct{}{nil, {2: {}, 499: {}, 900: {}}}
+	for _, exclude := range excludes {
+		opts := Options{Seed: 11, Exclude: exclude}
+		cfg := opts.config(r.Schema(), queries...)
+		fused, err := buildMQEJob(cfg, r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		perRecord, err := buildMQEJob(queries, r.Schema(), opts)
+		perRecord, err := buildMQEJob(cfg, r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
 		perRecord.BatchMapper = nil
 		perRecord.Combiner = combiner(func(k QSKey) int { return queries[k.Query].Strata[k.Stratum].Freq })
 		fused.Seed, perRecord.Seed = opts.Seed, opts.Seed
-		cluster := func() *mapreduce.Cluster {
-			return &mapreduce.Cluster{Slaves: 3, SlotsPerSlave: 1, Cost: mapreduce.DefaultCostModel()}
-		}
 		a, err := mapreduce.Run(cluster(), fused, tupleSplits(splits))
 		if err != nil {
 			t.Fatal(err)
@@ -139,15 +373,97 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counters := func(m mapreduce.Metrics) string {
-			return fmt.Sprintf("map in %d out %d, combine in %d out %d, shuffle %d, groups %d, simulated map %v, reservoir sizes %v",
-				m.MapInputRecords, m.MapOutputRecords, m.CombineInputRecs, m.CombineOutputRecs,
-				m.ShuffleRecords, m.ReduceInputGroups, m.SimulatedMap, m.Custom["reservoir_size"])
-		}
 		if got, want := counters(a.Metrics), counters(b.Metrics); got != want {
 			t.Errorf("exclude %d: fused counters differ from the per-record path:\n fused:      %s\n per-record: %s",
-				len(opts.Exclude), got, want)
+				len(exclude), got, want)
 		}
+	}
+
+	r, queries, sels, selOf := selectionFixture(t, 950)
+	splits, _ = dataset.Partition(r, 5, dataset.Skewed, nil)
+	sigma := func(tp *dataset.Tuple, emit func(string)) { emit(SelectionKey(selOf(tp))) }
+	// Q′: one vector; selection 2 is listed but not wanted.
+	want := make([]int, len(sels))
+	wantByKey := map[string]int{}
+	for j, sel := range sels {
+		if j != 2 {
+			want[j] = 3 + 4*j
+			wantByKey[SelectionKey(sel)] = want[j]
+		}
+	}
+	// Residual: one vector per survey, deficits in a few (survey, selection)
+	// slots, and per-survey chosen IDs that sit in those selections.
+	deficit := make([][]int, len(queries))
+	deficitByKey := map[string]int{}
+	residKey := func(i int, sel []int) string { return fmt.Sprintf("%04d/", i) + SelectionKey(sel) }
+	for i := range deficit {
+		deficit[i] = make([]int, len(sels))
+		for j := i; j < len(sels); j += 2 {
+			deficit[i][j] = 2 + i + j
+			deficitByKey[residKey(i, sels[j])] = deficit[i][j]
+		}
+	}
+	chosen := []map[int64]struct{}{{0: {}, 5: {}, 600: {}}, {}, {7: {}, 100: {}, 101: {}, 949: {}}}
+	residual := func(tp *dataset.Tuple, emit func(string)) {
+		for i := range deficit {
+			if _, taken := chosen[i][tp.ID]; !taken {
+				emit(residKey(i, selOf(tp)))
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, sel := range sels {
+		listed[SelectionKey(sel)] = true
+	}
+	for _, exclude := range excludes {
+		run := func(name string, derived, reference func() (mapreduce.Metrics, error)) {
+			t.Helper()
+			a, err := derived()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := reference()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := counters(a), counters(b); got != want {
+				t.Errorf("%s, exclude %d: fused counters differ from the per-record path:\n fused:      %s\n per-record: %s",
+					name, len(exclude), got, want)
+			}
+			if a.MapOutputRecords == 0 || a.MapOutputRecords == a.MapInputRecords*int64(len(queries)) {
+				t.Errorf("%s: %d matches of %d records: the case filters nothing", name, a.MapOutputRecords, a.MapInputRecords)
+			}
+		}
+		keyed := func(classify func(*dataset.Tuple, func(string)), freqs map[string]int) func() (mapreduce.Metrics, error) {
+			return func() (mapreduce.Metrics, error) {
+				job := keyedReference(classify, freqs, exclude)
+				job.Seed = 11
+				res, err := mapreduce.Run(cluster(), job, tupleSplits(splits))
+				if err != nil {
+					return mapreduce.Metrics{}, err
+				}
+				return res.Metrics, nil
+			}
+		}
+		run("Q′", func() (mapreduce.Metrics, error) {
+			_, met, err := SampleSelections(cluster(), queries, r.Schema(), splits, sels, [][]int{want}, nil, exclude, 11)
+			return met, err
+		}, keyed(sigma, wantByKey))
+		run("residual", func() (mapreduce.Metrics, error) {
+			_, met, err := SampleSelections(cluster(), queries, r.Schema(), splits, sels, deficit, chosen, exclude, 11)
+			return met, err
+		}, keyed(residual, deficitByKey))
+		run("limits", func() (mapreduce.Metrics, error) {
+			_, met, err := CountSelections(cluster(), queries, r.Schema(), splits, sels, exclude, 11)
+			return met, err
+		}, func() (mapreduce.Metrics, error) {
+			job := countReference(sigma, listed, exclude)
+			res, err := mapreduce.Run(cluster(), job, tupleSplits(splits))
+			if err != nil {
+				return mapreduce.Metrics{}, err
+			}
+			return res.Metrics, nil
+		})
 	}
 }
 
@@ -276,12 +592,11 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 					return out, matches
 				}
 				want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, 0)
-				key := func(q, s int) QSKey { return QSKey{q, s} }
 				// Task 1 has the split's mirror; task 0 has none and task 2's
 				// is not as long as the split (what a pruned task sees the
 				// other way round), so both gather.
-				opts := Options{Exclude: excl, Columns: []dataset.Columns{nil, resident, dataset.ColumnsOf(split[:size/2], 2)}}
-				stage := newFusedStage(queries, classes, key, opts)
+				columns := []dataset.Columns{nil, resident, dataset.ColumnsOf(split[:size/2], 2)}
+				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns), stratumFreqs(queries)).BatchMapper
 				for task, layout := range []string{"gathered", "resident", "short"} {
 					got, gotMatches := run(stage, task)
 					if gotMatches != wantMatches || !reflect.DeepEqual(got, want) {
@@ -292,7 +607,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 
 				// Through the engine, where Observe is live.
 				build := func(o Options) *mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut] {
-					job, err := buildMQEJob(queries, schema, o)
+					job, err := buildMQEJob(o.config(schema, queries...), schema)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -342,12 +657,14 @@ func TestFusedTrustsAlignedColumns(t *testing.T) {
 		other[i] = dataset.Tuple{ID: int64(100 + i), Attrs: []int64{1, 500}}
 	}
 	seen := func(cols dataset.Columns) map[int]int64 {
-		stage := newFusedStage([]*query.SSD{q}, []*predicate.Classifier{cls},
-			func(_, stratum int) int { return stratum }, Options{Columns: []dataset.Columns{cols}})
+		stage := &fusedStage{
+			splitScan: newSplitScan([]*predicate.Classifier{cls}, nil, nil, []dataset.Columns{cols}),
+			freqs:     stratumFreqs([]*query.SSD{q}),
+		}
 		n := map[int]int64{}
 		ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(1))}
-		stage.MapSplit(ctx, split, func(k int, v WeightedTuples) {
-			n[k] = v.N
+		stage.MapSplit(ctx, split, func(k QSKey, v WeightedTuples) {
+			n[k.Stratum] = v.N
 			for _, tp := range v.Sample {
 				if tp.ID >= 100 {
 					t.Errorf("sampled %v, not a row of the split", tp)

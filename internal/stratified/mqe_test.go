@@ -127,32 +127,62 @@ func TestMQEUniformPerQuery(t *testing.T) {
 	}
 }
 
-func TestRunKeyedBasics(t *testing.T) {
-	r := genderPop(30, 30)
+// TestSampleSelectionsBasics: a derived sampling pass fills every wanted
+// selection exactly, drops a listed selection without a frequency, and never
+// samples a tuple into a selection that is not its σ(t).
+func TestSampleSelectionsBasics(t *testing.T) {
+	r := genderPop(30, 30) // income = id: men 0..29, women 30..59
 	splits, _ := dataset.Partition(r, 3, dataset.RoundRobin, nil)
-	classify := func(tp *dataset.Tuple, emit func(string)) {
-		if tp.Attrs[0] == 1 {
-			emit("men")
-		} else {
-			emit("women")
-		}
-		emit("ignored-class")
+	queries := []*query.SSD{
+		genderSSD(1, 1),
+		query.NewSSD("young", query.Stratum{Cond: predicate.MustParse("income < 20"), Freq: 1}),
 	}
-	freqs := map[string]int{"men": 4, "women": 7}
-	out, _, err := RunKeyed(zeroCluster(3), classify, freqs, splits, Options{Seed: 9})
+	youngMen, otherMen, women := []int{0, 0}, []int{0, -1}, []int{1, -1}
+	out, _, err := SampleSelections(zeroCluster(3), queries, r.Schema(), splits,
+		[][]int{youngMen, otherMen, women}, [][]int{{4, 0, 7}}, nil, nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out["men"]) != 4 || len(out["women"]) != 7 {
-		t.Fatalf("sizes: men %d, women %d", len(out["men"]), len(out["women"]))
+	if len(out) != 1 || len(out[0][0]) != 4 || len(out[0][2]) != 7 {
+		t.Fatalf("sizes: young men %d, women %d", len(out[0][0]), len(out[0][2]))
 	}
-	if _, present := out["ignored-class"]; present {
-		t.Fatal("class without a frequency must be dropped")
+	if out[0][1] != nil {
+		t.Fatal("selection without a frequency must be dropped")
 	}
-	for _, tp := range out["men"] {
-		if tp.Attrs[0] != 1 {
-			t.Fatal("misclassified tuple sampled")
+	for _, tp := range out[0][0] {
+		if tp.Attrs[0] != 1 || tp.Attrs[1] >= 20 {
+			t.Fatalf("misclassified tuple %v sampled among the young men", tp)
 		}
+	}
+	for _, tp := range out[0][2] {
+		if tp.Attrs[0] != 0 {
+			t.Fatalf("misclassified tuple %v sampled among the women", tp)
+		}
+	}
+}
+
+// TestSelectionConfigChecked: a selection list that does not fit the queries
+// — as a config decoded from a socket might not — is an error from the job
+// builder, not an index panic inside a map task.
+func TestSelectionConfigChecked(t *testing.T) {
+	r := genderPop(4, 4)
+	splits, _ := dataset.Partition(r, 2, dataset.RoundRobin, nil)
+	queries := []*query.SSD{genderSSD(1, 1), incomeSSD(1, 1)}
+	for name, bad := range map[string]struct {
+		sels  [][]int
+		freqs [][]int
+	}{
+		"arity":             {[][]int{{0}}, [][]int{{1}}},
+		"stratum too large": {[][]int{{0, 2}}, [][]int{{1}}},
+		"stratum below -1":  {[][]int{{-2, 0}}, [][]int{{1}}},
+		"frequency row":     {[][]int{{0, 0}, {1, 1}}, [][]int{{1}}},
+	} {
+		if _, _, err := SampleSelections(zeroCluster(2), queries, r.Schema(), splits, bad.sels, bad.freqs, nil, nil, 1); err == nil {
+			t.Errorf("%s: sampling job built from a malformed selection config", name)
+		}
+	}
+	if _, _, err := CountSelections(zeroCluster(2), queries, r.Schema(), splits, [][]int{{0, 0, 0}}, nil, 1); err == nil {
+		t.Error("counting job built from a selection of the wrong arity")
 	}
 }
 

@@ -55,71 +55,15 @@ func (q *PercentSSD) skeleton(freqs []int) *query.SSD {
 	return query.NewSSD(q.Name, strata...)
 }
 
-// stratumCountOut is one output of the stratum-size counting job.
-type stratumCountOut struct {
-	Stratum int
-	Count   int64
-}
-
-// buildCountJob constructs the stratum-counting job for a query's
-// conditions (frequencies are ignored). The coordinator and remote workers
-// both build jobs through this function (workers via the "mr-stratum-count"
-// maker in portable.go).
-func buildCountJob(q *query.SSD, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut], error) {
-	preds, err := q.Compile(schema)
-	if err != nil {
-		return nil, err
-	}
-	return &mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut]{
-		Name: "mr-stratum-count",
-		Mapper: mapreduce.MapperFunc[dataset.Tuple, int, int64](
-			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(int, int64)) {
-				if k := query.MatchStratum(preds, &t); k >= 0 {
-					emit(k, 1)
-				}
-			}),
-		Combiner: mapreduce.CombinerFunc[int, int64](
-			func(_ *mapreduce.TaskContext, _ int, vs []int64, emit func(int64)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(sum)
-			}),
-		Reducer: mapreduce.ReducerFunc[int, int64, stratumCountOut](
-			func(_ *mapreduce.TaskContext, k int, vs []int64, emit func(stratumCountOut)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(stratumCountOut{Stratum: k, Count: sum})
-			}),
-		KeyString: func(k int) string { return fmt.Sprintf("s%06d", k) },
-	}, nil
-}
-
 // CountStrata runs one MapReduce pass counting |σ_φk(R)| for every stratum
-// of the query (its frequencies are ignored).
+// of the query (its frequencies are ignored): a stratum is the one-query
+// selection naming it.
 func CountStrata(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits []dataset.Split, seed int64) ([]int64, mapreduce.Metrics, error) {
-	job, err := buildCountJob(q, schema)
-	if err != nil {
-		return nil, mapreduce.Metrics{}, err
+	sels := make([][]int, len(q.Strata))
+	for k := range sels {
+		sels[k] = []int{k}
 	}
-	job.Seed = seed
-	if err := makePortable(job, "mr-stratum-count", countConfig{
-		Query: q, Fields: schema.Fields(),
-	}); err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-	res, err := mapreduce.Run(c, job, tupleSplits(splits))
-	if err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-	counts := make([]int64, len(q.Strata))
-	for _, o := range res.Output {
-		counts[o.Stratum] = o.Count
-	}
-	return counts, res.Metrics, nil
+	return CountSelections(c, []*query.SSD{q}, schema, splits, sels, nil, seed)
 }
 
 // Absolutize converts the percentage query into an absolute-frequency SSD by

@@ -11,103 +11,106 @@ import (
 )
 
 // The paper's jobs travel to worker processes as (maker, config) pairs: the
-// maker name selects one of the factories registered here, and the config —
+// maker name selects one of the builders registered here, and the config —
 // JSON, with stratum conditions in the textual formula syntax — carries
-// everything needed to rebuild the exact same job on the other side: the
-// query, the schema fields, and the run options that shape map/combine
-// behavior. Both the coordinator (RunSQE & co.) and the worker (via
-// mapreduce.ExecuteTask) construct their jobs through the same build
-// functions, so a task executes identically wherever it lands.
+// everything needed to rebuild the exact same job on the other side. The
+// coordinator (RunSQE & co., through portable.run) and the worker (through
+// mapreduce.ExecuteTask) construct a job with the same builder from the same
+// config, so a task executes identically wherever it lands.
 
-// sqeConfig rebuilds an MR-SQE job (maker "mr-sqe").
-type sqeConfig struct {
-	Query   *query.SSD      `json:"query"`
-	Fields  []dataset.Field `json:"fields"`
-	Naive   bool            `json:"naive,omitempty"`
-	Exclude []int64         `json:"exclude,omitempty"`
-}
-
-// mqeConfig rebuilds an MR-MQE job (maker "mr-mqe").
-type mqeConfig struct {
+// jobConfig is the config of the makers over the queries' own strata.
+type jobConfig struct {
 	Queries []*query.SSD    `json:"queries"`
 	Fields  []dataset.Field `json:"fields"`
 	Naive   bool            `json:"naive,omitempty"`
 	Exclude []int64         `json:"exclude,omitempty"`
+
+	// columns is Options.Columns: the coordinator's resident mirrors, which
+	// do not travel.
+	columns []dataset.Columns
 }
 
-// countConfig rebuilds a stratum-counting job (maker "mr-stratum-count");
-// the query's frequencies are ignored, only its conditions matter.
-type countConfig struct {
-	Query  *query.SSD      `json:"query"`
-	Fields []dataset.Field `json:"fields"`
+// selectionConfig is the config of the MR-CPS makers over derived strata
+// (selection.go): the ordered stratum selections; for the sampling job,
+// Freqs[v][j] — the sample size of selection j in vector v, 0 meaning v does
+// not sample it — and Chosen[v], the IDs never offered to vector v (absent:
+// none). A type of its own so that an MR-SQE / MR-MQE pass never pays for
+// encoding fields it does not have.
+type selectionConfig struct {
+	jobConfig
+	Selections [][]int   `json:"selections"`
+	Freqs      [][]int   `json:"freqs,omitempty"`
+	Chosen     [][]int64 `json:"chosen,omitempty"`
 }
 
-func init() {
-	mapreduce.RegisterJobMaker("mr-sqe",
-		func(config []byte) (*mapreduce.Job[dataset.Tuple, int, WeightedTuples, stratumOut], error) {
-			var cfg sqeConfig
-			schema, err := decodePortable(config, &cfg, func() []dataset.Field { return cfg.Fields })
-			if err != nil {
-				return nil, err
-			}
-			return buildSQEJob(cfg.Query, schema, Options{
-				Naive: cfg.Naive, Exclude: excludeSet(cfg.Exclude),
-			})
-		})
-	mapreduce.RegisterJobMaker("mr-mqe",
-		func(config []byte) (*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut], error) {
-			var cfg mqeConfig
-			schema, err := decodePortable(config, &cfg, func() []dataset.Field { return cfg.Fields })
-			if err != nil {
-				return nil, err
-			}
-			return buildMQEJob(cfg.Queries, schema, Options{
-				Naive: cfg.Naive, Exclude: excludeSet(cfg.Exclude),
-			})
-		})
-	mapreduce.RegisterJobMaker("mr-stratum-count",
-		func(config []byte) (*mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut], error) {
-			var cfg countConfig
-			schema, err := decodePortable(config, &cfg, func() []dataset.Field { return cfg.Fields })
-			if err != nil {
-				return nil, err
-			}
-			return buildCountJob(cfg.Query, schema)
-		})
-}
+func (cfg *jobConfig) fields() []dataset.Field { return cfg.Fields }
 
-// decodePortable unmarshals a job config and rebuilds its schema.
-func decodePortable(config []byte, cfg any, fields func() []dataset.Field) (*dataset.Schema, error) {
-	if err := json.Unmarshal(config, cfg); err != nil {
-		return nil, fmt.Errorf("stratified: decoding job config: %w", err)
+// config renders the options and queries of a run as its job config, with
+// the exclusion set in sorted order so that a job's config bytes — and with
+// them worker-side job caching — don't depend on map iteration order.
+func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfig {
+	return &jobConfig{
+		Queries: queries, Fields: schema.Fields(), Naive: o.Naive,
+		Exclude: sortedExclude(o.Exclude), columns: o.Columns,
 	}
-	schema, err := dataset.NewSchema(fields()...)
+}
+
+// portable is one job family: its maker name and the builder both sides use
+// on a config of type C.
+type portable[C any, K comparable, V any, O any] struct {
+	maker string
+	build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Tuple, K, V, O], error)
+}
+
+var (
+	sqeJob          = register("mr-sqe", buildSQEJob)
+	mqeJob          = register("mr-mqe", buildMQEJob)
+	selectionSample = register("mr-selection-sample", buildSelectionSampleJob)
+	selectionCount  = register("mr-selection-count", buildSelectionCountJob)
+)
+
+// register makes a family buildable from a TaskSpec's config bytes in every
+// binary that links this package, coordinator and workers alike.
+func register[C any, K comparable, V any, O any](maker string, build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Tuple, K, V, O], error)) portable[C, K, V, O] {
+	mapreduce.RegisterJobMaker(maker, func(config []byte) (*mapreduce.Job[dataset.Tuple, K, V, O], error) {
+		cfg := new(C)
+		if err := json.Unmarshal(config, cfg); err != nil {
+			return nil, fmt.Errorf("stratified: decoding job config: %w", err)
+		}
+		schema, err := dataset.NewSchema(any(cfg).(interface{ fields() []dataset.Field }).fields()...)
+		if err != nil {
+			return nil, fmt.Errorf("stratified: rebuilding schema: %w", err)
+		}
+		return build(cfg, schema)
+	})
+	return portable[C, K, V, O]{maker, build}
+}
+
+// run builds the job from cfg, attaches the (maker, config) pair that lets
+// remote workers rebuild it, and runs it over the splits.
+func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.Schema, splits []dataset.Split, seed int64) ([]O, mapreduce.Metrics, error) {
+	job, err := p.build(cfg, schema)
 	if err != nil {
-		return nil, fmt.Errorf("stratified: rebuilding schema: %w", err)
+		return nil, mapreduce.Metrics{}, err
 	}
-	return schema, nil
-}
-
-// makePortable attaches the (maker, config) pair that lets remote workers
-// rebuild the job.
-func makePortable[I any, K comparable, V any, O any](job *mapreduce.Job[I, K, V, O], maker string, cfg any) error {
-	payload, err := json.Marshal(cfg)
+	job.Seed, job.Maker = seed, p.maker
+	if job.Config, err = json.Marshal(cfg); err != nil {
+		return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", p.maker, err)
+	}
+	res, err := mapreduce.Run(c, job, tupleSplits(splits))
 	if err != nil {
-		return fmt.Errorf("stratified: encoding %s job config: %w", maker, err)
+		return nil, mapreduce.Metrics{}, err
 	}
-	job.Maker, job.Config = maker, payload
-	return nil
+	return res.Output, res.Metrics, nil
 }
 
-// sortedExclude renders an exclusion set in deterministic (sorted) order, so
-// a job's config bytes — and with them worker-side job caching — don't
-// depend on map iteration order.
-func sortedExclude(exclude map[int64]struct{}) []int64 {
-	if len(exclude) == 0 {
+// sortedExclude renders an ID set in ascending order.
+func sortedExclude(set map[int64]struct{}) []int64 {
+	if len(set) == 0 {
 		return nil
 	}
-	ids := make([]int64, 0, len(exclude))
-	for id := range exclude {
+	ids := make([]int64, 0, len(set))
+	for id := range set {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

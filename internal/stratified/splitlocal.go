@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
@@ -13,25 +12,22 @@ import (
 // through the fused stage's split → class-vector step. Its scratch is reused
 // across splits, so steady-state classification allocates nothing.
 type splitClassifier struct {
-	cls    []*predicate.Classifier // the one query's
-	tested []int
-	scan   classScan
+	splitScan // of the one query
+	scratch   classScan
 }
 
 func newSplitClassifier(q *query.SSD, schema *dataset.Schema) (*splitClassifier, error) {
-	cls, err := q.Classifier(schema)
+	classes, err := classifiers([]*query.SSD{q}, schema)
 	if err != nil {
 		return nil, err
 	}
-	sc := &splitClassifier{cls: []*predicate.Classifier{cls}}
-	sc.tested = testedAttrs(sc.cls)
-	return sc, nil
+	return &splitClassifier{splitScan: newSplitScan(classes, nil, nil, nil)}, nil
 }
 
 // classify returns one stratum index (or -1) per tuple of the split. The
 // returned slice is owned by the classifier and valid until the next call.
 func (sc *splitClassifier) classify(split dataset.Split) []int32 {
-	return sc.scan.classify(sc.cls, sc.tested, nil, split, 0, len(split))[0]
+	return sc.splitScan.classify(&sc.scratch, 0, split, 0, len(split))[0]
 }
 
 // RunSplitLocal is the Grover & Carey (ICDE 2012) style baseline the paper

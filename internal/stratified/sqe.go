@@ -11,6 +11,8 @@
 //     what sampling inside the map task saves.
 //   - MR-MQE (Section 5.1): the multi-query extension keyed by (Q_i, s_k)
 //     pairs, answering a whole set of SSD queries in a single pass over R.
+//   - the jobs of MR-CPS (Section 5.2.5) over derived strata — sampling and
+//     counting by stratum selection σ — as the same scan (selection.go).
 package stratified
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
@@ -36,8 +37,7 @@ type Options struct {
 	// inside each map task.
 	Naive bool
 	// Exclude removes individuals (by ID) from consideration before
-	// sampling; the CPS residual phase uses it to avoid re-selecting
-	// already-chosen tuples.
+	// sampling, e.g. the participants of an earlier survey campaign.
 	Exclude map[int64]struct{}
 	// Columns, when set, holds the resident column mirror of each split,
 	// index-aligned with the splits of the run. Precondition: Columns[i] is
@@ -51,43 +51,20 @@ type Options struct {
 	Columns []dataset.Columns
 }
 
-// stratumOut is one reducer output: the final sample of one stratum.
-type stratumOut struct {
-	Stratum int
-	Sample  []dataset.Tuple
-}
-
-// buildSQEJob constructs the MR-SQE job for one query. The coordinator and
-// remote workers both build jobs through this function (workers via the
-// "mr-sqe" maker in portable.go), which is what keeps task execution
-// identical across backends.
-func buildSQEJob(q *query.SSD, schema *dataset.Schema, opts Options) (*mapreduce.Job[dataset.Tuple, int, WeightedTuples, stratumOut], error) {
-	cls, err := q.Classifier(schema)
+// buildSQEJob constructs the MR-SQE job of the config's one query: MR-MQE's
+// job with one query, its keys named by stratum alone — the name seeds a
+// key's reduce stream, and an MR-SQE answer does not depend on what else a
+// pass could have carried.
+func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut], error) {
+	if len(cfg.Queries) != 1 {
+		return nil, fmt.Errorf("stratified: MR-SQE answers one query, got %d", len(cfg.Queries))
+	}
+	job, err := buildMQEJob(cfg, schema)
 	if err != nil {
 		return nil, err
 	}
-
-	job := &mapreduce.Job[dataset.Tuple, int, WeightedTuples, stratumOut]{
-		Name: "mr-sqe:" + q.Name,
-		Mapper: mapreduce.MapperFunc[dataset.Tuple, int, WeightedTuples](
-			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(int, WeightedTuples)) {
-				if _, skip := opts.Exclude[t.ID]; skip {
-					return
-				}
-				if k := cls.Classify(&t); k >= 0 {
-					emit(k, sampling.Singleton(t))
-				}
-			}),
-		Reducer: mapreduce.ReducerFunc[int, WeightedTuples, stratumOut](
-			func(ctx *mapreduce.TaskContext, k int, vs []WeightedTuples, emit func(stratumOut)) {
-				emit(stratumOut{Stratum: k, Sample: sampling.UnifiedSample(vs, q.Strata[k].Freq, ctx.Rand)})
-			}),
-		KeyString: func(k int) string { return fmt.Sprintf("s%06d", k) },
-	}
-	if !opts.Naive {
-		job.BatchMapper = newFusedStage([]*query.SSD{q}, []*predicate.Classifier{cls},
-			func(_, stratum int) int { return stratum }, opts)
-	}
+	job.Name = "mr-sqe:" + cfg.Queries[0].Name
+	job.KeyString = func(k QSKey) string { return fmt.Sprintf("s%06d", k.Stratum) }
 	return job, nil
 }
 
@@ -100,27 +77,15 @@ func buildSQEJob(q *query.SSD, schema *dataset.Schema, opts Options) (*mapreduce
 // int32 cells (predicate.Classifier.ClassifyColumns), so an out-of-domain
 // value may land in a stratum it does not satisfy.
 func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*query.Answer, mapreduce.Metrics, error) {
-	job, err := buildSQEJob(q, schema, opts)
-	if err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-	job.Seed = opts.Seed
-	if err := makePortable(job, "mr-sqe", sqeConfig{
-		Query: q, Fields: schema.Fields(),
-		Naive: opts.Naive, Exclude: sortedExclude(opts.Exclude),
-	}); err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-
-	res, err := mapreduce.Run(c, job, tupleSplits(splits))
+	out, met, err := sqeJob.run(c, opts.config(schema, q), schema, splits, opts.Seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
 	ans := query.NewAnswer(len(q.Strata))
-	for _, out := range res.Output {
-		ans.Strata[out.Stratum] = out.Sample
+	for _, o := range out {
+		ans.Strata[o.Key.Stratum] = o.Sample
 	}
-	return ans, res.Metrics, nil
+	return ans, met, nil
 }
 
 // tupleSplits converts typed dataset splits to the engine's input shape.

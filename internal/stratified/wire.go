@@ -8,10 +8,10 @@ import (
 )
 
 // Wire codecs for every payload type of the portable jobs registered in
-// portable.go: tuple splits ship columnar (TupleBatch); the three shuffle
-// pair shapes — (stratum, weighted tuples) for MR-SQE, (query/stratum,
-// weighted tuples) for MR-MQE, (stratum, count) for mr-stratum-count — and
-// the three reduce output records get hand-rolled codecs. Registration lives
+// portable.go: tuple splits ship columnar (TupleBatch); the two shuffle pair
+// shapes — (query/stratum, weighted tuples) for the sampling jobs, (stratum,
+// count) for the counting job — and the two reduce output records get
+// hand-rolled codecs. Registration lives
 // in init alongside the job makers so every binary that can run the jobs
 // also speaks their payload format.
 
@@ -19,19 +19,6 @@ func init() {
 	mapreduce.RegisterSliceCodec(mapreduce.SliceCodec[dataset.Tuple]{
 		Append: appendTupleSlice,
 		Read:   readTupleSlice,
-	})
-	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[int, WeightedTuples]{
-		AppendPair: func(buf []byte, p mapreduce.Pair[int, WeightedTuples]) []byte {
-			buf = wire.AppendVarint(buf, int64(p.Key))
-			return appendWeightedTuples(buf, p.Value)
-		},
-		ReadPair: func(r *wire.Reader) (mapreduce.Pair[int, WeightedTuples], error) {
-			var p mapreduce.Pair[int, WeightedTuples]
-			p.Key = int(r.Varint())
-			var err error
-			p.Value, err = readWeightedTuples(r)
-			return p, err
-		},
 	})
 	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[QSKey, WeightedTuples]{
 		AppendPair: func(buf []byte, p mapreduce.Pair[QSKey, WeightedTuples]) []byte {
@@ -60,16 +47,6 @@ func init() {
 			return p, r.Err()
 		},
 	})
-	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
-		func(buf []byte, o stratumOut) []byte {
-			buf = wire.AppendVarint(buf, int64(o.Stratum))
-			return appendTupleSlice(buf, o.Sample)
-		},
-		func(r *wire.Reader) (o stratumOut, err error) {
-			o.Stratum = int(r.Varint())
-			o.Sample, err = readTupleSlice(r)
-			return o, err
-		}))
 	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
 		func(buf []byte, o qsOut) []byte {
 			buf = wire.AppendVarint(buf, int64(o.Key.Query))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cps"
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/predicate"
@@ -142,7 +143,10 @@ func TestTCPMatchesInproc(t *testing.T) {
 // task became one fused classify-and-sample scan: an answer is a pure
 // function of (seed, splits, query list), so the same seed gives the same
 // individuals in-process, on subprocess workers and on tcp workers —
-// for MR-SQE and for an 8-query MR-MQE pass with an exclusion set.
+// for MR-SQE, for an 8-query MR-MQE pass with an exclusion set, and for
+// MR-CPS, whose four jobs (MR-MQE, limits, Q′, residual) all run on the
+// workers: a three-survey MSSD whose fractional LP optimum leaves rounding
+// deficits for the residual phase.
 func TestSeedDeterminismAcrossBackends(t *testing.T) {
 	splits := testPopulation(t)
 	var queries []*query.SSD
@@ -153,8 +157,34 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 			query.Stratum{Cond: predicate.MustParse(fmt.Sprintf("income >= %d", cut)), Freq: 12 - i},
 		))
 	}
-	opts := stratified.Options{Seed: 7, Exclude: map[int64]struct{}{3: {}, 401: {}, 899: {}}}
-	run := func(exec mapreduce.Executor) (*query.Answer, query.MultiAnswer) {
+	exclude := map[int64]struct{}{3: {}, 401: {}, 899: {}}
+	opts := stratified.Options{Seed: 7, Exclude: exclude}
+	// Sharing between two surveys is cheap, between three prohibitive, a
+	// solo interview dear: odd frequencies make the LP optimum fractional.
+	mssd := query.NewMSSD(
+		query.TableCosts{
+			Interview: []float64{3, 3, 3},
+			Shared: map[query.Tau]float64{
+				query.NewTau(0, 1): 1, query.NewTau(0, 2): 1, query.NewTau(1, 2): 1,
+				query.NewTau(0, 1, 2): 100,
+			},
+		},
+		query.NewSSD("A",
+			query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: 5},
+			query.Stratum{Cond: predicate.MustParse("gender = 0"), Freq: 7}),
+		query.NewSSD("B",
+			query.Stratum{Cond: predicate.MustParse("income < 500"), Freq: 5},
+			query.Stratum{Cond: predicate.MustParse("income >= 500"), Freq: 3}),
+		query.NewSSD("C",
+			query.Stratum{Cond: predicate.MustParse("income < 250 or income >= 750"), Freq: 5},
+			query.Stratum{Cond: predicate.MustParse("income >= 250 and income < 750"), Freq: 5}),
+	)
+	type answers struct {
+		sqe *query.Answer
+		mqe query.MultiAnswer
+		cps *cps.Result
+	}
+	run := func(exec mapreduce.Executor) answers {
 		sqe, _, err := stratified.RunSQE(testCluster(exec), testQuery(), testSchema(), splits, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -163,15 +193,22 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sqe, mqe
+		res, err := cps.Run(testCluster(exec), mssd, testSchema(), splits, cps.Options{Seed: 7, Exclude: exclude})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answers{sqe, mqe, res}
 	}
-	wantSQE, wantMQE := run(nil)
+	want := run(nil)
 	for qi, q := range queries {
 		for k, s := range q.Strata {
-			if got := len(wantMQE[qi].Strata[k]); got != s.Freq {
+			if got := len(want.mqe[qi].Strata[k]); got != s.Freq {
 				t.Errorf("in-process query %d stratum %d: %d tuples, want %d", qi, k, got, s.Freq)
 			}
 		}
+	}
+	if want.cps.ResidualTuples == 0 {
+		t.Error("the MSSD left no deficit: the residual job is not exercised")
 	}
 
 	sub := newSubprocess(t, 2, nil)
@@ -179,12 +216,27 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 	tcp := newTCP(t, 2, worker.TCPConfig{})
 	defer tcp.Close()
 	for name, exec := range map[string]mapreduce.Executor{"subprocess": sub, "tcp": tcp} {
-		gotSQE, gotMQE := run(exec)
-		if !reflect.DeepEqual(wantSQE, gotSQE) {
-			t.Errorf("%s MR-SQE answer differs from in-process:\n in: %v\nout: %v", name, wantSQE, gotSQE)
+		got := run(exec)
+		if !reflect.DeepEqual(want.sqe, got.sqe) {
+			t.Errorf("%s MR-SQE answer differs from in-process:\n in: %v\nout: %v", name, want.sqe, got.sqe)
 		}
-		if !reflect.DeepEqual(wantMQE, gotMQE) {
+		if !reflect.DeepEqual(want.mqe, got.mqe) {
 			t.Errorf("%s MR-MQE answers differ from in-process", name)
+		}
+		if !reflect.DeepEqual(want.cps.Answers, got.cps.Answers) || !reflect.DeepEqual(want.cps.Initial, got.cps.Initial) {
+			t.Errorf("%s MR-CPS answers differ from in-process", name)
+		}
+		if !reflect.DeepEqual(want.cps.PlannedPerSurvey, got.cps.PlannedPerSurvey) ||
+			!reflect.DeepEqual(want.cps.ResidualPerSurvey, got.cps.ResidualPerSurvey) {
+			t.Errorf("%s MR-CPS plan delivery differs from in-process: planned %v / %v, residual %v / %v", name,
+				want.cps.PlannedPerSurvey, got.cps.PlannedPerSurvey, want.cps.ResidualPerSurvey, got.cps.ResidualPerSurvey)
+		}
+		for qi, q := range mssd.Queries {
+			for k, s := range q.Strata {
+				if n := len(got.cps.Answers[qi].Strata[k]); n != s.Freq {
+					t.Errorf("%s MR-CPS survey %d stratum %d: %d tuples, want %d", name, qi, k, n, s.Freq)
+				}
+			}
 		}
 	}
 }
