@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/mapreduce"
-	"repro/internal/serve"
 	"repro/internal/worker"
 )
 
@@ -208,7 +207,7 @@ func (o *obs) serveDebug() error {
 			slog.Error("writing /metrics", "err", err)
 			return
 		}
-		serve.WriteBuildInfo(w, o.started)
+		mapreduce.NewPromWriter(w).BuildInfo(o.started)
 	})
 	http.Handle("/progress", o.tracker)
 	http.HandleFunc("/quality", func(w http.ResponseWriter, _ *http.Request) {

@@ -420,7 +420,13 @@ func TestReportWritePrometheus(t *testing.T) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	if promLabel("a\nb\x01c") != "a.b.c" {
-		t.Fatalf("promLabel = %q", promLabel("a\nb\x01c"))
+	// Label values go through the one escaper (mapreduce.PromWriter).
+	rep.Fill.Rows[0].Stratum = "a\nb\x01c"
+	a.Reset()
+	if err := rep.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if want := `stratum="a\nb\\x01c"`; !strings.Contains(a.String(), want) {
+		t.Fatalf("label not escaped: output lacks %s:\n%s", want, a.String())
 	}
 }

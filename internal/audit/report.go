@@ -3,7 +3,6 @@ package audit
 import (
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/mapreduce"
@@ -127,73 +126,48 @@ func (r *Report) Histograms() map[string]*mapreduce.Histogram {
 // exposition format — the body of the CLI's /quality endpoint. Output order
 // is deterministic.
 func (r *Report) WritePrometheus(w io.Writer) error {
-	var err error
-	printf := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
+	pw := mapreduce.NewPromWriter(w)
+	if f := r.Fill; f != nil {
+		pw.Family("strata_audit_fill_rate", "gauge", "Achieved/feasible-required sample size per stratum.")
+		for _, row := range f.Rows {
+			pw.Sample("strata_audit_fill_rate", row.FillRate(), "query", f.Query, "stratum", row.Stratum)
+		}
+		pw.Family("strata_audit_achieved", "gauge", "Achieved sample size per stratum.")
+		for _, row := range f.Rows {
+			pw.Sample("strata_audit_achieved", row.Achieved, "query", f.Query, "stratum", row.Stratum)
+		}
+		pw.Family("strata_audit_required", "gauge", "Required frequency f_k per stratum.")
+		for _, row := range f.Rows {
+			pw.Sample("strata_audit_required", row.Required, "query", f.Query, "stratum", row.Stratum)
 		}
 	}
-	gauge := func(name, help string) {
-		printf("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	if b := r.Bias; b != nil {
+		pw.Family("strata_audit_bias_p", "gauge", "Chi-square p-value of per-stratum inclusion uniformity.")
+		for _, s := range b.Strata {
+			pw.Sample("strata_audit_bias_p", s.P, "query", b.Query, "stratum", s.Stratum)
+		}
+		pw.Family("strata_audit_bias_runs", "gauge", "Runs accumulated by the bias audit.")
+		pw.Sample("strata_audit_bias_runs", b.Runs, "query", b.Query)
 	}
-	if r.Fill != nil {
-		q := promLabel(r.Fill.Query)
-		gauge("strata_audit_fill_rate", "Achieved/feasible-required sample size per stratum.")
-		for _, row := range r.Fill.Rows {
-			printf("strata_audit_fill_rate{query=%q,stratum=%q} %g\n", q, promLabel(row.Stratum), row.FillRate())
+	if c := r.CPS; c != nil {
+		pw.Gauge("strata_audit_lp_objective", "C_LP, the constraint-program lower bound.", c.LPObjective)
+		pw.Gauge("strata_audit_realized_cost", "Realized survey cost of the delivered answer set.", c.RealizedCost)
+		pw.Gauge("strata_audit_residual_tuples", "Individuals added by the residual phase.", c.ResidualTuples)
+		pw.Gauge("strata_audit_planned_tuples", "Individuals delivered by the rounded plan.", c.PlannedTuples)
+		pw.Family("strata_audit_survey_plan_cost", "gauge", "Equal-split plan cost attributed to one survey.")
+		for _, s := range c.PerSurvey {
+			pw.Sample("strata_audit_survey_plan_cost", s.PlanCost, "survey", s.Name)
 		}
-		gauge("strata_audit_achieved", "Achieved sample size per stratum.")
-		for _, row := range r.Fill.Rows {
-			printf("strata_audit_achieved{query=%q,stratum=%q} %d\n", q, promLabel(row.Stratum), row.Achieved)
-		}
-		gauge("strata_audit_required", "Required frequency f_k per stratum.")
-		for _, row := range r.Fill.Rows {
-			printf("strata_audit_required{query=%q,stratum=%q} %d\n", q, promLabel(row.Stratum), row.Required)
-		}
-	}
-	if r.Bias != nil {
-		q := promLabel(r.Bias.Query)
-		gauge("strata_audit_bias_p", "Chi-square p-value of per-stratum inclusion uniformity.")
-		for _, s := range r.Bias.Strata {
-			printf("strata_audit_bias_p{query=%q,stratum=%q} %g\n", q, promLabel(s.Stratum), s.P)
-		}
-		gauge("strata_audit_bias_runs", "Runs accumulated by the bias audit.")
-		printf("strata_audit_bias_runs{query=%q} %d\n", q, r.Bias.Runs)
-	}
-	if r.CPS != nil {
-		gauge("strata_audit_lp_objective", "C_LP, the constraint-program lower bound.")
-		printf("strata_audit_lp_objective %g\n", r.CPS.LPObjective)
-		gauge("strata_audit_realized_cost", "Realized survey cost of the delivered answer set.")
-		printf("strata_audit_realized_cost %g\n", r.CPS.RealizedCost)
-		gauge("strata_audit_residual_tuples", "Individuals added by the residual phase.")
-		printf("strata_audit_residual_tuples %d\n", r.CPS.ResidualTuples)
-		gauge("strata_audit_planned_tuples", "Individuals delivered by the rounded plan.")
-		printf("strata_audit_planned_tuples %d\n", r.CPS.PlannedTuples)
-		gauge("strata_audit_survey_plan_cost", "Equal-split plan cost attributed to one survey.")
-		for _, s := range r.CPS.PerSurvey {
-			printf("strata_audit_survey_plan_cost{survey=%q} %g\n", promLabel(s.Name), s.PlanCost)
-		}
-		gauge("strata_audit_survey_residual_slots", "Residual top-up slots per survey.")
-		for _, s := range r.CPS.PerSurvey {
-			printf("strata_audit_survey_residual_slots{survey=%q} %d\n", promLabel(s.Name), s.ResidualSlots)
+		pw.Family("strata_audit_survey_residual_slots", "gauge", "Residual top-up slots per survey.")
+		for _, s := range c.PerSurvey {
+			pw.Sample("strata_audit_survey_residual_slots", s.ResidualSlots, "survey", s.Name)
 		}
 	}
-	if r.Estimator != nil {
-		gauge("strata_audit_stratified_stderr", "Standard error of the stratified mean estimator.")
-		printf("strata_audit_stratified_stderr{attr=%q} %g\n", promLabel(r.Estimator.Attr), r.Estimator.Stratified.StdErr)
-		gauge("strata_audit_design_effect", "Var(stratified)/Var(SRS) at equal sample size.")
-		printf("strata_audit_design_effect{attr=%q} %g\n", promLabel(r.Estimator.Attr), r.Estimator.DesignEffect)
+	if e := r.Estimator; e != nil {
+		pw.Family("strata_audit_stratified_stderr", "gauge", "Standard error of the stratified mean estimator.")
+		pw.Sample("strata_audit_stratified_stderr", e.Stratified.StdErr, "attr", e.Attr)
+		pw.Family("strata_audit_design_effect", "gauge", "Var(stratified)/Var(SRS) at equal sample size.")
+		pw.Sample("strata_audit_design_effect", e.DesignEffect, "attr", e.Attr)
 	}
-	return err
-}
-
-// promLabel strips newlines and control bytes from a label value; %q at the
-// call sites supplies the quoting and escaping the exposition format needs.
-func promLabel(s string) string {
-	return strings.Map(func(r rune) rune {
-		if r < 0x20 || r == 0x7f {
-			return '.'
-		}
-		return r
-	}, s)
+	return pw.Err
 }

@@ -1,11 +1,6 @@
 package live
 
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/mapreduce"
-)
+import "repro/internal/mapreduce"
 
 // Stats is a snapshot of the live subsystem's counters, rendered into the
 // serve daemon's /v1/stats ("live" section) and /metrics (strata_live_*).
@@ -38,6 +33,10 @@ type Stats struct {
 func (p *Population) Stats() Stats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	return p.statsLocked()
+}
+
+func (p *Population) statsLocked() Stats {
 	s := Stats{
 		Population:     len(p.loc),
 		Queries:        len(p.queries),
@@ -67,77 +66,28 @@ func (p *Population) Stats() Stats {
 	return s
 }
 
-// WritePrometheus renders the live counters in the Prometheus text format
-// under the strata_live_* namespace.
-func (p *Population) WritePrometheus(w io.Writer) error {
-	s := p.Stats()
+// WritePrometheus renders the live counters under the strata_live_*
+// namespace, read under one lock acquisition so the series of a scrape agree
+// (the per-operation mutation counts sum to strata_live_mutation_seq).
+func (p *Population) WritePrometheus(pw *mapreduce.PromWriter) {
 	p.mu.RLock()
-	maintain := p.maintainNanos
-	repair := p.repairNanos
+	s := p.statsLocked()
+	maintain, repair := p.maintainNanos, p.repairNanos
 	p.mu.RUnlock()
 
-	if _, err := fmt.Fprintf(w, "# HELP strata_live_mutations_total Applied mutations by operation.\n# TYPE strata_live_mutations_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range []struct {
-		op string
-		v  int64
-	}{{"insert", s.Inserts}, {"delete", s.Deletes}, {"update", s.Updates}} {
-		if _, err := fmt.Fprintf(w, "strata_live_mutations_total{op=%q} %d\n", c.op, c.v); err != nil {
-			return err
-		}
-	}
-	counters := []struct {
-		name, help string
-		v          int64
-	}{
-		{"strata_live_rejected_total", "Mutations rejected (unknown, duplicate or invalid member).", s.Rejected},
-		{"strata_live_repairs_total", "Stratum reservoir repairs triggered by the staleness bound.", s.Repairs},
-		{"strata_live_repair_scanned_total", "Tuples scanned by reservoir repairs.", s.RepairScanned},
-	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v); err != nil {
-			return err
-		}
-	}
-	gauges := []struct {
-		name, help string
-		v          int64
-	}{
-		{"strata_live_population", "Current population size.", int64(s.Population)},
-		{"strata_live_standing_queries", "Registered standing queries.", int64(s.Queries)},
-		{"strata_live_mutation_seq", "Total applied mutations (the mutation epoch).", s.Seq},
-		{"strata_live_staleness", "Current worst uncompensated-deletion count across strata.", s.CurStaleness},
-		{"strata_live_staleness_max", "Highest staleness any stratum reached.", s.MaxStaleness},
-		{"strata_live_staleness_bound", "Configured repair trigger.", int64(s.StalenessBound)},
-	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v); err != nil {
-			return err
-		}
-	}
-	if err := writeHistogram(w, "strata_live_maintain_nanos", "Mutation-batch maintenance time across registered queries (ns).", maintain); err != nil {
-		return err
-	}
-	return writeHistogram(w, "strata_live_repair_nanos", "Per-repair reservoir rebuild time (ns).", repair)
-}
-
-// writeHistogram renders one histogram in the Prometheus text format
-// (cumulative buckets); the same shape internal/serve uses.
-func writeHistogram(w io.Writer, name, help string, h mapreduce.Histogram) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	cum := int64(0)
-	for _, b := range h.Buckets() {
-		cum += b.Count
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b.Le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum(), name, h.Count())
-	return err
+	pw.Family("strata_live_mutations_total", "counter", "Applied mutations by operation.")
+	pw.Sample("strata_live_mutations_total", s.Inserts, "op", "insert")
+	pw.Sample("strata_live_mutations_total", s.Deletes, "op", "delete")
+	pw.Sample("strata_live_mutations_total", s.Updates, "op", "update")
+	pw.Counter("strata_live_rejected_total", "Mutations rejected (unknown, duplicate or invalid member).", s.Rejected)
+	pw.Counter("strata_live_repairs_total", "Stratum reservoir repairs triggered by the staleness bound.", s.Repairs)
+	pw.Counter("strata_live_repair_scanned_total", "Tuples scanned by reservoir repairs.", s.RepairScanned)
+	pw.Gauge("strata_live_population", "Current population size.", s.Population)
+	pw.Gauge("strata_live_standing_queries", "Registered standing queries.", s.Queries)
+	pw.Gauge("strata_live_mutation_seq", "Total applied mutations (the mutation epoch).", s.Seq)
+	pw.Gauge("strata_live_staleness", "Current worst uncompensated-deletion count across strata.", s.CurStaleness)
+	pw.Gauge("strata_live_staleness_max", "Highest staleness any stratum reached.", s.MaxStaleness)
+	pw.Gauge("strata_live_staleness_bound", "Configured repair trigger.", s.StalenessBound)
+	pw.Histogram("strata_live_maintain_nanos", "Mutation-batch maintenance time across registered queries (ns).", maintain)
+	pw.Histogram("strata_live_repair_nanos", "Per-repair reservoir rebuild time (ns).", repair)
 }

@@ -179,7 +179,7 @@ func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, t
 	e, ok := cur.entries[key]
 	if ok {
 		e.attached++
-		b.stats.addSingleFlight()
+		b.stats.add(&b.stats.SingleFlight, 1)
 	} else {
 		e = &entry{q: q, canon: canon, seed: seed, attached: 1, done: make(chan struct{})}
 		cur.entries[key] = e
@@ -189,7 +189,7 @@ func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, t
 	case len(cur.entries) >= b.maxBatch || b.window <= 0:
 		b.fireLocked(cur)
 	case b.idleLocked():
-		b.stats.addAdaptiveFire()
+		b.stats.add(&b.stats.AdaptiveFires, 1)
 		b.fireLocked(cur)
 	}
 	return e
@@ -217,7 +217,7 @@ func (b *batcher) abandon(e *entry) bool {
 	if cur == nil || cur.entries[key] != e {
 		return false
 	}
-	b.stats.addAbandoned()
+	b.stats.add(&b.stats.Abandoned, 1)
 	e.attached--
 	if e.attached > 0 {
 		return true
@@ -285,7 +285,7 @@ func (b *batcher) fireLocked(cur *batch) {
 			// The machine came free: the batch that queued behind this one
 			// runs now. Its wg.Add(1) happens here, before this goroutine's
 			// own Done below, so drain's Wait cannot return between the two.
-			b.stats.addAdaptiveFire()
+			b.stats.add(&b.stats.AdaptiveFires, 1)
 			b.fireLocked(b.cur)
 		}
 		b.mu.Unlock()
@@ -397,7 +397,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	passStart := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			x.stats.addPassPanic()
+			x.stats.add(&x.stats.PassPanics, 1)
 			slog.Error("serve: pass panicked", "batch", cur.runName(), "pass", idx, "panic", r, "stack", string(debug.Stack()))
 			g.fail(fmt.Errorf("serve: pass panicked: %v", r), passStart)
 		}
@@ -454,7 +454,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	x.pool.put(c)
 	passEnd := time.Now()
 	if err != nil {
-		x.stats.addError()
+		x.stats.add(&x.stats.Errors, 1)
 		g.fail(fmt.Errorf("serve: pass failed: %w", err), passStart)
 		return
 	}

@@ -169,7 +169,32 @@ func TestOverlappingBatchesLiveMutationsRace(t *testing.T) {
 			}
 		}
 	}()
+	// A scraper reads /metrics throughout: every body must pass the lint and
+	// agree with itself — Stats and the population are each read under one
+	// lock acquisition, so a counter and the histogram observed beside it
+	// cannot be caught apart.
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for n := 0; ; n++ {
+			v := lintExposition(t, fmt.Sprintf("scrape %d", n), d.metrics(t)).values
+			if passes, occ := v["strata_serve_passes_total"], v["strata_serve_batch_occupancy_count"]; passes != occ {
+				t.Errorf("scrape %d: %g passes but %g batch-occupancy observations", n, passes, occ)
+			}
+			ops := v[`strata_live_mutations_total{op="insert"}`] + v[`strata_live_mutations_total{op="delete"}`] + v[`strata_live_mutations_total{op="update"}`]
+			if seq := v["strata_live_mutation_seq"]; ops != seq {
+				t.Errorf("scrape %d: %g mutations by op but mutation_seq %g", n, ops, seq)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-scraped
 
 	// An epoch bump after the churn exercises live-split rebalancing too.
 	resp, err := http.Post(d.ts.URL+"/v1/epoch", "application/json", nil)

@@ -384,7 +384,7 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 	}
 	h.subs[sub.id] = sub
 	h.mu.Unlock()
-	h.s.stats.addSubscriber(1)
+	h.s.stats.add(&h.s.stats.Subscriptions, 1)
 	if sub.every > 0 {
 		go h.timerLoop(sub)
 	}
@@ -425,7 +425,7 @@ func (h *subHub) unsubscribe(id string) bool {
 		return false
 	}
 	h.closeSub(sub)
-	h.s.stats.addSubscriber(-1)
+	h.s.stats.add(&h.s.stats.Subscriptions, -1)
 	// The standing query itself stays registered: other subscribers (and warm
 	// /v1/sample hits) may share it, and keeping it maintained is O(sample)
 	// per mutation.
@@ -456,7 +456,7 @@ func (h *subHub) close() {
 	h.mu.Unlock()
 	for _, sub := range subs {
 		h.closeSub(sub)
-		h.s.stats.addSubscriber(-1)
+		h.s.stats.add(&h.s.stats.Subscriptions, -1)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // proportional to the number of distinct tenants; maxTenants caps that
 // against unbounded tenant-name cardinality (beyond the cap, unknown tenants
 // share one overflow bucket, which fails closed under pressure rather than
-// open).
+// open). Rejections are counted per bucket charged, so the cap bounds the
+// tenant label set of /metrics too.
 type quotaTable struct {
 	rate  float64 // tokens per second; <= 0 disables
 	burst float64
@@ -27,8 +28,9 @@ type quotaTable struct {
 const maxTenants = 10000
 
 // overflowTenant is the shared bucket used once maxTenants distinct tenants
-// have been seen.
-const overflowTenant = "\x00overflow"
+// have been seen. It is also a label value of /metrics and a key of /v1/stats,
+// hence printable; a client that names itself so merely shares the bucket.
+const overflowTenant = "(overflow)"
 
 type tokenBucket struct {
 	tokens float64
@@ -47,16 +49,17 @@ func newQuotaTable(rate float64, burst int) *quotaTable {
 	}
 }
 
-// allow spends one token from the tenant's bucket, reporting whether the
-// query is admitted.
-func (q *quotaTable) allow(tenant string) bool {
+// allow spends one token from the tenant's bucket, reporting the bucket it
+// charged — the tenant's own or the overflow bucket — and whether the query
+// is admitted.
+func (q *quotaTable) allow(tenant string) (charged string, ok bool) {
 	if q == nil || q.rate <= 0 {
-		return true
+		return tenant, true
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	b, ok := q.buckets[tenant]
-	if !ok {
+	b, known := q.buckets[tenant]
+	if !known {
 		if len(q.buckets) >= maxTenants {
 			tenant = overflowTenant
 			b = q.buckets[tenant]
@@ -73,8 +76,8 @@ func (q *quotaTable) allow(tenant string) bool {
 		b.tokens = q.burst
 	}
 	if b.tokens < 1 {
-		return false
+		return tenant, false
 	}
 	b.tokens--
-	return true
+	return tenant, true
 }

@@ -411,8 +411,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := r.Header.Get("X-Strata-Tenant")
-	if s.quotas != nil && !s.quotas.allow(tenant) {
-		s.stats.addRejected(tenant)
+	if charged, ok := s.quotas.allow(tenant); !ok {
+		s.stats.addRejected(charged)
 		httpError(w, http.StatusTooManyRequests, "tenant %q over quota", tenant)
 		return
 	}
@@ -425,7 +425,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.stats.addQuery()
+	s.stats.add(&s.stats.Queries, 1)
 	start := time.Now()
 	epoch := s.effectiveEpoch()
 
@@ -443,7 +443,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// incrementally maintained reservoirs: no pass, no cache, always current.
 	if s.lp != nil {
 		if ans, metas, ver, ok := s.lp.Snapshot(liveKey(canon, seed)); ok {
-			s.stats.addLiveHit()
+			s.stats.add(&s.stats.LiveHits, 1)
 			s.respondLive(w, q, seed, epoch, trace, ans, metas, ver, start)
 			s.emitRequestTrace(trace, reqSpan, start, 0, nil)
 			return
@@ -456,12 +456,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		ans, ok := s.cache.get(cacheKey{canon: canon, seed: seed, epoch: epoch})
 		cacheDur = time.Since(t0)
 		if ok {
-			s.stats.addCacheHit()
+			s.stats.add(&s.stats.CacheHits, 1)
 			s.respond(w, q, seed, epoch, trace, ans, true, start)
 			s.emitRequestTrace(trace, reqSpan, start, cacheDur, nil)
 			return
 		}
-		s.stats.addCacheMiss()
+		s.stats.add(&s.stats.CacheMisses, 1)
 	}
 
 	e := s.batcher.submit(q, canon, seed, trace, reqSpan)
@@ -679,19 +679,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err := m.WritePrometheus(w); err != nil {
 		return
 	}
-	if err := s.stats.WritePrometheus(w); err != nil {
-		return
-	}
+	pw := mapreduce.NewPromWriter(w)
+	s.stats.writePrometheus(pw)
 	if s.lp != nil {
-		if err := s.lp.WritePrometheus(w); err != nil {
-			return
-		}
+		s.lp.WritePrometheus(pw)
 	}
 	rows, columns := s.residentBytes()
-	if _, err := fmt.Fprintf(w, "# HELP strata_serve_resident_bytes Memory the resident population occupies, by layout.\n# TYPE strata_serve_resident_bytes gauge\nstrata_serve_resident_bytes{layout=\"rows\"} %d\nstrata_serve_resident_bytes{layout=\"columns\"} %d\n", rows, columns); err != nil {
-		return
-	}
-	WriteBuildInfo(w, s.started)
+	pw.Family("strata_serve_resident_bytes", "gauge", "Memory the resident population occupies, by layout.")
+	pw.Sample("strata_serve_resident_bytes", rows, "layout", "rows")
+	pw.Sample("strata_serve_resident_bytes", columns, "layout", "columns")
+	pw.BuildInfo(s.started)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
