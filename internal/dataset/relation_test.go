@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -77,6 +79,62 @@ func TestTupleByteSizeAndString(t *testing.T) {
 	}
 	if s := tp.String(); !strings.Contains(s, "#1(ab)[1 2]") {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// fmtTupleString is Tuple.String as fmt rendered it before the strconv
+// version: the reference the daemon's response bytes must not move from.
+func fmtTupleString(t Tuple) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "#%d", t.ID)
+	if t.Name != "" {
+		fmt.Fprintf(&b, "(%s)", t.Name)
+	}
+	b.WriteByte('[')
+	for i, v := range t.Attrs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
+// TestTupleStringMatchesFmt: byte-identical to the fmt rendering on the edge
+// tuples and on random ones — negative and extreme ids and values, empty and
+// non-empty names, no attrs, and renderings longer than the stack buffer.
+func TestTupleStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tuples := []Tuple{
+		{},
+		{ID: -1},
+		{ID: math.MinInt64, Name: "x", Attrs: []int64{math.MinInt64, math.MaxInt64, 0}},
+		{ID: 7, Name: "", Attrs: []int64{}},
+		{ID: 7, Name: "a (b) [c] #d é\n", Attrs: []int64{-5}},
+		{ID: 1, Name: strings.Repeat("n", 300), Attrs: make([]int64, 40)},
+	}
+	for i := 0; i < 2000; i++ {
+		tp := Tuple{ID: rng.Int63() >> uint(rng.Intn(64))}
+		if rng.Intn(2) == 0 {
+			tp.ID = -tp.ID
+		}
+		if rng.Intn(2) == 0 {
+			tp.Name = strings.Repeat("né", rng.Intn(6))
+		}
+		for a := rng.Intn(30); a > 0; a-- {
+			v := rng.Int63() >> uint(rng.Intn(64))
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			tp.Attrs = append(tp.Attrs, v)
+		}
+		tuples = append(tuples, tp)
+	}
+	for _, tp := range tuples {
+		if got, want := tp.String(), fmtTupleString(tp); got != want {
+			t.Fatalf("String() = %q, fmt renders %q", got, want)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/wire"
 )
@@ -76,22 +76,27 @@ func ReadTupleWire(r *wire.Reader) (Tuple, error) {
 	return t, r.Err()
 }
 
-// String renders the tuple for debugging.
+// String renders the tuple as "#id(name)[a b c]", the name part only when
+// there is one. The daemon renders every sampled tuple of every answer with
+// it, so it appends into one buffer, on the stack for all but the widest.
 func (t Tuple) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#%d", t.ID)
+	var buf [128]byte
+	b := append(buf[:0], '#')
+	b = strconv.AppendInt(b, t.ID, 10)
 	if t.Name != "" {
-		fmt.Fprintf(&b, "(%s)", t.Name)
+		b = append(b, '(')
+		b = append(b, t.Name...)
+		b = append(b, ')')
 	}
-	b.WriteByte('[')
+	b = append(b, '[')
 	for i, v := range t.Attrs {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, v, 10)
 	}
-	b.WriteByte(']')
-	return b.String()
+	b = append(b, ']')
+	return string(b)
 }
 
 // ValidFor reports an error if the tuple does not conform to the schema:

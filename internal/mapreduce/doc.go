@@ -18,10 +18,10 @@
 //
 // A job may replace mapper + combiner with one fused whole-split stage
 // (BatchMapper) that aggregates in place and emits only what is shuffled; the
-// sampling jobs do, drawing their intermediate reservoir samples with
-// Algorithm L (geometric skips), so a full-split scan costs O(k(1+log(n/k)))
-// RNG draws instead of one per tuple. Output is byte-identical to a serial
-// run on every backend.
+// sampling jobs do, drawing each key's intermediate sample from its match
+// list once the split is scanned, so a task costs min(k, n) RNG draws per key
+// instead of one per tuple. Output is byte-identical to a serial run on every
+// backend.
 //
 // # Virtual clock
 //

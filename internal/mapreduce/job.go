@@ -27,7 +27,7 @@ func (f MapperFunc[I, K, V]) Map(ctx *TaskContext, in I, emit func(K, V)) { f(ct
 // BatchMapper is the fused map + combine stage of one whole split: a single
 // scan that classifies every record and aggregates in place, emitting only
 // the pairs that go to the shuffle (in-mapper combining — the per-task
-// (reservoir, N) pairs of the paper's Figure 2 without the Figure 1 emission
+// (sample, N) pairs of the paper's Figure 2 without the Figure 1 emission
 // stream in between). It returns the number of (key, record) matches the scan
 // found — what a per-record Mapper would have emitted — and the engine
 // accounts those logical counts: matches are the task's map-output and

@@ -1,39 +1,29 @@
 package mapreduce
 
-import "math/rand"
+import (
+	"math/rand"
+	randv2 "math/rand/v2"
+)
 
-// lazySource defers the expensive seeding of the standard library's random
-// source until the first draw. The engine creates one random source per map
-// task and per reduce *key*, and seeding initializes a 607-word
-// lagged-Fibonacci state each time (~30% of engine time under profiling for
-// jobs that never sample). Most task contexts never touch ctx.Rand — any
-// job without explicit randomness — so the lazy wrapper makes their seeding
-// free while keeping the draw sequence of seeded contexts byte-identical to
-// rand.NewSource: same seed, same stream, same samples.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
+// pcgSource is a task's random stream: math/rand/v2's PCG behind the
+// rand.Source64 that TaskContext.Rand's *rand.Rand draws from. Seeding is two
+// word stores, so the engine seeds one stream per map task and reseeds one per
+// reduce key without the cost showing in a pass.
+type pcgSource struct{ randv2.PCG }
+
+func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed fills both state words from the seed, so no two tasks share the low
+// half of the generator's state.
+func (s *pcgSource) Seed(seed int64) {
+	s.PCG.Seed(uint64(seed), uint64(seed)*0x9e3779b97f4a7c15+1)
 }
 
-func (s *lazySource) force() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	}
-	return s.src
-}
-
-func (s *lazySource) Int63() int64   { return s.force().Int63() }
-func (s *lazySource) Uint64() uint64 { return s.force().Uint64() }
-
-func (s *lazySource) Seed(seed int64) {
-	s.seed = seed
-	s.src = nil
-}
-
-// newTaskRand returns a *rand.Rand whose seeding cost is paid on first use.
-// Determinism is unchanged: equal seeds yield equal streams, and every
-// stream is private to one task (or one reduce key), so output is
-// reproducible regardless of goroutine interleaving.
+// newTaskRand returns the stream of one task seed. Equal seeds yield equal
+// streams, and every stream is private to one task (or one reduce key), so
+// output is reproducible regardless of goroutine interleaving.
 func newTaskRand(seed int64) *rand.Rand {
-	return rand.New(&lazySource{seed: seed})
+	s := new(pcgSource)
+	s.Seed(seed)
+	return rand.New(s)
 }

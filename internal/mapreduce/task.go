@@ -154,9 +154,9 @@ func execReduceTask[I any, K comparable, V any, O any](
 ) reduceTaskRun[O] {
 	var run reduceTaskRun[O]
 	emit := func(o O) { run.out = append(run.out, o) }
-	// One context per reducer task, reseeded per key: the lazy source makes
-	// the reseed a word store, where a fresh context per key paid three
-	// allocations. Reduce code only sees ctx during its call.
+	// One context per reducer task, reseeded per key: a reseed is two word
+	// stores, where a fresh context per key paid three allocations. Reduce
+	// code only sees ctx during its call.
 	ctx := newTaskContext(job.Name, "reduce", task, 0)
 	ctx.observe = histObserver(&run.custom)
 	if collectKeys {

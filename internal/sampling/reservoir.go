@@ -1,11 +1,11 @@
 // Package sampling provides the random-selection primitives of the paper:
-// reservoir sampling (Algorithm L, Li 1994 — distribution-identical to the
-// Algorithm R of Vitter 1985 that the paper cites, but with geometric skip
-// counts so RNG work is O(k(1+log(n/k))) instead of O(n)), simple random
-// sampling without replacement, weighted intermediate samples (the combiner
+// simple random sampling without replacement (the map stage's draw over a
+// stratum's match list), reservoir sampling for inputs seen only once — live
+// standing samples, the sequential baselines — by Algorithm L (Li 1994:
+// distribution-identical to the Algorithm R of Vitter 1985 the paper cites,
+// with geometric skip counts), weighted intermediate samples (the combiner
 // output of MR-SQE), and the unified-sampler of Algorithm 1, which merges
-// intermediate samples drawn from sets of different sizes into an unbiased
-// final sample.
+// intermediate samples of sets of different sizes into an unbiased final one.
 package sampling
 
 import (
@@ -49,18 +49,8 @@ func NewReservoir[T any](k int, rng *rand.Rand) *Reservoir[T] {
 	return &Reservoir[T]{k: k, items: make([]T, 0, k), rng: rng}
 }
 
-// Add offers one stream item to the reservoir. A full reservoir inside a
-// rejected run — nearly every call of a long scan — is decided first.
+// Add offers one stream item to the reservoir.
 func (r *Reservoir[T]) Add(item T) {
-	if r.skip > 0 && len(r.items) == r.k {
-		r.skip--
-		r.seen++
-		return
-	}
-	r.add(item)
-}
-
-func (r *Reservoir[T]) add(item T) {
 	r.seen++
 	if len(r.items) < r.k {
 		r.items = append(r.items, item)

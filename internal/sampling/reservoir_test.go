@@ -351,6 +351,54 @@ func TestDrawWithoutReplacement(t *testing.T) {
 	}
 }
 
+// TestDrawWithoutReplacementEverySubsetEqual: the draw is a simple random
+// sample, not only first-order fair — over many draws every one of the
+// C(n, k) subsets turns up equally often (chi-square at the audit gate), the
+// rest is the complement, and drawing everything consumes no randomness.
+func TestDrawWithoutReplacementEverySubsetEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, c := range []struct{ n, k, subsets int }{{6, 3, 20}, {5, 1, 5}, {7, 5, 21}, {9, 4, 126}} {
+		counts := map[uint]int64{}
+		items := make([]int, c.n)
+		for trial := 0; trial < 500*c.subsets; trial++ {
+			for i := range items {
+				items[i] = i
+			}
+			drawn, rest := DrawWithoutReplacement(items, c.k, rng)
+			var in, out uint
+			for _, v := range drawn {
+				in |= 1 << v
+			}
+			for _, v := range rest {
+				out |= 1 << v
+			}
+			if len(drawn) != c.k || in^out != 1<<c.n-1 {
+				t.Fatalf("n=%d k=%d: drawn %v and rest %v do not partition the items", c.n, c.k, drawn, rest)
+			}
+			counts[in]++
+		}
+		if len(counts) != c.subsets {
+			t.Fatalf("n=%d k=%d: %d distinct subsets drawn, want all %d", c.n, c.k, len(counts), c.subsets)
+		}
+		observed := make([]int64, 0, len(counts))
+		for _, n := range counts {
+			observed = append(observed, n)
+		}
+		p, err := stats.ChiSquareUniformP(observed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p < 1e-4 {
+			t.Errorf("n=%d k=%d: subsets not equally likely, p = %g", c.n, c.k, p)
+		}
+	}
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	DrawWithoutReplacement([]int{1, 2, 3}, 3, a)
+	if a.Int63() != b.Int63() {
+		t.Error("drawing every item consumed randomness")
+	}
+}
+
 // TestForgetKeepsUniformity is the deletion-correctness proof for dynamic
 // sets: fill a reservoir over N members, Forget a fixed set of deleted
 // members, and check over many trials that every survivor is included

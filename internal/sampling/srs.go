@@ -57,8 +57,9 @@ func SRSIndexes(total int64, n int, rng *rand.Rand) []int64 {
 }
 
 // DrawWithoutReplacement removes and returns n uniformly chosen items from
-// the slice, returning the drawn items and the remaining items. The input
-// slice is consumed (its backing array is reused).
+// the slice (partial Fisher–Yates in place: every subset is equally likely),
+// returning the drawn items and the remaining items. The input slice is
+// consumed. It calls rng.Intn n times, and never when n >= len(items).
 func DrawWithoutReplacement[T any](items []T, n int, rng *rand.Rand) (drawn, rest []T) {
 	if n < 0 {
 		n = 0

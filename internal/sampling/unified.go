@@ -17,8 +17,8 @@ import (
 //
 // Correctness requires |S̄_i| == min(N_i, n) for every part — i.e. each
 // intermediate sample either kept everything (|S̄_i| = N_i) or holds at least
-// n items, which the MR-SQE combiner guarantees (its reservoirs have
-// capacity n). The function panics if a block is asked for more items than
+// n items, which the MR-SQE map stage guarantees (it draws min(N_i, n) of
+// every stratum). The function panics if a block is asked for more items than
 // its intermediate sample holds, which indicates a violated precondition.
 func UnifiedSample[T any](parts []Weighted[T], n int, rng *rand.Rand) []T {
 	if n <= 0 {

@@ -659,7 +659,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// inserts and swap-removes drift the resident splits unbalanced, so re-cut
 	// them into even shards before bumping. Rebalance first, bump second — the
 	// bump purges the answer cache, which must cover the post-rebalance
-	// boundaries (a re-cut changes per-split reservoir draws).
+	// boundaries (a re-cut changes per-split draws).
 	var rebalanced int64
 	if s.lp != nil {
 		rebalanced = int64(s.lp.Rebalance(s.cfg.Splits))

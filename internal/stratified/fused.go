@@ -11,20 +11,22 @@ import (
 	"repro/internal/sampling"
 )
 
-// fusedStage is the map + combine stage of every sampling job (Figure 2) as
-// one scan of the split: every tuple is classified once per query and its row
-// index offered straight to the Algorithm L reservoir of the (vector, class)
-// it falls in. Only the sampled tuples of each key are materialised, and the
-// task emits one ({sample}, N) pair per key it saw — what the Figure 1
-// emission stream plus the combiner produce, without building the stream.
-// For MR-SQE (one query) and MR-MQE a vector is a query and a class one of
-// its strata; for MR-CPS's derived query Q′ and its residual phase the
-// vectors are derived from the queries' (selection.go).
+// fusedStage is the map + combine stage of every sampling job (Figure 2): one
+// scan of the split, then one draw per key. The scan classifies every tuple
+// once per query and appends its row index to the match list of the (vector,
+// class) it falls in, consuming no randomness; then each key, in (vector,
+// class) order, draws min(f, n) of its n matches without replacement from the
+// task's one random stream — a resident split needs no reservoir to hand the
+// reducer an SRS of its stratum tagged with the stratum's size. Only the drawn
+// tuples are materialised, and the task emits one ({sample}, N) pair per key
+// it saw: what the Figure 1 emission stream plus the combiner produce, without
+// the stream. For MR-SQE (one query) and MR-MQE a vector is a query and a
+// class one of its strata; MR-CPS's derived query Q′ and residual phase derive
+// their vectors from the queries' (selection.go).
 //
-// Classification runs a block of rows ahead of the reservoirs (splitScan),
-// which consume the vectors in tuple-outer, vector-inner order from the
-// task's single random stream: a task's output is a pure function of (seed,
-// split, job config) on every backend, with or without resident columns.
+// A task's output is a pure function of (seed, split, job config) on every
+// backend, with or without resident columns. The match lists — 4 bytes per
+// matched (row, vector) — are pooled with the block buffers.
 type fusedStage struct {
 	splitScan
 	freqs [][]int // freqs[v][k] is the sample size of class k of vector v
@@ -43,52 +45,42 @@ func stratumFreqs(queries []*query.SSD) [][]int {
 }
 
 func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches int64) {
-	// One reservoir per (vector, class), made at the key's first match.
-	reservoirs := make([][]*sampling.Reservoir[int32], len(s.freqs))
-	for v, f := range s.freqs {
-		reservoirs[v] = make([]*sampling.Reservoir[int32], len(f))
-	}
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
+	lists := sc.matchLists(s.freqs)
 	for lo := 0; lo < len(split); lo += scanBlock {
 		hi := min(lo+scanBlock, len(split))
-		classes := s.classify(sc, ctx.Task, split, lo, hi)
-		for ti := lo; ti < hi; ti++ {
-			for v, class := range classes {
-				k := class[ti-lo]
-				if k < 0 {
-					continue
+		for v, class := range s.classify(sc, ctx.Task, split, lo, hi) {
+			of := lists[v]
+			for i, k := range class {
+				if k >= 0 {
+					of[k] = append(of[k], int32(lo+i))
 				}
-				res := reservoirs[v][k]
-				if res == nil {
-					res = sampling.NewReservoir[int32](s.freqs[v][k], ctx.Rand)
-					reservoirs[v][k] = res
-				}
-				res.Add(int32(ti))
-				matches++
 			}
 		}
 	}
-	for v := range reservoirs {
-		for k, res := range reservoirs[v] {
-			if res == nil {
+	for v, f := range s.freqs {
+		for k, want := range f {
+			rows := lists[v][k]
+			if len(rows) == 0 {
 				continue
 			}
-			rows := res.Sample()
-			sample := make([]dataset.Tuple, len(rows))
-			for i, ti := range rows {
+			matches += int64(len(rows))
+			drawn, _ := sampling.DrawWithoutReplacement(rows, want, ctx.Rand)
+			sample := make([]dataset.Tuple, len(drawn))
+			for i, ti := range drawn {
 				sample[i] = split[ti]
 			}
 			// The paper's intermediate-sample-size measurement.
 			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(QSKey{v, k}, WeightedTuples{Sample: sample, N: res.Seen()})
+			emit(QSKey{v, k}, WeightedTuples{Sample: sample, N: int64(len(rows))})
 		}
 	}
 	return matches
 }
 
 // countStage is the fused stage with a counter per class in place of a
-// reservoir — the map + combine stage of the counting job: one (class, count)
+// match list — the map + combine stage of the counting job: one (class, count)
 // pair per class of the scan's one vector the split held.
 type countStage struct {
 	splitScan
@@ -168,12 +160,13 @@ func (s *splitScan) classify(sc *classScan, task int, split []dataset.Tuple, lo,
 const scanBlock = 1024
 
 // classScan is the reusable scratch of one split scan: the column views the
-// kernel reads and one class vector per classifier.
+// kernel reads, one class vector per classifier and the match lists.
 type classScan struct {
 	cols     dataset.Columns // per attribute: the block's values, nil if untested
 	gathered []int32         // backing of cols when they are gathered from rows
 	classes  [][]int32
-	classBuf []int32 // backing of classes
+	classBuf []int32     // backing of classes
+	lists    [][][]int32 // lists[v][k]: the split's rows in class k of vector v
 	// Scratch of the derive step (selections.apply).
 	derived    [][]int32
 	derivedBuf []int32 // backing of derived, and of the selection vector
@@ -187,6 +180,23 @@ var scanPool = sync.Pool{New: func() any { return new(classScan) }}
 func (sc *classScan) release() {
 	clear(sc.cols)
 	scanPool.Put(sc)
+}
+
+// matchLists empties and returns one list per (vector, class) of freqs.
+func (sc *classScan) matchLists(freqs [][]int) [][][]int32 {
+	for len(sc.lists) < len(freqs) {
+		sc.lists = append(sc.lists, nil)
+	}
+	lists := sc.lists[:len(freqs)]
+	for v, f := range freqs {
+		for len(lists[v]) < len(f) {
+			lists[v] = append(lists[v], nil)
+		}
+		for k := range f {
+			lists[v][k] = lists[v][k][:0]
+		}
+	}
+	return lists
 }
 
 // testedAttrs is the ascending union of the attributes the classifiers read

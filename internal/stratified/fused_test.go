@@ -245,6 +245,60 @@ func TestFusedMQEUniformOverUnequalSplits(t *testing.T) {
 	}
 }
 
+// TestFusedDrawsEverySubsetEqually: the answer is a simple random sample, not
+// only first-order fair. For strata small enough to enumerate — 6 men, f = 3
+// (20 subsets) and 8 women, f = 2 (28) — held by one machine (the map-side
+// draw alone decides) and spread unequally over two (4 + 2 men, 1 + 7 women:
+// draw, then the unified sampler), every subset is the answer equally often
+// over many seeds, at the strata audit gate.
+func TestFusedDrawsEverySubsetEqually(t *testing.T) {
+	const runs, alpha = 12000, 1e-4
+	r := genderPop(6, 8)
+	all := r.Tuples()
+	men, women := all[:6], all[6:]
+	layouts := map[string][]dataset.Split{
+		"one split": {all},
+		"unequal": {
+			append(append(dataset.Split(nil), men[:4]...), women[:1]...),
+			append(append(dataset.Split(nil), men[4:]...), women[1:]...),
+		},
+	}
+	q := genderSSD(3, 2)
+	for name, splits := range layouts {
+		subsets := [2]map[uint]int64{{}, {}}
+		for run := 0; run < runs; run++ {
+			ans, _, err := RunSQE(zeroCluster(2), q, r.Schema(), splits, Options{Seed: int64(run)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, sample := range ans.Strata {
+				var set uint
+				for _, tp := range sample {
+					set |= 1 << tp.ID
+				}
+				subsets[k][set]++
+			}
+		}
+		for k, want := range []int{20, 28} {
+			if len(subsets[k]) != want {
+				t.Errorf("%s stratum %d: %d distinct subsets drawn, want all %d", name, k, len(subsets[k]), want)
+				continue
+			}
+			observed := make([]int64, 0, want)
+			for _, n := range subsets[k] {
+				observed = append(observed, n)
+			}
+			p, err := stats.ChiSquareUniformP(observed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p < alpha {
+				t.Errorf("%s stratum %d: subsets not equally likely, p = %g", name, k, p)
+			}
+		}
+	}
+}
+
 // TestSelectionStagesUniformAndExact: the derived stages keep Algorithm 1's
 // guarantee. Over the same unequal layouts, Q′ (one vector) and the residual
 // (one vector per survey, with chosen IDs) fill every wanted selection with
@@ -467,9 +521,10 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 	}
 }
 
-// rowwiseStage is the fused stage as it was before class vectors: row-wise
-// Classifier.Classify inside the tuple-outer, query-inner loop. It is the
-// reference the block-classifying MapSplit must equal emission for emission.
+// rowwiseStage is the fused stage without class vectors, blocks or pooled
+// scratch: row-wise Classifier.Classify into one match list per (query,
+// stratum), then the same draw per key in the same order. It is the reference
+// the block-classifying MapSplit must equal emission for emission.
 type rowwiseStage struct {
 	queries []*query.SSD
 	classes []*predicate.Classifier
@@ -477,44 +532,35 @@ type rowwiseStage struct {
 }
 
 func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches int64) {
-	reservoirs := make([][]*sampling.Reservoir[int32], len(s.queries))
+	lists := make([][][]int32, len(s.queries))
 	for qi, q := range s.queries {
-		reservoirs[qi] = make([]*sampling.Reservoir[int32], len(q.Strata))
+		lists[qi] = make([][]int32, len(q.Strata))
 	}
-	checkExclude := len(s.exclude) > 0
 	for ti := range split {
 		t := &split[ti]
-		if checkExclude {
-			if _, skip := s.exclude[t.ID]; skip {
-				continue
-			}
+		if _, skip := s.exclude[t.ID]; skip {
+			continue
 		}
 		for qi, cls := range s.classes {
-			k := cls.Classify(t)
-			if k < 0 {
-				continue
+			if k := cls.Classify(t); k >= 0 {
+				lists[qi][k] = append(lists[qi][k], int32(ti))
+				matches++
 			}
-			res := reservoirs[qi][k]
-			if res == nil {
-				res = sampling.NewReservoir[int32](s.queries[qi].Strata[k].Freq, ctx.Rand)
-				reservoirs[qi][k] = res
-			}
-			res.Add(int32(ti))
-			matches++
 		}
 	}
-	for qi := range reservoirs {
-		for k, res := range reservoirs[qi] {
-			if res == nil {
+	for qi := range lists {
+		for k, rows := range lists[qi] {
+			if len(rows) == 0 {
 				continue
 			}
-			rows := res.Sample()
-			sample := make([]dataset.Tuple, len(rows))
-			for i, ti := range rows {
+			n := int64(len(rows))
+			drawn, _ := sampling.DrawWithoutReplacement(rows, s.queries[qi].Strata[k].Freq, ctx.Rand)
+			sample := make([]dataset.Tuple, len(drawn))
+			for i, ti := range drawn {
 				sample[i] = split[ti]
 			}
 			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(QSKey{qi, k}, WeightedTuples{Sample: sample, N: res.Seen()})
+			emit(QSKey{qi, k}, WeightedTuples{Sample: sample, N: n})
 		}
 	}
 	return matches

@@ -14,7 +14,7 @@ import (
 // selection a tuple satisfies, is the tuple of its classes under the n
 // queries — what the fused scan computes per block — so the derived query Q′,
 // the residual top-up and the limits L(σ) are that scan with one more step
-// before the reservoirs or counters: look σ(t) up in the job's ordered
+// before the match lists or counters: look σ(t) up in the job's ordered
 // selection list and use its position as the class. Keys stay dense ints, so
 // the jobs shuffle and reduce like MR-MQE and need no codec of their own.
 

@@ -2,10 +2,11 @@
 // algorithms on top of the MapReduce engine:
 //
 //   - MR-SQE (Section 4.2.2, Figure 2): each map task classifies its tuples
-//     by stratum constraint straight into per-stratum reservoir samples
-//     tagged with the size of the set they were drawn from (map and combine
-//     fused into one scan, fused.go), and the reducer applies the
-//     unified-sampler (Algorithm 1) to produce an unbiased final sample.
+//     by stratum constraint and draws a simple random sample of every
+//     stratum it holds, tagged with the size of the set it was drawn from
+//     (map and combine fused into one scan, fused.go), and the reducer
+//     applies the unified-sampler (Algorithm 1) to produce an unbiased final
+//     sample.
 //   - the naive variant (Section 4.2.1, Figure 1), which maps record by
 //     record and shuffles every matching tuple — the baseline that shows
 //     what sampling inside the map task saves.

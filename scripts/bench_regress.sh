@@ -12,7 +12,10 @@
 # barely more allocations, so bytes, not counts, are what a regression there
 # would move. The classification kernel under that pass
 # (BenchmarkClassifyColumns) is gated at 0 allocs/op: its scratch is the
-# caller's. One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
+# caller's. One map task of that pass (BenchmarkFusedMapSplit) is gated at the
+# one allocation per emitted key it needs, the sample: its match lists live in
+# the scan pool, so a list reallocated per pass reads as twenty more per key.
+# One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
 # explain why in the commit) with:
@@ -40,6 +43,7 @@ run() { # pkg bench-regex [bytes [benchtime]]: prints "name allocs/op [B/op]"
   # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).
   run ./internal/serve/ 'BenchmarkServePass$' bytes 5x
   run ./internal/predicate/ 'BenchmarkClassifyColumns'
+  run ./internal/stratified/ 'BenchmarkFusedMapSplit'
   run ./internal/cps/ 'BenchmarkCPSRun$'
 } >"$out"
 
