@@ -229,7 +229,7 @@ func BenchmarkUniform(b *testing.B) {
 }
 
 // BenchmarkAblationCombiner compares the naive Figure 1 program — the
-// per-record mapper, every matching tuple shuffled — against the Figure 2
+// forwarding stage, every matching tuple shuffled — against the Figure 2
 // program as the engine runs it, map and combine fused into one
 // classify-and-sample scan per split: same answers in distribution,
 // radically different shuffle volume, and no emission stream on the fused

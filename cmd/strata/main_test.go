@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,6 +35,53 @@ func TestCmdSample(t *testing.T) {
 	}
 	if err := cmdSample([]string{"-n", "100", "-query", "nop < 10 : 1 ; nop < 20 : 1"}); err == nil {
 		t.Fatal("want overlap validation error")
+	}
+}
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return <-out
+}
+
+// TestCmdSampleGolden: `strata sample`, sampling inside the map tasks
+// (Figure 2) and forwarding every match (-naive, Figure 1), prints the bytes
+// the binary printed before the split-level stage became the engine's only
+// map interface — the answers and the metrics line with its simulated time.
+// The golden files were captured from that binary; regenerate them only with
+// a change that means to move draws or the cost model.
+func TestCmdSampleGolden(t *testing.T) {
+	args := []string{"-n", "20000", "-seed", "7", "-slaves", "8", "-splits", "16", "-layout", "skewed",
+		"-query", "nop >= 100 : 5 ; nop < 100 and fy < 2000 : 10 ; nop < 100 and fy >= 2000 : 4"}
+	for golden, extra := range map[string][]string{
+		"sample_fused.golden": nil,
+		"sample_naive.golden": {"-naive"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := captureStdout(t, func() error { return cmdSample(append(args[:len(args):len(args)], extra...)) })
+		if got != string(want) {
+			t.Errorf("%s: output moved\n--- got\n%s--- want\n%s", golden, got, want)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func cmdSample(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	slaves := fs.Int("slaves", 4, "cluster slaves")
 	numSplits := fs.Int("splits", 0, "partition splits (0 = max(2*slaves, 2*GOMAXPROCS); must match a daemon's -splits for identical answers)")
-	naive := fs.Bool("naive", false, "map record by record and shuffle every matching tuple (Figure 1) instead of sampling inside each map task (Figure 2)")
+	naive := fs.Bool("naive", false, "forward every matching tuple to the shuffle (Figure 1) instead of sampling inside each map task (Figure 2)")
 	layout := fs.String("layout", "contiguous", "data layout across machines: round-robin, contiguous, skewed, shuffled-contiguous")
 	spec := fs.String("query", "nop >= 100 : 5 ; nop < 100 : 10",
 		"SSD query: \"cond : freq ; cond : freq ; ...\"")

@@ -258,7 +258,7 @@ func (t *Tracker) Snapshot() ProgressReport {
 			total := j.totalFor(phase)
 			if !seen {
 				if total == 0 || phase == mapreduce.PhaseCombine {
-					// Unknown totals, or a combiner the job may not have:
+					// Unknown totals, or a job whose stage combines nothing:
 					// only report phases that produced spans.
 					continue
 				}

@@ -11,16 +11,25 @@ import (
 	"repro/internal/stratified"
 )
 
-// gatedJob is a tiny identity job whose mappers block on a channel, so a
+// gatedStage forwards (in%2, in) for every record of its split once the gate
+// opens.
+type gatedStage struct{ gate <-chan struct{} }
+
+func (s gatedStage) MapSplit(_ *mapreduce.TaskContext, split []int, emit func(int, int)) (matches, combined int64) {
+	<-s.gate
+	for _, in := range split {
+		emit(in%2, in)
+	}
+	return int64(len(split)), 0
+}
+
+// gatedJob is a tiny identity job whose map tasks block on a channel, so a
 // test can observe the tracker mid-run.
 func gatedJob(gate <-chan struct{}) *mapreduce.Job[int, int, int, int] {
 	return &mapreduce.Job[int, int, int, int]{
-		Name: "gated",
-		Seed: 1,
-		Mapper: mapreduce.MapperFunc[int, int, int](func(_ *mapreduce.TaskContext, in int, emit func(int, int)) {
-			<-gate
-			emit(in%2, in)
-		}),
+		Name:   "gated",
+		Seed:   1,
+		Mapper: gatedStage{gate},
 		Reducer: mapreduce.ReducerFunc[int, int, int](func(_ *mapreduce.TaskContext, _ int, vs []int, emit func(int)) {
 			sum := 0
 			for _, v := range vs {

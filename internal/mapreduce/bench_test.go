@@ -33,13 +33,14 @@ func init() {
 		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
 }
 
-// shuffleHeavyJob emits every record unchanged under a wide key space with
-// no combiner, so nearly all engine time is spent moving, grouping and
-// byte-accounting shuffle pairs rather than in map or reduce user code.
+// shuffleHeavyJob forwards every record unchanged under a wide key space,
+// so nearly all engine time is spent moving, grouping and byte-accounting
+// shuffle pairs rather than in map or reduce user code.
 func shuffleHeavyJob() *Job[int, int, int64, int64] {
 	return &Job[int, int, int64, int64]{
-		Name: "shuffle-heavy",
-		Mapper: MapperFunc[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
+		Name:  "shuffle-heavy",
+		Maker: "test-shuffle-heavy",
+		Mapper: forwardStage[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%997, int64(v))
 		}),
 		Reducer: ReducerFunc[int, int64, int64](func(_ *TaskContext, _ int, vs []int64, emit func(int64)) {
@@ -67,7 +68,6 @@ func benchShuffle(b *testing.B, exec Executor, tr Tracer, rows int) {
 	}
 	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr, Executor: exec}
 	job := shuffleHeavyJob()
-	job.Maker = "test-shuffle-heavy"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,8 +110,9 @@ func BenchmarkShuffleVolume(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine runs a counting job over synthetic splits, measuring
-// engine overhead per record with observability off (nil tracer).
+// BenchmarkEngine runs a counting job — a combining stage, the shape every
+// production pass has — over synthetic splits, measuring engine overhead per
+// record with observability off (nil tracer).
 func BenchmarkEngine(b *testing.B) { benchEngine(b, nil) }
 
 // BenchmarkEngineTraced is BenchmarkEngine with a JSON-lines tracer enabled
@@ -132,23 +133,10 @@ func benchEngine(b *testing.B, tr Tracer) {
 	}
 	job := &Job[int, int, int64, int64]{
 		Name: "mod-count",
-		Mapper: MapperFunc[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
+		Mapper: sumStage[int, int]{fn: func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%64, 1)
-		}),
-		Combiner: CombinerFunc[int, int64](func(_ *TaskContext, _ int, vs []int64, emit func(int64)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(sum)
-		}),
-		Reducer: ReducerFunc[int, int64, int64](func(_ *TaskContext, _ int, vs []int64, emit func(int64)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(sum)
-		}),
+		}},
+		Reducer:   sumReducer(func(_ int, n int64) int64 { return n }),
 		KeyString: func(k int) string { return strconv.Itoa(k) },
 	}
 	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr}

@@ -1,7 +1,7 @@
 // Package mapreduce implements a MapReduce engine with the semantics the
-// paper's algorithms rely on: a map phase over input splits, an optional
-// per-map-task combiner, a hash-partitioned shuffle with byte accounting, and
-// a reduce phase. Tasks run concurrently on goroutines, or — with an Executor
+// paper's algorithms rely on: a map phase over input splits, with per-task
+// combining inside the map stage, a hash-partitioned shuffle with byte
+// accounting, and a reduce phase. Tasks run concurrently on goroutines, or — with an Executor
 // on the Cluster — on worker processes.
 //
 // # Execution model
@@ -16,12 +16,14 @@
 // between workers). Scheduling, metric folding, fault charging and span
 // emission exist once, in the loop.
 //
-// A job may replace mapper + combiner with one fused whole-split stage
-// (BatchMapper) that aggregates in place and emits only what is shuffled; the
-// sampling jobs do, drawing each key's intermediate sample from its match
-// list once the split is scanned, so a task costs min(k, n) RNG draws per key
-// instead of one per tuple. Output is byte-identical to a serial run on every
-// backend.
+// A job's map stage is one whole-split call (Mapper.MapSplit) and the only
+// map interface: a stage either forwards every match to the shuffle or
+// aggregates in place and emits only what is shuffled, and reports both
+// counts so metrics and the cost model read as for a mapper with or without a
+// combiner. The sampling jobs combine, drawing each key's intermediate sample
+// from its match list once the split is scanned, so a task costs min(k, n)
+// RNG draws per key instead of one per tuple. Output is byte-identical to a
+// serial run on every backend.
 //
 // # Virtual clock
 //
@@ -37,7 +39,8 @@
 // # Observability
 //
 // A Tracer installed on the Cluster receives one Span per task attempt
-// (fault re-executions included), combine, shuffle leg and job, carrying
+// (fault re-executions included), combine (of a job that combined anything),
+// shuffle leg and job, carrying
 // wall and simulated durations plus record/byte counts; implementations
 // include an in-memory collector and a JSON-lines sink that `strata trace`
 // renders into a per-phase timeline. Metrics carries per-phase Histograms

@@ -20,9 +20,9 @@ type Result[O any] struct {
 
 // keyGroups accumulates values per key in first-seen key order with one map
 // lookup per record: the map stores only an index into the parallel slices,
-// so the per-record path is a read-probe plus a slice append (no map write
-// after a key's first record). This is the grouping structure of both the
-// map-side combine input and the reduce-side shuffle output.
+// so a record costs a read-probe plus a slice append (no map write after a
+// key's first record). This is the grouping structure of the reduce-side
+// shuffle output.
 type keyGroups[K comparable, V any] struct {
 	index    map[K]int
 	keyOrder []K
@@ -49,7 +49,7 @@ func (g *keyGroups[K, V]) add(k K, v V) {
 	g.keyOrder = append(g.keyOrder, k)
 	// Start each value list with a little headroom: keys that group at all
 	// usually collect several values, and skipping the 1→2→4 growth steps
-	// measurably cuts allocation churn on the per-record path.
+	// measurably cuts allocation churn.
 	list := make([]V, 1, 4)
 	list[0] = v
 	g.lists = append(g.lists, list)
@@ -182,7 +182,7 @@ func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
 	out.CombineIn, out.CombineOut = run.combineIn, run.combineOut
 	out.custom = run.custom
 	if b.elapsed != nil {
-		out.MapWall, out.CombineWall = run.mapDone-out.start, run.combineDone-run.mapDone
+		out.MapWall = run.done - out.start
 	}
 	for r := range run.buckets {
 		out.sent(bucketApproxSize(run.buckets[r]))
@@ -235,18 +235,19 @@ func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 //
 // Observability: when the cluster carries an enabled Tracer, the engine
 // measures per-task wall times and emits one Span per task attempt (fault
-// re-executions and real worker failures included), per-task combine and
-// shuffle-send spans, per-reducer shuffle-recv and reduce spans, and one job
-// span — all from its serial accounting sections, so span order is
-// deterministic and, under a frozen clock, byte-identical across backends
-// modulo the Span.Worker tag. Histogram and counter collection on Metrics is
+// re-executions and real worker failures included), per-task combine spans
+// (of a job that combined anything; they carry the logical counts and no time
+// of their own) and shuffle-send spans, per-reducer shuffle-recv and reduce
+// spans, and one job span — all from its serial accounting sections, so span
+// order is deterministic and, under a frozen clock, byte-identical across
+// backends modulo the Span.Worker tag. Histogram and counter collection on Metrics is
 // always on; only span assembly and wall-clock reads are gated, which keeps
 // the untraced hot path at its benchmarked speed.
 func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], splits [][]I) (*Result[O], error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Mapper == nil && job.BatchMapper == nil {
+	if job.Mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
 	}
 	if job.Reducer == nil {
@@ -334,7 +335,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		}
 	}
 
-	// ---- Map phase (with per-task combine; buckets stay in the backend) ----
+	// ---- Map phase (buckets stay in the backend) ----
 	// All counters are accumulated per task and folded into Metrics once
 	// after the phase: nothing touches shared counters per record.
 	maps := make([]mapOutcome, len(splits))
@@ -355,6 +356,13 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		}
 	}
 
+	// A job combines when any of its tasks folded matches before the shuffle;
+	// then every task gets a combine span, a matchless one included, so the
+	// job's span tree does not depend on which splits held matches.
+	combines := false
+	for t := range maps {
+		combines = combines || maps[t].CombineIn > 0
+	}
 	mapDurations := make([]time.Duration, len(splits))
 	for t := range maps {
 		m := &maps[t]
@@ -377,23 +385,21 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		met.MapTaskNanos.Observe(int64(mapDurations[t]))
 		if tr != nil {
 			mapDone := m.start + m.MapWall
-			combineDone := mapDone + m.CombineWall
 			emitAttempts(Span{
 				Job: job.Name, Phase: PhaseMap, Task: t, Start: m.start,
 				Records: m.In, Out: m.Out, Worker: m.worker,
 			}, &m.attempt, plan, base, m.MapWall)
 			sent := m.Out
-			if job.combines() {
+			if combines {
 				sent = m.CombineOut
 				tr.Emit(Span{
-					Job: job.Name, Phase: PhaseCombine, Task: t,
-					Start: mapDone, Wall: m.CombineWall,
+					Job: job.Name, Phase: PhaseCombine, Task: t, Start: mapDone,
 					Records: m.CombineIn, Out: m.CombineOut, Worker: m.worker,
 				})
 			}
 			tr.Emit(Span{
 				Job: job.Name, Phase: PhaseShuffleSend, Task: t,
-				Start: combineDone, Wall: m.end - combineDone,
+				Start: mapDone, Wall: m.end - mapDone,
 				Records: sent, Bytes: m.shuffleBytes, Worker: m.worker,
 			})
 		}

@@ -1,12 +1,77 @@
 package mapreduce
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 )
+
+// The engine's test jobs are stages of the paper's two shapes, each built
+// from a per-record function that emits the (key, value) matches of one
+// record.
+
+// forwardStage forwards every match to the shuffle (Figure 1).
+type forwardStage[I any, K comparable, V any] func(ctx *TaskContext, in I, emit func(K, V))
+
+func (fn forwardStage[I, K, V]) MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches, combined int64) {
+	forward := func(k K, v V) {
+		matches++
+		emit(k, v)
+	}
+	for _, in := range split {
+		fn(ctx, in, forward)
+	}
+	return matches, 0
+}
+
+// sumStage combines inside the map task (Figure 2's shape): it sums the
+// matches of each key and emits one (key, sum) pair per key the split held,
+// in key order.
+type sumStage[I any, K cmp.Ordered] struct {
+	fn func(ctx *TaskContext, in I, emit func(K, int64))
+	// observe, when set, names the custom histogram that receives each
+	// emitted key's match count.
+	observe string
+}
+
+func (s sumStage[I, K]) MapSplit(ctx *TaskContext, split []I, emit func(K, int64)) (matches, combined int64) {
+	sums, counts := map[K]int64{}, map[K]int64{}
+	fold := func(k K, v int64) {
+		matches++
+		sums[k] += v
+		counts[k]++
+	}
+	for _, in := range split {
+		s.fn(ctx, in, fold)
+	}
+	keys := make([]K, 0, len(sums))
+	for k := range sums {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if s.observe != "" {
+			ctx.Observe(s.observe, counts[k])
+		}
+		emit(k, sums[k])
+	}
+	return matches, matches
+}
+
+// sumReducer emits wrap(key, sum of the key's values).
+func sumReducer[K comparable, O any](wrap func(K, int64) O) Reducer[K, int64, O] {
+	return ReducerFunc[K, int64, O](func(_ *TaskContext, k K, vs []int64, emit func(O)) {
+		var sum int64
+		for _, v := range vs {
+			sum += v
+		}
+		emit(wrap(k, sum))
+	})
+}
 
 // wordCount is the canonical test job.
 type wcOut struct {
@@ -14,31 +79,23 @@ type wcOut struct {
 	Count int64
 }
 
-func wordCountJob(seed int64, withCombiner bool) *Job[string, string, int64, wcOut] {
-	job := &Job[string, string, int64, wcOut]{
-		Name: "wordcount",
-		Seed: seed,
-		Mapper: MapperFunc[string, string, int64](func(_ *TaskContext, line string, emit func(string, int64)) {
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
-		}),
-		Reducer: ReducerFunc[string, int64, wcOut](func(_ *TaskContext, w string, vs []int64, emit func(wcOut)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(wcOut{w, sum})
-		}),
+func wcWords(_ *TaskContext, line string, emit func(string, int64)) {
+	for _, w := range strings.Fields(line) {
+		emit(w, 1)
 	}
-	if withCombiner {
-		job.Combiner = CombinerFunc[string, int64](func(_ *TaskContext, _ string, vs []int64, emit func(int64)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(sum)
-		})
+}
+
+// wordCountJob counts words with a forwarding stage or, combining, with a
+// summing one.
+func wordCountJob(seed int64, combining bool) *Job[string, string, int64, wcOut] {
+	job := &Job[string, string, int64, wcOut]{
+		Name:    "wordcount",
+		Seed:    seed,
+		Mapper:  forwardStage[string, string, int64](wcWords),
+		Reducer: sumReducer(func(w string, n int64) wcOut { return wcOut{w, n} }),
+	}
+	if combining {
+		job.Mapper = sumStage[string, string]{fn: wcWords}
 	}
 	return job
 }
@@ -111,12 +168,13 @@ func TestMetricsCounters(t *testing.T) {
 }
 
 func TestDeterministicAcrossParallelism(t *testing.T) {
-	// A reducer that consumes randomness: sampling one value per key.
+	// A stage and a reducer that consume randomness: a random value per
+	// match, and one of them sampled per key.
 	mkJob := func() *Job[string, string, int64, wcOut] {
 		return &Job[string, string, int64, wcOut]{
 			Name: "pick",
 			Seed: 42,
-			Mapper: MapperFunc[string, string, int64](func(ctx *TaskContext, line string, emit func(string, int64)) {
+			Mapper: forwardStage[string, string, int64](func(ctx *TaskContext, line string, emit func(string, int64)) {
 				for _, w := range strings.Fields(line) {
 					emit(w, int64(len(w))+ctx.Rand.Int63n(100))
 				}
@@ -254,7 +312,7 @@ func TestTaskContextFields(t *testing.T) {
 	c := NewCluster(1)
 	var phase string
 	job := wordCountJob(1, false)
-	job.Mapper = MapperFunc[string, string, int64](func(ctx *TaskContext, line string, emit func(string, int64)) {
+	job.Mapper = forwardStage[string, string, int64](func(ctx *TaskContext, line string, emit func(string, int64)) {
 		phase = ctx.Phase
 		if ctx.JobName != "wordcount" || ctx.Rand == nil {
 			t.Error("bad task context")
@@ -281,71 +339,78 @@ func TestBadPartitionerPanics(t *testing.T) {
 	_, _ = Run(NewCluster(1), job, wcSplits)
 }
 
-// wcFused is word count with in-mapper combining: one (word, count) pair per
-// distinct word of the split, in sorted word order.
-type wcFused struct{}
-
-func (wcFused) MapSplit(_ *TaskContext, split []string, emit func(string, int64)) (matches int64) {
-	counts := map[string]int64{}
-	for _, line := range split {
-		for _, w := range strings.Fields(line) {
-			counts[w]++
-			matches++
-		}
-	}
-	words := make([]string, 0, len(counts))
-	for w := range counts {
-		words = append(words, w)
-	}
-	sort.Strings(words)
-	for _, w := range words {
-		emit(w, counts[w])
-	}
-	return matches
-}
-
-// TestBatchMapperLogicalCounters: a fused map + combine stage produces the
-// output and reports the counters of the per-record mapper + combiner it
-// stands in for, and the engine never calls the job's Mapper or Combiner.
+// TestBatchMapperLogicalCounters pins the two-count accounting rule, in
+// process and through an executor. A combining stage reads its matches as
+// map-output and combine-input records and its emitted pairs as
+// combine-output and shuffled records, charged to the simulated map time,
+// with one timeless combine span per task carrying the counts; a forwarding
+// stage reads CombineIn = CombineOut = 0, shuffles every match and has no
+// combine span — and neither has a combining job that matched nothing, the
+// one case the counts cannot tell from forwarding. (The test keeps the name
+// it had when the stage interface was called BatchMapper.)
 func TestBatchMapperLogicalCounters(t *testing.T) {
-	want, err := Run(NewCluster(2), wordCountJob(1, true), wcSplits)
-	if err != nil {
-		t.Fatal(err)
+	splits := remoteTestSplits()
+	var records int64
+	for _, split := range splits {
+		records += int64(len(split))
 	}
-	job := wordCountJob(1, false)
-	job.Mapper = MapperFunc[string, string, int64](func(*TaskContext, string, func(string, int64)) {
-		t.Error("per-record Mapper called on a BatchMapper job")
-	})
-	job.BatchMapper = wcFused{}
-	mem := NewMemTracer()
-	c := NewCluster(2)
-	c.Tracer = mem
-	got, err := Run(c, job, wcSplits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sortedWC(got.Output), sortedWC(want.Output)) {
-		t.Errorf("fused output %v, want %v", sortedWC(got.Output), sortedWC(want.Output))
-	}
-	g, w := got.Metrics, want.Metrics
-	if g.MapInputRecords != w.MapInputRecords || g.MapOutputRecords != w.MapOutputRecords ||
-		g.CombineInputRecs != w.CombineInputRecs || g.CombineOutputRecs != w.CombineOutputRecs ||
-		g.ShuffleRecords != w.ShuffleRecords || g.SimulatedMap != w.SimulatedMap {
-		t.Errorf("fused counters %+v\nwant %+v", g, w)
-	}
-	// The combine span survives as the carrier of the logical counts, with
-	// no time of its own.
-	var combines int
-	for _, s := range mem.Spans() {
-		if s.Phase == PhaseCombine {
-			combines++
-			if s.Wall != 0 {
-				t.Errorf("fused task %d has a combine span of %v, want empty", s.Task, s.Wall)
+	// Every split holds all 53 residues the combining job keys by.
+	pairs := int64(53 * len(splits))
+	for _, c := range []struct {
+		name                                    string
+		job                                     *Job[int, int, int64, int64]
+		splits                                  [][]int
+		records, combineIn, combineOut, shuffle int64
+		combineSpans                            int
+	}{
+		{"combining", portableJob(1), splits, records, records, pairs, pairs, len(splits)},
+		{"forwarding", shuffleHeavyJob(), splits, records, 0, 0, records, 0},
+		{"combining nothing", portableJob(1), [][]int{{}, {}}, 0, 0, 0, 0, 0},
+	} {
+		for backend, exec := range map[string]Executor{"inproc": nil, "executor": &InprocExecutor{}} {
+			mem := NewMemTracer()
+			cluster := remoteTestCluster()
+			cluster.Tracer, cluster.Executor = mem, exec
+			res, err := Run(cluster, c.job, c.splits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			if m.MapInputRecords != c.records || m.MapOutputRecords != c.records || m.CombineInputRecs != c.combineIn ||
+				m.CombineOutputRecs != c.combineOut || m.ShuffleRecords != c.shuffle {
+				t.Errorf("%s/%s: map %d -> %d, combine %d -> %d, shuffle %d; want %d -> %d, %d -> %d, %d", c.name, backend,
+					m.MapInputRecords, m.MapOutputRecords, m.CombineInputRecs, m.CombineOutputRecs, m.ShuffleRecords,
+					c.records, c.records, c.combineIn, c.combineOut, c.shuffle)
+			}
+			durations := make([]time.Duration, len(c.splits))
+			for task, split := range c.splits {
+				durations[task] = cluster.Cost.TaskOverhead + time.Duration(len(split))*cluster.Cost.MapPerRecord
+				if c.combineIn > 0 {
+					durations[task] += time.Duration(len(split)) * cluster.Cost.CombinePerRecord
+				}
+			}
+			if want := makespan(durations, cluster.Slots()); m.SimulatedMap != want {
+				t.Errorf("%s/%s: simulated map %v, want %v", c.name, backend, m.SimulatedMap, want)
+			}
+			var combines int
+			var spanIn, spanOut, sent int64
+			for _, s := range mem.Spans() {
+				switch s.Phase {
+				case PhaseCombine:
+					combines++
+					spanIn, spanOut = spanIn+s.Records, spanOut+s.Out
+					if s.Wall != 0 {
+						t.Errorf("%s/%s: task %d has a combine span of %v, want no time of its own", c.name, backend, s.Task, s.Wall)
+					}
+				case PhaseShuffleSend:
+					sent += s.Records
+				}
+			}
+			if combines != c.combineSpans || spanIn != c.combineIn || spanOut != c.combineOut || sent != c.shuffle {
+				t.Errorf("%s/%s: %d combine spans carrying %d -> %d, %d records sent; want %d spans, %d -> %d, %d sent", c.name, backend,
+					combines, spanIn, spanOut, sent, c.combineSpans, c.combineIn, c.combineOut, c.shuffle)
 			}
 		}
-	}
-	if combines != len(wcSplits) {
-		t.Errorf("%d combine spans, want %d", combines, len(wcSplits))
 	}
 }
 
@@ -353,7 +418,7 @@ func TestBatchMapperLogicalCounters(t *testing.T) {
 // goroutines is re-raised where the caller of Run can recover it.
 func TestTaskPanicReachesCaller(t *testing.T) {
 	job := wordCountJob(1, false)
-	job.Mapper = MapperFunc[string, string, int64](func(_ *TaskContext, line string, _ func(string, int64)) {
+	job.Mapper = forwardStage[string, string, int64](func(_ *TaskContext, line string, _ func(string, int64)) {
 		if line == "c" {
 			panic("bad record")
 		}

@@ -15,8 +15,8 @@ type TaskSpec struct {
 	Job string
 	// Maker names the job factory registered with RegisterJobMaker; Config
 	// is its serialized argument. Together they make the job portable: a
-	// worker that links the same registrations rebuilds mapper, combiner,
-	// reducer, partitioner and key renderer from them.
+	// worker that links the same registrations rebuilds map stage, reducer,
+	// partitioner and key renderer from them.
 	Maker  string
 	Config []byte
 	// Phase is "map" or "reduce".
@@ -97,7 +97,8 @@ type TaskCounters struct {
 	// In, Out count task input and output records. For reduce attempts In
 	// is the shuffled record count and Groups the distinct keys reduced.
 	In, Out int64
-	// CombineIn, CombineOut count the combiner's records on map attempts.
+	// CombineIn, CombineOut count the matches a map attempt folded before
+	// the shuffle and the pairs it emitted for them (Mapper).
 	CombineIn, CombineOut int64
 	// Groups is the number of distinct keys a reduce attempt processed.
 	Groups int64
@@ -107,9 +108,9 @@ type TaskCounters struct {
 	// to an in-process run; the wire bytes the worker edge actually carried
 	// travel in TaskResult.DirectBytes.
 	BucketSizes []int64
-	// MapWall and CombineWall are worker-measured stage durations (zero
-	// under a frozen clock).
-	MapWall, CombineWall time.Duration
+	// MapWall is the worker-measured duration of the map stage (zero under
+	// a frozen clock).
+	MapWall time.Duration
 	// RecvWall is the time a direct-path reduce attempt spent waiting for
 	// peer-delivered buckets (zero under a frozen clock, and on the routed
 	// path where the coordinator measures the receive itself).

@@ -19,23 +19,15 @@ import (
 // in-process engine.
 
 // remoteModCountJob is a portable test job exercising every seam the
-// backends must agree on: a combiner (canonical combine order), a custom
-// KeyString, per-key reducer randomness (per-key reseeding), and Observe
-// (custom histogram transport).
+// backends must agree on: a combining stage (the two logical counts), a
+// custom KeyString, per-key reducer randomness (per-key reseeding), and
+// Observe (custom histogram transport).
 func remoteModCountJob() *Job[int, int, int64, int64] {
 	return &Job[int, int, int64, int64]{
 		Name: "remote-modcount",
-		Mapper: MapperFunc[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
+		Mapper: sumStage[int, int]{observe: "combine_in", fn: func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%53, int64(v))
-		}),
-		Combiner: CombinerFunc[int, int64](func(ctx *TaskContext, _ int, vs []int64, emit func(int64)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			ctx.Observe("combine_in", int64(len(vs)))
-			emit(sum)
-		}),
+		}},
 		Reducer: ReducerFunc[int, int64, int64](func(ctx *TaskContext, k int, vs []int64, emit func(int64)) {
 			var sum int64
 			for _, v := range vs {

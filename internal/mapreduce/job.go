@@ -13,45 +13,24 @@ type Pair[K comparable, V any] struct {
 	Value V
 }
 
-// Mapper transforms one input record into zero or more key-value pairs.
+// Mapper is the map stage of one whole split — the engine's one map
+// interface. One call scans the split and emits the pairs that go to the
+// shuffle; the paper's two map-side programs are its two shapes. A forwarding
+// stage (Figure 1) emits one pair per match and returns (matches, 0). A
+// combining stage (Figure 2) aggregates in place and emits only the
+// aggregates — one ({sample}, N) pair per key it saw — returning
+// (matches, matches): combined counts the matches folded before the shuffle.
+//
+// The two counts are the task's logical counters, the same on every backend:
+// matches are its map-output records, combined its combine-input records and,
+// when combined > 0, the pairs it emitted its combine-output records — so
+// Metrics and the simulated cost model read as for a per-record mapper with
+// or without a combiner behind it. A job whose tasks combined nothing (a
+// forwarding job, or a combining one that matched no record) has no combine
+// spans. A deterministic stage draws randomness only from ctx.Rand and emits
+// keys in a fixed order.
 type Mapper[I any, K comparable, V any] interface {
-	Map(ctx *TaskContext, in I, emit func(K, V))
-}
-
-// MapperFunc adapts a function to the Mapper interface.
-type MapperFunc[I any, K comparable, V any] func(ctx *TaskContext, in I, emit func(K, V))
-
-// Map calls the function.
-func (f MapperFunc[I, K, V]) Map(ctx *TaskContext, in I, emit func(K, V)) { f(ctx, in, emit) }
-
-// BatchMapper is the fused map + combine stage of one whole split: a single
-// scan that classifies every record and aggregates in place, emitting only
-// the pairs that go to the shuffle (in-mapper combining — the per-task
-// (sample, N) pairs of the paper's Figure 2 without the Figure 1 emission
-// stream in between). It returns the number of (key, record) matches the scan
-// found — what a per-record Mapper would have emitted — and the engine
-// accounts those logical counts: matches are the task's map-output and
-// combine-input records, emitted pairs its combine-output records, so
-// Metrics and the simulated cost model read as for Mapper + Combiner. A
-// deterministic stage draws randomness only from ctx.Rand and emits keys in a
-// fixed order.
-type BatchMapper[I any, K comparable, V any] interface {
-	MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches int64)
-}
-
-// Combiner performs a partial, per-map-task aggregation of the values of one
-// key before they are shuffled, as in Hadoop: its output value type equals
-// its input value type.
-type Combiner[K comparable, V any] interface {
-	Combine(ctx *TaskContext, key K, values []V, emit func(V))
-}
-
-// CombinerFunc adapts a function to the Combiner interface.
-type CombinerFunc[K comparable, V any] func(ctx *TaskContext, key K, values []V, emit func(V))
-
-// Combine calls the function.
-func (f CombinerFunc[K, V]) Combine(ctx *TaskContext, key K, values []V, emit func(V)) {
-	f(ctx, key, values, emit)
+	MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches, combined int64)
 }
 
 // Reducer merges all values of one key into zero or more output records.
@@ -67,20 +46,13 @@ func (f ReducerFunc[K, V, O]) Reduce(ctx *TaskContext, key K, values []V, emit f
 	f(ctx, key, values, emit)
 }
 
-// Job describes one MapReduce program. A Mapper or a BatchMapper, and a
-// Reducer, are required; Combiner, Partition, KeyString and NumReducers have
-// sensible defaults.
+// Job describes one MapReduce program. A Mapper and a Reducer are required;
+// Partition, KeyString and NumReducers have sensible defaults.
 type Job[I any, K comparable, V any, O any] struct {
 	// Name labels the job in metrics and errors.
 	Name string
-	// Mapper processes each input record of each split.
+	// Mapper runs the map stage: one call per split.
 	Mapper Mapper[I, K, V]
-	// BatchMapper, when non-nil, runs the map stage in place of Mapper and
-	// Combiner: one fused map + combine call per split.
-	BatchMapper BatchMapper[I, K, V]
-	// Combiner, when non-nil, aggregates map output per task before the
-	// shuffle.
-	Combiner Combiner[K, V]
 	// Reducer merges the values of each key.
 	Reducer Reducer[K, V, O]
 	// NumReducers is the number of reduce tasks (default: the cluster's
@@ -104,10 +76,6 @@ type Job[I any, K comparable, V any, O any] struct {
 	Config []byte
 }
 
-// combines reports whether map tasks aggregate before the shuffle, through a
-// Combiner or inside a BatchMapper.
-func (j *Job[I, K, V, O]) combines() bool { return j.Combiner != nil || j.BatchMapper != nil }
-
 func (j *Job[I, K, V, O]) keyString(k K) string {
 	if j.KeyString != nil {
 		return j.KeyString(k)
@@ -116,13 +84,6 @@ func (j *Job[I, K, V, O]) keyString(k K) string {
 }
 
 func (j *Job[I, K, V, O]) partition(k K, n int) int {
-	return j.partitionByName(k, j.keyString(k), n)
-}
-
-// partitionByName is partition with the key's canonical string already
-// computed, so callers that need the name anyway (combine ordering, reduce
-// seeding) render each key only once.
-func (j *Job[I, K, V, O]) partitionByName(k K, name string, n int) int {
 	if j.Partition != nil {
 		p := j.Partition(k, n)
 		if p < 0 || p >= n {
@@ -131,11 +92,11 @@ func (j *Job[I, K, V, O]) partitionByName(k K, name string, n int) int {
 		return p
 	}
 	h := fnv.New32a()
-	h.Write([]byte(name))
+	h.Write([]byte(j.keyString(k)))
 	return int(h.Sum32() % uint32(n))
 }
 
-// TaskContext carries per-task state into user map, combine and reduce code:
+// TaskContext carries per-task state into user map and reduce code:
 // a deterministic random source, the task's identity, and an Observe hook
 // feeding the job's custom histograms.
 type TaskContext struct {
@@ -144,7 +105,7 @@ type TaskContext struct {
 	Rand *rand.Rand
 	// JobName is the name of the running job.
 	JobName string
-	// Phase is "map", "combine" or "reduce".
+	// Phase is "map" or "reduce".
 	Phase string
 	// Task is the map-task index, or the reduce-task index.
 	Task int
@@ -155,9 +116,9 @@ type TaskContext struct {
 }
 
 // Observe records one value into the job's custom histogram named name,
-// surfaced after the run as Metrics.Custom[name]. The stratified combiner
-// uses it for intermediate reservoir sizes ("reservoir_size"); any map,
-// combine or reduce code may add its own series. Observations are folded
+// surfaced after the run as Metrics.Custom[name]. The stratified sampling
+// stage uses it for intermediate sample sizes ("reservoir_size"); any map or
+// reduce code may add its own series. Observations are folded
 // deterministically, and the call is a no-op outside an engine-run task.
 // It is intended for per-key or per-task observations, not per-record ones.
 func (ctx *TaskContext) Observe(name string, v int64) {

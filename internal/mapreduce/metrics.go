@@ -54,7 +54,7 @@ type Metrics struct {
 	BucketBytes Histogram
 
 	// Custom holds histograms observed by user code through
-	// TaskContext.Observe — e.g. the stratified combiner's
+	// TaskContext.Observe — e.g. the stratified map stage's
 	// "reservoir_size" distribution of intermediate-sample sizes. Nil when
 	// nothing was observed.
 	Custom map[string]*Histogram

@@ -11,7 +11,7 @@ func pipelineStressJob() *Job[int, int, int64, Pair[int, int64]] {
 		Name:  "pipeline-stress",
 		Maker: "test-pipeline-stress",
 		Seed:  42,
-		Mapper: MapperFunc[int, int, int64](func(ctx *TaskContext, v int, emit func(int, int64)) {
+		Mapper: forwardStage[int, int, int64](func(ctx *TaskContext, v int, emit func(int, int64)) {
 			// Draw from the task RNG so determinism depends on correct
 			// per-task seeding, not just on pure data flow.
 			emit(v%101, int64(v)+ctx.Rand.Int63n(3))

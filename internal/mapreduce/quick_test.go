@@ -8,11 +8,11 @@ import (
 )
 
 // TestQuickCountingInvariant is a property test over the whole engine: for
-// random inputs, random split boundaries, random cluster sizes and an
-// optional combiner, a counting job always returns exactly the input
-// multiset's counts.
+// random inputs, random split boundaries, random cluster sizes and either
+// stage shape (forwarding or combining), a counting job always returns
+// exactly the input multiset's counts.
 func TestQuickCountingInvariant(t *testing.T) {
-	f := func(seed int64, slavesRaw, splitsRaw uint8, withCombiner bool) bool {
+	f := func(seed int64, slavesRaw, splitsRaw uint8, combining bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		slaves := int(slavesRaw)%6 + 1
 		numSplits := int(splitsRaw)%7 + 1
@@ -37,29 +37,16 @@ func TestQuickCountingInvariant(t *testing.T) {
 			start = end
 		}
 
+		one := func(_ *TaskContext, v int, emit func(int, int64)) { emit(v, 1) }
 		job := &Job[int, int, int64, wcOut]{
-			Name: "quick-count",
-			Seed: seed,
-			Mapper: MapperFunc[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
-				emit(v, 1)
-			}),
-			Reducer: ReducerFunc[int, int64, wcOut](func(_ *TaskContext, k int, vs []int64, emit func(wcOut)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(wcOut{strconv.Itoa(k), sum})
-			}),
+			Name:      "quick-count",
+			Seed:      seed,
+			Mapper:    forwardStage[int, int, int64](one),
+			Reducer:   sumReducer(func(k int, n int64) wcOut { return wcOut{strconv.Itoa(k), n} }),
 			KeyString: func(k int) string { return strconv.Itoa(k) },
 		}
-		if withCombiner {
-			job.Combiner = CombinerFunc[int, int64](func(_ *TaskContext, _ int, vs []int64, emit func(int64)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(sum)
-			})
+		if combining {
+			job.Mapper = sumStage[int, int]{fn: one}
 		}
 		cluster := &Cluster{Slaves: slaves, SlotsPerSlave: 1, Cost: ZeroCostModel()}
 		res, err := Run(cluster, job, splits)

@@ -59,9 +59,9 @@ var registry = struct {
 // from its serialized config. It panics on duplicate names.
 //
 // The factory receives the TaskSpec's Config bytes and must deterministically
-// rebuild the job: mapper, combiner, reducer, Partition and KeyString all
-// included. Name and Seed are overridden from the spec, so the factory need
-// not set them.
+// rebuild the job: map stage, reducer, Partition and KeyString all included.
+// Name and Seed are overridden from the spec, so the factory need not set
+// them.
 func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func(config []byte) (*Job[I, K, V, O], error)) {
 	registry.Lock()
 	defer registry.Unlock()
@@ -169,8 +169,7 @@ func (jr *jobRunner[I, K, V, O]) runMap(spec *TaskSpec) (*TaskResult, error) {
 			In: run.in, Out: run.out,
 			CombineIn: run.combineIn, CombineOut: run.combineOut,
 			BucketSizes: make([]int64, len(run.buckets)),
-			MapWall:     run.mapDone,
-			CombineWall: run.combineDone - run.mapDone,
+			MapWall:     run.done,
 		},
 		Custom: run.custom,
 	}

@@ -35,8 +35,9 @@ func TestTaskRandPinned(t *testing.T) {
 			t.Errorf("seed %d: Uint64 after reseed = %d, pinned %d", c.seed, got, c.u64)
 		}
 	}
-	if got, want := taskSeed(1, "combine", "0"), int64(1815893758193289233); got != want {
-		t.Errorf("taskSeed(1, combine, 0) = %d, pinned %d", got, want)
+	// The seed of map task 0's stream, the only one a map task has.
+	if got, want := taskSeed(1, mapStream, "0"), int64(1815893758193289233); got != want {
+		t.Errorf("taskSeed(1, %s, 0) = %d, pinned %d", mapStream, got, want)
 	}
 }
 
@@ -47,8 +48,7 @@ func TestTaskStreamsDistinct(t *testing.T) {
 	for jobSeed := int64(0); jobSeed < 4; jobSeed++ {
 		for i := 0; i < 256; i++ {
 			for _, id := range [][2]string{
-				{"combine", strconv.Itoa(i)},
-				{"map", strconv.Itoa(i)},
+				{mapStream, strconv.Itoa(i)},
 				{"reduce", "q" + strconv.Itoa(i/8) + "/s" + strconv.Itoa(i%8)},
 			} {
 				name := strconv.FormatInt(jobSeed, 10) + "/" + id[0] + "/" + id[1]

@@ -8,113 +8,49 @@ import (
 // This file holds the backend-independent task cores. The in-process engine
 // (engine.go) and remote workers (via the registry in registry.go) both
 // execute map and reduce attempts through these functions; sharing the
-// implementation — same seeding, same combine ordering, same partitioning,
-// same per-key reduce RNG — is what keeps job output byte-identical across
-// execution backends.
+// implementation — same seeding, same partitioning, same per-key reduce RNG —
+// is what keeps job output byte-identical across execution backends.
 
 // mapTaskRun is everything one map-task execution produced: per-reducer
 // buckets, counters, custom histograms, and — when a clock was supplied —
-// the offsets at which the map and combine stages finished.
+// the offset at which the stage returned.
 type mapTaskRun[K comparable, V any] struct {
 	buckets                        [][]Pair[K, V]
 	in, out, combineIn, combineOut int64
 	custom                         map[string]*Histogram
-	mapDone, combineDone           time.Duration
+	done                           time.Duration
 }
 
-// execMapTask runs the map (and optional combine) stage of one task over its
-// split and partitions the output into per-reducer buckets. elapsed supplies
-// stage-boundary timestamps for tracing and may be nil when nobody is
+// mapStream names the random stream of a map task in its seed. The name dates
+// from when the combiner was the map-side call that drew; changing it would
+// move every sample of every seed.
+const mapStream = "combine"
+
+// execMapTask runs the map stage of one task over its split: one MapSplit
+// call whose emissions go straight into the per-reducer buckets, and whose
+// two counts become the task's logical counters (Mapper). elapsed supplies
+// the stage-boundary timestamp for tracing and may be nil when nobody is
 // watching (untraced runs, or remote attempts under a frozen clock).
 func execMapTask[I any, K comparable, V any, O any](
 	job *Job[I, K, V, O], seed int64, split []I, task, numReducers int,
 	elapsed func() time.Duration,
 ) mapTaskRun[K, V] {
-	if job.BatchMapper != nil {
-		return execFusedTask(job, seed, split, task, numReducers, elapsed)
-	}
 	var run mapTaskRun[K, V]
-	id := strconv.Itoa(task)
-	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, "map", id))
-	ctx.observe = histObserver(&run.custom)
-	// Buffer map output per key, preserving key first-seen order for
-	// deterministic combiner invocation order.
-	groups := newKeyGroups[K, V](len(split))
-	emit := func(k K, v V) {
-		groups.add(k, v)
-		run.out++
-	}
-	for i := range split {
-		run.in++
-		job.Mapper.Map(ctx, split[i], emit)
-	}
-	if elapsed != nil {
-		run.mapDone = elapsed()
-	}
-
-	buckets := make([][]Pair[K, V], numReducers)
-	// Pre-cap each bucket near its expected share of this task's pairs so the
-	// per-pair append path rarely grows: combiners typically emit about one
-	// pair per key, the plain path forwards every map output.
-	bucketCap := len(groups.keyOrder)/numReducers + 1
-	if job.Combiner == nil {
-		bucketCap = int(run.out)/numReducers + 1
-	}
-	for r := range buckets {
-		buckets[r] = make([]Pair[K, V], 0, bucketCap)
-	}
-	if job.Combiner != nil {
-		// Deterministic combine order: sort keys canonically so the task RNG
-		// consumption is independent of map emission order.
-		names := groups.sortByName(job.keyString)
-		cctx := newTaskContext(job.Name, "combine", task, taskSeed(seed, "combine", id))
-		cctx.observe = ctx.observe
-		for i, k := range groups.keyOrder {
-			vs := groups.lists[i]
-			run.combineIn += int64(len(vs))
-			p := job.partitionByName(k, names[i], numReducers)
-			job.Combiner.Combine(cctx, k, vs, func(v V) {
-				run.combineOut++
-				buckets[p] = append(buckets[p], Pair[K, V]{k, v})
-			})
-		}
-	} else {
-		for i, k := range groups.keyOrder {
-			p := job.partition(k, numReducers)
-			for _, v := range groups.lists[i] {
-				buckets[p] = append(buckets[p], Pair[K, V]{k, v})
-			}
-		}
-	}
-	if elapsed != nil {
-		run.combineDone = elapsed()
-	}
-	run.buckets = buckets
-	return run
-}
-
-// execFusedTask runs a BatchMapper job's map task: one fused map + combine
-// call whose emissions go straight into the per-reducer buckets — no group
-// table, no separate combine stage (its span is empty). The stage draws from
-// the task's combine stream, the only random stream of such a task.
-func execFusedTask[I any, K comparable, V any, O any](
-	job *Job[I, K, V, O], seed int64, split []I, task, numReducers int,
-	elapsed func() time.Duration,
-) mapTaskRun[K, V] {
-	var run mapTaskRun[K, V]
-	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, "combine", strconv.Itoa(task)))
+	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, mapStream, strconv.Itoa(task)))
 	ctx.observe = histObserver(&run.custom)
 	run.buckets = make([][]Pair[K, V], numReducers)
 	run.in = int64(len(split))
-	run.out = job.BatchMapper.MapSplit(ctx, split, func(k K, v V) {
-		run.combineOut++
+	var emitted int64
+	run.out, run.combineIn = job.Mapper.MapSplit(ctx, split, func(k K, v V) {
+		emitted++
 		p := job.partition(k, numReducers)
 		run.buckets[p] = append(run.buckets[p], Pair[K, V]{k, v})
 	})
-	run.combineIn = run.out
+	if run.combineIn > 0 {
+		run.combineOut = emitted
+	}
 	if elapsed != nil {
-		run.mapDone = elapsed()
-		run.combineDone = run.mapDone
+		run.done = elapsed()
 	}
 	return run
 }

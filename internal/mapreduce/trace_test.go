@@ -170,11 +170,7 @@ func TestPerKeyMetrics(t *testing.T) {
 // histograms on Metrics.Custom, folded across tasks.
 func TestObserveFeedsCustomHistograms(t *testing.T) {
 	job := wordCountJob(1, true)
-	base := job.Combiner
-	job.Combiner = CombinerFunc[string, int64](func(ctx *TaskContext, k string, vs []int64, emit func(int64)) {
-		ctx.Observe("combine_group_size", int64(len(vs)))
-		base.Combine(ctx, k, vs, emit)
-	})
+	job.Mapper = sumStage[string, string]{fn: wcWords, observe: "combine_group_size"}
 	res, err := Run(NewCluster(3), job, wcSplits)
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +212,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	c := tracedCluster(NewMemTracer())
 	c.Faults = &FaultModel{TaskFailureProb: 0.3, Seed: 7}
 	job := wordCountJob(4, true)
-	base := job.Combiner
-	job.Combiner = CombinerFunc[string, int64](func(ctx *TaskContext, k string, vs []int64, emit func(int64)) {
-		ctx.Observe("reservoir_size", int64(len(vs)))
-		base.Combine(ctx, k, vs, emit)
-	})
+	job.Mapper = sumStage[string, string]{fn: wcWords, observe: "reservoir_size"}
 	res, err := Run(c, job, wcSplits)
 	if err != nil {
 		t.Fatal(err)

@@ -361,7 +361,6 @@ func AppendTaskResult(buf []byte, t *TaskResult) []byte {
 		buf = wire.AppendVarint(buf, v)
 	}
 	buf = wire.AppendVarint(buf, int64(c.MapWall))
-	buf = wire.AppendVarint(buf, int64(c.CombineWall))
 	buf = wire.AppendVarint(buf, int64(c.RecvWall))
 	buf = wire.AppendUvarint(buf, uint64(len(t.Custom)))
 	for _, name := range sortedKeys(t.Custom) {
@@ -422,7 +421,6 @@ func ReadTaskResult(r *wire.Reader) (*TaskResult, error) {
 		}
 	}
 	c.MapWall = time.Duration(r.Varint())
-	c.CombineWall = time.Duration(r.Varint())
 	c.RecvWall = time.Duration(r.Varint())
 	if n := r.Count(5); n > 0 {
 		t.Custom = make(map[string]*Histogram, n)

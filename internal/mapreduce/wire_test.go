@@ -38,7 +38,7 @@ func sampleResult() *TaskResult {
 		Counters: TaskCounters{
 			In: 10, Out: 5, CombineIn: 10, CombineOut: 5, Groups: 2,
 			BucketSizes: []int64{100, -1},
-			MapWall:     2 * time.Second, CombineWall: time.Millisecond, RecvWall: time.Minute,
+			MapWall:     2 * time.Second, RecvWall: time.Minute,
 		},
 		Custom:         map[string]*Histogram{"reservoir_size": h},
 		PerKey:         map[string]KeyStats{"s000000": {Records: 5, Output: 1}},

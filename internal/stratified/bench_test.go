@@ -52,7 +52,7 @@ func BenchmarkFusedMapSplit(b *testing.B) {
 		ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(1))}
 		pass := func() {
 			emitted := 0
-			matches := stage.MapSplit(ctx, split, func(QSKey, WeightedTuples) { emitted++ })
+			matches, _ := stage.MapSplit(ctx, split, func(QSKey, WeightedTuples) { emitted++ })
 			if matches != int64(len(queries)*len(split)) || emitted != len(queries)*len(queries[0].Strata) {
 				b.Fatalf("%d matches, %d emissions", matches, emitted)
 			}

@@ -10,15 +10,16 @@ import (
 	"repro/internal/stats"
 )
 
-// runCombiner invokes the package's combine function directly with crafted
-// weighted inputs — covering the already-subsampled merge branch the normal
-// engine path never reaches (its combiner inputs are always singletons).
+// runCombiner invokes the reference combine function (fused_test.go) directly
+// with crafted weighted inputs — covering the already-subsampled merge branch
+// its map stage never reaches (a combiner's inputs there are always
+// singletons).
 func runCombiner(t *testing.T, vs []WeightedTuples, freq int, seed int64) WeightedTuples {
 	t.Helper()
 	c := combiner(func(int) int { return freq })
-	ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed)), Phase: "combine"}
+	ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed))}
 	var out []WeightedTuples
-	c.Combine(ctx, 0, vs, func(w WeightedTuples) { out = append(out, w) })
+	c(ctx, 0, vs, func(w WeightedTuples) { out = append(out, w) })
 	if len(out) != 1 {
 		t.Fatalf("combiner emitted %d outputs, want 1", len(out))
 	}

@@ -44,7 +44,7 @@ func stratumFreqs(queries []*query.SSD) [][]int {
 	return freqs
 }
 
-func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches int64) {
+func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
 	lists := sc.matchLists(s.freqs)
@@ -76,7 +76,30 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			emit(QSKey{v, k}, WeightedTuples{Sample: sample, N: int64(len(rows))})
 		}
 	}
-	return matches
+	return matches, matches
+}
+
+// naiveStage is the map stage of the Figure 1 baseline: the same scan, with
+// every match forwarded to the shuffle as a singleton — rows outer, vectors
+// inner, the order a per-record mapper emits in — and nothing combined.
+type naiveStage struct{ splitScan }
+
+func (s *naiveStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
+	sc := scanPool.Get().(*classScan)
+	defer sc.release()
+	for lo := 0; lo < len(split); lo += scanBlock {
+		hi := min(lo+scanBlock, len(split))
+		classes := s.classify(sc, ctx.Task, split, lo, hi)
+		for i := lo; i < hi; i++ {
+			for v, class := range classes {
+				if k := class[i-lo]; k >= 0 {
+					emit(QSKey{v, int(k)}, sampling.Singleton(split[i]))
+					matches++
+				}
+			}
+		}
+	}
+	return matches, 0
 }
 
 // countStage is the fused stage with a counter per class in place of a
@@ -87,7 +110,7 @@ type countStage struct {
 	classes int
 }
 
-func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches int64) {
+func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches, combined int64) {
 	counts := make([]int64, s.classes)
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
@@ -104,7 +127,7 @@ func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			emit(k, n)
 		}
 	}
-	return matches
+	return matches, matches
 }
 
 // splitScan is the classification half of a map task, shared by the sampling

@@ -19,42 +19,84 @@ import (
 // uniform inclusion, the per-record path's logical counters — not the
 // per-record path's random stream. These tests pin exactly that.
 
-// combiner is the Figure 2 combine function of the per-record path the fused
-// stage replaced, kept as the reference the stage's counters are checked
-// against: it locally selects an intermediate sample of capacity freq(key)
-// over the map task's tuples for that key and tags it with the number of
-// tuples it saw, observing each sample's size into "reservoir_size".
-func combiner[K comparable](freq func(K) int) mapreduce.Combiner[K, WeightedTuples] {
-	return mapreduce.CombinerFunc[K, WeightedTuples](
-		func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
-			n := sampling.TotalN(vs)
-			target := freq(k)
-			exhaustive := true
+// perRecord is the per-record map path the engine had before the split-level
+// stage became its only map interface, kept here as the reference the fused
+// stages' counters are checked against: Map runs on every record, the task's
+// map output is grouped by key, and Combine runs once per key in KeyString
+// order — so the task's random stream is consumed independently of the map
+// emission order — its output going to the shuffle.
+type perRecord[K comparable, V any] struct {
+	Map       func(ctx *mapreduce.TaskContext, t dataset.Tuple, emit func(K, V))
+	Combine   func(ctx *mapreduce.TaskContext, key K, values []V, emit func(V))
+	KeyString func(K) string
+}
+
+func (p perRecord[K, V]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(K, V)) (matches, combined int64) {
+	// Buffer map output per key, preserving key first-seen order.
+	index := map[K]int{}
+	var keys []K
+	var lists [][]V
+	group := func(k K, v V) {
+		i, seen := index[k]
+		if !seen {
+			i = len(keys)
+			index[k] = i
+			keys, lists = append(keys, k), append(lists, nil)
+		}
+		lists[i] = append(lists[i], v)
+		matches++
+	}
+	for _, t := range split {
+		p.Map(ctx, t, group)
+	}
+	// Deterministic combine order: sort keys canonically.
+	order := make([]int, len(keys))
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		order[i], names[i] = i, p.KeyString(k)
+	}
+	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+	for _, i := range order {
+		combined += int64(len(lists[i]))
+		p.Combine(ctx, keys[i], lists[i], func(v V) { emit(keys[i], v) })
+	}
+	return matches, combined
+}
+
+// combiner is the Figure 2 combine function of the per-record path: it
+// locally selects an intermediate sample of capacity freq(key) over the map
+// task's tuples for that key and tags it with the number of tuples it saw,
+// observing each sample's size into "reservoir_size".
+func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []WeightedTuples, func(WeightedTuples)) {
+	return func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
+		n := sampling.TotalN(vs)
+		target := freq(k)
+		exhaustive := true
+		for _, w := range vs {
+			if w.N != int64(len(w.Sample)) {
+				exhaustive = false
+				break
+			}
+		}
+		if exhaustive {
+			// Common case: every part is raw map output (singletons),
+			// so stream the tuples through the reservoir, as in the
+			// paper's combine function.
+			res := sampling.NewReservoir[dataset.Tuple](target, ctx.Rand)
 			for _, w := range vs {
-				if w.N != int64(len(w.Sample)) {
-					exhaustive = false
-					break
-				}
+				res.AddSlice(w.Sample)
 			}
-			if exhaustive {
-				// Common case: every part is raw map output (singletons),
-				// so stream the tuples through the reservoir, as in the
-				// paper's combine function.
-				res := sampling.NewReservoir[dataset.Tuple](target, ctx.Rand)
-				for _, w := range vs {
-					res.AddSlice(w.Sample)
-				}
-				sample := res.Sample()
-				ctx.Observe("reservoir_size", int64(len(sample)))
-				emit(WeightedTuples{Sample: sample, N: n})
-				return
-			}
-			// Some parts were already subsampled (a combiner re-run):
-			// merge them without bias via the unified sampler.
-			sample := sampling.UnifiedSample(vs, target, ctx.Rand)
+			sample := res.Sample()
 			ctx.Observe("reservoir_size", int64(len(sample)))
 			emit(WeightedTuples{Sample: sample, N: n})
-		})
+			return
+		}
+		// Some parts were already subsampled (a combiner re-run):
+		// merge them without bias via the unified sampler.
+		sample := sampling.UnifiedSample(vs, target, ctx.Rand)
+		ctx.Observe("reservoir_size", int64(len(sample)))
+		emit(WeightedTuples{Sample: sample, N: n})
+	}
 }
 
 // keyedReference is the per-record job the derived MR-CPS stages replaced:
@@ -64,8 +106,8 @@ func combiner[K comparable](freq func(K) int) mapreduce.Combiner[K, WeightedTupl
 func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, WeightedTuples, int] {
 	return &mapreduce.Job[dataset.Tuple, string, WeightedTuples, int]{
 		Name: "keyed-reference",
-		Mapper: mapreduce.MapperFunc[dataset.Tuple, string, WeightedTuples](
-			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, WeightedTuples)) {
+		Mapper: perRecord[string, WeightedTuples]{
+			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, WeightedTuples)) {
 				if _, skip := exclude[t.ID]; skip {
 					return
 				}
@@ -74,8 +116,10 @@ func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs ma
 						emit(key, sampling.Singleton(t))
 					}
 				})
-			}),
-		Combiner: combiner(func(k string) int { return freqs[k] }),
+			},
+			Combine:   combiner(func(k string) int { return freqs[k] }),
+			KeyString: func(k string) string { return k },
+		},
 		Reducer: mapreduce.ReducerFunc[string, WeightedTuples, int](
 			func(ctx *mapreduce.TaskContext, k string, vs []WeightedTuples, emit func(int)) {
 				emit(len(sampling.UnifiedSample(vs, freqs[k], ctx.Rand)))
@@ -95,8 +139,8 @@ func countReference(classify func(t *dataset.Tuple, emit func(string)), listed m
 	}
 	return &mapreduce.Job[dataset.Tuple, string, int64, int64]{
 		Name: "count-reference",
-		Mapper: mapreduce.MapperFunc[dataset.Tuple, string, int64](
-			func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, int64)) {
+		Mapper: perRecord[string, int64]{
+			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, int64)) {
 				if _, skip := exclude[t.ID]; skip {
 					return
 				}
@@ -105,9 +149,10 @@ func countReference(classify func(t *dataset.Tuple, emit func(string)), listed m
 						emit(key, 1)
 					}
 				})
-			}),
-		Combiner: mapreduce.CombinerFunc[string, int64](
-			func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) { emit(sum(vs)) }),
+			},
+			Combine:   func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) { emit(sum(vs)) },
+			KeyString: func(k string) string { return k },
+		},
 		Reducer: mapreduce.ReducerFunc[string, int64, int64](
 			func(_ *mapreduce.TaskContext, _ string, vs []int64, emit func(int64)) { emit(sum(vs)) }),
 		KeyString: func(k string) string { return k },
@@ -412,18 +457,36 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perRecord, err := buildMQEJob(cfg, r.Schema())
+		reference, err := buildMQEJob(cfg, r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		perRecord.BatchMapper = nil
-		perRecord.Combiner = combiner(func(k QSKey) int { return queries[k.Query].Strata[k.Stratum].Freq })
-		fused.Seed, perRecord.Seed = opts.Seed, opts.Seed
+		classes, err := classifiers(queries, r.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// MR-MQE as the paper writes it: ((Q_i, s_k), ({t}, 1)) for every
+		// query whose stratum the tuple satisfies, then the combiner.
+		reference.Mapper = perRecord[QSKey, WeightedTuples]{
+			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(QSKey, WeightedTuples)) {
+				if _, skip := exclude[t.ID]; skip {
+					return
+				}
+				for qi, cls := range classes {
+					if k := cls.Classify(&t); k >= 0 {
+						emit(QSKey{qi, k}, sampling.Singleton(t))
+					}
+				}
+			},
+			Combine:   combiner(func(k QSKey) int { return queries[k.Query].Strata[k.Stratum].Freq }),
+			KeyString: reference.KeyString,
+		}
+		fused.Seed, reference.Seed = opts.Seed, opts.Seed
 		a, err := mapreduce.Run(cluster(), fused, tupleSplits(splits))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mapreduce.Run(cluster(), perRecord, tupleSplits(splits))
+		b, err := mapreduce.Run(cluster(), reference, tupleSplits(splits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +594,7 @@ type rowwiseStage struct {
 	exclude map[int64]struct{}
 }
 
-func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches int64) {
+func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
 	lists := make([][][]int32, len(s.queries))
 	for qi, q := range s.queries {
 		lists[qi] = make([][]int32, len(q.Strata))
@@ -563,7 +626,7 @@ func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tupl
 			emit(QSKey{qi, k}, WeightedTuples{Sample: sample, N: n})
 		}
 	}
-	return matches
+	return matches, matches
 }
 
 // randomSSD draws a query over testSchema (gender 0..1, income 0..1000):
@@ -632,9 +695,12 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 			for _, excl := range []map[int64]struct{}{nil, exclude} {
 				name := fmt.Sprintf("size=%d/queries=%d/exclude=%d", size, nq, len(excl))
 				seed := rng.Int63()
-				run := func(stage mapreduce.BatchMapper[dataset.Tuple, QSKey, WeightedTuples], task int) (out []emission, matches int64) {
+				run := func(stage mapreduce.Mapper[dataset.Tuple, QSKey, WeightedTuples], task int) (out []emission, matches int64) {
 					ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed)), Task: task}
-					matches = stage.MapSplit(ctx, split, func(k QSKey, v WeightedTuples) { out = append(out, emission{k, v}) })
+					matches, combined := stage.MapSplit(ctx, split, func(k QSKey, v WeightedTuples) { out = append(out, emission{k, v}) })
+					if combined != matches {
+						t.Fatalf("%s: %d of %d matches combined; a sampling stage combines them all", name, combined, matches)
+					}
 					return out, matches
 				}
 				want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, 0)
@@ -642,7 +708,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				// is not as long as the split (what a pruned task sees the
 				// other way round), so both gather.
 				columns := []dataset.Columns{nil, resident, dataset.ColumnsOf(split[:size/2], 2)}
-				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns), stratumFreqs(queries)).BatchMapper
+				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns), stratumFreqs(queries)).Mapper
 				for task, layout := range []string{"gathered", "resident", "short"} {
 					got, gotMatches := run(stage, task)
 					if gotMatches != wantMatches || !reflect.DeepEqual(got, want) {
@@ -662,7 +728,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				}
 				splits := []dataset.Split{split[:size/3], split[size/3:]}
 				ref := build(Options{Exclude: excl})
-				ref.BatchMapper = &rowwiseStage{queries: queries, classes: classes, exclude: excl}
+				ref.Mapper = &rowwiseStage{queries: queries, classes: classes, exclude: excl}
 				gathered := build(Options{Exclude: excl})
 				mirrored := build(Options{Exclude: excl, Columns: []dataset.Columns{dataset.ColumnsOf(splits[0], 2), dataset.ColumnsOf(splits[1], 2)}})
 				var results [3]string

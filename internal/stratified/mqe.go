@@ -32,8 +32,8 @@ type qsOut struct {
 // freqs[vector][class] tuples from the map tasks' weighted samples of a key.
 func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut] {
 	return &mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut]{
-		Name:        name,
-		BatchMapper: &fusedStage{splitScan: scan, freqs: freqs},
+		Name:   name,
+		Mapper: &fusedStage{splitScan: scan, freqs: freqs},
 		Reducer: mapreduce.ReducerFunc[QSKey, WeightedTuples, qsOut](
 			func(ctx *mapreduce.TaskContext, k QSKey, vs []WeightedTuples, emit func(qsOut)) {
 				emit(qsOut{Key: k, Sample: sampling.UnifiedSample(vs, freqs[k.Query][k.Stratum], ctx.Rand)})
@@ -42,34 +42,24 @@ func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[da
 	}
 }
 
-// buildMQEJob constructs the MR-MQE job of the config's query set.
+// buildMQEJob constructs the MR-MQE job of the config's query set; a naive
+// config swaps the forwarding stage in for the sampling one.
 func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut], error) {
 	classes, err := classifiers(cfg.Queries, schema)
 	if err != nil {
 		return nil, err
 	}
-	exclude := excludeSet(cfg.Exclude)
-	job := qsSamplingJob("mr-mqe", newSplitScan(classes, nil, exclude, cfg.columns), stratumFreqs(cfg.Queries))
-	job.Mapper = mapreduce.MapperFunc[dataset.Tuple, QSKey, WeightedTuples](
-		func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(QSKey, WeightedTuples)) {
-			if _, skip := exclude[t.ID]; skip {
-				return
-			}
-			for qi, cls := range classes {
-				if k := cls.Classify(&t); k >= 0 {
-					emit(QSKey{qi, k}, sampling.Singleton(t))
-				}
-			}
-		})
+	scan := newSplitScan(classes, nil, excludeSet(cfg.Exclude), cfg.columns)
+	job := qsSamplingJob("mr-mqe", scan, stratumFreqs(cfg.Queries))
 	if cfg.Naive {
-		job.BatchMapper = nil
+		job.Mapper = &naiveStage{scan}
 	}
 	return job, nil
 }
 
 // RunMQE answers a set of SSD queries in a single MapReduce pass (Algorithm
-// MR-MQE): the mapper emits a ((Q_i, s_k), ({t}, 1)) pair for every query
-// whose stratum the tuple satisfies; combine and reduce are as in MR-SQE.
+// MR-MQE): a tuple counts towards the key (Q_i, s_k) of every query whose
+// stratum it satisfies; the map-side draw and the reduce are as in MR-SQE.
 // It returns one answer per query, aligned with the queries slice. RunSQE's
 // in-domain precondition on the splits applies.
 func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {

@@ -161,6 +161,21 @@ func TestSampleSelectionsBasics(t *testing.T) {
 	}
 }
 
+// TestCountStrataMatchesRelationCount: counting a query's own strata — each the
+// one-query selection naming it — over a skewed layout returns the relation's
+// counts.
+func TestCountStrataMatchesRelationCount(t *testing.T) {
+	r := genderPop(123, 77)
+	splits, _ := dataset.Partition(r, 3, dataset.Skewed, nil)
+	counts, _, err := CountSelections(zeroCluster(3), []*query.SSD{genderSSD(1, 1)}, r.Schema(), splits, [][]int{{0}, {1}}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[0] != 123 || counts[1] != 77 {
+		t.Fatalf("counts = %v", counts)
+	}
+}
+
 // TestSelectionConfigChecked: a selection list that does not fit the queries
 // — as a config decoded from a socket might not — is an error from the job
 // builder, not an index panic inside a map task.

@@ -87,15 +87,18 @@ func register[C any, K comparable, V any, O any](maker string, build func(*C, *d
 }
 
 // run builds the job from cfg, attaches the (maker, config) pair that lets
-// remote workers rebuild it, and runs it over the splits.
+// remote workers rebuild it — the config encoded only when the cluster has an
+// executor to ship it — and runs it over the splits.
 func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.Schema, splits []dataset.Split, seed int64) ([]O, mapreduce.Metrics, error) {
 	job, err := p.build(cfg, schema)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
 	job.Seed, job.Maker = seed, p.maker
-	if job.Config, err = json.Marshal(cfg); err != nil {
-		return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", p.maker, err)
+	if c.Executor != nil {
+		if job.Config, err = json.Marshal(cfg); err != nil {
+			return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", p.maker, err)
+		}
 	}
 	res, err := mapreduce.Run(c, job, tupleSplits(splits))
 	if err != nil {

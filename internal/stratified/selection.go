@@ -157,8 +157,8 @@ func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapr
 		return nil, err
 	}
 	return &mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut]{
-		Name:        "mr-selection-count",
-		BatchMapper: &countStage{splitScan: scan, classes: len(every)},
+		Name:   "mr-selection-count",
+		Mapper: &countStage{splitScan: scan, classes: len(every)},
 		Reducer: mapreduce.ReducerFunc[int, int64, stratumCountOut](
 			func(_ *mapreduce.TaskContext, k int, vs []int64, emit func(stratumCountOut)) {
 				var sum int64

@@ -7,9 +7,9 @@
 //     (map and combine fused into one scan, fused.go), and the reducer
 //     applies the unified-sampler (Algorithm 1) to produce an unbiased final
 //     sample.
-//   - the naive variant (Section 4.2.1, Figure 1), which maps record by
-//     record and shuffles every matching tuple — the baseline that shows
-//     what sampling inside the map task saves.
+//   - the naive variant (Section 4.2.1, Figure 1): the same scan with a
+//     stage that forwards every matching tuple to the shuffle — the baseline
+//     that shows what sampling inside the map task saves.
 //   - MR-MQE (Section 5.1): the multi-query extension keyed by (Q_i, s_k)
 //     pairs, answering a whole set of SSD queries in a single pass over R.
 //   - the jobs of MR-CPS (Section 5.2.5) over derived strata — sampling and
@@ -25,7 +25,7 @@ import (
 	"repro/internal/sampling"
 )
 
-// WeightedTuples is the value type flowing from combiners to reducers: an
+// WeightedTuples is the value type flowing from map tasks to reducers: an
 // intermediate sample with the size of its source set.
 type WeightedTuples = sampling.Weighted[dataset.Tuple]
 
@@ -33,9 +33,9 @@ type WeightedTuples = sampling.Weighted[dataset.Tuple]
 type Options struct {
 	// Seed makes the run reproducible.
 	Seed int64
-	// Naive maps record by record and shuffles every matching tuple
-	// (Figure 1). The default (false) is the MR-SQE of Figure 2, sampling
-	// inside each map task.
+	// Naive forwards every matching tuple to the shuffle and samples in
+	// the reducer alone (Figure 1). The default (false) is the MR-SQE of
+	// Figure 2, sampling inside each map task.
 	Naive bool
 	// Exclude removes individuals (by ID) from consideration before
 	// sampling, e.g. the participants of an earlier survey campaign.

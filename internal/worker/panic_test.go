@@ -12,15 +12,15 @@ import (
 	"repro/internal/worker"
 )
 
-// panickyStage is a fused map stage that panics on the split of one task.
+// panickyStage is a counting map stage that panics on the split of one task.
 type panickyStage struct{ task int }
 
-func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) int64 {
+func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches, combined int64) {
 	if ctx.Task == s.task {
 		panic("boom in user code")
 	}
 	emit(0, int64(len(split)))
-	return int64(len(split))
+	return int64(len(split)), int64(len(split))
 }
 
 func init() {
@@ -33,9 +33,7 @@ func init() {
 func panickyJob() *mapreduce.Job[dataset.Tuple, int, int64, int64] {
 	return &mapreduce.Job[dataset.Tuple, int, int64, int64]{
 		Name: "panicky", Maker: "test-panicky",
-		// Never run (BatchMapper takes the map stage), but a job must have one.
-		Mapper:      mapreduce.MapperFunc[dataset.Tuple, int, int64](func(*mapreduce.TaskContext, dataset.Tuple, func(int, int64)) {}),
-		BatchMapper: panickyStage{task: 2},
+		Mapper: panickyStage{task: 2},
 		Reducer: mapreduce.ReducerFunc[int, int64, int64](func(_ *mapreduce.TaskContext, _ int, vs []int64, emit func(int64)) {
 			emit(int64(len(vs)))
 		}),

@@ -13,7 +13,7 @@ import (
 // (ErrWireVersion otherwise): strata spawns or is dialled by itself, so a
 // different version is a misdeployment, not a peer to accommodate. Bump it
 // with any change to the envelope, TaskSpec or TaskResult layout.
-const wireVersion = 3
+const wireVersion = 4
 
 // ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
 var ErrWireVersion = errors.New("worker: wire version mismatch")

@@ -54,8 +54,8 @@ func sampleEnvelopes() []*envelope {
 			Counters: mapreduce.TaskCounters{
 				In: 100, Out: 50, CombineIn: 100, CombineOut: 50, Groups: 2,
 				BucketSizes: []int64{10, 20},
-				MapWall:     3 * time.Millisecond, CombineWall: time.Microsecond,
-				RecvWall: time.Second,
+				MapWall:     3 * time.Millisecond,
+				RecvWall:    time.Second,
 			},
 			Custom: map[string]*mapreduce.Histogram{"reservoir_size": sampleHistogram()},
 			PerKey: map[string]mapreduce.KeyStats{

@@ -241,6 +241,41 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestNaiveDeterminismAcrossBackends is TestSeedDeterminismAcrossBackends
+// for the Figure 1 baseline, the one job whose map stage forwards instead of
+// sampling: with an exclusion set, the same seed gives the same individuals
+// and the same metrics — every match shuffled, nothing combined — in-process,
+// through InprocExecutor, on subprocess workers and on tcp workers.
+func TestNaiveDeterminismAcrossBackends(t *testing.T) {
+	splits := testPopulation(t)
+	opts := stratified.Options{Seed: 7, Naive: true, Exclude: map[int64]struct{}{3: {}, 401: {}, 899: {}}}
+	run := func(exec mapreduce.Executor) (*query.Answer, mapreduce.Metrics) {
+		ans, met, err := stratified.RunSQE(testCluster(exec), testQuery(), testSchema(), splits, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, met
+	}
+	want, wantMet := run(nil)
+	if wantMet.ShuffleRecords != 897 || wantMet.MapOutputRecords != 897 || wantMet.CombineInputRecs != 0 || wantMet.CombineOutputRecs != 0 {
+		t.Errorf("in-process: %d matches, %d shuffled, combine %d -> %d; want all 897 eligible tuples forwarded, none combined",
+			wantMet.MapOutputRecords, wantMet.ShuffleRecords, wantMet.CombineInputRecs, wantMet.CombineOutputRecs)
+	}
+	sub := newSubprocess(t, 2, nil)
+	defer sub.Close()
+	tcp := newTCP(t, 2, worker.TCPConfig{})
+	defer tcp.Close()
+	for name, exec := range map[string]mapreduce.Executor{"executor": &mapreduce.InprocExecutor{}, "subprocess": sub, "tcp": tcp} {
+		got, gotMet := run(exec)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s naive answer differs from in-process:\n in: %v\nout: %v", name, want, got)
+		}
+		if !reflect.DeepEqual(wantMet, gotMet) {
+			t.Errorf("%s naive metrics differ from in-process:\n in: %+v\nout: %+v", name, wantMet, gotMet)
+		}
+	}
+}
+
 // TestWorkerCrashRecovery kills a worker mid-job and checks the coordinator
 // reassigns its lease without changing the sample: worker 0 aborts on its
 // first leased task, so the job must finish on the survivors with exactly

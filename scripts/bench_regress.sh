@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark-regression smoke: run the allocation-tracked engine and shuffle
-# benchmarks once and fail if any benchmark's allocs/op — or, where the
+# benchmarks (a combining and a forwarding stage: the engine has one map
+# path, and these run it) once and fail if any benchmark's allocs/op — or, where the
 # baseline lists a third column, its B/op — regressed more than 10% against
 # scripts/bench_baseline.txt.
 #
@@ -28,8 +29,8 @@ baseline=scripts/bench_baseline.txt
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-run() { # pkg bench-regex [bytes [benchtime]]: prints "name allocs/op [B/op]"
-  go test "$1" -run '^$' -bench "$2" -benchtime="${4:-1x}" -count=1 -benchmem \
+run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allocs/op [B/op]"
+  go test "$1" -run '^$' -bench "$2" -benchtime="${4:-1x}" -count=1 -benchmem "${@:5}" \
     | awk -v bytes="${3:-}" '$NF == "allocs/op" {
         sub(/-[0-9]+$/, "", $1)
         if (bytes != "") print $1, $(NF-1), $(NF-3); else print $1, $(NF-1)
@@ -43,7 +44,10 @@ run() { # pkg bench-regex [bytes [benchtime]]: prints "name allocs/op [B/op]"
   # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).
   run ./internal/serve/ 'BenchmarkServePass$' bytes 5x
   run ./internal/predicate/ 'BenchmarkClassifyColumns'
-  run ./internal/stratified/ 'BenchmarkFusedMapSplit'
+  # One P: the warm-up pass parks the scan scratch in its P's private pool
+  # slot, which a goroutine rescheduled onto another P cannot steal — with two
+  # or more, one run in four reallocated the match lists and read 335 for 16.
+  run ./internal/stratified/ 'BenchmarkFusedMapSplit' '' 1x -cpu=1
   run ./internal/cps/ 'BenchmarkCPSRun$'
 } >"$out"
 
