@@ -13,7 +13,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -287,33 +286,6 @@ func BenchmarkAblationLPDecomposition(b *testing.B) {
 			}
 			b.ReportMetric(lpSec/float64(b.N), "LP-sec")
 			b.ReportMetric(obj/float64(b.N), "LP-objective-$")
-		})
-	}
-}
-
-// BenchmarkAblationFaults measures the virtual-clock cost of fault tolerance:
-// injected task failures re-execute deterministically (same answers), paying
-// only time.
-func BenchmarkAblationFaults(b *testing.B) {
-	w := buildBenchWorkload(b, gen.Small, 400)
-	for _, prob := range []float64{0, 0.1, 0.3} {
-		b.Run(fmt.Sprintf("failure=%.0f%%", prob*100), func(b *testing.B) {
-			cluster := benchCluster(10)
-			if prob > 0 {
-				cluster.Faults = &mapreduce.FaultModel{TaskFailureProb: prob, MaxAttempts: 10, Seed: 5}
-			}
-			var sim, attempts float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, met, err := stratified.RunMQE(cluster, w.queries, w.schema, w.splits, stratified.Options{Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim += met.SimulatedTotal().Seconds()
-				attempts += float64(met.MapAttempts + met.ReduceAttempts)
-			}
-			b.ReportMetric(sim/float64(b.N), "simulated-sec")
-			b.ReportMetric(attempts/float64(b.N), "task-attempts")
 		})
 	}
 }

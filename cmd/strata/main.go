@@ -26,7 +26,7 @@
 //	strata experiments [-run all|table2|figure6|figure7|figure8|optimality|uniform|
 //	                    scaling|scorecard] [-pop 20000] [-samples 100,1000]
 //	                   [-runs 10] [-slaves 10] [-json]
-//	strata worker      -stdio | -connect host:port [-id name]
+//	strata worker      -connect host:port [-id name]
 //
 // The serve command keeps the population resident and coalesces SSD queries
 // arriving within -window into a single MR-MQE pass; loadgen drives it with
@@ -34,11 +34,11 @@
 // (DESIGN.md §12).
 //
 // The -backend flag selects where engine tasks execute: in this process
-// (inproc, the default), on a pool of "strata worker -stdio" child
-// processes (subprocess), or on workers that registered over TCP (tcp; the
-// coordinator spawns -workers local ones and logs the address external
-// "strata worker -connect" processes can join). Job output is byte-for-byte
-// identical across backends for a fixed seed.
+// (inproc, the default) or on workers registered with its coordinator over
+// TCP — -workers child processes it starts as "strata worker -connect"
+// (subprocess), or -workers local goroutines plus any external "strata worker
+// -connect" process that joins the address it logs (tcp). Job output is
+// byte-for-byte identical across backends for a fixed seed.
 //
 // The global flags configure observability for every command: -v / -log set
 // the structured-log level, -trace streams one JSON span per engine task to a
@@ -118,7 +118,7 @@ commands:
   loadgen      drive a serve daemon with concurrent clients, report QPS + latency
   trace        summarize a span file written with -trace
   experiments  regenerate the paper's tables and figures
-  worker       serve tasks for a coordinator (-stdio, or -connect host:port)
+  worker       serve tasks for a coordinator (-connect host:port)
 
 run "strata <command> -h" for command flags.`)
 	fmt.Fprintln(os.Stderr)

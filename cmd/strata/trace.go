@@ -256,7 +256,7 @@ func frac(d, total time.Duration) float64 {
 }
 
 // printSlowest lists the job's slowest map/reduce attempts by simulated time
-// — with a FaultModel installed, straggler attempts surface here.
+// — the tasks with the most records to chew through surface here.
 func printSlowest(spans []mapreduce.Span, job string, n int) {
 	var tasks []mapreduce.Span
 	for _, s := range spans {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/stratified"
 )
@@ -146,17 +147,20 @@ func TestProgressLiveDuringRun(t *testing.T) {
 }
 
 // TestProgressFlagsStragglers is the acceptance check for straggler
-// detection: under FaultModel{StragglerStdDev: 1.5} the lognormal slowdowns
-// make some attempts far slower than their phase median, and the tracker
-// must flag at least one.
+// detection. The straggler is real work: one split holds 2400 of the 2630
+// tuples, so its map task's simulated duration (0.5 s overhead + ≈ 1 ms a
+// record) is more than four times the phase median of the 10-tuple splits
+// around it, and the tracker must flag it — and nothing else.
 func TestProgressFlagsStragglers(t *testing.T) {
 	tracker := NewTracker()
 	c := mapreduce.NewCluster(4)
 	c.Tracer = tracker
-	c.Faults = &mapreduce.FaultModel{StragglerStdDev: 1.5, Seed: 9}
 
-	r := genderPop(120, 120)
-	splits := splitsOf(t, r, 24)
+	r := genderPop(1315, 1315)
+	splits := []dataset.Split{r.Tuples()[:2400]}
+	for rest := r.Tuples()[2400:]; len(rest) > 0; rest = rest[10:] {
+		splits = append(splits, rest[:10])
+	}
 	q := genderSSD(10, 10)
 	if _, _, err := stratified.RunSQE(c, q, r.Schema(), splits, stratified.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -167,8 +171,8 @@ func TestProgressFlagsStragglers(t *testing.T) {
 		t.Fatalf("jobs = %d", len(rep.Jobs))
 	}
 	st := rep.Jobs[0].Stragglers
-	if len(st) == 0 {
-		t.Fatal("no straggler flagged under StragglerStdDev 1.5")
+	if len(st) != 1 || st[0].Phase != mapreduce.PhaseMap || st[0].Task != 0 {
+		t.Fatalf("stragglers %+v, want exactly the oversized split's map task", st)
 	}
 	for _, s := range st {
 		if s.Factor < 4 {
@@ -183,8 +187,8 @@ func TestProgressFlagsStragglers(t *testing.T) {
 	}
 }
 
-// TestProgressNoStragglersWithoutFaults: a fault-free run of equal-size
-// tasks has no 4× outliers to flag.
+// TestProgressNoStragglersWithoutFaults: a run of equal-size tasks has no
+// 4× outliers to flag.
 func TestProgressNoStragglersWithoutFaults(t *testing.T) {
 	tracker := NewTracker()
 	c := mapreduce.NewCluster(4)
@@ -197,7 +201,7 @@ func TestProgressNoStragglersWithoutFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := tracker.Snapshot().Jobs[0].Stragglers; len(st) != 0 {
-		t.Fatalf("fault-free run flagged stragglers: %+v", st)
+		t.Fatalf("a run of equal-size tasks flagged stragglers: %+v", st)
 	}
 }
 

@@ -24,7 +24,6 @@
 package cps
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -56,18 +55,6 @@ func SelectionOf(t *dataset.Tuple, compiled [][]predicate.Pred) Selection {
 // packing the MapReduce jobs look σ(t) up by. Each level is two big-endian
 // bytes of (index+1); None encodes as 0.
 func (s Selection) Key() string { return stratified.SelectionKey(s) }
-
-// ParseKey decodes a selection key produced by Key for n queries.
-func ParseKey(key string, n int) (Selection, error) {
-	if len(key) != 2*n {
-		return nil, fmt.Errorf("cps: selection key has %d bytes, want %d", len(key), 2*n)
-	}
-	sel := make(Selection, n)
-	for i := 0; i < n; i++ {
-		sel[i] = int(binary.BigEndian.Uint16([]byte(key[2*i:2*i+2]))) - 1
-	}
-	return sel, nil
-}
 
 // Empty reports whether the selection has no stratum constraints (the tuple
 // matched no query); such tuples are irrelevant to the MSSD.

@@ -15,22 +15,6 @@ const (
 	DefaultPenalty       = 10.0
 )
 
-// PenaltyTable builds the experiments' shared-survey cost function over n
-// SSDs: sharing any set of surveys costs one interview, and each penalised
-// pair {i,j} ⊆ τ adds its penalty. Every pair is penalised independently
-// with probability pairProb.
-func PenaltyTable(n int, interview, penalty, pairProb float64, rng *rand.Rand) query.PenaltyCosts {
-	penalties := make(map[query.Tau]float64)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < pairProb {
-				penalties[query.NewTau(i, j)] = penalty
-			}
-		}
-	}
-	return query.PenaltyCosts{Interview: interview, Penalties: penalties}
-}
-
 // DefaultPenalisedPairs returns how many pairs DefaultPenaltyTable
 // penalises for an n-survey MSSD: n−1. The paper penalises "randomly chosen
 // pairs" without giving a count; a count growing linearly in n (so the

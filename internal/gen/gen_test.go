@@ -277,16 +277,16 @@ func TestSpread(t *testing.T) {
 
 func TestPenaltyTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pc := PenaltyTable(6, 4, 10, 1.0, rng) // every pair penalised
+	pc := PenaltyTableFixed(6, 4, 10, 100, rng) // more than C(6,2): every pair penalised
 	if err := pc.ValidatePenalties(6); err != nil {
 		t.Fatal(err)
 	}
 	if len(pc.Penalties) != 15 { // C(6,2)
 		t.Fatalf("%d penalties, want 15", len(pc.Penalties))
 	}
-	none := PenaltyTable(6, 4, 10, 0, rng)
+	none := PenaltyTableFixed(6, 4, 10, 0, rng)
 	if len(none.Penalties) != 0 {
-		t.Fatal("prob 0 must produce no penalties")
+		t.Fatal("count 0 must produce no penalties")
 	}
 	def := DefaultPenaltyTable(4, rng)
 	if def.Interview != DefaultInterviewCost {

@@ -16,16 +16,13 @@ type Cluster struct {
 	SlotsPerSlave int
 	// Cost converts measured task counters into simulated durations.
 	Cost CostModel
-	// Faults, when non-nil, injects task failures and stragglers into the
-	// virtual clock (deterministic re-execution; see FaultModel).
-	Faults *FaultModel
 	// MaxParallelism caps the real goroutine parallelism used to execute
 	// tasks, independent of the simulated slot count. 0 means "as many as
 	// slots"; negative values are a configuration error.
 	MaxParallelism int
 	// Executor, when non-nil, runs task attempts on an execution backend
-	// instead of in-process goroutines: a pool of subprocess workers, TCP
-	// workers, or any other Executor implementation — every task then
+	// instead of in-process goroutines: a worker pool (child processes or
+	// whoever dialed in) or any other Executor implementation — every task then
 	// travels as a serialized TaskSpec, even with an *InprocExecutor. A nil
 	// Executor keeps tasks as in-process closures that never encode.
 	// Executors require portable jobs (Job.Maker set); Run refuses any
@@ -109,8 +106,8 @@ func (c *Cluster) now() func() time.Time {
 
 // FrozenClock returns a Clock stuck at t. Under a frozen clock every wall
 // measurement is zero, so a traced run's span stream depends only on the
-// job, seed, cluster and fault plan — byte-identical across runs and
-// machines.
+// job, seed and cluster — byte-identical across runs and machines, as long
+// as no worker dies.
 func FrozenClock(t time.Time) func() time.Time {
 	return func() time.Time { return t }
 }

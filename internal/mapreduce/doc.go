@@ -13,7 +13,7 @@
 // two-method backend seam with two implementations: in-process (closures,
 // typed buckets kept in memory, nothing encoded) and remote (TaskSpec →
 // Executor, buckets routed through the coordinator or pushed directly
-// between workers). Scheduling, metric folding, fault charging and span
+// between workers). Scheduling, metric folding, the virtual clock and span
 // emission exist once, in the loop.
 //
 // A job's map stage is one whole-split call (Mapper.MapSplit) and the only
@@ -31,16 +31,17 @@
 // behaviour we cannot reproduce on one machine, the engine additionally keeps
 // a *virtual clock*: a configurable cost model assigns each task a simulated
 // duration from its measured record and byte counts, and a scheduler computes
-// the makespan over the cluster's map/reduce slots. The optional FaultModel
-// injects deterministic task failures and stragglers into that clock.
-// Counters (records, groups, shuffled bytes) are always measured, never
-// modelled.
+// the makespan over the cluster's map/reduce slots. A task is charged once,
+// for its measured counts: nothing is injected into that clock, and the only
+// failed attempts a run reports (Metrics.MapAttempts / ReduceAttempts, Failed
+// spans) are attempts that really died on a worker. Counters (records,
+// groups, shuffled bytes) are always measured, never modelled.
 //
 // # Observability
 //
 // A Tracer installed on the Cluster receives one Span per task attempt
-// (fault re-executions included), combine (of a job that combined anything),
-// shuffle leg and job, carrying
+// (those that died on a worker included), combine (of a job that combined
+// anything), shuffle leg and job, carrying
 // wall and simulated durations plus record/byte counts; implementations
 // include an in-memory collector and a JSON-lines sink that `strata trace`
 // renders into a per-phase timeline. Metrics carries per-phase Histograms

@@ -113,7 +113,7 @@ func (m *Metrics) mergeCustom(custom map[string]*Histogram) {
 // backend is the per-run seam between the engine loop and an execution
 // backend: how map task t runs and where its buckets stay, and how reducer
 // r's bucket column is assembled, grouped and reduced. Run owns everything
-// else — scheduling, metric folding, fault charging, spans, logs. Both
+// else — scheduling, metric folding, the virtual clock, spans, logs. Both
 // methods are called concurrently for distinct tasks; every runMap returns
 // before the first runReduce starts.
 type backend[O any] interface {
@@ -234,8 +234,8 @@ func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // random source.
 //
 // Observability: when the cluster carries an enabled Tracer, the engine
-// measures per-task wall times and emits one Span per task attempt (fault
-// re-executions and real worker failures included), per-task combine spans
+// measures per-task wall times and emits one Span per task attempt (the
+// attempts that died on a worker included), per-task combine spans
 // (of a job that combined anything; they carry the logical counts and no time
 // of their own) and shuffle-send spans, per-reducer shuffle-recv and reduce
 // spans, and one job span — all from its serial accounting sections, so span
@@ -306,31 +306,22 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		}
 	}
 
-	// emitAttempts emits one task's attempt spans: the real failed attempts
-	// first — a crashed worker or an expired lease is an attempt that
-	// genuinely ran and died, so it precedes the deterministic fault-model
-	// attempts — then the plan's attempts, the last of which succeeded and
-	// carries the wall time, then the successful remote attempt's child
-	// spans. s arrives holding the successful attempt's identity and counts.
-	emitAttempts := func(s Span, a *attempt, plan attemptPlan, base, wall time.Duration) {
-		died := len(a.failed)
+	// emitAttempts emits one task's attempt spans: the attempts that died on
+	// a worker first (a crash, an expired lease, a lost shuffle — the only
+	// failed attempts there are), then the one that succeeded, which carries
+	// the wall and simulated time, then its child spans when it ran remotely.
+	// s arrives holding the successful attempt's identity, counts and times.
+	emitAttempts := func(s Span, a *attempt) {
 		for i, fa := range a.failed {
 			tr.Emit(Span{
 				Job: s.Job, Phase: s.Phase, Task: s.Task, Attempt: i + 1,
 				Failed: true, Start: s.Start, Worker: fa.Worker,
 			})
 		}
-		for i := 0; i < plan.attempts; i++ {
-			s.Attempt = died + i + 1
-			s.Failed = i < plan.attempts-1
-			s.Simulated = time.Duration(float64(base) * plan.attemptFactor(i))
-			if !s.Failed {
-				s.Wall = wall
-			}
-			tr.Emit(s)
-		}
+		s.Attempt = len(a.failed) + 1
+		tr.Emit(s)
 		if a.attr != nil {
-			emitRemoteChildren(tr, *tctx, s.Job, s.Phase, s.Task, died+plan.attempts,
+			emitRemoteChildren(tr, *tctx, s.Job, s.Phase, s.Task, s.Attempt,
 				s.Start, a.attr, a.worker, start.UnixNano(), c.Clock != nil)
 		}
 	}
@@ -373,22 +364,18 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		met.ShuffleBytes += m.shuffleBytes
 		met.BucketBytes.Merge(m.bucketBytes)
 		met.mergeCustom(m.custom)
-		base := c.Cost.TaskOverhead +
+		met.MapAttempts += int64(1 + len(m.failed))
+		mapDurations[t] = c.Cost.TaskOverhead +
 			time.Duration(m.In)*c.Cost.MapPerRecord +
 			time.Duration(m.CombineIn)*c.Cost.CombinePerRecord
-		plan, err := c.Faults.plan("map", t)
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-		met.MapAttempts += int64(plan.attempts + len(m.failed))
-		mapDurations[t] = time.Duration(float64(base) * plan.factor)
 		met.MapTaskNanos.Observe(int64(mapDurations[t]))
 		if tr != nil {
 			mapDone := m.start + m.MapWall
 			emitAttempts(Span{
 				Job: job.Name, Phase: PhaseMap, Task: t, Start: m.start,
+				Wall: m.MapWall, Simulated: mapDurations[t],
 				Records: m.In, Out: m.Out, Worker: m.worker,
-			}, &m.attempt, plan, base, m.MapWall)
+			}, &m.attempt)
 			sent := m.Out
 			if combines {
 				sent = m.CombineOut
@@ -473,20 +460,16 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 				met.PerKey[key] = acc
 			}
 		}
-		base := c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord
-		plan, err := c.Faults.plan("reduce", r)
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-		met.ReduceAttempts += int64(plan.attempts + len(o.failed))
-		reduceDurations[r] = time.Duration(float64(base) * plan.factor)
+		met.ReduceAttempts += int64(1 + len(o.failed))
+		reduceDurations[r] = c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord
 		met.ReduceTaskNanos.Observe(int64(reduceDurations[r]))
 		if tr != nil {
 			redStart := o.start + o.RecvWall
 			emitAttempts(Span{
 				Job: job.Name, Phase: PhaseReduce, Task: r, Start: redStart,
+				Wall: o.end - redStart, Simulated: reduceDurations[r],
 				Records: o.In, Groups: o.Groups, Out: int64(len(o.out)), Worker: o.worker,
-			}, &o.attempt, plan, base, o.end-redStart)
+			}, &o.attempt)
 		}
 		final = append(final, o.out...)
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // remoteBackend runs every task as a TaskSpec round-trip through an Executor
-// (subprocess pools, TCP workers, the in-process registry loopback): payloads
-// travel serialized, map buckets either move worker-to-worker under a direct
+// (a worker pool, the in-process registry loopback): payloads travel
+// serialized, map buckets either move worker-to-worker under a direct
 // ShufflePlan or are retained here and handed to the reduce spec (routed),
-// and real worker failures come back as extra failed attempts. The engine
+// and worker failures come back as extra failed attempts. The engine
 // loop (Run) is the same as for in-process execution.
 type remoteBackend[I any, O any] struct {
 	exec Executor
@@ -209,10 +209,12 @@ func (b *remoteBackend[I, O]) routedFallback(r int, spec *TaskSpec, lost *Shuffl
 	if err != nil {
 		return nil, err
 	}
-	// The lost direct attempt ran (at least partially) on a real worker
-	// and died, so it precedes the successful routed attempt — the same
-	// ordering crash recovery uses for re-executed tasks.
-	res.FailedAttempts = append([]TaskAttempt{{Worker: lost.Worker, Err: lost.Reason}}, res.FailedAttempts...)
+	if lost.Attempted {
+		// The lost direct attempt ran (at least partially) on a real worker
+		// and died, so it precedes the successful routed attempt — the same
+		// ordering crash recovery uses for re-executed tasks.
+		res.FailedAttempts = append([]TaskAttempt{{Worker: lost.Worker, Err: lost.Reason}}, res.FailedAttempts...)
+	}
 	return res, nil
 }
 

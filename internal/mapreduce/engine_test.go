@@ -265,6 +265,34 @@ func TestMakespan(t *testing.T) {
 	}
 }
 
+// TestStragglersStretchMakespan: the only straggler the virtual clock knows
+// is a task with more work. One oversized split among twenty stretches the
+// simulated map phase and adds no attempt.
+func TestStragglersStretchMakespan(t *testing.T) {
+	splits := make([][]string, 20)
+	for i := range splits {
+		splits[i] = []string{"x y z", "x"}
+	}
+	clean, err := Run(NewCluster(4), wordCountJob(5, true), splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		splits[7] = append(splits[7], "x")
+	}
+	slow, err := Run(NewCluster(4), wordCountJob(5, true), splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Metrics.MapAttempts != int64(slow.Metrics.MapTasks) {
+		t.Fatal("a straggler must not add attempts")
+	}
+	if slow.Metrics.SimulatedMap <= clean.Metrics.SimulatedMap {
+		t.Fatalf("the oversized split did not stretch the map makespan: %v vs %v",
+			slow.Metrics.SimulatedMap, clean.Metrics.SimulatedMap)
+	}
+}
+
 func TestVirtualTimeScalesWithSlaves(t *testing.T) {
 	// Many equal splits: simulated map time must shrink roughly linearly
 	// in the number of slaves.

@@ -117,10 +117,10 @@ type TaskCounters struct {
 	RecvWall time.Duration
 }
 
-// TaskAttempt records one real failed attempt of a task: the worker it was
-// leased to and why it failed. Unlike FaultModel attempts — which are
-// simulated and deterministic — these are genuine runtime failures (a worker
-// crashed or its lease expired), so they appear only when something actually
+// TaskAttempt records one failed attempt of a task: the worker it was
+// leased to and why it failed. These are genuine runtime failures (a worker
+// crashed, its lease expired, the buckets it held were lost) — the only
+// failed attempts there are — so they appear only when something actually
 // went wrong.
 type TaskAttempt struct {
 	// Worker identifies the worker the attempt ran on.
@@ -198,7 +198,7 @@ type WorkerSpan struct {
 }
 
 // Executor runs task attempts for the engine. The engine keeps all
-// scheduling, fault simulation, metrics folding and span emission; an
+// scheduling, metrics folding and span emission; an
 // executor only answers "run this spec, give me the result", possibly on
 // another process or machine. Execute must be safe for concurrent calls —
 // the engine issues up to Cluster.workers() of them at once. Execute is
@@ -239,10 +239,10 @@ type ShufflePlan struct {
 func (p *ShufflePlan) Timeout() time.Duration { return time.Duration(p.TimeoutMs) * time.Millisecond }
 
 // DirectShuffler is implemented by executors whose workers can exchange
-// shuffle buckets directly (today: the TCP worker pool). The engine asks for
-// a plan per job run; a nil plan means the executor cannot shuffle directly
-// right now (no capable workers attached, or direct shuffle disabled) and
-// the coordinator-routed path is used instead.
+// shuffle buckets directly (the worker pool). The engine asks for a plan per
+// job run; a nil plan means the executor cannot shuffle directly right now
+// (no capable workers attached) and the coordinator-routed path is used
+// instead.
 type DirectShuffler interface {
 	Executor
 	// PlanShuffle assigns the job's reducers to shuffle-capable workers.
@@ -269,6 +269,10 @@ type ShuffleLostError struct {
 	Reducer int
 	// Reason describes what went wrong.
 	Reason string
+	// Attempted is true when the reduce attempt reached the worker and died
+	// or failed there — a real failed attempt, counted and traced as one —
+	// and false when the worker was already gone and nothing ran.
+	Attempted bool
 }
 
 // Error renders the lost shuffle, naming the planned worker.

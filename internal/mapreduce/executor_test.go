@@ -100,12 +100,10 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 // normalization is needed).
 func TestRemoteGoldenSpans(t *testing.T) {
 	splits := remoteTestSplits()
-	faults := &FaultModel{TaskFailureProb: 0.3, Seed: 99}
 
 	run := func(exec Executor) []byte {
 		var buf bytes.Buffer
 		c := remoteTestCluster()
-		c.Faults = faults
 		tr := NewJSONLTracer(&buf)
 		c.Tracer = tr
 		c.Executor = exec
@@ -124,6 +122,82 @@ func TestRemoteGoldenSpans(t *testing.T) {
 	remote := run(&InprocExecutor{})
 	if !bytes.Equal(inproc, remote) {
 		t.Errorf("span files differ between in-process and remote execution:\n--- inproc ---\n%s\n--- remote ---\n%s", inproc, remote)
+	}
+}
+
+// dyingExecutor answers like a worker pool some of whose workers died: the
+// result of each task named in died ("map/2") comes back with that many
+// failed attempts ahead of the one that succeeded — which is all the engine
+// ever learns of a failure.
+type dyingExecutor struct {
+	InprocExecutor
+	died map[string]int
+	// gaveUp, when set, names a task whose attempt budget the pool spent.
+	gaveUp string
+}
+
+func (e *dyingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
+	if task := fmt.Sprintf("%s/%d", spec.Phase, spec.Task); task == e.gaveUp {
+		return nil, fmt.Errorf("worker: %s failed after 3 attempts, last on w-dead2: worker exited mid-task", task)
+	}
+	res, err := e.InprocExecutor.Execute(spec)
+	if err == nil {
+		res.Worker = "w-live"
+		for i := 0; i < e.died[fmt.Sprintf("%s/%d", spec.Phase, spec.Task)]; i++ {
+			res.FailedAttempts = append(res.FailedAttempts,
+				TaskAttempt{Worker: fmt.Sprintf("w-dead%d", i), Err: "worker exited mid-task"})
+		}
+	}
+	return res, err
+}
+
+// dyingCluster is remoteTestCluster on a pool where three attempts died: two
+// of map task 2, one of reduce task 1.
+func dyingCluster() *Cluster {
+	c := remoteTestCluster()
+	c.Executor = &dyingExecutor{died: map[string]int{"map/2": 2, "reduce/1": 1}}
+	return c
+}
+
+// TestFaultsDoNotChangeOutput: tasks are deterministic, so an attempt that
+// died and ran again elsewhere costs an attempt, never correctness — and
+// never virtual time: the clock charges a task once, for its counts.
+func TestFaultsDoNotChangeOutput(t *testing.T) {
+	splits := remoteTestSplits()
+	clean, err := Run(remoteTestCluster(), portableJob(7), splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := Run(dyingCluster(), portableJob(7), splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(clean.Output, faulty.Output) {
+		t.Fatal("failed attempts changed job output")
+	}
+	cm, fm := clean.Metrics, faulty.Metrics
+	if cm.MapAttempts != int64(cm.MapTasks) || cm.ReduceAttempts != int64(cm.ReduceTasks) {
+		t.Errorf("in-process: attempts %d/%d for %d/%d tasks, want one each", cm.MapAttempts, cm.ReduceAttempts, cm.MapTasks, cm.ReduceTasks)
+	}
+	if fm.MapAttempts != int64(fm.MapTasks)+2 || fm.ReduceAttempts != int64(fm.ReduceTasks)+1 {
+		t.Errorf("attempts %d map / %d reduce for %d / %d tasks, want the 2 + 1 that died on top",
+			fm.MapAttempts, fm.ReduceAttempts, fm.MapTasks, fm.ReduceTasks)
+	}
+	if fm.SimulatedTotal() != cm.SimulatedTotal() {
+		t.Errorf("simulated time %v with failed attempts, %v without: the virtual clock models no failures", fm.SimulatedTotal(), cm.SimulatedTotal())
+	}
+}
+
+// TestFaultsAbortAfterMaxAttempts: the attempt budget is the executor's; when
+// it gives up on a task the job aborts with its error, naming job and task.
+func TestFaultsAbortAfterMaxAttempts(t *testing.T) {
+	c := remoteTestCluster()
+	c.Executor = &dyingExecutor{gaveUp: "reduce/1"}
+	_, err := Run(c, portableJob(1), remoteTestSplits())
+	for _, want := range []string{`job "remote-modcount"`, "reduce task 1", "failed after 3 attempts"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want an abort naming %q, got %v", want, err)
+		}
 	}
 }
 

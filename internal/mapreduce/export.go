@@ -38,8 +38,8 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 
 	pw.Counter("strata_map_tasks_total", "Map tasks run.", m.MapTasks)
 	pw.Counter("strata_reduce_tasks_total", "Reduce tasks run.", m.ReduceTasks)
-	pw.Counter("strata_map_attempts_total", "Map task attempts, fault re-executions included.", m.MapAttempts)
-	pw.Counter("strata_reduce_attempts_total", "Reduce task attempts, fault re-executions included.", m.ReduceAttempts)
+	pw.Counter("strata_map_attempts_total", "Map task attempts, those that died on a worker included.", m.MapAttempts)
+	pw.Counter("strata_reduce_attempts_total", "Reduce task attempts, those that died on a worker included.", m.ReduceAttempts)
 	pw.Counter("strata_map_input_records_total", "Records read by the map phase.", m.MapInputRecords)
 	pw.Counter("strata_map_output_records_total", "Pairs emitted by mappers.", m.MapOutputRecords)
 	pw.Counter("strata_combine_input_records_total", "Pairs fed to combiners.", m.CombineInputRecs)

@@ -26,9 +26,10 @@ type Metrics struct {
 	ReduceInputRecs   int64
 	OutputRecords     int64
 
-	// MapAttempts and ReduceAttempts count task attempts including the
-	// re-executions injected by the cluster's FaultModel; without faults
-	// they equal MapTasks and ReduceTasks.
+	// MapAttempts and ReduceAttempts count task attempts: one per task plus
+	// every attempt that died on a worker first (a crash, an expired lease,
+	// a lost shuffle). When nothing died they equal MapTasks and
+	// ReduceTasks — always, for in-process execution.
 	MapAttempts    int64
 	ReduceAttempts int64
 
@@ -43,9 +44,8 @@ type Metrics struct {
 	WallTime time.Duration
 
 	// MapTaskNanos and ReduceTaskNanos are histograms of the simulated
-	// per-task durations (in nanoseconds, fault attempts and straggler
-	// factors included) — the per-phase latency distributions behind
-	// SimulatedMap and SimulatedReduce.
+	// per-task durations (in nanoseconds) — the per-phase latency
+	// distributions behind SimulatedMap and SimulatedReduce.
 	MapTaskNanos    Histogram
 	ReduceTaskNanos Histogram
 	// BucketBytes is a histogram of per-bucket shuffle sizes, one

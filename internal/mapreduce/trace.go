@@ -54,8 +54,8 @@ const (
 // Span is one traced unit of engine work: a task attempt, a per-task combine
 // or shuffle leg, or the whole job. Wall durations are measured on the
 // machine running the job; Simulated durations come from the cluster's cost
-// model and fault plan, so a span file carries both the real execution
-// profile and the virtual cluster's view (the paper's per-phase breakdown).
+// model, so a span file carries both the real execution profile and the
+// virtual cluster's view (the paper's per-phase breakdown).
 type Span struct {
 	// Job is the job name the span belongs to.
 	Job string `json:"job"`
@@ -63,20 +63,22 @@ type Span struct {
 	Phase string `json:"phase"`
 	// Task is the map-task or reduce-task index (0 for PhaseJob).
 	Task int `json:"task"`
-	// Attempt is the 1-based attempt number for map/reduce spans; attempts
-	// beyond the first are re-executions injected by the FaultModel.
+	// Attempt is the 1-based attempt number for map/reduce spans; a task
+	// has attempts beyond the first only when earlier ones died on a worker.
 	Attempt int `json:"attempt,omitempty"`
-	// Failed marks an attempt the FaultModel failed; the engine re-executed
-	// the task, so a Failed span is always followed by another attempt.
+	// Failed marks an attempt that died on a worker (a crash, an expired
+	// lease, a lost shuffle); the task ran again elsewhere, so a Failed
+	// span is always followed by another attempt. In-process execution
+	// emits none.
 	Failed bool `json:"failed,omitempty"`
 	// Start is the span's wall-clock start, as an offset from the start of
 	// Run (only meaningful relative to other spans of the same run).
 	Start time.Duration `json:"start_ns"`
-	// Wall is the measured duration. Fault-injected re-attempts did not
-	// really run, so only the final (successful) attempt carries it.
+	// Wall is the measured duration. Of a task's attempts only the final
+	// (successful) one carries it.
 	Wall time.Duration `json:"wall_ns,omitempty"`
-	// Simulated is the virtual-clock charge for this span, including the
-	// attempt's straggler factor.
+	// Simulated is the virtual-clock charge for this span. Failed attempts
+	// carry none: the virtual clock charges a task once.
 	Simulated time.Duration `json:"sim_ns,omitempty"`
 	// Records is the number of input records the span consumed.
 	Records int64 `json:"records,omitempty"`
@@ -88,7 +90,7 @@ type Span struct {
 	// in-memory pairs; worker push/recv child spans carry wire bytes).
 	Bytes int64 `json:"bytes,omitempty"`
 	// Worker identifies the worker that ran the attempt when the cluster
-	// executes on a remote backend (subprocess or TCP workers); empty for
+	// executes on a worker pool (subprocess or tcp backend); empty for
 	// in-process execution. Comparisons of span files across backends should
 	// normalize this field: worker assignment races the pool's scheduling, so
 	// it is the one deliberately nondeterministic span field.

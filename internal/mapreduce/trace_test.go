@@ -23,19 +23,23 @@ func countPhase(spans []Span) map[string]int {
 	return out
 }
 
-// TestTracedSpansMatchAttempts is the acceptance check: under injected
-// faults, the engine emits one map/reduce span per attempt, so the span
+// TestTracedSpansMatchAttempts is the acceptance check: when attempts died
+// on workers, the engine emits one map/reduce span per attempt, so the span
 // counts reproduce Metrics.MapAttempts and Metrics.ReduceAttempts exactly.
 func TestTracedSpansMatchAttempts(t *testing.T) {
 	tr := NewMemTracer()
-	c := tracedCluster(tr)
-	c.Faults = &FaultModel{TaskFailureProb: 0.4, StragglerStdDev: 0.3, Seed: 11}
-	res, err := Run(c, wordCountJob(5, true), wcSplits)
+	c := dyingCluster()
+	c.Tracer = tr
+	res, err := Run(c, portableJob(5), remoteTestSplits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
 	byPhase := countPhase(spans)
+	if byPhase[PhaseMap] != res.Metrics.MapTasks+2 || byPhase[PhaseReduce] != res.Metrics.ReduceTasks+1 {
+		t.Fatalf("%d map and %d reduce spans for %d and %d tasks: the 2 + 1 attempts that died are missing",
+			byPhase[PhaseMap], byPhase[PhaseReduce], res.Metrics.MapTasks, res.Metrics.ReduceTasks)
+	}
 	if got, want := int64(byPhase[PhaseMap]), res.Metrics.MapAttempts; got != want {
 		t.Fatalf("map spans %d, MapAttempts %d", got, want)
 	}
@@ -54,24 +58,22 @@ func TestTracedSpansMatchAttempts(t *testing.T) {
 	if byPhase[PhaseJob] != 1 {
 		t.Fatalf("job spans %d, want 1", byPhase[PhaseJob])
 	}
-	// Every non-final attempt is marked Failed and carries no wall time;
-	// every final attempt succeeded.
+	// Every non-final attempt is marked Failed, names the worker it died on
+	// and carries no wall or simulated time; every final attempt succeeded.
 	attempts := make(map[int]int)
 	for _, s := range spans {
 		if s.Phase != PhaseMap {
 			continue
 		}
 		attempts[s.Task]++
-		if s.Failed && s.Wall != 0 {
-			t.Fatalf("failed attempt carries wall time: %+v", s)
+		if s.Failed && (s.Wall != 0 || s.Simulated != 0 || !strings.HasPrefix(s.Worker, "w-dead")) {
+			t.Fatalf("failed attempt carries time or no dead worker: %+v", s)
 		}
 		if s.Attempt != attempts[s.Task] {
 			t.Fatalf("attempt numbers of task %d not contiguous: %+v", s.Task, s)
 		}
-	}
-	for task, n := range attempts {
-		if n < 1 {
-			t.Fatalf("task %d has no attempts", task)
+		if want := s.Task == 2 && s.Attempt <= 2; s.Failed != want {
+			t.Fatalf("map task %d attempt %d: failed = %v", s.Task, s.Attempt, s.Failed)
 		}
 	}
 	// Span record counts agree with the phase totals.
@@ -210,7 +212,6 @@ func TestMetricsHistogramsPopulated(t *testing.T) {
 // counters included — survives a JSON round trip unchanged.
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	c := tracedCluster(NewMemTracer())
-	c.Faults = &FaultModel{TaskFailureProb: 0.3, Seed: 7}
 	job := wordCountJob(4, true)
 	job.Mapper = sumStage[string, string]{fn: wcWords, observe: "reservoir_size"}
 	res, err := Run(c, job, wcSplits)
@@ -230,18 +231,16 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsAttemptAccounting: attempts on a fault-injected run exceed the
-// task counts and match between a fresh run and an accumulated one.
+// TestMetricsAttemptAccounting: attempts on a run where workers died exceed
+// the task counts and match between a fresh run and an accumulated one.
 func TestMetricsAttemptAccounting(t *testing.T) {
-	c := NewCluster(4)
-	c.Faults = &FaultModel{TaskFailureProb: 0.5, MaxAttempts: 6, Seed: 21}
-	res, err := Run(c, wordCountJob(9, true), wcSplits)
+	res, err := Run(dyingCluster(), portableJob(9), remoteTestSplits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := res.Metrics
-	if m.MapAttempts <= int64(m.MapTasks) && m.ReduceAttempts <= int64(m.ReduceTasks) {
-		t.Fatalf("p=0.5 injected no retries: map %d/%d, reduce %d/%d",
+	if m.MapAttempts <= int64(m.MapTasks) || m.ReduceAttempts <= int64(m.ReduceTasks) {
+		t.Fatalf("the attempts that died were not counted: map %d/%d, reduce %d/%d",
 			m.MapAttempts, m.MapTasks, m.ReduceAttempts, m.ReduceTasks)
 	}
 	var sum Metrics

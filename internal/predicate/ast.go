@@ -189,36 +189,6 @@ func OrAll(exprs ...Expr) Expr {
 	return acc
 }
 
-// Attrs returns the set of attribute names referenced by the formula, in
-// first-appearance order.
-func Attrs(e Expr) []string {
-	var names []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Compare:
-			if !seen[x.Attr] {
-				seen[x.Attr] = true
-				names = append(names, x.Attr)
-			}
-		case And:
-			walk(x.L)
-			walk(x.R)
-		case Or:
-			walk(x.L)
-			walk(x.R)
-		case Not:
-			walk(x.X)
-		case Literal:
-		default:
-			panic(fmt.Sprintf("predicate: unknown expr %T", e))
-		}
-	}
-	walk(e)
-	return names
-}
-
 // Equal reports structural equality of two formulas.
 func Equal(a, b Expr) bool {
 	return strings.Compare(a.String(), b.String()) == 0

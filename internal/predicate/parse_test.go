@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -107,15 +106,6 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("((")
-}
-
-func TestAttrs(t *testing.T) {
-	e := MustParse("a < 1 and (b > 2 or a = 3) and not c != 4")
-	got := Attrs(e)
-	want := []string{"a", "b", "c"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Attrs = %v, want %v", got, want)
-	}
 }
 
 func TestAndAllOrAll(t *testing.T) {

@@ -73,11 +73,11 @@ func init() {
 // uniform arity (one leading 1 byte), falling back to per-tuple encoding
 // for ragged slices (leading 0 byte).
 func appendTupleSlice(buf []byte, ts []dataset.Tuple) []byte {
-	if b, ok := dataset.BatchOfTuples(ts); ok {
-		buf = append(buf, 1)
+	b, uniform := dataset.BatchOfTuples(ts)
+	buf = wire.AppendBool(buf, uniform)
+	if uniform {
 		return b.AppendWire(buf)
 	}
-	buf = append(buf, 0)
 	buf = wire.AppendUvarint(buf, uint64(len(ts)))
 	for i := range ts {
 		buf = ts[i].AppendWire(buf)

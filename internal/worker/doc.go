@@ -3,21 +3,21 @@
 // task attempts, execute them through the shared task cores, and stream the
 // results back.
 //
-// Two executors implement mapreduce.Executor:
+// There is one transport and two ways to get processes onto it. TCPExecutor
+// listens on a socket; workers dial in, register with a hello frame and open
+// a shuffle receiver for direct worker-to-worker bucket delivery. They are
+// local goroutines (SpawnLocal), external processes ("strata worker
+// -connect"), or the children of a SubprocessExecutor — a TCPExecutor on an
+// ephemeral loopback port that starts a fixed pool of "worker -connect"
+// processes itself, fails fast when one dies before registering, and reaps
+// them on Close.
 //
-//   - SubprocessExecutor starts a fixed pool of child processes (by default
-//     re-executing the current binary with "worker -stdio") and speaks the
-//     wire protocol over their stdin/stdout pipes.
-//   - TCPExecutor listens on a socket; workers — local goroutines via
-//     SpawnLocal, or external processes via "strata worker -connect" — dial
-//     in and register with a hello frame.
-//
-// Both share the same coordinator pool (pool.go): tasks queue centrally,
+// The coordinator pool (pool.go) is shared: tasks queue centrally,
 // idle workers lease them, heartbeats keep leases alive, and a worker that
 // crashes or goes silent past the lease timeout forfeits its attempt — the
 // task is re-enqueued with backoff, up to a bounded attempt budget, and the
-// real failed attempts surface in the engine's trace as failed spans tagged
-// with the worker id.
+// failed attempts surface in the engine's metrics and trace as failed spans
+// tagged with the worker id. Those are the only failed attempts there are.
 //
 // The protocol (protocol.go) is deliberately small: length-prefixed frames
 // in the binary wire codec (wire.go) carrying hello, task, result, heartbeat

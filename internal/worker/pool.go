@@ -13,7 +13,7 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// Config tunes the coordinator pool shared by both executors. The zero
+// Config tunes the coordinator pool behind every executor. The zero
 // value gets sensible defaults from fill().
 type Config struct {
 	// LeaseTimeout is how long a dispatched task may go without any frame
@@ -80,9 +80,8 @@ type taskOutcome struct {
 }
 
 // pool is the coordinator: a central task queue drained by one lease loop
-// per connected worker. It implements the Execute half of
-// mapreduce.Executor; SubprocessExecutor and TCPExecutor own worker
-// lifecycle (spawning, accepting, killing) and delegate the rest here.
+// per connected worker. TCPExecutor embeds it: the pool runs tasks (Execute,
+// ExecuteOn), the executor owns worker lifecycle (accepting, spawning).
 type pool struct {
 	cfg   Config
 	queue chan *taskReq
@@ -114,9 +113,10 @@ func newPool(cfg Config) *pool {
 	}
 }
 
-// execute queues one task and waits for a worker to complete it (possibly
-// after reassignments). It fails fast when no workers remain.
-func (p *pool) execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
+// Execute queues one task attempt and waits for a worker to complete it,
+// transparently reassigning it if its worker dies. It fails fast when no
+// workers remain.
+func (p *pool) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
 	req := &taskReq{spec: spec, done: make(chan taskOutcome, 1)}
 	if err := p.submit(req); err != nil {
 		return nil, err
@@ -139,35 +139,36 @@ func (p *pool) submit(req *taskReq) error {
 	return nil
 }
 
-// executeOn queues one task for a specific worker (shuffle affinity) and
-// waits for it. Unlike execute it never reassigns: when the worker is not
-// attached, its affinity queue is saturated, or it dies mid-attempt, the
-// error is a *mapreduce.ShuffleLostError and the caller falls back to the
-// routed path.
-func (p *pool) executeOn(worker string, spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
+// ExecuteOn queues one task for a specific worker (shuffle affinity) and
+// waits for it — the mapreduce.DirectShuffler half of the executor. Unlike
+// Execute it never reassigns: when the worker is not attached, its affinity
+// queue is saturated, or it dies mid-attempt, the error is a
+// *mapreduce.ShuffleLostError and the caller falls back to the routed path.
+func (p *pool) ExecuteOn(worker string, spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
 	req := &taskReq{spec: spec, done: make(chan taskOutcome, 1), affine: worker}
 	req.markEnqueued()
 	p.mu.Lock()
 	w := p.workers[worker]
 	if p.closed || w == nil {
 		p.mu.Unlock()
-		p.shuffleLost.Add(1)
-		return nil, &mapreduce.ShuffleLostError{
-			Worker: worker, Reducer: spec.Task, Reason: "worker no longer attached",
-		}
+		return nil, p.lost(worker, req, "worker no longer attached", false)
 	}
 	select {
 	case w.affine <- req:
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
-		p.shuffleLost.Add(1)
-		return nil, &mapreduce.ShuffleLostError{
-			Worker: worker, Reducer: spec.Task, Reason: "affinity queue saturated",
-		}
+		return nil, p.lost(worker, req, "affinity queue saturated", false)
 	}
 	out := <-req.done
 	return out.res, out.err
+}
+
+// lost counts one lost direct shuffle and renders it for the engine.
+// attempted says whether the reduce attempt reached the worker at all.
+func (p *pool) lost(worker string, req *taskReq, reason string, attempted bool) *mapreduce.ShuffleLostError {
+	p.shuffleLost.Add(1)
+	return &mapreduce.ShuffleLostError{Worker: worker, Reducer: req.spec.Task, Reason: reason, Attempted: attempted}
 }
 
 // liveWorkers reports how many workers are currently attached.
@@ -201,46 +202,45 @@ type frameOrErr struct {
 	err error
 }
 
-// helloInfo is what awaitHello extracts from a worker's hello frame: its
-// identity, shuffle endpoint, and the clock-offset estimate (worker clock −
-// coordinator clock) from the hello's WallNanos sample. clockOK
-// distinguishes a real estimate from a hello that carried no clock sample.
+// helloInfo is what awaitHello extracts from a worker's hello frame.
 type helloInfo struct {
 	id          string
-	shuffleAddr string
-	clockOff    int64
-	clockOK     bool
+	shuffleAddr string // the worker's shuffle-receiver endpoint, "" if none
+	clockOff    int64  // estimated worker−coordinator clock offset (nanos), from the hello's WallNanos
+	clockOK     bool   // whether clockOff is a real estimate: the hello carried a clock sample
 }
 
 type workerHandle struct {
-	id          string
-	shuffleAddr string // the worker's shuffle-receiver endpoint, "" if none
-	clockOff    int64  // estimated worker−coordinator clock offset (nanos)
-	clockOK     bool   // whether clockOff is a real estimate
-	conn        *frameConn
-	closeConn   func()
-	closeOnce   sync.Once
-	seq         uint64
-	frames      chan frameOrErr
-	affine      chan *taskReq // tasks pinned to this worker (shuffle affinity)
-	gone        chan struct{} // closed by workerGone; unblocks the read loop
+	helloInfo // what the worker announced when it registered
+	conn      *frameConn
+	closeConn func()
+	closeOnce sync.Once
+	seq       uint64
+	frames    chan frameOrErr
+	affine    chan *taskReq // tasks pinned to this worker (shuffle affinity)
+	gone      chan struct{} // closed by workerGone; unblocks the read loop
 }
 
 // attach registers a connected worker (its hello already consumed, described
 // by h) and starts its lease loop. closeConn force-closes the underlying
-// stream or process when the worker is dropped or the pool drains.
+// connection when the worker is dropped or the pool drains; a worker that
+// registers with a pool already closed is hung up on at once.
 func (p *pool) attach(h helloInfo, conn *frameConn, closeConn func()) {
 	w := &workerHandle{
-		id: h.id, shuffleAddr: h.shuffleAddr, conn: conn, closeConn: closeConn,
-		clockOff: h.clockOff, clockOK: h.clockOK,
+		helloInfo: h, conn: conn, closeConn: closeConn,
 		frames: make(chan frameOrErr),
 		// The affinity queue is deep enough for any realistic reducer count;
-		// executeOn turns a saturated queue into a lost shuffle rather than
+		// ExecuteOn turns a saturated queue into a lost shuffle rather than
 		// blocking the engine.
 		affine: make(chan *taskReq, 1024),
 		gone:   make(chan struct{}),
 	}
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		closeConn()
+		return
+	}
 	p.live++
 	// Latest registration wins a contended id; the previous holder keeps
 	// running tasks from the shared queue but is no longer an affinity target.
@@ -301,10 +301,7 @@ func (p *pool) workerGone(w *workerHandle) {
 	for {
 		select {
 		case req := <-w.affine:
-			p.shuffleLost.Add(1)
-			req.done <- taskOutcome{err: &mapreduce.ShuffleLostError{
-				Worker: w.id, Reducer: req.spec.Task, Reason: "worker died before its affine task ran",
-			}}
+			req.done <- taskOutcome{err: p.lost(w.id, req, "worker died before its affine task ran", false)}
 		default:
 			p.wg.Done()
 			return
@@ -313,7 +310,7 @@ func (p *pool) workerGone(w *workerHandle) {
 }
 
 // serveWorker leases tasks to one worker until the pool closes or the
-// worker fails. Any transport-level failure (broken pipe, lease expiry,
+// worker fails. Any transport-level failure (broken connection, lease expiry,
 // malformed frame) is treated as a worker death: the in-flight task is
 // reassigned and this worker is never used again. Task-level failures
 // reported by a healthy worker are deterministic and fail the task
@@ -342,10 +339,7 @@ func (p *pool) serveWorker(w *workerHandle) {
 				// An affine task cannot move: no other worker holds its
 				// peer-delivered buckets. Report the shuffle lost so the
 				// engine replays it over the routed path.
-				p.shuffleLost.Add(1)
-				req.done <- taskOutcome{err: &mapreduce.ShuffleLostError{
-					Worker: w.id, Reducer: req.spec.Task, Reason: workerErr.Error(),
-				}}
+				req.done <- taskOutcome{err: p.lost(w.id, req, workerErr.Error(), true)}
 				return
 			}
 			req.attempts = append(req.attempts, mapreduce.TaskAttempt{
@@ -450,7 +444,7 @@ func (w *workerHandle) do(req *taskReq, lease time.Duration) (res *mapreduce.Tas
 						// buckets are gone; surface the typed error so the
 						// engine can fall back to the routed path.
 						return nil, &mapreduce.ShuffleLostError{
-							Worker: w.id, Reducer: req.spec.Task, Reason: f.env.Err,
+							Worker: w.id, Reducer: req.spec.Task, Reason: f.env.Err, Attempted: true,
 						}, nil
 					}
 					return nil, fmt.Errorf("worker %s: %s", w.id, f.env.Err), nil
@@ -509,15 +503,17 @@ type ShuffleStats struct {
 	// header + session + payload), bypassing the coordinator.
 	DirectBytes int64
 	// RoutedBucketBytes are bucket payload bytes the coordinator carried
-	// inside task and result frames: the whole shuffle for routed backends,
-	// only retained stragglers and fallback replays for direct ones.
+	// inside task and result frames: buckets a failed push retained, the
+	// replays of a lost shuffle, and the whole shuffle of a pool none of
+	// whose workers could open a receiver.
 	RoutedBucketBytes int64
 	// Lost counts direct attempts that ended in a ShuffleLostError and fell
 	// back to the routed path.
 	Lost int64
 }
 
-func (p *pool) shuffleStats() ShuffleStats {
+// ShuffleStats reports where the pool's shuffle bytes have traveled so far.
+func (p *pool) ShuffleStats() ShuffleStats {
 	return ShuffleStats{
 		DirectBytes:       p.directBytes.Load(),
 		RoutedBucketBytes: p.routedBucketBytes.Load(),

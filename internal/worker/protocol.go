@@ -12,8 +12,8 @@ import (
 )
 
 // The wire protocol: length-prefixed frames, each a single envelope in the
-// binary codec of wire.go. Frames are self-contained, so the same framing
-// serves pipes and sockets alike.
+// binary codec of wire.go. Frames are self-contained; the one transport they
+// travel is a tcp connection the worker dialed.
 
 // msgKind discriminates envelope frames.
 type msgKind uint8
@@ -42,8 +42,8 @@ type envelope struct {
 	ID string
 	// ShuffleAddr is the worker's shuffle-receiver endpoint (hello frames):
 	// the address peer workers push this worker's reduce buckets to. Empty
-	// when the worker cannot receive directly (stdio workers, direct shuffle
-	// disabled); the coordinator then keeps that worker off shuffle plans.
+	// when the worker could not open a receiver; the coordinator then keeps
+	// that worker off shuffle plans.
 	ShuffleAddr string
 	// WallNanos is the worker's wall clock when it sent its hello, in unix
 	// nanoseconds. The coordinator subtracts its own receive time to get a

@@ -21,10 +21,10 @@ import (
 // leased task and the job still completes correctly.
 const ChaosExitEnv = "STRATA_WORKER_EXIT_AFTER"
 
-// ErrChaosExit is returned by Serve when the ChaosExitEnv crash point
-// fires. Process-based servers (ServeStdio callers) should exit non-zero on
-// it; in-process servers just let the connection close, which the
-// coordinator handles identically to a process death.
+// ErrChaosExit is returned by ServeTCP when the ChaosExitEnv crash point
+// fires. A worker process exits non-zero on it; an in-process worker just
+// lets the connection close, which the coordinator handles identically to a
+// process death.
 var ErrChaosExit = errors.New("worker: chaos exit triggered by " + ChaosExitEnv)
 
 // ServeOptions configures one worker's serve loop. The zero value works:
@@ -39,14 +39,10 @@ type ServeOptions struct {
 	// ExitAfter is the chaos crash point (see ChaosExitEnv, which fills it
 	// when zero): receiving the n-th task aborts the loop.
 	ExitAfter int
-	// RoutedShuffle keeps a TCP worker from starting a shuffle receiver, so
-	// all its buckets travel through the coordinator. Stdio workers are
-	// always routed (their only channel is the coordinator pipe).
-	RoutedShuffle bool
 
-	// shuffle is the worker's direct-shuffle receiver, created by ServeTCP
-	// and announced in the hello frame.
-	shuffle *shuffleReceiver
+	// openReceiver replaces newShuffleReceiver when non-nil: the seam tests
+	// reach (export_test.go) to make the open fail.
+	openReceiver func() (*shuffleReceiver, error)
 }
 
 func (o ServeOptions) fill() ServeOptions {
@@ -65,22 +61,20 @@ func (o ServeOptions) fill() ServeOptions {
 	return o
 }
 
-// Serve runs one worker over a byte stream: announce the hello, then
-// execute task frames serially through mapreduce.ExecuteTask until the
-// coordinator drains the worker or the stream closes. A heartbeat ticker
-// keeps the coordinator's lease alive while tasks execute.
-//
-// Anything else writing to w corrupts the frame stream, so process workers
-// must keep their logging on stderr.
-func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
+// serve runs one worker over a byte stream: announce the hello — with recv's
+// endpoint, when the worker has a shuffle receiver — then execute task frames
+// serially through mapreduce.ExecuteTask until the coordinator drains the
+// worker or the stream closes. A heartbeat ticker keeps the coordinator's
+// lease alive while tasks execute.
+func serve(r io.Reader, w io.Writer, opts ServeOptions, recv *shuffleReceiver) error {
 	opts = opts.fill()
 	conn := newFrameConn(r, w)
 	// The serve loop is the read side that wants per-frame decode timing:
 	// traced specs lift it into a decode span.
 	conn.measureDecode = true
 	hello := &envelope{Kind: msgHello, ID: opts.ID, WireVersion: wireVersion, WallNanos: time.Now().UnixNano()}
-	if opts.shuffle != nil {
-		hello.ShuffleAddr = opts.shuffle.addr()
+	if recv != nil {
+		hello.ShuffleAddr = recv.addr()
 	}
 	if err := conn.write(hello); err != nil {
 		return err
@@ -126,7 +120,7 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 			}
 			if env.Spec == nil {
 				reply.Err = "task frame without spec"
-			} else if res, lost, err := executeSpec(env.Spec, opts.shuffle, rec); err != nil {
+			} else if res, lost, err := executeSpec(env.Spec, recv, rec); err != nil {
 				reply.Err = err.Error()
 				reply.ShuffleLost = lost
 			} else {
@@ -211,36 +205,20 @@ func executeSpec(spec *mapreduce.TaskSpec, recv *shuffleReceiver, rec *spanRecor
 			err = fmt.Errorf("worker: job %q %s task %d panicked: %v", spec.Job, spec.Phase, spec.Task, r)
 		}
 	}()
-	if spec.Shuffle == nil {
-		t0 := rec.start()
-		res, err = mapreduce.ExecuteTask(spec)
-		if err == nil {
-			rec.add(mapreduce.PhaseExec, t0, 0)
-		}
-		return res, false, err
+	if spec.Shuffle != nil && spec.Phase == "reduce" {
+		return executeDirectReduce(spec, recv, rec)
 	}
-	switch spec.Phase {
-	case "map":
-		t0 := rec.start()
-		res, err = mapreduce.ExecuteTask(spec)
-		if err != nil {
-			return nil, false, err
-		}
-		rec.add(mapreduce.PhaseExec, t0, 0)
+	t0 := rec.start()
+	if res, err = mapreduce.ExecuteTask(spec); err != nil {
+		return nil, false, err
+	}
+	rec.add(mapreduce.PhaseExec, t0, 0)
+	if spec.Shuffle != nil && spec.Phase == "map" {
 		p0 := rec.start()
 		deliverBuckets(spec, res)
 		rec.add(mapreduce.PhasePush, p0, res.DirectBytes)
-		return res, false, nil
-	case "reduce":
-		return executeDirectReduce(spec, recv, rec)
-	default:
-		t0 := rec.start()
-		res, err = mapreduce.ExecuteTask(spec)
-		if err == nil {
-			rec.add(mapreduce.PhaseExec, t0, 0)
-		}
-		return res, false, err
 	}
+	return res, false, nil
 }
 
 // deliverBuckets pushes a map attempt's buckets to their reducers' endpoints,
@@ -329,41 +307,28 @@ func executeDirectReduce(spec *mapreduce.TaskSpec, recv *shuffleReceiver, rec *s
 	return res, false, nil
 }
 
-// ServeStdio serves a subprocess worker over stdin/stdout — the loop the
-// "strata worker -stdio" subcommand runs. The exit status is 0 for a clean
-// drain, 3 for a chaos exit, 1 otherwise; it never returns.
-func ServeStdio(opts ServeOptions) {
-	err := Serve(os.Stdin, os.Stdout, opts)
-	switch {
-	case err == nil:
-		os.Exit(0)
-	case errors.Is(err, ErrChaosExit):
-		os.Exit(3)
-	default:
-		slog.Error("worker: serve failed", "err", err)
-		os.Exit(1)
-	}
-}
-
 // ServeTCP dials a TCPExecutor's address and serves until drained. It is
-// the loop behind "strata worker -connect addr" and TCPExecutor.SpawnLocal.
-// Unless opts.RoutedShuffle is set, the worker starts an embedded shuffle
-// receiver and announces its endpoint in the hello frame, which makes it
-// eligible for direct worker-to-worker bucket delivery.
+// the loop behind "strata worker -connect addr" — which is also how
+// SubprocessExecutor's children run — and TCPExecutor.SpawnLocal. The worker
+// opens an embedded shuffle receiver and announces its endpoint in the hello
+// frame, which makes it eligible for direct worker-to-worker bucket
+// delivery; one that cannot open a receiver serves anyway, announces none,
+// and is never planned a reducer.
 func ServeTCP(addr string, opts ServeOptions) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("worker: connecting to coordinator %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if !opts.RoutedShuffle {
-		recv, err := newShuffleReceiver()
-		if err != nil {
-			slog.Warn("worker: direct shuffle unavailable, serving routed", "err", err)
-		} else {
-			defer recv.close()
-			opts.shuffle = recv
-		}
+	open := opts.openReceiver
+	if open == nil {
+		open = newShuffleReceiver
 	}
-	return Serve(conn, conn, opts)
+	recv, err := open()
+	if err != nil {
+		slog.Warn("worker: direct shuffle unavailable, serving routed", "err", err)
+	} else {
+		defer recv.close()
+	}
+	return serve(conn, conn, opts, recv)
 }

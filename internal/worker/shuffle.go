@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// The direct shuffle data plane: every TCP worker runs a shuffleReceiver — a
+// The direct shuffle data plane: every worker runs a shuffleReceiver — a
 // loopback listener speaking length-prefixed frames — and
 // map attempts push each bucket straight to the endpoint of the reducer that
 // will consume it. The coordinator never touches the bytes; it only hands out

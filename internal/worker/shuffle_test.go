@@ -3,10 +3,13 @@ package worker_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/worker"
 )
 
@@ -55,46 +58,96 @@ func TestDirectShuffleZeroRoutedBytes(t *testing.T) {
 	}
 }
 
-// TestRoutedShuffleEscapeHatch: with RoutedShuffle set the executor plans no
-// direct sessions — the answer is unchanged and every bucket byte is
-// coordinator-carried, mirroring the subprocess backend.
-func TestRoutedShuffleEscapeHatch(t *testing.T) {
-	splits := testPopulation(t)
-	want, wantMet := runSQE(t, nil, splits)
-
-	exec := newTCP(t, 3, worker.TCPConfig{RoutedShuffle: true})
-	defer exec.Close()
-	got, gotMet := runSQE(t, exec, splits)
-
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("routed answer differs from in-process:\n in: %v\nout: %v", want, got)
-	}
-	if !reflect.DeepEqual(wantMet, gotMet) {
-		t.Errorf("routed metrics differ from in-process:\n in: %+v\nout: %+v", wantMet, gotMet)
-	}
-	st := exec.ShuffleStats()
-	if st.DirectBytes != 0 {
-		t.Errorf("DirectBytes = %d with RoutedShuffle set, want 0", st.DirectBytes)
-	}
-	if st.RoutedBucketBytes == 0 {
-		t.Error("RoutedBucketBytes = 0 on the routed path, want > 0")
-	}
-}
-
-// Subprocess workers have no peer listener, so their shuffle must always be
-// coordinator-routed regardless of the direct data plane existing.
-func TestSubprocessShuffleAlwaysRouted(t *testing.T) {
+// TestSubprocessShuffleDirect: worker child processes dial the coordinator
+// like every other remote worker, so they open shuffle receivers and a
+// healthy run moves every bucket worker-to-worker — the coordinator carries
+// none.
+func TestSubprocessShuffleDirect(t *testing.T) {
 	splits := testPopulation(t)
 	exec := newSubprocess(t, 2, nil)
 	defer exec.Close()
 	runSQE(t, exec, splits)
 
 	st := exec.ShuffleStats()
-	if st.DirectBytes != 0 {
-		t.Errorf("subprocess DirectBytes = %d, want 0", st.DirectBytes)
+	if st.DirectBytes == 0 {
+		t.Error("subprocess DirectBytes = 0: no bucket traveled worker-to-worker")
 	}
-	if st.RoutedBucketBytes == 0 {
-		t.Error("subprocess RoutedBucketBytes = 0, want > 0")
+	if st.RoutedBucketBytes != 0 || st.Lost != 0 {
+		t.Errorf("subprocess pool: coordinator carried %d bucket bytes, %d shuffles lost; want 0 and 0 on a healthy run",
+			st.RoutedBucketBytes, st.Lost)
+	}
+}
+
+// killBeforeReduce forwards to a subprocess pool and kills child i when the
+// first reduce attempt is about to be dispatched: the map phase is over, so
+// the child dies holding the buckets its peers pushed to it.
+type killBeforeReduce struct {
+	*worker.SubprocessExecutor
+	i    int
+	once sync.Once
+}
+
+func (k *killBeforeReduce) ExecuteOn(w string, spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
+	k.once.Do(func() { k.Kill(k.i) })
+	return k.SubprocessExecutor.ExecuteOn(w, spec)
+}
+
+// TestSubprocessKilledHoldingBuckets kills a real worker process between the
+// map and the reduce phase. Two workers share three reducers round-robin, so
+// sp-1 holds reducer 1's buckets and nothing else: that reducer's attempt
+// dies with the process (a lost shuffle), the coordinator replays the map
+// tasks and reduces routed on the survivor, and the job ends with the
+// in-process answer, exactly one extra attempt, and the death as a failed
+// reduce span tagged sp-1.
+func TestSubprocessKilledHoldingBuckets(t *testing.T) {
+	splits := testPopulation(t)
+	want, _ := runSQE(t, nil, splits)
+
+	sub := newSubprocess(t, 2, nil)
+	defer sub.Close()
+	c := testCluster(&killBeforeReduce{SubprocessExecutor: sub, i: 1})
+	tr := mapreduce.NewMemTracer()
+	c.Tracer = tr
+	got, met, err := runSQEerr(t, c, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("answer after a worker died holding buckets differs from in-process:\n in: %v\nout: %v", want, got)
+	}
+	if met.MapAttempts != int64(met.MapTasks) || met.ReduceAttempts != int64(met.ReduceTasks)+1 {
+		t.Errorf("attempts: map %d of %d tasks, reduce %d of %d; want no extra map attempt and exactly one extra reduce attempt",
+			met.MapAttempts, met.MapTasks, met.ReduceAttempts, met.ReduceTasks)
+	}
+	failed := failedSpans(tr)
+	if len(failed) != 1 || failed[0].Phase != mapreduce.PhaseReduce || failed[0].Task != 1 || failed[0].Worker != "sp-1" {
+		t.Errorf("failed spans %+v, want one: reduce task 1 on sp-1", failed)
+	}
+	if st := sub.ShuffleStats(); st.Lost != 1 || st.RoutedBucketBytes == 0 {
+		t.Errorf("shuffle stats %+v, want one lost shuffle replayed through the coordinator", st)
+	}
+}
+
+// TestSubprocessChildExitsBeforeRegistering: a child that dies without ever
+// dialing the coordinator fails the executor's construction at once, with an
+// error naming the worker and its exit status — not after a lease timeout of
+// silence.
+func TestSubprocessChildExitsBeforeRegistering(t *testing.T) {
+	start := time.Now()
+	exec, err := worker.NewSubprocessExecutor(worker.SubprocessConfig{
+		Workers: 2, Command: []string{"sh", "-c", "exit 7"},
+	})
+	if err == nil {
+		exec.Close()
+		t.Fatal("a pool whose children exit at once was constructed")
+	}
+	for _, part := range []string{"sp-", "exit status 7", "before registering"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not mention %q", err, part)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("construction failed after %v: that is the lease timeout, not a fast failure", d)
 	}
 }
 
@@ -128,15 +181,16 @@ func TestDirectShuffleCrashFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkShuffleDirectVsRouted runs the same MR-SQE job on one tcp pool
-// with the direct data plane on and off: the wall-clock delta is the cost of
-// hauling every bucket through the coordinator, and the reported
-// coordinator-bytes metric shows what the direct path removes from it.
-func BenchmarkShuffleDirectVsRouted(b *testing.B) {
+// BenchmarkShuffleDirect runs one MR-SQE job per op on a tcp pool and
+// reports where its shuffle bytes traveled: directB/op between workers,
+// coordB/op through the coordinator (0 on a healthy pool). The routed arm it
+// was once compared against went with the option that selected it; its
+// numbers are dated history in EXPERIMENTS.md.
+func BenchmarkShuffleDirect(b *testing.B) {
 	for _, size := range []int{1, 50} {
 		splits := scaledPopulation(b, size)
-		bench := func(b *testing.B, cfg worker.TCPConfig) {
-			exec := newTCP(b, 3, cfg)
+		b.Run(fmt.Sprintf("pop=%d", size*900), func(b *testing.B) {
+			exec := newTCP(b, 3, worker.TCPConfig{})
 			defer exec.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -146,12 +200,6 @@ func BenchmarkShuffleDirectVsRouted(b *testing.B) {
 			st := exec.ShuffleStats()
 			b.ReportMetric(float64(st.RoutedBucketBytes)/float64(b.N), "coordB/op")
 			b.ReportMetric(float64(st.DirectBytes)/float64(b.N), "directB/op")
-		}
-		b.Run(fmt.Sprintf("pop=%d/shuffle=direct", size*900), func(b *testing.B) {
-			bench(b, worker.TCPConfig{})
-		})
-		b.Run(fmt.Sprintf("pop=%d/shuffle=routed", size*900), func(b *testing.B) {
-			bench(b, worker.TCPConfig{RoutedShuffle: true})
 		})
 	}
 }
@@ -178,10 +226,10 @@ func scaledPopulation(t testing.TB, size int) []dataset.Split {
 	return splits
 }
 
-// TestDirectShuffleMixedPool: a pool where one worker opted out of the data
-// plane (routed-only) still completes with the in-process answer — the plan
-// simply never places reducers on the opted-out worker, and any bucket
-// pushed to a planless destination stays coordinator-carried.
+// TestDirectShuffleMixedPool: a pool where one worker could not open its
+// shuffle receiver (it serves routed-only) still completes with the
+// in-process answer — the plan never places a reducer on the receiver-less
+// worker, and the map attempts it runs push their buckets like any other.
 func TestDirectShuffleMixedPool(t *testing.T) {
 	splits := testPopulation(t)
 	want, _ := runSQE(t, nil, splits)
@@ -191,14 +239,26 @@ func TestDirectShuffleMixedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SpawnLocalOpts(1, worker.ServeOptions{RoutedShuffle: true})
-	exec.SpawnLocalOpts(2, worker.ServeOptions{})
+	exec.SpawnLocalOpts(1, worker.ReceiverlessOptions()) // tcp-1
+	exec.SpawnLocalOpts(2, worker.ServeOptions{})        // tcp-2, tcp-3
 	if err := exec.AwaitWorkers(3, 10*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	plan := exec.PlanShuffle("probe", 6)
+	if plan == nil {
+		t.Fatal("no shuffle plan with two receiver-capable workers attached")
+	}
+	for r, w := range plan.Workers {
+		if w != "tcp-2" && w != "tcp-3" {
+			t.Errorf("reducer %d planned on %q, want only the workers that announced a receiver", r, w)
+		}
 	}
 
 	got, _ := runSQE(t, exec, splits)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("mixed-pool answer differs from in-process:\n in: %v\nout: %v", want, got)
+	}
+	if st := exec.ShuffleStats(); st.Lost != 0 || st.DirectBytes == 0 {
+		t.Errorf("shuffle stats %+v, want a direct shuffle with nothing lost", st)
 	}
 }

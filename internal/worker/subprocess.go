@@ -2,12 +2,10 @@ package worker
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"time"
-
-	"repro/internal/mapreduce"
 )
 
 // SubprocessConfig configures a SubprocessExecutor.
@@ -16,9 +14,10 @@ type SubprocessConfig struct {
 	Config
 	// Workers is the number of child processes to start. Default 2.
 	Workers int
-	// Command is the worker command line; default re-executes the current
-	// binary as "worker -stdio", which is correct for the strata CLI and
-	// for test binaries with a matching helper-process hook.
+	// Command is the worker command line, to which the executor appends
+	// "-connect <addr>". Default: the current binary's "worker" subcommand,
+	// which is correct for the strata CLI; a test binary passes itself and
+	// serves from a TestMain hook.
 	Command []string
 	// ExtraEnv, when non-nil, returns extra environment entries for the
 	// i-th worker (appended to os.Environ()). Chaos tests use it to plant
@@ -26,26 +25,29 @@ type SubprocessConfig struct {
 	ExtraEnv func(i int) []string
 }
 
-// SubprocessExecutor runs task attempts on a fixed pool of child worker
-// processes, speaking the frame protocol over their stdio pipes. It
-// implements mapreduce.Executor.
+// SubprocessExecutor is a TCPExecutor that brings its own workers: it
+// listens on an ephemeral loopback port and runs a fixed pool of child
+// processes that dial it as "worker -connect <addr>". The transport, the
+// pool and the direct shuffle are the TCPExecutor's; this layer only owns
+// the processes — it starts them, fails fast when one dies before
+// registering, can kill one on request, and reaps them all on Close.
 type SubprocessExecutor struct {
-	pool *pool
-	cfg  SubprocessConfig
-	// procs is fixed at construction; index i is the i-th spawned worker.
+	*TCPExecutor
+	// procs is fixed at construction; index i is worker "sp-<i>".
 	procs []*workerProc
 }
 
 type workerProc struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
+	cmd  *exec.Cmd
+	done chan struct{} // closed once the process has been waited for
 }
 
-// NewSubprocessExecutor starts the worker processes and waits for every
-// hello before returning, so the first Execute call finds the whole pool
-// attached. Any spawn or handshake failure tears down what was started.
+// NewSubprocessExecutor starts the coordinator and its worker processes and
+// waits until every child has registered, so the first Execute call finds
+// the whole pool attached. A child that exits before registering fails the
+// construction at once — the error names the worker and its exit status —
+// and whatever was started is torn down.
 func NewSubprocessExecutor(cfg SubprocessConfig) (*SubprocessExecutor, error) {
-	cfg.Config = cfg.Config.fill()
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -54,143 +56,82 @@ func NewSubprocessExecutor(cfg SubprocessConfig) (*SubprocessExecutor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("worker: resolving own executable: %w", err)
 		}
-		cfg.Command = []string{exe, "worker", "-stdio"}
+		cfg.Command = []string{exe, "worker"}
 	}
-	e := &SubprocessExecutor{pool: newPool(cfg.Config), cfg: cfg}
+	tcp, err := NewTCPExecutor(TCPConfig{Config: cfg.Config})
+	if err != nil {
+		return nil, err
+	}
+	e := &SubprocessExecutor{TCPExecutor: tcp}
+	args := slices.Concat(cfg.Command[1:], []string{"-connect", tcp.Addr()})
+	exited := make(chan int, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		if err := e.spawn(i); err != nil {
+		cmd := exec.Command(cfg.Command[0], args...)
+		cmd.Env = append(os.Environ(), fmt.Sprintf("STRATA_WORKER_ID=sp-%d", i))
+		if cfg.ExtraEnv != nil {
+			cmd.Env = append(cmd.Env, cfg.ExtraEnv(i)...)
+		}
+		// The coordinator's stdout belongs to the command's answer; whatever
+		// a worker prints joins its log on stderr.
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		if err := cmd.Start(); err != nil {
 			e.Close()
-			return nil, err
+			return nil, fmt.Errorf("worker sp-%d: starting %q: %w", i, cfg.Command[0], err)
+		}
+		proc := &workerProc{cmd: cmd, done: make(chan struct{})}
+		e.procs = append(e.procs, proc)
+		go func() {
+			_ = cmd.Wait() // the status is read from cmd.ProcessState
+			close(proc.done)
+			exited <- i
+		}()
+	}
+	lease := tcp.cfg.LeaseTimeout
+	deadline := time.After(lease)
+	for tcp.liveWorkers() < cfg.Workers {
+		select {
+		case i := <-exited:
+			e.Close()
+			return nil, fmt.Errorf("worker sp-%d exited before registering: %v", i, e.procs[i].cmd.ProcessState)
+		case <-deadline:
+			live := tcp.liveWorkers()
+			e.Close()
+			return nil, fmt.Errorf("worker: %d of %d subprocess workers registered within %v", live, cfg.Workers, lease)
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	return e, nil
 }
 
-func (e *SubprocessExecutor) spawn(i int) error {
-	cmd := exec.Command(e.cfg.Command[0], e.cfg.Command[1:]...)
-	cmd.Env = append(os.Environ(), fmt.Sprintf("STRATA_WORKER_ID=sp-%d", i))
-	if e.cfg.ExtraEnv != nil {
-		cmd.Env = append(cmd.Env, e.cfg.ExtraEnv(i)...)
-	}
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return fmt.Errorf("worker sp-%d: %w", i, err)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return fmt.Errorf("worker sp-%d: %w", i, err)
-	}
-	cmd.Stderr = os.Stderr // worker logs pass through; stdout is protocol-only
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("worker sp-%d: starting %q: %w", i, e.cfg.Command[0], err)
-	}
-	proc := &workerProc{cmd: cmd, stdin: stdin}
-	e.procs = append(e.procs, proc)
-	conn := newFrameConn(stdout, stdin)
-	h, err := awaitHello(conn, e.cfg.LeaseTimeout)
-	if err != nil {
-		return fmt.Errorf("worker sp-%d: %w", i, err)
-	}
-	// Stdio workers never announce a shuffle receiver (their only channel is
-	// the coordinator pipe), so this executor always shuffles routed.
-	h.shuffleAddr = ""
-	e.pool.attach(h, conn, func() {
-		// Closing stdin EOFs the worker's serve loop; a healthy worker
-		// exits on its own, a hung one is reaped (and killed) by Close.
-		// Closing stdout too unblocks the pool's read loop before the
-		// process is reaped (Wait invalidates the pipe).
-		stdin.Close()
-		stdout.Close()
-	})
-	return nil
-}
-
-// awaitHello reads the worker's hello frame, bounded by timeout, and rejects
-// a peer that speaks another wire version (ErrWireVersion). It returns the
-// announced worker identity: id, shuffle-receiver endpoint ("" for
-// routed-only workers), and a clock-offset estimate from the hello's
-// wall-clock sample (clockOK false when the hello carried none). The
-// estimate folds the hello's one-way transit time into the offset, which is
-// fine for its only use — aligning trace spans — since transit is
-// microseconds on the loopback and pipe transports this protocol runs over.
-func awaitHello(conn *frameConn, timeout time.Duration) (helloInfo, error) {
-	type helloOrErr struct {
-		env *envelope
-		err error
-	}
-	ch := make(chan helloOrErr, 1)
-	go func() {
-		env, err := conn.read()
-		ch <- helloOrErr{env, err}
-	}()
-	select {
-	case <-time.After(timeout):
-		return helloInfo{}, fmt.Errorf("timed out after %v waiting for hello", timeout)
-	case h := <-ch:
-		if h.err != nil {
-			return helloInfo{}, fmt.Errorf("reading hello: %w", h.err)
-		}
-		if h.env.Kind != msgHello {
-			return helloInfo{}, fmt.Errorf("expected hello, got %v frame", h.env.Kind)
-		}
-		if v := h.env.WireVersion; v != wireVersion {
-			return helloInfo{}, fmt.Errorf("%w: worker %q speaks version %d, this build %d",
-				ErrWireVersion, h.env.ID, v, wireVersion)
-		}
-		info := helloInfo{id: h.env.ID, shuffleAddr: h.env.ShuffleAddr}
-		if h.env.WallNanos != 0 {
-			info.clockOff = h.env.WallNanos - time.Now().UnixNano()
-			info.clockOK = true
-		}
-		return info, nil
-	}
-}
-
 // Name reports "subprocess".
 func (e *SubprocessExecutor) Name() string { return "subprocess" }
 
-// Execute runs one task attempt on the pool, transparently reassigning it
-// if its worker dies.
-func (e *SubprocessExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	return e.pool.execute(spec)
-}
-
-// ShuffleStats reports where this executor's shuffle bytes traveled. A
-// subprocess pool always shuffles through the coordinator, so DirectBytes
-// stays zero and RoutedBucketBytes counts the whole shuffle.
-func (e *SubprocessExecutor) ShuffleStats() ShuffleStats { return e.pool.shuffleStats() }
-
-// Kill force-kills the i-th worker process — a chaos hook for tests that
-// need a worker to die at a point of their choosing.
+// Kill force-kills the i-th worker process and returns once it is gone — a
+// chaos hook for tests that need a worker to die at a point of their
+// choosing. The pool learns of the death when it next leases that worker a
+// task.
 func (e *SubprocessExecutor) Kill(i int) error {
 	if i < 0 || i >= len(e.procs) {
 		return fmt.Errorf("worker: no subprocess %d", i)
 	}
-	return e.procs[i].cmd.Process.Kill()
+	err := e.procs[i].cmd.Process.Kill()
+	<-e.procs[i].done
+	return err
 }
 
 // Close drains the pool and reaps every worker process, killing any that
-// has not exited within the lease timeout.
+// has not exited within the lease timeout. Exit statuses are uninteresting
+// here: drained workers exit 0, killed or crashed ones don't, and the pool
+// already accounted the failures.
 func (e *SubprocessExecutor) Close() error {
-	e.pool.close()
+	err := e.TCPExecutor.Close()
 	for _, proc := range e.procs {
-		waitOrKill(proc.cmd, e.cfg.LeaseTimeout)
+		select {
+		case <-proc.done:
+		case <-time.After(e.cfg.LeaseTimeout):
+			_ = proc.cmd.Process.Kill()
+			<-proc.done
+		}
 	}
-	return nil
-}
-
-func waitOrKill(cmd *exec.Cmd, timeout time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Exit status is uninteresting: drained workers exit 0, killed or
-		// crashed ones don't, and the pool already accounted the failures.
-		_ = cmd.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		_ = cmd.Process.Kill()
-		<-done
-	}
+	return err
 }

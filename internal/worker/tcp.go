@@ -18,11 +18,6 @@ type TCPConfig struct {
 	// Addr is the listen address. Default "127.0.0.1:0" (an ephemeral
 	// loopback port, read back via Addr()).
 	Addr string
-	// RoutedShuffle disables direct worker-to-worker shuffle planning:
-	// PlanShuffle returns nil and every bucket travels through the
-	// coordinator, as before the direct data plane existed. Useful as an
-	// operational escape hatch and for routed-vs-direct comparisons.
-	RoutedShuffle bool
 	// ShuffleTimeout bounds how long a direct reduce attempt waits for its
 	// peer-delivered buckets before reporting a lost shuffle. Default: the
 	// pool's LeaseTimeout.
@@ -32,12 +27,13 @@ type TCPConfig struct {
 // TCPExecutor runs task attempts on workers that register over TCP: each
 // worker dials the coordinator's listen address, sends a hello frame, and
 // leases tasks over the connection. Workers can be external processes
-// ("strata worker -connect <addr>") or in-process goroutines (SpawnLocal).
-// It implements mapreduce.Executor.
+// ("strata worker -connect <addr>"; SubprocessExecutor starts its own) or
+// in-process goroutines (SpawnLocal). It implements mapreduce.Executor.
 type TCPExecutor struct {
-	pool *pool
-	cfg  TCPConfig
-	ln   net.Listener
+	*pool // Execute, ExecuteOn and ShuffleStats are the pool's, as is cfg
+	ln    net.Listener
+	// shuffleTimeout is TCPConfig.ShuffleTimeout with its default resolved.
+	shuffleTimeout time.Duration
 
 	spawned sync.WaitGroup // SpawnLocal serve loops
 	spawnN  int
@@ -49,7 +45,6 @@ type TCPExecutor struct {
 // capacity before submitting work — Execute fails fast while no worker is
 // attached.
 func NewTCPExecutor(cfg TCPConfig) (*TCPExecutor, error) {
-	cfg.Config = cfg.Config.fill()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
@@ -57,7 +52,10 @@ func NewTCPExecutor(cfg TCPConfig) (*TCPExecutor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker: listening on %s: %w", cfg.Addr, err)
 	}
-	e := &TCPExecutor{pool: newPool(cfg.Config), cfg: cfg, ln: ln}
+	e := &TCPExecutor{pool: newPool(cfg.Config), ln: ln, shuffleTimeout: cfg.ShuffleTimeout}
+	if e.shuffleTimeout <= 0 {
+		e.shuffleTimeout = e.cfg.LeaseTimeout
+	}
 	go e.acceptLoop()
 	return e, nil
 }
@@ -70,7 +68,9 @@ func (e *TCPExecutor) acceptLoop() {
 		}
 		go func() {
 			fc := newFrameConn(conn, conn)
-			h, err := awaitHello(fc, e.cfg.LeaseTimeout)
+			conn.SetReadDeadline(time.Now().Add(e.cfg.LeaseTimeout)) // a silent dialer is dropped
+			h, err := awaitHello(fc)
+			conn.SetReadDeadline(time.Time{})
 			if err != nil {
 				slog.Warn("worker: rejecting connection", "remote", conn.RemoteAddr(), "err", err)
 				conn.Close()
@@ -81,6 +81,35 @@ func (e *TCPExecutor) acceptLoop() {
 			e.pool.attach(h, fc, func() { conn.Close() })
 		}()
 	}
+}
+
+// awaitHello reads the worker's hello frame — the caller bounds the read
+// with a deadline on the connection — and rejects a peer that speaks another
+// wire version (ErrWireVersion). It returns the announced worker identity:
+// id, shuffle-receiver endpoint ("" for a worker that could not open one),
+// and a clock-offset estimate from the hello's wall-clock sample (clockOK
+// false when the hello carried none). The estimate folds the hello's one-way
+// transit time into the offset, which is fine for its only use — aligning
+// trace spans — since transit is microseconds on the loopback sockets this
+// protocol runs over.
+func awaitHello(conn *frameConn) (helloInfo, error) {
+	env, err := conn.read()
+	if err != nil {
+		return helloInfo{}, fmt.Errorf("reading hello: %w", err)
+	}
+	if env.Kind != msgHello {
+		return helloInfo{}, fmt.Errorf("expected hello, got %v frame", env.Kind)
+	}
+	if v := env.WireVersion; v != wireVersion {
+		return helloInfo{}, fmt.Errorf("%w: worker %q speaks version %d, this build %d",
+			ErrWireVersion, env.ID, v, wireVersion)
+	}
+	info := helloInfo{id: env.ID, shuffleAddr: env.ShuffleAddr}
+	if env.WallNanos != 0 {
+		info.clockOff = env.WallNanos - time.Now().UnixNano()
+		info.clockOK = true
+	}
+	return info, nil
 }
 
 // Addr is the coordinator's listen address, for workers to dial.
@@ -95,12 +124,11 @@ func (e *TCPExecutor) SpawnLocal(n int) {
 }
 
 // SpawnLocalOpts is SpawnLocal with explicit serve options: chaos tests use
-// it to plant ExitAfter on a single worker, and comparisons can force
-// RoutedShuffle per worker. ID and HeartbeatInterval are filled in.
+// it to plant ExitAfter on a single worker. ID and HeartbeatInterval are
+// filled in.
 func (e *TCPExecutor) SpawnLocalOpts(n int, opts ServeOptions) {
 	addr := e.Addr()
 	opts.HeartbeatInterval = e.cfg.HeartbeatInterval
-	opts.RoutedShuffle = opts.RoutedShuffle || e.cfg.RoutedShuffle
 	for i := 0; i < n; i++ {
 		e.spawnN++
 		id := fmt.Sprintf("tcp-%d", e.spawnN)
@@ -121,56 +149,33 @@ func (e *TCPExecutor) SpawnLocalOpts(n int, opts ServeOptions) {
 // (chaos tests, benchmarks), so tasks don't all land on the early joiners.
 func (e *TCPExecutor) AwaitWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		if live := e.pool.liveWorkers(); live >= n {
-			return nil
-		}
+	for e.liveWorkers() < n {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("worker: %d of %d workers registered within %v",
-				e.pool.liveWorkers(), n, timeout)
+			return fmt.Errorf("worker: %d of %d workers registered within %v", e.liveWorkers(), n, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return nil
 }
 
 // Name reports "tcp".
 func (e *TCPExecutor) Name() string { return "tcp" }
 
-// Execute runs one task attempt on the pool, transparently reassigning it
-// if its worker dies.
-func (e *TCPExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	return e.pool.execute(spec)
-}
-
-// ExecuteOn runs one attempt pinned to the named worker (shuffle affinity).
-// It implements mapreduce.DirectShuffler: a dead or unreachable worker
-// yields a *mapreduce.ShuffleLostError, never a cross-worker reassignment.
-func (e *TCPExecutor) ExecuteOn(worker string, spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	return e.pool.executeOn(worker, spec)
-}
-
 // PlanShuffle assigns a job run's reducers round-robin over the attached
 // shuffle-capable workers and stamps the plan with a fresh session, so
 // back-to-back runs on one pool never mix buckets. It returns nil — meaning
-// "use the routed path" — when direct shuffle is disabled or no attached
-// worker announced a receiver endpoint.
+// "use the routed path" — when no attached worker announced a receiver
+// endpoint.
 func (e *TCPExecutor) PlanShuffle(job string, numReducers int) *mapreduce.ShufflePlan {
-	if e.cfg.RoutedShuffle || numReducers <= 0 {
-		return nil
-	}
 	ids, endpoints := e.pool.shufflePeers()
-	if len(ids) == 0 {
+	if len(ids) == 0 || numReducers <= 0 {
 		return nil
-	}
-	timeout := e.cfg.ShuffleTimeout
-	if timeout <= 0 {
-		timeout = e.cfg.LeaseTimeout
 	}
 	plan := &mapreduce.ShufflePlan{
 		Session:   fmt.Sprintf("%s#%d", job, e.planN.Add(1)),
 		Workers:   make([]string, numReducers),
 		Endpoints: make([]string, numReducers),
-		TimeoutMs: timeout.Milliseconds(),
+		TimeoutMs: e.shuffleTimeout.Milliseconds(),
 	}
 	for r := 0; r < numReducers; r++ {
 		plan.Workers[r] = ids[r%len(ids)]
@@ -178,11 +183,6 @@ func (e *TCPExecutor) PlanShuffle(job string, numReducers int) *mapreduce.Shuffl
 	}
 	return plan
 }
-
-// ShuffleStats reports where this executor's shuffle bytes traveled. On a
-// healthy direct run RoutedBucketBytes is zero — the coordinator carried no
-// bucket payloads at all.
-func (e *TCPExecutor) ShuffleStats() ShuffleStats { return e.pool.shuffleStats() }
 
 // Close drains attached workers, stops accepting registrations and waits
 // for local workers to unwind.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -97,18 +96,14 @@ func TestEnvelopeBinaryRoundTrip(t *testing.T) {
 }
 
 // TestHelloVersionMismatchRejected: a peer announcing another wire version
-// is refused with ErrWireVersion on both attach paths — never downgraded —
-// and the coordinator keeps serving.
+// is refused with ErrWireVersion — never downgraded — and the coordinator
+// keeps serving. There is one attach path (the tcp accept loop: subprocess
+// children dial it too), so there is one arm.
 func TestHelloVersionMismatchRejected(t *testing.T) {
 	var stale bytes.Buffer // writes to it cannot fail
 	_ = newFrameConn(nil, &stale).write(&envelope{Kind: msgHello, ID: "stale", WireVersion: wireVersion - 1})
-	var octal strings.Builder // the child is a printf of the stale hello
-	for _, b := range stale.Bytes() {
-		fmt.Fprintf(&octal, `\%03o`, b)
-	}
-	_, err := NewSubprocessExecutor(SubprocessConfig{Workers: 1, Command: []string{"sh", "-c", "printf '" + octal.String() + "'"}})
-	if !errors.Is(err, ErrWireVersion) {
-		t.Errorf("subprocess attach: %v, want ErrWireVersion", err)
+	if _, err := awaitHello(newFrameConn(bytes.NewReader(stale.Bytes()), nil)); !errors.Is(err, ErrWireVersion) {
+		t.Errorf("stale hello: %v, want ErrWireVersion", err)
 	}
 
 	exec, err := NewTCPExecutor(TCPConfig{})
@@ -140,7 +135,7 @@ func TestHelloVersionMismatchRejected(t *testing.T) {
 func TestServeAnswersBadSpecs(t *testing.T) {
 	coord, work := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- Serve(work, work, ServeOptions{ID: "w", HeartbeatInterval: time.Hour}) }()
+	go func() { done <- serve(work, work, ServeOptions{ID: "w", HeartbeatInterval: time.Hour}, nil) }()
 	c := newFrameConn(coord, coord)
 	if _, err := c.read(); err != nil { // the hello
 		t.Fatal(err)

@@ -19,12 +19,17 @@ import (
 )
 
 // TestMain doubles as the worker entry point: the subprocess executor in
-// these tests re-executes the test binary itself, and the environment flag
-// flips the child into a protocol worker before any test machinery runs
-// (the same trick as the strata CLI's "worker -stdio" subcommand).
+// these tests re-executes the test binary itself as "<binary> -connect
+// <addr>", and the environment flag flips the child into a protocol worker
+// before any test machinery (flag parsing included) runs — the strata CLI's
+// "worker -connect" subcommand in three lines.
 func TestMain(m *testing.M) {
 	if os.Getenv("STRATA_TEST_WORKER") == "1" {
-		worker.ServeStdio(worker.ServeOptions{}) // never returns
+		if err := worker.ServeTCP(os.Args[len(os.Args)-1], worker.ServeOptions{}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
@@ -279,10 +284,15 @@ func TestNaiveDeterminismAcrossBackends(t *testing.T) {
 // TestWorkerCrashRecovery kills a worker mid-job and checks the coordinator
 // reassigns its lease without changing the sample: worker 0 aborts on its
 // first leased task, so the job must finish on the survivors with exactly
-// one extra attempt, and the per-stratum fill must still be exact.
+// one extra attempt, and the per-stratum fill must still be exact. A pool
+// nobody dies in makes exactly one attempt per task.
 func TestWorkerCrashRecovery(t *testing.T) {
 	splits := testPopulation(t)
-	want, _ := runSQE(t, nil, splits)
+	want, wantMet := runSQE(t, nil, splits)
+	if wantMet.MapAttempts != int64(wantMet.MapTasks) || wantMet.ReduceAttempts != int64(wantMet.ReduceTasks) {
+		t.Errorf("in-process: %d map attempts for %d tasks, %d reduce attempts for %d: nothing died",
+			wantMet.MapAttempts, wantMet.MapTasks, wantMet.ReduceAttempts, wantMet.ReduceTasks)
+	}
 
 	exec := newSubprocess(t, 2, func(i int) []string {
 		if i == 0 {
@@ -291,7 +301,13 @@ func TestWorkerCrashRecovery(t *testing.T) {
 		return nil
 	})
 	defer exec.Close()
-	got, met := runSQE(t, exec, splits)
+	c := testCluster(exec)
+	tr := mapreduce.NewMemTracer()
+	c.Tracer = tr
+	got, met, err := runSQEerr(t, c, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("answer after crash recovery differs from in-process:\n in: %v\nout: %v", want, got)
@@ -305,6 +321,13 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	if attempts != tasks+1 {
 		t.Errorf("attempts = %d over %d tasks, want exactly one reassignment (%d)",
 			attempts, tasks, tasks+1)
+	}
+	// The one attempt that died is a failed span tagged with the dead worker;
+	// the reducers planned on it were never dispatched there, so their routed
+	// replays are first attempts, not retries.
+	failed := failedSpans(tr)
+	if len(failed) != 1 || failed[0].Phase != mapreduce.PhaseMap || failed[0].Worker != "sp-0" {
+		t.Errorf("failed spans %+v, want one: the map attempt that died on sp-0", failed)
 	}
 }
 
@@ -367,8 +390,8 @@ func TestGoldenSpansAcrossBackends(t *testing.T) {
 // contract on the remote backends: with a TraceContext installed under a
 // frozen clock, repeated runs on one pool produce byte-identical span files
 // (up to worker ids), every span carries the trace identity, and the remote
-// attempts decompose into the expected worker-side child phases — decode and
-// exec everywhere, push and recv on the direct-shuffle tcp path.
+// attempts decompose into the same worker-side child phases on both — decode,
+// exec, push and recv: process workers and socket workers are one runtime.
 func TestGoldenDistributedSpans(t *testing.T) {
 	splits := testPopulation(t)
 
@@ -389,13 +412,11 @@ func TestGoldenDistributedSpans(t *testing.T) {
 	}
 
 	backends := []struct {
-		name       string
-		workerSide []string // phases only a worker can emit
-		make       func() mapreduce.Executor
+		name string
+		make func() mapreduce.Executor
 	}{
-		{"subprocess", []string{mapreduce.PhaseDecode, mapreduce.PhaseExec},
-			func() mapreduce.Executor { return newSubprocess(t, 2, nil) }},
-		{"tcp", []string{mapreduce.PhaseDecode, mapreduce.PhaseExec, mapreduce.PhasePush, mapreduce.PhaseRecv},
+		{"subprocess", func() mapreduce.Executor { return newSubprocess(t, 2, nil) }},
+		{"tcp",
 			func() mapreduce.Executor {
 				exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
 				if err != nil {
@@ -434,13 +455,27 @@ func TestGoldenDistributedSpans(t *testing.T) {
 					t.Fatalf("span %s task %d has no parent", s.Phase, s.Task)
 				}
 			}
-			for _, p := range append([]string{mapreduce.PhaseQueue, mapreduce.PhaseWire}, b.workerSide...) {
+			for _, p := range []string{
+				mapreduce.PhaseQueue, mapreduce.PhaseWire, // measured by the pool
+				mapreduce.PhaseDecode, mapreduce.PhaseExec, mapreduce.PhasePush, mapreduce.PhaseRecv, // only a worker can emit
+			} {
 				if phases[p] == 0 {
 					t.Errorf("no %q spans in traced %s run; phases: %v", p, b.name, phases)
 				}
 			}
 		})
 	}
+}
+
+// failedSpans are the attempts a traced run saw die.
+func failedSpans(tr *mapreduce.MemTracer) []mapreduce.Span {
+	var failed []mapreduce.Span
+	for _, s := range tr.Spans() {
+		if s.Failed {
+			failed = append(failed, s)
+		}
+	}
+	return failed
 }
 
 // stripWorker re-renders a JSONL span stream with the worker tag removed —
