@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,12 +20,12 @@ import (
 	"repro/internal/serve"
 )
 
-// cmdLoadgen drives a serve daemon with concurrent clients and reports
-// achieved QPS plus latency percentiles. With -selfhost it starts an
-// in-process daemon (no network setup needed); with -compare it runs the same
-// load twice — at the requested -window and at window=0 (one pass per query)
-// — to show what MR-MQE coalescing buys. Requests set "nocache": true so
-// every query exercises the engine, not the result cache.
+// cmdLoadgen drives a serve daemon with concurrent closed-loop clients and
+// reports achieved QPS plus latency percentiles. With -selfhost it starts an
+// in-process daemon (no network setup needed). Requests set "nocache": true so
+// every query exercises the engine, not the result cache. It drives load and
+// measures nothing else: throughput and latency numbers that are compared
+// across commits come from bench/ (EXPERIMENTS.md "One measurement story").
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	addr := fs.String("addr", "", "target daemon host:port (mutually exclusive with -selfhost)")
@@ -37,11 +38,8 @@ func cmdLoadgen(args []string) error {
 	slaves := fs.Int("slaves", 4, "cluster slaves per pass (selfhost)")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window (selfhost)")
 	maxBatch := fs.Int("max-batch", 64, "batch size cap (selfhost)")
-	compare := fs.Bool("compare", false, "also run the identical load at window=0 and report the ratio (selfhost only)")
 	mutate := fs.Float64("mutate", 0, "fraction of requests that are mutation batches (0..1; needs a -live daemon, selfhost enables live mode)")
 	mutBatch := fs.Int("mutate-batch", 8, "mutations per mutation request")
-	freshness := fs.Bool("freshness", false, "selfhost: compare standing-query freshness (subscribe + warm reads) vs recompute-per-query over the same mutation stream")
-	rounds := fs.Int("rounds", 32, "freshness mode: mutation rounds per arm")
 	staleness := fs.Int("staleness", 0, "staleness bound for live daemons (0 = default)")
 	jsonOut := fs.String("json", "", "write the report as JSON to this file")
 	subUsage(fs, "strata loadgen -addr host:port | -selfhost [flags]")
@@ -51,17 +49,8 @@ func cmdLoadgen(args []string) error {
 	if (*addr == "") == !*selfhost {
 		return fmt.Errorf("loadgen: give exactly one of -addr or -selfhost")
 	}
-	if *compare && !*selfhost {
-		return fmt.Errorf("loadgen: -compare needs -selfhost (it restarts the daemon with window=0)")
-	}
 	if *mutate < 0 || *mutate > 1 {
 		return fmt.Errorf("loadgen: -mutate must be in [0,1]")
-	}
-	if *freshness {
-		if !*selfhost {
-			return fmt.Errorf("loadgen: -freshness needs -selfhost (it runs each arm on a fresh daemon)")
-		}
-		return runFreshnessCompare(*n, *seed, *slaves, *rounds, *mutBatch, *queries, *staleness, *jsonOut)
 	}
 
 	report := loadgenReport{
@@ -72,55 +61,32 @@ func cmdLoadgen(args []string) error {
 		clients: *clients, requests: *requests, queries: *queries, seed: *seed,
 		mutate: *mutate, mutBatch: *mutBatch, popN: *n, schema: gen.AuthorSchema(),
 	}
+	baseURL, label := "http://"+*addr, *addr
 	if *selfhost {
 		fmt.Printf("generating population of %d (seed %d)...\n", *n, *seed)
 		pop := gen.Population(*n, *seed)
 		report.Population = pop.Len()
-		run := func(w time.Duration) (loadgenRun, error) {
-			srv, err := serve.NewServer(serve.Config{
-				Population: pop, Slaves: *slaves, PartitionSeed: *seed,
-				Window: w, MaxBatch: *maxBatch, AdaptiveWindow: true,
-				Live: *mutate > 0, StalenessBound: *staleness,
-				NewCluster: newCluster, OnMetrics: recordMetrics,
-			})
-			if err != nil {
-				return loadgenRun{}, err
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			r, err := driveLoad(ts.URL, load)
-			srv.BeginDrain()
-			srv.Drain()
-			return r, err
-		}
-		batched, err := run(*window)
+		srv, err := serve.NewServer(serve.Config{
+			Population: pop, Slaves: *slaves, PartitionSeed: *seed,
+			Window: *window, MaxBatch: *maxBatch, AdaptiveWindow: true,
+			Live: *mutate > 0, StalenessBound: *staleness,
+			NewCluster: newCluster, OnMetrics: recordMetrics,
+		})
 		if err != nil {
 			return err
 		}
-		report.Batched = &batched
-		printRun(fmt.Sprintf("window=%v", *window), batched)
-		if *compare {
-			unbatched, err := run(0)
-			if err != nil {
-				return err
-			}
-			report.Unbatched = &unbatched
-			printRun("window=0", unbatched)
-			if unbatched.QPS > 0 {
-				report.Speedup = batched.QPS / unbatched.QPS
-				fmt.Printf("\nbatching speedup: %.2fx QPS (%.0f vs %.0f), %d passes vs %d\n",
-					report.Speedup, batched.QPS, unbatched.QPS,
-					batched.Stats.Passes, unbatched.Stats.Passes)
-			}
-		}
-	} else {
-		r, err := driveLoad("http://"+*addr, load)
-		if err != nil {
-			return err
-		}
-		report.Batched = &r
-		printRun(*addr, r)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		defer srv.Drain()
+		defer srv.BeginDrain()
+		baseURL, label = ts.URL, fmt.Sprintf("window=%v", *window)
 	}
+	run, err := driveLoad(baseURL, load)
+	if err != nil {
+		return err
+	}
+	report.Batched = run
+	printRun(label, run)
 
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
@@ -137,15 +103,13 @@ func cmdLoadgen(args []string) error {
 
 // loadgenReport is the -json output shape.
 type loadgenReport struct {
-	Population      int         `json:"population,omitempty"`
-	Clients         int         `json:"clients"`
-	Requests        int         `json:"requests"`
-	DistinctQueries int         `json:"distinct_queries"`
-	Window          string      `json:"window"`
-	MutateRatio     float64     `json:"mutate_ratio,omitempty"`
-	Batched         *loadgenRun `json:"batched,omitempty"`
-	Unbatched       *loadgenRun `json:"unbatched,omitempty"`
-	Speedup         float64     `json:"qps_speedup,omitempty"`
+	Population      int        `json:"population,omitempty"`
+	Clients         int        `json:"clients"`
+	Requests        int        `json:"requests"`
+	DistinctQueries int        `json:"distinct_queries"`
+	Window          string     `json:"window"`
+	MutateRatio     float64    `json:"mutate_ratio,omitempty"`
+	Batched         loadgenRun `json:"batched"`
 }
 
 // loadgenRun is one measured load run.
@@ -164,14 +128,13 @@ type loadgenRun struct {
 	// the wall time (completion-time buckets), exposing warmup and tail
 	// effects a single aggregate QPS hides. TimelineBucketMS is the slice
 	// width.
-	TimelineBucketMS int64           `json:"timeline_bucket_ms,omitempty"`
-	QPSTimeline      []float64       `json:"qps_timeline,omitempty"`
-	Mutations        int             `json:"mutations,omitempty"` // mutation requests (each -mutate-batch ops)
-	MutP50MS         float64         `json:"mutate_p50_ms,omitempty"`
-	MutP99MS         float64         `json:"mutate_p99_ms,omitempty"`
-	Stats            serve.Snapshot  `json:"daemon_stats"`
-	statsErr         error           // non-nil when /v1/stats could not be read
-	latencies        []time.Duration // not serialized
+	TimelineBucketMS int64          `json:"timeline_bucket_ms,omitempty"`
+	QPSTimeline      []float64      `json:"qps_timeline,omitempty"`
+	Mutations        int            `json:"mutations,omitempty"` // mutation requests (each -mutate-batch ops)
+	MutP50MS         float64        `json:"mutate_p50_ms,omitempty"`
+	MutP99MS         float64        `json:"mutate_p99_ms,omitempty"`
+	Stats            serve.Snapshot `json:"daemon_stats"`
+	statsErr         error          // non-nil when /v1/stats could not be read
 }
 
 // loadSpec parameterizes one driveLoad call.
@@ -252,8 +215,7 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 	wall := time.Since(start)
 
 	run := loadgenRun{WallMS: wall.Milliseconds()}
-	var mutLat []time.Duration
-	var doneAt []time.Duration
+	var lat, mutLat, doneAt []time.Duration
 	for _, r := range results {
 		if r.err != nil {
 			run.Failed++
@@ -265,7 +227,7 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 			continue
 		}
 		run.OK++
-		run.latencies = append(run.latencies, r.d)
+		lat = append(lat, r.d)
 		doneAt = append(doneAt, r.at)
 	}
 	if run.Failed > 0 {
@@ -275,34 +237,23 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 			}
 		}
 	}
-	if len(mutLat) > 0 {
-		run.MutP50MS, _, run.MutP99MS = latPercentiles(mutLat)
-	}
-	sort.Slice(run.latencies, func(i, j int) bool { return run.latencies[i] < run.latencies[j] })
-	pct := func(p float64) float64 {
-		if len(run.latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(run.latencies)-1))
-		return float64(run.latencies[i].Microseconds()) / 1000
-	}
-	run.P50MS, run.P90MS, run.P99MS = pct(0.50), pct(0.90), pct(0.99)
-	if len(run.latencies) > 0 {
-		run.MaxMS = float64(run.latencies[len(run.latencies)-1].Microseconds()) / 1000
-	}
+	slices.Sort(mutLat)
+	run.MutP50MS, run.MutP99MS = ms(quantile(mutLat, 0.50)), ms(quantile(mutLat, 0.99))
+	slices.Sort(lat)
+	run.P50MS, run.P90MS, run.P99MS = ms(quantile(lat, 0.50)), ms(quantile(lat, 0.90)), ms(quantile(lat, 0.99))
+	run.MaxMS = ms(quantile(lat, 1))
 	run.QPS = float64(run.OK) / wall.Seconds()
-	if n := len(run.latencies); n > 0 {
-		var sum float64
-		for _, d := range run.latencies {
-			sum += float64(d.Microseconds()) / 1000
+	if n := float64(len(lat)); n > 0 {
+		var sum, sq float64
+		for _, d := range lat {
+			sum += ms(d)
 		}
-		run.MeanMS = sum / float64(n)
-		var sq float64
-		for _, d := range run.latencies {
-			dev := float64(d.Microseconds())/1000 - run.MeanMS
+		run.MeanMS = sum / n
+		for _, d := range lat {
+			dev := ms(d) - run.MeanMS
 			sq += dev * dev
 		}
-		run.StddevMS = math.Sqrt(sq / float64(n))
+		run.StddevMS = math.Sqrt(sq / n)
 	}
 	// QPS timeline: ten equal wall-time slices, completions counted into the
 	// slice they finished in.
@@ -324,14 +275,80 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 		}
 	}
 
-	if resp, err := client.Get(baseURL + "/v1/stats"); err == nil {
+	resp, err := client.Get(baseURL + "/v1/stats")
+	if err == nil {
 		err = json.NewDecoder(resp.Body).Decode(&run.Stats)
 		resp.Body.Close()
-		run.statsErr = err
-	} else {
-		run.statsErr = err
 	}
+	run.statsErr = err
 	return run, nil
+}
+
+// mutationBatch builds one self-contained mutation batch for request i:
+// inserts fresh members (ids partitioned by request index so concurrent
+// clients never collide), updates originals, then deletes half of the fresh
+// inserts again — applied in order, so the batch is rejection-free and the
+// population stays near its starting size.
+func mutationBatch(i int, popN int, schema *dataset.Schema, size int) []map[string]any {
+	rng := rand.New(rand.NewSource(int64(i) + 1))
+	attrs := func() []int64 {
+		a := make([]int64, schema.NumFields())
+		for f := 0; f < schema.NumFields(); f++ {
+			fld := schema.Field(f)
+			a[f] = fld.Min + rng.Int63n(fld.Width())
+		}
+		return a
+	}
+	base := int64(1)<<40 + int64(i)*int64(size)
+	muts := make([]map[string]any, 0, size)
+	inserts := (size + 1) / 2
+	for j := 0; j < inserts; j++ {
+		muts = append(muts, map[string]any{"op": "insert", "id": base + int64(j), "attrs": attrs()})
+	}
+	for j := 0; len(muts) < size-inserts/2; j++ {
+		muts = append(muts, map[string]any{"op": "update", "id": rng.Int63n(int64(popN)), "attrs": attrs()})
+	}
+	for j := 0; j < inserts/2; j++ {
+		muts = append(muts, map[string]any{"op": "delete", "id": base + int64(j)})
+	}
+	return muts
+}
+
+// postMutations applies one batch and fails on any per-mutation rejection
+// (the batches are constructed to be rejection-free).
+func postMutations(client *http.Client, baseURL string, muts []map[string]any) error {
+	body, _ := json.Marshal(map[string]any{"mutations": muts})
+	resp, err := client.Post(baseURL+"/v1/mutate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("mutate: status %d", resp.StatusCode)
+	}
+	var applied struct {
+		Applied  int   `json:"applied"`
+		Rejected []any `json:"rejected"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&applied); err != nil {
+		return err
+	}
+	if len(applied.Rejected) > 0 {
+		return fmt.Errorf("mutate: %d of %d mutations rejected", len(applied.Rejected), len(muts))
+	}
+	return nil
+}
+
+// ms renders a duration as milliseconds at microsecond resolution.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// quantile is the q-th quantile (nearest rank, rounding down) of ascending
+// durations; 0 for none. Every percentile this command prints comes from it.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 func printRun(label string, r loadgenRun) {

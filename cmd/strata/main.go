@@ -21,7 +21,7 @@
 //	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-cache 1024]
 //	                   [-qps 0 -burst 16] [-no-prune] [-drain-timeout 10s]
 //	strata loadgen     -addr host:port | -selfhost [-clients 32] [-requests 2000]
-//	                   [-queries 8] [-window 5ms] [-compare] [-json report.json]
+//	                   [-queries 8] [-window 5ms] [-mutate 0.2] [-json report.json]
 //	strata trace       [-top 5] spans.jsonl
 //	strata experiments [-run all|table2|figure6|figure7|figure8|optimality|uniform|
 //	                    scaling|scorecard] [-pop 20000] [-samples 100,1000]
@@ -30,8 +30,9 @@
 //
 // The serve command keeps the population resident and coalesces SSD queries
 // arriving within -window into a single MR-MQE pass; loadgen drives it with
-// concurrent clients and reports achieved QPS plus latency percentiles
-// (DESIGN.md §12).
+// concurrent closed-loop clients and prints achieved QPS plus latency
+// percentiles (DESIGN.md §12). Numbers compared across commits come from
+// bench/ ("bash bench/run.sh"), not from loadgen.
 //
 // The -backend flag selects where engine tasks execute: in this process
 // (inproc, the default) or on workers registered with its coordinator over

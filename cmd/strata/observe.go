@@ -322,22 +322,6 @@ func recordMetrics(m mapreduce.Metrics) { globalObs.record(m) }
 func recordQuality(rep *audit.Report) {
 	globalObs.mu.Lock()
 	globalObs.quality = rep
-	globalObs.metrics.Custom = mergeCustom(globalObs.metrics.Custom, rep.Histograms())
+	globalObs.metrics.MergeCustom(rep.Histograms())
 	globalObs.mu.Unlock()
-}
-
-func mergeCustom(dst, src map[string]*mapreduce.Histogram) map[string]*mapreduce.Histogram {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]*mapreduce.Histogram, len(src))
-	}
-	for k, h := range src {
-		if dst[k] == nil {
-			dst[k] = &mapreduce.Histogram{}
-		}
-		dst[k].Merge(*h)
-	}
-	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -139,11 +140,13 @@ func cmdTrace(args []string) error {
 		fmt.Fprintln(tw, "phase\tspans\tfailed\trecords\tout\tgroups\tbytes\tsim total\tsim max\twall\tp50\tp90\tp99\t")
 		for _, phase := range orderedPhases(phases) {
 			row := phases[phase]
+			slices.Sort(row.durs)
+			us := func(q float64) time.Duration { return quantile(row.durs, q).Round(time.Microsecond) }
 			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%v\t%v\t%v\t%v\t%v\t\n",
 				phase, row.spans, row.failed, row.records, row.out, row.groups, row.bytes,
 				row.sim.Round(time.Microsecond), row.simMax.Round(time.Microsecond),
 				row.wall.Round(time.Microsecond),
-				quantileDur(row.durs, 0.50), quantileDur(row.durs, 0.90), quantileDur(row.durs, 0.99))
+				us(0.50), us(0.90), us(0.99))
 		}
 		tw.Flush()
 		if m, s, r := jobBreakdown(phases); m+s+r > 0 {
@@ -216,18 +219,6 @@ func spanDur(s mapreduce.Span) time.Duration {
 		return s.Wall
 	}
 	return s.Simulated
-}
-
-// quantileDur is the q-th quantile of the durations (nearest-rank).
-func quantileDur(durs []time.Duration, q float64) time.Duration {
-	if len(durs) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(durs))
-	copy(sorted, durs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx].Round(time.Microsecond)
 }
 
 // jobBreakdown sums the job's simulated time into the paper's three phases.

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -23,13 +24,69 @@ var docLintFiles = []string{"DESIGN.md", "README.md"}
 // again or is no longer written anywhere.
 var docLintAllow = []string{}
 
+// docLintToolFlags are the flags the prose writes that belong to the go tool,
+// not to cmd/strata. It may only shrink too: a listed flag that cmd/strata
+// defines, or that no prose file writes any more, fails the test.
+var docLintToolFlags = []string{"race"}
+
 var (
 	backQuoted = regexp.MustCompile("`([^`\n]+)`")
 	// pkg.Symbol, pkg.Type.Member, with an optional call suffix.
 	symbolRef = regexp.MustCompile(`^([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\.\w+)*(?:\(.*\))?$`)
 	// path/file.go or file.go, with an optional :line or :from-to.
 	fileRef = regexp.MustCompile(`^([\w./-]*\w\.go)(?::\d+(?:[-–]\d+)?)?$`)
+	// -flag or -flag=value as one word of a back-quoted string.
+	flagRef = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
+
+// flagDefiners are the flag.FlagSet methods (and package functions) that
+// define a flag, with the position of the name argument.
+var flagDefiners = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "String": 0, "Float64": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "StringVar": 1, "Float64Var": 1, "DurationVar": 1, "TextVar": 1, "Var": 1,
+}
+
+// strataFlags returns every flag name cmd/strata defines: the string literal
+// in the name position of a flag-defining call with at least name, default (or
+// target) and usage.
+func strataFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	flags := map[string]bool{}
+	files, err := filepath.Glob("cmd/strata/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			at, ok := flagDefiners[sel.Sel.Name]
+			if !ok || len(call.Args) < 3 {
+				return true
+			}
+			if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+			return true
+		})
+	}
+	return flags
+}
 
 // pkgDecls is what one directory under internal/ declares, test files
 // included (the prose names tests): top-level names, and per type its fields
@@ -147,11 +204,17 @@ func goFiles(t *testing.T) (paths, bases map[string]bool) {
 // TestDocLint holds DESIGN.md and README.md to the tree: every back-quoted
 // `pkg.Symbol` (pkg a directory under internal/; a second level is checked as
 // a field or method of a struct or interface) and every back-quoted
-// `path/file.go` must resolve, so a PR that deletes or renames code fails
-// until the prose follows. It is the mechanical half of ROADMAP item 10.
+// `path/file.go` must resolve, and every `-flag` written inside back quotes
+// (alone, with a value, or as a word of a quoted command line) or after the
+// strata binary on a line of a fenced block must be one cmd/strata defines or
+// a listed go-tool flag — so a PR that deletes or renames code, or retires a
+// flag, fails until the prose follows. It is the mechanical half of ROADMAP
+// item 10.
 func TestDocLint(t *testing.T) {
 	pkgs := parseInternal(t)
 	paths, bases := goFiles(t)
+	defined := strataFlags(t)
+	toolFlagWritten := map[string]bool{}
 
 	fileOK := func(ref string) bool {
 		if !strings.Contains(ref, "/") {
@@ -179,7 +242,26 @@ func TestDocLint(t *testing.T) {
 	}
 
 	unresolved := map[string][]string{} // name → files that write it
-	var symbols, files int
+	var symbols, files, flags int
+	note := func(name, doc string) {
+		if !slices.Contains(unresolved[name], doc) {
+			unresolved[name] = append(unresolved[name], doc)
+		}
+	}
+	checkFlags := func(words []string, doc string) {
+		for _, word := range words {
+			m := flagRef.FindStringSubmatch(strings.Trim(word, `[]",;:.)`))
+			if m == nil {
+				continue
+			}
+			flags++
+			if slices.Contains(docLintToolFlags, m[1]) {
+				toolFlagWritten[m[1]] = true
+			} else if !defined[m[1]] {
+				note("-"+m[1], doc)
+			}
+		}
+	}
 	for _, doc := range docLintFiles {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -187,25 +269,48 @@ func TestDocLint(t *testing.T) {
 		}
 		for _, q := range backQuoted.FindAllStringSubmatch(string(text), -1) {
 			ref := q[1]
-			bad := false
 			if m := fileRef.FindStringSubmatch(ref); m != nil {
 				files++
-				bad = !fileOK(m[1])
+				if !fileOK(m[1]) {
+					note(ref, doc)
+				}
 			} else if m := symbolRef.FindStringSubmatch(ref); m != nil {
 				if checked, ok := symbolOK(m); checked {
 					symbols++
-					bad = !ok
+					if !ok {
+						note(ref, doc)
+					}
 				}
 			}
-			if bad && !slices.Contains(unresolved[ref], doc) {
-				unresolved[ref] = append(unresolved[ref], doc)
+			checkFlags(strings.Fields(ref), doc)
+		}
+		// Inside a ``` fence, the words that follow the strata binary on its
+		// command line.
+		fenced := false
+		for _, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if fenced {
+				words := strings.Fields(line)
+				for i, word := range words {
+					if word == "strata" || strings.HasSuffix(word, "/strata") {
+						checkFlags(words[i+1:], doc)
+						break
+					}
+				}
 			}
 		}
 	}
 
-	t.Logf("checked %d symbol and %d file references", symbols, files)
-	if symbols < 50 || files < 8 {
-		t.Errorf("only %d symbol and %d file references found: the lint has stopped reading the prose", symbols, files)
+	t.Logf("checked %d symbol, %d file and %d flag references against %d defined flags", symbols, files, flags, len(defined))
+	if symbols < 50 || files < 8 || flags < 40 || len(defined) < 40 {
+		t.Errorf("only %d symbol, %d file and %d flag references and %d defined flags found: the lint has stopped reading the prose or the flag sets",
+			symbols, files, flags, len(defined))
+	}
+	for _, name := range docLintToolFlags {
+		if defined[name] || !toolFlagWritten[name] {
+			t.Errorf("docLintToolFlags lists -%s, which cmd/strata defines or no prose file writes: delete it from the list", name)
+		}
 	}
 
 	allowed := map[string]bool{}

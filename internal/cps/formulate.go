@@ -21,9 +21,6 @@ type SolveOptions struct {
 	// bound) instead of the LP relaxation — the paper's CPS rather than
 	// MR-CPS.
 	Integer bool
-	// Epsilon is added before flooring LP values to absorb solver
-	// quantisation error; the paper uses 1e-4.
-	Epsilon float64
 	// Parallelism caps how many per-σ blocks the decomposed formulation
 	// solves concurrently. The blocks are independent programs, so they
 	// parallelize embarrassingly; results are still folded in sorted key
@@ -39,12 +36,9 @@ type SolveOptions struct {
 	WarmStart *WarmStart
 }
 
-func (o SolveOptions) epsilon() float64 {
-	if o.Epsilon == 0 {
-		return 1e-4
-	}
-	return o.Epsilon
-}
+// roundEpsilon is added before flooring LP values to absorb solver
+// quantisation error; the paper uses 1e-4.
+const roundEpsilon = 1e-4
 
 func (o SolveOptions) parallelism() int {
 	if o.Parallelism > 0 {
@@ -359,7 +353,7 @@ func roundAssign(taus []query.Tau, x []float64, base int, opts SolveOptions) map
 		if opts.Integer {
 			n = int64(math.Round(val))
 		} else {
-			n = int64(math.Floor(val + opts.epsilon()))
+			n = int64(math.Floor(val + roundEpsilon))
 		}
 		if n > 0 {
 			out[tau] = n

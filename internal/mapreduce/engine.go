@@ -95,21 +95,6 @@ func histObserver(set *map[string]*Histogram) func(string, int64) {
 	}
 }
 
-// mergeCustom folds one task's observed histograms into Metrics.Custom.
-func (m *Metrics) mergeCustom(custom map[string]*Histogram) {
-	for name, h := range custom {
-		if m.Custom == nil {
-			m.Custom = make(map[string]*Histogram, len(custom))
-		}
-		if mine := m.Custom[name]; mine != nil {
-			mine.Merge(*h)
-		} else {
-			cp := *h
-			m.Custom[name] = &cp
-		}
-	}
-}
-
 // backend is the per-run seam between the engine loop and an execution
 // backend: how map task t runs and where its buckets stay, and how reducer
 // r's bucket column is assembled, grouped and reduced. Run owns everything
@@ -363,7 +348,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		met.CombineOutputRecs += m.CombineOut
 		met.ShuffleBytes += m.shuffleBytes
 		met.BucketBytes.Merge(m.bucketBytes)
-		met.mergeCustom(m.custom)
+		met.MergeCustom(m.custom)
 		met.MapAttempts += int64(1 + len(m.failed))
 		mapDurations[t] = c.Cost.TaskOverhead +
 			time.Duration(m.In)*c.Cost.MapPerRecord +
@@ -446,20 +431,8 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		met.ReduceInputGroups += o.Groups
 		met.ReduceInputRecs += o.In
 		met.OutputRecords += int64(len(o.out))
-		met.mergeCustom(o.custom)
-		if perKey {
-			if met.PerKey == nil {
-				met.PerKey = make(map[string]KeyStats, len(o.perKey))
-			}
-			for key, ks := range o.perKey {
-				// Accumulate rather than assign: distinct keys can render
-				// to the same name under a lossy KeyString.
-				acc := met.PerKey[key]
-				acc.Records += ks.Records
-				acc.Output += ks.Output
-				met.PerKey[key] = acc
-			}
-		}
+		met.MergeCustom(o.custom)
+		met.mergePerKey(o.perKey)
 		met.ReduceAttempts += int64(1 + len(o.failed))
 		reduceDurations[r] = c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord
 		met.ReduceTaskNanos.Observe(int64(reduceDurations[r]))

@@ -230,25 +230,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestCustomPartitioner(t *testing.T) {
-	job := wordCountJob(1, false)
-	job.NumReducers = 2
-	job.Partition = func(k string, n int) int {
-		if k == "a" {
-			return 0
-		}
-		return 1
-	}
-	res, err := Run(NewCluster(2), job, wcSplits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Output order is reducer-major: "a" (reducer 0) must come first.
-	if res.Output[0].Word != "a" {
-		t.Fatalf("first output %v, want word a", res.Output[0])
-	}
-}
-
 func TestMakespan(t *testing.T) {
 	ds := []time.Duration{4, 3, 3, 2} // seconds-agnostic units
 	if got := makespan(ds, 1); got != 12 {
@@ -353,18 +334,6 @@ func TestTaskContextFields(t *testing.T) {
 	if phase != "map" {
 		t.Fatalf("phase %q", phase)
 	}
-}
-
-func TestBadPartitionerPanics(t *testing.T) {
-	job := wordCountJob(1, false)
-	job.NumReducers = 2
-	job.Partition = func(string, int) int { return 99 }
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range partitioner must panic")
-		}
-	}()
-	_, _ = Run(NewCluster(1), job, wcSplits)
 }
 
 // TestBatchMapperLogicalCounters pins the two-count accounting rule, in

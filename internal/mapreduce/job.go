@@ -47,7 +47,7 @@ func (f ReducerFunc[K, V, O]) Reduce(ctx *TaskContext, key K, values []V, emit f
 }
 
 // Job describes one MapReduce program. A Mapper and a Reducer are required;
-// Partition, KeyString and NumReducers have sensible defaults.
+// KeyString and NumReducers have sensible defaults.
 type Job[I any, K comparable, V any, O any] struct {
 	// Name labels the job in metrics and errors.
 	Name string
@@ -58,10 +58,7 @@ type Job[I any, K comparable, V any, O any] struct {
 	// NumReducers is the number of reduce tasks (default: the cluster's
 	// slave count, at least 1).
 	NumReducers int
-	// Partition routes a key to one of n reducers (default: FNV hash of
-	// KeyString).
-	Partition func(key K, n int) int
-	// KeyString renders a key canonically; it drives default partitioning,
+	// KeyString renders a key canonically; it drives partitioning,
 	// deterministic reduce ordering and per-key RNG seeding (default:
 	// fmt.Sprint).
 	KeyString func(K) string
@@ -83,14 +80,9 @@ func (j *Job[I, K, V, O]) keyString(k K) string {
 	return fmt.Sprint(k)
 }
 
+// partition routes a key to one of n reducers: the FNV hash of its
+// KeyString.
 func (j *Job[I, K, V, O]) partition(k K, n int) int {
-	if j.Partition != nil {
-		p := j.Partition(k, n)
-		if p < 0 || p >= n {
-			panic(fmt.Sprintf("mapreduce: job %q partitioner returned %d for %d reducers", j.Name, p, n))
-		}
-		return p
-	}
 	h := fnv.New32a()
 	h.Write([]byte(j.keyString(k)))
 	return int(h.Sum32() % uint32(n))

@@ -102,9 +102,16 @@ func (m *Metrics) Add(o Metrics) {
 	m.MapTaskNanos.Merge(o.MapTaskNanos)
 	m.ReduceTaskNanos.Merge(o.ReduceTaskNanos)
 	m.BucketBytes.Merge(o.BucketBytes)
-	for name, h := range o.Custom {
+	m.MergeCustom(o.Custom)
+	m.mergePerKey(o.PerKey)
+}
+
+// MergeCustom folds observed histograms (one task's, another job's, an audit
+// report's) into Metrics.Custom by name.
+func (m *Metrics) MergeCustom(custom map[string]*Histogram) {
+	for name, h := range custom {
 		if m.Custom == nil {
-			m.Custom = make(map[string]*Histogram, len(o.Custom))
+			m.Custom = make(map[string]*Histogram, len(custom))
 		}
 		if mine := m.Custom[name]; mine != nil {
 			mine.Merge(*h)
@@ -113,9 +120,14 @@ func (m *Metrics) Add(o Metrics) {
 			m.Custom[name] = &cp
 		}
 	}
-	for key, ks := range o.PerKey {
+}
+
+// mergePerKey accumulates per-key reduce counters. It adds rather than
+// assigns: distinct keys can render to the same name under a lossy KeyString.
+func (m *Metrics) mergePerKey(perKey map[string]KeyStats) {
+	for key, ks := range perKey {
 		if m.PerKey == nil {
-			m.PerKey = make(map[string]KeyStats, len(o.PerKey))
+			m.PerKey = make(map[string]KeyStats, len(perKey))
 		}
 		mine := m.PerKey[key]
 		mine.Records += ks.Records

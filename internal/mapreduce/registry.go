@@ -59,7 +59,7 @@ var registry = struct {
 // from its serialized config. It panics on duplicate names.
 //
 // The factory receives the TaskSpec's Config bytes and must deterministically
-// rebuild the job: map stage, reducer, Partition and KeyString all included.
+// rebuild the job: map stage, reducer and KeyString all included.
 // Name and Seed are overridden from the spec, so the factory need not set
 // them.
 func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func(config []byte) (*Job[I, K, V, O], error)) {

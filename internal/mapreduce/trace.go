@@ -295,17 +295,6 @@ func (t *TeeTracer) JobStarted(job string, mapTasks, reduceTasks int) {
 	}
 }
 
-// NopTracer is a Tracer that records nothing; it behaves exactly like a nil
-// Cluster.Tracer and exists so callers can thread a Tracer value
-// unconditionally.
-type NopTracer struct{}
-
-// Enabled reports false.
-func (NopTracer) Enabled() bool { return false }
-
-// Emit discards the span.
-func (NopTracer) Emit(Span) {}
-
 // MemTracer collects spans in memory, for tests and in-process reporting.
 type MemTracer struct {
 	mu    sync.Mutex

@@ -94,14 +94,20 @@ func TestTracedSpansMatchAttempts(t *testing.T) {
 	}
 }
 
+// disabledTracer is a non-nil Tracer that reports itself disabled.
+type disabledTracer struct{}
+
+func (disabledTracer) Enabled() bool { return false }
+func (disabledTracer) Emit(Span)     {}
+
 // TestTracerOffMatchesOn: tracing must not change output or deterministic
-// metrics, and a NopTracer must behave like no tracer at all.
+// metrics, and a disabled tracer must behave like no tracer at all.
 func TestTracerOffMatchesOn(t *testing.T) {
 	plain, err := Run(NewCluster(3), wordCountJob(2, true), wcSplits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nop, err := Run(tracedCluster(NopTracer{}), wordCountJob(2, true), wcSplits)
+	nop, err := Run(tracedCluster(disabledTracer{}), wordCountJob(2, true), wcSplits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestTracerOffMatchesOn(t *testing.T) {
 		t.Fatal("tracer changed job output")
 	}
 	if nop.Metrics.PerKey != nil {
-		t.Fatal("NopTracer triggered per-key collection")
+		t.Fatal("disabled tracer triggered per-key collection")
 	}
 	if traced.Metrics.PerKey == nil {
 		t.Fatal("enabled tracer did not trigger per-key collection")

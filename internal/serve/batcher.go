@@ -126,19 +126,21 @@ type executor struct {
 	schema *dataset.Schema
 	splits []dataset.Split
 	// columns and bounds are index-aligned with splits: the column-major
-	// mirror a pass classifies from, and the bounding box pruning tests.
+	// mirror a pass classifies from, and the bounding boxes pruning tests
+	// (nil: this daemon does not prune).
 	columns []dataset.Columns
 	bounds  []splitBounds
-	prune   bool
 	// liveSplits, when set (live mode), supplies the current resident splits
-	// and their column mirrors under a read lock held for the pass; pruning
-	// is skipped because the startup bounds go stale under mutation.
+	// and their column mirrors under a read lock held for the pass; there
+	// are no bounds, which would go stale under mutation.
 	liveSplits func() ([]dataset.Split, []dataset.Columns, func())
-	slaves     int
-	pool       *clusterPool
-	onMetrics  func(mapreduce.Metrics)
-	cache      *resultCache
-	stats      *Stats
+	// cluster is the template every pass copies: whatever the factory wired
+	// (tracer, progress tracker, Executor handle) is shared by all passes and
+	// outlives them; only the copy's trace fields are set per pass.
+	cluster   *mapreduce.Cluster
+	onMetrics func(mapreduce.Metrics)
+	cache     *resultCache
+	stats     *Stats
 	// sem bounds concurrently executing passes daemon-wide: seed groups of
 	// one batch run in parallel under it, and overlapping batches pipeline
 	// through it instead of queueing behind each other.
@@ -414,13 +416,13 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		var release func()
 		splits, columns, release = x.liveSplits()
 		defer release()
-	} else if x.prune {
+	} else if x.bounds != nil {
 		if boxes, ok := queryBoxes(queries, x.schema); ok {
 			splits, pruned = pruneSplits(x.splits, x.bounds, boxes, x.schema)
 		}
 	}
 
-	c := x.pool.get()
+	c := *x.cluster // this pass's own copy: the trace fields below are set on it
 	traced := x.traced(cur)
 	passRun := fmt.Sprintf("%s.p%d", cur.runName(), idx)
 	var passSpan uint64
@@ -444,14 +446,11 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	)
 	if len(queries) == 1 {
 		var ans *query.Answer
-		ans, met, err = stratified.RunSQE(c, queries[0], x.schema, splits, opts)
+		ans, met, err = stratified.RunSQE(&c, queries[0], x.schema, splits, opts)
 		answers = query.MultiAnswer{ans}
 	} else {
-		answers, met, err = stratified.RunMQE(c, queries, x.schema, splits, opts)
+		answers, met, err = stratified.RunMQE(&c, queries, x.schema, splits, opts)
 	}
-	// Only a cluster whose pass returned goes back to the pool: one that
-	// panicked mid-run is dropped with whatever state it was left in.
-	x.pool.put(c)
 	passEnd := time.Now()
 	if err != nil {
 		x.stats.add(&x.stats.Errors, 1)

@@ -191,13 +191,17 @@ func NewServer(cfg Config) (*Server, error) {
 		s.quotas = newQuotaTable(cfg.QuotaQPS, cfg.QuotaBurst)
 	}
 	s.epoch.Store(1)
+	// One cluster, built once: the factory wires tracer, progress tracker and
+	// above all the Executor handle (a dialed, handshaken worker pool), and a
+	// pass runs on a value copy, so concurrent passes share that wiring and
+	// nothing else. A pass carries a trace identity only when its batch is
+	// traced, never the factory's.
+	cluster := cfg.NewCluster(cfg.Slaves)
+	cluster.TraceContext = nil
 	exec := &executor{
 		schema:    s.schema,
 		splits:    splits,
-		bounds:    boundsOf(splits, s.schema),
-		prune:     !cfg.NoPrune,
-		slaves:    cfg.Slaves,
-		pool:      newClusterPool(cfg.Slaves, cfg.NewCluster),
+		cluster:   cluster,
 		onMetrics: s.recordMetrics,
 		cache:     s.cache,
 		stats:     s.stats,
@@ -208,9 +212,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// A cluster with an Executor ships every map task as a serialized spec
 	// carrying rows only, so only in-process passes would ever read a column
 	// mirror; a daemon in front of remote workers does not pay for one.
-	c := exec.pool.get()
-	mirror := c.Executor == nil
-	exec.pool.put(c)
+	mirror := cluster.Executor == nil
 	if cfg.Live {
 		lp, err := live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound, Columns: mirror})
 		if err != nil {
@@ -218,11 +220,14 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.lp = lp
 		s.hub = newSubHub(s)
-		// Passes read the splits under the population's lock; startup bounds
-		// are stale the moment anything mutates, so pruning is off.
+		// Passes read the splits under the population's lock; bounds taken at
+		// startup would be stale the moment anything mutates, so a live
+		// daemon takes none and never prunes.
 		exec.liveSplits = lp.AcquireSplits
-		exec.prune = false
 	} else {
+		if !cfg.NoPrune {
+			exec.bounds = boundsOf(splits, s.schema)
+		}
 		for _, split := range splits {
 			s.rowBytes += split.ResidentBytes()
 		}

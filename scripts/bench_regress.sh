@@ -16,6 +16,10 @@
 # caller's. One map task of that pass (BenchmarkFusedMapSplit) is gated at the
 # one allocation per emitted key it needs, the sample: its match lists live in
 # the scan pool, so a list reallocated per pass reads as twenty more per key.
+# The engine job with a JSON-lines tracer attached (BenchmarkEngineTraced) is
+# gated because a traced run assembles spans per task: one assembled per record
+# reads as 32 000 more allocations, which the wall-clock ratio this line
+# replaced could not tell from a busy runner.
 # One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
@@ -38,7 +42,7 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
 }
 
 {
-  run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkShuffleSerialized$|BenchmarkShuffleVolume'
+  run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkEngineTraced$|BenchmarkShuffleSerialized$|BenchmarkShuffleVolume'
   run ./internal/worker/ 'BenchmarkEngine/backend=inproc$|BenchmarkEngine/backend=tcp'
   # Five passes, not one: a GC cycle landing inside a lone measured pass
   # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).

@@ -106,24 +106,19 @@ PY
 }
 check_cli_identity "$tmp/resp"
 
-echo "== loadgen compare (batched vs window=0, QPS floor)"
-# A short self-hosted load run gates the warm-pass fast path: batched QPS
-# must clear a floor (env-overridable for slow runners) and the report must
-# carry the pass-attribution block. The floor is deliberately far below the
-# ~500 QPS a warm daemon does on one dev core — it catches order-of-magnitude
-# regressions, not noise.
-"$tmp/strata" loadgen -selfhost -compare -n "$POP" -seed "$SEED" -slaves "$SLAVES" \
+echo "== loadgen -selfhost (the load driver runs and its report is whole)"
+# No floor: throughput is measured and gated by bench/ (adhoc_1e5). This
+# checks that the driver completes against a warm daemon and that the report
+# carries the pass-attribution block and the QPS timeline.
+"$tmp/strata" loadgen -selfhost -n "$POP" -seed "$SEED" -slaves "$SLAVES" \
   -clients 8 -requests 200 -json "$tmp/loadgen.json" >"$tmp/loadgen.out"
-QPS_FLOOR="${SERVE_SMOKE_QPS_FLOOR:-20}" python3 - "$tmp/loadgen.json" <<'PY'
-import json, os, sys
-r = json.load(open(sys.argv[1]))
-floor = float(os.environ["QPS_FLOOR"])
-qps = r["batched"]["qps"]
-assert qps >= floor, f"batched QPS {qps:.0f} below floor {floor:.0f}"
-assert r["batched"]["daemon_stats"].get("latency_attribution"), "no pass attribution in report"
-assert len(r["batched"].get("qps_timeline", [])) == 10, "missing QPS timeline"
-print(f"ok: {qps:.0f} QPS batched vs {r['unbatched']['qps']:.0f} unbatched "
-      f"(floor {floor:.0f}), attribution + timeline present")
+python3 - "$tmp/loadgen.json" <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))["batched"]
+assert r["ok"] == 200 and r["failed"] == 0, f"want 200 ok / 0 failed, got {r['ok']} / {r['failed']}"
+assert r["daemon_stats"].get("latency_attribution"), "no pass attribution in report"
+assert len(r.get("qps_timeline", [])) == 10, "missing QPS timeline"
+print(f"ok: {r['ok']} requests answered, attribution + timeline present")
 PY
 
 echo "== graceful drain on SIGTERM"
