@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -20,6 +21,7 @@ import (
 type Classifier struct {
 	boxes []flatBox // grouped by class, classes in formula order
 	attrs []int     // distinct attributes ClassifyColumns reads from columns, ascending
+	grid  cellGrid  // a nil table: ClassifyColumns runs the box kernel
 }
 
 // flatBox is one DNF disjunct of one formula.
@@ -83,6 +85,7 @@ func NewClassifier(conds []Expr, schema *dataset.Schema) (*Classifier, error) {
 			c.attrs = append(c.attrs, idx)
 		}
 	}
+	c.grid = newCellGrid(c.boxes, c.attrs, schema)
 	return c, nil
 }
 
@@ -119,77 +122,54 @@ func (c *Classifier) Attrs() []int { return c.attrs }
 // rows[i].Attrs[j] for every j in Attrs). len(out) must equal len(rows).
 //
 // A stratum scan's comparisons are coin flips when strata cut near the
-// median, and a mispredicted branch costs more than the test, so the kernel
-// has no data-dependent branch. Boxes are evaluated last to first, each one
-// overwriting the class of the rows it contains, which leaves every row with
-// the class of its first matching box, as Classify returns. A test lo <= v <=
-// hi fails iff (v-lo)|(hi-v) is negative; the tests of a box are OR-ed and
-// the sign, spread over the word, selects between the old class and the
-// box's by mask arithmetic. Columns hold int32 and the arithmetic is int64, so
-// the subtractions cannot overflow; a box testing a field whose domain does
+// median, and a mispredicted branch costs more than the test, so neither
+// kernel has a data-dependent branch. Columns hold int32 and the arithmetic
+// is int64, so no subtraction below can overflow.
+//
+// The grid kernel (cellGrid) finds a row's cell with one comparison per
+// distinct (attribute, bound) and reads its class from a table. The box
+// kernel, for a classifier with no grid, evaluates boxes last to first, each
+// one overwriting the class of the rows it contains, which leaves every row
+// with the class of its first matching box, as Classify returns: a test
+// lo <= v <= hi fails iff (v-lo)|(hi-v) is negative; the tests of a box are
+// OR-ed and the sign, spread over the word, selects between the old class
+// and the box's by mask arithmetic. A box testing a field whose domain does
 // not fit int32 cannot be read from columns at all, and is evaluated — as a
 // box kept as a pred is — per row from rows with plain comparisons.
 //
 // Precondition: every row's attributes lie in the schema's domains. There it
-// agrees with Classify. Outside it need not: a cell is the value truncated to
-// int32, so a value 2^32 away from an in-range one classifies as that one,
-// where Classify matches nothing.
+// agrees with Classify. Outside it need not: a column entry is the value
+// truncated to int32, so a value 2^32 away from an in-range one classifies
+// as that one, where Classify matches nothing.
 func (c *Classifier) ClassifyColumns(cols dataset.Columns, rows []dataset.Tuple, out []int32) {
 	out = out[:len(rows)]
+	if c.grid.table != nil {
+		c.grid.classify(cols, out)
+		return
+	}
 	for i := range out {
 		out[i] = -1
 	}
 	for bi := len(c.boxes) - 1; bi >= 0; bi-- {
 		b := &c.boxes[bi]
 		class := int32(b.class)
-		switch {
-		case b.rowwise:
+		if b.rowwise {
 			for i := range rows {
 				if b.holds(&rows[i]) {
 					out[i] = class
 				}
 			}
-		case len(b.tests) == 0:
-			for i := range out {
-				out[i] = class
-			}
-		case len(b.tests) == 1:
-			x := b.tests[0]
-			select1(cols[x.attr], x.lo, x.hi, class, out)
-		case len(b.tests) == 2:
-			x, y := b.tests[0], b.tests[1]
-			select2(cols[x.attr], x.lo, x.hi, cols[y.attr], y.lo, y.hi, class, out)
-		default:
-			selectN(cols, b.tests, class, out)
+			continue
 		}
+		selectN(cols, b.tests, class, out)
 	}
 }
 
-// The select kernels overwrite out[i] with class where row i passes every
-// test and leave it otherwise: keep is -1 where some test fails and 0 where
-// none does. Each is its own function, never inlined, so its loop keeps all
-// its operands in registers whatever else ClassifyColumns holds live.
-
-//go:noinline
-func select1(col []int32, lo, hi int64, class int32, out []int32) {
-	col = col[:len(out)]
-	for i := range out {
-		v := int64(col[i])
-		keep := int32(((v - lo) | (hi - v)) >> 63)
-		out[i] = class ^ ((out[i] ^ class) & keep)
-	}
-}
-
-//go:noinline
-func select2(colX []int32, loX, hiX int64, colY []int32, loY, hiY int64, class int32, out []int32) {
-	colX, colY = colX[:len(out)], colY[:len(out)]
-	for i := range out {
-		v, w := int64(colX[i]), int64(colY[i])
-		keep := int32(((v - loX) | (hiX - v) | (w - loY) | (hiY - w)) >> 63)
-		out[i] = class ^ ((out[i] ^ class) & keep)
-	}
-}
-
+// selectN overwrites out[i] with class where row i passes every test and
+// leaves it otherwise: keep is -1 where some test fails and 0 where none
+// does. It is its own function, never inlined, so its loop keeps its
+// operands in registers whatever else ClassifyColumns holds live.
+//
 //go:noinline
 func selectN(cols dataset.Columns, tests []attrTest, class int32, out []int32) {
 	for i := range out {
@@ -214,4 +194,172 @@ func (b *flatBox) holds(t *dataset.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// maxGridCells caps a classifier's cell grid: past it the table would cost
+// more to build, and to keep cache-resident, than the boxes it replaces.
+// Every query of the paper's groups fits (Large is 4⁴ = 256 cells).
+const maxGridCells = 4096
+
+// cellGrid is a classifier lowered to the cells its own bounds cut the
+// domain into. Every bound of every box is a cut on its attribute, so a box
+// contains a cell whole or not at all, and the first box containing a cell
+// gives the class of every tuple in it. A row's cell is mixed-radix: the sum,
+// over tested attributes, of stride × the number of the attribute's cuts at
+// or below the value.
+type cellGrid struct {
+	dims  []gridDim // one per Classifier.attrs entry, in that order
+	table []int32   // class of each cell, -1 for none; nil: no grid
+}
+
+// gridDim is one tested attribute of a cellGrid.
+type gridDim struct {
+	attr   int
+	stride int32
+	// below holds cut-1 for each distinct cut, ascending: v lies at or
+	// above the cut iff below - v is negative.
+	below []int64
+}
+
+// newCellGrid lowers the boxes to a cell grid over attrs. It returns no grid
+// (a nil table) when some box must be evaluated per row or the grid would
+// have more than maxGridCells cells.
+func newCellGrid(boxes []flatBox, attrs []int, schema *dataset.Schema) cellGrid {
+	n := 0
+	for i := range boxes {
+		if boxes[i].rowwise {
+			return cellGrid{}
+		}
+		n += 2 * len(boxes[i].tests)
+	}
+	// A test [lo, hi] cuts its attribute at lo and at hi+1 where they lie
+	// inside (Min, Max] — below stores lo-1 and hi. Every test cuts (tests
+	// spanning the whole domain were dropped), so every dim has a cut.
+	below := make([]int64, 0, n)
+	g := cellGrid{dims: make([]gridDim, len(attrs))}
+	for d, attr := range attrs {
+		f := schema.Field(attr)
+		start := len(below)
+		for i := range boxes {
+			for _, x := range boxes[i].tests {
+				if x.attr != attr {
+					continue
+				}
+				if x.lo > f.Min {
+					below = append(below, x.lo-1)
+				}
+				if x.hi < f.Max {
+					below = append(below, x.hi)
+				}
+			}
+		}
+		slices.Sort(below[start:])
+		below = below[:start+len(slices.Compact(below[start:]))]
+		g.dims[d] = gridDim{attr: attr, below: below[start:len(below):len(below)]}
+	}
+	cells := 1
+	for d := len(g.dims) - 1; d >= 0; d-- {
+		g.dims[d].stride = int32(cells)
+		if cells *= len(g.dims[d].below) + 1; cells > maxGridCells {
+			return cellGrid{}
+		}
+	}
+
+	g.table = make([]int32, cells)
+	for i := range g.table {
+		g.table[i] = -1
+	}
+	// Paint the boxes last to first over their cell sub-ranges, so each cell
+	// ends with its first box's class. A box spans cells [lo[d], hi[d]] on
+	// dim d; at walks them.
+	nd := len(g.dims)
+	scratch := make([]int, 3*nd)
+	lo, hi, at := scratch[:nd], scratch[nd:2*nd], scratch[2*nd:]
+	for bi := len(boxes) - 1; bi >= 0; bi-- {
+		b := &boxes[bi]
+		t := 0
+		for d, dim := range g.dims {
+			lo[d], hi[d] = 0, len(dim.below)
+			if t < len(b.tests) && b.tests[t].attr == dim.attr {
+				lo[d], hi[d] = dim.cellOf(b.tests[t].lo), dim.cellOf(b.tests[t].hi)
+				t++
+			}
+		}
+		copy(at, lo)
+		for {
+			off := 0
+			for d, dim := range g.dims {
+				off += at[d] * int(dim.stride)
+			}
+			g.table[off] = int32(b.class)
+			d := nd - 1
+			for ; d >= 0; d-- {
+				if at[d]++; at[d] <= hi[d] {
+					break
+				}
+				at[d] = lo[d]
+			}
+			if d < 0 {
+				break
+			}
+		}
+	}
+	return g
+}
+
+// cellOf is the cell of value v on the dim: how many cuts lie at or below it.
+func (dim *gridDim) cellOf(v int64) int {
+	k, _ := slices.BinarySearch(dim.below, v)
+	return k
+}
+
+// classify writes the class of every row's cell into out, one pass per cut:
+// a pass adds the cut's stride to the rows at or above it, the first one
+// writing rather than adding, and the last one — the last dim's top cut —
+// reads the table. A pass per cut, not per dim with a loop over its cuts,
+// measured 1.2–1.8× faster on the Large group's three-cut dims; a dim with
+// one cut is the same either way.
+func (g *cellGrid) classify(cols dataset.Columns, out []int32) {
+	if len(g.dims) == 0 {
+		for i := range out {
+			out[i] = g.table[0]
+		}
+		return
+	}
+	keep := int32(0) // masks out[i] to 0 on the first pass: it holds garbage
+	last := len(g.dims) - 1
+	for d, dim := range g.dims {
+		col, below := cols[dim.attr], dim.below
+		if d == last {
+			below = below[:len(below)-1]
+		}
+		for _, b := range below {
+			gridAdd(col, b, dim.stride, keep, out)
+			keep = -1
+		}
+	}
+	dim := &g.dims[last]
+	gridLast(cols[dim.attr], dim.below[len(dim.below)-1], keep, g.table, out)
+}
+
+// The grid passes. A value v is at or above a cut iff below-v is negative,
+// so (below-v)>>63 is -1 there and 0 under it. gridLast adds 1: the last dim
+// has stride 1 (newCellGrid assigns strides from the last dim up). Each pass
+// is its own function, never inlined, so its loop keeps its operands in
+// registers.
+
+//go:noinline
+func gridAdd(col []int32, below int64, stride, keep int32, out []int32) {
+	col = col[:len(out)]
+	for i := range out {
+		out[i] = out[i]&keep + stride&int32((below-int64(col[i]))>>63)
+	}
+}
+
+//go:noinline
+func gridLast(col []int32, below int64, keep int32, table, out []int32) {
+	col = col[:len(out)]
+	for i := range out {
+		out[i] = table[out[i]&keep-int32((below-int64(col[i]))>>63)]
+	}
 }

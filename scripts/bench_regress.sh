@@ -12,10 +12,14 @@
 # that pass at ≈ 0.4 MB where the emission stream it replaced cost ≈ 30 MB in
 # barely more allocations, so bytes, not counts, are what a regression there
 # would move. The classification kernel under that pass
-# (BenchmarkClassifyColumns) is gated at 0 allocs/op: its scratch is the
-# caller's. One map task of that pass (BenchmarkFusedMapSplit) is gated at the
-# one allocation per emitted key it needs, the sample: its match lists live in
-# the scan pool, so a list reallocated per pass reads as twenty more per key.
+# (BenchmarkClassifyColumns: narrow, wide and Large take the cell grid,
+# fallback the box kernel past the grid's cap) is gated at 0 allocs/op: its
+# scratch is the caller's. BenchmarkClassifyColumns/build, NewClassifier for
+# the nine Large queries, is gated at its count because a classifier is rebuilt
+# per job: the grid adds four allocations a query, the DNF the rest. One map
+# task of that pass (BenchmarkFusedMapSplit) is gated at the one allocation
+# per emitted key it needs, the sample: its match lists live in the scan pool,
+# so a list reallocated per pass reads as twenty more per key.
 # The engine job with a JSON-lines tracer attached (BenchmarkEngineTraced) is
 # gated because a traced run assembles spans per task: one assembled per record
 # reads as 32 000 more allocations, which the wall-clock ratio this line
