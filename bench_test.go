@@ -67,7 +67,7 @@ func BenchmarkTable2(b *testing.B) {
 			var ratioSum float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
+				res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,7 +88,7 @@ func BenchmarkFigure6(b *testing.B) {
 			var meanSum, mqeShareSum float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
+				res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func BenchmarkFigure7(b *testing.B) {
 						}
 						simSum += met.SimulatedTotal().Seconds()
 					case "CPS":
-						res, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
+						res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -154,7 +154,7 @@ func BenchmarkFigure8(b *testing.B) {
 			var vars float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
+				res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,11 +177,11 @@ func BenchmarkOptimality(b *testing.B) {
 			var residSum, gapSum float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lpRes, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
+				lpRes, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				ipRes, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{
+				ipRes, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{
 					Seed:  int64(i),
 					Solve: cps.SolveOptions{Integer: true},
 				})
@@ -218,7 +218,7 @@ func BenchmarkUniform(b *testing.B) {
 	var ratioSum float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cps.RunUnvalidated(cluster, mssd, uniformPop.Schema(), splits, cps.Options{Seed: int64(i)})
+		res, err := cps.Run(cluster, mssd, uniformPop.Schema(), splits, cps.Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func BenchmarkAblationLPDecomposition(b *testing.B) {
 			var lpSec, obj float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cps.RunUnvalidated(cluster, w.mssd, w.schema, w.splits, cps.Options{
+				res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{
 					Seed:  int64(i),
 					Solve: cps.SolveOptions{Joint: joint},
 				})

@@ -19,7 +19,7 @@
 //	strata query       -design design.json [-data pop.csv] [-ip] [-out answers.csv]
 //	strata serve       [-addr localhost:8372] [-n 100000] [-data pop.csv] [-seed 1]
 //	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-cache 1024]
-//	                   [-qps 0 -burst 16] [-no-prune] [-drain-timeout 10s]
+//	                   [-qps 0 -burst 16] [-drain-timeout 10s]
 //	strata loadgen     -addr host:port | -selfhost [-clients 32] [-requests 2000]
 //	                   [-queries 8] [-window 5ms] [-mutate 0.2] [-json report.json]
 //	strata trace       [-top 5] spans.jsonl

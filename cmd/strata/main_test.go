@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,6 +36,16 @@ func TestCmdSample(t *testing.T) {
 	}
 	if err := cmdSample([]string{"-n", "100", "-query", "nop < 10 : 1 ; nop < 20 : 1"}); err == nil {
 		t.Fatal("want overlap validation error")
+	}
+	// Nine boxes on four attributes, no bound shared: 19⁴ cells, past the cap.
+	var wide []string
+	for k := 0; k < 9; k++ {
+		wide = append(wide, fmt.Sprintf("nop >= %d and nop <= %d and cc >= %d and cc <= %d and ndcc >= %d and ndcc <= %d and myp >= %d and myp <= %d : 1",
+			10+70*k, 40+70*k, 10+100*k, 60+100*k, 10+200*k, 110+200*k, 2+15*k, 10+15*k))
+	}
+	err = cmdSample([]string{"-n", "100", "-query", strings.Join(wide, " ; ")})
+	if err == nil || !strings.Contains(err.Error(), "130321 cells") {
+		t.Fatalf("past the cell cap: error %v, want the cell count", err)
 	}
 }
 

@@ -80,7 +80,7 @@ func cmdMSSD(args []string) error {
 	var histTotal float64
 	var last *cps.Result
 	for run := 0; run < *runs; run++ {
-		res, err := cps.RunUnvalidated(cluster, m, pop.Schema(), splits, cps.Options{
+		res, err := cps.Run(cluster, m, pop.Schema(), splits, cps.Options{
 			Seed:  *seed + int64(run)*7919,
 			Solve: cps.SolveOptions{Integer: *integer},
 		})

@@ -37,7 +37,6 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 1024, "result cache entries")
 	qps := fs.Float64("qps", 0, "per-tenant admission rate in queries/second (0 = unlimited)")
 	burst := fs.Int("burst", 16, "per-tenant token bucket capacity")
-	noPrune := fs.Bool("no-prune", false, "disable box-decomposition split pre-filtering")
 	liveMode := fs.Bool("live", false, "mutable population: enable /v1/mutate + /v1/subscribe and warm standing-query answers")
 	staleness := fs.Int("staleness", 0, "uncompensated deletions per stratum before reservoir repair (0 = default 64; needs -live)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM/SIGINT")
@@ -78,7 +77,6 @@ func cmdServe(args []string) error {
 		CacheSize:      *cacheSize,
 		QuotaQPS:       *qps,
 		QuotaBurst:     *burst,
-		NoPrune:        *noPrune,
 		Live:           *liveMode,
 		StalenessBound: *staleness,
 		NewCluster:     newCluster,
@@ -118,7 +116,7 @@ func cmdServe(args []string) error {
 		"splits", effSplits, "max_passes", *maxPasses,
 		"adaptive_window", *adaptiveWindow,
 		"layout", strategy.String(), "window", window.String(), "max_batch", *maxBatch,
-		"cache", *cacheSize, "qps", *qps, "prune", !*noPrune, "live", *liveMode)
+		"cache", *cacheSize, "qps", *qps, "live", *liveMode)
 	mode := ""
 	if *liveMode {
 		mode = ", live"

@@ -75,13 +75,6 @@ func Run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	return run(c, m, schema, splits, opts)
 }
 
-// RunUnvalidated is Run without the SSD validation step; generated query
-// groups are valid by construction, and validation of very wide queries can
-// dominate the runtime being measured.
-func RunUnvalidated(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*Result, error) {
-	return run(c, m, schema, splits, opts)
-}
-
 func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*Result, error) {
 	queries := m.Queries
 	n := len(queries)

@@ -115,11 +115,9 @@ func (w *workload) runMQE(seed int64) (query.MultiAnswer, mapreduce.Metrics, err
 	return stratified.RunMQE(w.cluster, w.mssd.Queries, w.schema, w.splits, stratified.Options{Seed: seed})
 }
 
-// runCPS runs MR-CPS on the workload. The generated query groups are valid
-// by construction, so validation is skipped (it is O(m²) disjointness checks
-// that the timing experiments must not measure).
+// runCPS runs MR-CPS, validation included, on the workload.
 func (w *workload) runCPS(seed int64, solve cps.SolveOptions) (*cps.Result, error) {
-	return cps.RunUnvalidated(w.cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: seed, Solve: solve})
+	return cps.Run(w.cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: seed, Solve: solve})
 }
 
 // defaultSolve is the MR-CPS production configuration: per-σ decomposed LP.

@@ -35,21 +35,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 	}
 }
 
-func BenchmarkDisjoint(b *testing.B) {
-	schema := dataset.MustSchema(
-		dataset.Field{Name: "a", Min: 0, Max: 1000},
-		dataset.Field{Name: "b", Min: 0, Max: 1000},
-	)
-	p := MustParse("(a >= 100 and a < 500) or (b > 900)")
-	q := MustParse("(a >= 500 and b <= 900) or (a < 100 and b <= 900)")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Disjoint(p, q, schema); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClassify measures the fused stage's inner loop: one tuple against
 // a four-stratum, two-attribute grid (the worst case is the last stratum).
 func BenchmarkClassify(b *testing.B) {
@@ -80,11 +65,10 @@ func BenchmarkClassify(b *testing.B) {
 // over one 12,500-row split (a 10⁵ population on 8 splits) for the two
 // stratum shapes the serving benchmark draws — a narrow query (two strata, one
 // threshold) and a wide one (a four-stratum grid, two thresholds), cut near
-// the median so a comparing branch would be a coin flip — for one query of
-// Figure 8's Large group (256 strata over four attributes), and for a shape
-// just past the cell grid's cap, which runs the box kernel. build is
+// the median so a comparing branch would be a coin flip — and for one query of
+// Figure 8's Large group (256 strata over four attributes). build is
 // NewClassifier for the whole Large group: a classifier is rebuilt per job, so
-// its table is a per-pass cost.
+// its lowering is a per-pass cost.
 func BenchmarkClassifyColumns(b *testing.B) {
 	schema := dataset.MustSchema(
 		dataset.Field{Name: "a", Min: 0, Max: 1000},
@@ -106,19 +90,14 @@ func BenchmarkClassifyColumns(b *testing.B) {
 	for _, shape := range []struct {
 		name  string
 		conds []Expr
-		grid  bool
 	}{
-		{"narrow", parseAll("a >= 480", "a < 480"), true},
-		{"wide", parseAll("a < 500 and b < 400", "a < 500 and b >= 400", "a >= 500 and b < 400", "a >= 500 and b >= 400"), true},
-		{"large", large[0], true},
-		{"fallback", pastGridCap(), false},
+		{"narrow", parseAll("a >= 480", "a < 480")},
+		{"wide", parseAll("a < 500 and b < 400", "a < 500 and b >= 400", "a >= 500 and b < 400", "a >= 500 and b >= 400")},
+		{"large", large[0]},
 	} {
 		cls, err := NewClassifier(shape.conds, schema)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if UsesGrid(cls) != shape.grid {
-			b.Fatalf("%s: grid %v, want %v", shape.name, UsesGrid(cls), shape.grid)
 		}
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -162,7 +141,8 @@ func largeQuery(rng *rand.Rand) []Expr {
 }
 
 // pastGridCap is eight strata, each a box on a, b and c whose bounds no other
-// box shares: 17³ cells, past maxGridCells (seven such boxes fit: 16³).
+// box shares: 17³ = 4 913 cells, past the 4 096-cell cap the grid kernel once
+// had (seven such boxes fit it: 16³), and well inside maxCells.
 func pastGridCap() []Expr {
 	conds := make([]Expr, 8)
 	for k := range conds {

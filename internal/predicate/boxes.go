@@ -1,291 +1,42 @@
 package predicate
 
-import (
-	"fmt"
-	"sort"
-	"strings"
+import "repro/internal/dataset"
 
-	"repro/internal/dataset"
-)
-
-// Interval is an inclusive integer range [Lo, Hi]. An empty interval has
-// Lo > Hi.
+// Interval is an inclusive integer range [Lo, Hi].
 type Interval struct {
 	Lo, Hi int64
 }
 
-// Empty reports whether the interval contains no integers.
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Intersect returns the intersection of two intervals.
-func (iv Interval) Intersect(o Interval) Interval {
-	lo, hi := iv.Lo, iv.Hi
-	if o.Lo > lo {
-		lo = o.Lo
+// Boxes returns the cells of the formula's grid on which it holds, each as a
+// map from tested attribute to the cell's interval on it (an attribute not in
+// the map is unconstrained). None means the formula is unsatisfiable over the
+// schema's domains. Its one caller is the bench harness's predicate.boxes_us
+// probe, which times the lowering through it.
+func Boxes(e Expr, schema *dataset.Schema) ([]map[string]Interval, error) {
+	c, err := NewClassifier([]Expr{e}, schema)
+	if err != nil {
+		return nil, err
 	}
-	if o.Hi < hi {
-		hi = o.Hi
-	}
-	return Interval{lo, hi}
-}
-
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v int64) bool { return v >= iv.Lo && v <= iv.Hi }
-
-// Width returns the number of integers in the interval (0 if empty).
-func (iv Interval) Width() int64 {
-	if iv.Empty() {
-		return 0
-	}
-	return iv.Hi - iv.Lo + 1
-}
-
-// Box is a conjunction of per-attribute intervals: attributes not present are
-// unconstrained (their full domain). A formula's box set is its DNF where
-// every disjunct is a box; the formula holds iff some box contains the tuple.
-type Box map[string]Interval
-
-// Empty reports whether any interval in the box is empty.
-func (b Box) Empty() bool {
-	for _, iv := range b {
-		if iv.Empty() {
+	lo, hi, at := c.cellRange()
+	var boxes []map[string]Interval
+	c.eachCell(lo, hi, at, func(off int32, at []int32) bool {
+		if c.table[off] < 0 {
 			return true
 		}
-	}
-	return false
-}
-
-// Intersect returns the conjunction of two boxes, or an empty=true flag when
-// the conjunction is unsatisfiable.
-func (b Box) Intersect(o Box) (Box, bool) {
-	out := make(Box, len(b)+len(o))
-	for a, iv := range b {
-		out[a] = iv
-	}
-	for a, iv := range o {
-		if cur, ok := out[a]; ok {
-			iv = cur.Intersect(iv)
-		}
-		if iv.Empty() {
-			return nil, false
-		}
-		out[a] = iv
-	}
-	return out, true
-}
-
-// Overlaps reports whether two boxes have a common point, given each absent
-// attribute is unconstrained.
-func (b Box) Overlaps(o Box) bool {
-	_, ok := b.Intersect(o)
-	return ok
-}
-
-// String renders the box deterministically for debugging.
-func (b Box) String() string {
-	attrs := make([]string, 0, len(b))
-	for a := range b {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, a := range attrs {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s∈[%d,%d]", a, b[a].Lo, b[a].Hi)
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-// MaxBoxes bounds the DNF expansion performed by Boxes; formulas whose
-// disjunctive normal form exceeds it are rejected rather than allowed to
-// consume unbounded memory. Stratum constraints in practice are tiny.
-const MaxBoxes = 1 << 16
-
-// Boxes converts the formula to a union of boxes (its DNF over attribute
-// intervals), clipping every interval to the attribute's domain in the
-// schema. The returned set may be empty, meaning the formula is
-// unsatisfiable over the schema's domains.
-func Boxes(e Expr, schema *dataset.Schema) ([]Box, error) {
-	n, err := toNNF(e, false)
-	if err != nil {
-		return nil, err
-	}
-	boxes, err := nnfBoxes(n, schema)
-	if err != nil {
-		return nil, err
-	}
-	out := boxes[:0]
-	for _, b := range boxes {
-		if !b.Empty() {
-			out = append(out, b)
-		}
-	}
-	return out, nil
-}
-
-// toNNF pushes negations to the leaves and eliminates Ne atoms (rewritten as
-// a disjunction of Lt and Gt) so every atom maps to a single interval.
-func toNNF(e Expr, neg bool) (Expr, error) {
-	switch x := e.(type) {
-	case Literal:
-		if neg {
-			return Literal(!bool(x)), nil
-		}
-		return x, nil
-	case Compare:
-		if neg {
-			x = Compare{Attr: x.Attr, Op: x.Op.Negate(), Value: x.Value}
-		}
-		if x.Op == Ne {
-			return Or{
-				Compare{Attr: x.Attr, Op: Lt, Value: x.Value},
-				Compare{Attr: x.Attr, Op: Gt, Value: x.Value},
-			}, nil
-		}
-		return x, nil
-	case Not:
-		return toNNF(x.X, !neg)
-	case And:
-		l, err := toNNF(x.L, neg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := toNNF(x.R, neg)
-		if err != nil {
-			return nil, err
-		}
-		if neg {
-			return Or{l, r}, nil
-		}
-		return And{l, r}, nil
-	case Or:
-		l, err := toNNF(x.L, neg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := toNNF(x.R, neg)
-		if err != nil {
-			return nil, err
-		}
-		if neg {
-			return And{l, r}, nil
-		}
-		return Or{l, r}, nil
-	default:
-		return nil, fmt.Errorf("predicate: unknown expression type %T", e)
-	}
-}
-
-func nnfBoxes(e Expr, schema *dataset.Schema) ([]Box, error) {
-	switch x := e.(type) {
-	case Literal:
-		if bool(x) {
-			return []Box{{}}, nil
-		}
-		return nil, nil
-	case Compare:
-		iv, err := compareInterval(x, schema)
-		if err != nil {
-			return nil, err
-		}
-		if iv.Empty() {
-			return nil, nil
-		}
-		return []Box{{x.Attr: iv}}, nil
-	case And:
-		ls, err := nnfBoxes(x.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := nnfBoxes(x.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		if len(ls)*len(rs) > MaxBoxes {
-			return nil, fmt.Errorf("predicate: DNF expansion exceeds %d boxes", MaxBoxes)
-		}
-		var out []Box
-		for _, l := range ls {
-			for _, r := range rs {
-				if m, ok := l.Intersect(r); ok {
-					out = append(out, m)
-				}
+		box := make(map[string]Interval, len(c.dims))
+		for d, dim := range c.dims {
+			f := schema.Field(dim.attr)
+			iv := Interval{f.Min, f.Max}
+			if i := at[d]; i > 0 {
+				iv.Lo = dim.below[i-1] + 1
 			}
-		}
-		return out, nil
-	case Or:
-		ls, err := nnfBoxes(x.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := nnfBoxes(x.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		if len(ls)+len(rs) > MaxBoxes {
-			return nil, fmt.Errorf("predicate: DNF expansion exceeds %d boxes", MaxBoxes)
-		}
-		return append(ls, rs...), nil
-	default:
-		return nil, fmt.Errorf("predicate: non-NNF expression %T", e)
-	}
-}
-
-func compareInterval(c Compare, schema *dataset.Schema) (Interval, error) {
-	idx, ok := schema.Index(c.Attr)
-	if !ok {
-		return Interval{}, fmt.Errorf("predicate: unknown attribute %q", c.Attr)
-	}
-	f := schema.Field(idx)
-	dom := Interval{f.Min, f.Max}
-	switch c.Op {
-	case Lt:
-		return dom.Intersect(Interval{f.Min, c.Value - 1}), nil
-	case Le:
-		return dom.Intersect(Interval{f.Min, c.Value}), nil
-	case Gt:
-		return dom.Intersect(Interval{c.Value + 1, f.Max}), nil
-	case Ge:
-		return dom.Intersect(Interval{c.Value, f.Max}), nil
-	case Eq:
-		return dom.Intersect(Interval{c.Value, c.Value}), nil
-	default:
-		return Interval{}, fmt.Errorf("predicate: %v has no single interval", c.Op)
-	}
-}
-
-// Satisfiable reports whether the formula holds for at least one assignment
-// of attribute values within the schema's domains.
-func Satisfiable(e Expr, schema *dataset.Schema) (bool, error) {
-	boxes, err := Boxes(e, schema)
-	if err != nil {
-		return false, err
-	}
-	return len(boxes) > 0, nil
-}
-
-// Disjoint reports whether no assignment of attribute values within the
-// schema's domains satisfies both formulas — the requirement the paper places
-// on every pair of stratum constraints of a valid SSD query.
-func Disjoint(a, b Expr, schema *dataset.Schema) (bool, error) {
-	as, err := Boxes(a, schema)
-	if err != nil {
-		return false, err
-	}
-	bs, err := Boxes(b, schema)
-	if err != nil {
-		return false, err
-	}
-	for _, ba := range as {
-		for _, bb := range bs {
-			if ba.Overlaps(bb) {
-				return false, nil
+			if i := int(at[d]); i < len(dim.below) {
+				iv.Hi = dim.below[i]
 			}
+			box[f.Name] = iv
 		}
-	}
-	return true, nil
+		boxes = append(boxes, box)
+		return true
+	})
+	return boxes, nil
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // matchesBoxes is the semantics of a box set: some box contains the tuple.
-func matchesBoxes(boxes []Box, schema *dataset.Schema, tp *dataset.Tuple) bool {
+func matchesBoxes(boxes []map[string]Interval, schema *dataset.Schema, tp *dataset.Tuple) bool {
 	for _, b := range boxes {
 		ok := true
 		for attr, iv := range b {
 			idx, _ := schema.Index(attr)
-			if !iv.Contains(tp.Attrs[idx]) {
+			if v := tp.Attrs[idx]; v < iv.Lo || v > iv.Hi {
 				ok = false
 				break
 			}
@@ -26,8 +26,8 @@ func matchesBoxes(boxes []Box, schema *dataset.Schema, tp *dataset.Tuple) bool {
 	return false
 }
 
-// TestQuickBoxesEquivalentToEval: the DNF box set of a random formula
-// matches exactly the tuples the formula matches.
+// TestQuickBoxesEquivalentToEval: the cells Boxes returns for a random
+// formula hold exactly the tuples the formula matches.
 func TestQuickBoxesEquivalentToEval(t *testing.T) {
 	schema := predSchema()
 	f := func(seed int64) bool {
@@ -56,107 +56,25 @@ func TestQuickBoxesEquivalentToEval(t *testing.T) {
 
 func TestBoxesClipToDomain(t *testing.T) {
 	schema := predSchema()
-	boxes, err := Boxes(MustParse("a > 1000"), schema) // outside [0,100]
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(boxes) != 0 {
-		t.Fatalf("unsatisfiable formula produced %d boxes", len(boxes))
-	}
-	ok, err := Satisfiable(MustParse("a > 1000"), schema)
-	if err != nil || ok {
-		t.Fatalf("Satisfiable = %v, %v; want false", ok, err)
-	}
-	ok, err = Satisfiable(MustParse("a >= 0"), schema)
-	if err != nil || !ok {
-		t.Fatalf("Satisfiable = %v, %v; want true", ok, err)
-	}
-}
-
-func TestDisjointBasics(t *testing.T) {
-	schema := predSchema()
-	cases := []struct {
-		p, q string
-		want bool
+	for _, tc := range []struct {
+		src  string
+		want []map[string]Interval
 	}{
-		{"a < 50", "a >= 50", true},
-		{"a < 50", "a > 40", false},
-		{"a = 3", "a != 3", true},
-		{"a < 10 and b > 0", "a < 10 and b <= 0", true},
-		{"a < 10 and b > 0", "a < 5", false},
-		{"c = 1 or c = 2", "c = 3 or c = 4", true},
-		{"c = 1 or c = 2", "c = 2 or c = 3", false},
-		{"not (a < 50)", "a < 50", true},
-		{"true", "a = 1", false},
-		{"false", "a = 1", true},
-	}
-	for _, c := range cases {
-		got, err := Disjoint(MustParse(c.p), MustParse(c.q), schema)
+		{"a > 1000", nil},                     // outside [0,100]: unsatisfiable
+		{"a >= 0", []map[string]Interval{{}}}, // the whole domain: unconstrained
+		{"a < 50 or a > 1000", []map[string]Interval{{"a": {0, 49}}}},
+	} {
+		boxes, err := Boxes(MustParse(tc.src), schema)
 		if err != nil {
-			t.Fatalf("Disjoint(%q, %q): %v", c.p, c.q, err)
+			t.Fatal(err)
 		}
-		if got != c.want {
-			t.Fatalf("Disjoint(%q, %q) = %v, want %v", c.p, c.q, got, c.want)
+		if len(boxes) != len(tc.want) {
+			t.Fatalf("%s: %d boxes %v, want %v", tc.src, len(boxes), boxes, tc.want)
 		}
-	}
-}
-
-// TestQuickDisjointConsistent: if Disjoint says two random formulas are
-// disjoint, no random tuple satisfies both.
-func TestQuickDisjointConsistent(t *testing.T) {
-	schema := predSchema()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomExpr(rng, 3)
-		q := randomExpr(rng, 3)
-		disjoint, err := Disjoint(p, q, schema)
-		if err != nil {
-			return false
-		}
-		if !disjoint {
-			return true // nothing to check
-		}
-		for i := 0; i < 50; i++ {
-			tp := randomTuple(rng)
-			pv, _ := Eval(p, schema, &tp)
-			qv, _ := Eval(q, schema, &tp)
-			if pv && qv {
-				return false
+		for i, b := range boxes {
+			if len(b) != len(tc.want[i]) || (len(b) > 0 && b["a"] != tc.want[i]["a"]) {
+				t.Errorf("%s: box %d is %v, want %v", tc.src, i, b, tc.want[i])
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntervalOps(t *testing.T) {
-	a := Interval{0, 10}
-	b := Interval{5, 20}
-	if got := a.Intersect(b); got != (Interval{5, 10}) {
-		t.Fatalf("Intersect = %+v", got)
-	}
-	if !(Interval{5, 4}).Empty() {
-		t.Fatal("inverted interval should be empty")
-	}
-	if (Interval{5, 4}).Width() != 0 || a.Width() != 11 {
-		t.Fatal("Width wrong")
-	}
-}
-
-func TestBoxIntersectAndString(t *testing.T) {
-	b1 := Box{"a": {0, 10}}
-	b2 := Box{"a": {5, 20}, "b": {1, 2}}
-	m, ok := b1.Intersect(b2)
-	if !ok || m["a"] != (Interval{5, 10}) || m["b"] != (Interval{1, 2}) {
-		t.Fatalf("Intersect = %v, %v", m, ok)
-	}
-	b3 := Box{"a": {11, 20}}
-	if _, ok := b1.Intersect(b3); ok {
-		t.Fatal("disjoint boxes intersected")
-	}
-	if b2.String() != "{a∈[5,20], b∈[1,2]}" {
-		t.Fatalf("String = %q", b2.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,11 +27,11 @@ func firstMatch(t *testing.T, conds []Expr, schema *dataset.Schema, tp *dataset.
 	return -1
 }
 
-// TestQuickClassifierAgreesWithEval: Boxes clips every interval to the
-// schema's domain and the classifier drops tests that span a whole domain,
-// yet for random formulas (And/Or/Not, all six operators, constants inside,
-// on and beyond the domain bounds) it classifies every in-domain tuple —
-// corners included — exactly as the formulas themselves do.
+// TestQuickClassifierAgreesWithEval: the grid keeps only the cuts inside the
+// schema's domains and folds an atom with none into a constant, yet for
+// random formulas (And/Or/Not, all six operators, constants inside, on and
+// beyond the domain bounds) it classifies every in-domain tuple — corners
+// included — exactly as the formulas themselves do.
 func TestQuickClassifierAgreesWithEval(t *testing.T) {
 	schema := predSchema()
 	corners := []dataset.Tuple{
@@ -65,31 +66,29 @@ func TestQuickClassifierAgreesWithEval(t *testing.T) {
 	}
 }
 
-// pastMaxBoxes returns a formula over predSchema whose DNF Boxes refuses: 9
-// two-way disjunctions conjoined expand to 512 boxes, and conjoining two of
-// those asks for 512² > MaxBoxes.
-func pastMaxBoxes(t *testing.T, schema *dataset.Schema) Expr {
-	t.Helper()
+// deepAndOfOr returns a formula over predSchema whose DNF has 512² boxes,
+// which the box lowering refused past its 65 536-box cap: 9 two-way
+// disjunctions conjoined, conjoined with themselves. Its grid has 10 × 10
+// cells (the cuts a 10..18 and b 32..40).
+func deepAndOfOr() Expr {
 	var half Expr = Literal(true)
 	for i := int64(0); i < 9; i++ {
 		half = And{half, Or{Compare{"a", Ge, 10 + i}, Compare{"b", Lt, 40 - i}}}
 	}
-	wide := And{half, half}
-	if _, err := Boxes(wide, schema); err == nil {
-		t.Fatal("test formula no longer overflows Boxes; make it wider")
-	}
-	return wide
+	return And{half, half}
 }
 
-// TestClassifierFallsBackPastMaxBoxes: a formula whose DNF Boxes refuses is
-// classified through its compiled predicate, between box-lowered neighbours.
-func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
+// TestClassifierDeepAndOfOr: a deep And-of-Or nest lowers to its small grid,
+// between neighbours that cut c, and classifies like the formulas.
+func TestClassifierDeepAndOfOr(t *testing.T) {
 	schema := predSchema()
-	wide := pastMaxBoxes(t, schema)
-	conds := []Expr{MustParse("c = 3"), wide, MustParse("c >= 0")}
+	conds := []Expr{MustParse("c = 3"), deepAndOfOr(), MustParse("c >= 0")}
 	cls, err := NewClassifier(conds, schema)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(cls.table); got != 10*10*3 {
+		t.Errorf("%d cells, want 10 × 10 × 3", got)
 	}
 	rng := rand.New(rand.NewSource(3))
 	seen := map[int]int{}
@@ -102,7 +101,7 @@ func TestClassifierFallsBackPastMaxBoxes(t *testing.T) {
 		seen[got]++
 	}
 	if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 {
-		t.Fatalf("classes hit %v: want every formula, the fallback included, to match some tuple", seen)
+		t.Fatalf("classes hit %v: want every formula to match some tuple", seen)
 	}
 
 	if _, err := NewClassifier([]Expr{MustParse("zzz < 3")}, schema); err == nil {
@@ -133,16 +132,15 @@ func columnsAgree(t *testing.T, cls *Classifier, numFields int, tuples []dataset
 	return true
 }
 
-// TestClassifyColumnsAgreesWithClassify: both column kernels — the cell grid
-// and the box kernel it falls back to — are row-wise Classify for every
-// in-domain tuple: random formulas (1-test, 2-test and wider boxes,
-// unsatisfiable and whole-domain strata, overlapping strata where the first
-// match must win), domain corners, a pred-fallback stratum between
-// box-lowered ones, a query with more strata than an int8 holds, fields too
-// wide for an int32 column next to one that spans all of int32, the grid's
-// cell cap from both sides, cuts on the domain edges and at the int32
-// extremes, bounds shared across strata, empty boxes, and a stratum made of
-// non-adjacent cells.
+// TestClassifyColumnsAgreesWithClassify: the column kernel is row-wise
+// Classify for every in-domain tuple: random formulas (1-test, 2-test and
+// wider boxes, unsatisfiable and whole-domain strata, overlapping strata where
+// the first match must win), domain corners, a deep And-of-Or stratum between
+// plain ones, a query with more strata than an int8 holds, fields too wide for
+// an int32 column next to one that spans all of int32 (row-wise), the cell cap
+// from both sides, cuts on the domain edges and at the int32 extremes, bounds
+// shared across strata, empty boxes, and a stratum made of non-adjacent
+// cells.
 func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 	schema := predSchema()
 	corners := []dataset.Tuple{
@@ -157,7 +155,6 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 		return tuples
 	}
 	t.Run("random", func(t *testing.T) {
-		grids := 0
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			conds := make([]Expr, 1+rng.Intn(5))
@@ -173,16 +170,14 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 				t.Logf("conds %v", conds)
 				return false
 			}
-			if UsesGrid(cls) {
-				grids++
+			if !UsesGrid(cls) {
+				t.Logf("conds %v: row-wise over an int32 schema", conds)
+				return false
 			}
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 			t.Fatal(err)
-		}
-		if grids < 200 {
-			t.Errorf("%d of 400 random classifiers took the grid: the random formulas no longer exercise it", grids)
 		}
 	})
 	t.Run("shapes", func(t *testing.T) {
@@ -207,12 +202,12 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 			t.Error("empty split")
 		}
 	})
-	t.Run("pred-fallback", func(t *testing.T) {
-		conds := []Expr{MustParse("c = 3"), pastMaxBoxes(t, schema), MustParse("c >= 0 and a < 90")}
+	t.Run("deep-and-of-or", func(t *testing.T) {
+		conds := []Expr{MustParse("c = 3"), deepAndOfOr(), MustParse("c >= 0 and a < 90")}
 		cls := mustClassifier(t, conds, schema)
 		columnsAgree(t, cls, 3, sample(rand.New(rand.NewSource(3)), 2000))
-		if UsesGrid(cls) {
-			t.Error("a classifier with a pred box took the grid")
+		if !UsesGrid(cls) {
+			t.Error("an And-of-Or nest over int32 fields went row-wise")
 		}
 	})
 	t.Run("200-strata", func(t *testing.T) {
@@ -228,7 +223,7 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 			t.Fatalf("class of the last stratum = %d, want 199", last)
 		}
 		if !UsesGrid(cls) {
-			t.Error("101 × 2 cells: box kernel, want the grid")
+			t.Error("101 × 2 cells: row-wise, want the grid")
 		}
 	})
 	t.Run("fields-wider-than-int32", func(t *testing.T) {
@@ -255,11 +250,11 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 			}
 		}
 		columnsAgree(t, cls, 3, tuples)
-		if got := cls.Attrs(); len(got) != 1 || got[0] != 2 {
-			t.Errorf("Attrs = %v, want [2]: boxes testing w or h must stay off the column kernel", got)
+		if got := cls.Attrs(); len(got) != 0 {
+			t.Errorf("Attrs = %v, want none: a classifier testing w or h must stay off the columns", got)
 		}
 		if UsesGrid(cls) {
-			t.Error("a classifier with row-wise boxes took the grid")
+			t.Error("a classifier testing fields wider than int32 read columns")
 		}
 	})
 
@@ -279,9 +274,9 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 		t.Helper()
 		cls := mustClassifier(t, parseAll(srcs...), s)
 		if !UsesGrid(cls) {
-			t.Fatalf("conds %v: box kernel, want the grid", srcs)
+			t.Fatalf("conds %v: row-wise, want the grid", srcs)
 		}
-		if got := len(cls.grid.table); got != cells {
+		if got := len(cls.table); got != cells {
 			t.Errorf("conds %v: %d cells, want %d", srcs, got, cells)
 		}
 		if !columnsAgree(t, cls, s.NumFields(), tuples) {
@@ -302,38 +297,46 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 			dataset.Field{Name: "x", Min: 0, Max: 10000},
 			dataset.Field{Name: "y", Min: 0, Max: 10000},
 		)
-		// "x < i" for 0 < i < nx and "y < j" for 0 < j < ny cut an nx × ny grid.
-		for _, tc := range []struct {
-			nx, ny int
-			grid   bool
-		}{
-			{16, 256, true}, {4096, 1, true}, // exactly maxGridCells
-			{17, 241, false}, {4097, 1, false}, // 4097 cells
-		} {
+		// "x < i" for 0 < i < nx and "y < j" for 0 < j < ny cut an nx × ny
+		// grid: exactly maxCells takes the grid, one row more is refused.
+		strata := func(nx, ny int) []string {
 			var srcs []string
-			for i := 1; i < tc.nx; i++ {
+			for i := 1; i < nx; i++ {
 				srcs = append(srcs, fmt.Sprintf("x < %d", i))
 			}
-			for j := 1; j < tc.ny; j++ {
+			for j := 1; j < ny; j++ {
 				srcs = append(srcs, fmt.Sprintf("y < %d", j))
 			}
-			tuples := []dataset.Tuple{{Attrs: []int64{0, 0}}, {Attrs: []int64{10000, 10000}}}
-			for i := 0; i < 300; i++ {
-				tuples = append(tuples, dataset.Tuple{Attrs: []int64{rng.Int63n(int64(tc.nx) + 2), rng.Int63n(int64(tc.ny) + 2)}})
-			}
-			if tc.nx*tc.ny != maxGridCells && tc.nx*tc.ny != maxGridCells+1 {
-				t.Fatalf("%d × %d is not at the cap", tc.nx, tc.ny)
-			}
-			if tc.grid {
-				grid(t, srcs, maxGridCells, xy, tuples)
-				continue
-			}
-			cls := mustClassifier(t, parseAll(srcs...), xy)
-			if UsesGrid(cls) {
-				t.Errorf("%d × %d cells: grid, want the box kernel", tc.nx, tc.ny)
-			}
-			columnsAgree(t, cls, 2, tuples)
+			return srcs
 		}
+		if 256*256 != maxCells {
+			t.Fatalf("256 × 256 is not the cap %d", maxCells)
+		}
+		tuples := []dataset.Tuple{{Attrs: []int64{0, 0}}, {Attrs: []int64{10000, 10000}}}
+		for i := 0; i < 300; i++ {
+			tuples = append(tuples, dataset.Tuple{Attrs: []int64{rng.Int63n(258), rng.Int63n(258)}})
+		}
+		grid(t, strata(256, 256), maxCells, xy, tuples)
+		_, err := NewClassifier(parseAll(strata(257, 256)...), xy)
+		if err == nil || !strings.Contains(err.Error(), "65792 cells") {
+			t.Errorf("257 × 256 cells: error %v, want the count past the cap", err)
+		}
+
+		// Boxes with bounds no other box shares, three attributes each.
+		abc := dataset.MustSchema(
+			dataset.Field{Name: "a", Min: 0, Max: 1000},
+			dataset.Field{Name: "b", Min: 0, Max: 1000},
+			dataset.Field{Name: "c", Min: 0, Max: 1000},
+		)
+		cls := mustClassifier(t, pastGridCap(), abc)
+		if got := len(cls.table); got != 17*17*17 {
+			t.Errorf("%d cells, want 17³", got)
+		}
+		tuples = tuples[:0]
+		for i := 0; i < 2000; i++ {
+			tuples = append(tuples, dataset.Tuple{Attrs: []int64{rng.Int63n(1001), rng.Int63n(1001), rng.Int63n(1001)}})
+		}
+		columnsAgree(t, cls, 3, tuples)
 	})
 	t.Run("domain-edges", func(t *testing.T) {
 		var tuples []dataset.Tuple
@@ -378,11 +381,13 @@ func TestClassifyColumnsAgreesWithClassify(t *testing.T) {
 		}, 2*2*3, schema, random(500))
 	})
 	t.Run("empty-boxes", func(t *testing.T) {
+		// The grid comes from the atoms, not from satisfiable boxes: the empty
+		// "a > 50 and a < 40" still cuts a at 40 and 51, next to a < 30's 30.
 		cls := grid(t, []string{"a > 100", "b < -50 or c = 4", "a > 50 and a < 40", "false", "c = 4 and c != 4", "a < 30"},
-			2*3, schema, random(500))
-		for _, b := range cls.boxes {
-			if b.class == 0 || b.class == 2 || b.class == 3 || b.class == 4 {
-				t.Errorf("box %+v of an unsatisfiable stratum survived lowering", b)
+			4*3, schema, random(500))
+		for cell, class := range cls.table {
+			if class == 0 || class == 2 || class == 3 || class == 4 {
+				t.Errorf("cell %d has the class of unsatisfiable stratum %d", cell, class)
 			}
 		}
 	})

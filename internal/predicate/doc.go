@@ -5,26 +5,22 @@
 //
 // The package provides:
 //
-//   - an AST (Formula, Cmp, And, Or, Not) with a String rendering;
+//   - an AST (Compare, And, Or, Not, Literal) with a String rendering;
 //   - a parser for a small textual syntax, e.g.
 //     "gender = 1 and (income < 50000 or income > 100000)";
 //   - compilation of a formula against a dataset.Schema into a fast tuple
-//     predicate (Compile);
-//   - box decomposition (Boxes): a formula lowered to a union of axis-aligned
-//     boxes — disjunctive normal form over per-attribute integer intervals,
-//     clipped to the schema's declared domains;
-//   - a decision procedure for pairwise disjointness of formulas (Disjoint),
-//     built on box decomposition — SSD validation requires it of every pair
-//     of stratum constraints;
-//   - a flat first-match Classifier over a list of formulas, also built on
-//     box decomposition — the stratum scan of the sampling map tasks.
+//     predicate (Compile), and a direct evaluator (Eval);
+//   - the one lowering of a list of stratum formulas, Classifier: the cell
+//     grid their bounds cut the schema's domains into, with the first
+//     formula that holds on each cell.
 //
-// Box decomposition is the package's semantic workhorse: two formulas are
-// disjoint iff their box unions do not intersect, and the serve daemon
-// reuses the same geometry for query canonicalization (equivalent formulas
-// normalize to the same boxes) and for split pre-filtering (a split whose
-// bounding box misses every query box cannot contribute a tuple). Boxes are
-// exact for this language — every formula over integer attributes with
-// bounded domains denotes a finite union of boxes — so decisions made on
-// boxes are decisions about the formulas themselves.
+// Every atom changes truth only at its own bounds, so every formula is
+// constant on every cell, and a decision about the cells is a decision about
+// the formulas on all in-domain tuples. One grid therefore does four jobs:
+// the stratum scan of the sampling map tasks (Classify, ClassifyColumns),
+// SSD validation (Overlap: two strata holding on one cell), the serve
+// daemon's canonical cache key (Key: the grid coarsened to the cuts that
+// separate two classes, which is unique, so equal keys mean equal
+// classifications), and its split pre-filtering (Meets: a split whose
+// bounding box meets no classed cell cannot contribute a tuple).
 package predicate

@@ -24,17 +24,3 @@ func ExampleParse() {
 	// Output:
 	// true false
 }
-
-// Disjoint decides whether two stratum conditions can ever overlap — the
-// validity requirement on SSD queries.
-func ExampleDisjoint() {
-	schema := dataset.MustSchema(dataset.Field{Name: "age", Min: 0, Max: 120})
-	young := predicate.MustParse("age < 30")
-	old := predicate.MustParse("age >= 30")
-	mid := predicate.MustParse("age > 20 and age < 40")
-	d1, _ := predicate.Disjoint(young, old, schema)
-	d2, _ := predicate.Disjoint(young, mid, schema)
-	fmt.Println(d1, d2)
-	// Output:
-	// true false
-}

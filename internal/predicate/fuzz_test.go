@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,8 +46,7 @@ func FuzzParse(f *testing.F) {
 
 // FuzzClassifyColumns: for any list of formulas over predSchema (strata
 // separated by ';') and any seed for the in-domain tuples, the column kernel
-// — the cell grid or the box kernel, whichever the lowering picks — equals
-// row-wise Classify.
+// equals row-wise Classify.
 func FuzzClassifyColumns(f *testing.F) {
 	seeds := []string{
 		"a >= 48 ; a < 48",
@@ -62,16 +62,9 @@ func FuzzClassifyColumns(f *testing.F) {
 	}
 	schema := predSchema()
 	f.Fuzz(func(t *testing.T, text string, seed int64) {
-		if len(text) > 256 {
-			return // long formulas only slow the DNF down
-		}
-		var conds []Expr
-		for _, src := range strings.Split(text, ";") {
-			e, err := Parse(src)
-			if err != nil {
-				return
-			}
-			conds = append(conds, e)
+		conds, ok := parseStrata(text)
+		if !ok {
+			return
 		}
 		cls, err := NewClassifier(conds, schema)
 		if err != nil {
@@ -86,4 +79,87 @@ func FuzzClassifyColumns(f *testing.F) {
 			t.Fatalf("strata %q", text)
 		}
 	})
+}
+
+// parseStrata parses ';'-separated formulas, refusing long or malformed text.
+func parseStrata(text string) ([]Expr, bool) {
+	if len(text) > 256 {
+		return nil, false // long formulas only slow the lowering down
+	}
+	var conds []Expr
+	for _, src := range strings.Split(text, ";") {
+		e, err := Parse(src)
+		if err != nil {
+			return nil, false
+		}
+		conds = append(conds, e)
+	}
+	return conds, true
+}
+
+// FuzzCanonicalKey: for any two lists of formulas over predSchema, their
+// classifiers' keys are equal iff both class every point alike (sameClasses).
+func FuzzCanonicalKey(f *testing.F) {
+	for _, pair := range [][2]string{
+		{"a < 10 and b < 20 or a < 20 and b < 10", "a < 10 and b < 20 or a >= 10 and a < 20 and b < 10"},
+		{"a < 10 or a >= 10 and a < 20", "a < 20"},
+		{"a >= 48 ; a < 48", "not a < 48 ; a <= 47"},
+		{"a >= 48 ; a < 48", "a < 48 ; a >= 48"},
+		{"a > 100", "b < -50"},
+		{"a != 7", "a < 7 or a > 7 and c >= 0"},
+		{"a < 50 ; b < 0", "a < 50 ; b < 0 and a >= 50"},
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	schema := predSchema()
+	f.Fuzz(func(t *testing.T, x, y string) {
+		cx, ok := parseStrata(x)
+		if !ok {
+			return
+		}
+		cy, ok := parseStrata(y)
+		if !ok {
+			return
+		}
+		kx, ky, common := lowered(cx, schema), lowered(cy, schema), lowered(slices.Concat(cx, cy), schema)
+		if kx == nil || ky == nil || common == nil {
+			return // unknown attribute, or past the cap
+		}
+		same := sameClasses(t, common, cx, cy, schema)
+		if equal := kx.Key() == ky.Key(); equal != same {
+			t.Fatalf("%q vs %q: keys equal %v (%q, %q), classes equal %v", x, y, equal, kx.Key(), ky.Key(), same)
+		}
+	})
+}
+
+func lowered(conds []Expr, schema *dataset.Schema) *Classifier {
+	c, err := NewClassifier(conds, schema)
+	if err != nil {
+		return nil
+	}
+	return c
+}
+
+// sameClasses reports whether the two formula lists give the same first-match
+// class (by Eval) at the lowest point of every cell of their common grid —
+// common is the classifier of both lists, on each of whose cells both are
+// constant.
+func sameClasses(t *testing.T, common *Classifier, x, y []Expr, schema *dataset.Schema) bool {
+	t.Helper()
+	lo, hi, at := common.cellRange()
+	tp := dataset.Tuple{Attrs: make([]int64, schema.NumFields())}
+	same := true
+	common.eachCell(lo, hi, at, func(_ int32, at []int32) bool {
+		for j := range tp.Attrs {
+			tp.Attrs[j] = schema.Field(j).Min
+		}
+		for d, dim := range common.dims {
+			if i := at[d]; i > 0 {
+				tp.Attrs[dim.attr] = dim.below[i-1] + 1
+			}
+		}
+		same = firstMatch(t, x, schema, &tp) == firstMatch(t, y, schema, &tp)
+		return same
+	})
+	return same
 }

@@ -14,8 +14,8 @@ import (
 // TestPaperShapesTakeTheGrid pins which kernel the workloads' stratum shapes
 // run: the serving benchmark's narrow and wide templates (the text grammar of
 // bench/gen.go, over every attribute and pair of Table 1) and every query of
-// the paper's Small, Medium and Large groups all take the cell grid. A
-// lowering change that pushes one onto the box kernel fails here rather than
+// the paper's Small, Medium and Large groups all run the cell grid's column
+// kernel. A lowering change that pushes one row-wise fails here rather than
 // quietly giving the scan's speed back. The group queries are also classified
 // over their population both ways.
 func TestPaperShapesTakeTheGrid(t *testing.T) {
@@ -27,7 +27,7 @@ func TestPaperShapesTakeTheGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !predicate.UsesGrid(cls) {
-			t.Errorf("%s (%d strata): box kernel, want the grid", q.Name, len(q.Strata))
+			t.Errorf("%s (%d strata): row-wise, want the grid", q.Name, len(q.Strata))
 		}
 		return cls
 	}

@@ -3,6 +3,7 @@ package query_test
 import (
 	"fmt"
 
+	"repro/internal/dataset"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
@@ -41,4 +42,18 @@ func ExampleSSD() {
 	fmt.Println(q.Name, len(q.Strata), q.TotalFreq())
 	// Output:
 	// ages 3 25
+}
+
+// Validate decides whether the stratum conditions can ever overlap — the
+// validity requirement on SSD queries — over the schema's domains.
+func ExampleSSD_Validate() {
+	schema := dataset.MustSchema(dataset.Field{Name: "age", Min: 0, Max: 120})
+	young := query.Stratum{Cond: predicate.MustParse("age < 30"), Freq: 1}
+	old := query.Stratum{Cond: predicate.MustParse("age >= 30"), Freq: 1}
+	mid := query.Stratum{Cond: predicate.MustParse("age > 20 and age < 40"), Freq: 1}
+	fmt.Println(query.NewSSD("Q", young, old).Validate(schema))
+	fmt.Println(query.NewSSD("Q", young, mid).Validate(schema))
+	// Output:
+	// <nil>
+	// query Q: strata 0 and 1 overlap: age < 30 vs age > 20 and age < 40
 }

@@ -56,9 +56,10 @@ func (q *SSD) Compile(schema *dataset.Schema) ([]predicate.Pred, error) {
 	return preds, nil
 }
 
-// Classifier lowers the stratum conditions to one flat first-match
-// classifier over the schema: Classify returns what MatchStratum returns over
-// Compile'd predicates for every tuple within the schema's domains.
+// Classifier lowers the stratum conditions to their first-match cell grid
+// over the schema: Classify returns what MatchStratum returns over Compile'd
+// predicates for every tuple within the schema's domains. Overlapping strata
+// are not an error here; Validate rejects them.
 func (q *SSD) Classifier(schema *dataset.Schema) (*predicate.Classifier, error) {
 	conds := make([]predicate.Expr, len(q.Strata))
 	for i, s := range q.Strata {
@@ -84,31 +85,31 @@ func MatchStratum(preds []predicate.Pred, t *dataset.Tuple) int {
 }
 
 // Validate checks the SSD is well formed over the schema: frequencies are
-// non-negative, conditions compile, and every pair of stratum conditions is
-// disjoint (the paper's validity requirement σ_φk1(R) ∩ σ_φk2(R) = ∅ for all
-// populations R over the schema's domains).
+// non-negative, conditions lower to a grid within the cell cap, and no cell
+// of that grid lies in two strata — the paper's validity requirement
+// σ_φk1(R) ∩ σ_φk2(R) = ∅ for all populations R over the schema's domains.
 func (q *SSD) Validate(schema *dataset.Schema) error {
+	_, err := q.ValidClassifier(schema)
+	return err
+}
+
+// ValidClassifier validates the SSD as Validate does and returns the
+// classifier it lowered to on the way.
+func (q *SSD) ValidClassifier(schema *dataset.Schema) (*predicate.Classifier, error) {
 	for i, s := range q.Strata {
 		if s.Freq < 0 {
-			return fmt.Errorf("query %s stratum %d: negative frequency %d", q.Name, i, s.Freq)
-		}
-		if _, err := predicate.Compile(s.Cond, schema); err != nil {
-			return fmt.Errorf("query %s stratum %d: %w", q.Name, i, err)
+			return nil, fmt.Errorf("query %s stratum %d: negative frequency %d", q.Name, i, s.Freq)
 		}
 	}
-	for i := 0; i < len(q.Strata); i++ {
-		for j := i + 1; j < len(q.Strata); j++ {
-			ok, err := predicate.Disjoint(q.Strata[i].Cond, q.Strata[j].Cond, schema)
-			if err != nil {
-				return fmt.Errorf("query %s: disjointness of strata %d,%d: %w", q.Name, i, j, err)
-			}
-			if !ok {
-				return fmt.Errorf("query %s: strata %d and %d overlap: %s vs %s",
-					q.Name, i, j, q.Strata[i].Cond, q.Strata[j].Cond)
-			}
-		}
+	c, err := q.Classifier(schema)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if i, j, ok := c.Overlap(); ok {
+		return nil, fmt.Errorf("query %s: strata %d and %d overlap: %s vs %s",
+			q.Name, i, j, q.Strata[i].Cond, q.Strata[j].Cond)
+	}
+	return c, nil
 }
 
 // CoverageFormula returns the disjunction of all stratum conditions — the

@@ -57,12 +57,18 @@ func TestSSDTotalFreqAndCoverage(t *testing.T) {
 		t.Fatalf("TotalFreq = %d", q.TotalFreq())
 	}
 	cover := q.CoverageFormula()
-	// gender=0 or gender=1 covers everything in this schema.
-	ok, err := predicate.Satisfiable(predicate.Not{X: cover}, demoSchema())
+	// gender=0 or gender=1 covers everything in this schema: no point of the
+	// whole domain is outside it.
+	schema := demoSchema()
+	c, err := predicate.NewClassifier([]predicate.Expr{predicate.Not{X: cover}}, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	domain := make([]predicate.Interval, schema.NumFields())
+	for j := range domain {
+		domain[j] = predicate.Interval{Lo: schema.Field(j).Min, Hi: schema.Field(j).Max}
+	}
+	if c.Meets(domain) {
 		t.Fatal("coverage of a gender partition should be total")
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
+	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/stratified"
 )
@@ -107,6 +108,7 @@ type entryKey struct {
 // entry is one distinct query in a batch plus everyone waiting on it.
 type entry struct {
 	q        *query.SSD
+	cls      *predicate.Classifier // q's lowering, which pruning reads
 	canon    string
 	seed     int64
 	attached int // number of requests riding this entry
@@ -126,8 +128,7 @@ type executor struct {
 	schema *dataset.Schema
 	splits []dataset.Split
 	// columns and bounds are index-aligned with splits: the column-major
-	// mirror a pass classifies from, and the bounding boxes pruning tests
-	// (nil: this daemon does not prune).
+	// mirror a pass classifies from, and the bounding boxes pruning tests.
 	columns []dataset.Columns
 	bounds  []splitBounds
 	// liveSplits, when set (live mode), supplies the current resident splits
@@ -169,7 +170,7 @@ func newBatcher(window time.Duration, maxBatch int, adaptive bool, epoch func() 
 // trace/traceSpan identify the submitting request; the request that opens a
 // batch lends the batch its trace identity, so the whole batch — and every
 // engine pass under it — traces under the opener.
-func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, traceSpan uint64) *entry {
+func (b *batcher) submit(q *query.SSD, cls *predicate.Classifier, canon string, seed int64, trace string, traceSpan uint64) *entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cur == nil {
@@ -183,7 +184,7 @@ func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, t
 		e.attached++
 		b.stats.add(&b.stats.SingleFlight, 1)
 	} else {
-		e = &entry{q: q, canon: canon, seed: seed, attached: 1, done: make(chan struct{})}
+		e = &entry{q: q, cls: cls, canon: canon, seed: seed, attached: 1, done: make(chan struct{})}
 		cur.entries[key] = e
 		cur.order = append(cur.order, key)
 	}
@@ -405,9 +406,10 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		}
 	}()
 	queries := make([]*query.SSD, len(g.entries))
+	classifiers := make([]*predicate.Classifier, len(g.entries))
 	requests := 0
 	for i, e := range g.entries {
-		queries[i] = e.q
+		queries[i], classifiers[i] = e.q, e.cls
 		requests += e.attached
 	}
 
@@ -416,10 +418,8 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		var release func()
 		splits, columns, release = x.liveSplits()
 		defer release()
-	} else if x.bounds != nil {
-		if boxes, ok := queryBoxes(queries, x.schema); ok {
-			splits, pruned = pruneSplits(x.splits, x.bounds, boxes, x.schema)
-		}
+	} else {
+		splits, pruned = pruneSplits(x.splits, x.bounds, classifiers)
 	}
 
 	c := *x.cluster // this pass's own copy: the trace fields below are set on it

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -32,6 +33,7 @@ func BenchmarkServePass(b *testing.B) {
 
 	type qc struct {
 		q     *query.SSD
+		cls   *predicate.Classifier
 		canon string
 	}
 	queries := make([]qc, 8)
@@ -42,11 +44,11 @@ func BenchmarkServePass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		canon, err := canonicalSSD(q, pop.Schema())
+		cls, err := q.ValidClassifier(pop.Schema())
 		if err != nil {
 			b.Fatal(err)
 		}
-		queries[i] = qc{q: q, canon: canon}
+		queries[i] = qc{q: q, cls: cls, canon: canonicalSSD(q, cls)}
 	}
 
 	// One warm-up batch so pooled state (cluster, executor scratch) exists
@@ -54,7 +56,7 @@ func BenchmarkServePass(b *testing.B) {
 	runBatch := func() {
 		entries := make([]*entry, len(queries))
 		for i, q := range queries {
-			entries[i] = s.batcher.submit(q.q, q.canon, 1, "", 0)
+			entries[i] = s.batcher.submit(q.q, q.cls, q.canon, 1, "", 0)
 		}
 		s.batcher.flush()
 		for _, e := range entries {

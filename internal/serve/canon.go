@@ -1,232 +1,42 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
-	"repro/internal/dataset"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
-// Query canonicalization. The result cache and the batcher's single-flight
-// dedup key queries by *meaning*, not by text: two submissions whose stratum
-// conditions select the same individuals with the same frequencies must share
-// one cache entry and one slot in a coalesced pass. The canonical form is the
-// box decomposition of each stratum condition (predicate.Boxes: the formula's
-// DNF over attribute intervals, clipped to the schema's domains), normalized
-// and rendered deterministically.
+// Query canonicalization. The result cache, the batcher's single-flight dedup
+// and the live key identify queries by *meaning*, not by text: two
+// submissions whose strata select the same individuals with the same
+// frequencies must share one cache entry and one slot in a coalesced pass.
+// The canonical form is the key of the query's classifier — the lowering
+// validation already built (predicate.Classifier.Key: its cell grid coarsened
+// to the cuts that separate two strata somewhere, and the stratum of every
+// remaining cell) — followed by the frequencies.
 //
-// Normalization is union-preserving, so the mapping is sound: equal canonical
-// strings imply the conditions select exactly the same tuples over every
-// population conforming to the schema. Together with the engine's
-// representation-independent execution (stratum predicates only gate mapper
-// emission; RNG streams are keyed by task index and stratum index, never by
-// the formula text or the query name) this makes answers byte-identical
-// across textual variants, which is what lets the cache substitute one
-// variant's answer for another. The mapping is not complete — some equivalent
-// formula pairs normalize differently and merely miss the cache, which is
-// safe.
+// The mapping is sound and complete: equal keys hold exactly when the strata
+// class every tuple within the schema's domains alike. Together with the
+// engine's representation-independent execution (stratum predicates only
+// decide which match list a row joins; RNG streams are keyed by task index and
+// stratum index, never by the formula text or the query name) this makes
+// answers byte-identical across textual variants, which is what lets the
+// cache substitute one variant's answer for another.
 
-// canonicalSSD returns the canonical cache/dedup key of an SSD query over the
-// schema. The query's name is deliberately excluded: it labels the survey but
-// does not change its answer. Stratum order is preserved, because answers are
+// canonicalSSD returns the canonical cache/dedup key of an SSD query from its
+// classifier. The query's name is deliberately excluded: it labels the survey
+// but does not change its answer. Stratum order is kept, because answers are
 // indexed by stratum position.
-func canonicalSSD(q *query.SSD, schema *dataset.Schema) (string, error) {
-	var sb strings.Builder
+func canonicalSSD(q *query.SSD, c *predicate.Classifier) string {
+	key := []byte(c.Key())
 	for i, s := range q.Strata {
-		if i > 0 {
-			sb.WriteByte(';')
+		if i == 0 {
+			key = append(key, '=')
+		} else {
+			key = append(key, ',')
 		}
-		boxes, err := predicate.Boxes(s.Cond, schema)
-		if err != nil {
-			return "", fmt.Errorf("serve: stratum %d: %w", i, err)
-		}
-		sb.WriteString(canonicalBoxes(boxes, schema))
-		fmt.Fprintf(&sb, "=%d", s.Freq)
+		key = strconv.AppendInt(key, int64(s.Freq), 10)
 	}
-	return sb.String(), nil
-}
-
-// canonicalBoxes normalizes a box union and renders it deterministically:
-// full-domain intervals are dropped (an unconstrained attribute carries no
-// information), subsumed boxes are removed, and pairs of boxes that differ in
-// a single attribute with touching intervals are merged, to a fixpoint. Every
-// step preserves the union of the boxes.
-func canonicalBoxes(boxes []predicate.Box, schema *dataset.Schema) string {
-	norm := make([]predicate.Box, 0, len(boxes))
-	for _, b := range boxes {
-		norm = append(norm, dropFullDomain(b, schema))
-	}
-	norm = simplifyUnion(norm, schema)
-
-	if len(norm) == 0 {
-		return "∅" // unsatisfiable stratum: matches nothing over this schema
-	}
-	parts := make([]string, len(norm))
-	for i, b := range norm {
-		parts[i] = b.String() // sorted by attribute, deterministic
-	}
-	sort.Strings(parts)
-	// Dedup identical renders (identical boxes).
-	out := parts[:0]
-	for _, p := range parts {
-		if len(out) == 0 || out[len(out)-1] != p {
-			out = append(out, p)
-		}
-	}
-	return strings.Join(out, "|")
-}
-
-// dropFullDomain removes interval constraints that span the attribute's whole
-// domain: "nop >= 1" over nop ∈ [1,699] constrains nothing.
-func dropFullDomain(b predicate.Box, schema *dataset.Schema) predicate.Box {
-	out := make(predicate.Box, len(b))
-	for attr, iv := range b {
-		if dom, ok := domainOf(schema, attr); ok && iv.Lo <= dom.Lo && iv.Hi >= dom.Hi {
-			continue
-		}
-		out[attr] = iv
-	}
-	return out
-}
-
-func domainOf(schema *dataset.Schema, attr string) (predicate.Interval, bool) {
-	idx, ok := schema.Index(attr)
-	if !ok {
-		return predicate.Interval{}, false
-	}
-	f := schema.Field(idx)
-	return predicate.Interval{Lo: f.Min, Hi: f.Max}, true
-}
-
-// simplifyUnion removes boxes contained in another box and merges box pairs
-// that differ only in one attribute whose intervals overlap or are adjacent,
-// iterating to a fixpoint. Union-preserving by construction.
-func simplifyUnion(boxes []predicate.Box, schema *dataset.Schema) []predicate.Box {
-	for iter := 0; iter < 100; iter++ {
-		changed := false
-
-		// Containment: drop any box whose region lies inside another
-		// surviving box. On mutual containment (equal regions) the earlier
-		// box survives.
-		drop := make([]bool, len(boxes))
-		for i, b := range boxes {
-			for j, o := range boxes {
-				if i == j || drop[j] {
-					continue
-				}
-				if boxContains(o, b, schema) && !(boxContains(b, o, schema) && j > i) {
-					drop[i] = true
-					changed = true
-					break
-				}
-			}
-		}
-		kept := make([]predicate.Box, 0, len(boxes))
-		for i, b := range boxes {
-			if !drop[i] {
-				kept = append(kept, b)
-			}
-		}
-		boxes = kept
-
-		// Pairwise 1-D merge.
-	merge:
-		for i := 0; i < len(boxes); i++ {
-			for j := i + 1; j < len(boxes); j++ {
-				if m, ok := mergeBoxes(boxes[i], boxes[j], schema); ok {
-					boxes[i] = m
-					boxes = append(boxes[:j], boxes[j+1:]...)
-					changed = true
-					break merge
-				}
-			}
-		}
-		if !changed {
-			return boxes
-		}
-	}
-	return boxes
-}
-
-// boxContains reports whether outer's region contains inner's, treating
-// absent attributes as the full domain.
-func boxContains(outer, inner predicate.Box, schema *dataset.Schema) bool {
-	for attr, oiv := range outer {
-		iiv, ok := inner[attr]
-		if !ok {
-			var found bool
-			iiv, found = domainOf(schema, attr)
-			if !found {
-				return false
-			}
-		}
-		if iiv.Lo < oiv.Lo || iiv.Hi > oiv.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeBoxes merges two boxes that agree on every attribute except one whose
-// intervals overlap or are adjacent ([1,50] + [51,99] → [1,99]). The merged
-// box covers exactly the union of the two.
-func mergeBoxes(a, b predicate.Box, schema *dataset.Schema) (predicate.Box, bool) {
-	attrs := make(map[string]struct{}, len(a)+len(b))
-	for k := range a {
-		attrs[k] = struct{}{}
-	}
-	for k := range b {
-		attrs[k] = struct{}{}
-	}
-	diff := ""
-	for attr := range attrs {
-		aiv, aok := intervalOf(a, attr, schema)
-		biv, bok := intervalOf(b, attr, schema)
-		if !aok || !bok {
-			return nil, false
-		}
-		if aiv == biv {
-			continue
-		}
-		if diff != "" {
-			return nil, false // differ in more than one attribute
-		}
-		diff = attr
-	}
-	if diff == "" {
-		return a, true // identical boxes
-	}
-	aiv, _ := intervalOf(a, diff, schema)
-	biv, _ := intervalOf(b, diff, schema)
-	if aiv.Lo > biv.Lo {
-		aiv, biv = biv, aiv
-	}
-	if biv.Lo > aiv.Hi+1 {
-		return nil, false // disjoint with a gap: union is not an interval
-	}
-	merged := make(predicate.Box, len(a))
-	for k, v := range a {
-		merged[k] = v
-	}
-	hi := aiv.Hi
-	if biv.Hi > hi {
-		hi = biv.Hi
-	}
-	iv := predicate.Interval{Lo: aiv.Lo, Hi: hi}
-	if dom, ok := domainOf(schema, diff); ok && iv.Lo <= dom.Lo && iv.Hi >= dom.Hi {
-		delete(merged, diff) // merged back to the full domain
-	} else {
-		merged[diff] = iv
-	}
-	return merged, true
-}
-
-func intervalOf(b predicate.Box, attr string, schema *dataset.Schema) (predicate.Interval, bool) {
-	if iv, ok := b[attr]; ok {
-		return iv, true
-	}
-	return domainOf(schema, attr)
+	return string(key)
 }

@@ -14,11 +14,11 @@ func canonOf(t *testing.T, spec string) string {
 	if err != nil {
 		t.Fatalf("parsing %q: %v", spec, err)
 	}
-	c, err := canonicalSSD(q, gen.AuthorSchema())
+	cls, err := q.ValidClassifier(gen.AuthorSchema())
 	if err != nil {
-		t.Fatalf("canonicalizing %q: %v", spec, err)
+		t.Fatalf("validating %q: %v", spec, err)
 	}
-	return c
+	return canonicalSSD(q, cls)
 }
 
 func TestCanonicalEquivalentForms(t *testing.T) {
@@ -43,6 +43,14 @@ func TestCanonicalEquivalentForms(t *testing.T) {
 			"nop >= 100 : 5 ; nop < 100 : 10",
 			"not (nop < 100) : 5 ; nop <= 99 : 10",
 		},
+		// An L-shaped stratum cut into two boxes either way.
+		{
+			"(nop < 10 and ayp < 20) or (nop < 20 and ayp < 10) : 4",
+			"(nop < 10 and ayp < 20) or (nop >= 10 and nop < 20 and ayp < 10) : 4",
+			"(nop < 20 and ayp < 10) or (nop < 10 and ayp >= 10 and ayp < 20) : 4",
+		},
+		// A gap in the middle, and a stratum of non-adjacent ranges.
+		{"nop < 10 or nop > 20 : 1 ; ayp = 5 and nop >= 10 and nop <= 20 : 2", "not (nop >= 10 and nop <= 20) : 1 ; nop != 9 and ayp = 5 and not (nop < 10 or nop > 20) : 2"},
 	}
 	for gi, g := range groups {
 		want := canonOf(t, g[0])
@@ -75,23 +83,24 @@ func TestCanonicalIgnoresName(t *testing.T) {
 	schema := gen.AuthorSchema()
 	q1, _ := query.ParseSSD("Alpha", "nop >= 100 : 5")
 	q2, _ := query.ParseSSD("Beta", "nop >= 100 : 5")
-	c1, err := canonicalSSD(q1, schema)
+	cls, err := q1.ValidClassifier(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := canonicalSSD(q2, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
+	if c1, c2 := canonicalSSD(q1, cls), canonicalSSD(q2, cls); c1 != c2 {
 		t.Errorf("canonical form depends on query name: %q vs %q", c1, c2)
 	}
 }
 
 func TestCanonicalUnsatisfiableStratum(t *testing.T) {
-	// nop > 699 is empty over the schema's domain [1,699].
-	got := canonOf(t, "nop > 699 : 5")
-	if got != "∅=5" {
-		t.Errorf("unsatisfiable stratum canonicalized to %q, want ∅=5", got)
+	// nop > 699 and ayp > 40 are empty over the domains nop ∈ [1,699] and
+	// ayp ∈ [0,40]: both strata match nobody, so they share a key, and one
+	// that matches someone does not.
+	empty := canonOf(t, "nop > 699 : 5")
+	if other := canonOf(t, "ayp > 40 : 5"); other != empty {
+		t.Errorf("unsatisfiable strata canonicalized apart: %q vs %q", empty, other)
+	}
+	if some := canonOf(t, "nop > 698 : 5"); some == empty {
+		t.Errorf("a satisfiable stratum shares the unsatisfiable key %q", empty)
 	}
 }

@@ -15,17 +15,17 @@
 //
 // Around the batcher sit four service layers:
 //
-//   - Canonicalization (canon.go): queries are keyed by the box
-//     decomposition of their stratum conditions (internal/predicate), so
-//     textually different but semantically identical submissions share one
-//     cache entry and one slot in a coalesced pass.
+//   - Canonicalization (canon.go): queries are keyed by the cell grid
+//     validation lowered them to (predicate.Classifier.Key) and their
+//     frequencies, so submissions that select the same individuals — and
+//     only those — share one cache entry and one slot in a coalesced pass.
 //   - Result cache (cache.go): an LRU keyed on (canonical query, seed,
 //     population epoch). Bumping the epoch — the population-mutation
 //     boundary — invalidates every prior entry.
 //   - Pre-filtering (prune.go): per-split bounding boxes let a pass skip
-//     splits that provably contain no tuple any batched stratum can match;
-//     pruning is index-preserving, so answers are byte-identical with it on
-//     or off.
+//     splits that meet no cell a batched stratum holds on; pruning is
+//     index-preserving, so answers are byte-identical to a pass over every
+//     split.
 //   - Quotas (quota.go): per-tenant token buckets reject over-quota
 //     submissions with 429 before they reach the batcher.
 //

@@ -142,7 +142,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	q, err := s.buildQuery(&req.sampleRequest)
+	q, cls, err := s.buildQuery(&req.sampleRequest)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -151,11 +151,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	canon, err := canonicalSSD(q, s.schema)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	canon := canonicalSSD(q, cls)
 	if req.EveryMutations < 0 || req.EverySeconds < 0 {
 		httpError(w, http.StatusBadRequest, "negative push trigger")
 		return

@@ -1,17 +1,18 @@
 package serve
 
 import (
+	"slices"
+
 	"repro/internal/dataset"
 	"repro/internal/predicate"
-	"repro/internal/query"
 )
 
 // Stratum pre-filtering over the resident population. At load time the
 // server computes, for every split, the bounding box of its tuples (per
-// attribute min/max). Per pass, the union of all batched queries' stratum
-// boxes (predicate.Boxes) is intersected against each split's bounds: a
-// split whose bounding box overlaps no query box provably contains no tuple
-// any stratum condition can match, so the pass can skip scanning it.
+// attribute min/max). Per pass, each split's box is tested against the
+// classifier of every batched query (predicate.Classifier.Meets): a split
+// whose box meets no cell that some stratum holds on provably contains no
+// tuple any stratum condition can match, so the pass can skip scanning it.
 //
 // Pruning is index-preserving: a pruned split is replaced by a nil slice in
 // the splits vector rather than removed, so the engine still creates one
@@ -53,57 +54,15 @@ func boundsOf(splits []dataset.Split, schema *dataset.Schema) []splitBounds {
 	return out
 }
 
-// queryBoxes returns the union of every stratum box of every query in the
-// pass. An error (e.g. DNF blow-up) disables pruning for the pass rather
-// than failing it.
-func queryBoxes(queries []*query.SSD, schema *dataset.Schema) ([]predicate.Box, bool) {
-	var all []predicate.Box
-	for _, q := range queries {
-		for _, s := range q.Strata {
-			boxes, err := predicate.Boxes(s.Cond, schema)
-			if err != nil {
-				return nil, false
-			}
-			all = append(all, boxes...)
-		}
-	}
-	return all, true
-}
-
-// overlapsBounds reports whether the box shares at least one point with the
-// split's bounding box. Attributes absent from the box are unconstrained.
-func overlapsBounds(b predicate.Box, bounds splitBounds, schema *dataset.Schema) bool {
-	for attr, iv := range b {
-		idx, ok := schema.Index(attr)
-		if !ok {
-			return true // unknown attribute: be conservative, do not prune
-		}
-		if iv.Intersect(bounds[idx]).Empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// pruneSplits returns a copy of splits with every provably-irrelevant split
-// replaced by nil, plus the number of splits pruned. The caller must pass
-// bounds aligned with splits (from boundsOf).
-func pruneSplits(splits []dataset.Split, bounds []splitBounds, boxes []predicate.Box, schema *dataset.Schema) ([]dataset.Split, int) {
+// pruneSplits returns a copy of splits with every split no classifier can
+// match a tuple of replaced by nil, plus the number of splits pruned. The
+// caller must pass bounds aligned with splits (from boundsOf).
+func pruneSplits(splits []dataset.Split, bounds []splitBounds, classifiers []*predicate.Classifier) ([]dataset.Split, int) {
 	out := make([]dataset.Split, len(splits))
 	pruned := 0
 	for i, split := range splits {
-		if len(split) == 0 {
-			pruned++
-			continue
-		}
-		relevant := false
-		for _, b := range boxes {
-			if overlapsBounds(b, bounds[i], schema) {
-				relevant = true
-				break
-			}
-		}
-		if relevant {
+		meets := func(c *predicate.Classifier) bool { return c.Meets(bounds[i]) }
+		if len(split) > 0 && slices.ContainsFunc(classifiers, meets) {
 			out[i] = split
 		} else {
 			pruned++

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -36,11 +37,11 @@ func TestPruneSkipsIrrelevantSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes, ok := queryBoxes([]*query.SSD{q}, schema)
-	if !ok {
-		t.Fatal("queryBoxes failed")
+	cls, err := q.ValidClassifier(schema)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pruned, n := pruneSplits(splits, bounds, boxes, schema)
+	pruned, n := pruneSplits(splits, bounds, []*predicate.Classifier{cls})
 	if n != 9 {
 		t.Fatalf("pruned %d splits, want 9 (only x∈[90,99] is relevant)", n)
 	}
@@ -57,32 +58,25 @@ func TestPruneSkipsIrrelevantSplits(t *testing.T) {
 	}
 }
 
-// TestPrunePreservesAnswerBytes: a daemon with pruning on returns exactly
-// the same sample as one with pruning off, because pruning is
-// index-preserving and only drops splits that cannot contribute.
+// TestPrunePreservesAnswerBytes: a daemon that prunes returns exactly the
+// sample a direct MR-SQE over the same, unpruned splits draws, because
+// pruning is index-preserving and only drops splits that cannot contribute.
 func TestPrunePreservesAnswerBytes(t *testing.T) {
 	rel := lineRelation(t, 200)
-	run := func(noPrune bool) ([][]string, int64) {
-		d := newTestDaemon(t, Config{
-			Population: rel, Slaves: 5, Layout: dataset.Contiguous,
-			PartitionSeed: 3, Window: 0, NoPrune: noPrune,
-		})
-		r, code := d.post(t, map[string]any{"query": "x >= 150 : 7 ; x < 20 : 4", "seed": 3})
-		if code != 200 {
-			t.Fatalf("status %d", code)
-		}
-		return respIndividuals(r), d.s.Stats().PrunedSplits
+	const spec = "x >= 150 : 7 ; x < 20 : 4"
+	d := newTestDaemon(t, Config{
+		Population: rel, Slaves: 5, Layout: dataset.Contiguous,
+		PartitionSeed: 3, Window: 0,
+	})
+	r, code := d.post(t, map[string]any{"query": spec, "seed": 3})
+	if code != 200 {
+		t.Fatalf("status %d", code)
 	}
-	withPrune, prunedOn := run(false)
-	withoutPrune, prunedOff := run(true)
-	if prunedOn == 0 {
-		t.Error("pruning enabled but no splits pruned on a contiguous line population")
+	if d.s.Stats().PrunedSplits == 0 {
+		t.Error("no splits pruned on a contiguous line population")
 	}
-	if prunedOff != 0 {
-		t.Errorf("NoPrune daemon pruned %d splits", prunedOff)
-	}
-	if !reflect.DeepEqual(withPrune, withoutPrune) {
-		t.Errorf("pruned answer differs from unpruned:\npruned   %v\nunpruned %v", withPrune, withoutPrune)
+	if want := directSQE(t, rel, spec, 5, 3); !reflect.DeepEqual(respIndividuals(r), want) {
+		t.Errorf("pruned answer differs from unpruned:\npruned   %v\nunpruned %v", respIndividuals(r), want)
 	}
 }
 
@@ -91,19 +85,16 @@ func TestPrunePreservesAnswerBytes(t *testing.T) {
 // nothing is prunable.
 func TestPruneAgainstAuthorPopulation(t *testing.T) {
 	pop := gen.Population(1200, 1)
-	answers := make([][][]string, 2)
-	for i, noPrune := range []bool{false, true} {
-		d := newTestDaemon(t, Config{
-			Population: pop, Slaves: 3, Layout: dataset.Contiguous,
-			PartitionSeed: 1, Window: time.Millisecond, NoPrune: noPrune,
-		})
-		r, code := d.post(t, map[string]any{"query": "nop >= 100 : 5 ; nop < 100 : 10", "seed": 1})
-		if code != 200 {
-			t.Fatalf("status %d", code)
-		}
-		answers[i] = respIndividuals(r)
+	const spec = "nop >= 100 : 5 ; nop < 100 : 10"
+	d := newTestDaemon(t, Config{
+		Population: pop, Slaves: 3, Layout: dataset.Contiguous,
+		PartitionSeed: 1, Window: time.Millisecond,
+	})
+	r, code := d.post(t, map[string]any{"query": spec, "seed": 1})
+	if code != 200 {
+		t.Fatalf("status %d", code)
 	}
-	if !reflect.DeepEqual(answers[0], answers[1]) {
+	if !reflect.DeepEqual(respIndividuals(r), directSQE(t, pop, spec, 3, 1)) {
 		t.Error("pruned answer differs from unpruned on the author population")
 	}
 }

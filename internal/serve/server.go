@@ -15,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/live"
 	"repro/internal/mapreduce"
+	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -65,8 +66,6 @@ type Config struct {
 	// (tokens/second and bucket capacity). QuotaQPS <= 0 disables quotas.
 	QuotaQPS   float64
 	QuotaBurst int
-	// NoPrune disables box-decomposition split pre-filtering.
-	NoPrune bool
 
 	// Live makes the population mutable: POST /v1/mutate ingests a mutation
 	// log, POST /v1/subscribe registers standing queries with push triggers,
@@ -225,9 +224,7 @@ func NewServer(cfg Config) (*Server, error) {
 		// daemon takes none and never prunes.
 		exec.liveSplits = lp.AcquireSplits
 	} else {
-		if !cfg.NoPrune {
-			exec.bounds = boundsOf(splits, s.schema)
-		}
+		exec.bounds = boundsOf(splits, s.schema)
 		for _, split := range splits {
 			s.rowBytes += split.ResidentBytes()
 		}
@@ -410,7 +407,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	q, err := s.buildQuery(&req)
+	q, cls, err := s.buildQuery(&req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -425,11 +422,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	canon, err := canonicalSSD(q, s.schema)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	canon := canonicalSSD(q, cls)
 	s.stats.add(&s.stats.Queries, 1)
 	start := time.Now()
 	epoch := s.effectiveEpoch()
@@ -469,7 +462,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.stats.add(&s.stats.CacheMisses, 1)
 	}
 
-	e := s.batcher.submit(q, canon, seed, trace, reqSpan)
+	e := s.batcher.submit(q, cls, canon, seed, trace, reqSpan)
 	if req.Wait != nil && !*req.Wait {
 		id, err := s.tickets.add(&ticket{entry: e, q: q, seed: seed, epoch: epoch, start: start, trace: trace})
 		if err != nil {
@@ -531,8 +524,9 @@ func (s *Server) emitRequestTrace(trace string, reqSpan uint64, start time.Time,
 	})
 }
 
-// buildQuery assembles and validates the SSD from either request form.
-func (s *Server) buildQuery(req *sampleRequest) (*query.SSD, error) {
+// buildQuery assembles and validates the SSD from either request form,
+// returning it with the classifier validation lowered it to.
+func (s *Server) buildQuery(req *sampleRequest) (*query.SSD, *predicate.Classifier, error) {
 	name := req.Name
 	if name == "" {
 		name = "Q"
@@ -540,29 +534,30 @@ func (s *Server) buildQuery(req *sampleRequest) (*query.SSD, error) {
 	var q *query.SSD
 	switch {
 	case req.Query != "" && len(req.Strata) > 0:
-		return nil, fmt.Errorf(`give either "query" or "strata", not both`)
+		return nil, nil, fmt.Errorf(`give either "query" or "strata", not both`)
 	case req.Query != "":
 		var err error
 		q, err = query.ParseSSD(name, req.Query)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	case len(req.Strata) > 0:
 		spec, err := json.Marshal(map[string]any{"name": name, "strata": req.Strata})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		q = new(query.SSD)
 		if err := json.Unmarshal(spec, q); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	default:
-		return nil, fmt.Errorf(`missing query: set "query" (text form) or "strata"`)
+		return nil, nil, fmt.Errorf(`missing query: set "query" (text form) or "strata"`)
 	}
-	if err := q.Validate(s.schema); err != nil {
-		return nil, err
+	cls, err := q.ValidClassifier(s.schema)
+	if err != nil {
+		return nil, nil, err
 	}
-	return q, nil
+	return q, cls, nil
 }
 
 func (s *Server) respond(w http.ResponseWriter, q *query.SSD, seed, epoch int64, trace string, ans *query.Answer, cached bool, start time.Time) {

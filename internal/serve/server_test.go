@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -401,18 +402,37 @@ func TestRejectsInvalidQueries(t *testing.T) {
 		{"query": "nop < 10 : 1 ; nop < 20 : 1"}, // overlapping strata
 		{},                                       // no query at all
 		{"query": "nop >= 1 : 1", "strata": []map[string]any{{"cond": "nop >= 1", "freq": 1}}}, // both forms
+		{"query": pastCellCap},
 	} {
 		raw, _ := json.Marshal(body)
 		resp, err := http.Post(d.ts.URL+"/v1/sample", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var msg map[string]string
+		json.NewDecoder(resp.Body).Decode(&msg)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %v: status %d, want 400", body, resp.StatusCode)
 		}
+		if body["query"] == pastCellCap && !strings.Contains(msg["error"], "130321 cells") {
+			t.Errorf("past the cell cap: error %q, want the cell count", msg["error"])
+		}
 	}
 }
+
+// pastCellCap is a valid-looking query past the lowering's cell cap: nine
+// boxes on four attributes of the author schema, no bound shared, cut each
+// attribute 18 times — 19⁴ = 130 321 cells.
+var pastCellCap = func() string {
+	var strata []string
+	for k := 0; k < 9; k++ {
+		strata = append(strata, fmt.Sprintf(
+			"nop >= %d and nop <= %d and cc >= %d and cc <= %d and ndcc >= %d and ndcc <= %d and myp >= %d and myp <= %d : 1",
+			10+70*k, 40+70*k, 10+100*k, 60+100*k, 10+200*k, 110+200*k, 2+15*k, 10+15*k))
+	}
+	return strings.Join(strata, " ; ")
+}()
 
 // TestStructuredStrataForm: the JSON strata form is accepted and matches the
 // text form's cache entry.

@@ -113,7 +113,7 @@ func selectionScan(cfg *selectionConfig, schema *dataset.Schema, freqs [][]int) 
 	return newSplitScan(classes, derive, excludeSet(cfg.Exclude), cfg.columns), nil
 }
 
-// classifiers lowers every query's strata to its box classifier.
+// classifiers lowers every query's strata to its cell-grid classifier.
 func classifiers(queries []*query.SSD, schema *dataset.Schema) ([]*predicate.Classifier, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("stratified: no queries")

@@ -12,11 +12,13 @@
 # that pass at ≈ 0.4 MB where the emission stream it replaced cost ≈ 30 MB in
 # barely more allocations, so bytes, not counts, are what a regression there
 # would move. The classification kernel under that pass
-# (BenchmarkClassifyColumns: narrow, wide and Large take the cell grid,
-# fallback the box kernel past the grid's cap) is gated at 0 allocs/op: its
-# scratch is the caller's. BenchmarkClassifyColumns/build, NewClassifier for
-# the nine Large queries, is gated at its count because a classifier is rebuilt
-# per job: the grid adds four allocations a query, the DNF the rest. One map
+# (BenchmarkClassifyColumns: the narrow, wide and Large cell grids) is gated at
+# 0 allocs/op: its scratch is the caller's. BenchmarkClassifyColumns/build,
+# NewClassifier for the nine Large queries, is gated at its count because a
+# classifier is rebuilt per job: ≈ 66 allocations a query, where the DNF it
+# replaced made 16 000. BenchmarkValidate (one Large query, one wide template)
+# is the same lowering plus its overlap sweep, which the daemon runs on every
+# request; the pairwise DNF check it replaced made 4.0 M for Large. One map
 # task of that pass (BenchmarkFusedMapSplit) is gated at the one allocation
 # per emitted key it needs, the sample: its match lists live in the scan pool,
 # so a list reallocated per pass reads as twenty more per key.
@@ -52,6 +54,7 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).
   run ./internal/serve/ 'BenchmarkServePass$' bytes 5x
   run ./internal/predicate/ 'BenchmarkClassifyColumns'
+  run ./internal/query/ 'BenchmarkValidate'
   # One P: the warm-up pass parks the scan scratch in its P's private pool
   # slot, which a goroutine rescheduled onto another P cannot steal — with two
   # or more, one run in four reallocated the match lists and read 335 for 16.
