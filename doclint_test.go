@@ -15,8 +15,30 @@ import (
 	"testing"
 )
 
-// docLintFiles are the prose files held to the tree.
-var docLintFiles = []string{"DESIGN.md", "README.md"}
+// docLintFiles are the prose held to the tree: a whole file, or after a
+// colon the one "## " section of it that is checked.
+var docLintFiles = []string{"DESIGN.md", "README.md", "ROADMAP.md:Open items"}
+
+// docText reads one docLintFiles entry.
+func docText(t *testing.T, doc string) string {
+	t.Helper()
+	name, section, _ := strings.Cut(doc, ":")
+	text, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if section == "" {
+		return string(text)
+	}
+	_, body, ok := strings.Cut(string(text), "\n## "+section+"\n")
+	if !ok {
+		t.Fatalf("%s has no \"## %s\" section", name, section)
+	}
+	if end := strings.Index(body, "\n## "); end >= 0 {
+		body = body[:end]
+	}
+	return body
+}
 
 // docLintAllow lists the back-quoted names in docLintFiles that do not
 // resolve and are tolerated anyway. It may only shrink: the test fails for
@@ -201,7 +223,8 @@ func goFiles(t *testing.T) (paths, bases map[string]bool) {
 	return paths, bases
 }
 
-// TestDocLint holds DESIGN.md and README.md to the tree: every back-quoted
+// TestDocLint holds DESIGN.md, README.md and ROADMAP.md's open items to the
+// tree: every back-quoted
 // `pkg.Symbol` (pkg a directory under internal/; a second level is checked as
 // a field or method of a struct or interface) and every back-quoted
 // `path/file.go` must resolve, and every `-flag` written inside back quotes
@@ -209,7 +232,7 @@ func goFiles(t *testing.T) (paths, bases map[string]bool) {
 // strata binary on a line of a fenced block must be one cmd/strata defines or
 // a listed go-tool flag — so a PR that deletes or renames code, or retires a
 // flag, fails until the prose follows. It is the mechanical half of ROADMAP
-// item 10.
+// item 11.
 func TestDocLint(t *testing.T) {
 	pkgs := parseInternal(t)
 	paths, bases := goFiles(t)
@@ -263,11 +286,8 @@ func TestDocLint(t *testing.T) {
 		}
 	}
 	for _, doc := range docLintFiles {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range backQuoted.FindAllStringSubmatch(string(text), -1) {
+		text := docText(t, doc)
+		for _, q := range backQuoted.FindAllStringSubmatch(text, -1) {
 			ref := q[1]
 			if m := fileRef.FindStringSubmatch(ref); m != nil {
 				files++
@@ -287,7 +307,7 @@ func TestDocLint(t *testing.T) {
 		// Inside a ``` fence, the words that follow the strata binary on its
 		// command line.
 		fenced := false
-		for _, line := range strings.Split(string(text), "\n") {
+		for _, line := range strings.Split(text, "\n") {
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
 			} else if fenced {

@@ -14,14 +14,16 @@ import (
 )
 
 // checkMirror fails unless the population's column mirrors equal its rows
-// cell for cell, a pass handed (splits, columns) answers exactly as a pass
-// over the splits alone, and the resident-byte gauges match a recount. It
-// holds the pass's read lock throughout, like the daemon's executor.
+// cell for cell, every row lies inside its split's bounding box, a pass
+// handed (splits, columns) answers exactly as a pass over the splits alone,
+// and the resident-byte gauges match a recount. It holds the pass's read lock
+// throughout, like the daemon's executor.
 func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
-	splits, cols, release := p.AcquireSplits()
+	splits, derived, release := p.AcquireSplits()
 	defer release()
-	if len(cols) != len(splits) {
-		t.Errorf("%d column mirrors for %d splits", len(cols), len(splits))
+	cols := derived.Columns
+	if len(cols) != len(splits) || len(derived.Bounds) != len(splits) {
+		t.Errorf("%d column mirrors and %d boxes for %d splits", len(cols), len(derived.Bounds), len(splits))
 		return
 	}
 	var rowBytes, members int64
@@ -29,6 +31,15 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 		if got, want := cols[si], dataset.ColumnsOf(split, p.schema.NumFields()); !reflect.DeepEqual(got, want) {
 			t.Errorf("split %d: mirror differs from its rows\n mirror %v\n rows   %v", si, got, want)
 			return
+		}
+		for i := range split {
+			box := derived.Bounds[si]
+			for j, v := range split[i].Attrs {
+				if box == nil || v < box[j].Lo || v > box[j].Hi {
+					t.Errorf("split %d: member %d has %s = %d outside the split's box %v", si, split[i].ID, p.schema.Field(j).Name, v, box)
+					return
+				}
+			}
 		}
 		rowBytes += split.ResidentBytes()
 		members += int64(len(split))
@@ -58,8 +69,9 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 
 // TestColumnsMirrorRows: through random insert/delete/update/Rebalance
 // streams — with a standing query registered, so repairs run too — the column
-// mirrors stay equal to the rows and change no answer, while a concurrent
-// reader takes passes the whole time (run under -race).
+// mirrors stay equal to the rows and change no answer, and every box keeps
+// containing its split's rows, while a concurrent reader takes passes the
+// whole time (run under -race).
 func TestColumnsMirrorRows(t *testing.T) {
 	p := newTestPop(t, 600, 4, Config{StalenessBound: 4, Columns: true})
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
+	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -90,26 +91,38 @@ type Config struct {
 	Columns bool
 }
 
-// tupleLoc addresses one member inside the resident splits.
+// tupleLoc addresses one member inside the resident splits. Every daemon
+// keeps one per member, so the halves are int32.
 type tupleLoc struct {
-	split int
-	idx   int
+	split, idx int32
 }
 
-// Population is a mutable population with registered standing SSD queries.
-// It owns the resident splits handed to it at construction: mutations edit
-// them in place, so engine passes run over current data, and stratum repairs
-// rescan them. With Config.Columns it keeps, beside each split, the
-// column-major mirror of its attributes that a pass classifies from, edited
+// Derived is what a pass reads beside the resident splits, index-aligned with
+// them: their column mirrors and their bounding boxes.
+type Derived struct {
+	// Columns[i] mirrors splits[i]; nil entries without Config.Columns.
+	Columns []dataset.Columns
+	// Bounds[i] holds one inclusive interval per schema field that contains
+	// every row of splits[i] — not always the tightest: a delete leaves it
+	// as it was. Nil for a split that has had no rows since the last build.
+	Bounds [][]predicate.Interval
+}
+
+// Population is the resident population every daemon serves from, with its
+// registered standing SSD queries. It owns the splits handed to it at
+// construction: mutations edit them in place, so engine passes run over
+// current data, and stratum repairs rescan them. Beside each split it keeps
+// the Derived a pass reads — the bounding box pruning tests and, with
+// Config.Columns, the column-major mirror a pass classifies from — edited
 // under the same write lock at the same four points (insert, update,
-// removeAt, Rebalance). All methods
-// are safe for concurrent use; mutations serialize behind a write lock while
-// snapshots and pass execution share a read lock.
+// removeAt, Rebalance). All methods are safe for concurrent use; mutations
+// serialize behind a write lock while snapshots and pass execution share a
+// read lock.
 type Population struct {
 	mu      sync.RWMutex
 	schema  *dataset.Schema
 	splits  []dataset.Split
-	cols    []dataset.Columns // cols[i] mirrors splits[i]; nil entries without Config.Columns
+	derived Derived
 	mirror  bool
 	loc     map[int64]tupleLoc
 	next    int // round-robin insert target
@@ -138,12 +151,14 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	if cfg.StalenessBound <= 0 {
 		cfg.StalenessBound = 64
 	}
+	members := 0
+	for _, split := range splits {
+		members += len(split)
+	}
 	p := &Population{
 		schema:  schema,
-		splits:  splits,
-		cols:    make([]dataset.Columns, len(splits)),
 		mirror:  cfg.Columns,
-		loc:     make(map[int64]tupleLoc),
+		loc:     make(map[int64]tupleLoc, members),
 		bound:   cfg.StalenessBound,
 		queries: make(map[string]*Standing),
 	}
@@ -153,14 +168,44 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 			if _, dup := p.loc[id]; dup {
 				return nil, fmt.Errorf("live: duplicate tuple id %d across splits", id)
 			}
-			p.loc[id] = tupleLoc{split: si, idx: i}
-		}
-		if p.mirror {
-			p.cols[si] = dataset.ColumnsOf(split, schema.NumFields())
+			p.loc[id] = tupleLoc{split: int32(si), idx: int32(i)}
 		}
 		p.rowBytes += split.ResidentBytes()
 	}
+	p.setSplits(splits)
 	return p, nil
+}
+
+// setSplits installs splits as the resident set and builds what a pass reads
+// beside them.
+func (p *Population) setSplits(splits []dataset.Split) {
+	p.splits = splits
+	p.derived = Derived{Columns: make([]dataset.Columns, len(splits)), Bounds: make([][]predicate.Interval, len(splits))}
+	for si, split := range splits {
+		if p.mirror {
+			p.derived.Columns[si] = dataset.ColumnsOf(split, p.schema.NumFields())
+		}
+		for i := range split {
+			p.derived.Bounds[si] = widen(p.derived.Bounds[si], split[i].Attrs)
+		}
+	}
+}
+
+// widen returns box grown to contain attrs, in place; a nil box becomes the
+// point attrs.
+func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
+	if box == nil {
+		box = make([]predicate.Interval, len(attrs))
+		for j, v := range attrs {
+			box[j] = predicate.Interval{Lo: v, Hi: v}
+		}
+		return box
+	}
+	for j, v := range attrs {
+		box[j].Lo = min(box[j].Lo, v)
+		box[j].Hi = max(box[j].Hi, v)
+	}
+	return box
 }
 
 // Len returns the current population size.
@@ -176,15 +221,23 @@ func (p *Population) Seq() int64 { return p.seq.Load() }
 // StalenessBound returns the configured repair trigger.
 func (p *Population) StalenessBound() int { return p.bound }
 
-// AcquireSplits returns the resident splits for an engine pass, their column
-// mirrors (index-aligned; nil entries without Config.Columns) and a release
-// function. Both are read-locked until
-// released: mutations wait, which is what keeps a pass's view consistent.
-// Standing queries never need this — their answers come from the warm
-// reservoirs.
-func (p *Population) AcquireSplits() ([]dataset.Split, []dataset.Columns, func()) {
+// AcquireSplits hands an engine pass the resident splits, what it reads
+// beside them (column mirrors and bounding boxes, index-aligned) and a
+// release function. All of it is read-locked until released: mutations wait,
+// which is what keeps a pass's view consistent. It is the only way a pass
+// reaches the population, live or not; standing queries never need it —
+// their answers come from the warm reservoirs.
+func (p *Population) AcquireSplits() ([]dataset.Split, Derived, func()) {
 	p.mu.RLock()
-	return p.splits, p.cols, p.mu.RUnlock
+	return p.splits, p.derived, p.mu.RUnlock
+}
+
+// Splits returns the current number of resident splits (Rebalance re-cuts
+// them).
+func (p *Population) Splits() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.splits)
 }
 
 // ResidentBytes reports the memory the resident population occupies by
@@ -192,7 +245,7 @@ func (p *Population) AcquireSplits() ([]dataset.Split, []dataset.Columns, func()
 func (p *Population) ResidentBytes() (rows, columns int64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for _, c := range p.cols {
+	for _, c := range p.derived.Columns {
 		columns += c.ResidentBytes()
 	}
 	return p.rowBytes, columns
@@ -256,9 +309,10 @@ func (p *Population) applyOne(m *Mutation) error {
 		si := p.next
 		p.next = (p.next + 1) % len(p.splits)
 		p.splits[si] = append(p.splits[si], t)
-		p.cols[si].Append(t.Attrs)
+		p.derived.Columns[si].Append(t.Attrs)
+		p.derived.Bounds[si] = widen(p.derived.Bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
-		p.loc[t.ID] = tupleLoc{split: si, idx: len(p.splits[si]) - 1}
+		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(len(p.splits[si]) - 1)}
 		for _, st := range p.queries {
 			st.insert(t)
 		}
@@ -283,7 +337,8 @@ func (p *Population) applyOne(m *Mutation) error {
 		}
 		old := p.splits[l.split][l.idx]
 		p.splits[l.split][l.idx] = t
-		p.cols[l.split].Set(l.idx, t.Attrs)
+		p.derived.Columns[l.split].Set(int(l.idx), t.Attrs)
+		p.derived.Bounds[l.split] = widen(p.derived.Bounds[l.split], t.Attrs)
 		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
 			st.update(p, old, t)
@@ -295,13 +350,14 @@ func (p *Population) applyOne(m *Mutation) error {
 }
 
 // removeAt swap-removes the member at l from its split, fixing the moved
-// member's location index.
+// member's location index. The split's box stays as it was: too large still
+// prunes soundly.
 func (p *Population) removeAt(l tupleLoc) {
 	split := p.splits[l.split]
-	last := len(split) - 1
+	last := int32(len(split) - 1)
 	delete(p.loc, split[l.idx].ID)
 	p.rowBytes -= split[l.idx].ResidentBytes()
-	p.cols[l.split].SwapRemove(l.idx)
+	p.derived.Columns[l.split].SwapRemove(int(l.idx))
 	if l.idx != last {
 		split[l.idx] = split[last]
 		p.loc[split[l.idx].ID] = l
@@ -315,9 +371,10 @@ func (p *Population) removeAt(l tupleLoc) {
 // swap-removes let splits drift unbalanced over a long mutation history; a
 // balanced re-cut restores even map-task sizing for engine passes. The relative
 // order of members is preserved (concatenation order of the old splits), the
-// loc map is rebuilt, and the round-robin insert cursor resets. Callers should
-// bump the daemon epoch afterwards: the re-cut changes split boundaries, which
-// changes per-split reservoir draws, so cached answers must not survive it.
+// loc map, the mirrors and the boxes are rebuilt (the boxes tight again), and
+// the round-robin insert cursor resets. Callers should bump the daemon epoch
+// afterwards: the re-cut changes split boundaries, which changes per-split
+// reservoir draws, so cached answers must not survive it.
 func (p *Population) Rebalance(k int) int {
 	if k < 1 {
 		k = 1
@@ -333,7 +390,6 @@ func (p *Population) Rebalance(k int) int {
 		k = total
 	}
 	splits := make([]dataset.Split, k)
-	cols := make([]dataset.Columns, k)
 	base, rem := 0, 0
 	if total > 0 {
 		base, rem = total/k, total%k
@@ -347,23 +403,20 @@ func (p *Population) Rebalance(k int) int {
 		}
 		splits[si] = flat[off : off+size : off+size]
 		for i := range splits[si] {
-			l := tupleLoc{split: si, idx: i}
+			l := tupleLoc{split: int32(si), idx: int32(i)}
 			if p.loc[splits[si][i].ID] != l {
 				moved++
 			}
 			p.loc[splits[si][i].ID] = l
 		}
-		if p.mirror {
-			cols[si] = dataset.ColumnsOf(splits[si], p.schema.NumFields())
-		}
 		off += size
 	}
-	p.splits, p.cols = splits, cols
+	p.setSplits(splits)
 	p.next = 0
 	return moved
 }
 
-// Register compiles the query and builds its per-stratum reservoirs with one
+// Register lowers the query and builds its per-stratum reservoirs with one
 // scan of the resident splits (the only O(population) step of a standing
 // query's lifetime outside repairs). A key already registered is returned
 // as-is when the seed matches, and rejected otherwise — subscribers to the
@@ -384,7 +437,7 @@ func (p *Population) Register(key string, q *query.SSD, seed int64) (*Standing, 
 	for si := range p.splits {
 		split := p.splits[si]
 		for i := range split {
-			if k := query.MatchStratum(st.preds, &split[i]); k >= 0 {
+			if k := st.cls.Classify(&split[i]); k >= 0 {
 				s := st.strata[k]
 				s.members++
 				s.res.Add(split[i])

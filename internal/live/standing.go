@@ -18,7 +18,7 @@ type Standing struct {
 	Query *query.SSD
 	Seed  int64
 
-	preds  []predicate.Pred
+	cls    *predicate.Classifier
 	rng    *rand.Rand
 	strata []*stratumState
 	// version counts mutations that touched any stratum of this query; the
@@ -38,16 +38,17 @@ type stratumState struct {
 	repairs int64
 }
 
-// newStanding compiles the query and allocates empty reservoirs. The caller
-// (Population.Register) fills them with the registration scan.
+// newStanding lowers the query to its cell grid, the classifier every pass
+// uses too, and allocates empty reservoirs. The caller (Population.Register)
+// fills them with the registration scan.
 func newStanding(key string, q *query.SSD, seed int64, schema *dataset.Schema) (*Standing, error) {
-	preds, err := q.Compile(schema)
+	cls, err := q.Classifier(schema)
 	if err != nil {
 		return nil, err
 	}
 	st := &Standing{
 		Key: key, Query: q, Seed: seed,
-		preds:  preds,
+		cls:    cls,
 		rng:    rand.New(rand.NewSource(seed)),
 		strata: make([]*stratumState, len(q.Strata)),
 	}
@@ -63,7 +64,7 @@ func newStanding(key string, q *query.SSD, seed int64, schema *dataset.Schema) (
 // standard Algorithm L step — O(1) expected, one counter decrement on the
 // skip path.
 func (st *Standing) insert(t dataset.Tuple) {
-	k := query.MatchStratum(st.preds, &t)
+	k := st.cls.Classify(&t)
 	if k < 0 {
 		return
 	}
@@ -86,7 +87,7 @@ func (st *Standing) insert(t dataset.Tuple) {
 // sampled, count the deletion as uncompensated either way, and repair the
 // stratum when staleness reaches the population's bound.
 func (st *Standing) remove(p *Population, old dataset.Tuple) {
-	k := query.MatchStratum(st.preds, &old)
+	k := st.cls.Classify(&old)
 	if k < 0 {
 		return
 	}
@@ -111,8 +112,8 @@ func (st *Standing) remove(p *Population, old dataset.Tuple) {
 // unchanged). Different stratum: delete from the old, insert into the new —
 // stratum migration.
 func (st *Standing) update(p *Population, old, new dataset.Tuple) {
-	kOld := query.MatchStratum(st.preds, &old)
-	kNew := query.MatchStratum(st.preds, &new)
+	kOld := st.cls.Classify(&old)
+	kNew := st.cls.Classify(&new)
 	if kOld == kNew {
 		if kOld < 0 {
 			return
@@ -149,7 +150,7 @@ func (st *Standing) repair(p *Population, k int) {
 		split := p.splits[si]
 		scanned += int64(len(split))
 		for i := range split {
-			if st.preds[k](&split[i]) {
+			if st.cls.Classify(&split[i]) == k {
 				members = append(members, split[i])
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/live"
 	"repro/internal/mapreduce"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -123,18 +124,12 @@ type entry struct {
 	passEnd   time.Time
 }
 
-// executor runs one batch as engine passes over the resident data.
+// executor runs one batch as engine passes over the resident population.
 type executor struct {
 	schema *dataset.Schema
-	splits []dataset.Split
-	// columns and bounds are index-aligned with splits: the column-major
-	// mirror a pass classifies from, and the bounding boxes pruning tests.
-	columns []dataset.Columns
-	bounds  []splitBounds
-	// liveSplits, when set (live mode), supplies the current resident splits
-	// and their column mirrors under a read lock held for the pass; there
-	// are no bounds, which would go stale under mutation.
-	liveSplits func() ([]dataset.Split, []dataset.Columns, func())
+	// pop hands each pass the splits, their column mirrors and their bounding
+	// boxes under a read lock held for the pass.
+	pop *live.Population
 	// cluster is the template every pass copies: whatever the factory wired
 	// (tracer, progress tracker, Executor handle) is shared by all passes and
 	// outlives them; only the copy's trace fields are set per pass.
@@ -413,14 +408,9 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		requests += e.attached
 	}
 
-	splits, columns, pruned := x.splits, x.columns, 0
-	if x.liveSplits != nil {
-		var release func()
-		splits, columns, release = x.liveSplits()
-		defer release()
-	} else {
-		splits, pruned = pruneSplits(x.splits, x.bounds, classifiers)
-	}
+	splits, derived, release := x.pop.AcquireSplits()
+	defer release()
+	splits, pruned := pruneSplits(splits, derived, classifiers)
 
 	c := *x.cluster // this pass's own copy: the trace fields below are set on it
 	traced := x.traced(cur)
@@ -438,7 +428,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 			c.Tracer = x.tracer
 		}
 	}
-	opts := stratified.Options{Seed: g.seed, Columns: columns}
+	opts := stratified.Options{Seed: g.seed, Columns: derived.Columns}
 	var (
 		answers query.MultiAnswer
 		met     mapreduce.Metrics

@@ -22,10 +22,10 @@
 //   - Result cache (cache.go): an LRU keyed on (canonical query, seed,
 //     population epoch). Bumping the epoch — the population-mutation
 //     boundary — invalidates every prior entry.
-//   - Pre-filtering (prune.go): per-split bounding boxes let a pass skip
-//     splits that meet no cell a batched stratum holds on; pruning is
-//     index-preserving, so answers are byte-identical to a pass over every
-//     split.
+//   - Pre-filtering (prune.go): the per-split bounding boxes the resident
+//     live.Population keeps let a pass skip splits that meet no cell a
+//     batched stratum holds on; pruning is index-preserving, so answers are
+//     byte-identical to a pass over every split.
 //   - Quotas (quota.go): per-tenant token buckets reject over-quota
 //     submissions with 429 before they reach the batcher.
 //

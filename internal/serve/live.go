@@ -50,7 +50,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.lp == nil {
+	if !s.cfg.Live {
 		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
 		return
 	}
@@ -90,7 +90,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Strata-Trace", trace)
 
-	res := s.lp.Apply(muts)
+	res := s.pop.Apply(muts)
 	// The batch is applied; subscriptions whose mutation trigger is now due
 	// push before the response goes out, so a client that mutates and then
 	// long-polls observes its own write.
@@ -110,7 +110,7 @@ type subscribeRequest struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.lp == nil {
+	if !s.cfg.Live {
 		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
 		return
 	}
@@ -160,7 +160,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		req.EveryMutations = 1
 	}
 	key := liveKey(canon, seed)
-	if _, err := s.lp.Register(key, q, seed); err != nil {
+	if _, err := s.pop.Register(key, q, seed); err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
@@ -181,7 +181,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		"trace":           trace,
 		"every_mutations": req.EveryMutations,
 		"every_seconds":   req.EverySeconds,
-		"version":         s.lp.QueryVersion(key),
+		"version":         s.pop.QueryVersion(key),
 	})
 }
 
@@ -190,7 +190,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // intermediaries keep the connection alive. ?after= resumes past a known push
 // sequence (default 0: the latest unseen push arrives immediately).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.lp == nil {
+	if !s.cfg.Live {
 		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
 		return
 	}
@@ -245,7 +245,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // greater than ?after= (default 0), waiting up to ?timeout_ms= (default
 // 30000) before answering 204 No Content. A closed subscription answers 410.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	if s.lp == nil {
+	if !s.cfg.Live {
 		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
 		return
 	}
@@ -365,7 +365,7 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 	sub := &subscription{
 		id: hex.EncodeToString(buf), key: key, q: q, seed: seed, trace: trace,
 		everyMuts: everyMuts, every: every,
-		lastVer: h.s.lp.QueryVersion(key),
+		lastVer: h.s.pop.QueryVersion(key),
 		wake:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -497,14 +497,14 @@ func (h *subHub) maybePush(sub *subscription, timed bool) {
 	if sub.closed {
 		return
 	}
-	ver := h.s.lp.QueryVersion(sub.key)
+	ver := h.s.pop.QueryVersion(sub.key)
 	if ver <= sub.lastVer {
 		return
 	}
 	if !timed && (sub.everyMuts <= 0 || ver-sub.lastVer < sub.everyMuts) {
 		return
 	}
-	ans, metas, ver, ok := h.s.lp.Snapshot(sub.key)
+	ans, metas, ver, ok := h.s.pop.Snapshot(sub.key)
 	if !ok { // standing query vanished (not expected in practice)
 		return
 	}
@@ -513,7 +513,7 @@ func (h *subHub) maybePush(sub *subscription, timed bool) {
 		Subscription: sub.id,
 		Seq:          sub.seq,
 		Version:      ver,
-		MutationSeq:  h.s.lp.Seq(),
+		MutationSeq:  h.s.pop.Seq(),
 		Trace:        sub.trace,
 		Name:         sub.q.Name,
 		Seed:         sub.seed,

@@ -68,11 +68,14 @@ type Config struct {
 	QuotaBurst int
 
 	// Live makes the population mutable: POST /v1/mutate ingests a mutation
-	// log, POST /v1/subscribe registers standing queries with push triggers,
-	// and a /v1/sample matching a registered query answers warm from its
-	// incrementally maintained reservoirs. Live mode disables split pruning
-	// (the startup bounds go stale under mutation) and keys the ad-hoc result
-	// cache on the mutation sequence, so any mutation invalidates it.
+	// log, POST /v1/subscribe registers standing queries with push triggers
+	// (delivered on /v1/stream and /v1/next), a /v1/sample matching a
+	// registered query answers warm from its incrementally maintained
+	// reservoirs, POST /v1/epoch also rebalances the splits, and /v1/stats and
+	// /metrics carry the live counters. It does not change how a pass reads
+	// the population: every daemon serves from one live.Population, and
+	// without Live nothing mutates it. Mutations key the ad-hoc result cache
+	// through the mutation sequence, so any mutation invalidates it.
 	Live bool
 	// StalenessBound caps uncompensated deletions per stratum reservoir
 	// before a repair rescan; 0 takes the live subsystem's default (64).
@@ -117,21 +120,17 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	schema  *dataset.Schema
-	splits  []dataset.Split
 	stats   *Stats
 	cache   *resultCache
 	quotas  *quotaTable
 	batcher *batcher
 	mux     *http.ServeMux
 
-	// Live-mode state: the mutable population and the subscription hub. Both
-	// are nil unless Config.Live was set.
-	lp  *live.Population
+	// pop is the resident population: the splits, their column mirrors and
+	// their bounding boxes. Only a Live daemon mutates it; hub, its
+	// subscription hub, is nil otherwise.
+	pop *live.Population
 	hub *subHub
-
-	// Resident memory by layout, fixed at load; in live mode the population
-	// keeps the current figures instead.
-	rowBytes, columnBytes int64
 
 	epoch    atomic.Int64
 	draining atomic.Bool
@@ -143,10 +142,10 @@ type Server struct {
 	tickets *ticketStore
 }
 
-// NewServer partitions the population, indexes split bounds for pruning,
-// mirrors each split's attributes column-major for the stratum scan when
-// passes run in this process, and returns a ready daemon. It does not listen;
-// mount Handler() on an http.Server.
+// NewServer partitions the population into a live.Population — which bounds
+// every split for pruning and, when passes run in this process, mirrors its
+// attributes column-major for the stratum scan — and returns a ready daemon.
+// It does not listen; mount Handler() on an http.Server.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Population == nil {
 		return nil, fmt.Errorf("serve: Config.Population is required")
@@ -180,7 +179,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		schema:  cfg.Population.Schema(),
-		splits:  splits,
 		stats:   newStats(),
 		cache:   newResultCache(cfg.CacheSize),
 		tickets: newTicketStore(),
@@ -197,9 +195,19 @@ func NewServer(cfg Config) (*Server, error) {
 	// traced, never the factory's.
 	cluster := cfg.NewCluster(cfg.Slaves)
 	cluster.TraceContext = nil
+	// A cluster with an Executor ships every map task as a serialized spec
+	// carrying rows only, so only in-process passes would ever read a column
+	// mirror; a daemon in front of remote workers does not pay for one.
+	s.pop, err = live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound, Columns: cluster.Executor == nil})
+	if err != nil {
+		return nil, fmt.Errorf("serve: resident population: %w", err)
+	}
+	if cfg.Live {
+		s.hub = newSubHub(s)
+	}
 	exec := &executor{
 		schema:    s.schema,
-		splits:    splits,
+		pop:       s.pop,
 		cluster:   cluster,
 		onMetrics: s.recordMetrics,
 		cache:     s.cache,
@@ -207,34 +215,6 @@ func NewServer(cfg Config) (*Server, error) {
 		tracer:    cfg.Tracer,
 		base:      s.started,
 		sem:       make(chan struct{}, cfg.MaxPasses),
-	}
-	// A cluster with an Executor ships every map task as a serialized spec
-	// carrying rows only, so only in-process passes would ever read a column
-	// mirror; a daemon in front of remote workers does not pay for one.
-	mirror := cluster.Executor == nil
-	if cfg.Live {
-		lp, err := live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound, Columns: mirror})
-		if err != nil {
-			return nil, fmt.Errorf("serve: live population: %w", err)
-		}
-		s.lp = lp
-		s.hub = newSubHub(s)
-		// Passes read the splits under the population's lock; bounds taken at
-		// startup would be stale the moment anything mutates, so a live
-		// daemon takes none and never prunes.
-		exec.liveSplits = lp.AcquireSplits
-	} else {
-		exec.bounds = boundsOf(splits, s.schema)
-		for _, split := range splits {
-			s.rowBytes += split.ResidentBytes()
-		}
-		if mirror {
-			exec.columns = make([]dataset.Columns, len(splits))
-			for i, split := range splits {
-				exec.columns[i] = dataset.ColumnsOf(split, s.schema.NumFields())
-				s.columnBytes += exec.columns[i].ResidentBytes()
-			}
-		}
 	}
 	s.batcher = newBatcher(cfg.Window, cfg.MaxBatch, cfg.AdaptiveWindow, s.effectiveEpoch, exec, s.stats)
 
@@ -254,16 +234,12 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // effectiveEpoch is the cache epoch ad-hoc answers are keyed on: the
-// administrative epoch plus, in live mode, the mutation sequence. Both terms
-// are monotonic, so the sum is monotonic — any mutation moves every future
-// answer to a fresh key, invalidating cached ad-hoc results without touching
-// the warm standing-query path (which never uses this cache).
+// administrative epoch plus the mutation sequence (zero unless Live). Both
+// terms are monotonic, so the sum is monotonic — any mutation moves every
+// future answer to a fresh key, invalidating cached ad-hoc results without
+// touching the warm standing-query path (which never uses this cache).
 func (s *Server) effectiveEpoch() int64 {
-	e := s.epoch.Load()
-	if s.lp != nil {
-		e += s.lp.Seq()
-	}
-	return e
+	return s.epoch.Load() + s.pop.Seq()
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -273,22 +249,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // live mode the snapshot carries the live subsystem's own counters too.
 func (s *Server) Stats() Snapshot {
 	snap := s.stats.snapshot()
-	if s.lp != nil {
-		ls := s.lp.Stats()
+	if s.cfg.Live {
+		ls := s.pop.Stats()
 		snap.Live = &ls
 	}
-	rows, columns := s.residentBytes()
+	rows, columns := s.pop.ResidentBytes()
 	snap.ResidentBytes = map[string]int64{"rows": rows, "columns": columns}
 	return snap
-}
-
-// residentBytes is the memory the resident population occupies by layout:
-// the row-major splits and their column-major mirrors.
-func (s *Server) residentBytes() (rows, columns int64) {
-	if s.lp != nil {
-		return s.lp.ResidentBytes()
-	}
-	return s.rowBytes, s.columnBytes
 }
 
 // Epoch returns the current population epoch.
@@ -439,8 +406,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 	// A query matching a registered standing query answers warm from its
 	// incrementally maintained reservoirs: no pass, no cache, always current.
-	if s.lp != nil {
-		if ans, metas, ver, ok := s.lp.Snapshot(liveKey(canon, seed)); ok {
+	if s.cfg.Live {
+		if ans, metas, ver, ok := s.pop.Snapshot(liveKey(canon, seed)); ok {
 			s.stats.add(&s.stats.LiveHits, 1)
 			s.respondLive(w, q, seed, epoch, trace, ans, metas, ver, start)
 			s.emitRequestTrace(trace, reqSpan, start, 0, nil)
@@ -542,13 +509,13 @@ func (s *Server) buildQuery(req *sampleRequest) (*query.SSD, *predicate.Classifi
 			return nil, nil, err
 		}
 	case len(req.Strata) > 0:
-		spec, err := json.Marshal(map[string]any{"name": name, "strata": req.Strata})
-		if err != nil {
-			return nil, nil, err
-		}
-		q = new(query.SSD)
-		if err := json.Unmarshal(spec, q); err != nil {
-			return nil, nil, err
+		q = &query.SSD{Name: name, Strata: make([]query.Stratum, len(req.Strata))}
+		for i, st := range req.Strata {
+			cond, err := predicate.Parse(st.Cond)
+			if err != nil {
+				return nil, nil, fmt.Errorf("query %s stratum %d: %w", name, i, err)
+			}
+			q.Strata[i] = query.Stratum{Cond: cond, Freq: st.Freq}
 		}
 	default:
 		return nil, nil, fmt.Errorf(`missing query: set "query" (text form) or "strata"`)
@@ -659,10 +626,11 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// inserts and swap-removes drift the resident splits unbalanced, so re-cut
 	// them into even shards before bumping. Rebalance first, bump second — the
 	// bump purges the answer cache, which must cover the post-rebalance
-	// boundaries (a re-cut changes per-split draws).
+	// boundaries (a re-cut changes per-split draws). A static daemon never
+	// re-cuts, so its splits keep matching "strata sample"'s layout.
 	var rebalanced int64
-	if s.lp != nil {
-		rebalanced = int64(s.lp.Rebalance(s.cfg.Splits))
+	if s.cfg.Live {
+		rebalanced = int64(s.pop.Rebalance(s.cfg.Splits))
 	}
 	e, purged := s.bumpEpoch()
 	w.Header().Set("Content-Type", "application/json")
@@ -681,10 +649,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	pw := mapreduce.NewPromWriter(w)
 	s.stats.writePrometheus(pw)
-	if s.lp != nil {
-		s.lp.WritePrometheus(pw)
+	if s.cfg.Live {
+		s.pop.WritePrometheus(pw)
 	}
-	rows, columns := s.residentBytes()
+	rows, columns := s.pop.ResidentBytes()
 	pw.Family("strata_serve_resident_bytes", "gauge", "Memory the resident population occupies, by layout.")
 	pw.Sample("strata_serve_resident_bytes", rows, "layout", "rows")
 	pw.Sample("strata_serve_resident_bytes", columns, "layout", "columns")
@@ -694,16 +662,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{
 		"status":     "ok",
-		"population": s.cfg.Population.Len(),
-		"splits":     len(s.splits),
+		"population": s.pop.Len(),
+		"splits":     s.pop.Splits(),
 		"epoch":      s.epoch.Load(),
 		"draining":   s.draining.Load(),
 	}
-	if s.lp != nil {
+	if s.cfg.Live {
 		body["live"] = true
-		body["population"] = s.lp.Len()
-		body["mutation_seq"] = s.lp.Seq()
-		body["staleness_bound"] = s.lp.StalenessBound()
+		body["mutation_seq"] = s.pop.Seq()
+		body["staleness_bound"] = s.pop.StalenessBound()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(body)

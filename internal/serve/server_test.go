@@ -92,6 +92,11 @@ func directSQE(t *testing.T, pop *dataset.Relation, spec string, slaves int, see
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ansIndividuals(ans)
+}
+
+// ansIndividuals renders an answer's individuals like the daemon renders them.
+func ansIndividuals(ans *query.Answer) [][]string {
 	out := make([][]string, len(ans.Strata))
 	for k, st := range ans.Strata {
 		out[k] = make([]string, len(st))
@@ -456,6 +461,106 @@ func TestStructuredStrataForm(t *testing.T) {
 	}
 	if !reflect.DeepEqual(respIndividuals(r1), respIndividuals(r2)) {
 		t.Error("structured form answer differs")
+	}
+}
+
+// TestStrataFormMatchesTextForm: the structured form parses each cond into
+// the query the text form gives — the same canonical key and the same answer
+// — and a cond that does not parse is refused with the error body the
+// daemon has always sent.
+func TestStrataFormMatchesTextForm(t *testing.T) {
+	pop := gen.Population(1000, 1)
+	d := newTestDaemon(t, Config{
+		Population: pop, Slaves: 2, Layout: dataset.Contiguous, PartitionSeed: 1, Window: 0,
+	})
+	text := map[string]any{"query": "nop >= 100 and ayp < 5 : 4 ; nop < 100 : 6", "seed": 3, "nocache": true}
+	structured := map[string]any{"strata": []map[string]any{
+		{"cond": "nop >= 100 and ayp < 5", "freq": 4},
+		{"cond": "nop < 100", "freq": 6},
+	}, "seed": 3, "nocache": true}
+
+	var keys []string
+	for _, body := range []map[string]any{text, structured} {
+		raw, _ := json.Marshal(body)
+		var req sampleRequest
+		if err := json.Unmarshal(raw, &req); err != nil {
+			t.Fatal(err)
+		}
+		q, cls, err := d.s.buildQuery(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, canonicalSSD(q, cls))
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("canonical keys differ:\n text   %q\n strata %q", keys[0], keys[1])
+	}
+	r1, code1 := d.post(t, text)
+	r2, code2 := d.post(t, structured)
+	if code1 != http.StatusOK || code2 != http.StatusOK {
+		t.Fatalf("status %d (text), %d (strata)", code1, code2)
+	}
+	if !reflect.DeepEqual(r1.Strata, r2.Strata) {
+		t.Errorf("answers differ:\n text   %+v\n strata %+v", r1.Strata, r2.Strata)
+	}
+
+	for body, want := range map[string]string{
+		`{"strata":[{"cond":"nop >= 100","freq":4},{"cond":"nop <","freq":6}]}`: `{"error":"query Q stratum 1: predicate: expected integer after \"nop\" \u003c"}` + "\n",
+		`{"strata":[{"cond":"nop >= 100 and","freq":4}]}`:                       `{"error":"query Q stratum 0: predicate: unexpected end of input"}` + "\n",
+		`{"name":"N","strata":[{"cond":"zzz = 1","freq":4}]}`:                   `{"error":"query N: predicate: formula 0: unknown attribute \"zzz\""}` + "\n",
+	} {
+		resp, err := http.Post(d.ts.URL+"/v1/sample", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		got.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || got.String() != want {
+			t.Errorf("%s: %d %q, want 400 %q", body, resp.StatusCode, got.String(), want)
+		}
+	}
+}
+
+// TestHealthzSplitsFollowRebalance: /healthz reads the split count from the
+// population, so after a live epoch bump re-cuts a shrunken population into
+// fewer splits than -splits it reports the splits that exist.
+func TestHealthzSplitsFollowRebalance(t *testing.T) {
+	d := newTestDaemon(t, Config{
+		Population: livePopulation(20), Slaves: 2, Splits: 8, Layout: dataset.RoundRobin,
+		Window: 0, Live: true,
+	})
+	healthz := func() (population, splits int) {
+		t.Helper()
+		resp, err := http.Get(d.ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hz struct {
+			Population int `json:"population"`
+			Splits     int `json:"splits"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+			t.Fatal(err)
+		}
+		return hz.Population, hz.Splits
+	}
+	if pop, splits := healthz(); pop != 20 || splits != 8 {
+		t.Fatalf("at start: population %d in %d splits, want 20 in 8", pop, splits)
+	}
+	var muts []map[string]any
+	for id := 0; id < 16; id++ {
+		muts = append(muts, map[string]any{"op": "delete", "id": id})
+	}
+	if code := d.postJSON(t, "/v1/mutate", map[string]any{"mutations": muts}, nil); code != http.StatusOK {
+		t.Fatalf("mutate: status %d", code)
+	}
+	if code := d.postJSON(t, "/v1/epoch", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("epoch: status %d", code)
+	}
+	if pop, splits := healthz(); pop != 4 || splits != 4 {
+		t.Errorf("after the re-cut: population %d in %d splits, want 4 in 4", pop, splits)
 	}
 }
 

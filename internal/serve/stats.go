@@ -198,8 +198,7 @@ type Snapshot struct {
 	Live *live.Stats `json:"live,omitempty"`
 
 	// ResidentBytes is the memory the resident population occupies by layout
-	// ("rows", "columns"), attached by the server; live mode reads it from
-	// the population.
+	// ("rows", "columns"), read from the population by the server.
 	ResidentBytes map[string]int64 `json:"resident_bytes,omitempty"`
 }
 
