@@ -79,3 +79,14 @@ func (s Split) ResidentBytes() int64 {
 	}
 	return n
 }
+
+// WireSizes is the split's wire-size column: row i's Tuple.ByteSize. A
+// resident split keeps one beside its mirror, edited at the same points, so
+// a pass counts the shuffle bytes of the rows it draws without reading them.
+func (s Split) WireSizes() []int32 {
+	sizes := make([]int32, len(s))
+	for i := range s {
+		sizes[i] = int32(s[i].ByteSize())
+	}
+	return sizes
+}

@@ -14,16 +14,17 @@ import (
 )
 
 // checkMirror fails unless the population's column mirrors equal its rows
-// cell for cell, every row lies inside its split's bounding box, a pass
-// handed (splits, columns) answers exactly as a pass over the splits alone,
+// cell for cell, its size columns hold each row's wire size, every row lies
+// inside its split's bounding box, a pass handed (splits, columns, sizes)
+// answers and counts shuffle bytes exactly as a pass over the splits alone,
 // and the resident-byte gauges match a recount. It holds the pass's read lock
 // throughout, like the daemon's executor.
 func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
 	splits, derived, release := p.AcquireSplits()
 	defer release()
 	cols := derived.Columns
-	if len(cols) != len(splits) || len(derived.Bounds) != len(splits) {
-		t.Errorf("%d column mirrors and %d boxes for %d splits", len(cols), len(derived.Bounds), len(splits))
+	if len(cols) != len(splits) || len(derived.Sizes) != len(splits) || len(derived.Bounds) != len(splits) {
+		t.Errorf("%d column mirrors, %d size columns and %d boxes for %d splits", len(cols), len(derived.Sizes), len(derived.Bounds), len(splits))
 		return
 	}
 	var rowBytes, members int64
@@ -32,7 +33,15 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 			t.Errorf("split %d: mirror differs from its rows\n mirror %v\n rows   %v", si, got, want)
 			return
 		}
+		if len(derived.Sizes[si]) != len(split) {
+			t.Errorf("split %d: %d wire sizes for %d rows", si, len(derived.Sizes[si]), len(split))
+			return
+		}
 		for i := range split {
+			if got, want := derived.Sizes[si][i], split[i].ByteSize(); int(got) != want {
+				t.Errorf("split %d: member %d's size column reads %d, its ByteSize is %d", si, split[i].ID, got, want)
+				return
+			}
 			box := derived.Bounds[si]
 			for j, v := range split[i].Attrs {
 				if box == nil || v < box[j].Lo || v > box[j].Hi {
@@ -52,24 +61,28 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 	cluster := func() *mapreduce.Cluster {
 		return &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
 	}
-	with, _, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed, Columns: cols})
+	with, withMet, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed, Columns: cols, Sizes: derived.Sizes})
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	without, _, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed})
+	without, withoutMet, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed})
 	if err != nil {
 		t.Error(err)
 		return
 	}
 	if !reflect.DeepEqual(with, without) {
-		t.Errorf("pass over (splits, columns) differs from a pass over the splits:\n with    %v\n without %v", with, without)
+		t.Errorf("pass over (splits, columns, sizes) differs from a pass over the splits:\n with    %v\n without %v", with, without)
+	}
+	if withMet.ShuffleBytes != withoutMet.ShuffleBytes || !reflect.DeepEqual(withMet.BucketBytes, withoutMet.BucketBytes) {
+		t.Errorf("pass over (splits, columns, sizes) shuffles %d B, over the splits %d B", withMet.ShuffleBytes, withoutMet.ShuffleBytes)
 	}
 }
 
 // TestColumnsMirrorRows: through random insert/delete/update/Rebalance
 // streams — with a standing query registered, so repairs run too — the column
-// mirrors stay equal to the rows and change no answer, and every box keeps
+// mirrors stay equal to the rows and the size columns to their wire sizes,
+// neither changes an answer or a shuffle count, and every box keeps
 // containing its split's rows, while a concurrent reader takes passes the
 // whole time (run under -race).
 func TestColumnsMirrorRows(t *testing.T) {
@@ -133,7 +146,7 @@ func TestColumnsMirrorRows(t *testing.T) {
 	close(stop)
 	reader.Wait()
 	checkMirror(t, p, queries, 99)
-	if rows, cols := p.ResidentBytes(); cols != 4*2*int64(len(ids)) || rows <= cols {
-		t.Errorf("ResidentBytes = %d rows, %d columns for %d members of 2 attributes", rows, cols, len(ids))
+	if rows, cols := p.ResidentBytes(); cols != 4*3*int64(len(ids)) || rows <= cols {
+		t.Errorf("ResidentBytes = %d rows, %d columns for %d members of 2 attributes and a wire size", rows, cols, len(ids))
 	}
 }

@@ -86,8 +86,9 @@ type Config struct {
 	// cost) but keep the sample deficit smaller.
 	StalenessBound int
 	// Columns keeps the column-major mirror of each resident split that an
-	// in-process pass classifies from. Leave it off when passes run on remote
-	// workers: task specs carry rows only, so the mirror would never be read.
+	// in-process pass classifies from, and its wire-size column. Leave it off
+	// when passes run on remote workers: task specs carry rows only, so
+	// neither would be read.
 	Columns bool
 }
 
@@ -98,10 +99,13 @@ type tupleLoc struct {
 }
 
 // Derived is what a pass reads beside the resident splits, index-aligned with
-// them: their column mirrors and their bounding boxes.
+// them: their column mirrors, wire-size columns and bounding boxes.
 type Derived struct {
 	// Columns[i] mirrors splits[i]; nil entries without Config.Columns.
 	Columns []dataset.Columns
+	// Sizes[i] is splits[i].WireSizes(), kept with the mirror: nil entries
+	// without Config.Columns.
+	Sizes [][]int32
 	// Bounds[i] holds one inclusive interval per schema field that contains
 	// every row of splits[i] — not always the tightest: a delete leaves it
 	// as it was. Nil for a split that has had no rows since the last build.
@@ -113,11 +117,11 @@ type Derived struct {
 // construction: mutations edit them in place, so engine passes run over
 // current data, and stratum repairs rescan them. Beside each split it keeps
 // the Derived a pass reads — the bounding box pruning tests and, with
-// Config.Columns, the column-major mirror a pass classifies from — edited
-// under the same write lock at the same four points (insert, update,
-// removeAt, Rebalance). All methods are safe for concurrent use; mutations
-// serialize behind a write lock while snapshots and pass execution share a
-// read lock.
+// Config.Columns, the column-major mirror a pass classifies from and the
+// wire-size column it counts shuffle bytes from — edited under the same write
+// lock at the same four points (insert, update, removeAt, Rebalance). All
+// methods are safe for concurrent use; mutations serialize behind a write
+// lock while snapshots and pass execution share a read lock.
 type Population struct {
 	mu      sync.RWMutex
 	schema  *dataset.Schema
@@ -180,10 +184,15 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 // beside them.
 func (p *Population) setSplits(splits []dataset.Split) {
 	p.splits = splits
-	p.derived = Derived{Columns: make([]dataset.Columns, len(splits)), Bounds: make([][]predicate.Interval, len(splits))}
+	p.derived = Derived{
+		Columns: make([]dataset.Columns, len(splits)),
+		Sizes:   make([][]int32, len(splits)),
+		Bounds:  make([][]predicate.Interval, len(splits)),
+	}
 	for si, split := range splits {
 		if p.mirror {
 			p.derived.Columns[si] = dataset.ColumnsOf(split, p.schema.NumFields())
+			p.derived.Sizes[si] = split.WireSizes()
 		}
 		for i := range split {
 			p.derived.Bounds[si] = widen(p.derived.Bounds[si], split[i].Attrs)
@@ -241,12 +250,13 @@ func (p *Population) Splits() int {
 }
 
 // ResidentBytes reports the memory the resident population occupies by
-// layout: the row-major splits and their column-major mirrors.
+// layout: the row-major splits, and their column-major mirrors with the
+// wire-size columns.
 func (p *Population) ResidentBytes() (rows, columns int64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for _, c := range p.derived.Columns {
-		columns += c.ResidentBytes()
+	for si, c := range p.derived.Columns {
+		columns += c.ResidentBytes() + 4*int64(len(p.derived.Sizes[si]))
 	}
 	return p.rowBytes, columns
 }
@@ -310,6 +320,9 @@ func (p *Population) applyOne(m *Mutation) error {
 		p.next = (p.next + 1) % len(p.splits)
 		p.splits[si] = append(p.splits[si], t)
 		p.derived.Columns[si].Append(t.Attrs)
+		if p.mirror {
+			p.derived.Sizes[si] = append(p.derived.Sizes[si], int32(t.ByteSize()))
+		}
 		p.derived.Bounds[si] = widen(p.derived.Bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
 		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(len(p.splits[si]) - 1)}
@@ -338,6 +351,9 @@ func (p *Population) applyOne(m *Mutation) error {
 		old := p.splits[l.split][l.idx]
 		p.splits[l.split][l.idx] = t
 		p.derived.Columns[l.split].Set(int(l.idx), t.Attrs)
+		if p.mirror {
+			p.derived.Sizes[l.split][l.idx] = int32(t.ByteSize())
+		}
 		p.derived.Bounds[l.split] = widen(p.derived.Bounds[l.split], t.Attrs)
 		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
@@ -358,6 +374,11 @@ func (p *Population) removeAt(l tupleLoc) {
 	delete(p.loc, split[l.idx].ID)
 	p.rowBytes -= split[l.idx].ResidentBytes()
 	p.derived.Columns[l.split].SwapRemove(int(l.idx))
+	if p.mirror {
+		sizes := p.derived.Sizes[l.split]
+		sizes[l.idx] = sizes[last]
+		p.derived.Sizes[l.split] = sizes[:last]
+	}
 	if l.idx != last {
 		split[l.idx] = split[last]
 		p.loc[split[l.idx].ID] = l

@@ -151,7 +151,7 @@ type reduceOutcome[O any] struct {
 
 // inprocBackend runs tasks as closures on the calling goroutines. Buckets
 // stay in memory as typed pairs and are never encoded; only their
-// approximate wire size is accounted.
+// approximate wire size is accounted, once, on the map side.
 type inprocBackend[I any, K comparable, V any, O any] struct {
 	job         *Job[I, K, V, O]
 	splits      [][]I
@@ -159,6 +159,7 @@ type inprocBackend[I any, K comparable, V any, O any] struct {
 	perKey      bool
 	elapsed     func() time.Duration // nil when untraced
 	buckets     [][][]Pair[K, V]     // [task][reducer]
+	sizes       []int64              // [task*numReducers + reducer]: bucketApproxSize of buckets
 }
 
 func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
@@ -169,8 +170,10 @@ func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
 	if b.elapsed != nil {
 		out.MapWall = run.done - out.start
 	}
+	sizes := b.sizes[task*b.numReducers : (task+1)*b.numReducers]
 	for r := range run.buckets {
-		out.sent(bucketApproxSize(run.buckets[r]))
+		sizes[r] = bucketApproxSize(run.buckets[r])
+		out.sent(sizes[r])
 	}
 	b.buckets[task] = run.buckets
 	return nil
@@ -183,9 +186,7 @@ func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 	parts := make([][]Pair[K, V], len(b.buckets))
 	for t := range b.buckets {
 		parts[t] = b.buckets[t][r]
-		if b.elapsed != nil {
-			out.recvBytes += bucketApproxSize(parts[t])
-		}
+		out.recvBytes += b.sizes[t*b.numReducers+r]
 	}
 	groups := groupPairs(parts)
 	// Deterministic reduce order within the reducer; the names feed the
@@ -288,6 +289,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		be = &inprocBackend[I, K, V, O]{
 			job: job, splits: splits, numReducers: numReducers, perKey: perKey,
 			elapsed: clock, buckets: make([][][]Pair[K, V], len(splits)),
+			sizes: make([]int64, len(splits)*numReducers),
 		}
 	}
 

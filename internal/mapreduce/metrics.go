@@ -143,12 +143,10 @@ func (m Metrics) String() string {
 		m.ReduceInputGroups, m.OutputRecords, m.SimulatedTotal().Round(time.Millisecond))
 }
 
-// approxSize estimates the wire size of a shuffled key or value. Types can
-// take control by implementing interface{ ByteSize() int }.
+// approxSize estimates the wire size of a shuffled key or value whose type
+// does not report its own (sizer).
 func approxSize(v any) int {
 	switch x := v.(type) {
-	case interface{ ByteSize() int }:
-		return x.ByteSize()
 	case string:
 		return len(x)
 	case int, int64, uint64, float64:
@@ -164,30 +162,41 @@ func approxSize(v any) int {
 	}
 }
 
-// fixedApproxSize reports the approxSize shared by every value of v's
-// dynamic type, or ok=false when the size is per-value (strings and ByteSize
-// implementers). It lets the shuffle account a whole bucket of fixed-size
-// pairs with one multiplication instead of two interface conversions per
-// pair.
-func fixedApproxSize(v any) (size int, ok bool) {
-	switch v.(type) {
-	case interface{ ByteSize() int }, string:
+// sizer is a shuffled key or value type that reports its own wire size. The
+// sampling jobs' values carry theirs in a field, so accounting one is a read.
+type sizer interface{ ByteSize() int }
+
+// sizeAt is the approximate wire size of *p. Asking through the pointer
+// boxes nothing: the shuffle sizes every pair of every bucket.
+func sizeAt[T any](p *T) int {
+	if s, ok := any(p).(sizer); ok {
+		return s.ByteSize()
+	}
+	return approxSize(*p)
+}
+
+// fixedSize reports the size sizeAt gives every value of T, or ok=false
+// when the size is per-value (strings and sizers). It lets the shuffle
+// account a whole bucket of fixed-size pairs with one multiplication.
+func fixedSize[T any](p *T) (size int, ok bool) {
+	switch any(p).(type) {
+	case sizer, *string:
 		return 0, false
 	default:
-		return approxSize(v), true
+		return approxSize(*p), true
 	}
 }
 
 // bucketApproxSize estimates the wire size of one shuffle bucket. The
 // fixed-vs-variable decision is made once per bucket from the first pair
 // (all pairs share the concrete key and value types), and the result is
-// byte-identical to summing approxSize over every pair.
+// byte-identical to summing sizeAt over every key and value.
 func bucketApproxSize[K comparable, V any](pairs []Pair[K, V]) int64 {
 	if len(pairs) == 0 {
 		return 0
 	}
-	keySize, keyFixed := fixedApproxSize(pairs[0].Key)
-	valSize, valFixed := fixedApproxSize(pairs[0].Value)
+	keySize, keyFixed := fixedSize(&pairs[0].Key)
+	valSize, valFixed := fixedSize(&pairs[0].Value)
 	if keyFixed && valFixed {
 		return int64(keySize+valSize) * int64(len(pairs))
 	}
@@ -195,10 +204,10 @@ func bucketApproxSize[K comparable, V any](pairs []Pair[K, V]) int64 {
 	for i := range pairs {
 		k, v := keySize, valSize
 		if !keyFixed {
-			k = approxSize(pairs[i].Key)
+			k = sizeAt(&pairs[i].Key)
 		}
 		if !valFixed {
-			v = approxSize(pairs[i].Value)
+			v = sizeAt(&pairs[i].Value)
 		}
 		total += int64(k + v)
 	}

@@ -131,6 +131,31 @@ func TestTracerOffMatchesOn(t *testing.T) {
 	}
 }
 
+// TestShuffleSpanBytesSumToShuffleBytes: a traced run sizes each bucket once,
+// on the map side, and both legs of the shuffle account those sizes — the
+// send spans per map task, the recv spans per reducer each sum to
+// Metrics.ShuffleBytes, in process and through the serialized route.
+func TestShuffleSpanBytesSumToShuffleBytes(t *testing.T) {
+	for name, exec := range map[string]Executor{"inproc": nil, "executor": &InprocExecutor{}} {
+		tr := NewMemTracer()
+		c := tracedCluster(tr)
+		c.Executor = exec
+		res, err := Run(c, portableJob(5), remoteTestSplits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := map[string]int64{}
+		for _, s := range tr.Spans() {
+			sums[s.Phase] += s.Bytes
+		}
+		want := res.Metrics.ShuffleBytes
+		if want == 0 || sums[PhaseShuffleSend] != want || sums[PhaseShuffleRecv] != want {
+			t.Errorf("%s: send spans %d B, recv spans %d B, ShuffleBytes %d",
+				name, sums[PhaseShuffleSend], sums[PhaseShuffleRecv], want)
+		}
+	}
+}
+
 func TestJSONLTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)

@@ -2,7 +2,7 @@ package sampling
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // UnifiedSample implements Algorithm 1 of the paper (unified-sampler): given
@@ -33,7 +33,7 @@ func UnifiedSample[T any](parts []Weighted[T], n int, rng *rand.Rand) []T {
 	}
 	total := TotalN(parts)
 	idx := SRSIndexes(total, n, rng)
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	slices.Sort(idx)
 
 	out := make([]T, 0, n)
 	var lo int64 // block i covers virtual indexes [lo, lo+N_i)

@@ -428,7 +428,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 			c.Tracer = x.tracer
 		}
 	}
-	opts := stratified.Options{Seed: g.seed, Columns: derived.Columns}
+	opts := stratified.Options{Seed: g.seed, Columns: derived.Columns, Sizes: derived.Sizes}
 	var (
 		answers query.MultiAnswer
 		met     mapreduce.Metrics

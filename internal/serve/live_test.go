@@ -349,8 +349,9 @@ func TestLiveMetricsExposition(t *testing.T) {
 		"strata_serve_pushes_total 1",
 		"strata_serve_cache_purged_total 0",
 		"strata_serve_push_nanos_count 1",
-		// 99 members left: 2 int32 attributes mirrored, 48-byte headers + 2 values in rows.
-		"strata_serve_resident_bytes{layout=\"columns\"} 792",
+		// 99 members left: 2 int32 attributes and an int32 wire size in
+		// columns, 48-byte headers + 2 values in rows.
+		"strata_serve_resident_bytes{layout=\"columns\"} 1188",
 		"strata_serve_resident_bytes{layout=\"rows\"} 6336",
 	} {
 		if !strings.Contains(body, want) {

@@ -565,16 +565,17 @@ func TestHealthzSplitsFollowRebalance(t *testing.T) {
 }
 
 // TestResidentBytesReported: /v1/stats and /metrics say what the resident
-// population costs in each layout — the rows and the column mirror the
-// stratum scan reads. A daemon whose tasks travel to an Executor as specs
-// (rows only) keeps no mirror, static or live, and reports 0 columns.
+// population costs in each layout — the rows, and the column mirror the
+// stratum scan reads with the wire-size column the shuffle counter reads. A
+// daemon whose tasks travel to an Executor as specs (rows only) keeps
+// neither, static or live, and reports 0 columns.
 func TestResidentBytesReported(t *testing.T) {
 	pop := gen.Population(500, 3)
 	var rows int64
 	for _, tp := range pop.Tuples() {
 		rows += tp.ResidentBytes()
 	}
-	mirror := int64(500 * pop.Schema().NumFields() * 4)
+	mirror := int64(500 * (pop.Schema().NumFields() + 1) * 4)
 	remote := func(slaves int) *mapreduce.Cluster {
 		c := mapreduce.NewCluster(slaves)
 		c.Executor = &mapreduce.InprocExecutor{}

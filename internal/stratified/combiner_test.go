@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
-	"repro/internal/sampling"
 	"repro/internal/stats"
 )
 
@@ -14,12 +13,12 @@ import (
 // with crafted weighted inputs — covering the already-subsampled merge branch
 // its map stage never reaches (a combiner's inputs there are always
 // singletons).
-func runCombiner(t *testing.T, vs []WeightedTuples, freq int, seed int64) WeightedTuples {
+func runCombiner(t *testing.T, vs []weighted, freq int, seed int64) weighted {
 	t.Helper()
 	c := combiner(func(int) int { return freq })
 	ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed))}
-	var out []WeightedTuples
-	c(ctx, 0, vs, func(w WeightedTuples) { out = append(out, w) })
+	var out []weighted
+	c(ctx, 0, vs, func(w weighted) { out = append(out, w) })
 	if len(out) != 1 {
 		t.Fatalf("combiner emitted %d outputs, want 1", len(out))
 	}
@@ -36,9 +35,9 @@ func tuples(ids ...int64) []dataset.Tuple {
 
 func TestCombinerExhaustiveBranch(t *testing.T) {
 	// Singletons, as the map phase produces.
-	var vs []WeightedTuples
+	var vs []weighted
 	for id := int64(0); id < 20; id++ {
-		vs = append(vs, sampling.Singleton(dataset.Tuple{ID: id, Attrs: []int64{1}}))
+		vs = append(vs, singleton(dataset.Tuple{ID: id, Attrs: []int64{1}}))
 	}
 	got := runCombiner(t, vs, 5, 1)
 	if got.N != 20 {
@@ -51,7 +50,7 @@ func TestCombinerExhaustiveBranch(t *testing.T) {
 
 func TestCombinerMergesSubsampledParts(t *testing.T) {
 	// Pre-subsampled parts (a combiner re-run): |S̄| < N.
-	vs := []WeightedTuples{
+	vs := []weighted{
 		{Sample: tuples(0, 1), N: 6},
 		{Sample: tuples(10, 11), N: 10},
 	}
@@ -70,7 +69,7 @@ func TestCombinerSubsampledUnbiased(t *testing.T) {
 	const runs = 30000
 	var fromSmall int64
 	for run := 0; run < runs; run++ {
-		vs := []WeightedTuples{
+		vs := []weighted{
 			{Sample: tuples(0, 1), N: 4},   // 2 of 4
 			{Sample: tuples(10, 11), N: 8}, // 2 of 8
 		}
@@ -93,9 +92,9 @@ func TestCombinerExhaustiveUniform(t *testing.T) {
 	const runs = 15000
 	counts := make([]int64, 12)
 	for run := 0; run < runs; run++ {
-		var vs []WeightedTuples
+		var vs []weighted
 		for id := int64(0); id < 12; id++ {
-			vs = append(vs, sampling.Singleton(dataset.Tuple{ID: id, Attrs: []int64{1}}))
+			vs = append(vs, singleton(dataset.Tuple{ID: id, Attrs: []int64{1}}))
 		}
 		got := runCombiner(t, vs, 4, int64(run)+99)
 		for _, tp := range got.Sample {

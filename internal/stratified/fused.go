@@ -17,12 +17,15 @@ import (
 // class) it falls in, consuming no randomness; then each key, in (vector,
 // class) order, draws min(f, n) of its n matches without replacement from the
 // task's one random stream — a resident split needs no reservoir to hand the
-// reducer an SRS of its stratum tagged with the stratum's size. Only the drawn
-// tuples are materialised, and the task emits one ({sample}, N) pair per key
-// it saw: what the Figure 1 emission stream plus the combiner produce, without
-// the stream. For MR-SQE (one query) and MR-MQE a vector is a query and a
-// class one of its strata; MR-CPS's derived query Q′ and residual phase derive
-// their vectors from the queries' (selection.go).
+// reducer an SRS of its stratum tagged with the stratum's size. The task
+// emits one ({sample}, N) pair per key it saw: what the Figure 1 emission
+// stream plus the combiner produce, without the stream. The sample is the
+// drawn rows' references, with their tuples' wire size summed from the
+// split's size column when the pass has one, else from the drawn rows; no
+// tuple is copied until the answer is built (samples). For MR-SQE (one query)
+// and MR-MQE a vector is a query and a class one of its strata; MR-CPS's
+// derived query Q′ and residual phase derive their vectors from the queries'
+// (selection.go).
 //
 // A task's output is a pure function of (seed, split, job config) on every
 // backend, with or without resident columns. The match lists — 4 bytes per
@@ -44,7 +47,7 @@ func stratumFreqs(queries []*query.SSD) [][]int {
 	return freqs
 }
 
-func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
+func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
 	lists := sc.matchLists(s.freqs)
@@ -59,6 +62,7 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			}
 		}
 	}
+	sizes, task := s.residentSizes(ctx.Task, split), int32(ctx.Task)
 	for v, f := range s.freqs {
 		for k, want := range f {
 			rows := lists[v][k]
@@ -67,16 +71,26 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			}
 			matches += int64(len(rows))
 			drawn, _ := sampling.DrawWithoutReplacement(rows, want, ctx.Rand)
-			sample := make([]dataset.Tuple, len(drawn))
-			for i, ti := range drawn {
-				sample[i] = split[ti]
+			sample := refSample{Rows: make([]rowRef, len(drawn)), N: int64(len(rows))}
+			for i, row := range drawn {
+				sample.Rows[i] = rowRef{task, row}
+				sample.Bytes += wireSize(sizes, split, row)
 			}
 			// The paper's intermediate-sample-size measurement.
-			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(QSKey{v, k}, WeightedTuples{Sample: sample, N: int64(len(rows))})
+			ctx.Observe("reservoir_size", int64(len(drawn)))
+			emit(QSKey{v, k}, sample)
 		}
 	}
 	return matches, matches
+}
+
+// wireSize is split[row].ByteSize(), read from the split's size column when
+// there is one.
+func wireSize(sizes []int32, split []dataset.Tuple, row int32) int64 {
+	if sizes != nil {
+		return int64(sizes[row])
+	}
+	return int64(split[row].ByteSize())
 }
 
 // naiveStage is the map stage of the Figure 1 baseline: the same scan, with
@@ -84,16 +98,18 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 // inner, the order a per-record mapper emits in — and nothing combined.
 type naiveStage struct{ splitScan }
 
-func (s *naiveStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
+func (s *naiveStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
+	sizes, task := s.residentSizes(ctx.Task, split), int32(ctx.Task)
 	for lo := 0; lo < len(split); lo += scanBlock {
 		hi := min(lo+scanBlock, len(split))
 		classes := s.classify(sc, ctx.Task, split, lo, hi)
 		for i := lo; i < hi; i++ {
 			for v, class := range classes {
 				if k := class[i-lo]; k >= 0 {
-					emit(QSKey{v, int(k)}, sampling.Singleton(split[i]))
+					row := int32(i)
+					emit(QSKey{v, int(k)}, refSample{Rows: []rowRef{{task, row}}, N: 1, Bytes: wireSize(sizes, split, row)})
 					matches++
 				}
 			}
@@ -142,12 +158,23 @@ type splitScan struct {
 	derive  *selections // nil: the stage consumes the queries' vectors
 	exclude map[int64]struct{}
 	// columns[task] is the mirror of the task's split (Options.Columns'
-	// precondition) and spares the gather.
+	// precondition) and spares the gather; sizes[task] is its wire-size
+	// column (Options.Sizes) and spares sizing the drawn rows.
 	columns []dataset.Columns
+	sizes   [][]int32
 }
 
-func newSplitScan(queries []*predicate.Classifier, derive *selections, exclude map[int64]struct{}, columns []dataset.Columns) splitScan {
-	return splitScan{queries: queries, tested: testedAttrs(queries), derive: derive, exclude: exclude, columns: columns}
+func newSplitScan(queries []*predicate.Classifier, derive *selections, exclude map[int64]struct{}, columns []dataset.Columns, sizes [][]int32) splitScan {
+	return splitScan{queries: queries, tested: testedAttrs(queries), derive: derive, exclude: exclude, columns: columns, sizes: sizes}
+}
+
+// residentSizes is the task's size column, or nil when the pass has none for
+// the split (the length test is classify's).
+func (s *splitScan) residentSizes(task int, split []dataset.Tuple) []int32 {
+	if task < len(s.sizes) && len(s.sizes[task]) == len(split) {
+		return s.sizes[task]
+	}
+	return nil
 }
 
 // classify returns the class vectors of split[lo:hi], the task's next

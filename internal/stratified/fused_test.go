@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -63,12 +64,19 @@ func (p perRecord[K, V]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tu
 	return matches, combined
 }
 
+// weighted is the tuple-shaped intermediate sample the per-record path
+// shuffles: the paper's (S̄, N̄) with the tuples themselves in S̄.
+type weighted = sampling.Weighted[dataset.Tuple]
+
+// singleton is a per-record map output, ({t}, 1).
+func singleton(t dataset.Tuple) weighted { return weighted{Sample: []dataset.Tuple{t}, N: 1} }
+
 // combiner is the Figure 2 combine function of the per-record path: it
 // locally selects an intermediate sample of capacity freq(key) over the map
 // task's tuples for that key and tags it with the number of tuples it saw,
 // observing each sample's size into "reservoir_size".
-func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []WeightedTuples, func(WeightedTuples)) {
-	return func(ctx *mapreduce.TaskContext, k K, vs []WeightedTuples, emit func(WeightedTuples)) {
+func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []weighted, func(weighted)) {
+	return func(ctx *mapreduce.TaskContext, k K, vs []weighted, emit func(weighted)) {
 		n := sampling.TotalN(vs)
 		target := freq(k)
 		exhaustive := true
@@ -88,14 +96,14 @@ func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []
 			}
 			sample := res.Sample()
 			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(WeightedTuples{Sample: sample, N: n})
+			emit(weighted{Sample: sample, N: n})
 			return
 		}
 		// Some parts were already subsampled (a combiner re-run):
 		// merge them without bias via the unified sampler.
 		sample := sampling.UnifiedSample(vs, target, ctx.Rand)
 		ctx.Observe("reservoir_size", int64(len(sample)))
-		emit(WeightedTuples{Sample: sample, N: n})
+		emit(weighted{Sample: sample, N: n})
 	}
 }
 
@@ -103,25 +111,25 @@ func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []
 // classify names the string-keyed classes a tuple falls in, classes absent
 // from freqs are dropped at the map stage, every match is a singleton the
 // combiner samples down.
-func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, WeightedTuples, int] {
-	return &mapreduce.Job[dataset.Tuple, string, WeightedTuples, int]{
+func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, weighted, int] {
+	return &mapreduce.Job[dataset.Tuple, string, weighted, int]{
 		Name: "keyed-reference",
-		Mapper: perRecord[string, WeightedTuples]{
-			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, WeightedTuples)) {
+		Mapper: perRecord[string, weighted]{
+			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, weighted)) {
 				if _, skip := exclude[t.ID]; skip {
 					return
 				}
 				classify(&t, func(key string) {
 					if _, want := freqs[key]; want {
-						emit(key, sampling.Singleton(t))
+						emit(key, singleton(t))
 					}
 				})
 			},
 			Combine:   combiner(func(k string) int { return freqs[k] }),
 			KeyString: func(k string) string { return k },
 		},
-		Reducer: mapreduce.ReducerFunc[string, WeightedTuples, int](
-			func(ctx *mapreduce.TaskContext, k string, vs []WeightedTuples, emit func(int)) {
+		Reducer: mapreduce.ReducerFunc[string, weighted, int](
+			func(ctx *mapreduce.TaskContext, k string, vs []weighted, emit func(int)) {
 				emit(len(sampling.UnifiedSample(vs, freqs[k], ctx.Rand)))
 			}),
 		KeyString: func(k string) string { return k },
@@ -457,29 +465,31 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference, err := buildMQEJob(cfg, r.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
 		classes, err := classifiers(queries, r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// MR-MQE as the paper writes it: ((Q_i, s_k), ({t}, 1)) for every
 		// query whose stratum the tuple satisfies, then the combiner.
-		reference.Mapper = perRecord[QSKey, WeightedTuples]{
-			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(QSKey, WeightedTuples)) {
-				if _, skip := exclude[t.ID]; skip {
-					return
-				}
-				for qi, cls := range classes {
-					if k := cls.Classify(&t); k >= 0 {
-						emit(QSKey{qi, k}, sampling.Singleton(t))
+		reference := &mapreduce.Job[dataset.Tuple, QSKey, weighted, int]{
+			Name: fused.Name,
+			Mapper: perRecord[QSKey, weighted]{
+				Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(QSKey, weighted)) {
+					if _, skip := exclude[t.ID]; skip {
+						return
 					}
-				}
+					for qi, cls := range classes {
+						if k := cls.Classify(&t); k >= 0 {
+							emit(QSKey{qi, k}, singleton(t))
+						}
+					}
+				},
+				Combine:   combiner(func(k QSKey) int { return queries[k.Query].Strata[k.Stratum].Freq }),
+				KeyString: fused.KeyString,
 			},
-			Combine:   combiner(func(k QSKey) int { return queries[k.Query].Strata[k.Stratum].Freq }),
-			KeyString: reference.KeyString,
+			Reducer: mapreduce.ReducerFunc[QSKey, weighted, int](
+				func(_ *mapreduce.TaskContext, _ QSKey, _ []weighted, emit func(int)) { emit(0) }),
+			KeyString: fused.KeyString,
 		}
 		fused.Seed, reference.Seed = opts.Seed, opts.Seed
 		a, err := mapreduce.Run(cluster(), fused, tupleSplits(splits))
@@ -594,7 +604,7 @@ type rowwiseStage struct {
 	exclude map[int64]struct{}
 }
 
-func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, WeightedTuples)) (matches, combined int64) {
+func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
 	lists := make([][][]int32, len(s.queries))
 	for qi, q := range s.queries {
 		lists[qi] = make([][]int32, len(q.Strata))
@@ -618,12 +628,13 @@ func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tupl
 			}
 			n := int64(len(rows))
 			drawn, _ := sampling.DrawWithoutReplacement(rows, s.queries[qi].Strata[k].Freq, ctx.Rand)
-			sample := make([]dataset.Tuple, len(drawn))
-			for i, ti := range drawn {
-				sample[i] = split[ti]
+			sample := refSample{Rows: make([]rowRef, 0, len(drawn)), N: n}
+			for _, ti := range drawn {
+				sample.Rows = append(sample.Rows, rowRef{int32(ctx.Task), ti})
+				sample.Bytes += int64(split[ti].ByteSize())
 			}
-			ctx.Observe("reservoir_size", int64(len(sample)))
-			emit(QSKey{qi, k}, WeightedTuples{Sample: sample, N: n})
+			ctx.Observe("reservoir_size", int64(len(drawn)))
+			emit(QSKey{qi, k}, sample)
 		}
 	}
 	return matches, matches
@@ -660,16 +671,16 @@ func randomSSD(rng *rand.Rand) *query.SSD {
 // TestFusedEqualsRowwiseReference: classifying a block ahead through the
 // column kernel changes no emission. On random splits (sizes around the block
 // boundaries) × 1/2/8 queries × exclude sets, with the split's resident
-// columns and with gathered ones, MapSplit emits the reference's keys,
-// samples and N in the reference's order from the same seed and returns its
-// match count; through the engine the reservoir_size observations and every
-// counter agree too.
+// columns and size column and with neither, MapSplit emits the reference's
+// keys, references, N and wire size in the reference's order from the same
+// seed and returns its match count; through the engine the reservoir_size
+// observations and every counter agree too.
 func TestFusedEqualsRowwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	schema := testSchema()
 	type emission struct {
 		Key QSKey
-		V   WeightedTuples
+		V   refSample
 	}
 	for _, size := range []int{0, 1, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 300} {
 		split := make(dataset.Split, size)
@@ -695,21 +706,23 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 			for _, excl := range []map[int64]struct{}{nil, exclude} {
 				name := fmt.Sprintf("size=%d/queries=%d/exclude=%d", size, nq, len(excl))
 				seed := rng.Int63()
-				run := func(stage mapreduce.Mapper[dataset.Tuple, QSKey, WeightedTuples], task int) (out []emission, matches int64) {
+				run := func(stage mapreduce.Mapper[dataset.Tuple, QSKey, refSample], task int) (out []emission, matches int64) {
 					ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed)), Task: task}
-					matches, combined := stage.MapSplit(ctx, split, func(k QSKey, v WeightedTuples) { out = append(out, emission{k, v}) })
+					matches, combined := stage.MapSplit(ctx, split, func(k QSKey, v refSample) { out = append(out, emission{k, v}) })
 					if combined != matches {
 						t.Fatalf("%s: %d of %d matches combined; a sampling stage combines them all", name, combined, matches)
 					}
 					return out, matches
 				}
-				want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, 0)
-				// Task 1 has the split's mirror; task 0 has none and task 2's
-				// is not as long as the split (what a pruned task sees the
-				// other way round), so both gather.
+				// Task 1 has the split's mirror and size column; task 0 has
+				// neither and task 2's are not as long as the split (what a
+				// pruned task sees the other way round), so both gather and
+				// size the drawn rows.
 				columns := []dataset.Columns{nil, resident, dataset.ColumnsOf(split[:size/2], 2)}
-				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns), stratumFreqs(queries)).Mapper
+				sizes := [][]int32{nil, split.WireSizes(), split[:size/2].WireSizes()}
+				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns, sizes), stratumFreqs(queries)).Mapper
 				for task, layout := range []string{"gathered", "resident", "short"} {
+					want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, task)
 					got, gotMatches := run(stage, task)
 					if gotMatches != wantMatches || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %s columns: %d matches, %d emissions; reference %d matches, %d emissions\n got  %v\n want %v",
@@ -718,7 +731,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				}
 
 				// Through the engine, where Observe is live.
-				build := func(o Options) *mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut] {
+				build := func(o Options) *sampleJob {
 					job, err := buildMQEJob(o.config(schema, queries...), schema)
 					if err != nil {
 						t.Fatal(err)
@@ -730,9 +743,12 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				ref := build(Options{Exclude: excl})
 				ref.Mapper = &rowwiseStage{queries: queries, classes: classes, exclude: excl}
 				gathered := build(Options{Exclude: excl})
-				mirrored := build(Options{Exclude: excl, Columns: []dataset.Columns{dataset.ColumnsOf(splits[0], 2), dataset.ColumnsOf(splits[1], 2)}})
+				mirrored := build(Options{Exclude: excl,
+					Columns: []dataset.Columns{dataset.ColumnsOf(splits[0], 2), dataset.ColumnsOf(splits[1], 2)},
+					Sizes:   [][]int32{splits[0].WireSizes(), splits[1].WireSizes()},
+				})
 				var results [3]string
-				for i, job := range []*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut]{ref, gathered, mirrored} {
+				for i, job := range []*sampleJob{ref, gathered, mirrored} {
 					res, err := mapreduce.Run(zeroCluster(2), job, tupleSplits(splits))
 					if err != nil {
 						t.Fatal(err)
@@ -770,16 +786,16 @@ func TestFusedTrustsAlignedColumns(t *testing.T) {
 	}
 	seen := func(cols dataset.Columns) map[int]int64 {
 		stage := &fusedStage{
-			splitScan: newSplitScan([]*predicate.Classifier{cls}, nil, nil, []dataset.Columns{cols}),
+			splitScan: newSplitScan([]*predicate.Classifier{cls}, nil, nil, []dataset.Columns{cols}, nil),
 			freqs:     stratumFreqs([]*query.SSD{q}),
 		}
 		n := map[int]int64{}
 		ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(1))}
-		stage.MapSplit(ctx, split, func(k QSKey, v WeightedTuples) {
+		stage.MapSplit(ctx, split, func(k QSKey, v refSample) {
 			n[k.Stratum] = v.N
-			for _, tp := range v.Sample {
-				if tp.ID >= 100 {
-					t.Errorf("sampled %v, not a row of the split", tp)
+			for _, ref := range v.Rows {
+				if ref.Split != 0 || int(ref.Row) >= len(split) {
+					t.Errorf("sampled %v, not a row of the split", ref)
 				}
 			}
 		})
@@ -790,5 +806,87 @@ func TestFusedTrustsAlignedColumns(t *testing.T) {
 	}
 	if got := seen(dataset.ColumnsOf(other, 2)); !reflect.DeepEqual(got, map[int]int64{1: 40}) {
 		t.Errorf("another split's mirror: strata counts %v; the stage is documented to classify from the mirror (stratum 1)", got)
+	}
+}
+
+// sampleJob is the type of every sampling job.
+type sampleJob = mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut]
+
+// tallyStage forwards a sampling stage's emissions and adds up the size the
+// shuffle counter owes each: 8 bytes for the key, 8 for N, and the
+// Tuple.ByteSize of every tuple the value references.
+type tallyStage struct {
+	mapreduce.Mapper[dataset.Tuple, QSKey, refSample]
+	splits []dataset.Split
+	bytes  *atomic.Int64
+}
+
+func (s tallyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
+	return s.Mapper.MapSplit(ctx, split, func(k QSKey, v refSample) {
+		n := int64(16)
+		for _, ref := range v.Rows {
+			n += int64(s.splits[ref.Split][ref.Row].ByteSize())
+		}
+		s.bytes.Add(n)
+		emit(k, v)
+	})
+}
+
+// TestShuffleBytesCountReferencedTuples: a sampling job ships references, yet
+// Metrics.ShuffleBytes is what shipping the referenced tuples would weigh —
+// for MR-SQE, MR-MQE, naive MR-MQE and the MR-CPS selection sample, with the
+// splits' size columns and without.
+func TestShuffleBytesCountReferencedTuples(t *testing.T) {
+	r, queries, sels, _ := selectionFixture(t, 700)
+	all := r.Tuples()
+	for i := range all {
+		all[i].Name = fmt.Sprintf("n%d", i*i%1009) // names of varying length
+	}
+	splits, err := dataset.Partition(r, 5, dataset.Skewed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := Options{Columns: make([]dataset.Columns, len(splits)), Sizes: make([][]int32, len(splits))}
+	for i, split := range splits {
+		resident.Columns[i], resident.Sizes[i] = dataset.ColumnsOf(split, 2), split.WireSizes()
+	}
+	freqs := [][]int{make([]int, len(sels))}
+	for j := range sels {
+		freqs[0][j] = 1 + j%4
+	}
+	for _, opts := range []Options{{}, resident} {
+		mqe := opts.config(r.Schema(), queries...)
+		naive := *mqe
+		naive.Naive = true
+		builds := map[string]func() (*sampleJob, error){
+			"mr-sqe": func() (*sampleJob, error) {
+				return buildSQEJob(opts.config(r.Schema(), queries[0]), r.Schema())
+			},
+			"mr-mqe": func() (*sampleJob, error) {
+				return buildMQEJob(mqe, r.Schema())
+			},
+			"naive": func() (*sampleJob, error) {
+				return buildMQEJob(&naive, r.Schema())
+			},
+			"selections": func() (*sampleJob, error) {
+				return buildSelectionSampleJob(&selectionConfig{jobConfig: *mqe, Selections: sels, Freqs: freqs}, r.Schema())
+			},
+		}
+		for name, build := range builds {
+			job, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want atomic.Int64
+			job.Seed, job.Mapper = 5, tallyStage{job.Mapper, splits, &want}
+			res, err := mapreduce.Run(zeroCluster(3), job, tupleSplits(splits))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Metrics; want.Load() == 0 || m.ShuffleBytes != want.Load() || m.BucketBytes.Sum() != want.Load() {
+				t.Errorf("%s (size columns: %v): ShuffleBytes %d, buckets %d; the referenced tuples weigh %d",
+					name, opts.Sizes != nil, m.ShuffleBytes, m.BucketBytes.Sum(), want.Load())
+			}
+		}
 	}
 }

@@ -25,9 +25,10 @@ type jobConfig struct {
 	Naive   bool            `json:"naive,omitempty"`
 	Exclude []int64         `json:"exclude,omitempty"`
 
-	// columns is Options.Columns: the coordinator's resident mirrors, which
-	// do not travel.
+	// columns and sizes are Options.Columns and Options.Sizes: the
+	// coordinator's resident mirrors, which do not travel.
 	columns []dataset.Columns
+	sizes   [][]int32
 }
 
 // selectionConfig is the config of the MR-CPS makers over derived strata
@@ -51,7 +52,7 @@ func (cfg *jobConfig) fields() []dataset.Field { return cfg.Fields }
 func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfig {
 	return &jobConfig{
 		Queries: queries, Fields: schema.Fields(), Naive: o.Naive,
-		Exclude: sortedExclude(o.Exclude), columns: o.Columns,
+		Exclude: sortedExclude(o.Exclude), columns: o.Columns, sizes: o.Sizes,
 	}
 }
 

@@ -110,7 +110,7 @@ func selectionScan(cfg *selectionConfig, schema *dataset.Schema, freqs [][]int) 
 	for _, ids := range cfg.Chosen {
 		derive.chosen = append(derive.chosen, excludeSet(ids))
 	}
-	return newSplitScan(classes, derive, excludeSet(cfg.Exclude), cfg.columns), nil
+	return newSplitScan(classes, derive, excludeSet(cfg.Exclude), cfg.columns, cfg.sizes), nil
 }
 
 // classifiers lowers every query's strata to its cell-grid classifier.
@@ -131,7 +131,7 @@ func classifiers(queries []*query.SSD, schema *dataset.Schema) ([]*predicate.Cla
 
 // buildSelectionSampleJob constructs the sampling job over derived strata:
 // MR-MQE's shuffle and reduce, keyed (vector, selection position).
-func buildSelectionSampleJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut], error) {
+func buildSelectionSampleJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut], error) {
 	scan, err := selectionScan(cfg, schema, cfg.Freqs)
 	if err != nil {
 		return nil, err
@@ -190,14 +190,14 @@ func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *datase
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	samples := make([][][]dataset.Tuple, len(freqs))
-	for v := range samples {
-		samples[v] = make([][]dataset.Tuple, len(sels))
+	drawn := make([][][]dataset.Tuple, len(freqs))
+	for v := range drawn {
+		drawn[v] = make([][]dataset.Tuple, len(sels))
 	}
-	for _, o := range out {
-		samples[o.Key.Query][o.Key.Stratum] = o.Sample
+	if err := samples(out, splits, func(k QSKey, sample []dataset.Tuple) { drawn[k.Query][k.Stratum] = sample }); err != nil {
+		return nil, mapreduce.Metrics{}, err
 	}
-	return samples, met, nil
+	return drawn, met, nil
 }
 
 // CountSelections runs the MapReduce program of Figure 4: one pass counting,

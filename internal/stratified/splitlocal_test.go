@@ -27,7 +27,7 @@ func newSplitClassifier(q *query.SSD, schema *dataset.Schema) (*splitClassifier,
 	if err != nil {
 		return nil, err
 	}
-	return &splitClassifier{splitScan: newSplitScan(classes, nil, nil, nil)}, nil
+	return &splitClassifier{splitScan: newSplitScan(classes, nil, nil, nil, nil)}, nil
 }
 
 // classify returns one stratum index (or -1) per tuple of the split. The

@@ -14,6 +14,11 @@
 //     pairs, answering a whole set of SSD queries in a single pass over R.
 //   - the jobs of MR-CPS (Section 5.2.5) over derived strata — sampling and
 //     counting by stratum selection σ — as the same scan (selection.go).
+//
+// The sampling jobs draw, shuffle and reduce references to rows of the run's
+// splits, each sample carrying N and its tuples' wire size for the shuffle
+// byte counter; RunSQE, RunMQE and SampleSelections build the answer's
+// tuples once, from their splits, after the run.
 package stratified
 
 import (
@@ -22,12 +27,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/query"
-	"repro/internal/sampling"
 )
-
-// WeightedTuples is the value type flowing from map tasks to reducers: an
-// intermediate sample with the size of its source set.
-type WeightedTuples = sampling.Weighted[dataset.Tuple]
 
 // Options configures a sampling run.
 type Options struct {
@@ -50,13 +50,19 @@ type Options struct {
 	// tolerates, by gathering from the rows, is the pruned task's: its split
 	// is nil-ed in place and its mirror left alone.
 	Columns []dataset.Columns
+	// Sizes, when set, holds the wire-size column of each split, under
+	// Columns' precondition and tolerance: Sizes[i][r] is
+	// splits[i][r].ByteSize(). A map task in this process sums it for the
+	// Bytes of the references it shuffles instead of sizing the drawn
+	// tuples' varints.
+	Sizes [][]int32
 }
 
 // buildSQEJob constructs the MR-SQE job of the config's one query: MR-MQE's
 // job with one query, its keys named by stratum alone — the name seeds a
 // key's reduce stream, and an MR-SQE answer does not depend on what else a
 // pass could have carried.
-func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, WeightedTuples, qsOut], error) {
+func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut], error) {
 	if len(cfg.Queries) != 1 {
 		return nil, fmt.Errorf("stratified: MR-SQE answers one query, got %d", len(cfg.Queries))
 	}
@@ -83,8 +89,8 @@ func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits [
 		return nil, mapreduce.Metrics{}, err
 	}
 	ans := query.NewAnswer(len(q.Strata))
-	for _, o := range out {
-		ans.Strata[o.Key.Stratum] = o.Sample
+	if err := samples(out, splits, func(k QSKey, sample []dataset.Tuple) { ans.Strata[k.Stratum] = sample }); err != nil {
+		return nil, mapreduce.Metrics{}, err
 	}
 	return ans, met, nil
 }

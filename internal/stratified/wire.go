@@ -1,39 +1,32 @@
 package stratified
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
-	"repro/internal/sampling"
 	"repro/internal/wire"
 )
 
 // Wire codecs for every payload type of the portable jobs registered in
 // portable.go: tuple splits ship columnar (TupleBatch); the two shuffle pair
-// shapes — (query/stratum, weighted tuples) for the sampling jobs, (stratum,
+// shapes — (query/stratum, row references) for the sampling jobs, (stratum,
 // count) for the counting job — and the two reduce output records get
-// hand-rolled codecs. Registration lives
-// in init alongside the job makers so every binary that can run the jobs
-// also speaks their payload format.
+// hand-rolled codecs. A sampling job's shuffle and output carry references
+// into the run's splits, never tuples: the coordinator builds the answer's
+// tuples from its own splits. Registration lives in init alongside the job
+// makers so every binary that can run the jobs also speaks their payload
+// format.
 
 func init() {
 	mapreduce.RegisterSliceCodec(mapreduce.SliceCodec[dataset.Tuple]{
 		Append: appendTupleSlice,
 		Read:   readTupleSlice,
 	})
-	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[QSKey, WeightedTuples]{
-		AppendPair: func(buf []byte, p mapreduce.Pair[QSKey, WeightedTuples]) []byte {
-			buf = wire.AppendVarint(buf, int64(p.Key.Query))
-			buf = wire.AppendVarint(buf, int64(p.Key.Stratum))
-			return appendWeightedTuples(buf, p.Value)
-		},
-		ReadPair: func(r *wire.Reader) (mapreduce.Pair[QSKey, WeightedTuples], error) {
-			var p mapreduce.Pair[QSKey, WeightedTuples]
-			p.Key.Query = int(r.Varint())
-			p.Key.Stratum = int(r.Varint())
-			var err error
-			p.Value, err = readWeightedTuples(r)
-			return p, err
-		},
+	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[QSKey, refSample]{
+		AppendPair: appendRefPair,
+		ReadPair:   readRefPair,
 	})
 	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[int, int64]{
 		AppendPair: func(buf []byte, p mapreduce.Pair[int, int64]) []byte {
@@ -47,18 +40,7 @@ func init() {
 			return p, r.Err()
 		},
 	})
-	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
-		func(buf []byte, o qsOut) []byte {
-			buf = wire.AppendVarint(buf, int64(o.Key.Query))
-			buf = wire.AppendVarint(buf, int64(o.Key.Stratum))
-			return appendTupleSlice(buf, o.Sample)
-		},
-		func(r *wire.Reader) (o qsOut, err error) {
-			o.Key.Query = int(r.Varint())
-			o.Key.Stratum = int(r.Varint())
-			o.Sample, err = readTupleSlice(r)
-			return o, err
-		}))
+	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(appendQSOut, readQSOut))
 	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
 		func(buf []byte, o stratumCountOut) []byte {
 			buf = wire.AppendVarint(buf, int64(o.Stratum))
@@ -111,18 +93,67 @@ func readTupleSlice(r *wire.Reader) ([]dataset.Tuple, error) {
 	return ts, r.Err()
 }
 
-// appendWeightedTuples encodes a sampling.Weighted[dataset.Tuple]: the
-// population weight, then the sample as a columnar batch (same fallback
-// scheme as appendTupleSlice).
-func appendWeightedTuples(buf []byte, w WeightedTuples) []byte {
-	buf = wire.AppendVarint(buf, w.N)
-	return appendTupleSlice(buf, w.Sample)
+func appendQSKey(buf []byte, k QSKey) []byte {
+	buf = wire.AppendVarint(buf, int64(k.Query))
+	return wire.AppendVarint(buf, int64(k.Stratum))
 }
 
-func readWeightedTuples(r *wire.Reader) (WeightedTuples, error) {
-	var w sampling.Weighted[dataset.Tuple]
-	w.N = r.Varint()
-	var err error
-	w.Sample, err = readTupleSlice(r)
-	return w, err
+func readQSKey(r *wire.Reader) QSKey {
+	return QSKey{Query: int(r.Varint()), Stratum: int(r.Varint())}
+}
+
+// appendRefPair encodes one shuffled pair of a sampling job: the key, N, the
+// tuples' wire size, then the references.
+func appendRefPair(buf []byte, p mapreduce.Pair[QSKey, refSample]) []byte {
+	buf = appendQSKey(buf, p.Key)
+	buf = wire.AppendVarint(buf, p.Value.N)
+	buf = wire.AppendVarint(buf, p.Value.Bytes)
+	return appendRowRefs(buf, p.Value.Rows)
+}
+
+func readRefPair(r *wire.Reader) (p mapreduce.Pair[QSKey, refSample], err error) {
+	p.Key = readQSKey(r)
+	p.Value.N = r.Varint()
+	p.Value.Bytes = r.Varint()
+	p.Value.Rows, err = readRowRefs(r)
+	return p, err
+}
+
+func appendQSOut(buf []byte, o qsOut) []byte {
+	return appendRowRefs(appendQSKey(buf, o.Key), o.Rows)
+}
+
+func readQSOut(r *wire.Reader) (o qsOut, err error) {
+	o.Key = readQSKey(r)
+	o.Rows, err = readRowRefs(r)
+	return o, err
+}
+
+// appendRowRefs encodes references as a count, then (split, row) uvarints.
+func appendRowRefs(buf []byte, rows []rowRef) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(rows)))
+	for _, ref := range rows {
+		buf = wire.AppendUvarint(buf, uint64(ref.Split))
+		buf = wire.AppendUvarint(buf, uint64(ref.Row))
+	}
+	return buf
+}
+
+// readRowRefs decodes appendRowRefs' form; none decodes as nil. A half that
+// does not fit a non-negative int32 is corrupt. Whether a reference names a
+// row of the run is the reader's to check (samples).
+func readRowRefs(r *wire.Reader) ([]rowRef, error) {
+	n := r.Count(2)
+	if n == 0 {
+		return nil, r.Err()
+	}
+	rows := make([]rowRef, n)
+	for i := range rows {
+		split, row := r.Uvarint(), r.Uvarint()
+		if split > math.MaxInt32 || row > math.MaxInt32 {
+			return nil, fmt.Errorf("stratified: row reference (%d, %d) overflows int32: %w", split, row, wire.ErrCorrupt)
+		}
+		rows[i] = rowRef{int32(split), int32(row)}
+	}
+	return rows, r.Err()
 }

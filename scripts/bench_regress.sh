@@ -8,7 +8,8 @@
 # allocs/op is the one benchmark statistic that is deterministic enough to
 # gate CI on everywhere: ns/op on shared runners is noise, but the engine's
 # allocation counts are exact for a fixed workload. B/op is gated for the
-# daemon's warm pass only (BenchmarkServePass): the fused map stage holds
+# daemon's warm pass (BenchmarkServePass) and one of its map tasks
+# (BenchmarkFusedMapSplit, below): the fused map stage holds
 # that pass at ≈ 0.4 MB where the emission stream it replaced cost ≈ 30 MB in
 # barely more allocations, so bytes, not counts, are what a regression there
 # would move. The classification kernel under that pass
@@ -21,7 +22,9 @@
 # request; the pairwise DNF check it replaced made 4.0 M for Large. One map
 # task of that pass (BenchmarkFusedMapSplit) is gated at the one allocation
 # per emitted key it needs, the sample: its match lists live in the scan pool,
-# so a list reallocated per pass reads as twenty more per key.
+# so a list reallocated per pass reads as twenty more per key. Its B/op is
+# gated too: a sample is 8-byte row references, so tuples copied into it
+# again read as five times the bytes in the same allocations.
 # The engine job with a JSON-lines tracer attached (BenchmarkEngineTraced) is
 # gated because a traced run assembles spans per task: one assembled per record
 # reads as 32 000 more allocations, which the wall-clock ratio this line
@@ -58,7 +61,7 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   # One P: the warm-up pass parks the scan scratch in its P's private pool
   # slot, which a goroutine rescheduled onto another P cannot steal — with two
   # or more, one run in four reallocated the match lists and read 335 for 16.
-  run ./internal/stratified/ 'BenchmarkFusedMapSplit' '' 1x -cpu=1
+  run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 1x -cpu=1
   run ./internal/cps/ 'BenchmarkCPSRun$'
 } >"$out"
 
