@@ -137,12 +137,3 @@ func DefaultSplits(slaves int) int {
 	}
 	return k
 }
-
-// SplitSizes returns the length of each split.
-func SplitSizes(splits []Split) []int {
-	sizes := make([]int, len(splits))
-	for i, s := range splits {
-		sizes[i] = len(s)
-	}
-	return sizes
-}

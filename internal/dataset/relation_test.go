@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// splitSizes returns the length of each split.
+func splitSizes(splits []Split) []int {
+	sizes := make([]int, len(splits))
+	for i, s := range splits {
+		sizes[i] = len(s)
+	}
+	return sizes
+}
+
 func mkTuple(id int64, attrs ...int64) Tuple {
 	return Tuple{ID: id, Attrs: attrs}
 }
@@ -188,7 +197,7 @@ func TestPartitionRoundRobinBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sz := range SplitSizes(splits) {
+	for i, sz := range splitSizes(splits) {
 		if sz != 25 {
 			t.Fatalf("split %d has %d tuples, want 25", i, sz)
 		}
@@ -201,7 +210,7 @@ func TestPartitionSkewedIsSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := SplitSizes(splits)
+	sizes := splitSizes(splits)
 	if !(sizes[0] < sizes[1] && sizes[1] < sizes[2] && sizes[2] < sizes[3]) {
 		t.Fatalf("sizes %v are not increasing", sizes)
 	}

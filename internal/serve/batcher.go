@@ -77,8 +77,8 @@ type batcher struct {
 // batch is one collecting (then executing) admission window.
 type batch struct {
 	epoch   int64
-	entries map[entryKey]*entry
-	order   []entryKey // arrival order: determines MQE query indexes
+	entries map[cacheKey]*entry
+	order   []cacheKey // arrival order: determines MQE query indexes
 	created time.Time
 	timer   *time.Timer
 	fired   bool
@@ -97,13 +97,6 @@ func (cur *batch) runName() string { return fmt.Sprintf("b%d", cur.seq) }
 // spanID is the batch span's deterministic id.
 func (cur *batch) spanID() uint64 {
 	return mapreduce.SpanID(cur.trace, cur.runName(), "serve", "batch", "0", "0")
-}
-
-// entryKey dedups identical queries inside one batch. The epoch is a batch
-// property, not part of the key: a batch is created under one epoch.
-type entryKey struct {
-	canon string
-	seed  int64
 }
 
 // entry is one distinct query in a batch plus everyone waiting on it.
@@ -173,7 +166,7 @@ func (b *batcher) submit(q *query.SSD, cls *predicate.Classifier, canon string, 
 		b.cur.trace, b.cur.parent = trace, traceSpan
 	}
 	cur := b.cur
-	key := entryKey{canon: canon, seed: seed}
+	key := cacheKey{canon: canon, seed: seed}
 	e, ok := cur.entries[key]
 	if ok {
 		e.attached++
@@ -211,7 +204,7 @@ func (b *batcher) abandon(e *entry) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cur := b.cur
-	key := entryKey{canon: e.canon, seed: e.seed}
+	key := cacheKey{canon: e.canon, seed: e.seed}
 	if cur == nil || cur.entries[key] != e {
 		return false
 	}
@@ -221,7 +214,7 @@ func (b *batcher) abandon(e *entry) bool {
 		return true
 	}
 	delete(cur.entries, key)
-	cur.order = slices.DeleteFunc(cur.order, func(k entryKey) bool { return k == key })
+	cur.order = slices.DeleteFunc(cur.order, func(k cacheKey) bool { return k == key })
 	if len(cur.entries) == 0 {
 		cur.timer.Stop() // a collecting batch always has a timer: window > 0
 		b.cur = nil
@@ -234,7 +227,7 @@ func (b *batcher) openLocked() {
 	b.seq++
 	cur := &batch{
 		epoch:   b.epoch(),
-		entries: make(map[entryKey]*entry),
+		entries: make(map[cacheKey]*entry),
 		created: time.Now(),
 		seq:     b.seq,
 	}
@@ -454,7 +447,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	for i, e := range g.entries {
 		e.passStart, e.passEnd = passStart, passEnd
 		e.ans = answers[i]
-		x.cache.put(cacheKey{canon: e.canon, seed: e.seed, epoch: cur.epoch}, e.ans)
+		x.stats.addCacheDropped(x.cache.put(cur.epoch, cacheKey{canon: e.canon, seed: e.seed}, e.ans))
 		close(e.done)
 	}
 	if traced {

@@ -19,9 +19,10 @@
 //     validation lowered them to (predicate.Classifier.Key) and their
 //     frequencies, so submissions that select the same individuals — and
 //     only those — share one cache entry and one slot in a coalesced pass.
-//   - Result cache (cache.go): an LRU keyed on (canonical query, seed,
-//     population epoch). Bumping the epoch — the population-mutation
-//     boundary — invalidates every prior entry.
+//   - Result cache (cache.go): an LRU keyed on (canonical query, seed)
+//     that holds one effective epoch (administrative epoch + mutation
+//     sequence). The first get or put at a newer epoch — after a bump or a
+//     mutation — drops every prior entry in O(1).
 //   - Pre-filtering (prune.go): the per-split bounding boxes the resident
 //     live.Population keeps let a pass skip splits that meet no cell a
 //     batched stratum holds on; pruning is index-preserving, so answers are

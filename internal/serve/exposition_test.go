@@ -323,11 +323,13 @@ func TestExpositionLint(t *testing.T) {
 			`strata_serve_rejected_total{tenant=""} 1` + "\n",
 			`strata_map_tasks_total{job="serve"} `,
 			"# TYPE strata_serve_attr_wire_nanos histogram\n",
+			"strata_serve_cache_entries 1\n",
 		},
 		"serve -live /metrics": {
 			"strata_serve_pushes_total 1\n",
 			`strata_serve_rejected_total{tenant="a"} 1` + "\n",
 			"strata_live_mutation_seq 1\n",
+			"strata_serve_cache_entries 1\n",
 		},
 		"-debug-addr /metrics": {
 			`strata_map_input_records_total{job="wordcount"} 16000000` + "\n",
@@ -477,6 +479,7 @@ func TestStatsJSONStaysFlat(t *testing.T) {
 		"queries", "cache_hits", "cache_misses", "passes", "pass_queries", "coalesced",
 		"single_flight", "pruned_splits", "errors", "batch_occupancy_mean", "batch_occupancy_max",
 		"window_latency_p50_us", "window_latency_p99_us", "latency_attribution", "live", "resident_bytes",
+		"cache_entries",
 	} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("/v1/stats lacks %q", key)

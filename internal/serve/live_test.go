@@ -5,9 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -360,5 +364,114 @@ func TestLiveMetricsExposition(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("metrics body:\n%s", body)
+	}
+}
+
+// TestLiveCacheHoldsOneEpoch interleaves cacheable samples with mutations:
+// the cache never holds more answers than the distinct (query, seed) pairs
+// answered since the last mutation, and a repeat inside a round is still a
+// hit.
+func TestLiveCacheHoldsOneEpoch(t *testing.T) {
+	d := newLiveDaemon(t, 400)
+	specs := []string{"income >= 500 : 4 ; income < 500 : 4", "gender = 1 : 3 ; gender = 0 : 3", "income < 100 : 5"}
+	rng := rand.New(rand.NewSource(7))
+	for round := range 6 {
+		if round > 0 {
+			if code := d.postJSON(t, "/v1/mutate", map[string]any{"op": "delete", "id": round}, nil); code != http.StatusOK {
+				t.Fatalf("mutate: status %d", code)
+			}
+			if n := d.s.Stats().CacheEntries; n != 0 {
+				t.Fatalf("round %d: %d entries right after a mutation, want 0", round, n)
+			}
+		}
+		answered := map[cacheKey]bool{}
+		for range 8 {
+			k := cacheKey{canon: specs[rng.Intn(len(specs))], seed: int64(rng.Intn(2))}
+			r, code := d.post(t, map[string]any{"query": k.canon, "seed": k.seed})
+			if code != http.StatusOK {
+				t.Fatalf("sample: status %d", code)
+			}
+			if r.Cached != answered[k] {
+				t.Fatalf("round %d %v: cached %v, answered before this round %v", round, k, r.Cached, answered[k])
+			}
+			if want := d.s.effectiveEpoch(); r.Epoch != want {
+				t.Fatalf("round %d: answer at epoch %d, effective epoch %d", round, r.Epoch, want)
+			}
+			answered[k] = true
+			if n := d.s.Stats().CacheEntries; n > int64(len(answered)) {
+				t.Fatalf("round %d: %d cache entries for %d distinct pairs answered this epoch", round, n, len(answered))
+			}
+		}
+	}
+	if snap := d.s.Stats(); snap.CachePurged == 0 || snap.CachePurges != 0 {
+		t.Fatalf("purge counters %d/%d, want mutations to drop entries without a bump", snap.CachePurges, snap.CachePurged)
+	}
+}
+
+// TestLiveStraddlingPassNotCached: a batch admitted before a mutation still
+// answers every waiter, but its answer is keyed on the superseded epoch and
+// never served from the cache.
+func TestLiveStraddlingPassNotCached(t *testing.T) {
+	d := newTestDaemon(t, Config{
+		Population: livePopulation(400), Slaves: 2, Layout: dataset.RoundRobin,
+		Live: true, StalenessBound: 8, Window: time.Hour,
+	})
+	const waiters = 4
+	spec := "income >= 500 : 4 ; income < 500 : 4"
+	answers := make(chan *sampleResponse, waiters)
+	submit := func() {
+		go func() {
+			raw, _ := json.Marshal(map[string]any{"query": spec, "seed": 3})
+			resp, err := http.Post(d.ts.URL+"/v1/sample", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				answers <- nil
+				return
+			}
+			defer resp.Body.Close()
+			var r sampleResponse
+			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&r) != nil {
+				answers <- nil
+				return
+			}
+			answers <- &r
+		}()
+	}
+	for range waiters {
+		submit()
+	}
+	waitFor(t, "every waiter to join the batch", func() bool {
+		_, attached, _ := d.window()
+		return attached == waiters
+	})
+	admitted := d.s.effectiveEpoch()
+	if code := d.postJSON(t, "/v1/mutate", map[string]any{"op": "delete", "id": 9}, nil); code != http.StatusOK {
+		t.Fatalf("mutate: status %d", code)
+	}
+	d.s.Stats() // moves the cache to the mutation's epoch
+	d.s.batcher.flush()
+	var first *sampleResponse
+	for i := range waiters {
+		r := mustAnswer(t, fmt.Sprintf("waiter %d", i), answers)
+		if r.Cached || r.Epoch != admitted {
+			t.Fatalf("waiter %d: cached %v at epoch %d, want a pass at %d", i, r.Cached, r.Epoch, admitted)
+		}
+		if first == nil {
+			first = r
+		} else if !reflect.DeepEqual(respIndividuals(r), respIndividuals(first)) {
+			t.Fatalf("waiter %d got a different answer", i)
+		}
+	}
+	d.s.Drain()
+	if n := d.s.Stats().CacheEntries; n != 0 {
+		t.Fatalf("the straddling answer was cached: %d entries", n)
+	}
+	submit()
+	waitFor(t, "the repeat to open a batch", func() bool {
+		_, attached, _ := d.window()
+		return attached == 1
+	})
+	d.s.batcher.flush()
+	if r := mustAnswer(t, "repeat", answers); r.Cached || r.Epoch != admitted+1 {
+		t.Fatalf("repeat: cached %v at epoch %d, want a fresh pass at %d", r.Cached, r.Epoch, admitted+1)
 	}
 }

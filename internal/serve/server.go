@@ -74,8 +74,9 @@ type Config struct {
 	// reservoirs, POST /v1/epoch also rebalances the splits, and /v1/stats and
 	// /metrics carry the live counters. It does not change how a pass reads
 	// the population: every daemon serves from one live.Population, and
-	// without Live nothing mutates it. Mutations key the ad-hoc result cache
-	// through the mutation sequence, so any mutation invalidates it.
+	// without Live nothing mutates it. Mutations move the ad-hoc result
+	// cache's epoch through the mutation sequence, so any mutation
+	// invalidates it.
 	Live bool
 	// StalenessBound caps uncompensated deletions per stratum reservoir
 	// before a repair rescan; 0 takes the live subsystem's default (64).
@@ -109,7 +110,7 @@ type Config struct {
 //	GET  /v1/result    poll an async answer (?id=...)
 //	GET  /v1/stats     service counters as JSON
 //	POST /v1/epoch     bump the population epoch; returns the new epoch and
-//	                   how many cached answers the bump purged
+//	                   how many cached answers the bump dropped
 //	POST /v1/mutate    (live mode) apply a mutation-log batch
 //	POST /v1/subscribe (live mode) register a standing query with a push
 //	                   trigger; DELETE with ?id= unsubscribes
@@ -247,8 +248,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats exposes the service counters (for tests and the load generator). In
 // live mode the snapshot carries the live subsystem's own counters too.
+// Reading it moves the result cache to the current effective epoch, so
+// CacheEntries never counts answers a mutation has superseded.
 func (s *Server) Stats() Snapshot {
+	entries := s.cacheEntries()
 	snap := s.stats.snapshot()
+	snap.CacheEntries = entries
 	if s.cfg.Live {
 		ls := s.pop.Stats()
 		snap.Live = &ls
@@ -261,22 +266,30 @@ func (s *Server) Stats() Snapshot {
 // Epoch returns the current population epoch.
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// BumpEpoch advances the population epoch and purges the result cache; every
-// answer computed from now on carries the new epoch. It models an
-// administrative invalidation boundary (in live mode, per-mutation
-// invalidation happens automatically through effectiveEpoch).
+// BumpEpoch advances the population epoch and with it the result cache,
+// which drops every answer it held; every answer computed from now on
+// carries the new epoch. It models an administrative invalidation boundary
+// (in live mode, each mutation moves the effective epoch too).
 func (s *Server) BumpEpoch() int64 {
 	e, _ := s.bumpEpoch()
 	return e
 }
 
-// bumpEpoch advances the epoch and reports how many cached answers the purge
-// dropped, recording both in the stats.
+// bumpEpoch advances the epoch, moves the cache to the new effective epoch,
+// and reports how many cached answers that move dropped, recording both in
+// the stats.
 func (s *Server) bumpEpoch() (int64, int) {
 	e := s.epoch.Add(1)
-	n := s.cache.purge()
+	n := s.cache.advance(s.effectiveEpoch())
 	s.stats.addCachePurge(n)
 	return e, n
+}
+
+// cacheEntries moves the cache to the current effective epoch, so it counts
+// only answers a request can still be served, and reports how many it holds.
+func (s *Server) cacheEntries() int64 {
+	s.stats.addCacheDropped(s.cache.advance(s.effectiveEpoch()))
+	return int64(s.cache.len())
 }
 
 // BeginDrain makes every subsequent submission fail with 503, fires the
@@ -418,8 +431,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	var cacheDur time.Duration
 	if !req.NoCache {
 		t0 := time.Now()
-		ans, ok := s.cache.get(cacheKey{canon: canon, seed: seed, epoch: epoch})
+		ans, ok, dropped := s.cache.get(epoch, cacheKey{canon: canon, seed: seed})
 		cacheDur = time.Since(t0)
+		s.stats.addCacheDropped(dropped)
 		if ok {
 			s.stats.add(&s.stats.CacheHits, 1)
 			s.respond(w, q, seed, epoch, trace, ans, true, start)
@@ -446,7 +460,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		// The client hung up. If its batch is still collecting — queued
 		// behind a running pass — it leaves without buying one; once fired
-		// the pass runs regardless and its answer still reaches the cache.
+		// the pass runs regardless and its answer still reaches the cache
+		// (unless the epoch moved meanwhile).
 		if s.batcher.abandon(e) {
 			return
 		}
@@ -625,7 +640,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// In live mode an epoch bump doubles as split compaction: round-robin
 	// inserts and swap-removes drift the resident splits unbalanced, so re-cut
 	// them into even shards before bumping. Rebalance first, bump second — the
-	// bump purges the answer cache, which must cover the post-rebalance
+	// bump empties the answer cache, which must cover the post-rebalance
 	// boundaries (a re-cut changes per-split draws). A static daemon never
 	// re-cuts, so its splits keep matching "strata sample"'s layout.
 	var rebalanced int64
@@ -647,6 +662,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err := m.WritePrometheus(w); err != nil {
 		return
 	}
+	entries := s.cacheEntries()
 	pw := mapreduce.NewPromWriter(w)
 	s.stats.writePrometheus(pw)
 	if s.cfg.Live {
@@ -656,6 +672,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Family("strata_serve_resident_bytes", "gauge", "Memory the resident population occupies, by layout.")
 	pw.Sample("strata_serve_resident_bytes", rows, "layout", "rows")
 	pw.Sample("strata_serve_resident_bytes", columns, "layout", "columns")
+	pw.Family("strata_serve_cache_entries", "gauge", "Answers the result cache holds, all at the current effective epoch.")
+	pw.Sample("strata_serve_cache_entries", entries)
 	pw.BuildInfo(s.started)
 }
 

@@ -56,8 +56,8 @@ func (c *Counters) families() []family {
 		{"strata_serve_pass_panics_total", "Passes that panicked; their waiters were failed, the daemon kept serving.", c.PassPanics},
 		{"strata_serve_adaptive_fires_total", "Batches fired ahead of their window because the daemon was idle: opened with nothing in flight, or released when the in-flight count reached zero.", c.AdaptiveFires},
 		{"strata_serve_abandoned_total", "Requests whose client hung up while their batch was still collecting; detached without buying a pass.", c.Abandoned},
-		{"strata_serve_cache_purges_total", "Epoch bumps that purged the result cache.", c.CachePurges},
-		{"strata_serve_cache_purged_total", "Result-cache entries dropped by epoch bumps.", c.CachePurged},
+		{"strata_serve_cache_purges_total", "Administrative epoch bumps (POST /v1/epoch), each of which empties the result cache.", c.CachePurges},
+		{"strata_serve_cache_purged_total", "Result-cache entries dropped because the effective epoch moved, by an epoch bump or a mutation.", c.CachePurged},
 		{"strata_serve_live_hits_total", "Queries answered warm from standing reservoirs.", c.LiveHits},
 		{"strata_serve_pushes_total", "Standing-query pushes delivered to subscribers.", c.Pushes},
 	}
@@ -122,6 +122,14 @@ func (s *Stats) addCachePurge(entries int) {
 	s.CachePurges++
 	s.CachePurged += int64(entries)
 	s.mu.Unlock()
+}
+
+// addCacheDropped records cache entries dropped because a get, put or read
+// of the cache presented a newer effective epoch (a mutation landed).
+func (s *Stats) addCacheDropped(entries int) {
+	if entries > 0 {
+		s.add(&s.CachePurged, int64(entries))
+	}
 }
 
 // observePush records one standing-query push: the time from the mutation (or
@@ -200,6 +208,10 @@ type Snapshot struct {
 	// ResidentBytes is the memory the resident population occupies by layout
 	// ("rows", "columns"), read from the population by the server.
 	ResidentBytes map[string]int64 `json:"resident_bytes,omitempty"`
+
+	// CacheEntries is how many answers the result cache holds, all at the
+	// current effective epoch, read from the cache by the server.
+	CacheEntries int64 `json:"cache_entries"`
 }
 
 // AttrQuantiles is one latency-attribution component's summary.

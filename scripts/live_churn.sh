@@ -7,7 +7,10 @@
 #   2. a warm /v1/sample answer rides the reservoirs ("live": true, no pass);
 #   3. staleness never exceeded the configured bound;
 #   4. the churn is visible (mutation seq advanced, population changed or
-#      repairs ran when the bound was hit).
+#      repairs ran when the bound was hit);
+#   5. the result cache holds one epoch: after rounds of cacheable samples
+#      between mutation batches, /v1/stats cache_entries is at most the
+#      distinct queries sent since the last mutation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,6 +80,35 @@ assert stats["live_hits"] > 0, "warm reads not counted"
 muts = live["inserts"] + live["deletes"] + live["updates"]
 print(f"ok: live=true, {stats['live_hits']} warm hits, {muts} mutations, "
       f"{live['repairs']} repairs, max staleness {live['max_staleness']} <= {bound}")
+PY
+
+echo "== cacheable samples between mutation batches"
+# Ad-hoc queries no subscription matches, so each one is answered by a pass
+# (or the cache), never warm. Each round inserts a fresh member and sends a
+# repeat of every query: the repeat must be a cache hit.
+ADHOC=('nop >= 200 : 4' 'ayp >= 2 : 6 ; ayp < 2 : 2' 'cc < 50 : 3')
+hits=0
+for round in 1 2 3; do
+  curl -sf "http://$base/v1/mutate" -d "{\"mutations\": [{\"op\": \"insert\", \"id\": $((9000000 + round)),
+    \"attrs\": [150, 3, 2, 1999, 2011, 40, 9, 5]}]}" >/dev/null
+  for q in "${ADHOC[@]}" "${ADHOC[@]}"; do
+    curl -sf "http://$base/v1/sample" -d "{\"query\": \"$q\", \"seed\": $round}" >"$tmp/adhoc.json"
+    if python3 -c 'import json,sys; sys.exit(0 if json.load(open(sys.argv[1]))["cached"] else 1)' "$tmp/adhoc.json"; then
+      hits=$((hits + 1))
+    fi
+  done
+done
+curl -sf "http://$base/v1/stats" >"$tmp/stats.json"
+python3 - "$tmp/stats.json" "${#ADHOC[@]}" "$hits" <<'PY'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+distinct, hits = int(sys.argv[2]), int(sys.argv[3])
+entries = stats["cache_entries"]
+assert hits == 3 * distinct, f"{hits} cache hits, want {3 * distinct}: repeats inside a round must hit"
+assert entries <= distinct, \
+    f"cache holds {entries} answers, only {distinct} distinct queries were sent since the last mutation"
+print(f"ok: {entries} cache entries <= {distinct} queries since the last mutation, "
+      f"{stats.get('cache_purged_entries', 0)} dropped by epoch moves")
 PY
 
 echo "== graceful drain"
