@@ -62,6 +62,14 @@ func (p Partitioning) String() string {
 // Partition splits the relation's tuples into k splits using the strategy.
 // rng is only consulted by ShuffledContiguous and may be nil otherwise.
 // The union of the returned splits is exactly the relation.
+//
+// A cut is a layout, not a second relation: Contiguous and Skewed splits are
+// windows onto the relation's own tuple array, and ShuffledContiguous ones
+// onto a single shuffled copy of it; only RoundRobin gathers fresh splits.
+// Every window's capacity ends where it does, so an append reallocates and
+// never reaches a neighbour or the relation. Writing a row in place does
+// reach them: whoever edits a split copies it first (live.Population does,
+// at its first edit), or the relation the caller still holds changes too.
 func Partition(r *Relation, k int, strategy Partitioning, rng *rand.Rand) ([]Split, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dataset: cannot partition into %d splits", k)
@@ -100,7 +108,7 @@ func Partition(r *Relation, k int, strategy Partitioning, rng *rand.Rand) ([]Spl
 			if end > len(tuples) {
 				end = len(tuples)
 			}
-			splits[i] = append(Split(nil), tuples[start:end]...)
+			splits[i] = tuples[start:end:end]
 			start = end
 		}
 		return splits, nil
@@ -115,7 +123,7 @@ func cutContiguous(tuples []Tuple, k int) []Split {
 	for i := 0; i < k; i++ {
 		lo := n * i / k
 		hi := n * (i + 1) / k
-		splits[i] = append(Split(nil), tuples[lo:hi]...)
+		splits[i] = tuples[lo:hi:hi]
 	}
 	return splits
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // splitSizes returns the length of each split.
@@ -213,6 +215,73 @@ func TestPartitionSkewedIsSkewed(t *testing.T) {
 	sizes := splitSizes(splits)
 	if !(sizes[0] < sizes[1] && sizes[1] < sizes[2] && sizes[2] < sizes[3]) {
 		t.Fatalf("sizes %v are not increasing", sizes)
+	}
+}
+
+// TestPartitionSharesItsSource: the contiguous layouts cut windows onto one
+// array — the relation's own, or for ShuffledContiguous one shuffled copy —
+// each with its capacity ending at its last row, while RoundRobin gathers
+// fresh splits. Appending to any split leaves its neighbour and the relation
+// as they were.
+func TestPartitionSharesItsSource(t *testing.T) {
+	r := partitionTestRelation(t, 103)
+	before := make([]Tuple, r.Len())
+	for i, tp := range r.Tuples() {
+		before[i] = tp.Clone()
+	}
+	// Address ranges of one split's rows and of the relation's.
+	addr := func(s []Tuple) (lo, hi uintptr) {
+		lo = uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+		return lo, lo + uintptr(len(s))*unsafe.Sizeof(Tuple{})
+	}
+	relLo, relHi := addr(r.Tuples())
+	for _, tc := range []struct {
+		strategy Partitioning
+		windows  bool // windows onto one array
+		onto     bool // that array is the relation's
+	}{
+		{RoundRobin, false, false},
+		{Contiguous, true, true},
+		{Skewed, true, true},
+		{ShuffledContiguous, true, false},
+	} {
+		t.Run(tc.strategy.String(), func(t *testing.T) {
+			splits, err := Partition(r, 4, tc.strategy, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, prevHi := addr(splits[0])
+			for i, s := range splits {
+				lo, hi := addr(s)
+				inRelation := lo >= relLo && hi <= relHi
+				if inRelation != tc.onto {
+					t.Errorf("split %d lies in the relation's array: %v, want %v", i, inRelation, tc.onto)
+				}
+				if !tc.windows {
+					continue
+				}
+				if cap(s) != len(s) {
+					t.Errorf("split %d: cap %d, len %d; a window's capacity ends at its last row", i, cap(s), len(s))
+				}
+				if i == 0 && tc.onto && lo != relLo {
+					t.Errorf("split 0 does not start at the relation's first row")
+				}
+				if i > 0 && lo != prevHi {
+					t.Errorf("split %d does not start where split %d ends", i, i-1)
+				}
+				prevHi = hi
+			}
+			next := splits[2][0]
+			for i := range splits {
+				splits[i] = append(splits[i], mkTuple(-1, 0, 0, 0))
+			}
+			if !reflect.DeepEqual(splits[2][0], next) {
+				t.Errorf("appending to split 1 overwrote split 2's first row %v with %v", next, splits[2][0])
+			}
+			if !reflect.DeepEqual(r.Tuples(), before) {
+				t.Error("appending to the splits changed the relation")
+			}
+		})
 	}
 }
 

@@ -35,6 +35,27 @@ func benchSetup(b *testing.B, n int) (*Population, *query.SSD, *dataset.Schema, 
 	return p, q, rel.Schema(), splits
 }
 
+// BenchmarkNewPopulation is what a daemon pays to take in its population at
+// 10⁵ rows: the contiguous cut and the population over it, with the column
+// mirror on as in-process passes want it. scripts/bench_regress.sh gates its
+// B/op, which is the mirror, the wire-size column, the boxes and the duplicate
+// check's sorted IDs: splits copied out of the relation, or an id index built
+// before the first mutation, read as megabytes more.
+func BenchmarkNewPopulation(b *testing.B) {
+	rel := gen.Population(100_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		splits, err := dataset.Partition(rel, 8, dataset.Contiguous, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := NewPopulation(rel.Schema(), splits, Config{Columns: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLiveMaintenance measures per-mutation incremental maintenance —
 // the O(sample) cost an insert/delete/update pays across registered queries.
 // Compare against BenchmarkLiveRecompute: the same freshness bought by

@@ -17,7 +17,8 @@ import (
 // cell for cell, its size columns hold each row's wire size, every row lies
 // inside its split's bounding box, a pass handed (splits, columns, sizes)
 // answers and counts shuffle bytes exactly as a pass over the splits alone,
-// and the resident-byte gauges match a recount. It holds the pass's read lock
+// the resident-byte gauges match a recount and, once it exists, the id index
+// points at every member's split and row. It holds the pass's read lock
 // throughout, like the daemon's executor.
 func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
 	splits, derived, release := p.AcquireSplits()
@@ -55,8 +56,21 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 	}
 	// The fields, not ResidentBytes: taking the read lock a second time
 	// deadlocks behind a waiting writer.
-	if p.rowBytes != rowBytes || int64(len(p.loc)) != members {
-		t.Errorf("resident gauges: %d row bytes, %d members; recount %d, %d", p.rowBytes, len(p.loc), rowBytes, members)
+	if p.rowBytes != rowBytes || int64(p.members) != members {
+		t.Errorf("resident gauges: %d row bytes, %d members; recount %d, %d", p.rowBytes, p.members, rowBytes, members)
+	}
+	if p.loc != nil {
+		if int64(len(p.loc)) != members {
+			t.Errorf("the id index holds %d members, the splits %d", len(p.loc), members)
+		}
+		for si, split := range splits {
+			for i := range split {
+				if l, want := p.loc[split[i].ID], (tupleLoc{int32(si), int32(i)}); l != want {
+					t.Errorf("the id index puts member %d at %v, it is at %v", split[i].ID, l, want)
+					return
+				}
+			}
+		}
 	}
 	cluster := func() *mapreduce.Cluster {
 		return &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
@@ -79,12 +93,25 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 	}
 }
 
+// locations reads every member's split and row off the splits.
+func locations(p *Population) map[int64]tupleLoc {
+	splits, _, release := p.AcquireSplits()
+	defer release()
+	at := make(map[int64]tupleLoc)
+	for si, split := range splits {
+		for i := range split {
+			at[split[i].ID] = tupleLoc{int32(si), int32(i)}
+		}
+	}
+	return at
+}
+
 // TestColumnsMirrorRows: through random insert/delete/update/Rebalance
 // streams — with a standing query registered, so repairs run too — the column
 // mirrors stay equal to the rows and the size columns to their wire sizes,
-// neither changes an answer or a shuffle count, and every box keeps
-// containing its split's rows, while a concurrent reader takes passes the
-// whole time (run under -race).
+// neither changes an answer or a shuffle count, every box keeps containing
+// its split's rows and Rebalance counts exactly the members it moves, while a
+// concurrent reader takes passes the whole time (run under -race).
 func TestColumnsMirrorRows(t *testing.T) {
 	p := newTestPop(t, 600, 4, Config{StalenessBound: 4, Columns: true})
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
@@ -120,7 +147,17 @@ func TestColumnsMirrorRows(t *testing.T) {
 	nextID := int64(10000)
 	for step := 0; step < 300 && !t.Failed(); step++ {
 		if step%40 == 39 {
-			p.Rebalance(1 + rng.Intn(6))
+			was := locations(p)
+			moved := p.Rebalance(1 + rng.Intn(6))
+			want := 0
+			for id, l := range locations(p) {
+				if was[id] != l {
+					want++
+				}
+			}
+			if moved != want {
+				t.Fatalf("step %d: Rebalance reports %d members moved, %d changed split or row", step, moved, want)
+			}
 			continue
 		}
 		batch := make([]Mutation, 1+rng.Intn(8))

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,22 +114,33 @@ type Derived struct {
 }
 
 // Population is the resident population every daemon serves from, with its
-// registered standing SSD queries. It owns the splits handed to it at
-// construction: mutations edit them in place, so engine passes run over
-// current data, and stratum repairs rescan them. Beside each split it keeps
-// the Derived a pass reads — the bounding box pruning tests and, with
+// registered standing SSD queries. It keeps the splits handed to it at
+// construction: mutations edit them, so engine passes run over current data,
+// and stratum repairs rescan them. Those splits may share their rows with the
+// relation they were cut from (dataset.Partition), so the population never
+// writes storage it did not allocate: it copies a split at that split's first
+// edit, and from then on edits its own copy in place. Beside each split it
+// keeps the Derived a pass reads — the bounding box pruning tests and, with
 // Config.Columns, the column-major mirror a pass classifies from and the
 // wire-size column it counts shuffle bytes from — edited under the same write
-// lock at the same four points (insert, update, removeAt, Rebalance). All
-// methods are safe for concurrent use; mutations serialize behind a write
-// lock while snapshots and pass execution share a read lock.
+// lock at the same four points (insert, update, removeAt, Rebalance). The id
+// index mutations look members up in is built by the first Apply (and again
+// by the first after a Rebalance), so a population nothing mutates never
+// holds one. All methods are safe for
+// concurrent use; mutations serialize behind a write lock while snapshots and
+// pass execution share a read lock.
 type Population struct {
-	mu      sync.RWMutex
-	schema  *dataset.Schema
-	splits  []dataset.Split
+	mu     sync.RWMutex
+	schema *dataset.Schema
+	splits []dataset.Split
+	// owned[i] reports that splits[i] is storage the population allocated,
+	// which an edit may write in place.
+	owned   []bool
 	derived Derived
 	mirror  bool
+	// loc finds a member's split and row by ID; nil until an Apply needs it.
 	loc     map[int64]tupleLoc
+	members int
 	next    int // round-robin insert target
 	bound   int
 	queries map[string]*Standing
@@ -145,9 +157,11 @@ type Population struct {
 	repairNanos                         mapreduce.Histogram
 }
 
-// NewPopulation takes ownership of the resident splits (typically the ones
-// the serve daemon partitioned at startup) and returns a mutable population
-// over them. The splits' union must have unique IDs.
+// NewPopulation returns a mutable population over the resident splits
+// (typically the ones the serve daemon partitioned at startup). It reads the
+// splits and never writes them: a mutation edits a copy of the split it
+// touches, so the relation they were cut from stays as it was. The splits'
+// union must have unique IDs.
 func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (*Population, error) {
 	if len(splits) == 0 {
 		return nil, fmt.Errorf("live: population needs at least one split")
@@ -159,31 +173,42 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	for _, split := range splits {
 		members += len(split)
 	}
-	p := &Population{
-		schema:  schema,
-		mirror:  cfg.Columns,
-		loc:     make(map[int64]tupleLoc, members),
-		bound:   cfg.StalenessBound,
-		queries: make(map[string]*Standing),
-	}
-	for si, split := range splits {
+	// The check sorts a copy of the IDs and keeps nothing: the index it would
+	// otherwise leave behind waits for the first mutation.
+	ids := make([]int64, 0, members)
+	var rowBytes int64
+	for _, split := range splits {
 		for i := range split {
-			id := split[i].ID
-			if _, dup := p.loc[id]; dup {
-				return nil, fmt.Errorf("live: duplicate tuple id %d across splits", id)
-			}
-			p.loc[id] = tupleLoc{split: int32(si), idx: int32(i)}
+			ids = append(ids, split[i].ID)
 		}
-		p.rowBytes += split.ResidentBytes()
+		rowBytes += split.ResidentBytes()
 	}
-	p.setSplits(splits)
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("live: duplicate tuple id %d across splits", ids[i])
+		}
+	}
+	p := &Population{
+		schema:   schema,
+		mirror:   cfg.Columns,
+		members:  members,
+		rowBytes: rowBytes,
+		bound:    cfg.StalenessBound,
+		queries:  make(map[string]*Standing),
+	}
+	p.setSplits(splits, false)
 	return p, nil
 }
 
-// setSplits installs splits as the resident set and builds what a pass reads
-// beside them.
-func (p *Population) setSplits(splits []dataset.Split) {
+// setSplits installs splits as the resident set, owned when the population
+// allocated them, and builds what a pass reads beside them.
+func (p *Population) setSplits(splits []dataset.Split, owned bool) {
 	p.splits = splits
+	p.owned = make([]bool, len(splits))
+	for si := range p.owned {
+		p.owned[si] = owned
+	}
 	p.derived = Derived{
 		Columns: make([]dataset.Columns, len(splits)),
 		Sizes:   make([][]int32, len(splits)),
@@ -221,7 +246,7 @@ func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
 func (p *Population) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.loc)
+	return p.members
 }
 
 // Seq returns the mutation epoch: the total number of applied mutations.
@@ -261,14 +286,6 @@ func (p *Population) ResidentBytes() (rows, columns int64) {
 	return p.rowBytes, columns
 }
 
-// Contains reports whether a member with the ID exists.
-func (p *Population) Contains(id int64) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	_, ok := p.loc[id]
-	return ok
-}
-
 // Apply ingests one mutation-log batch. Invalid mutations are rejected
 // individually (reported in the result); valid ones apply in order, each
 // updating the resident splits and every registered standing query. Repairs
@@ -277,6 +294,7 @@ func (p *Population) Apply(muts []Mutation) Applied {
 	start := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.index()
 	repairsBefore := p.repairs
 	var res Applied
 	for i := range muts {
@@ -305,6 +323,30 @@ func (p *Population) Apply(muts []Mutation) Applied {
 	return res
 }
 
+// index builds the id index from the splits if it does not exist yet.
+func (p *Population) index() {
+	if p.loc != nil {
+		return
+	}
+	p.loc = make(map[int64]tupleLoc, p.members)
+	for si, split := range p.splits {
+		for i := range split {
+			p.loc[split[i].ID] = tupleLoc{split: int32(si), idx: int32(i)}
+		}
+	}
+}
+
+// own returns split si for an edit, copying it first unless the population
+// allocated it: the splits it was handed may be windows onto a relation
+// their caller still holds.
+func (p *Population) own(si int32) dataset.Split {
+	if !p.owned[si] {
+		p.splits[si] = slices.Clone(p.splits[si])
+		p.owned[si] = true
+	}
+	return p.splits[si]
+}
+
 // applyOne applies a single mutation under the write lock.
 func (p *Population) applyOne(m *Mutation) error {
 	switch m.Op {
@@ -318,13 +360,14 @@ func (p *Population) applyOne(m *Mutation) error {
 		}
 		si := p.next
 		p.next = (p.next + 1) % len(p.splits)
-		p.splits[si] = append(p.splits[si], t)
+		p.splits[si] = append(p.own(int32(si)), t)
 		p.derived.Columns[si].Append(t.Attrs)
 		if p.mirror {
 			p.derived.Sizes[si] = append(p.derived.Sizes[si], int32(t.ByteSize()))
 		}
 		p.derived.Bounds[si] = widen(p.derived.Bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
+		p.members++
 		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(len(p.splits[si]) - 1)}
 		for _, st := range p.queries {
 			st.insert(t)
@@ -349,7 +392,7 @@ func (p *Population) applyOne(m *Mutation) error {
 			return fmt.Errorf("live: update of unknown id %d", t.ID)
 		}
 		old := p.splits[l.split][l.idx]
-		p.splits[l.split][l.idx] = t
+		p.own(l.split)[l.idx] = t
 		p.derived.Columns[l.split].Set(int(l.idx), t.Attrs)
 		if p.mirror {
 			p.derived.Sizes[l.split][l.idx] = int32(t.ByteSize())
@@ -369,10 +412,11 @@ func (p *Population) applyOne(m *Mutation) error {
 // member's location index. The split's box stays as it was: too large still
 // prunes soundly.
 func (p *Population) removeAt(l tupleLoc) {
-	split := p.splits[l.split]
+	split := p.own(l.split)
 	last := int32(len(split) - 1)
 	delete(p.loc, split[l.idx].ID)
 	p.rowBytes -= split[l.idx].ResidentBytes()
+	p.members--
 	p.derived.Columns[l.split].SwapRemove(int(l.idx))
 	if p.mirror {
 		sizes := p.derived.Sizes[l.split]
@@ -388,21 +432,24 @@ func (p *Population) removeAt(l tupleLoc) {
 }
 
 // Rebalance re-cuts the resident population into k near-equal contiguous
-// splits and returns how many members changed split. Round-robin inserts and
-// swap-removes let splits drift unbalanced over a long mutation history; a
-// balanced re-cut restores even map-task sizing for engine passes. The relative
-// order of members is preserved (concatenation order of the old splits), the
-// loc map, the mirrors and the boxes are rebuilt (the boxes tight again), and
-// the round-robin insert cursor resets. Callers should bump the daemon epoch
-// afterwards: the re-cut changes split boundaries, which changes per-split
-// reservoir draws, so cached answers must not survive it.
+// splits and returns how many members changed split or row. Round-robin
+// inserts and swap-removes let splits drift unbalanced over a long mutation
+// history; a balanced re-cut restores even map-task sizing for engine passes.
+// The relative order of members is preserved (concatenation order of the old
+// splits), so a member keeps its place exactly when its old and new split
+// share an index and a start offset. The new splits are the population's own
+// storage; the mirrors and the boxes are rebuilt (the boxes tight again), the
+// id index is dropped for the next Apply to rebuild, and the round-robin
+// insert cursor resets. Callers should
+// bump the daemon epoch afterwards: the re-cut changes split boundaries, which
+// changes per-split reservoir draws, so cached answers must not survive it.
 func (p *Population) Rebalance(k int) int {
 	if k < 1 {
 		k = 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	total := len(p.loc)
+	total := p.members
 	flat := make(dataset.Split, 0, total)
 	for _, s := range p.splits {
 		flat = append(flat, s...)
@@ -415,26 +462,26 @@ func (p *Population) Rebalance(k int) int {
 	if total > 0 {
 		base, rem = total/k, total%k
 	}
-	moved := 0
-	off := 0
+	stayed := 0
+	off, oldOff := 0, 0
 	for si := range splits {
 		size := base
 		if si < rem {
 			size++
 		}
 		splits[si] = flat[off : off+size : off+size]
-		for i := range splits[si] {
-			l := tupleLoc{split: int32(si), idx: int32(i)}
-			if p.loc[splits[si][i].ID] != l {
-				moved++
+		if si < len(p.splits) {
+			if oldOff == off {
+				stayed += min(size, len(p.splits[si]))
 			}
-			p.loc[splits[si][i].ID] = l
+			oldOff += len(p.splits[si])
 		}
 		off += size
 	}
-	p.setSplits(splits)
+	p.setSplits(splits, true)
+	p.loc = nil
 	p.next = 0
-	return moved
+	return total - stayed
 }
 
 // Register lowers the query and builds its per-stratum reservoirs with one

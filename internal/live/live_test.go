@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,5 +259,113 @@ func TestAcquireSplitsConsistency(t *testing.T) {
 	}
 	if total != 79 || !seen[500] || seen[10] || seen[11] {
 		t.Fatalf("split union wrong: total %d, 500=%v 10=%v", total, seen[500], seen[10])
+	}
+}
+
+// TestNewPopulationRejectsDuplicateIDs: an ID held twice, in two splits or in
+// one, is refused with the ID named, although the population keeps no index
+// until its first mutation.
+func TestNewPopulationRejectsDuplicateIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		splits []dataset.Split
+		want   string
+	}{
+		{"across splits", []dataset.Split{{tup(1, 0, 0), tup(2, 0, 0)}, {tup(3, 0, 0), tup(2, 1, 1)}}, "duplicate tuple id 2"},
+		{"within a split", []dataset.Split{{tup(4, 0, 0)}, {tup(5, 0, 0), tup(6, 0, 0), tup(5, 1, 1)}}, "duplicate tuple id 5"},
+	} {
+		if _, err := NewPopulation(testSchema(), tc.splits, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestOnlyAMutationBuildsTheIndex: everything a daemon that never mutates
+// does — passes, standing queries, stats, a re-cut — leaves the id index
+// unbuilt, and Len and the population stat count the members without it.
+// The first Apply builds it.
+func TestOnlyAMutationBuildsTheIndex(t *testing.T) {
+	p := newTestPop(t, 100, 4, Config{Columns: true})
+	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
+		t.Fatal(err)
+	}
+	_, _, release := p.AcquireSplits()
+	release()
+	p.Snapshot("g")
+	p.QueryVersion("g")
+	p.ResidentBytes()
+	p.Splits()
+	p.Rebalance(3)
+	if p.Indexed() {
+		t.Fatal("the id index was built before any mutation")
+	}
+	if n, s := p.Len(), p.Stats().Population; n != 100 || s != 100 {
+		t.Fatalf("before the first mutation: Len %d, population stat %d, want 100", n, s)
+	}
+	p.Apply([]Mutation{{Op: OpDelete, ID: 0}, {Op: OpInsert, Tuple: tup(500, 1, 1)}, {Op: OpDelete, ID: 1}})
+	if !p.Indexed() {
+		t.Fatal("the first mutation did not build the id index")
+	}
+	if n, s := p.Len(), p.Stats().Population; n != 99 || s != 99 {
+		t.Fatalf("after the first mutation: Len %d, population stat %d, want 99", n, s)
+	}
+	checkMirror(t, p, []*query.SSD{genderSSD(3, 3)}, 1)
+}
+
+// TestMutationsLeaveTheRelation: contiguous splits are windows onto the
+// relation's own rows, so the population copies each before its first edit.
+// Inserts, updates and deletes in every split, a re-cut and more edits after
+// it leave the relation exactly as it was, while the population's rows,
+// mirrors and index follow every edit.
+func TestMutationsLeaveTheRelation(t *testing.T) {
+	r := dataset.NewRelation(testSchema())
+	for id := int64(0); id < 400; id++ {
+		r.MustAdd(tup(id, (id+1)%2, id%1001))
+	}
+	before := make([]dataset.Tuple, r.Len())
+	for i, tp := range r.Tuples() {
+		before[i] = tp.Clone()
+	}
+	splits, err := dataset.Partition(r, 4, dataset.Contiguous, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPopulation(r.Schema(), splits, Config{StalenessBound: 2, Columns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
+		t.Fatal(err)
+	}
+	queries := []*query.SSD{genderSSD(6, 4)}
+	// Split si holds ids 100si..100si+99; the inserts go round-robin, one to
+	// each split.
+	var muts []Mutation
+	for si := int64(0); si < 4; si++ {
+		muts = append(muts,
+			Mutation{Op: OpUpdate, Tuple: tup(100*si+1, 0, 999)},
+			Mutation{Op: OpDelete, ID: 100*si + 2},
+			Mutation{Op: OpDelete, ID: 100*si + 99},
+			Mutation{Op: OpInsert, Tuple: tup(1000+si, 1, 5)})
+	}
+	if res := p.Apply(muts); len(res.Rejected) > 0 {
+		t.Fatalf("rejected %v", res.Rejected)
+	}
+	checkMirror(t, p, queries, 1)
+	p.Rebalance(3)
+	checkMirror(t, p, queries, 2)
+	if res := p.Apply([]Mutation{
+		{Op: OpUpdate, Tuple: tup(150, 1, 0)},
+		{Op: OpDelete, ID: 250},
+		{Op: OpInsert, Tuple: tup(2000, 0, 7)},
+	}); len(res.Rejected) > 0 {
+		t.Fatalf("rejected %v", res.Rejected)
+	}
+	checkMirror(t, p, queries, 3)
+	if p.Len() != 400-8+4-1+1 {
+		t.Errorf("population %d, want %d", p.Len(), 400-8+4-1+1)
+	}
+	if !reflect.DeepEqual(r.Tuples(), before) {
+		t.Error("mutating the population changed the relation its splits were cut from")
 	}
 }

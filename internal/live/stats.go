@@ -38,7 +38,7 @@ func (p *Population) Stats() Stats {
 
 func (p *Population) statsLocked() Stats {
 	s := Stats{
-		Population:     len(p.loc),
+		Population:     p.members,
 		Queries:        len(p.queries),
 		Seq:            p.seq.Load(),
 		Inserts:        p.inserts,

@@ -475,3 +475,102 @@ func TestLiveStraddlingPassNotCached(t *testing.T) {
 		t.Fatalf("repeat: cached %v at epoch %d, want a fresh pass at %d", r.Cached, r.Epoch, admitted+1)
 	}
 }
+
+// healthzPopulation reads /healthz's population count.
+func (d *testDaemon) healthzPopulation(t *testing.T) int {
+	t.Helper()
+	resp, err := http.Get(d.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Population int `json:"population"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	return hz.Population
+}
+
+// TestLiveMutationsLeaveTheRelation: a live daemon's contiguous splits share
+// the rows of the relation it was started from, and /v1/mutate and the epoch
+// re-cut edit copies of them, so that relation ends as it began. The id
+// index waits for the first mutation; /healthz counts the members without it.
+func TestLiveMutationsLeaveTheRelation(t *testing.T) {
+	rel := livePopulation(200)
+	before := make([]dataset.Tuple, rel.Len())
+	for i, tp := range rel.Tuples() {
+		before[i] = tp.Clone()
+	}
+	d := newTestDaemon(t, Config{
+		Population: rel, Slaves: 2, Splits: 4, Layout: dataset.Contiguous,
+		Window: 0, Live: true, StalenessBound: 2,
+	})
+	q := map[string]any{"query": "gender = 1 : 5 ; gender = 0 : 5", "seed": 3}
+	if _, code := d.post(t, q); code != http.StatusOK {
+		t.Fatalf("sample: status %d", code)
+	}
+	if n := d.healthzPopulation(t); n != 200 || d.s.popIndexed() {
+		t.Fatalf("before any mutation: population %d, index built %v; want 200, false", n, d.s.popIndexed())
+	}
+	// Split si holds ids 50si..50si+49; the inserts go one to each split.
+	var muts []map[string]any
+	for si := 0; si < 4; si++ {
+		muts = append(muts,
+			map[string]any{"op": "update", "id": 50*si + 1, "attrs": []int64{0, 999}},
+			map[string]any{"op": "delete", "id": 50*si + 2},
+			map[string]any{"op": "insert", "id": 1000 + si, "attrs": []int64{1, 5}})
+	}
+	var applied live.Applied
+	if code := d.postJSON(t, "/v1/mutate", map[string]any{"mutations": muts}, &applied); code != http.StatusOK || applied.Applied != 12 {
+		t.Fatalf("mutate: status %d, %+v", code, applied)
+	}
+	if n := d.healthzPopulation(t); n != 200 || !d.s.popIndexed() {
+		t.Fatalf("after the first mutation: population %d, index built %v; want 200, true", n, d.s.popIndexed())
+	}
+	if code := d.postJSON(t, "/v1/epoch", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("epoch: status %d", code)
+	}
+	if code := d.postJSON(t, "/v1/mutate", map[string]any{"op": "delete", "id": 120}, nil); code != http.StatusOK {
+		t.Fatalf("mutate: status %d", code)
+	}
+	if _, code := d.post(t, q); code != http.StatusOK {
+		t.Fatalf("sample: status %d", code)
+	}
+	if n := d.healthzPopulation(t); n != 199 {
+		t.Errorf("population %d, want 199", n)
+	}
+	if !reflect.DeepEqual(rel.Tuples(), before) {
+		t.Error("mutating the daemon changed the relation it was started from")
+	}
+}
+
+// TestStaticDaemonNeverBuildsTheIndex: a daemon without Live answers,
+// reports and bumps its epoch without ever building the id index.
+func TestStaticDaemonNeverBuildsTheIndex(t *testing.T) {
+	d := newTestDaemon(t, Config{Population: gen.Population(500, 2), Slaves: 2, Layout: dataset.Contiguous, Window: 0})
+	q := map[string]any{"query": "nop >= 100 : 5 ; nop < 100 : 5"}
+	if _, code := d.post(t, q); code != http.StatusOK {
+		t.Fatalf("sample: status %d", code)
+	}
+	for _, path := range []string{"/healthz", "/v1/stats", "/metrics"} {
+		resp, err := http.Get(d.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if code := d.postJSON(t, "/v1/epoch", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("epoch: status %d", code)
+	}
+	if _, code := d.post(t, q); code != http.StatusOK {
+		t.Fatalf("sample: status %d", code)
+	}
+	if n := d.healthzPopulation(t); n != 500 {
+		t.Errorf("population %d, want 500", n)
+	}
+	if d.s.popIndexed() {
+		t.Error("a static daemon built the id index")
+	}
+}

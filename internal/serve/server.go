@@ -22,6 +22,9 @@ import (
 // Config configures a sampling daemon.
 type Config struct {
 	// Population is the resident relation queries sample from. Required.
+	// NewServer cuts it into splits that share its rows and keeps nothing
+	// else of it; the daemon never writes it (a live daemon edits copies of
+	// the splits it mutates).
 	Population *dataset.Relation
 	// Slaves is the simulated cluster width per pass (as in the CLI's
 	// -slaves). Defaults to 4.
@@ -177,9 +180,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: partitioning population: %w", err)
 	}
+	schema := cfg.Population.Schema()
+	cfg.Population = nil // the splits are all the daemon keeps of it
 	s := &Server{
 		cfg:     cfg,
-		schema:  cfg.Population.Schema(),
+		schema:  schema,
 		stats:   newStats(),
 		cache:   newResultCache(cfg.CacheSize),
 		tickets: newTicketStore(),

@@ -29,6 +29,11 @@
 # gated because a traced run assembles spans per task: one assembled per record
 # reads as 32 000 more allocations, which the wall-clock ratio this line
 # replaced could not tell from a busy runner.
+# A daemon's intake of a 10⁵-row population (BenchmarkNewPopulation: the
+# contiguous cut plus live.NewPopulation with the column mirror) is gated on
+# B/op: the cut shares the relation's rows and the id index waits for the first
+# mutation, so splits copied at load or an index built eagerly read as
+# megabytes more.
 # One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
@@ -63,6 +68,7 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   # or more, one run in four reallocated the match lists and read 335 for 16.
   run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 1x -cpu=1
   run ./internal/cps/ 'BenchmarkCPSRun$'
+  run ./internal/live/ 'BenchmarkNewPopulation$' bytes
 } >"$out"
 
 if [[ "${1:-}" == "--update" ]]; then
