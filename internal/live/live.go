@@ -155,7 +155,16 @@ type Population struct {
 	maintainNanos                       mapreduce.Histogram // per Apply batch
 	maintainMuts                        int64
 	repairNanos                         mapreduce.Histogram
+
+	// Scratch of classify, used under the write lock only: one block's
+	// classes, and the views of its tested columns the kernel reads.
+	classes []int32
+	view    dataset.Columns
 }
+
+// classBlock is how many rows classify hands its caller at a time, the
+// pass's block: the class buffer stays 4 KB whatever the split size.
+const classBlock = 1024
 
 // NewPopulation returns a mutable population over the resident splits
 // (typically the ones the serve daemon partitioned at startup). It reads the
@@ -240,6 +249,40 @@ func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
 		box[j].Hi = max(box[j].Hi, v)
 	}
 	return box
+}
+
+// classify walks the resident rows in split and row order, a block at a
+// time, and hands fn each block with its rows' classes under cls (a stratum
+// index, or -1). A block is classified from its split's column mirror by the
+// pass's kernel; without a mirror the classifier reads the rows, one by one,
+// as it does when it is row-wise anyway. Nothing is copied per row. The
+// classes are the population's scratch, valid until fn returns: the caller
+// holds the write lock.
+func (p *Population) classify(cls *predicate.Classifier, fn func(rows []dataset.Tuple, classes []int32)) {
+	if p.classes == nil {
+		p.classes = make([]int32, classBlock)
+		p.view = make(dataset.Columns, p.schema.NumFields())
+	}
+	attrs := cls.Attrs() // nil for a row-wise classifier, which reads no column
+	for si, split := range p.splits {
+		cols := p.derived.Columns[si]
+		for lo := 0; lo < len(split); lo += classBlock {
+			hi := min(lo+classBlock, len(split))
+			rows, classes := split[lo:hi], p.classes[:hi-lo]
+			if cols == nil && attrs != nil {
+				for i := range rows {
+					classes[i] = int32(cls.Classify(&rows[i]))
+				}
+			} else {
+				for _, j := range attrs {
+					p.view[j] = cols[j][lo:hi]
+				}
+				cls.ClassifyColumns(p.view, rows, classes)
+			}
+			fn(rows, classes)
+		}
+	}
+	clear(p.view) // the views would keep a mirror a Rebalance replaces reachable
 }
 
 // Len returns the current population size.
@@ -502,16 +545,15 @@ func (p *Population) Register(key string, q *query.SSD, seed int64) (*Standing, 
 	if err != nil {
 		return nil, err
 	}
-	for si := range p.splits {
-		split := p.splits[si]
-		for i := range split {
-			if k := st.cls.Classify(&split[i]); k >= 0 {
+	p.classify(st.cls, func(rows []dataset.Tuple, classes []int32) {
+		for i, k := range classes {
+			if k >= 0 {
 				s := st.strata[k]
 				s.members++
-				s.res.Add(split[i])
+				s.res.Add(rows[i])
 			}
 		}
-	}
+	})
 	p.queries[key] = st
 	return st, nil
 }

@@ -137,32 +137,35 @@ func (st *Standing) bump(s *stratumState) {
 	st.version++
 }
 
-// repair rebuilds stratum k's reservoir from the resident splits: one scan
-// of the population, restricted to this query's predicate, instead of a full
-// MapReduce pass. Counters reset — the rebuilt reservoir is exact for the
-// current membership.
+// repair rebuilds stratum k's reservoir from the resident splits: one
+// classifying scan of the population, restricted to this query's predicate,
+// instead of a full MapReduce pass. The members stream into the fresh
+// reservoir in split and row order, and only those it accepts are copied:
+// Skip(1) before Add is AddSlice's own contract, so the draws are those of
+// AddSlice over a slice of the members, which the scan never builds. Counters
+// reset — the rebuilt reservoir is exact for the current membership.
 func (st *Standing) repair(p *Population, k int) {
 	start := time.Now()
 	s := st.strata[k]
-	var members []dataset.Tuple
-	scanned := int64(0)
-	for si := range p.splits {
-		split := p.splits[si]
-		scanned += int64(len(split))
-		for i := range split {
-			if st.cls.Classify(&split[i]) == k {
-				members = append(members, split[i])
+	fresh := sampling.NewReservoir[dataset.Tuple](st.Query.Strata[k].Freq, st.rng)
+	members := 0
+	p.classify(st.cls, func(rows []dataset.Tuple, classes []int32) {
+		for i, c := range classes {
+			if int(c) != k {
+				continue
+			}
+			members++
+			if fresh.Skip(1) == 0 {
+				fresh.Add(rows[i])
 			}
 		}
-	}
-	fresh := sampling.NewReservoir[dataset.Tuple](st.Query.Strata[k].Freq, st.rng)
-	fresh.AddSlice(members)
+	})
 	s.res = fresh
-	s.members = len(members)
+	s.members = members
 	s.d1, s.d2 = 0, 0
 	s.repairs++
 	st.bump(s)
 	p.repairs++
-	p.repairScanned += scanned
+	p.repairScanned += int64(p.members)
 	p.repairNanos.Observe(time.Since(start).Nanoseconds())
 }

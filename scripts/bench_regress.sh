@@ -34,6 +34,12 @@
 # B/op: the cut shares the relation's rows and the id index waits for the first
 # mutation, so splits copied at load or an index built eagerly read as
 # megabytes more.
+# One standing query's stratum repair at 10⁵ rows (BenchmarkLiveRepair: 8
+# contiguous splits, the column mirror on and off, a two- and a four-stratum
+# query) is gated on B/op: the repair streams the members it classifies into
+# the fresh reservoir and copies only those it accepts, a few KB; the member
+# slice it once built under the write lock read 5–11 MB, so one coming back
+# fails the gate.
 # One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
@@ -68,7 +74,7 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   # or more, one run in four reallocated the match lists and read 335 for 16.
   run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 1x -cpu=1
   run ./internal/cps/ 'BenchmarkCPSRun$'
-  run ./internal/live/ 'BenchmarkNewPopulation$' bytes
+  run ./internal/live/ 'BenchmarkNewPopulation$|BenchmarkLiveRepair' bytes
 } >"$out"
 
 if [[ "${1:-}" == "--update" ]]; then

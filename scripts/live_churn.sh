@@ -6,8 +6,8 @@
 #   1. the subscription received pushes (long-poll observes a version > 0);
 #   2. a warm /v1/sample answer rides the reservoirs ("live": true, no pass);
 #   3. staleness never exceeded the configured bound;
-#   4. the churn is visible (mutation seq advanced, population changed or
-#      repairs ran when the bound was hit);
+#   4. the churn is visible (mutation seq advanced) and reached the bound:
+#      at least one stratum repair ran before the warm read of (2);
 #   5. the result cache holds one epoch: after rounds of cacheable samples
 #      between mutation batches, /v1/stats cache_entries is at most the
 #      distinct queries sent since the last mutation.
@@ -77,6 +77,8 @@ assert live["max_staleness"] <= bound, \
     f"staleness {live['max_staleness']} exceeded bound {bound}"
 assert live["mutation_seq"] > 0, "no mutations applied"
 assert stats["live_hits"] > 0, "warm reads not counted"
+assert live["repairs"] > 0, \
+    f"no stratum repair ran at bound {bound}: the warm read followed none"
 muts = live["inserts"] + live["deletes"] + live["updates"]
 print(f"ok: live=true, {stats['live_hits']} warm hits, {muts} mutations, "
       f"{live['repairs']} repairs, max staleness {live['max_staleness']} <= {bound}")
