@@ -37,9 +37,8 @@ func benchSetup(b *testing.B, n int) (*Population, *query.SSD, *dataset.Schema, 
 }
 
 // BenchmarkNewPopulation is what a daemon pays to take in its population at
-// 10⁵ rows: the contiguous cut and the population over it, with the column
-// mirror on as in-process passes want it. scripts/bench_regress.sh gates its
-// B/op, which is the mirror, the wire-size column, the boxes and the duplicate
+// 10⁵ rows: the contiguous cut and the population over it, which always
+// keeps the column mirror. scripts/bench_regress.sh gates its B/op, which is the mirror, the wire-size column, the boxes and the duplicate
 // check's sorted IDs: splits copied out of the relation, or an id index built
 // before the first mutation, read as megabytes more.
 func BenchmarkNewPopulation(b *testing.B) {
@@ -51,52 +50,49 @@ func BenchmarkNewPopulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := NewPopulation(rel.Schema(), splits, Config{Columns: true}); err != nil {
+		if _, err := NewPopulation(rel.Schema(), splits, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkLiveRepair is one stratum repair at 10⁵ rows on 8 contiguous
-// splits, with the column mirror and without, for a two-stratum and a
-// four-stratum query (a half and a quarter of the rows in the repaired
+// splits, for a two-stratum and a four-stratum query (a half and a quarter of the rows in the repaired
 // stratum). scripts/bench_regress.sh gates its B/op: the repair streams the
 // members into the fresh reservoir and copies only those it accepts, so its
 // bytes are the reservoir's; a slice of the stratum's members coming back
 // reads as megabytes.
 func BenchmarkLiveRepair(b *testing.B) {
 	rel := gen.Population(100_000, 1)
-	for _, mirror := range []bool{true, false} {
-		for _, spec := range []string{
-			"fy < 2003 : 50 ; fy >= 2003 : 50",
-			"fy < 2003 and cc < 5 : 100 ; fy < 2003 and cc >= 5 : 100 ; fy >= 2003 and cc < 5 : 100 ; fy >= 2003 and cc >= 5 : 100",
-		} {
-			q, err := query.ParseSSD("Q", spec)
+	for _, spec := range []string{
+		"fy < 2003 : 50 ; fy >= 2003 : 50",
+		"fy < 2003 and cc < 5 : 100 ; fy < 2003 and cc >= 5 : 100 ; fy >= 2003 and cc < 5 : 100 ; fy >= 2003 and cc >= 5 : 100",
+	} {
+		q, err := query.ParseSSD("Q", spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("strata=%d", len(q.Strata)), func(b *testing.B) {
+			splits, err := dataset.Partition(rel, 8, dataset.Contiguous, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("mirror=%v/strata=%d", mirror, len(q.Strata)), func(b *testing.B) {
-				splits, err := dataset.Partition(rel, 8, dataset.Contiguous, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p, err := NewPopulation(rel.Schema(), splits, Config{Columns: mirror})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := p.Register("q", q, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.mu.Lock()
-					st.repair(p, 0)
-					p.mu.Unlock()
-				}
-			})
-		}
+			p, err := NewPopulation(rel.Schema(), splits, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := p.Register("q", q, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.mu.Lock()
+				st.repair(p, 0)
+				p.mu.Unlock()
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func locations(p *Population) map[int64]tupleLoc {
 // its split's rows and Rebalance counts exactly the members it moves, while a
 // concurrent reader takes passes the whole time (run under -race).
 func TestColumnsMirrorRows(t *testing.T) {
-	p := newTestPop(t, 600, 4, Config{StalenessBound: 4, Columns: true})
+	p := newTestPop(t, 600, 4, Config{StalenessBound: 4})
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,9 @@
 // rebuilt from the resident splits, not by rerunning a MapReduce pass, and
 // the counters reset. The rebuild is one scan of the population for just
 // that query, at the cost of a column scan: it classifies the column mirror
-// a block at a time with the pass's kernel (row by row without a mirror) and
-// streams the stratum's members into a fresh reservoir drawing from the
-// query's own random stream, which copies only the members it keeps. The
-// bound therefore caps both the sample deficit and the stream-count drift;
+// a block at a time with the pass's kernel and streams the stratum's members
+// into a fresh reservoir drawing from the query's own random stream, which
+// copies only the members it keeps. The bound therefore caps both the sample deficit and the stream-count drift;
 // repair cost and frequency are exported (strata_live_repairs_total,
 // strata_live_repair_scanned_total, repair-nanos histogram) so the
 // bound-vs-cost trade-off is measurable.

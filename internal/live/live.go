@@ -86,11 +86,6 @@ type Config struct {
 	// splits. Defaults to 64. Lower bounds repair more often (higher scan
 	// cost) but keep the sample deficit smaller.
 	StalenessBound int
-	// Columns keeps the column-major mirror of each resident split that an
-	// in-process pass classifies from, and its wire-size column. Leave it off
-	// when passes run on remote workers: task specs carry rows only, so
-	// neither would be read.
-	Columns bool
 }
 
 // tupleLoc addresses one member inside the resident splits. Every daemon
@@ -102,10 +97,9 @@ type tupleLoc struct {
 // Derived is what a pass reads beside the resident splits, index-aligned with
 // them: their column mirrors, wire-size columns and bounding boxes.
 type Derived struct {
-	// Columns[i] mirrors splits[i]; nil entries without Config.Columns.
+	// Columns[i] mirrors splits[i].
 	Columns []dataset.Columns
-	// Sizes[i] is splits[i].WireSizes(), kept with the mirror: nil entries
-	// without Config.Columns.
+	// Sizes[i] is splits[i].WireSizes(), kept with the mirror.
 	Sizes [][]int32
 	// Bounds[i] holds one inclusive interval per schema field that contains
 	// every row of splits[i] — not always the tightest: a delete leaves it
@@ -120,15 +114,15 @@ type Derived struct {
 // relation they were cut from (dataset.Partition), so the population never
 // writes storage it did not allocate: it copies a split at that split's first
 // edit, and from then on edits its own copy in place. Beside each split it
-// keeps the Derived a pass reads — the bounding box pruning tests and, with
-// Config.Columns, the column-major mirror a pass classifies from and the
-// wire-size column it counts shuffle bytes from — edited under the same write
-// lock at the same four points (insert, update, removeAt, Rebalance). The id
-// index mutations look members up in is built by the first Apply (and again
-// by the first after a Rebalance), so a population nothing mutates never
-// holds one. All methods are safe for
-// concurrent use; mutations serialize behind a write lock while snapshots and
-// pass execution share a read lock.
+// keeps the Derived a pass reads — the bounding box pruning tests, the
+// column-major mirror a pass, a registration and a repair classify from, and
+// the wire-size column a pass counts shuffle bytes from — edited under the
+// same write lock at the same four points (insert, update, removeAt,
+// Rebalance). The id index mutations look members up in is built by the
+// first Apply (and again by the first after a Rebalance), so a population
+// nothing mutates never holds one. All methods are safe for concurrent use;
+// mutations serialize behind a write lock while snapshots and pass execution
+// share a read lock.
 type Population struct {
 	mu     sync.RWMutex
 	schema *dataset.Schema
@@ -137,7 +131,6 @@ type Population struct {
 	// which an edit may write in place.
 	owned   []bool
 	derived Derived
-	mirror  bool
 	// loc finds a member's split and row by ID; nil until an Apply needs it.
 	loc     map[int64]tupleLoc
 	members int
@@ -200,7 +193,6 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	}
 	p := &Population{
 		schema:   schema,
-		mirror:   cfg.Columns,
 		members:  members,
 		rowBytes: rowBytes,
 		bound:    cfg.StalenessBound,
@@ -224,10 +216,8 @@ func (p *Population) setSplits(splits []dataset.Split, owned bool) {
 		Bounds:  make([][]predicate.Interval, len(splits)),
 	}
 	for si, split := range splits {
-		if p.mirror {
-			p.derived.Columns[si] = dataset.ColumnsOf(split, p.schema.NumFields())
-			p.derived.Sizes[si] = split.WireSizes()
-		}
+		p.derived.Columns[si] = dataset.ColumnsOf(split, p.schema.NumFields())
+		p.derived.Sizes[si] = split.WireSizes()
 		for i := range split {
 			p.derived.Bounds[si] = widen(p.derived.Bounds[si], split[i].Attrs)
 		}
@@ -254,10 +244,9 @@ func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
 // classify walks the resident rows in split and row order, a block at a
 // time, and hands fn each block with its rows' classes under cls (a stratum
 // index, or -1). A block is classified from its split's column mirror by the
-// pass's kernel; without a mirror the classifier reads the rows, one by one,
-// as it does when it is row-wise anyway. Nothing is copied per row. The
-// classes are the population's scratch, valid until fn returns: the caller
-// holds the write lock.
+// pass's kernel (a row-wise classifier reads the rows instead). Nothing is
+// copied per row. The classes are the population's scratch, valid until fn
+// returns: the caller holds the write lock.
 func (p *Population) classify(cls *predicate.Classifier, fn func(rows []dataset.Tuple, classes []int32)) {
 	if p.classes == nil {
 		p.classes = make([]int32, classBlock)
@@ -269,16 +258,10 @@ func (p *Population) classify(cls *predicate.Classifier, fn func(rows []dataset.
 		for lo := 0; lo < len(split); lo += classBlock {
 			hi := min(lo+classBlock, len(split))
 			rows, classes := split[lo:hi], p.classes[:hi-lo]
-			if cols == nil && attrs != nil {
-				for i := range rows {
-					classes[i] = int32(cls.Classify(&rows[i]))
-				}
-			} else {
-				for _, j := range attrs {
-					p.view[j] = cols[j][lo:hi]
-				}
-				cls.ClassifyColumns(p.view, rows, classes)
+			for _, j := range attrs {
+				p.view[j] = cols[j][lo:hi]
 			}
+			cls.ClassifyColumns(p.view, rows, classes)
 			fn(rows, classes)
 		}
 	}
@@ -405,9 +388,7 @@ func (p *Population) applyOne(m *Mutation) error {
 		p.next = (p.next + 1) % len(p.splits)
 		p.splits[si] = append(p.own(int32(si)), t)
 		p.derived.Columns[si].Append(t.Attrs)
-		if p.mirror {
-			p.derived.Sizes[si] = append(p.derived.Sizes[si], int32(t.ByteSize()))
-		}
+		p.derived.Sizes[si] = append(p.derived.Sizes[si], int32(t.ByteSize()))
 		p.derived.Bounds[si] = widen(p.derived.Bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
 		p.members++
@@ -437,9 +418,7 @@ func (p *Population) applyOne(m *Mutation) error {
 		old := p.splits[l.split][l.idx]
 		p.own(l.split)[l.idx] = t
 		p.derived.Columns[l.split].Set(int(l.idx), t.Attrs)
-		if p.mirror {
-			p.derived.Sizes[l.split][l.idx] = int32(t.ByteSize())
-		}
+		p.derived.Sizes[l.split][l.idx] = int32(t.ByteSize())
 		p.derived.Bounds[l.split] = widen(p.derived.Bounds[l.split], t.Attrs)
 		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
@@ -461,11 +440,9 @@ func (p *Population) removeAt(l tupleLoc) {
 	p.rowBytes -= split[l.idx].ResidentBytes()
 	p.members--
 	p.derived.Columns[l.split].SwapRemove(int(l.idx))
-	if p.mirror {
-		sizes := p.derived.Sizes[l.split]
-		sizes[l.idx] = sizes[last]
-		p.derived.Sizes[l.split] = sizes[:last]
-	}
+	sizes := p.derived.Sizes[l.split]
+	sizes[l.idx] = sizes[last]
+	p.derived.Sizes[l.split] = sizes[:last]
 	if l.idx != last {
 		split[l.idx] = split[last]
 		p.loc[split[l.idx].ID] = l

@@ -285,7 +285,7 @@ func TestNewPopulationRejectsDuplicateIDs(t *testing.T) {
 // unbuilt, and Len and the population stat count the members without it.
 // The first Apply builds it.
 func TestOnlyAMutationBuildsTheIndex(t *testing.T) {
-	p := newTestPop(t, 100, 4, Config{Columns: true})
+	p := newTestPop(t, 100, 4, Config{})
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestMutationsLeaveTheRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPopulation(r.Schema(), splits, Config{StalenessBound: 2, Columns: true})
+	p, err := NewPopulation(r.Schema(), splits, Config{StalenessBound: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

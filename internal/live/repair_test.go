@@ -129,8 +129,9 @@ func repairTuple(rng *rand.Rand, id int64) dataset.Tuple {
 // delete and update batches, with re-cuts, a small staleness bound and a
 // query registered mid-stream, every standing query's snapshot equals, byte
 // for byte, the one the materializing repair and the row-wise registration
-// scan keep, and so do its members, d1, d2 and repairs — with the column
-// mirror, without it, and for queries whose classifier cannot read columns.
+// scan keep, and so do its members, d1, d2 and repairs — for queries the
+// column mirror classifies and for queries whose classifier cannot read
+// columns.
 func TestRepairMatchesMaterializingOracle(t *testing.T) {
 	ssd := func(spec string) *query.SSD {
 		q, err := query.ParseSSD("Q", spec)
@@ -149,12 +150,10 @@ func TestRepairMatchesMaterializingOracle(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		mirror  bool
 		queries []*query.SSD
 	}{
-		{"mirror", true, columnar},
-		{"no-mirror", false, columnar},
-		{"rowwise", true, rowwise},
+		{"mirror", columnar},
+		{"rowwise", rowwise},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, bound = 5000, 4
@@ -177,11 +176,8 @@ func TestRepairMatchesMaterializingOracle(t *testing.T) {
 				}
 				return p
 			}
-			p := newPop(Config{StalenessBound: bound, Columns: tc.mirror})
+			p := newPop(Config{StalenessBound: bound})
 			o := &oracle{pop: newPop(Config{StalenessBound: 1 << 30}), bound: bound, queries: map[string]*Standing{}}
-			if (p.derived.Columns[0] != nil) != tc.mirror {
-				t.Fatalf("mirror kept: %v, want %v", p.derived.Columns[0] != nil, tc.mirror)
-			}
 			register := func(key string, q *query.SSD, seed int64) {
 				st, err := p.Register(key, q, seed)
 				if err != nil {
@@ -269,7 +265,7 @@ func TestRepairMatchesMaterializingOracle(t *testing.T) {
 // TestClassifyLeavesNoView: the block walk drops its views of the column
 // mirror, so a re-cut does not leave the old mirror reachable from the scratch.
 func TestClassifyLeavesNoView(t *testing.T) {
-	p := newTestPop(t, 3000, 3, Config{Columns: true})
+	p := newTestPop(t, 3000, 3, Config{})
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/live"
+	"repro/internal/mapreduce"
 )
 
 // livePopulation builds a small two-field relation (gender 0/1 alternating,
@@ -572,5 +573,113 @@ func TestStaticDaemonNeverBuildsTheIndex(t *testing.T) {
 	}
 	if d.s.popIndexed() {
 		t.Error("a static daemon built the id index")
+	}
+}
+
+// TestExecutorDaemonMatchesInProcess: a live daemon whose passes ship to an
+// Executor keeps the same resident layout as an in-process one. Through a
+// seeded mutation stream that repairs both standing queries many times, its
+// warm and ad-hoc answers equal the in-process daemon's after every batch,
+// and its repair count and resident bytes equal them at the end.
+func TestExecutorDaemonMatchesInProcess(t *testing.T) {
+	const n = 600
+	daemons := [2]*testDaemon{}
+	for i, newCluster := range []func(int) *mapreduce.Cluster{nil, executorCluster} {
+		daemons[i] = newTestDaemon(t, Config{
+			Population: livePopulation(n), Slaves: 2, Layout: dataset.ShuffledContiguous,
+			PartitionSeed: 6, Splits: 4, Window: 0, Live: true, StalenessBound: 4,
+			NewCluster: newCluster,
+		})
+	}
+	standing := []string{
+		"gender = 1 : 10 ; gender = 0 : 10",
+		"income < 250 : 4 ; income >= 250 and income < 500 : 3 ; income >= 500 and income < 750 : 5 ; income >= 750 : 6",
+	}
+	for _, d := range daemons {
+		for _, q := range standing {
+			if code := d.postJSON(t, "/v1/subscribe", map[string]any{"query": q, "seed": 3}, nil); code != http.StatusOK {
+				t.Fatalf("subscribe %q: status %d", q, code)
+			}
+		}
+	}
+	requests := []map[string]any{
+		{"query": standing[0], "seed": 3},
+		{"query": standing[1], "seed": 3},
+		{"query": "gender = 1 and income < 500 : 7 ; gender = 0 : 5", "seed": 8, "nocache": true},
+		{"query": standing[1], "seed": 9, "nocache": true},
+	}
+	// answer is the response body without its elapsed time and random trace id.
+	answer := func(d *testDaemon, req map[string]any) []byte {
+		t.Helper()
+		r, code := d.post(t, req)
+		if code != http.StatusOK {
+			t.Fatalf("sample %v: status %d", req, code)
+		}
+		if _, warm := req["nocache"]; r.Live == warm {
+			t.Fatalf("sample %v: live %v", req, r.Live)
+		}
+		r.ElapsedUS, r.Trace = 0, ""
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	stats := func(d *testDaemon) Snapshot {
+		t.Helper()
+		resp, err := http.Get(d.ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	next := int64(10_000)
+	for batch := 0; batch < 12; batch++ {
+		muts := make([]map[string]any, 0, 25)
+		for len(muts) < cap(muts) {
+			attrs := []int64{rng.Int63n(2), rng.Int63n(1001)}
+			switch r := rng.Intn(4); {
+			case r < 2:
+				i := rng.Intn(len(ids))
+				muts = append(muts, map[string]any{"op": "delete", "id": ids[i]})
+				ids[i] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+			case r == 2:
+				muts = append(muts, map[string]any{"op": "insert", "id": next, "attrs": attrs})
+				ids = append(ids, next)
+				next++
+			default:
+				muts = append(muts, map[string]any{"op": "update", "id": ids[rng.Intn(len(ids))], "attrs": attrs})
+			}
+		}
+		for _, d := range daemons {
+			var applied live.Applied
+			if code := d.postJSON(t, "/v1/mutate", map[string]any{"mutations": muts}, &applied); code != http.StatusOK || len(applied.Rejected) > 0 {
+				t.Fatalf("batch %d: status %d, rejected %v", batch, code, applied.Rejected)
+			}
+		}
+		for _, req := range requests {
+			if in, ex := answer(daemons[0], req), answer(daemons[1], req); !bytes.Equal(in, ex) {
+				t.Fatalf("batch %d, %v: answers differ\n in-process %s\n executor   %s", batch, req, in, ex)
+			}
+		}
+	}
+	in, ex := stats(daemons[0]), stats(daemons[1])
+	if in.Live == nil || ex.Live == nil || in.Live.Repairs < 10 || in.Live.Repairs != ex.Live.Repairs {
+		t.Errorf("live stats: in-process %+v, executor %+v; want equal repairs, at least 10", in.Live, ex.Live)
+	}
+	if !reflect.DeepEqual(in.ResidentBytes, ex.ResidentBytes) || in.ResidentBytes["columns"] == 0 {
+		t.Errorf("resident bytes: in-process %v, executor %v", in.ResidentBytes, ex.ResidentBytes)
 	}
 }

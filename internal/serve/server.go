@@ -147,8 +147,8 @@ type Server struct {
 }
 
 // NewServer partitions the population into a live.Population — which bounds
-// every split for pruning and, when passes run in this process, mirrors its
-// attributes column-major for the stratum scan — and returns a ready daemon.
+// every split for pruning and mirrors its attributes column-major for the
+// stratum scan — and returns a ready daemon.
 // It does not listen; mount Handler() on an http.Server.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Population == nil {
@@ -201,10 +201,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// traced, never the factory's.
 	cluster := cfg.NewCluster(cfg.Slaves)
 	cluster.TraceContext = nil
-	// A cluster with an Executor ships every map task as a serialized spec
-	// carrying rows only, so only in-process passes would ever read a column
-	// mirror; a daemon in front of remote workers does not pay for one.
-	s.pop, err = live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound, Columns: cluster.Executor == nil})
+	s.pop, err = live.NewPopulation(s.schema, splits, live.Config{StalenessBound: cfg.StalenessBound})
 	if err != nil {
 		return nil, fmt.Errorf("serve: resident population: %w", err)
 	}

@@ -564,11 +564,19 @@ func TestHealthzSplitsFollowRebalance(t *testing.T) {
 	}
 }
 
+// executorCluster is a cluster whose map tasks travel as serialized specs, as
+// they do to remote workers, but execute in this process.
+func executorCluster(slaves int) *mapreduce.Cluster {
+	c := mapreduce.NewCluster(slaves)
+	c.Executor = &mapreduce.InprocExecutor{}
+	return c
+}
+
 // TestResidentBytesReported: /v1/stats and /metrics say what the resident
 // population costs in each layout — the rows, and the column mirror the
-// stratum scan reads with the wire-size column the shuffle counter reads. A
-// daemon whose tasks travel to an Executor as specs (rows only) keeps
-// neither, static or live, and reports 0 columns.
+// stratum scan reads with the wire-size column the shuffle counter reads.
+// Every daemon keeps both, static or live, whether its tasks run in this
+// process or travel to an Executor.
 func TestResidentBytesReported(t *testing.T) {
 	pop := gen.Population(500, 3)
 	var rows int64
@@ -576,20 +584,14 @@ func TestResidentBytesReported(t *testing.T) {
 		rows += tp.ResidentBytes()
 	}
 	mirror := int64(500 * (pop.Schema().NumFields() + 1) * 4)
-	remote := func(slaves int) *mapreduce.Cluster {
-		c := mapreduce.NewCluster(slaves)
-		c.Executor = &mapreduce.InprocExecutor{}
-		return c
-	}
 	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		columns int64
+		name string
+		cfg  Config
 	}{
-		{"inproc", Config{}, mirror},
-		{"inproc live", Config{Live: true}, mirror},
-		{"executor", Config{NewCluster: remote}, 0},
-		{"executor live", Config{NewCluster: remote, Live: true}, 0},
+		{"inproc", Config{}},
+		{"inproc live", Config{Live: true}},
+		{"executor", Config{NewCluster: executorCluster}},
+		{"executor live", Config{NewCluster: executorCluster, Live: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Population, tc.cfg.Slaves, tc.cfg.Layout = pop, 2, dataset.Contiguous
@@ -603,8 +605,8 @@ func TestResidentBytesReported(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 				t.Fatal(err)
 			}
-			if got := snap.ResidentBytes; got["rows"] != rows || got["columns"] != tc.columns {
-				t.Errorf("/v1/stats resident_bytes = %v, want rows %d columns %d", got, rows, tc.columns)
+			if got := snap.ResidentBytes; got["rows"] != rows || got["columns"] != mirror {
+				t.Errorf("/v1/stats resident_bytes = %v, want rows %d columns %d", got, rows, mirror)
 			}
 
 			resp, err = http.Get(d.ts.URL + "/metrics")
@@ -618,7 +620,7 @@ func TestResidentBytesReported(t *testing.T) {
 			}
 			for _, want := range []string{
 				fmt.Sprintf("strata_serve_resident_bytes{layout=\"rows\"} %d\n", rows),
-				fmt.Sprintf("strata_serve_resident_bytes{layout=\"columns\"} %d\n", tc.columns),
+				fmt.Sprintf("strata_serve_resident_bytes{layout=\"columns\"} %d\n", mirror),
 			} {
 				if !bytes.Contains(buf.Bytes(), []byte(want)) {
 					t.Errorf("/metrics missing %q", want)

@@ -43,12 +43,14 @@ type Options struct {
 	// Columns, when set, holds the resident column mirror of each split,
 	// index-aligned with the splits of the run. Precondition: Columns[i] is
 	// the mirror of splits[i] — dataset.ColumnsOf(splits[i]) kept current —
-	// or holds no rows (nil: none kept for that split). Map tasks that
-	// execute in this process classify from the mirror without reading the
-	// rows' attributes, so one that mirrors other rows silently changes the
-	// answer; nothing checks its contents. The one length mismatch the stage
-	// tolerates, by gathering from the rows, is the pruned task's: its split
-	// is nil-ed in place and its mirror left alone.
+	// or holds no rows. Map tasks that execute in this process classify from
+	// the mirror without reading the rows' attributes, so one that mirrors
+	// other rows silently changes the answer; nothing checks its contents.
+	// Every daemon passes its population's mirrors; one-shot callers pass
+	// none, and map tasks on remote workers never receive them: both gather
+	// the tested attributes from the rows. Inside a daemon the one length
+	// mismatch the stage tolerates, by gathering, is the pruned task's: its
+	// split is nil-ed in place and its mirror left alone.
 	Columns []dataset.Columns
 	// Sizes, when set, holds the wire-size column of each split, under
 	// Columns' precondition and tolerance: Sizes[i][r] is

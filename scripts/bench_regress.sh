@@ -30,13 +30,13 @@
 # reads as 32 000 more allocations, which the wall-clock ratio this line
 # replaced could not tell from a busy runner.
 # A daemon's intake of a 10⁵-row population (BenchmarkNewPopulation: the
-# contiguous cut plus live.NewPopulation with the column mirror) is gated on
+# contiguous cut plus live.NewPopulation, which keeps the column mirror) is gated on
 # B/op: the cut shares the relation's rows and the id index waits for the first
 # mutation, so splits copied at load or an index built eagerly read as
 # megabytes more.
 # One standing query's stratum repair at 10⁵ rows (BenchmarkLiveRepair: 8
-# contiguous splits, the column mirror on and off, a two- and a four-stratum
-# query) is gated on B/op: the repair streams the members it classifies into
+# contiguous splits classified from the column mirror, a two- and a
+# four-stratum query) is gated on B/op: the repair streams the members it classifies into
 # the fresh reservoir and copies only those it accepts, a few KB; the member
 # slice it once built under the write lock read 5–11 MB, so one coming back
 # fails the gate.

@@ -11,6 +11,11 @@
 #   5. the result cache holds one epoch: after rounds of cacheable samples
 #      between mutation batches, /v1/stats cache_entries is at most the
 #      distinct queries sent since the last mutation.
+#
+# The whole sequence runs twice: on an in-process daemon, then on one whose
+# passes ship to two tcp workers (`strata -backend tcp -workers 2 serve
+# -live`). Both keep the same resident layout, so registration and repairs
+# classify from the column mirror on either, and every assertion holds on both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,13 +25,18 @@ BOUND=16
 QUERY='nop >= 100 : 5 ; nop < 100 : 10'
 
 tmp="$(mktemp -d)"
+SERVE_PID=""
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 echo "== build"
 go build -o "$tmp/strata" ./cmd/strata
 
-echo "== start live daemon (staleness bound $BOUND)"
-"$tmp/strata" serve -addr localhost:0 -n "$POP" -seed "$SEED" \
+# churn runs the sequence against a fresh daemon started with the global
+# flags it is given (backend selection goes before the subcommand). Its body
+# is not indented: the Python heredocs inside must start at column 0.
+churn() {
+echo "== start live daemon${*:+ $*} (staleness bound $BOUND)"
+"$tmp/strata" "$@" serve -addr localhost:0 -n "$POP" -seed "$SEED" \
   -live -staleness "$BOUND" -window 2ms >"$tmp/serve.out" 2>"$tmp/serve.err" &
 SERVE_PID=$!
 
@@ -116,5 +126,10 @@ PY
 echo "== graceful drain"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero on SIGTERM"; exit 1; }
+SERVE_PID=""
+}
 
-echo "PASS: live churn smoke"
+churn
+churn -backend tcp -workers 2
+
+echo "PASS: live churn smoke (inproc and tcp)"
