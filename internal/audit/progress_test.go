@@ -12,11 +12,16 @@ import (
 	"repro/internal/stratified"
 )
 
+// ints is the gated job's split type.
+type ints []int
+
+func (s ints) Len() int { return len(s) }
+
 // gatedStage forwards (in%2, in) for every record of its split once the gate
 // opens.
 type gatedStage struct{ gate <-chan struct{} }
 
-func (s gatedStage) MapSplit(_ *mapreduce.TaskContext, split []int, emit func(int, int)) (matches, combined int64) {
+func (s gatedStage) MapSplit(_ *mapreduce.TaskContext, split ints, emit func(int, int)) (matches, combined int64) {
 	<-s.gate
 	for _, in := range split {
 		emit(in%2, in)
@@ -26,8 +31,8 @@ func (s gatedStage) MapSplit(_ *mapreduce.TaskContext, split []int, emit func(in
 
 // gatedJob is a tiny identity job whose map tasks block on a channel, so a
 // test can observe the tracker mid-run.
-func gatedJob(gate <-chan struct{}) *mapreduce.Job[int, int, int, int] {
-	return &mapreduce.Job[int, int, int, int]{
+func gatedJob(gate <-chan struct{}) *mapreduce.Job[ints, int, int, int] {
+	return &mapreduce.Job[ints, int, int, int]{
 		Name:   "gated",
 		Seed:   1,
 		Mapper: gatedStage{gate},
@@ -73,7 +78,7 @@ func TestProgressLiveDuringRun(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	splits := [][]int{{1, 2}, {3, 4}, {5, 6}}
+	splits := []ints{{1, 2}, {3, 4}, {5, 6}}
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {

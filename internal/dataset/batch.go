@@ -32,8 +32,9 @@ func (b *TupleBatch) Row(i int) []int64 {
 }
 
 // BatchOfTuples converts a row-oriented slice into columnar form. ok is
-// false when the tuples have ragged arity (no uniform stride exists), in
-// which case callers fall back to the per-tuple encoding.
+// false when the tuples have ragged arity (no uniform stride exists), which
+// rows checked against one schema never have (Relation.Add,
+// live.Population).
 func BatchOfTuples(ts []Tuple) (TupleBatch, bool) {
 	var b TupleBatch
 	if len(ts) == 0 {

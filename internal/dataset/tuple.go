@@ -34,11 +34,13 @@ func (t *Tuple) ResidentBytes() int64 {
 	return header + int64(len(t.Name)) + 8*int64(len(t.Attrs))
 }
 
-// ByteSize is the exact wire size of the tuple in the binary codec (see
-// AppendWire): varint id, length-prefixed name, attr count, varint attrs.
-// The MapReduce engine uses it for shuffle accounting, so it must track the
-// real encoding — gob-era code guessed 8+len(Name)+8*len(Attrs) and omitted
-// the name length prefix and varint widths.
+// ByteSize is the tuple's wire size as the shuffle counts it: a zigzag
+// varint id, the length-prefixed name, the attribute count and each
+// attribute as a zigzag varint. Sampling jobs ship row references, not
+// tuples, and count what shipping the tuples would cost (Metrics.ShuffleBytes,
+// Figure 7), so the formula is part of every reported byte count; gob-era
+// code guessed 8+len(Name)+8*len(Attrs) and omitted the name length prefix
+// and varint widths.
 func (t Tuple) ByteSize() int {
 	n := wire.SizeVarint(t.ID) +
 		wire.SizeUvarint(uint64(len(t.Name))) + len(t.Name) +
@@ -47,33 +49,6 @@ func (t Tuple) ByteSize() int {
 		n += wire.SizeVarint(v)
 	}
 	return n
-}
-
-// AppendWire appends the tuple's standalone binary encoding: zigzag-varint
-// id, length-prefixed name, attr count, then each attr as a zigzag varint.
-// Batched tuples use the denser TupleBatch layout instead.
-func (t *Tuple) AppendWire(b []byte) []byte {
-	b = wire.AppendVarint(b, t.ID)
-	b = wire.AppendString(b, t.Name)
-	b = wire.AppendUvarint(b, uint64(len(t.Attrs)))
-	for _, v := range t.Attrs {
-		b = wire.AppendVarint(b, v)
-	}
-	return b
-}
-
-// ReadTupleWire decodes one AppendWire-encoded tuple.
-func ReadTupleWire(r *wire.Reader) (Tuple, error) {
-	var t Tuple
-	t.ID = r.Varint()
-	t.Name = r.String()
-	if n := r.Count(1); n > 0 {
-		t.Attrs = make([]int64, n)
-		for i := range t.Attrs {
-			t.Attrs[i] = r.Varint()
-		}
-	}
-	return t, r.Err()
 }
 
 // String renders the tuple as "#id(name)[a b c]", the name part only when

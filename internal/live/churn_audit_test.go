@@ -76,10 +76,10 @@ func TestChurnInclusionBiasAudit(t *testing.T) {
 	} else if s.MaxStaleness > bound {
 		t.Fatalf("staleness %d exceeded bound %d", s.MaxStaleness, bound)
 	}
-	finalSplits, _, release := p0.AcquireSplits()
-	ref := make([]dataset.Split, len(finalSplits))
-	for i, sp := range finalSplits {
-		ref[i] = append(dataset.Split(nil), sp...)
+	final, _, release := p0.Acquire()
+	ref := make([]dataset.Split, len(final))
+	for i, b := range final {
+		ref[i] = append(dataset.Split(nil), b.Rows...)
 	}
 	release()
 

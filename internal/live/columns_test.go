@@ -13,46 +13,39 @@ import (
 	"repro/internal/stratified"
 )
 
-// checkMirror fails unless the population's column mirrors equal its rows
-// cell for cell, its size columns hold each row's wire size, every row lies
-// inside its split's bounding box, a pass handed (splits, columns, sizes)
-// answers and counts shuffle bytes exactly as a pass over the splits alone,
-// the resident-byte gauges match a recount and, once it exists, the id index
-// points at every member's split and row. It holds the pass's read lock
-// throughout, like the daemon's executor.
+// checkMirror fails unless every block's column mirror equals its rows cell
+// for cell and its size column holds each row's wire size (a fresh
+// ResidentBlock of the rows), every row lies inside its block's bounding box,
+// a pass over the blocks answers and counts shuffle bytes exactly as a pass
+// over their rows alone, the resident-byte gauges match a recount and, once
+// it exists, the id index points at every member's block and row. It holds
+// the pass's read lock throughout, like the daemon's executor.
 func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
-	splits, derived, release := p.AcquireSplits()
+	blocks, bounds, release := p.Acquire()
 	defer release()
-	cols := derived.Columns
-	if len(cols) != len(splits) || len(derived.Sizes) != len(splits) || len(derived.Bounds) != len(splits) {
-		t.Errorf("%d column mirrors, %d size columns and %d boxes for %d splits", len(cols), len(derived.Sizes), len(derived.Bounds), len(splits))
+	if len(bounds) != len(blocks) {
+		t.Errorf("%d boxes for %d blocks", len(bounds), len(blocks))
 		return
 	}
 	var rowBytes, members int64
-	for si, split := range splits {
-		if got, want := cols[si], dataset.ColumnsOf(split, p.schema.NumFields()); !reflect.DeepEqual(got, want) {
-			t.Errorf("split %d: mirror differs from its rows\n mirror %v\n rows   %v", si, got, want)
+	splits := make([]dataset.Split, len(blocks))
+	for si, b := range blocks {
+		if want := dataset.ResidentBlock(b.Rows, p.schema.NumFields()); !reflect.DeepEqual(b.Cols, want.Cols) || !reflect.DeepEqual(b.Sizes, want.Sizes) {
+			t.Errorf("block %d: columns differ from its rows\n mirror %v sizes %v\n rows   %v sizes %v", si, b.Cols, b.Sizes, want.Cols, want.Sizes)
 			return
 		}
-		if len(derived.Sizes[si]) != len(split) {
-			t.Errorf("split %d: %d wire sizes for %d rows", si, len(derived.Sizes[si]), len(split))
-			return
-		}
-		for i := range split {
-			if got, want := derived.Sizes[si][i], split[i].ByteSize(); int(got) != want {
-				t.Errorf("split %d: member %d's size column reads %d, its ByteSize is %d", si, split[i].ID, got, want)
-				return
-			}
-			box := derived.Bounds[si]
-			for j, v := range split[i].Attrs {
+		for i := range b.Rows {
+			box := bounds[si]
+			for j, v := range b.Rows[i].Attrs {
 				if box == nil || v < box[j].Lo || v > box[j].Hi {
-					t.Errorf("split %d: member %d has %s = %d outside the split's box %v", si, split[i].ID, p.schema.Field(j).Name, v, box)
+					t.Errorf("block %d: member %d has %s = %d outside the block's box %v", si, b.Rows[i].ID, p.schema.Field(j).Name, v, box)
 					return
 				}
 			}
 		}
-		rowBytes += split.ResidentBytes()
-		members += int64(len(split))
+		splits[si] = b.Rows
+		rowBytes += b.Rows.ResidentBytes()
+		members += int64(b.Len())
 	}
 	// The fields, not ResidentBytes: taking the read lock a second time
 	// deadlocks behind a waiting writer.
@@ -61,7 +54,7 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 	}
 	if p.loc != nil {
 		if int64(len(p.loc)) != members {
-			t.Errorf("the id index holds %d members, the splits %d", len(p.loc), members)
+			t.Errorf("the id index holds %d members, the blocks %d", len(p.loc), members)
 		}
 		for si, split := range splits {
 			for i := range split {
@@ -75,32 +68,32 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 	cluster := func() *mapreduce.Cluster {
 		return &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
 	}
-	with, withMet, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed, Columns: cols, Sizes: derived.Sizes})
+	with, withMet, err := stratified.Pass(cluster(), queries, p.schema, blocks, stratified.Options{Seed: seed})
 	if err != nil {
 		t.Error(err)
 		return
 	}
-	without, withoutMet, err := stratified.RunMQE(cluster(), queries, p.schema, splits, stratified.Options{Seed: seed})
+	without, withoutMet, err := stratified.Pass(cluster(), queries, p.schema, dataset.Blocks(splits), stratified.Options{Seed: seed})
 	if err != nil {
 		t.Error(err)
 		return
 	}
 	if !reflect.DeepEqual(with, without) {
-		t.Errorf("pass over (splits, columns, sizes) differs from a pass over the splits:\n with    %v\n without %v", with, without)
+		t.Errorf("pass over the resident blocks differs from a pass over their rows:\n with    %v\n without %v", with, without)
 	}
 	if withMet.ShuffleBytes != withoutMet.ShuffleBytes || !reflect.DeepEqual(withMet.BucketBytes, withoutMet.BucketBytes) {
-		t.Errorf("pass over (splits, columns, sizes) shuffles %d B, over the splits %d B", withMet.ShuffleBytes, withoutMet.ShuffleBytes)
+		t.Errorf("pass over the resident blocks shuffles %d B, over their rows %d B", withMet.ShuffleBytes, withoutMet.ShuffleBytes)
 	}
 }
 
-// locations reads every member's split and row off the splits.
+// locations reads every member's block and row off the blocks.
 func locations(p *Population) map[int64]tupleLoc {
-	splits, _, release := p.AcquireSplits()
+	blocks, _, release := p.Acquire()
 	defer release()
 	at := make(map[int64]tupleLoc)
-	for si, split := range splits {
-		for i := range split {
-			at[split[i].ID] = tupleLoc{int32(si), int32(i)}
+	for si, b := range blocks {
+		for i := range b.Rows {
+			at[b.Rows[i].ID] = tupleLoc{int32(si), int32(i)}
 		}
 	}
 	return at

@@ -29,12 +29,13 @@
 // staleness: d1 of them are holes — the sample runs below min(f_k, members)
 // until inserts arrive to pair against them. When a stratum's staleness
 // reaches Config.StalenessBound, the stratum is repaired: its reservoir is
-// rebuilt from the resident splits, not by rerunning a MapReduce pass, and
+// rebuilt from the resident blocks, not by rerunning a MapReduce pass, and
 // the counters reset. The rebuild is one scan of the population for just
-// that query, at the cost of a column scan: it classifies the column mirror
-// a block at a time with the pass's kernel and streams the stratum's members
-// into a fresh reservoir drawing from the query's own random stream, which
-// copies only the members it keeps. The bound therefore caps both the sample deficit and the stream-count drift;
+// that query, at the cost of a column scan: it classifies each block's
+// column mirror 1024 rows at a time with the pass's kernel and streams the
+// stratum's members into a fresh reservoir drawing from the query's own
+// random stream, which copies only the members it keeps. The bound
+// therefore caps both the sample deficit and the stream-count drift;
 // repair cost and frequency are exported (strata_live_repairs_total,
 // strata_live_repair_scanned_total, repair-nanos histogram) so the
 // bound-vs-cost trade-off is measurable.
@@ -43,4 +44,10 @@
 // log, POST /v1/subscribe registers a standing query with a push trigger,
 // and /v1/sample answers registered queries from the warm reservoirs without
 // an engine pass. See DESIGN.md §14.
+//
+// Resident layout. Each split is one dataset.Block — its rows, their column
+// mirror and their wire-size column — edited with one block call per
+// mutation (Append, Set, SwapRemove) under the write lock, beside a bounding
+// box per block. A pass takes the blocks and the boxes together
+// (Population.Acquire) and hands each block to its map task as one value.
 package live

@@ -1,14 +1,14 @@
 package live
 
-// Contains reports whether a member with the ID is in some split. It scans
-// the splits rather than reading the id index, so it answers the same before
+// Contains reports whether a member with the ID is in some block. It scans
+// the blocks rather than reading the id index, so it answers the same before
 // the first mutation builds the index as after.
 func (p *Population) Contains(id int64) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for _, split := range p.splits {
-		for i := range split {
-			if split[i].ID == id {
+	for _, b := range p.blocks {
+		for i := range b.Rows {
+			if b.Rows[i].ID == id {
 				return true
 			}
 		}

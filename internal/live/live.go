@@ -94,43 +94,34 @@ type tupleLoc struct {
 	split, idx int32
 }
 
-// Derived is what a pass reads beside the resident splits, index-aligned with
-// them: their column mirrors, wire-size columns and bounding boxes.
-type Derived struct {
-	// Columns[i] mirrors splits[i].
-	Columns []dataset.Columns
-	// Sizes[i] is splits[i].WireSizes(), kept with the mirror.
-	Sizes [][]int32
-	// Bounds[i] holds one inclusive interval per schema field that contains
-	// every row of splits[i] — not always the tightest: a delete leaves it
-	// as it was. Nil for a split that has had no rows since the last build.
-	Bounds [][]predicate.Interval
-}
-
 // Population is the resident population every daemon serves from, with its
 // registered standing SSD queries. It keeps the splits handed to it at
-// construction: mutations edit them, so engine passes run over current data,
-// and stratum repairs rescan them. Those splits may share their rows with the
-// relation they were cut from (dataset.Partition), so the population never
-// writes storage it did not allocate: it copies a split at that split's first
-// edit, and from then on edits its own copy in place. Beside each split it
-// keeps the Derived a pass reads — the bounding box pruning tests, the
-// column-major mirror a pass, a registration and a repair classify from, and
-// the wire-size column a pass counts shuffle bytes from — edited under the
-// same write lock at the same four points (insert, update, removeAt,
-// Rebalance). The id index mutations look members up in is built by the
-// first Apply (and again by the first after a Rebalance), so a population
-// nothing mutates never holds one. All methods are safe for concurrent use;
+// construction, each as a resident block (dataset.ResidentBlock: the rows,
+// the column-major mirror a pass, a registration and a repair classify from,
+// and the wire-size column a pass counts shuffle bytes from), beside its
+// bounding box, which pruning tests. Mutations edit the blocks, so engine
+// passes run over current data, and stratum repairs rescan them. A block's
+// rows may be shared with the relation they were cut from
+// (dataset.Partition), so the population never writes storage it did not
+// allocate: it copies a block's rows at that block's first edit, and from
+// then on edits its own copy in place, one block edit at each of insert,
+// update and removeAt, under the write lock; Rebalance builds new blocks.
+// The id index mutations look members up in is built by the first Apply
+// (and again by the first after a Rebalance), so a population nothing
+// mutates never holds one. All methods are safe for concurrent use;
 // mutations serialize behind a write lock while snapshots and pass execution
 // share a read lock.
 type Population struct {
 	mu     sync.RWMutex
 	schema *dataset.Schema
-	splits []dataset.Split
-	// owned[i] reports that splits[i] is storage the population allocated,
-	// which an edit may write in place.
-	owned   []bool
-	derived Derived
+	blocks []dataset.Block
+	// owned[i] reports that blocks[i].Rows is storage the population
+	// allocated, which an edit may write in place.
+	owned []bool
+	// bounds[i] holds one inclusive interval per schema field that contains
+	// every row of blocks[i] — not always the tightest: a delete leaves it as
+	// it was. Nil for a block that has had no rows since the last build.
+	bounds [][]predicate.Interval
 	// loc finds a member's split and row by ID; nil until an Apply needs it.
 	loc     map[int64]tupleLoc
 	members int
@@ -141,7 +132,7 @@ type Population struct {
 	seq atomic.Int64 // total applied mutations, the mutation epoch
 
 	// Counters (under mu).
-	rowBytes                            int64 // Σ Tuple.ResidentBytes over the splits
+	rowBytes                            int64 // Σ Tuple.ResidentBytes over the blocks
 	inserts, deletes, updates, rejected int64
 	repairs, repairScanned              int64
 	maxStaleness                        int64
@@ -202,24 +193,17 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	return p, nil
 }
 
-// setSplits installs splits as the resident set, owned when the population
-// allocated them, and builds what a pass reads beside them.
+// setSplits installs splits as the resident blocks, their rows owned when the
+// population allocated them, and builds their boxes.
 func (p *Population) setSplits(splits []dataset.Split, owned bool) {
-	p.splits = splits
+	p.blocks = make([]dataset.Block, len(splits))
 	p.owned = make([]bool, len(splits))
-	for si := range p.owned {
-		p.owned[si] = owned
-	}
-	p.derived = Derived{
-		Columns: make([]dataset.Columns, len(splits)),
-		Sizes:   make([][]int32, len(splits)),
-		Bounds:  make([][]predicate.Interval, len(splits)),
-	}
+	p.bounds = make([][]predicate.Interval, len(splits))
 	for si, split := range splits {
-		p.derived.Columns[si] = dataset.ColumnsOf(split, p.schema.NumFields())
-		p.derived.Sizes[si] = split.WireSizes()
+		p.blocks[si] = dataset.ResidentBlock(split, p.schema.NumFields())
+		p.owned[si] = owned
 		for i := range split {
-			p.derived.Bounds[si] = widen(p.derived.Bounds[si], split[i].Attrs)
+			p.bounds[si] = widen(p.bounds[si], split[i].Attrs)
 		}
 	}
 }
@@ -241,25 +225,24 @@ func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
 	return box
 }
 
-// classify walks the resident rows in split and row order, a block at a
-// time, and hands fn each block with its rows' classes under cls (a stratum
-// index, or -1). A block is classified from its split's column mirror by the
-// pass's kernel (a row-wise classifier reads the rows instead). Nothing is
-// copied per row. The classes are the population's scratch, valid until fn
-// returns: the caller holds the write lock.
+// classify walks the resident rows in block and row order, classBlock rows
+// at a time, and hands fn each run of rows with their classes under cls (a
+// stratum index, or -1). A run is classified from its block's column mirror
+// by the pass's kernel (a row-wise classifier reads the rows instead).
+// Nothing is copied per row. The classes are the population's scratch, valid
+// until fn returns: the caller holds the write lock.
 func (p *Population) classify(cls *predicate.Classifier, fn func(rows []dataset.Tuple, classes []int32)) {
 	if p.classes == nil {
 		p.classes = make([]int32, classBlock)
 		p.view = make(dataset.Columns, p.schema.NumFields())
 	}
 	attrs := cls.Attrs() // nil for a row-wise classifier, which reads no column
-	for si, split := range p.splits {
-		cols := p.derived.Columns[si]
-		for lo := 0; lo < len(split); lo += classBlock {
-			hi := min(lo+classBlock, len(split))
-			rows, classes := split[lo:hi], p.classes[:hi-lo]
+	for _, b := range p.blocks {
+		for lo := 0; lo < b.Len(); lo += classBlock {
+			hi := min(lo+classBlock, b.Len())
+			rows, classes := b.Rows[lo:hi], p.classes[:hi-lo]
 			for _, j := range attrs {
-				p.view[j] = cols[j][lo:hi]
+				p.view[j] = b.Cols[j][lo:hi]
 			}
 			cls.ClassifyColumns(p.view, rows, classes)
 			fn(rows, classes)
@@ -281,15 +264,16 @@ func (p *Population) Seq() int64 { return p.seq.Load() }
 // StalenessBound returns the configured repair trigger.
 func (p *Population) StalenessBound() int { return p.bound }
 
-// AcquireSplits hands an engine pass the resident splits, what it reads
-// beside them (column mirrors and bounding boxes, index-aligned) and a
-// release function. All of it is read-locked until released: mutations wait,
-// which is what keeps a pass's view consistent. It is the only way a pass
-// reaches the population, live or not; standing queries never need it —
-// their answers come from the warm reservoirs.
-func (p *Population) AcquireSplits() ([]dataset.Split, Derived, func()) {
+// Acquire hands an engine pass the resident blocks, one per split, their
+// bounding boxes (index-aligned: bounds[i] contains every row of blocks[i],
+// nil for a block that has had no rows since the last build) and a release
+// function. All of it is read-locked until released: mutations wait, which
+// is what keeps a pass's view consistent. It is the only way a pass reaches
+// the population, live or not; standing queries never need it — their
+// answers come from the warm reservoirs.
+func (p *Population) Acquire() (blocks []dataset.Block, bounds [][]predicate.Interval, release func()) {
 	p.mu.RLock()
-	return p.splits, p.derived, p.mu.RUnlock
+	return p.blocks, p.bounds, p.mu.RUnlock
 }
 
 // Splits returns the current number of resident splits (Rebalance re-cuts
@@ -297,17 +281,17 @@ func (p *Population) AcquireSplits() ([]dataset.Split, Derived, func()) {
 func (p *Population) Splits() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.splits)
+	return len(p.blocks)
 }
 
 // ResidentBytes reports the memory the resident population occupies by
-// layout: the row-major splits, and their column-major mirrors with the
-// wire-size columns.
+// layout: the row-major rows, and the blocks' column-major mirrors with
+// their wire-size columns.
 func (p *Population) ResidentBytes() (rows, columns int64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for si, c := range p.derived.Columns {
-		columns += c.ResidentBytes() + 4*int64(len(p.derived.Sizes[si]))
+	for _, b := range p.blocks {
+		columns += b.Cols.ResidentBytes() + 4*int64(len(b.Sizes))
 	}
 	return p.rowBytes, columns
 }
@@ -355,22 +339,23 @@ func (p *Population) index() {
 		return
 	}
 	p.loc = make(map[int64]tupleLoc, p.members)
-	for si, split := range p.splits {
-		for i := range split {
-			p.loc[split[i].ID] = tupleLoc{split: int32(si), idx: int32(i)}
+	for si, b := range p.blocks {
+		for i := range b.Rows {
+			p.loc[b.Rows[i].ID] = tupleLoc{split: int32(si), idx: int32(i)}
 		}
 	}
 }
 
-// own returns split si for an edit, copying it first unless the population
-// allocated it: the splits it was handed may be windows onto a relation
-// their caller still holds.
-func (p *Population) own(si int32) dataset.Split {
+// own returns block si for an edit, copying its rows first unless the
+// population allocated them: the splits it was handed may be windows onto a
+// relation their caller still holds.
+func (p *Population) own(si int32) *dataset.Block {
+	b := &p.blocks[si]
 	if !p.owned[si] {
-		p.splits[si] = slices.Clone(p.splits[si])
+		b.Rows = slices.Clone(b.Rows)
 		p.owned[si] = true
 	}
-	return p.splits[si]
+	return b
 }
 
 // applyOne applies a single mutation under the write lock.
@@ -385,14 +370,13 @@ func (p *Population) applyOne(m *Mutation) error {
 			return fmt.Errorf("live: insert of duplicate id %d", t.ID)
 		}
 		si := p.next
-		p.next = (p.next + 1) % len(p.splits)
-		p.splits[si] = append(p.own(int32(si)), t)
-		p.derived.Columns[si].Append(t.Attrs)
-		p.derived.Sizes[si] = append(p.derived.Sizes[si], int32(t.ByteSize()))
-		p.derived.Bounds[si] = widen(p.derived.Bounds[si], t.Attrs)
+		p.next = (p.next + 1) % len(p.blocks)
+		b := p.own(int32(si))
+		b.Append(t)
+		p.bounds[si] = widen(p.bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
 		p.members++
-		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(len(p.splits[si]) - 1)}
+		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(b.Len() - 1)}
 		for _, st := range p.queries {
 			st.insert(t)
 		}
@@ -401,7 +385,7 @@ func (p *Population) applyOne(m *Mutation) error {
 		if !ok {
 			return fmt.Errorf("live: delete of unknown id %d", m.ID)
 		}
-		old := p.splits[l.split][l.idx]
+		old := p.blocks[l.split].Rows[l.idx]
 		p.removeAt(l)
 		for _, st := range p.queries {
 			st.remove(p, old)
@@ -415,11 +399,9 @@ func (p *Population) applyOne(m *Mutation) error {
 		if !ok {
 			return fmt.Errorf("live: update of unknown id %d", t.ID)
 		}
-		old := p.splits[l.split][l.idx]
-		p.own(l.split)[l.idx] = t
-		p.derived.Columns[l.split].Set(int(l.idx), t.Attrs)
-		p.derived.Sizes[l.split][l.idx] = int32(t.ByteSize())
-		p.derived.Bounds[l.split] = widen(p.derived.Bounds[l.split], t.Attrs)
+		old := p.blocks[l.split].Rows[l.idx]
+		p.own(l.split).Set(int(l.idx), t)
+		p.bounds[l.split] = widen(p.bounds[l.split], t.Attrs)
 		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
 			st.update(p, old, t)
@@ -430,25 +412,18 @@ func (p *Population) applyOne(m *Mutation) error {
 	return nil
 }
 
-// removeAt swap-removes the member at l from its split, fixing the moved
-// member's location index. The split's box stays as it was: too large still
+// removeAt swap-removes the member at l from its block, fixing the moved
+// member's location index. The block's box stays as it was: too large still
 // prunes soundly.
 func (p *Population) removeAt(l tupleLoc) {
-	split := p.own(l.split)
-	last := int32(len(split) - 1)
-	delete(p.loc, split[l.idx].ID)
-	p.rowBytes -= split[l.idx].ResidentBytes()
+	b := p.own(l.split)
+	delete(p.loc, b.Rows[l.idx].ID)
+	p.rowBytes -= b.Rows[l.idx].ResidentBytes()
 	p.members--
-	p.derived.Columns[l.split].SwapRemove(int(l.idx))
-	sizes := p.derived.Sizes[l.split]
-	sizes[l.idx] = sizes[last]
-	p.derived.Sizes[l.split] = sizes[:last]
-	if l.idx != last {
-		split[l.idx] = split[last]
-		p.loc[split[l.idx].ID] = l
+	b.SwapRemove(int(l.idx))
+	if int(l.idx) < b.Len() {
+		p.loc[b.Rows[l.idx].ID] = l
 	}
-	split[last] = dataset.Tuple{}
-	p.splits[l.split] = split[:last]
 }
 
 // Rebalance re-cuts the resident population into k near-equal contiguous
@@ -457,8 +432,8 @@ func (p *Population) removeAt(l tupleLoc) {
 // history; a balanced re-cut restores even map-task sizing for engine passes.
 // The relative order of members is preserved (concatenation order of the old
 // splits), so a member keeps its place exactly when its old and new split
-// share an index and a start offset. The new splits are the population's own
-// storage; the mirrors and the boxes are rebuilt (the boxes tight again), the
+// share an index and a start offset. The new blocks are the population's own
+// storage, their columns and boxes built afresh (the boxes tight again), the
 // id index is dropped for the next Apply to rebuild, and the round-robin
 // insert cursor resets. Callers should
 // bump the daemon epoch afterwards: the re-cut changes split boundaries, which
@@ -471,8 +446,8 @@ func (p *Population) Rebalance(k int) int {
 	defer p.mu.Unlock()
 	total := p.members
 	flat := make(dataset.Split, 0, total)
-	for _, s := range p.splits {
-		flat = append(flat, s...)
+	for _, b := range p.blocks {
+		flat = append(flat, b.Rows...)
 	}
 	if k > total && total > 0 {
 		k = total
@@ -490,11 +465,11 @@ func (p *Population) Rebalance(k int) int {
 			size++
 		}
 		splits[si] = flat[off : off+size : off+size]
-		if si < len(p.splits) {
+		if si < len(p.blocks) {
 			if oldOff == off {
-				stayed += min(size, len(p.splits[si]))
+				stayed += min(size, p.blocks[si].Len())
 			}
-			oldOff += len(p.splits[si])
+			oldOff += p.blocks[si].Len()
 		}
 		off += size
 	}

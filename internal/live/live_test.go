@@ -237,18 +237,19 @@ func TestRegisterSharingAndSeedMismatch(t *testing.T) {
 }
 
 // TestAcquireSplitsConsistency checks a pass's view: the union of the
-// acquired splits is exactly the live membership.
+// acquired blocks' rows is exactly the live membership.
 func TestAcquireSplitsConsistency(t *testing.T) {
 	p := newTestPop(t, 80, 3, Config{})
 	p.Apply([]Mutation{
 		{Op: OpDelete, ID: 10}, {Op: OpDelete, ID: 11},
 		{Op: OpInsert, Tuple: tup(500, 1, 1)},
 	})
-	splits, _, release := p.AcquireSplits()
+	blocks, _, release := p.Acquire()
 	defer release()
 	seen := map[int64]bool{}
 	total := 0
-	for _, sp := range splits {
+	for _, b := range blocks {
+		sp := b.Rows
 		total += len(sp)
 		for i := range sp {
 			if seen[sp[i].ID] {
@@ -289,7 +290,7 @@ func TestOnlyAMutationBuildsTheIndex(t *testing.T) {
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, _, release := p.AcquireSplits()
+	_, _, release := p.Acquire()
 	release()
 	p.Snapshot("g")
 	p.QueryVersion("g")

@@ -16,8 +16,8 @@ import (
 func oracleRepair(st *Standing, p *Population, k int) {
 	s := st.strata[k]
 	var members []dataset.Tuple
-	for si := range p.splits {
-		split := p.splits[si]
+	for si := range p.blocks {
+		split := p.blocks[si].Rows
 		for i := range split {
 			if st.cls.Classify(&split[i]) == k {
 				members = append(members, split[i])
@@ -39,8 +39,8 @@ func oracleRegister(p *Population, key string, q *query.SSD, seed int64) (*Stand
 	if err != nil {
 		return nil, err
 	}
-	for si := range p.splits {
-		split := p.splits[si]
+	for si := range p.blocks {
+		split := p.blocks[si].Rows
 		for i := range split {
 			if k := st.cls.Classify(&split[i]); k >= 0 {
 				s := st.strata[k]
@@ -73,7 +73,7 @@ func (o *oracle) apply(m Mutation) {
 			id = m.Tuple.ID
 		}
 		if l, ok := o.pop.loc[id]; ok {
-			old = o.pop.splits[l.split][l.idx]
+			old = o.pop.blocks[l.split].Rows[l.idx]
 		}
 	}
 	if res := o.pop.Apply([]Mutation{m}); res.Applied == 0 {
@@ -164,8 +164,7 @@ func TestRepairMatchesMaterializingOracle(t *testing.T) {
 			}
 			newPop := func(cfg Config) *Population {
 				// Each population gets its own cut, of splits longer than a
-				// class block: an edit replaces an entry of the splits slice
-				// it was handed.
+				// class block.
 				splits, err := dataset.Partition(rel, 2, dataset.Contiguous, nil)
 				if err != nil {
 					t.Fatal(err)

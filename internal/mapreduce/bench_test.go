@@ -9,9 +9,9 @@ import (
 	"repro/internal/wire"
 )
 
-// The benchmark and test jobs use (int, int64) pairs, []int splits and
-// []int64 outputs; their codecs are registered here the way production jobs
-// register theirs next to RegisterJobMaker.
+// The benchmark and test jobs use (int, int64) pairs, records[int] splits
+// and []int64 outputs; their codecs are registered here the way production
+// jobs register theirs next to RegisterJobMaker.
 var intPairCodec = BucketCodec[int, int64]{
 	AppendPair: func(buf []byte, p Pair[int, int64]) []byte {
 		buf = wire.AppendVarint(buf, int64(p.Key))
@@ -26,18 +26,22 @@ var intPairCodec = BucketCodec[int, int64]{
 
 func init() {
 	RegisterBucketCodec(intPairCodec)
-	RegisterSliceCodec(RecordsCodec(
+	ints := RecordsCodec(
 		func(buf []byte, x int) []byte { return wire.AppendVarint(buf, int64(x)) },
-		func(r *wire.Reader) (int, error) { return int(r.Varint()), r.Err() }))
-	RegisterSliceCodec(RecordsCodec(wire.AppendVarint,
+		func(r *wire.Reader) (int, error) { return int(r.Varint()), r.Err() })
+	RegisterCodec(Codec[records[int]]{
+		Append: func(buf []byte, s records[int]) []byte { return ints.Append(buf, s) },
+		Read:   func(r *wire.Reader) (records[int], error) { return ints.Read(r) },
+	})
+	RegisterCodec(RecordsCodec(wire.AppendVarint,
 		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
 }
 
 // shuffleHeavyJob forwards every record unchanged under a wide key space,
 // so nearly all engine time is spent moving, grouping and byte-accounting
 // shuffle pairs rather than in map or reduce user code.
-func shuffleHeavyJob() *Job[int, int, int64, int64] {
-	return &Job[int, int, int64, int64]{
+func shuffleHeavyJob() *Job[records[int], int, int64, int64] {
+	return &Job[records[int], int, int64, int64]{
 		Name:  "shuffle-heavy",
 		Maker: "test-shuffle-heavy",
 		Mapper: forwardStage[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
@@ -52,13 +56,13 @@ func shuffleHeavyJob() *Job[int, int, int64, int64] {
 
 func init() {
 	RegisterJobMaker("test-shuffle-heavy",
-		func([]byte) (*Job[int, int, int64, int64], error) { return shuffleHeavyJob(), nil })
+		func([]byte) (*Job[records[int], int, int64, int64], error) { return shuffleHeavyJob(), nil })
 }
 
 // benchShuffle runs the shuffle-heavy job in memory (exec nil) or serialized
 // through the given executor.
 func benchShuffle(b *testing.B, exec Executor, tr Tracer, rows int) {
-	splits := make([][]int, 16)
+	splits := make([]records[int], 16)
 	for s := range splits {
 		split := make([]int, rows)
 		for i := range split {
@@ -123,7 +127,7 @@ func BenchmarkEngineTraced(b *testing.B) {
 }
 
 func benchEngine(b *testing.B, tr Tracer) {
-	splits := make([][]int, 16)
+	splits := make([]records[int], 16)
 	for s := range splits {
 		rows := make([]int, 2000)
 		for i := range rows {
@@ -131,7 +135,7 @@ func benchEngine(b *testing.B, tr Tracer) {
 		}
 		splits[s] = rows
 	}
-	job := &Job[int, int, int64, int64]{
+	job := &Job[records[int], int, int64, int64]{
 		Name: "mod-count",
 		Mapper: sumStage[int, int]{fn: func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%64, 1)

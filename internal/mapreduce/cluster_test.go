@@ -51,7 +51,7 @@ func TestClusterValidate(t *testing.T) {
 func TestRunRejectsInvalidCluster(t *testing.T) {
 	c := NewCluster(2)
 	c.MaxParallelism = -3
-	_, err := Run(c, remoteModCountJob(), [][]int{{1, 2, 3}})
+	_, err := Run(c, remoteModCountJob(), []records[int]{{1, 2, 3}})
 	if err == nil || !strings.Contains(err.Error(), "MaxParallelism") {
 		t.Fatalf("Run = %v, want MaxParallelism validation error", err)
 	}

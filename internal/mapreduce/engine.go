@@ -152,9 +152,9 @@ type reduceOutcome[O any] struct {
 // inprocBackend runs tasks as closures on the calling goroutines. Buckets
 // stay in memory as typed pairs and are never encoded; only their
 // approximate wire size is accounted, once, on the map side.
-type inprocBackend[I any, K comparable, V any, O any] struct {
-	job         *Job[I, K, V, O]
-	splits      [][]I
+type inprocBackend[S sized, K comparable, V any, O any] struct {
+	job         *Job[S, K, V, O]
+	splits      []S
 	numReducers int
 	perKey      bool
 	elapsed     func() time.Duration // nil when untraced
@@ -162,7 +162,7 @@ type inprocBackend[I any, K comparable, V any, O any] struct {
 	sizes       []int64              // [task*numReducers + reducer]: bucketApproxSize of buckets
 }
 
-func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
+func (b *inprocBackend[S, K, V, O]) runMap(task int, out *mapOutcome) error {
 	run := execMapTask(b.job, b.job.Seed, b.splits[task], task, b.numReducers, b.elapsed)
 	out.In, out.Out = run.in, run.out
 	out.CombineIn, out.CombineOut = run.combineIn, run.combineOut
@@ -179,7 +179,7 @@ func (b *inprocBackend[I, K, V, O]) runMap(task int, out *mapOutcome) error {
 	return nil
 }
 
-func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) error {
+func (b *inprocBackend[S, K, V, O]) runReduce(r int, out *reduceOutcome[O]) error {
 	// Concatenate the reducer's buckets in task order, then group by key:
 	// value order within a key is (task index, emission order), so parallel
 	// grouping is byte-identical to a serial one.
@@ -229,7 +229,7 @@ func (b *inprocBackend[I, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // backends modulo the Span.Worker tag. Histogram and counter collection on Metrics is
 // always on; only span assembly and wall-clock reads are gated, which keeps
 // the untraced hot path at its benchmarked speed.
-func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], splits [][]I) (*Result[O], error) {
+func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], splits []S) (*Result[O], error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,12 +281,12 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	backendName := "inproc"
 	if exec := c.Executor; exec != nil {
 		backendName = exec.Name()
-		be = newRemoteBackend[I, O](exec, TaskSpec{
+		be = newRemoteBackend[S, O](exec, TaskSpec{
 			Job: job.Name, Maker: job.Maker, Config: job.Config, Seed: job.Seed,
 			NumReducers: numReducers, NumMapTasks: len(splits), Frozen: c.Clock != nil,
 		}, splits, tctx, perKey, clock)
 	} else {
-		be = &inprocBackend[I, K, V, O]{
+		be = &inprocBackend[S, K, V, O]{
 			job: job, splits: splits, numReducers: numReducers, perKey: perKey,
 			elapsed: clock, buckets: make([][][]Pair[K, V], len(splits)),
 			sizes: make([]int64, len(splits)*numReducers),

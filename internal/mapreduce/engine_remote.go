@@ -14,14 +14,14 @@ import (
 // ShufflePlan or are retained here and handed to the reduce spec (routed),
 // and worker failures come back as extra failed attempts. The engine
 // loop (Run) is the same as for in-process execution.
-type remoteBackend[I any, O any] struct {
+type remoteBackend[S sized, O any] struct {
 	exec Executor
 	// spec is the template every task spec starts from: job identity, seed,
 	// task counts and the frozen-clock flag. Any injected clock cannot be
 	// shared with a worker process, so under one workers report zero wall
 	// durations and every timestamp comes from the coordinator's clock.
 	spec    TaskSpec
-	splits  [][]I
+	splits  []S
 	tctx    *TraceContext // non-nil when specs carry the trace identity
 	perKey  bool
 	elapsed func() time.Duration // nil when untraced
@@ -44,11 +44,11 @@ type remoteBackend[I any, O any] struct {
 	replayed map[int][][]byte
 }
 
-func newRemoteBackend[I any, O any](
-	exec Executor, spec TaskSpec, splits [][]I,
+func newRemoteBackend[S sized, O any](
+	exec Executor, spec TaskSpec, splits []S,
 	tctx *TraceContext, perKey bool, elapsed func() time.Duration,
-) *remoteBackend[I, O] {
-	b := &remoteBackend[I, O]{
+) *remoteBackend[S, O] {
+	b := &remoteBackend[S, O]{
 		exec: exec, spec: spec, splits: splits, tctx: tctx, perKey: perKey, elapsed: elapsed,
 		payloads: make([][][]byte, len(splits)),
 		sizes:    make([][]int64, len(splits)),
@@ -65,7 +65,7 @@ func newRemoteBackend[I any, O any](
 }
 
 // newSpec copies the template for one task.
-func (b *remoteBackend[I, O]) newSpec(phase string, task int) *TaskSpec {
+func (b *remoteBackend[S, O]) newSpec(phase string, task int) *TaskSpec {
 	spec := b.spec
 	spec.Phase, spec.Task = phase, task
 	return &spec
@@ -73,7 +73,7 @@ func (b *remoteBackend[I, O]) newSpec(phase string, task int) *TaskSpec {
 
 // stamp puts the trace identity on a spec: its successful attempt then comes
 // back decomposed into queue/wire/decode/exec/push/recv measurements.
-func (b *remoteBackend[I, O]) stamp(spec *TaskSpec) {
+func (b *remoteBackend[S, O]) stamp(spec *TaskSpec) {
 	if b.tctx == nil {
 		return
 	}
@@ -83,7 +83,7 @@ func (b *remoteBackend[I, O]) stamp(spec *TaskSpec) {
 }
 
 // fold copies what the loop needs out of a task result.
-func (b *remoteBackend[I, O]) fold(res *TaskResult, a *attempt) {
+func (b *remoteBackend[S, O]) fold(res *TaskResult, a *attempt) {
 	a.TaskCounters = res.Counters
 	a.custom = res.Custom
 	a.worker = res.Worker
@@ -96,9 +96,9 @@ func (b *remoteBackend[I, O]) fold(res *TaskResult, a *attempt) {
 // executeMap ships a map spec with its encoded split and checks the shape of
 // the reply: it crossed a process boundary, and the reduce side indexes it
 // by reducer.
-func (b *remoteBackend[I, O]) executeMap(spec *TaskSpec) (*TaskResult, error) {
+func (b *remoteBackend[S, O]) executeMap(spec *TaskSpec) (*TaskResult, error) {
 	var err error
-	if spec.Split, err = encodeSlice(b.splits[spec.Task]); err != nil {
+	if spec.Split, err = encodeValue(b.splits[spec.Task]); err != nil {
 		return nil, fmt.Errorf("encoding split of map task %d: %w", spec.Task, err)
 	}
 	res, err := b.exec.Execute(spec)
@@ -112,7 +112,7 @@ func (b *remoteBackend[I, O]) executeMap(spec *TaskSpec) (*TaskResult, error) {
 	return res, nil
 }
 
-func (b *remoteBackend[I, O]) runMap(task int, out *mapOutcome) error {
+func (b *remoteBackend[S, O]) runMap(task int, out *mapOutcome) error {
 	spec := b.newSpec("map", task)
 	spec.Shuffle = b.plan
 	b.stamp(spec)
@@ -131,7 +131,7 @@ func (b *remoteBackend[I, O]) runMap(task int, out *mapOutcome) error {
 	return nil
 }
 
-func (b *remoteBackend[I, O]) runReduce(r int, out *reduceOutcome[O]) error {
+func (b *remoteBackend[S, O]) runReduce(r int, out *reduceOutcome[O]) error {
 	spec := b.newSpec("reduce", r)
 	spec.CollectKeys = b.perKey
 	b.stamp(spec)
@@ -188,7 +188,7 @@ func (b *remoteBackend[I, O]) runReduce(r int, out *reduceOutcome[O]) error {
 // worker. Map re-execution is deterministic — the same split, seed and task
 // id produce byte-identical buckets — and memoized, so several lost reducers
 // share one replay per map task.
-func (b *remoteBackend[I, O]) routedFallback(r int, spec *TaskSpec, lost *ShuffleLostError) (*TaskResult, error) {
+func (b *remoteBackend[S, O]) routedFallback(r int, spec *TaskSpec, lost *ShuffleLostError) (*TaskResult, error) {
 	slog.Warn("mapreduce: direct shuffle lost, replaying buckets over the routed path",
 		"job", spec.Job, "reducer", r, "worker", lost.Worker, "reason", lost.Reason)
 	routed := *spec
@@ -218,7 +218,7 @@ func (b *remoteBackend[I, O]) routedFallback(r int, spec *TaskSpec, lost *Shuffl
 	return res, nil
 }
 
-func (b *remoteBackend[I, O]) replayBuckets(task int) ([][]byte, error) {
+func (b *remoteBackend[S, O]) replayBuckets(task int) ([][]byte, error) {
 	b.replayMu.Lock()
 	defer b.replayMu.Unlock()
 	if bks, ok := b.replayed[task]; ok {

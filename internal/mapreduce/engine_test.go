@@ -12,12 +12,18 @@ import (
 
 // The engine's test jobs are stages of the paper's two shapes, each built
 // from a per-record function that emits the (key, value) matches of one
-// record.
+// record, over splits of records.
+
+// records is the test jobs' split type: a plain slice the engine sizes by
+// its length.
+type records[T any] []T
+
+func (r records[T]) Len() int { return len(r) }
 
 // forwardStage forwards every match to the shuffle (Figure 1).
 type forwardStage[I any, K comparable, V any] func(ctx *TaskContext, in I, emit func(K, V))
 
-func (fn forwardStage[I, K, V]) MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches, combined int64) {
+func (fn forwardStage[I, K, V]) MapSplit(ctx *TaskContext, split records[I], emit func(K, V)) (matches, combined int64) {
 	forward := func(k K, v V) {
 		matches++
 		emit(k, v)
@@ -38,7 +44,7 @@ type sumStage[I any, K cmp.Ordered] struct {
 	observe string
 }
 
-func (s sumStage[I, K]) MapSplit(ctx *TaskContext, split []I, emit func(K, int64)) (matches, combined int64) {
+func (s sumStage[I, K]) MapSplit(ctx *TaskContext, split records[I], emit func(K, int64)) (matches, combined int64) {
 	sums, counts := map[K]int64{}, map[K]int64{}
 	fold := func(k K, v int64) {
 		matches++
@@ -87,8 +93,8 @@ func wcWords(_ *TaskContext, line string, emit func(string, int64)) {
 
 // wordCountJob counts words with a forwarding stage or, combining, with a
 // summing one.
-func wordCountJob(seed int64, combining bool) *Job[string, string, int64, wcOut] {
-	job := &Job[string, string, int64, wcOut]{
+func wordCountJob(seed int64, combining bool) *Job[records[string], string, int64, wcOut] {
+	job := &Job[records[string], string, int64, wcOut]{
 		Name:    "wordcount",
 		Seed:    seed,
 		Mapper:  forwardStage[string, string, int64](wcWords),
@@ -100,7 +106,7 @@ func wordCountJob(seed int64, combining bool) *Job[string, string, int64, wcOut]
 	return job
 }
 
-var wcSplits = [][]string{
+var wcSplits = []records[string]{
 	{"a b a", "c"},
 	{"b b", "a c c c"},
 	{},
@@ -170,8 +176,8 @@ func TestMetricsCounters(t *testing.T) {
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	// A stage and a reducer that consume randomness: a random value per
 	// match, and one of them sampled per key.
-	mkJob := func() *Job[string, string, int64, wcOut] {
-		return &Job[string, string, int64, wcOut]{
+	mkJob := func() *Job[records[string], string, int64, wcOut] {
+		return &Job[records[string], string, int64, wcOut]{
 			Name: "pick",
 			Seed: 42,
 			Mapper: forwardStage[string, string, int64](func(ctx *TaskContext, line string, emit func(string, int64)) {
@@ -198,7 +204,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestSeedChangesRandomness(t *testing.T) {
-	mk := func(seed int64) *Job[string, string, int64, wcOut] {
+	mk := func(seed int64) *Job[records[string], string, int64, wcOut] {
 		j := wordCountJob(seed, false)
 		j.Reducer = ReducerFunc[string, int64, wcOut](func(ctx *TaskContext, w string, vs []int64, emit func(wcOut)) {
 			emit(wcOut{w, ctx.Rand.Int63n(1 << 30)})
@@ -250,7 +256,7 @@ func TestMakespan(t *testing.T) {
 // is a task with more work. One oversized split among twenty stretches the
 // simulated map phase and adds no attempt.
 func TestStragglersStretchMakespan(t *testing.T) {
-	splits := make([][]string, 20)
+	splits := make([]records[string], 20)
 	for i := range splits {
 		splits[i] = []string{"x y z", "x"}
 	}
@@ -277,7 +283,7 @@ func TestStragglersStretchMakespan(t *testing.T) {
 func TestVirtualTimeScalesWithSlaves(t *testing.T) {
 	// Many equal splits: simulated map time must shrink roughly linearly
 	// in the number of slaves.
-	splits := make([][]string, 20)
+	splits := make([]records[string], 20)
 	for i := range splits {
 		lines := make([]string, 50)
 		for j := range lines {
@@ -328,7 +334,7 @@ func TestTaskContextFields(t *testing.T) {
 		}
 		emit(line, 1)
 	})
-	if _, err := Run(c, job, [][]string{{"w"}}); err != nil {
+	if _, err := Run(c, job, []records[string]{{"w"}}); err != nil {
 		t.Fatal(err)
 	}
 	if phase != "map" {
@@ -347,22 +353,22 @@ func TestTaskContextFields(t *testing.T) {
 // it had when the stage interface was called BatchMapper.)
 func TestBatchMapperLogicalCounters(t *testing.T) {
 	splits := remoteTestSplits()
-	var records int64
+	var total int64
 	for _, split := range splits {
-		records += int64(len(split))
+		total += int64(len(split))
 	}
 	// Every split holds all 53 residues the combining job keys by.
 	pairs := int64(53 * len(splits))
 	for _, c := range []struct {
 		name                                    string
-		job                                     *Job[int, int, int64, int64]
-		splits                                  [][]int
+		job                                     *Job[records[int], int, int64, int64]
+		splits                                  []records[int]
 		records, combineIn, combineOut, shuffle int64
 		combineSpans                            int
 	}{
-		{"combining", portableJob(1), splits, records, records, pairs, pairs, len(splits)},
-		{"forwarding", shuffleHeavyJob(), splits, records, 0, 0, records, 0},
-		{"combining nothing", portableJob(1), [][]int{{}, {}}, 0, 0, 0, 0, 0},
+		{"combining", portableJob(1), splits, total, total, pairs, pairs, len(splits)},
+		{"forwarding", shuffleHeavyJob(), splits, total, 0, 0, total, 0},
+		{"combining nothing", portableJob(1), []records[int]{{}, {}}, 0, 0, 0, 0, 0},
 	} {
 		for backend, exec := range map[string]Executor{"inproc": nil, "executor": &InprocExecutor{}} {
 			mem := NewMemTracer()

@@ -28,7 +28,7 @@ type TaskSpec struct {
 	Seed int64
 	// NumReducers is the job's reducer count (map tasks partition by it).
 	NumReducers int
-	// Split is the encoded input split of a map task (encodeSlice format).
+	// Split is the encoded input split of a map task (encodeValue format).
 	Split []byte
 	// Buckets are the reduce task's shuffle payloads in map-task order. On
 	// the direct-shuffle path an empty entry is a hole: the payload was (or
@@ -145,7 +145,7 @@ type TaskResult struct {
 	// across backends.
 	DirectBytes int64
 	// Output is a reduce attempt's encoded output record slice
-	// (encodeSlice format).
+	// (encodeValue format).
 	Output []byte
 	// Counters are the attempt's measured counters.
 	Counters TaskCounters

@@ -22,8 +22,8 @@ import (
 // backends must agree on: a combining stage (the two logical counts), a
 // custom KeyString, per-key reducer randomness (per-key reseeding), and
 // Observe (custom histogram transport).
-func remoteModCountJob() *Job[int, int, int64, int64] {
-	return &Job[int, int, int64, int64]{
+func remoteModCountJob() *Job[records[int], int, int64, int64] {
+	return &Job[records[int], int, int64, int64]{
 		Name: "remote-modcount",
 		Mapper: sumStage[int, int]{observe: "combine_in", fn: func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%53, int64(v))
@@ -43,13 +43,13 @@ func remoteModCountJob() *Job[int, int, int64, int64] {
 
 func init() {
 	RegisterJobMaker("test-remote-modcount",
-		func(config []byte) (*Job[int, int, int64, int64], error) {
+		func(config []byte) (*Job[records[int], int, int64, int64], error) {
 			return remoteModCountJob(), nil
 		})
 }
 
-func remoteTestSplits() [][]int {
-	splits := make([][]int, 7)
+func remoteTestSplits() []records[int] {
+	splits := make([]records[int], 7)
 	for s := range splits {
 		rows := make([]int, 400+13*s)
 		for i := range rows {
@@ -67,7 +67,7 @@ func remoteTestCluster() *Cluster {
 	}
 }
 
-func portableJob(seed int64) *Job[int, int, int64, int64] {
+func portableJob(seed int64) *Job[records[int], int, int64, int64] {
 	job := remoteModCountJob()
 	job.Seed = seed
 	job.Maker = "test-remote-modcount"

@@ -14,9 +14,10 @@ type Pair[K comparable, V any] struct {
 }
 
 // Mapper is the map stage of one whole split — the engine's one map
-// interface. One call scans the split and emits the pairs that go to the
-// shuffle; the paper's two map-side programs are its two shapes. A forwarding
-// stage (Figure 1) emits one pair per match and returns (matches, 0). A
+// interface. One call scans the split, a value of the job's split type S,
+// and emits the pairs that go to the shuffle; the paper's two map-side
+// programs are its two shapes. A forwarding stage (Figure 1) emits one pair
+// per match and returns (matches, 0). A
 // combining stage (Figure 2) aggregates in place and emits only the
 // aggregates — one ({sample}, N) pair per key it saw — returning
 // (matches, matches): combined counts the matches folded before the shuffle.
@@ -29,9 +30,14 @@ type Pair[K comparable, V any] struct {
 // forwarding job, or a combining one that matched no record) has no combine
 // spans. A deterministic stage draws randomness only from ctx.Rand and emits
 // keys in a fixed order.
-type Mapper[I any, K comparable, V any] interface {
-	MapSplit(ctx *TaskContext, split []I, emit func(K, V)) (matches, combined int64)
+type Mapper[S any, K comparable, V any] interface {
+	MapSplit(ctx *TaskContext, split S, emit func(K, V)) (matches, combined int64)
 }
+
+// sized bounds a job's split type: the engine reads only a split's record
+// count (its map-input records); what a split holds is its Mapper's business,
+// and how it travels its registered Codec's.
+type sized interface{ Len() int }
 
 // Reducer merges all values of one key into zero or more output records.
 type Reducer[K comparable, V any, O any] interface {
@@ -48,11 +54,11 @@ func (f ReducerFunc[K, V, O]) Reduce(ctx *TaskContext, key K, values []V, emit f
 
 // Job describes one MapReduce program. A Mapper and a Reducer are required;
 // KeyString and NumReducers have sensible defaults.
-type Job[I any, K comparable, V any, O any] struct {
+type Job[S sized, K comparable, V any, O any] struct {
 	// Name labels the job in metrics and errors.
 	Name string
 	// Mapper runs the map stage: one call per split.
-	Mapper Mapper[I, K, V]
+	Mapper Mapper[S, K, V]
 	// Reducer merges the values of each key.
 	Reducer Reducer[K, V, O]
 	// NumReducers is the number of reduce tasks (default: the cluster's
@@ -73,7 +79,7 @@ type Job[I any, K comparable, V any, O any] struct {
 	Config []byte
 }
 
-func (j *Job[I, K, V, O]) keyString(k K) string {
+func (j *Job[S, K, V, O]) keyString(k K) string {
 	if j.KeyString != nil {
 		return j.KeyString(k)
 	}
@@ -82,7 +88,7 @@ func (j *Job[I, K, V, O]) keyString(k K) string {
 
 // partition routes a key to one of n reducers: the FNV hash of its
 // KeyString.
-func (j *Job[I, K, V, O]) partition(k K, n int) int {
+func (j *Job[S, K, V, O]) partition(k K, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(j.keyString(k)))
 	return int(h.Sum32() % uint32(n))

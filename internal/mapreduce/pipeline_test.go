@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func pipelineStressJob() *Job[int, int, int64, Pair[int, int64]] {
-	return &Job[int, int, int64, Pair[int, int64]]{
+func pipelineStressJob() *Job[records[int], int, int64, Pair[int, int64]] {
+	return &Job[records[int], int, int64, Pair[int, int64]]{
 		Name:  "pipeline-stress",
 		Maker: "test-pipeline-stress",
 		Seed:  42,
@@ -30,9 +30,11 @@ func pipelineStressJob() *Job[int, int, int64, Pair[int, int64]] {
 
 func init() {
 	RegisterJobMaker("test-pipeline-stress",
-		func([]byte) (*Job[int, int, int64, Pair[int, int64]], error) { return pipelineStressJob(), nil })
+		func([]byte) (*Job[records[int], int, int64, Pair[int, int64]], error) {
+			return pipelineStressJob(), nil
+		})
 	// Output records are pairs, encoded like the shuffle pairs of bench_test.go.
-	RegisterSliceCodec(RecordsCodec(intPairCodec.AppendPair, intPairCodec.ReadPair))
+	RegisterCodec(RecordsCodec(intPairCodec.AppendPair, intPairCodec.ReadPair))
 }
 
 // TestPipelinedShuffleStress drives the shuffle hard — many map tasks
@@ -41,7 +43,7 @@ func init() {
 // (one-slot) run. Under `go test -race` this is the main concurrency check
 // for the map→shuffle→reduce pipeline on both backend implementations.
 func TestPipelinedShuffleStress(t *testing.T) {
-	splits := make([][]int, 32)
+	splits := make([]records[int], 32)
 	for s := range splits {
 		rows := make([]int, 300)
 		for i := range rows {

@@ -26,7 +26,7 @@ func TestQuickCountingInvariant(t *testing.T) {
 			truth[values[i]]++
 		}
 		// Random contiguous split boundaries.
-		splits := make([][]int, numSplits)
+		splits := make([]records[int], numSplits)
 		start := 0
 		for s := 0; s < numSplits; s++ {
 			end := start + rng.Intn(n-start+1)
@@ -38,7 +38,7 @@ func TestQuickCountingInvariant(t *testing.T) {
 		}
 
 		one := func(_ *TaskContext, v int, emit func(int, int64)) { emit(v, 1) }
-		job := &Job[int, int, int64, wcOut]{
+		job := &Job[records[int], int, int64, wcOut]{
 			Name:      "quick-count",
 			Seed:      seed,
 			Mapper:    forwardStage[int, int, int64](one),

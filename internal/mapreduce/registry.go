@@ -62,7 +62,7 @@ var registry = struct {
 // rebuild the job: map stage, reducer and KeyString all included.
 // Name and Seed are overridden from the spec, so the factory need not set
 // them.
-func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func(config []byte) (*Job[I, K, V, O], error)) {
+func RegisterJobMaker[S sized, K comparable, V any, O any](name string, maker func(config []byte) (*Job[S, K, V, O], error)) {
 	registry.Lock()
 	defer registry.Unlock()
 	if _, dup := registry.makers[name]; dup {
@@ -75,12 +75,12 @@ func RegisterJobMaker[I any, K comparable, V any, O any](name string, maker func
 				return nil, fmt.Errorf("mapreduce: maker %q: %w", name, err)
 			}
 			job.Name = jobName
-			return &jobRunner[I, K, V, O]{job: job}, nil
+			return &jobRunner[S, K, V, O]{job: job}, nil
 		},
 		codecs: func() error {
-			_, split := lookupCodec[SliceCodec[I], []I]()
+			_, split := lookupCodec[Codec[S], S]()
 			_, pair := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
-			_, out := lookupCodec[SliceCodec[O], []O]()
+			_, out := lookupCodec[Codec[[]O], []O]()
 			return errors.Join(split, pair, out)
 		},
 	}
@@ -131,11 +131,11 @@ func ExecuteTask(spec *TaskSpec) (*TaskResult, error) {
 }
 
 // jobRunner adapts a concrete Job to the type-erased taskRunner interface.
-type jobRunner[I any, K comparable, V any, O any] struct {
-	job *Job[I, K, V, O]
+type jobRunner[S sized, K comparable, V any, O any] struct {
+	job *Job[S, K, V, O]
 }
 
-func (jr *jobRunner[I, K, V, O]) runTask(spec *TaskSpec) (*TaskResult, error) {
+func (jr *jobRunner[S, K, V, O]) runTask(spec *TaskSpec) (*TaskResult, error) {
 	switch spec.Phase {
 	case "map":
 		return jr.runMap(spec)
@@ -157,8 +157,8 @@ func taskClock(spec *TaskSpec) func() time.Duration {
 	return func() time.Duration { return time.Since(start) }
 }
 
-func (jr *jobRunner[I, K, V, O]) runMap(spec *TaskSpec) (*TaskResult, error) {
-	split, err := decodeSlice[I](spec.Split)
+func (jr *jobRunner[S, K, V, O]) runMap(spec *TaskSpec) (*TaskResult, error) {
+	split, err := decodeValue[S](spec.Split)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: decoding split of map task %d: %w", spec.Task, err)
 	}
@@ -184,7 +184,7 @@ func (jr *jobRunner[I, K, V, O]) runMap(spec *TaskSpec) (*TaskResult, error) {
 	return res, nil
 }
 
-func (jr *jobRunner[I, K, V, O]) runReduce(spec *TaskSpec) (*TaskResult, error) {
+func (jr *jobRunner[S, K, V, O]) runReduce(spec *TaskSpec) (*TaskResult, error) {
 	parts := make([][]Pair[K, V], len(spec.Buckets))
 	for task, payload := range spec.Buckets {
 		pairs, err := decodeBucket[K, V](payload)
@@ -199,7 +199,7 @@ func (jr *jobRunner[I, K, V, O]) runReduce(spec *TaskSpec) (*TaskResult, error) 
 	groups := groupPairs(parts)
 	names := groups.sortByName(jr.job.keyString)
 	run := execReduceTask(jr.job, spec.Seed, groups, names, spec.Task, spec.CollectKeys)
-	payload, err := encodeSlice(run.out)
+	payload, err := encodeValue(run.out)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: encoding reduce %d output: %w", spec.Task, err)
 	}
@@ -219,7 +219,7 @@ func (jr *jobRunner[I, K, V, O]) runReduce(spec *TaskSpec) (*TaskResult, error) 
 // records. The coordinator-side engine uses it; it is exported for tests and
 // tools that inspect raw results.
 func DecodeTaskOutput[O any](payload []byte) ([]O, error) {
-	out, err := decodeSlice[O](payload)
+	out, err := decodeValue[[]O](payload)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: decoding reduce output: %w", err)
 	}

@@ -31,15 +31,15 @@ const mapStream = "combine"
 // two counts become the task's logical counters (Mapper). elapsed supplies
 // the stage-boundary timestamp for tracing and may be nil when nobody is
 // watching (untraced runs, or remote attempts under a frozen clock).
-func execMapTask[I any, K comparable, V any, O any](
-	job *Job[I, K, V, O], seed int64, split []I, task, numReducers int,
+func execMapTask[S sized, K comparable, V any, O any](
+	job *Job[S, K, V, O], seed int64, split S, task, numReducers int,
 	elapsed func() time.Duration,
 ) mapTaskRun[K, V] {
 	var run mapTaskRun[K, V]
 	ctx := newTaskContext(job.Name, "map", task, taskSeed(seed, mapStream, strconv.Itoa(task)))
 	ctx.observe = histObserver(&run.custom)
 	run.buckets = make([][]Pair[K, V], numReducers)
-	run.in = int64(len(split))
+	run.in = int64(split.Len())
 	var emitted int64
 	run.out, run.combineIn = job.Mapper.MapSplit(ctx, split, func(k K, v V) {
 		emitted++
@@ -84,8 +84,8 @@ type reduceTaskRun[O any] struct {
 // must already be sorted by sortByName and names aligned with its key order
 // (the names feed the per-key reduce seeds without re-rendering). collectKeys
 // asks for per-key (per-stratum) input/output counters.
-func execReduceTask[I any, K comparable, V any, O any](
-	job *Job[I, K, V, O], seed int64, groups *keyGroups[K, V], names []string,
+func execReduceTask[S sized, K comparable, V any, O any](
+	job *Job[S, K, V, O], seed int64, groups *keyGroups[K, V], names []string,
 	task int, collectKeys bool,
 ) reduceTaskRun[O] {
 	var run reduceTaskRun[O]

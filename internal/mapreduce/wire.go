@@ -30,18 +30,18 @@ type BucketCodec[K comparable, V any] struct {
 	ReadPair   func(r *wire.Reader) (Pair[K, V], error)
 }
 
-// SliceCodec encodes/decodes a whole []T payload (map splits, reduce
-// outputs). Operating on the slice rather than per element lets a codec
-// pick a columnar layout (dataset.TupleBatch).
-type SliceCodec[T any] struct {
-	Append func(buf []byte, v []T) []byte
-	Read   func(r *wire.Reader) ([]T, error)
+// Codec encodes/decodes one whole payload value: a map task's split (any
+// split type; a codec may pick a columnar layout, as dataset.TupleBatch) or
+// a reduce task's output records ([]O, usually through RecordsCodec).
+type Codec[T any] struct {
+	Append func(buf []byte, v T) []byte
+	Read   func(r *wire.Reader) (T, error)
 }
 
-// RecordsCodec builds the slice codec of a record type from its per-record
+// RecordsCodec builds the codec of a record slice from its per-record
 // encoder and decoder: a count, then the records in order.
-func RecordsCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) (T, error)) SliceCodec[T] {
-	return SliceCodec[T]{
+func RecordsCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) (T, error)) Codec[[]T] {
+	return Codec[[]T]{
 		Append: func(buf []byte, recs []T) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(recs)))
 			for _, rec := range recs {
@@ -62,28 +62,29 @@ func RecordsCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) (T,
 	}
 }
 
-// codecs maps reflect.Type of *Pair[K,V] (buckets) or *[]T (slices) to the
-// registered codec — distinct key shapes, so a job whose output records are
-// themselves pairs cannot collide with its bucket codec. sync.Map: written
-// during init, read on the hot path.
+// codecs maps the reflect.Type of a *BucketCodec[K,V] or *Codec[T] to the
+// registered codec — keyed by the codec's type, so a value codec and a
+// bucket codec never collide. sync.Map: written during init, read on the hot
+// path.
 var codecs sync.Map
 
 // RegisterBucketCodec installs the codec for one pair type. Call it from an
 // init function alongside RegisterJobMaker, so coordinator and worker
 // binaries agree on the format.
 func RegisterBucketCodec[K comparable, V any](c BucketCodec[K, V]) {
-	codecs.Store(reflect.TypeOf((*Pair[K, V])(nil)), c)
+	codecs.Store(reflect.TypeOf((*BucketCodec[K, V])(nil)), c)
 }
 
-// RegisterSliceCodec installs the codec for []T payloads.
-func RegisterSliceCodec[T any](c SliceCodec[T]) {
-	codecs.Store(reflect.TypeOf((*[]T)(nil)), c)
+// RegisterCodec installs the codec for payloads of type T: a job's split
+// type, and the []O of its output records.
+func RegisterCodec[T any](c Codec[T]) {
+	codecs.Store(reflect.TypeOf((*Codec[T])(nil)), c)
 }
 
-// lookupCodec returns the codec registered for *T (a *Pair[K,V] or *[]T),
-// or an error naming the type.
+// lookupCodec returns the registered codec of type C, whose payloads are of
+// type T, or an error naming T.
 func lookupCodec[C, T any]() (C, error) {
-	v, ok := codecs.Load(reflect.TypeOf((*T)(nil)))
+	v, ok := codecs.Load(reflect.TypeOf((*C)(nil)))
 	if !ok {
 		var zero C
 		return zero, fmt.Errorf("mapreduce: no wire codec registered for %v", reflect.TypeOf((*T)(nil)).Elem())
@@ -103,11 +104,11 @@ func payloadReader(payload []byte) (*wire.Reader, error) {
 	return wire.NewReader(payload[1:]), nil
 }
 
-// --- slice payloads (splits, reduce outputs) --------------------------------
+// --- value payloads (splits, reduce outputs) --------------------------------
 
-// encodeSlice serializes a []T payload with T's registered codec.
-func encodeSlice[T any](v []T) ([]byte, error) {
-	c, err := lookupCodec[SliceCodec[T], []T]()
+// encodeValue serializes a payload with its type's registered codec.
+func encodeValue[T any](v T) ([]byte, error) {
+	c, err := lookupCodec[Codec[T], T]()
 	if err != nil {
 		return nil, err
 	}
@@ -116,19 +117,18 @@ func encodeSlice[T any](v []T) ([]byte, error) {
 	return c.Append(buf, v), nil
 }
 
-// decodeSlice reverses encodeSlice.
-func decodeSlice[T any](payload []byte) ([]T, error) {
-	c, err := lookupCodec[SliceCodec[T], []T]()
+// decodeValue reverses encodeValue.
+func decodeValue[T any](payload []byte) (v T, err error) {
+	c, err := lookupCodec[Codec[T], T]()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	r, err := payloadReader(payload)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	v, err := c.Read(r)
-	if err != nil {
-		return nil, err
+	if v, err = c.Read(r); err != nil {
+		return v, err
 	}
 	return v, r.Done()
 }

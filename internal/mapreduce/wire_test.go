@@ -200,19 +200,20 @@ func TestEncodeDecodeBucket(t *testing.T) {
 	}
 }
 
-// TestSliceCodecErrors mirrors the bucket errors for whole-slice payloads.
+// TestSliceCodecErrors mirrors the bucket errors for value payloads (a
+// reduce output's record slice here).
 func TestSliceCodecErrors(t *testing.T) {
 	type rec struct{ N int64 }
-	if _, err := encodeSlice([]rec{{1}}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
+	if _, err := encodeValue([]rec{{1}}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
 		t.Errorf("encoding an unregistered slice type: %v, want an error naming it", err)
 	}
-	if _, err := decodeSlice[rec]([]byte{payloadFormat, 0}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
+	if _, err := decodeValue[[]rec]([]byte{payloadFormat, 0}); err == nil || !strings.Contains(err.Error(), "[]mapreduce.rec") {
 		t.Errorf("decoding an unregistered slice type: %v, want an error naming it", err)
 	}
-	if _, err := decodeSlice[int](nil); !errors.Is(err, wire.ErrTruncated) {
+	if _, err := decodeValue[[]int64](nil); !errors.Is(err, wire.ErrTruncated) {
 		t.Errorf("empty payload: %v, want ErrTruncated", err)
 	}
-	if _, err := decodeSlice[int]([]byte{0x00, 0}); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := decodeValue[[]int64]([]byte{0x00, 0}); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("unknown format byte: %v, want ErrCorrupt", err)
 	}
 }

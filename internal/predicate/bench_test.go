@@ -81,7 +81,7 @@ func BenchmarkClassifyColumns(b *testing.B) {
 	for i := range rows {
 		rows[i] = dataset.Tuple{Attrs: []int64{rng.Int63n(1001), rng.Int63n(1001), rngCD.Int63n(1001), rngCD.Int63n(1001)}}
 	}
-	cols := dataset.ColumnsOf(rows, 4)
+	cols := dataset.ResidentBlock(rows, 4).Cols
 	out := make([]int32, len(rows))
 	large := make([][]Expr, 9)
 	for i := range large {

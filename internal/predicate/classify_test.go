@@ -113,7 +113,7 @@ func TestClassifierDeepAndOfOr(t *testing.T) {
 // mirror — the columns Attrs names, nothing else — equals row-wise Classify.
 func columnsAgree(t *testing.T, cls *Classifier, numFields int, tuples []dataset.Tuple) bool {
 	t.Helper()
-	mirror := dataset.ColumnsOf(tuples, numFields)
+	mirror := dataset.ResidentBlock(tuples, numFields).Cols
 	cols := make(dataset.Columns, numFields)
 	for _, j := range cls.Attrs() {
 		cols[j] = mirror[j]

@@ -53,7 +53,7 @@ func TestPaperShapesTakeTheGrid(t *testing.T) {
 	t.Run("query-groups", func(t *testing.T) {
 		pop := gen.Population(10_000, 1)
 		rows := pop.Tuples()
-		cols := dataset.ColumnsOf(rows, schema.NumFields())
+		cols := dataset.ResidentBlock(rows, schema.NumFields()).Cols
 		out := make([]int32, len(rows))
 		for _, p := range gen.Groups() {
 			queries, err := gen.QueryGroup(p, pop, 100, rand.New(rand.NewSource(1)))

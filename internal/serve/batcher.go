@@ -401,9 +401,9 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		requests += e.attached
 	}
 
-	splits, derived, release := x.pop.AcquireSplits()
+	blocks, bounds, release := x.pop.Acquire()
 	defer release()
-	splits, pruned := pruneSplits(splits, derived, classifiers)
+	blocks, pruned := pruneBlocks(blocks, bounds, classifiers)
 
 	c := *x.cluster // this pass's own copy: the trace fields below are set on it
 	traced := x.traced(cur)
@@ -421,19 +421,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 			c.Tracer = x.tracer
 		}
 	}
-	opts := stratified.Options{Seed: g.seed, Columns: derived.Columns, Sizes: derived.Sizes}
-	var (
-		answers query.MultiAnswer
-		met     mapreduce.Metrics
-		err     error
-	)
-	if len(queries) == 1 {
-		var ans *query.Answer
-		ans, met, err = stratified.RunSQE(&c, queries[0], x.schema, splits, opts)
-		answers = query.MultiAnswer{ans}
-	} else {
-		answers, met, err = stratified.RunMQE(&c, queries, x.schema, splits, opts)
-	}
+	answers, met, err := stratified.Pass(&c, queries, x.schema, blocks, stratified.Options{Seed: g.seed})
 	passEnd := time.Now()
 	if err != nil {
 		x.stats.add(&x.stats.Errors, 1)

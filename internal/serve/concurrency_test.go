@@ -120,7 +120,7 @@ func TestConcurrentPassesByteIdentical(t *testing.T) {
 // under the race detector: short-window batches overlap through the pass
 // semaphore while a mutator rewrites the live population underneath them.
 // Every request must succeed; the race detector checks the rest (pass reads
-// under AcquireSplits vs. Apply writes, pool handoff, inflight accounting).
+// under Acquire vs. Apply writes, pool handoff, inflight accounting).
 func TestOverlappingBatchesLiveMutationsRace(t *testing.T) {
 	d := newTestDaemon(t, Config{
 		Population: livePopulation(500), Slaves: 2, Layout: dataset.RoundRobin,

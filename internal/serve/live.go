@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -242,8 +243,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNext long-polls one push: it returns the first push with sequence
-// greater than ?after= (default 0), waiting up to ?timeout_ms= (default
-// 30000) before answering 204 No Content. A closed subscription answers 410.
+// greater than ?after= (default 0), waiting up to ?timeout_ms= (a base-10
+// integer in [1, 120000]; default 30000) before answering 204 No Content. A
+// closed subscription answers 410.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Live {
 		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
@@ -254,9 +256,10 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	timeout := 30 * time.Second
-	if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-		var v int64
-		if _, err := fmt.Sscanf(ms, "%d", &v); err != nil || v <= 0 || v > 120_000 {
+	if q := r.URL.Query(); q.Has("timeout_ms") {
+		ms := q.Get("timeout_ms")
+		v, err := strconv.ParseInt(ms, 10, 64)
+		if err != nil || v <= 0 || v > 120_000 {
 			httpError(w, http.StatusBadRequest, "bad timeout_ms %q", ms)
 			return
 		}
@@ -388,7 +391,8 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 }
 
 // lookup resolves the ?id= and ?after= query params of a delivery endpoint,
-// writing the error response itself when they don't resolve.
+// writing the error response itself when they don't resolve: after, when
+// present, must be a base-10 integer and nothing else.
 func (h *subHub) lookup(w http.ResponseWriter, r *http.Request) (*subscription, int64, bool) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
@@ -403,9 +407,10 @@ func (h *subHub) lookup(w http.ResponseWriter, r *http.Request) (*subscription, 
 		return nil, 0, false
 	}
 	after := int64(0)
-	if a := r.URL.Query().Get("after"); a != "" {
-		if _, err := fmt.Sscanf(a, "%d", &after); err != nil {
-			httpError(w, http.StatusBadRequest, "bad after %q", a)
+	if q := r.URL.Query(); q.Has("after") {
+		var err error
+		if after, err = strconv.ParseInt(q.Get("after"), 10, 64); err != nil {
+			httpError(w, http.StatusBadRequest, "bad after %q", q.Get("after"))
 			return nil, 0, false
 		}
 	}

@@ -683,3 +683,40 @@ func TestExecutorDaemonMatchesInProcess(t *testing.T) {
 		t.Errorf("resident bytes: in-process %v, executor %v", in.ResidentBytes, ex.ResidentBytes)
 	}
 }
+
+// TestDeliveryRejectsMalformedNumbers: ?after= and ?timeout_ms= are base-10
+// integers and nothing else — trailing text, an exponent or an empty value
+// is a 400 on both delivery endpoints, not the number's prefix or the
+// default.
+func TestDeliveryRejectsMalformedNumbers(t *testing.T) {
+	d := newLiveDaemon(t, 20)
+	var sub struct {
+		Subscription string `json:"subscription"`
+	}
+	if code := d.postJSON(t, "/v1/subscribe", map[string]any{"query": "gender = 1 : 2", "seed": 1}, &sub); code != http.StatusOK {
+		t.Fatalf("subscribe: status %d", code)
+	}
+	get := func(path, params string) int {
+		t.Helper()
+		resp, err := http.Get(d.ts.URL + path + "?id=" + sub.Subscription + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get("/v1/next", "&after=1&timeout_ms=10"); code != http.StatusNoContent {
+		t.Fatalf("next with well-formed numbers: status %d, want 204", code)
+	}
+	for _, bad := range []string{"10abc", "5x", "1e3", ""} {
+		for _, c := range []struct{ path, params string }{
+			{"/v1/next", "&after=" + bad},
+			{"/v1/next", "&after=1&timeout_ms=" + bad},
+			{"/v1/stream", "&after=" + bad},
+		} {
+			if code := get(c.path, c.params); code != http.StatusBadRequest {
+				t.Errorf("%s%s: status %d, want 400", c.path, c.params, code)
+			}
+		}
+	}
+}

@@ -4,20 +4,19 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
-	"repro/internal/live"
 	"repro/internal/predicate"
 )
 
 // Stratum pre-filtering over the resident population. The population keeps,
-// for every split, a bounding box of its tuples (per attribute min/max,
-// widened as members arrive — live.Derived.Bounds). Per pass, each split's
-// box is tested against the classifier of every batched query
-// (predicate.Classifier.Meets): a split whose box meets no cell that some
-// stratum holds on provably contains no tuple any stratum condition can
+// for every block, a bounding box of its tuples (per attribute min/max,
+// widened as members arrive — live.Population.Acquire hands them out). Per
+// pass, each block's box is tested against the classifier of every batched
+// query (predicate.Classifier.Meets): a block whose box meets no cell that
+// some stratum holds on provably contains no tuple any stratum condition can
 // match, so the pass can skip scanning it.
 //
-// Pruning is index-preserving: a pruned split is replaced by a nil slice in
-// the splits vector rather than removed, so the engine still creates one
+// Pruning is index-preserving: a pruned block is replaced by the zero block
+// (no rows, no columns) rather than removed, so the engine still creates one
 // (trivial) map task per original split and every surviving task keeps its
 // task index — and with it its deterministic RNG seed. That is what makes a
 // pruned pass byte-identical to an unpruned one: the skipped tasks would
@@ -25,16 +24,16 @@ import (
 // tasks see the same seeds and the same tuples. The saving is the scan of
 // the pruned tuples, which dominates map time for selective query sets.
 
-// pruneSplits returns a copy of splits with every split no classifier can
-// match a tuple of replaced by nil, plus the number of splits pruned. derived
-// must be what AcquireSplits handed out with splits.
-func pruneSplits(splits []dataset.Split, derived live.Derived, classifiers []*predicate.Classifier) ([]dataset.Split, int) {
-	out := make([]dataset.Split, len(splits))
+// pruneBlocks returns a copy of blocks with every block no classifier can
+// match a tuple of replaced by the zero block, plus the number of blocks
+// pruned. bounds must be what Acquire handed out with blocks.
+func pruneBlocks(blocks []dataset.Block, bounds [][]predicate.Interval, classifiers []*predicate.Classifier) ([]dataset.Block, int) {
+	out := make([]dataset.Block, len(blocks))
 	pruned := 0
-	for i, split := range splits {
-		meets := func(c *predicate.Classifier) bool { return c.Meets(derived.Bounds[i]) }
-		if len(split) > 0 && slices.ContainsFunc(classifiers, meets) {
-			out[i] = split
+	for i, b := range blocks {
+		meets := func(c *predicate.Classifier) bool { return c.Meets(bounds[i]) }
+		if b.Len() > 0 && slices.ContainsFunc(classifiers, meets) {
+			out[i] = b
 		} else {
 			pruned++
 		}

@@ -39,7 +39,7 @@ func TestPruneSkipsIrrelevantSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splits, derived, release := pop.AcquireSplits()
+	blocks, bounds, release := pop.Acquire()
 	defer release()
 
 	q, err := query.ParseSSD("Q", "x >= 90 : 5")
@@ -50,20 +50,20 @@ func TestPruneSkipsIrrelevantSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, n := pruneSplits(splits, derived, []*predicate.Classifier{cls})
+	pruned, n := pruneBlocks(blocks, bounds, []*predicate.Classifier{cls})
 	if n != 9 {
 		t.Fatalf("pruned %d splits, want 9 (only x∈[90,99] is relevant)", n)
 	}
-	if pruned[9] == nil || len(pruned[9]) != 10 {
-		t.Fatal("the relevant split was pruned")
+	if pruned[9].Len() != 10 || pruned[9].Cols == nil || pruned[9].Sizes == nil {
+		t.Fatal("the relevant block was pruned or lost its columns")
 	}
 	for i := 0; i < 9; i++ {
-		if pruned[i] != nil {
-			t.Errorf("split %d should be pruned", i)
+		if b := pruned[i]; b.Rows != nil || b.Cols != nil || b.Sizes != nil {
+			t.Errorf("block %d should be pruned to the zero block", i)
 		}
 	}
-	if len(pruned) != len(splits) {
-		t.Errorf("pruning changed the split count: %d vs %d (must be index-preserving)", len(pruned), len(splits))
+	if len(pruned) != len(blocks) {
+		t.Errorf("pruning changed the block count: %d vs %d (must be index-preserving)", len(pruned), len(blocks))
 	}
 }
 
@@ -135,7 +135,11 @@ func TestLivePassesPrune(t *testing.T) {
 		if d.s.Stats().PrunedSplits == before {
 			t.Errorf("%s: a live daemon pruned no splits on a contiguous line population", when)
 		}
-		splits, _, release := d.s.pop.AcquireSplits()
+		blocks, _, release := d.s.pop.Acquire()
+		splits := make([]dataset.Split, len(blocks))
+		for i, b := range blocks {
+			splits[i] = b.Rows
+		}
 		ans, _, err := stratified.RunSQE(mapreduce.NewCluster(5), q, rel.Schema(), splits, stratified.Options{Seed: 3})
 		release()
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkFusedMapSplit measures one map task of the serving pass: the fused
 // stage over one 25,000-row split (a 10⁵ population on 4 splits) with its
-// resident columns and size column and a warm scratch pool, for an 8-query batch of each
+// column mirror and size column (a resident block) and a warm scratch pool, for an 8-query batch of each
 // stratum shape the serving benchmark draws — narrow (two strata, a handful
 // each) and wide (a four-stratum grid, 100 each). scripts/bench_regress.sh
 // gates its allocs/op: the match lists live in the pool, so a task allocates
@@ -24,11 +24,11 @@ func BenchmarkFusedMapSplit(b *testing.B) {
 		dataset.Field{Name: "b", Min: 0, Max: 1000},
 	)
 	rng := rand.New(rand.NewSource(1))
-	split := make([]dataset.Tuple, 25000)
+	split := make(dataset.Split, 25000)
 	for i := range split {
 		split[i] = dataset.Tuple{ID: int64(i), Attrs: []int64{rng.Int63n(1001), rng.Int63n(1001)}}
 	}
-	columns, sizes := []dataset.Columns{dataset.ColumnsOf(split, 2)}, [][]int32{dataset.Split(split).WireSizes()}
+	block := dataset.ResidentBlock(split, 2)
 	for _, shape := range []struct {
 		name string
 		spec string // one %[1]d cut, moved per query so the eight differ
@@ -48,11 +48,11 @@ func BenchmarkFusedMapSplit(b *testing.B) {
 			}
 			queries[qi] = q
 		}
-		stage := &fusedStage{splitScan: newSplitScan(classes, nil, nil, columns, sizes), freqs: stratumFreqs(queries)}
+		stage := &fusedStage{splitScan: newSplitScan(classes, nil, nil), freqs: stratumFreqs(queries)}
 		ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(1))}
 		pass := func() {
 			emitted := 0
-			matches, _ := stage.MapSplit(ctx, split, func(QSKey, refSample) { emitted++ })
+			matches, _ := stage.MapSplit(ctx, block, func(QSKey, refSample) { emitted++ })
 			if matches != int64(len(queries)*len(split)) || emitted != len(queries)*len(queries[0].Strata) {
 				b.Fatalf("%d matches, %d emissions", matches, emitted)
 			}

@@ -21,14 +21,14 @@ import (
 // emits one ({sample}, N) pair per key it saw: what the Figure 1 emission
 // stream plus the combiner produce, without the stream. The sample is the
 // drawn rows' references, with their tuples' wire size summed from the
-// split's size column when the pass has one, else from the drawn rows; no
+// block's size column when it carries one, else from the drawn rows; no
 // tuple is copied until the answer is built (samples). For MR-SQE (one query)
 // and MR-MQE a vector is a query and a class one of its strata; MR-CPS's
 // derived query Q′ and residual phase derive their vectors from the queries'
 // (selection.go).
 //
-// A task's output is a pure function of (seed, split, job config) on every
-// backend, with or without resident columns. The match lists — 4 bytes per
+// A task's output is a pure function of (seed, rows, job config) on every
+// backend, whether its block carries columns or not. The match lists — 4 bytes per
 // matched (row, vector) — are pooled with the block buffers.
 type fusedStage struct {
 	splitScan
@@ -47,13 +47,13 @@ func stratumFreqs(queries []*query.SSD) [][]int {
 	return freqs
 }
 
-func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
+func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(QSKey, refSample)) (matches, combined int64) {
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
 	lists := sc.matchLists(s.freqs)
-	for lo := 0; lo < len(split); lo += scanBlock {
-		hi := min(lo+scanBlock, len(split))
-		for v, class := range s.classify(sc, ctx.Task, split, lo, hi) {
+	for lo := 0; lo < b.Len(); lo += scanBlock {
+		hi := min(lo+scanBlock, b.Len())
+		for v, class := range s.classify(sc, b, lo, hi) {
 			of := lists[v]
 			for i, k := range class {
 				if k >= 0 {
@@ -62,7 +62,7 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			}
 		}
 	}
-	sizes, task := s.residentSizes(ctx.Task, split), int32(ctx.Task)
+	task := int32(ctx.Task)
 	for v, f := range s.freqs {
 		for k, want := range f {
 			rows := lists[v][k]
@@ -74,7 +74,7 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 			sample := refSample{Rows: make([]rowRef, len(drawn)), N: int64(len(rows))}
 			for i, row := range drawn {
 				sample.Rows[i] = rowRef{task, row}
-				sample.Bytes += wireSize(sizes, split, row)
+				sample.Bytes += wireSize(b, row)
 			}
 			// The paper's intermediate-sample-size measurement.
 			ctx.Observe("reservoir_size", int64(len(drawn)))
@@ -84,13 +84,13 @@ func (s *fusedStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 	return matches, matches
 }
 
-// wireSize is split[row].ByteSize(), read from the split's size column when
-// there is one.
-func wireSize(sizes []int32, split []dataset.Tuple, row int32) int64 {
-	if sizes != nil {
-		return int64(sizes[row])
+// wireSize is b.Rows[row].ByteSize(), read from the block's size column when
+// it carries one.
+func wireSize(b dataset.Block, row int32) int64 {
+	if b.Sizes != nil {
+		return int64(b.Sizes[row])
 	}
-	return int64(split[row].ByteSize())
+	return int64(b.Rows[row].ByteSize())
 }
 
 // naiveStage is the map stage of the Figure 1 baseline: the same scan, with
@@ -98,18 +98,18 @@ func wireSize(sizes []int32, split []dataset.Tuple, row int32) int64 {
 // inner, the order a per-record mapper emits in — and nothing combined.
 type naiveStage struct{ splitScan }
 
-func (s *naiveStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
+func (s *naiveStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(QSKey, refSample)) (matches, combined int64) {
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
-	sizes, task := s.residentSizes(ctx.Task, split), int32(ctx.Task)
-	for lo := 0; lo < len(split); lo += scanBlock {
-		hi := min(lo+scanBlock, len(split))
-		classes := s.classify(sc, ctx.Task, split, lo, hi)
+	task := int32(ctx.Task)
+	for lo := 0; lo < b.Len(); lo += scanBlock {
+		hi := min(lo+scanBlock, b.Len())
+		classes := s.classify(sc, b, lo, hi)
 		for i := lo; i < hi; i++ {
 			for v, class := range classes {
 				if k := class[i-lo]; k >= 0 {
 					row := int32(i)
-					emit(QSKey{v, int(k)}, refSample{Rows: []rowRef{{task, row}}, N: 1, Bytes: wireSize(sizes, split, row)})
+					emit(QSKey{v, int(k)}, refSample{Rows: []rowRef{{task, row}}, N: 1, Bytes: wireSize(b, row)})
 					matches++
 				}
 			}
@@ -126,12 +126,12 @@ type countStage struct {
 	classes int
 }
 
-func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches, combined int64) {
+func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(int, int64)) (matches, combined int64) {
 	counts := make([]int64, s.classes)
 	sc := scanPool.Get().(*classScan)
 	defer sc.release()
-	for lo := 0; lo < len(split); lo += scanBlock {
-		for _, k := range s.classify(sc, ctx.Task, split, lo, min(lo+scanBlock, len(split)))[0] {
+	for lo := 0; lo < b.Len(); lo += scanBlock {
+		for _, k := range s.classify(sc, b, lo, min(lo+scanBlock, b.Len()))[0] {
 			if k >= 0 {
 				counts[k]++
 				matches++
@@ -149,51 +149,31 @@ func (s *countStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple,
 // splitScan is the classification half of a map task, shared by the sampling
 // and counting stages. A block of rows at a time, the branch-free column
 // kernel (predicate.ClassifyColumns) fills one class vector per query, from
-// the split's resident columns when the pass has them, else from attributes
-// gathered out of the rows; the MR-CPS jobs derive their own vectors from
+// the block's column mirror when it carries one, else from attributes
+// gathered out of its rows; the MR-CPS jobs derive their own vectors from
 // those; excluded rows end up unclassified in every vector.
 type splitScan struct {
 	queries []*predicate.Classifier
 	tested  []int       // testedAttrs(queries)
 	derive  *selections // nil: the stage consumes the queries' vectors
 	exclude map[int64]struct{}
-	// columns[task] is the mirror of the task's split (Options.Columns'
-	// precondition) and spares the gather; sizes[task] is its wire-size
-	// column (Options.Sizes) and spares sizing the drawn rows.
-	columns []dataset.Columns
-	sizes   [][]int32
 }
 
-func newSplitScan(queries []*predicate.Classifier, derive *selections, exclude map[int64]struct{}, columns []dataset.Columns, sizes [][]int32) splitScan {
-	return splitScan{queries: queries, tested: testedAttrs(queries), derive: derive, exclude: exclude, columns: columns, sizes: sizes}
+func newSplitScan(queries []*predicate.Classifier, derive *selections, exclude map[int64]struct{}) splitScan {
+	return splitScan{queries: queries, tested: testedAttrs(queries), derive: derive, exclude: exclude}
 }
 
-// residentSizes is the task's size column, or nil when the pass has none for
-// the split (the length test is classify's).
-func (s *splitScan) residentSizes(task int, split []dataset.Tuple) []int32 {
-	if task < len(s.sizes) && len(s.sizes[task]) == len(split) {
-		return s.sizes[task]
-	}
-	return nil
-}
-
-// classify returns the class vectors of split[lo:hi], the task's next
-// block, indexed from lo and valid until the next call.
-func (s *splitScan) classify(sc *classScan, task int, split []dataset.Tuple, lo, hi int) [][]int32 {
-	// The length test tells "no mirror for this task" (none kept, or the
-	// split was pruned to nil beside it) from "mirror"; it is not an identity
-	// check.
-	var resident dataset.Columns
-	if task < len(s.columns) && s.columns[task].Len() == len(split) {
-		resident = s.columns[task]
-	}
-	classes := sc.classify(s.queries, s.tested, resident, split, lo, hi)
+// classify returns the class vectors of the block's rows [lo, hi), indexed
+// from lo and valid until the next call.
+func (s *splitScan) classify(sc *classScan, b dataset.Block, lo, hi int) [][]int32 {
+	classes := sc.classify(s.queries, s.tested, b, lo, hi)
+	rows := b.Rows[lo:hi]
 	if s.derive != nil {
-		classes = s.derive.apply(sc, classes, split[lo:hi])
+		classes = s.derive.apply(sc, classes, rows)
 	}
 	if len(s.exclude) > 0 {
-		for i := range split[lo:hi] {
-			if _, skip := s.exclude[split[lo+i].ID]; skip {
+		for i := range rows {
+			if _, skip := s.exclude[rows[i].ID]; skip {
 				for _, class := range classes {
 					class[i] = -1
 				}
@@ -261,20 +241,20 @@ func testedAttrs(cls []*predicate.Classifier) []int {
 }
 
 // classify returns, for each classifier, the class (stratum index or -1) of
-// split[lo:hi], indexed from lo. tested is testedAttrs(cls). resident, when
-// non-nil, is the whole split's column mirror; otherwise the tested
-// attributes are gathered once from the rows. The vectors are valid until
-// the next call.
-func (sc *classScan) classify(cls []*predicate.Classifier, tested []int, resident dataset.Columns, split []dataset.Tuple, lo, hi int) [][]int32 {
-	rows := split[lo:hi]
+// the block's rows [lo, hi), indexed from lo. tested is testedAttrs(cls).
+// The tested attributes are read from the block's mirror when it carries
+// one, else gathered once from the rows. The vectors are valid until the
+// next call.
+func (sc *classScan) classify(cls []*predicate.Classifier, tested []int, b dataset.Block, lo, hi int) [][]int32 {
+	rows := b.Rows[lo:hi]
 	n := len(rows)
 	if len(tested) > 0 {
 		width := tested[len(tested)-1] + 1
 		sc.cols = slices.Grow(sc.cols[:0], width)[:width]
 	}
-	if resident != nil {
+	if b.Cols != nil {
 		for _, j := range tested {
-			sc.cols[j] = resident[j][lo:hi]
+			sc.cols[j] = b.Cols[j][lo:hi]
 		}
 	} else {
 		if cap(sc.gathered) < len(tested)*n {

@@ -32,7 +32,7 @@ type perRecord[K comparable, V any] struct {
 	KeyString func(K) string
 }
 
-func (p perRecord[K, V]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(K, V)) (matches, combined int64) {
+func (p perRecord[K, V]) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(K, V)) (matches, combined int64) {
 	// Buffer map output per key, preserving key first-seen order.
 	index := map[K]int{}
 	var keys []K
@@ -47,7 +47,7 @@ func (p perRecord[K, V]) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tu
 		lists[i] = append(lists[i], v)
 		matches++
 	}
-	for _, t := range split {
+	for _, t := range b.Rows {
 		p.Map(ctx, t, group)
 	}
 	// Deterministic combine order: sort keys canonically.
@@ -111,8 +111,8 @@ func combiner[K comparable](freq func(K) int) func(*mapreduce.TaskContext, K, []
 // classify names the string-keyed classes a tuple falls in, classes absent
 // from freqs are dropped at the map stage, every match is a singleton the
 // combiner samples down.
-func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, weighted, int] {
-	return &mapreduce.Job[dataset.Tuple, string, weighted, int]{
+func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs map[string]int, exclude map[int64]struct{}) *mapreduce.Job[dataset.Block, string, weighted, int] {
+	return &mapreduce.Job[dataset.Block, string, weighted, int]{
 		Name: "keyed-reference",
 		Mapper: perRecord[string, weighted]{
 			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, weighted)) {
@@ -138,14 +138,14 @@ func keyedReference(classify func(t *dataset.Tuple, emit func(string)), freqs ma
 
 // countReference is the per-record limits job: (key, 1) per listed match, a
 // summing combiner and reducer.
-func countReference(classify func(t *dataset.Tuple, emit func(string)), listed map[string]bool, exclude map[int64]struct{}) *mapreduce.Job[dataset.Tuple, string, int64, int64] {
+func countReference(classify func(t *dataset.Tuple, emit func(string)), listed map[string]bool, exclude map[int64]struct{}) *mapreduce.Job[dataset.Block, string, int64, int64] {
 	sum := func(vs []int64) (n int64) {
 		for _, v := range vs {
 			n += v
 		}
 		return n
 	}
-	return &mapreduce.Job[dataset.Tuple, string, int64, int64]{
+	return &mapreduce.Job[dataset.Block, string, int64, int64]{
 		Name: "count-reference",
 		Mapper: perRecord[string, int64]{
 			Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(string, int64)) {
@@ -471,7 +471,7 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 		}
 		// MR-MQE as the paper writes it: ((Q_i, s_k), ({t}, 1)) for every
 		// query whose stratum the tuple satisfies, then the combiner.
-		reference := &mapreduce.Job[dataset.Tuple, QSKey, weighted, int]{
+		reference := &mapreduce.Job[dataset.Block, QSKey, weighted, int]{
 			Name: fused.Name,
 			Mapper: perRecord[QSKey, weighted]{
 				Map: func(_ *mapreduce.TaskContext, t dataset.Tuple, emit func(QSKey, weighted)) {
@@ -492,11 +492,11 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 			KeyString: fused.KeyString,
 		}
 		fused.Seed, reference.Seed = opts.Seed, opts.Seed
-		a, err := mapreduce.Run(cluster(), fused, tupleSplits(splits))
+		a, err := mapreduce.Run(cluster(), fused, dataset.Blocks(splits))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mapreduce.Run(cluster(), reference, tupleSplits(splits))
+		b, err := mapreduce.Run(cluster(), reference, dataset.Blocks(splits))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 			return func() (mapreduce.Metrics, error) {
 				job := keyedReference(classify, freqs, exclude)
 				job.Seed = 11
-				res, err := mapreduce.Run(cluster(), job, tupleSplits(splits))
+				res, err := mapreduce.Run(cluster(), job, dataset.Blocks(splits))
 				if err != nil {
 					return mapreduce.Metrics{}, err
 				}
@@ -585,7 +585,7 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 			return met, err
 		}, func() (mapreduce.Metrics, error) {
 			job := countReference(sigma, listed, exclude)
-			res, err := mapreduce.Run(cluster(), job, tupleSplits(splits))
+			res, err := mapreduce.Run(cluster(), job, dataset.Blocks(splits))
 			if err != nil {
 				return mapreduce.Metrics{}, err
 			}
@@ -604,7 +604,8 @@ type rowwiseStage struct {
 	exclude map[int64]struct{}
 }
 
-func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
+func (s *rowwiseStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(QSKey, refSample)) (matches, combined int64) {
+	split := b.Rows
 	lists := make([][][]int32, len(s.queries))
 	for qi, q := range s.queries {
 		lists[qi] = make([][]int32, len(q.Strata))
@@ -670,10 +671,11 @@ func randomSSD(rng *rand.Rand) *query.SSD {
 
 // TestFusedEqualsRowwiseReference: classifying a block ahead through the
 // column kernel changes no emission. On random splits (sizes around the block
-// boundaries) × 1/2/8 queries × exclude sets, with the split's resident
-// columns and size column and with neither, MapSplit emits the reference's
-// keys, references, N and wire size in the reference's order from the same
-// seed and returns its match count; through the engine the reservoir_size
+// boundaries) × 1/2/8 queries × exclude sets, as a block of rows alone and as
+// a resident block with its mirror and size column, MapSplit emits the
+// reference's keys, references, N and wire size in the reference's order
+// from the same seed and returns its match count, and the zero block a pass
+// prunes to emits nothing; through the engine the reservoir_size
 // observations and every counter agree too.
 func TestFusedEqualsRowwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -691,7 +693,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				exclude[split[i].ID] = struct{}{}
 			}
 		}
-		resident := dataset.ColumnsOf(split, schema.NumFields())
+		resident := dataset.ResidentBlock(split, schema.NumFields())
 		for _, nq := range []int{1, 2, 8} {
 			queries := make([]*query.SSD, nq)
 			classes := make([]*predicate.Classifier, nq)
@@ -706,26 +708,24 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 			for _, excl := range []map[int64]struct{}{nil, exclude} {
 				name := fmt.Sprintf("size=%d/queries=%d/exclude=%d", size, nq, len(excl))
 				seed := rng.Int63()
-				run := func(stage mapreduce.Mapper[dataset.Tuple, QSKey, refSample], task int) (out []emission, matches int64) {
+				run := func(stage mapreduce.Mapper[dataset.Block, QSKey, refSample], b dataset.Block, task int) (out []emission, matches int64) {
 					ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(seed)), Task: task}
-					matches, combined := stage.MapSplit(ctx, split, func(k QSKey, v refSample) { out = append(out, emission{k, v}) })
+					matches, combined := stage.MapSplit(ctx, b, func(k QSKey, v refSample) { out = append(out, emission{k, v}) })
 					if combined != matches {
 						t.Fatalf("%s: %d of %d matches combined; a sampling stage combines them all", name, combined, matches)
 					}
 					return out, matches
 				}
-				// Task 1 has the split's mirror and size column; task 0 has
-				// neither and task 2's are not as long as the split (what a
-				// pruned task sees the other way round), so both gather and
-				// size the drawn rows.
-				columns := []dataset.Columns{nil, resident, dataset.ColumnsOf(split[:size/2], 2)}
-				sizes := [][]int32{nil, split.WireSizes(), split[:size/2].WireSizes()}
-				stage := qsSamplingJob("", newSplitScan(classes, nil, excl, columns, sizes), stratumFreqs(queries)).Mapper
-				for task, layout := range []string{"gathered", "resident", "short"} {
-					want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, task)
-					got, gotMatches := run(stage, task)
+				// The gathered block reads its rows alone, the resident one
+				// its mirror and size column; the zero block is a pruned
+				// task's.
+				blocks := []dataset.Block{{Rows: split}, resident, {}}
+				stage := qsSamplingJob("", newSplitScan(classes, nil, excl), stratumFreqs(queries)).Mapper
+				for task, layout := range []string{"gathered", "resident", "zero"} {
+					want, wantMatches := run(&rowwiseStage{queries: queries, classes: classes, exclude: excl}, blocks[task], task)
+					got, gotMatches := run(stage, blocks[task], task)
 					if gotMatches != wantMatches || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %s columns: %d matches, %d emissions; reference %d matches, %d emissions\n got  %v\n want %v",
+						t.Fatalf("%s %s block: %d matches, %d emissions; reference %d matches, %d emissions\n got  %v\n want %v",
 							name, layout, gotMatches, len(got), wantMatches, len(want), got, want)
 					}
 				}
@@ -742,14 +742,14 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 				splits := []dataset.Split{split[:size/3], split[size/3:]}
 				ref := build(Options{Exclude: excl})
 				ref.Mapper = &rowwiseStage{queries: queries, classes: classes, exclude: excl}
-				gathered := build(Options{Exclude: excl})
-				mirrored := build(Options{Exclude: excl,
-					Columns: []dataset.Columns{dataset.ColumnsOf(splits[0], 2), dataset.ColumnsOf(splits[1], 2)},
-					Sizes:   [][]int32{splits[0].WireSizes(), splits[1].WireSizes()},
-				})
+				fused := build(Options{Exclude: excl})
+				residents := []dataset.Block{dataset.ResidentBlock(splits[0], 2), dataset.ResidentBlock(splits[1], 2)}
 				var results [3]string
-				for i, job := range []*sampleJob{ref, gathered, mirrored} {
-					res, err := mapreduce.Run(zeroCluster(2), job, tupleSplits(splits))
+				for i, in := range []struct {
+					job    *sampleJob
+					blocks []dataset.Block
+				}{{ref, dataset.Blocks(splits)}, {fused, dataset.Blocks(splits)}, {fused, residents}} {
+					res, err := mapreduce.Run(zeroCluster(2), in.job, in.blocks)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -766,63 +766,20 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 	}
 }
 
-// TestFusedTrustsAlignedColumns pins Options.Columns' precondition: the stage
-// classifies from the mirror it is handed and never compares it with the rows,
-// so an equal-length mirror of other rows is the caller's bug — the strata
-// counts follow the mirror while the samples are drawn from the split.
-func TestFusedTrustsAlignedColumns(t *testing.T) {
-	schema := testSchema()
-	q := query.NewSSD("g",
-		query.Stratum{Cond: predicate.MustParse("gender = 0"), Freq: 3},
-		query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: 3})
-	cls, err := q.Classifier(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, other := make(dataset.Split, 40), make(dataset.Split, 40)
-	for i := range split {
-		split[i] = dataset.Tuple{ID: int64(i), Attrs: []int64{0, 500}}
-		other[i] = dataset.Tuple{ID: int64(100 + i), Attrs: []int64{1, 500}}
-	}
-	seen := func(cols dataset.Columns) map[int]int64 {
-		stage := &fusedStage{
-			splitScan: newSplitScan([]*predicate.Classifier{cls}, nil, nil, []dataset.Columns{cols}, nil),
-			freqs:     stratumFreqs([]*query.SSD{q}),
-		}
-		n := map[int]int64{}
-		ctx := &mapreduce.TaskContext{Rand: rand.New(rand.NewSource(1))}
-		stage.MapSplit(ctx, split, func(k QSKey, v refSample) {
-			n[k.Stratum] = v.N
-			for _, ref := range v.Rows {
-				if ref.Split != 0 || int(ref.Row) >= len(split) {
-					t.Errorf("sampled %v, not a row of the split", ref)
-				}
-			}
-		})
-		return n
-	}
-	if got := seen(dataset.ColumnsOf(split, 2)); !reflect.DeepEqual(got, map[int]int64{0: 40}) {
-		t.Errorf("aligned mirror: strata counts %v, want all 40 rows in stratum 0", got)
-	}
-	if got := seen(dataset.ColumnsOf(other, 2)); !reflect.DeepEqual(got, map[int]int64{1: 40}) {
-		t.Errorf("another split's mirror: strata counts %v; the stage is documented to classify from the mirror (stratum 1)", got)
-	}
-}
-
 // sampleJob is the type of every sampling job.
-type sampleJob = mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut]
+type sampleJob = mapreduce.Job[dataset.Block, QSKey, refSample, qsOut]
 
 // tallyStage forwards a sampling stage's emissions and adds up the size the
 // shuffle counter owes each: 8 bytes for the key, 8 for N, and the
 // Tuple.ByteSize of every tuple the value references.
 type tallyStage struct {
-	mapreduce.Mapper[dataset.Tuple, QSKey, refSample]
+	mapreduce.Mapper[dataset.Block, QSKey, refSample]
 	splits []dataset.Split
 	bytes  *atomic.Int64
 }
 
-func (s tallyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(QSKey, refSample)) (matches, combined int64) {
-	return s.Mapper.MapSplit(ctx, split, func(k QSKey, v refSample) {
+func (s tallyStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(QSKey, refSample)) (matches, combined int64) {
+	return s.Mapper.MapSplit(ctx, b, func(k QSKey, v refSample) {
 		n := int64(16)
 		for _, ref := range v.Rows {
 			n += int64(s.splits[ref.Split][ref.Row].ByteSize())
@@ -834,8 +791,8 @@ func (s tallyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, 
 
 // TestShuffleBytesCountReferencedTuples: a sampling job ships references, yet
 // Metrics.ShuffleBytes is what shipping the referenced tuples would weigh —
-// for MR-SQE, MR-MQE, naive MR-MQE and the MR-CPS selection sample, with the
-// splits' size columns and without.
+// for MR-SQE, MR-MQE, naive MR-MQE and the MR-CPS selection sample, over
+// resident blocks (summing their size columns) and blocks of rows alone.
 func TestShuffleBytesCountReferencedTuples(t *testing.T) {
 	r, queries, sels, _ := selectionFixture(t, 700)
 	all := r.Tuples()
@@ -846,15 +803,16 @@ func TestShuffleBytesCountReferencedTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := Options{Columns: make([]dataset.Columns, len(splits)), Sizes: make([][]int32, len(splits))}
+	resident := make([]dataset.Block, len(splits))
 	for i, split := range splits {
-		resident.Columns[i], resident.Sizes[i] = dataset.ColumnsOf(split, 2), split.WireSizes()
+		resident[i] = dataset.ResidentBlock(split, 2)
 	}
 	freqs := [][]int{make([]int, len(sels))}
 	for j := range sels {
 		freqs[0][j] = 1 + j%4
 	}
-	for _, opts := range []Options{{}, resident} {
+	var opts Options
+	for _, blocks := range [][]dataset.Block{dataset.Blocks(splits), resident} {
 		mqe := opts.config(r.Schema(), queries...)
 		naive := *mqe
 		naive.Naive = true
@@ -879,13 +837,13 @@ func TestShuffleBytesCountReferencedTuples(t *testing.T) {
 			}
 			var want atomic.Int64
 			job.Seed, job.Mapper = 5, tallyStage{job.Mapper, splits, &want}
-			res, err := mapreduce.Run(zeroCluster(3), job, tupleSplits(splits))
+			res, err := mapreduce.Run(zeroCluster(3), job, blocks)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if m := res.Metrics; want.Load() == 0 || m.ShuffleBytes != want.Load() || m.BucketBytes.Sum() != want.Load() {
 				t.Errorf("%s (size columns: %v): ShuffleBytes %d, buckets %d; the referenced tuples weigh %d",
-					name, opts.Sizes != nil, m.ShuffleBytes, m.BucketBytes.Sum(), want.Load())
+					name, blocks[0].Sizes != nil, m.ShuffleBytes, m.BucketBytes.Sum(), want.Load())
 			}
 		}
 	}

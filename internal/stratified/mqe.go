@@ -20,9 +20,9 @@ type QSKey struct {
 // String renders the key as "Q1/s2" (1-based, like the paper's notation).
 func (k QSKey) String() string { return fmt.Sprintf("Q%d/s%d", k.Query+1, k.Stratum+1) }
 
-// rowRef addresses one row of a run's input, splits[Split][Row]. The sampling
-// jobs draw, shuffle and reduce these in place of the tuples; the answer's
-// tuples are built once, from the reduce output (samples).
+// rowRef addresses one row of a run's input, blocks[Split].Rows[Row]. The
+// sampling jobs draw, shuffle and reduce these in place of the tuples; the
+// answer's tuples are built once, from the reduce output (samples).
 type rowRef struct{ Split, Row int32 }
 
 // refSample is the value a sampling job shuffles: the paper's (S̄, N̄) with S̄
@@ -52,8 +52,8 @@ type qsOut struct {
 // freqs[vector][class] references from the map tasks' samples of a key —
 // the same indexes it would draw over tuples, its randomness being blind to
 // what it draws.
-func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut] {
-	return &mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut]{
+func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[dataset.Block, QSKey, refSample, qsOut] {
+	return &mapreduce.Job[dataset.Block, QSKey, refSample, qsOut]{
 		Name:   name,
 		Mapper: &fusedStage{splitScan: scan, freqs: freqs},
 		Reducer: mapreduce.ReducerFunc[QSKey, refSample, qsOut](
@@ -68,22 +68,22 @@ func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[da
 	}
 }
 
-// samples builds the tuples of a sampling job's outputs and hands each key's
-// to put: the one place a pass materialises its answer, under whatever lock
-// keeps the splits still. An output may come from a remote reducer, so a
-// reference outside the splits is an error.
-func samples(out []qsOut, splits []dataset.Split, put func(QSKey, []dataset.Tuple)) error {
+// samples builds the tuples of a sampling job's outputs from the run's
+// blocks and hands each key's to put: the one place a pass materialises its
+// answer, under whatever lock keeps the blocks still. An output may come
+// from a remote reducer, so a reference outside the blocks is an error.
+func samples(out []qsOut, blocks []dataset.Block, put func(QSKey, []dataset.Tuple)) error {
 	for _, o := range out {
 		var sample []dataset.Tuple
 		if len(o.Rows) > 0 {
 			sample = make([]dataset.Tuple, len(o.Rows))
 		}
 		for i, r := range o.Rows {
-			if r.Split < 0 || int(r.Split) >= len(splits) || r.Row < 0 || int(r.Row) >= len(splits[r.Split]) {
+			if r.Split < 0 || int(r.Split) >= len(blocks) || r.Row < 0 || int(r.Row) >= blocks[r.Split].Len() {
 				return fmt.Errorf("stratified: the reduce output of %v names row %d of split %d, outside the run's %d splits",
-					o.Key, r.Row, r.Split, len(splits))
+					o.Key, r.Row, r.Split, len(blocks))
 			}
-			sample[i] = splits[r.Split][r.Row]
+			sample[i] = blocks[r.Split].Rows[r.Row]
 		}
 		put(o.Key, sample)
 	}
@@ -92,12 +92,12 @@ func samples(out []qsOut, splits []dataset.Split, put func(QSKey, []dataset.Tupl
 
 // buildMQEJob constructs the MR-MQE job of the config's query set; a naive
 // config swaps the forwarding stage in for the sampling one.
-func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut], error) {
+func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
 	classes, err := classifiers(cfg.Queries, schema)
 	if err != nil {
 		return nil, err
 	}
-	scan := newSplitScan(classes, nil, excludeSet(cfg.Exclude), cfg.columns, cfg.sizes)
+	scan := newSplitScan(classes, nil, excludeSet(cfg.Exclude))
 	job := qsSamplingJob("mr-mqe", scan, stratumFreqs(cfg.Queries))
 	if cfg.Naive {
 		job.Mapper = &naiveStage{scan}
@@ -111,7 +111,13 @@ func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset
 // It returns one answer per query, aligned with the queries slice. RunSQE's
 // in-domain precondition on the splits applies.
 func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
-	out, met, err := mqeJob.run(c, opts.config(schema, queries...), schema, splits, opts.Seed)
+	return answer(c, mqeJob, queries, schema, dataset.Blocks(splits), opts)
+}
+
+// answer runs an MR-SQE or MR-MQE job over the blocks and builds one answer
+// per query, aligned with the queries slice.
+func answer(c *mapreduce.Cluster, job portable[jobConfig, QSKey, refSample, qsOut], queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
+	out, met, err := job.run(c, opts.config(schema, queries...), schema, blocks, opts.Seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
@@ -119,7 +125,7 @@ func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, 
 	for qi, q := range queries {
 		answers[qi] = query.NewAnswer(len(q.Strata))
 	}
-	if err := samples(out, splits, func(k QSKey, sample []dataset.Tuple) { answers[k.Query].Strata[k.Stratum] = sample }); err != nil {
+	if err := samples(out, blocks, func(k QSKey, sample []dataset.Tuple) { answers[k.Query].Strata[k.Stratum] = sample }); err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
 	return answers, met, nil

@@ -24,11 +24,6 @@ type jobConfig struct {
 	Fields  []dataset.Field `json:"fields"`
 	Naive   bool            `json:"naive,omitempty"`
 	Exclude []int64         `json:"exclude,omitempty"`
-
-	// columns and sizes are Options.Columns and Options.Sizes: the
-	// coordinator's resident mirrors, which do not travel.
-	columns []dataset.Columns
-	sizes   [][]int32
 }
 
 // selectionConfig is the config of the MR-CPS makers over derived strata
@@ -52,7 +47,7 @@ func (cfg *jobConfig) fields() []dataset.Field { return cfg.Fields }
 func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfig {
 	return &jobConfig{
 		Queries: queries, Fields: schema.Fields(), Naive: o.Naive,
-		Exclude: sortedExclude(o.Exclude), columns: o.Columns, sizes: o.Sizes,
+		Exclude: sortedExclude(o.Exclude),
 	}
 }
 
@@ -60,7 +55,7 @@ func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfi
 // on a config of type C.
 type portable[C any, K comparable, V any, O any] struct {
 	maker string
-	build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Tuple, K, V, O], error)
+	build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Block, K, V, O], error)
 }
 
 var (
@@ -72,8 +67,8 @@ var (
 
 // register makes a family buildable from a TaskSpec's config bytes in every
 // binary that links this package, coordinator and workers alike.
-func register[C any, K comparable, V any, O any](maker string, build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Tuple, K, V, O], error)) portable[C, K, V, O] {
-	mapreduce.RegisterJobMaker(maker, func(config []byte) (*mapreduce.Job[dataset.Tuple, K, V, O], error) {
+func register[C any, K comparable, V any, O any](maker string, build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Block, K, V, O], error)) portable[C, K, V, O] {
+	mapreduce.RegisterJobMaker(maker, func(config []byte) (*mapreduce.Job[dataset.Block, K, V, O], error) {
 		cfg := new(C)
 		if err := json.Unmarshal(config, cfg); err != nil {
 			return nil, fmt.Errorf("stratified: decoding job config: %w", err)
@@ -89,8 +84,8 @@ func register[C any, K comparable, V any, O any](maker string, build func(*C, *d
 
 // run builds the job from cfg, attaches the (maker, config) pair that lets
 // remote workers rebuild it — the config encoded only when the cluster has an
-// executor to ship it — and runs it over the splits.
-func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.Schema, splits []dataset.Split, seed int64) ([]O, mapreduce.Metrics, error) {
+// executor to ship it — and runs it over the blocks, one map task each.
+func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.Schema, blocks []dataset.Block, seed int64) ([]O, mapreduce.Metrics, error) {
 	job, err := p.build(cfg, schema)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
@@ -101,7 +96,7 @@ func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.
 			return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", p.maker, err)
 		}
 	}
-	res, err := mapreduce.Run(c, job, tupleSplits(splits))
+	res, err := mapreduce.Run(c, job, blocks)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}

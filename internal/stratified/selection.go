@@ -110,7 +110,7 @@ func selectionScan(cfg *selectionConfig, schema *dataset.Schema, freqs [][]int) 
 	for _, ids := range cfg.Chosen {
 		derive.chosen = append(derive.chosen, excludeSet(ids))
 	}
-	return newSplitScan(classes, derive, excludeSet(cfg.Exclude), cfg.columns, cfg.sizes), nil
+	return newSplitScan(classes, derive, excludeSet(cfg.Exclude)), nil
 }
 
 // classifiers lowers every query's strata to its cell-grid classifier.
@@ -131,7 +131,7 @@ func classifiers(queries []*query.SSD, schema *dataset.Schema) ([]*predicate.Cla
 
 // buildSelectionSampleJob constructs the sampling job over derived strata:
 // MR-MQE's shuffle and reduce, keyed (vector, selection position).
-func buildSelectionSampleJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut], error) {
+func buildSelectionSampleJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
 	scan, err := selectionScan(cfg, schema, cfg.Freqs)
 	if err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ type stratumCountOut struct {
 
 // buildSelectionCountJob constructs the job counting every listed selection:
 // the scan with a counter per position, summed per position by the reducer.
-func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut], error) {
+func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, int, int64, stratumCountOut], error) {
 	every := make([]int, len(cfg.Selections)) // one vector wanting them all
 	for j := range every {
 		every[j] = 1
@@ -156,7 +156,7 @@ func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapr
 	if err != nil {
 		return nil, err
 	}
-	return &mapreduce.Job[dataset.Tuple, int, int64, stratumCountOut]{
+	return &mapreduce.Job[dataset.Block, int, int64, stratumCountOut]{
 		Name:   "mr-selection-count",
 		Mapper: &countStage{splitScan: scan, classes: len(every)},
 		Reducer: mapreduce.ReducerFunc[int, int64, stratumCountOut](
@@ -186,7 +186,8 @@ func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *datase
 	for _, ids := range chosen {
 		cfg.Chosen = append(cfg.Chosen, sortedExclude(ids))
 	}
-	out, met, err := selectionSample.run(c, cfg, schema, splits, seed)
+	blocks := dataset.Blocks(splits)
+	out, met, err := selectionSample.run(c, cfg, schema, blocks, seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
@@ -194,7 +195,7 @@ func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *datase
 	for v := range drawn {
 		drawn[v] = make([][]dataset.Tuple, len(sels))
 	}
-	if err := samples(out, splits, func(k QSKey, sample []dataset.Tuple) { drawn[k.Query][k.Stratum] = sample }); err != nil {
+	if err := samples(out, blocks, func(k QSKey, sample []dataset.Tuple) { drawn[k.Query][k.Stratum] = sample }); err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
 	return drawn, met, nil
@@ -207,7 +208,7 @@ func CountSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset
 	sels [][]int, exclude map[int64]struct{}, seed int64,
 ) ([]int64, mapreduce.Metrics, error) {
 	cfg := &selectionConfig{jobConfig: *Options{Exclude: exclude}.config(schema, queries...), Selections: sels}
-	out, met, err := selectionCount.run(c, cfg, schema, splits, seed)
+	out, met, err := selectionCount.run(c, cfg, schema, dataset.Blocks(splits), seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}

@@ -27,13 +27,13 @@ func newSplitClassifier(q *query.SSD, schema *dataset.Schema) (*splitClassifier,
 	if err != nil {
 		return nil, err
 	}
-	return &splitClassifier{splitScan: newSplitScan(classes, nil, nil, nil, nil)}, nil
+	return &splitClassifier{splitScan: newSplitScan(classes, nil, nil)}, nil
 }
 
 // classify returns one stratum index (or -1) per tuple of the split. The
 // returned slice is owned by the classifier and valid until the next call.
 func (sc *splitClassifier) classify(split dataset.Split) []int32 {
-	return sc.splitScan.classify(&sc.scratch, 0, split, 0, len(split))[0]
+	return sc.splitScan.classify(&sc.scratch, dataset.Block{Rows: split}, 0, len(split))[0]
 }
 
 // runSplitLocal is the Grover & Carey (ICDE 2012) style baseline the paper

@@ -15,10 +15,14 @@
 //   - the jobs of MR-CPS (Section 5.2.5) over derived strata — sampling and
 //     counting by stratum selection σ — as the same scan (selection.go).
 //
-// The sampling jobs draw, shuffle and reduce references to rows of the run's
-// splits, each sample carrying N and its tuples' wire size for the shuffle
-// byte counter; RunSQE, RunMQE and SampleSelections build the answer's
-// tuples once, from their splits, after the run.
+// Every job's split is a dataset.Block: a map task scans its own block, and
+// classifies from the block's column mirror when it carries one (a resident
+// population's, handed to Pass) or from its rows otherwise (the splits of
+// RunSQE, RunMQE and the MR-CPS entry points, and any block decoded on a
+// worker). The sampling jobs draw, shuffle and reduce references to rows of
+// the run's blocks, each sample carrying N and its tuples' wire size for the
+// shuffle byte counter; the entry points build the answer's tuples once,
+// from the blocks' rows, after the run.
 package stratified
 
 import (
@@ -29,7 +33,8 @@ import (
 	"repro/internal/query"
 )
 
-// Options configures a sampling run.
+// Options configures a sampling run: what to draw, never what the map tasks
+// read, which travels with each split (dataset.Block).
 type Options struct {
 	// Seed makes the run reproducible.
 	Seed int64
@@ -40,31 +45,13 @@ type Options struct {
 	// Exclude removes individuals (by ID) from consideration before
 	// sampling, e.g. the participants of an earlier survey campaign.
 	Exclude map[int64]struct{}
-	// Columns, when set, holds the resident column mirror of each split,
-	// index-aligned with the splits of the run. Precondition: Columns[i] is
-	// the mirror of splits[i] — dataset.ColumnsOf(splits[i]) kept current —
-	// or holds no rows. Map tasks that execute in this process classify from
-	// the mirror without reading the rows' attributes, so one that mirrors
-	// other rows silently changes the answer; nothing checks its contents.
-	// Every daemon passes its population's mirrors; one-shot callers pass
-	// none, and map tasks on remote workers never receive them: both gather
-	// the tested attributes from the rows. Inside a daemon the one length
-	// mismatch the stage tolerates, by gathering, is the pruned task's: its
-	// split is nil-ed in place and its mirror left alone.
-	Columns []dataset.Columns
-	// Sizes, when set, holds the wire-size column of each split, under
-	// Columns' precondition and tolerance: Sizes[i][r] is
-	// splits[i][r].ByteSize(). A map task in this process sums it for the
-	// Bytes of the references it shuffles instead of sizing the drawn
-	// tuples' varints.
-	Sizes [][]int32
 }
 
 // buildSQEJob constructs the MR-SQE job of the config's one query: MR-MQE's
 // job with one query, its keys named by stratum alone — the name seeds a
 // key's reduce stream, and an MR-SQE answer does not depend on what else a
 // pass could have carried.
-func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Tuple, QSKey, refSample, qsOut], error) {
+func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
 	if len(cfg.Queries) != 1 {
 		return nil, fmt.Errorf("stratified: MR-SQE answers one query, got %d", len(cfg.Queries))
 	}
@@ -86,22 +73,24 @@ func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset
 // int32 cells (predicate.Classifier.ClassifyColumns), so an out-of-domain
 // value may land in a stratum it does not satisfy.
 func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*query.Answer, mapreduce.Metrics, error) {
-	out, met, err := sqeJob.run(c, opts.config(schema, q), schema, splits, opts.Seed)
+	answers, met, err := answer(c, sqeJob, []*query.SSD{q}, schema, dataset.Blocks(splits), opts)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	ans := query.NewAnswer(len(q.Strata))
-	if err := samples(out, splits, func(k QSKey, sample []dataset.Tuple) { ans.Strata[k.Stratum] = sample }); err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-	return ans, met, nil
+	return answers[0], met, nil
 }
 
-// tupleSplits converts typed dataset splits to the engine's input shape.
-func tupleSplits(splits []dataset.Split) [][]dataset.Tuple {
-	out := make([][]dataset.Tuple, len(splits))
-	for i, s := range splits {
-		out[i] = s
+// Pass answers a batch of SSD queries over a resident population's blocks
+// in one MapReduce pass: MR-SQE when the batch holds one query, MR-MQE
+// otherwise, so a lone query draws exactly what RunSQE draws over the same
+// rows. A map task whose block carries its column mirror and size column
+// classifies from the mirror and sums the drawn rows' sizes from the column;
+// the rows are the answer either way. RunSQE's in-domain precondition
+// applies.
+func Pass(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
+	job := mqeJob
+	if len(queries) == 1 {
+		job = sqeJob
 	}
-	return out
+	return answer(c, job, queries, schema, blocks, opts)
 }

@@ -10,7 +10,9 @@ import (
 )
 
 // Wire codecs for every payload type of the portable jobs registered in
-// portable.go: tuple splits ship columnar (TupleBatch); the two shuffle pair
+// portable.go: a split ships as its rows, columnar (TupleBatch), and nothing
+// else — a block's mirror and size column stay with the coordinator's
+// population, and a worker reads the rows it decodes; the two shuffle pair
 // shapes — (query/stratum, row references) for the sampling jobs, (stratum,
 // count) for the counting job — and the two reduce output records get
 // hand-rolled codecs. A sampling job's shuffle and output carry references
@@ -20,9 +22,9 @@ import (
 // format.
 
 func init() {
-	mapreduce.RegisterSliceCodec(mapreduce.SliceCodec[dataset.Tuple]{
-		Append: appendTupleSlice,
-		Read:   readTupleSlice,
+	mapreduce.RegisterCodec(mapreduce.Codec[dataset.Block]{
+		Append: appendBlock,
+		Read:   readBlock,
 	})
 	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[QSKey, refSample]{
 		AppendPair: appendRefPair,
@@ -40,8 +42,8 @@ func init() {
 			return p, r.Err()
 		},
 	})
-	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(appendQSOut, readQSOut))
-	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(
+	mapreduce.RegisterCodec(mapreduce.RecordsCodec(appendQSOut, readQSOut))
+	mapreduce.RegisterCodec(mapreduce.RecordsCodec(
 		func(buf []byte, o stratumCountOut) []byte {
 			buf = wire.AppendVarint(buf, int64(o.Stratum))
 			return wire.AppendVarint(buf, o.Count)
@@ -51,46 +53,25 @@ func init() {
 		}))
 }
 
-// appendTupleSlice ships a []Tuple split columnar when the tuples have
-// uniform arity (one leading 1 byte), falling back to per-tuple encoding
-// for ragged slices (leading 0 byte).
-func appendTupleSlice(buf []byte, ts []dataset.Tuple) []byte {
-	b, uniform := dataset.BatchOfTuples(ts)
-	buf = wire.AppendBool(buf, uniform)
-	if uniform {
-		return b.AppendWire(buf)
+// appendBlock ships a block's rows as one TupleBatch. The rows of a split
+// share the schema's arity (Relation.Add and live.Population check it); a
+// ragged split is a broken caller, and fails as indexing its short rows
+// in process would.
+func appendBlock(buf []byte, b dataset.Block) []byte {
+	batch, uniform := dataset.BatchOfTuples(b.Rows)
+	if !uniform {
+		panic("stratified: a split's rows differ in arity; the schema gives them one")
 	}
-	buf = wire.AppendUvarint(buf, uint64(len(ts)))
-	for i := range ts {
-		buf = ts[i].AppendWire(buf)
-	}
-	return buf
+	return batch.AppendWire(buf)
 }
 
-func readTupleSlice(r *wire.Reader) ([]dataset.Tuple, error) {
-	if r.Bool() {
-		b, err := dataset.ReadTupleBatchWire(r)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return nil, r.Err()
-		}
-		return b.Tuples(), r.Err()
+// readBlock decodes appendBlock's form as a block of rows alone.
+func readBlock(r *wire.Reader) (dataset.Block, error) {
+	batch, err := dataset.ReadTupleBatchWire(r)
+	if err != nil || batch.Len() == 0 {
+		return dataset.Block{}, err
 	}
-	n := r.Count(1)
-	var ts []dataset.Tuple
-	if n > 0 {
-		ts = make([]dataset.Tuple, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		t, err := dataset.ReadTupleWire(r)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	return ts, r.Err()
+	return dataset.Block{Rows: batch.Tuples()}, r.Err()
 }
 
 func appendQSKey(buf []byte, k QSKey) []byte {

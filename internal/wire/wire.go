@@ -74,14 +74,6 @@ func AppendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// AppendBool appends a bool as one byte (0 or 1).
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // SizeUvarint is the encoded length of AppendUvarint(v).
 func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
@@ -184,21 +176,6 @@ func (r *Reader) Byte() byte {
 	b := r.buf[r.off]
 	r.off++
 	return b
-}
-
-// Bool reads one AppendBool byte; anything but 0 or 1 is corrupt.
-func (r *Reader) Bool() bool {
-	switch r.Byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.fail(fmt.Errorf("%w: invalid bool byte", ErrCorrupt))
-		}
-		return false
-	}
 }
 
 // Bytes reads one length-prefixed byte slice as a view into the payload —

@@ -46,14 +46,12 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStringBytesBoolRoundTrip(t *testing.T) {
+func TestStringBytesRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendString(b, "")
 	b = AppendString(b, "héllo")
 	b = AppendBytes(b, nil)
 	b = AppendBytes(b, []byte{1, 2, 3})
-	b = AppendBool(b, true)
-	b = AppendBool(b, false)
 	r := NewReader(b)
 	if s := r.String(); s != "" {
 		t.Errorf("empty string decoded as %q", s)
@@ -66,9 +64,6 @@ func TestStringBytesBoolRoundTrip(t *testing.T) {
 	}
 	if p := r.Bytes(); len(p) != 3 || p[0] != 1 || p[2] != 3 {
 		t.Errorf("bytes decoded as %v", p)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("bool round trip failed")
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -99,7 +94,6 @@ func TestTruncatedAndCorrupt(t *testing.T) {
 		{"uvarint overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, func(r *Reader) { r.Uvarint() }, ErrCorrupt},
 		{"empty varint", nil, func(r *Reader) { r.Varint() }, ErrTruncated},
 		{"empty byte", nil, func(r *Reader) { r.Byte() }, ErrTruncated},
-		{"bad bool", []byte{7}, func(r *Reader) { r.Bool() }, ErrCorrupt},
 		{"bytes length past end", []byte{5, 1, 2}, func(r *Reader) { r.Bytes() }, ErrCorrupt},
 		{"huge count", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, func(r *Reader) { r.Count(1) }, ErrCorrupt},
 	}

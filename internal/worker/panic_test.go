@@ -15,23 +15,24 @@ import (
 // panickyStage is a counting map stage that panics on the split of one task.
 type panickyStage struct{ task int }
 
-func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, split []dataset.Tuple, emit func(int, int64)) (matches, combined int64) {
+func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit func(int, int64)) (matches, combined int64) {
 	if ctx.Task == s.task {
 		panic("boom in user code")
 	}
-	emit(0, int64(len(split)))
-	return int64(len(split)), int64(len(split))
+	n := int64(b.Len())
+	emit(0, n)
+	return n, n
 }
 
 func init() {
-	mapreduce.RegisterSliceCodec(mapreduce.RecordsCodec(wire.AppendVarint,
+	mapreduce.RegisterCodec(mapreduce.RecordsCodec(wire.AppendVarint,
 		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
 	mapreduce.RegisterJobMaker("test-panicky",
-		func([]byte) (*mapreduce.Job[dataset.Tuple, int, int64, int64], error) { return panickyJob(), nil })
+		func([]byte) (*mapreduce.Job[dataset.Block, int, int64, int64], error) { return panickyJob(), nil })
 }
 
-func panickyJob() *mapreduce.Job[dataset.Tuple, int, int64, int64] {
-	return &mapreduce.Job[dataset.Tuple, int, int64, int64]{
+func panickyJob() *mapreduce.Job[dataset.Block, int, int64, int64] {
+	return &mapreduce.Job[dataset.Block, int, int64, int64]{
 		Name: "panicky", Maker: "test-panicky",
 		Mapper: panickyStage{task: 2},
 		Reducer: mapreduce.ReducerFunc[int, int64, int64](func(_ *mapreduce.TaskContext, _ int, vs []int64, emit func(int64)) {
@@ -48,10 +49,7 @@ func panickyJob() *mapreduce.Job[dataset.Tuple, int, int64, int64] {
 func TestTaskPanicIsTaskError(t *testing.T) {
 	splits := testPopulation(t)
 	want, _ := runSQE(t, nil, splits)
-	input := make([][]dataset.Tuple, len(splits))
-	for i, s := range splits {
-		input[i] = s
-	}
+	input := dataset.Blocks(splits)
 	check := func(t *testing.T, exec mapreduce.Executor, await func() error) {
 		_, err := mapreduce.Run(testCluster(exec), panickyJob(), input)
 		if err == nil {

@@ -16,9 +16,9 @@ import (
 // sampling job — MR-SQE, MR-MQE, naive MR-SQE and an MR-CPS selection
 // sample — at the tuple-shaped count: a shuffled value weighs 8 bytes for its
 // key, 8 for N and its sampled tuples' Tuple.ByteSize, whatever it carries on
-// the wire. ShuffleBytes and BucketBytes are the same in process with the
-// resident mirror and size column, in process without them and on tcp
-// workers, and equal the counts pinned below (what the jobs reported when
+// the wire. ShuffleBytes and BucketBytes are the same in process over
+// resident blocks (mirror and size column), in process over the rows alone
+// and on tcp workers, and equal the counts pinned below (what the jobs reported when
 // they still shuffled tuples). Members carry names of varying length, so a
 // miscounted size would move the total.
 func TestShuffleBytesAcrossBackends(t *testing.T) {
@@ -33,9 +33,23 @@ func TestShuffleBytesAcrossBackends(t *testing.T) {
 	queries := []*query.SSD{testQuery(), query.NewSSD("income",
 		query.Stratum{Cond: predicate.MustParse("income < 300"), Freq: 11},
 		query.Stratum{Cond: predicate.MustParse("income >= 300 and gender = 0"), Freq: 4})}
-	columns, sizes := make([]dataset.Columns, len(splits)), make([][]int32, len(splits))
+	resident := make([]dataset.Block, len(splits))
 	for i, split := range splits {
-		columns[i], sizes[i] = dataset.ColumnsOf(split, 2), split.WireSizes()
+		resident[i] = dataset.ResidentBlock(split, 2)
+	}
+	// answer runs qs through RunSQE or RunMQE over the splits, or through
+	// Pass over the resident blocks, which reads their mirrors and size
+	// columns.
+	answer := func(c *mapreduce.Cluster, blocks bool, qs []*query.SSD, opts stratified.Options) (met mapreduce.Metrics, err error) {
+		switch {
+		case blocks:
+			_, met, err = stratified.Pass(c, qs, testSchema(), resident, opts)
+		case len(qs) == 1:
+			_, met, err = stratified.RunSQE(c, qs[0], testSchema(), splits, opts)
+		default:
+			_, met, err = stratified.RunMQE(c, qs, testSchema(), splits, opts)
+		}
+		return met, err
 	}
 	exclude := map[int64]struct{}{37: {}, 74 * 37: {}}
 	jobs := []struct {
@@ -44,28 +58,13 @@ func TestShuffleBytesAcrossBackends(t *testing.T) {
 		want string
 	}{
 		{"mr-sqe", func(c *mapreduce.Cluster, resident bool) (mapreduce.Metrics, error) {
-			opts := stratified.Options{Seed: 3, Exclude: exclude}
-			if resident {
-				opts.Columns, opts.Sizes = columns, sizes
-			}
-			_, met, err := stratified.RunSQE(c, queries[0], testSchema(), splits, opts)
-			return met, err
+			return answer(c, resident, queries[:1], stratified.Options{Seed: 3, Exclude: exclude})
 		}, "ShuffleBytes 1276, BucketBytes [{0 6} {127 12}]"},
 		{"mr-mqe", func(c *mapreduce.Cluster, resident bool) (mapreduce.Metrics, error) {
-			opts := stratified.Options{Seed: 3, Exclude: exclude}
-			if resident {
-				opts.Columns, opts.Sizes = columns, sizes
-			}
-			_, met, err := stratified.RunMQE(c, queries, testSchema(), splits, opts)
-			return met, err
+			return answer(c, resident, queries, stratified.Options{Seed: 3, Exclude: exclude})
 		}, "ShuffleBytes 2305, BucketBytes [{0 1} {63 2} {127 10} {255 5}]"},
 		{"naive", func(c *mapreduce.Cluster, resident bool) (mapreduce.Metrics, error) {
-			opts := stratified.Options{Seed: 3, Exclude: exclude, Naive: true}
-			if resident {
-				opts.Columns, opts.Sizes = columns, sizes
-			}
-			_, met, err := stratified.RunSQE(c, queries[1], testSchema(), splits, opts)
-			return met, err
+			return answer(c, resident, queries[1:], stratified.Options{Seed: 3, Exclude: exclude, Naive: true})
 		}, "ShuffleBytes 16453, BucketBytes [{0 7} {31 1} {2047 7} {4095 3}]"},
 		{"selections", func(c *mapreduce.Cluster, _ bool) (mapreduce.Metrics, error) {
 			sels := [][]int{{0, 0}, {1, 0}, {1, 1}, {0, -1}}

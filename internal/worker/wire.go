@@ -12,8 +12,10 @@ import (
 // in its hello and the coordinator attaches only an exact match
 // (ErrWireVersion otherwise): strata spawns or is dialled by itself, so a
 // different version is a misdeployment, not a peer to accommodate. Bump it
-// with any change to the envelope, TaskSpec or TaskResult layout.
-const wireVersion = 4
+// with any change to the envelope, TaskSpec or TaskResult layout, or to a
+// payload a spec carries (5: a split ships its rows as one TupleBatch, with
+// no layout byte and no per-tuple form).
+const wireVersion = 5
 
 // ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
 var ErrWireVersion = errors.New("worker: wire version mismatch")
