@@ -59,3 +59,18 @@ func TestReadCSVRejectsWrongArity(t *testing.T) {
 		t.Fatal("want arity error")
 	}
 }
+
+// TestReadCSVNamesTheDuplicateLine: a repeated id is refused with its line
+// and id, whether the ids ascended up to it or an earlier line broke their
+// order.
+func TestReadCSVNamesTheDuplicateLine(t *testing.T) {
+	schema := testSchema(t)
+	for _, tc := range []struct{ src, want string }{
+		{"id,name,age,income,gender\n1,a,1,1,0\n1,b,2,2,1", "dataset: CSV line 3: dataset: duplicate tuple id 1"},
+		{"id,name,age,income,gender\n1,a,1,1,0\n5,b,2,2,1\n3,c,1,1,0\n1,d,1,1,0", "dataset: CSV line 5: dataset: duplicate tuple id 1"},
+	} {
+		if _, err := ReadCSV(strings.NewReader(tc.src), schema); err == nil || err.Error() != tc.want {
+			t.Errorf("ReadCSV(%q): err %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}

@@ -2,22 +2,32 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Relation is a set of individuals over a schema — the population R of the
 // paper. Tuples are identified by their ID; a relation never stores two
-// tuples with the same ID.
+// tuples with the same ID. While IDs arrive in ascending order (every
+// generator in this module, and a CSV written in ID order) Add proves that
+// by comparing with the last ID alone and the relation holds nothing but its
+// tuples; the first ID out of that order builds a hash set of the IDs so far,
+// which every later Add consults.
 type Relation struct {
 	schema *Schema
 	tuples []Tuple
-	ids    map[int64]struct{}
+	// ids holds every tuple's ID once an Add has arrived out of ascending
+	// order; nil while the IDs ascend.
+	ids map[int64]struct{}
 }
 
 // NewRelation creates an empty relation over the schema.
 func NewRelation(schema *Schema) *Relation {
-	return &Relation{schema: schema, ids: make(map[int64]struct{})}
+	return &Relation{schema: schema}
 }
+
+// Grow makes room for n more tuples, so a builder that knows the final size
+// allocates the tuple array once, at that size.
+func (r *Relation) Grow(n int) { r.tuples = slices.Grow(r.tuples, n) }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
@@ -37,10 +47,18 @@ func (r *Relation) Add(t Tuple) error {
 	if err := t.ValidFor(r.schema); err != nil {
 		return err
 	}
-	if _, dup := r.ids[t.ID]; dup {
-		return fmt.Errorf("dataset: duplicate tuple id %d", t.ID)
+	if n := len(r.tuples); r.ids != nil || n > 0 && t.ID <= r.tuples[n-1].ID {
+		if r.ids == nil {
+			r.ids = make(map[int64]struct{}, n+1)
+			for i := range r.tuples {
+				r.ids[r.tuples[i].ID] = struct{}{}
+			}
+		}
+		if _, dup := r.ids[t.ID]; dup {
+			return fmt.Errorf("dataset: duplicate tuple id %d", t.ID)
+		}
+		r.ids[t.ID] = struct{}{}
 	}
-	r.ids[t.ID] = struct{}{}
 	r.tuples = append(r.tuples, t)
 	return nil
 }
@@ -51,12 +69,6 @@ func (r *Relation) MustAdd(t Tuple) {
 	if err := r.Add(t); err != nil {
 		panic(err)
 	}
-}
-
-// Contains reports whether the relation holds a tuple with the given ID.
-func (r *Relation) Contains(id int64) bool {
-	_, ok := r.ids[id]
-	return ok
 }
 
 // Select returns the tuples satisfying pred, in insertion order. It is the
@@ -80,10 +92,4 @@ func (r *Relation) Count(pred func(*Tuple) bool) int {
 		}
 	}
 	return n
-}
-
-// SortByID orders the tuples by ID, giving the relation a canonical order
-// independent of generation interleaving.
-func (r *Relation) SortByID() {
-	sort.Slice(r.tuples, func(i, j int) bool { return r.tuples[i].ID < r.tuples[j].ID })
 }

@@ -40,8 +40,54 @@ func TestRelationAddValidates(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", r.Len())
 	}
-	if !r.Contains(1) || r.Contains(2) {
-		t.Fatal("Contains misbehaves")
+}
+
+// TestRelationAddRejectsDuplicates covers both ways Add keeps IDs unique:
+// while they ascend it compares with the last one alone, so a repeat of the
+// last is the duplicate it can meet; after an ID out of order it consults the
+// set built from the tuples so far, so a repeat of any earlier ID is refused,
+// and ascending IDs after it still go in.
+func TestRelationAddRejectsDuplicates(t *testing.T) {
+	r := NewRelation(testSchema(t))
+	for _, id := range []int64{-3, 0, 4} {
+		r.MustAdd(mkTuple(id, 1, 1, 1))
+	}
+	if r.ids != nil {
+		t.Fatal("ascending IDs built the set")
+	}
+	if err := r.Add(mkTuple(4, 1, 1, 1)); err == nil || err.Error() != "dataset: duplicate tuple id 4" {
+		t.Fatalf("repeat of the last ID: got %v", err)
+	}
+	r.MustAdd(mkTuple(2, 1, 1, 1)) // out of order, new
+	if r.ids == nil {
+		t.Fatal("an ID out of order did not build the set")
+	}
+	for _, id := range []int64{-3, 0, 4, 2} {
+		if err := r.Add(mkTuple(id, 1, 1, 1)); err == nil || err.Error() != fmt.Sprintf("dataset: duplicate tuple id %d", id) {
+			t.Fatalf("repeat of %d after the fallback: got %v", id, err)
+		}
+	}
+	r.MustAdd(mkTuple(9, 1, 1, 1))
+	r.MustAdd(mkTuple(1, 1, 1, 1))
+	var ids []int64
+	for _, tp := range r.Tuples() {
+		ids = append(ids, tp.ID)
+	}
+	if want := []int64{-3, 0, 4, 2, 9, 1}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("relation holds %v, want %v in insertion order", ids, want)
+	}
+}
+
+// TestRelationGrow: after Grow(n), n Adds fill the array Grow made.
+func TestRelationGrow(t *testing.T) {
+	r := NewRelation(testSchema(t))
+	r.Grow(100)
+	first := unsafe.SliceData(r.tuples[:1])
+	for i := int64(0); i < 100; i++ {
+		r.MustAdd(mkTuple(i, 1, 1, 1))
+	}
+	if unsafe.SliceData(r.tuples) != first {
+		t.Fatal("Adds within the grown capacity moved the tuple array")
 	}
 }
 
@@ -57,19 +103,6 @@ func TestRelationSelectAndCount(t *testing.T) {
 	}
 	if n := r.Count(even); n != 5 {
 		t.Fatalf("Count = %d, want 5", n)
-	}
-}
-
-func TestRelationSortByID(t *testing.T) {
-	r := NewRelation(testSchema(t))
-	for _, id := range []int64{5, 1, 3, 2, 4} {
-		r.MustAdd(mkTuple(id, 1, 1, 1))
-	}
-	r.SortByID()
-	for i, want := range []int64{1, 2, 3, 4, 5} {
-		if got := r.Tuple(i).ID; got != want {
-			t.Fatalf("tuple %d has ID %d, want %d", i, got, want)
-		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package gen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/dataset"
 )
@@ -87,12 +88,15 @@ func Population(n int, seed int64) *dataset.Relation {
 	specs := AuthorAttrs()
 	schema := AuthorSchema()
 	rel := dataset.NewRelation(schema)
+	rel.Grow(n)
+	next := AuthorTuples(n, len(specs))
 	rng := rand.New(rand.NewSource(seed))
 	fyIdx, _ := schema.Index("fy")
 	lyIdx, _ := schema.Index("ly")
 	for id := 0; id < n; id++ {
 		latent := rng.NormFloat64()
-		attrs := make([]int64, len(specs))
+		t := next()
+		attrs := t.Attrs
 		for j, s := range specs {
 			z := s.Rho*latent + math.Sqrt(1-s.Rho*s.Rho)*rng.NormFloat64()
 			u := stdNormalCDF(z)
@@ -107,11 +111,7 @@ func Population(n int, seed int64) *dataset.Relation {
 		if attrs[lyIdx] < attrs[fyIdx] {
 			attrs[fyIdx], attrs[lyIdx] = attrs[lyIdx], attrs[fyIdx]
 		}
-		rel.MustAdd(dataset.Tuple{
-			ID:    int64(id),
-			Name:  fmt.Sprintf("author-%07d", id),
-			Attrs: attrs,
-		})
+		rel.MustAdd(t)
 	}
 	return rel
 }
@@ -123,21 +123,57 @@ func Population(n int, seed int64) *dataset.Relation {
 func UniformPopulation(n int, seed int64) *dataset.Relation {
 	schema := AuthorSchema()
 	rel := dataset.NewRelation(schema)
-	rng := rand.New(rand.NewSource(seed))
+	rel.Grow(n)
 	numFields := schema.NumFields()
+	next := AuthorTuples(n, numFields)
+	rng := rand.New(rand.NewSource(seed))
 	for id := 0; id < n; id++ {
-		attrs := make([]int64, numFields)
+		t := next()
 		for j := 0; j < numFields; j++ {
 			f := schema.Field(j)
-			attrs[j] = f.Min + rng.Int63n(f.Width())
+			t.Attrs[j] = f.Min + rng.Int63n(f.Width())
 		}
-		rel.MustAdd(dataset.Tuple{
-			ID:    int64(id),
-			Name:  fmt.Sprintf("author-%07d", id),
-			Attrs: attrs,
-		})
+		rel.MustAdd(t)
 	}
 	return rel
+}
+
+// AuthorTuples returns a function that yields the tuples of n authors, IDs
+// 0, 1, … in order, each named "author-" and its ID zero-padded to seven
+// digits, with attributes zero for the caller to fill. All attributes are cut
+// from one []int64 and all names from one string, so a population costs two
+// allocations beyond its tuple array, not two per author. Each tuple's Attrs
+// has its capacity equal to its length: appending to one author's attributes
+// copies them rather than writing its neighbour's. The function must be
+// called at most n times.
+func AuthorTuples(n, fields int) func() dataset.Tuple {
+	arena := make([]int64, n*fields)
+	// A name is "author-" and at least seven digits; every ID at or above
+	// 10⁷, 10⁸, … has one digit more.
+	size := 14 * n
+	for p := 10_000_000; p < n; p *= 10 {
+		size += n - p
+	}
+	var names strings.Builder
+	names.Grow(size)
+	id := 0
+	return func() dataset.Tuple {
+		start := names.Len()
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], int64(id), 10)
+		names.WriteString("author-")
+		for i := len(d); i < 7; i++ {
+			names.WriteByte('0')
+		}
+		names.Write(d)
+		t := dataset.Tuple{
+			ID:    int64(id),
+			Name:  names.String()[start:],
+			Attrs: arena[id*fields : (id+1)*fields : (id+1)*fields],
+		}
+		id++
+		return t
+	}
 }
 
 // stdNormalCDF is Φ(z), computed from the error function.

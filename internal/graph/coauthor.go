@@ -207,8 +207,12 @@ func (g *Coauthorship) Population(seed int64) (*dataset.Relation, error) {
 	nop, ayp, myp := idx("nop"), idx("ayp"), idx("myp")
 	fy, ly, cc, ndcc, accpp := idx("fy"), idx("ly"), idx("cc"), idx("ndcc"), idx("accpp")
 
-	for a, s := range g.Stats(rng) {
-		attrs := make([]int64, schema.NumFields())
+	stats := g.Stats(rng)
+	rel.Grow(len(stats))
+	next := gen.AuthorTuples(len(stats), schema.NumFields())
+	for _, s := range stats {
+		t := next()
+		attrs := t.Attrs
 		years := int64(s.LY - s.FY + 1)
 		attrs[nop] = clampField(schema.Field(nop), int64(s.NOP))
 		attrs[ayp] = clampField(schema.Field(ayp), int64(s.NOP)/years)
@@ -218,11 +222,7 @@ func (g *Coauthorship) Population(seed int64) (*dataset.Relation, error) {
 		attrs[cc] = clampField(schema.Field(cc), int64(s.CC))
 		attrs[ndcc] = clampField(schema.Field(ndcc), int64(s.NDCC))
 		attrs[accpp] = clampField(schema.Field(accpp), int64(s.ACCPP))
-		if err := rel.Add(dataset.Tuple{
-			ID:    int64(a),
-			Name:  fmt.Sprintf("author-%07d", a),
-			Attrs: attrs,
-		}); err != nil {
+		if err := rel.Add(t); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -162,24 +163,33 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 	if cfg.StalenessBound <= 0 {
 		cfg.StalenessBound = 64
 	}
-	members := 0
-	for _, split := range splits {
-		members += len(split)
-	}
-	// The check sorts a copy of the IDs and keeps nothing: the index it would
-	// otherwise leave behind waits for the first mutation.
-	ids := make([]int64, 0, members)
+	// IDs that strictly ascend across the splits in order are unique, which
+	// every contiguous or skewed cut of a relation loaded in ID order is: one
+	// pass proves it and keeps nothing. Anything else (an ID of MinInt64
+	// included) falls back to sorting a copy. Either way the index a check
+	// could leave behind waits for the first mutation.
 	var rowBytes int64
+	members, ascending, last := 0, true, int64(math.MinInt64)
 	for _, split := range splits {
 		for i := range split {
-			ids = append(ids, split[i].ID)
+			ascending = ascending && split[i].ID > last
+			last = split[i].ID
 		}
+		members += len(split)
 		rowBytes += split.ResidentBytes()
 	}
-	slices.Sort(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("live: duplicate tuple id %d across splits", ids[i])
+	if !ascending {
+		ids := make([]int64, 0, members)
+		for _, split := range splits {
+			for i := range split {
+				ids = append(ids, split[i].ID)
+			}
+		}
+		slices.Sort(ids)
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				return nil, fmt.Errorf("live: duplicate tuple id %d across splits", ids[i])
+			}
 		}
 	}
 	p := &Population{

@@ -265,7 +265,7 @@ func TestAcquireSplitsConsistency(t *testing.T) {
 
 // TestNewPopulationRejectsDuplicateIDs: an ID held twice, in two splits or in
 // one, is refused with the ID named, although the population keeps no index
-// until its first mutation.
+// until its first mutation; unique IDs are taken in any order.
 func TestNewPopulationRejectsDuplicateIDs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -277,6 +277,19 @@ func TestNewPopulationRejectsDuplicateIDs(t *testing.T) {
 	} {
 		if _, err := NewPopulation(testSchema(), tc.splits, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Unique IDs are taken whether they ascend across the splits (the one-pass
+	// check, an empty split between) or not (the sorted fallback).
+	for name, splits := range map[string][]dataset.Split{
+		"ascending":     {{tup(1, 0, 0), tup(2, 0, 0)}, {}, {tup(3, 0, 0), tup(7, 1, 1)}},
+		"not ascending": {{tup(7, 0, 0), tup(1, 0, 0)}, {tup(3, 0, 0), tup(2, 1, 1)}},
+	} {
+		p, err := NewPopulation(testSchema(), splits, Config{})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if p.Len() != 4 {
+			t.Errorf("%s: Len %d, want 4", name, p.Len())
 		}
 	}
 }

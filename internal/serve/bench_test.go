@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -50,6 +51,11 @@ func BenchmarkServePass(b *testing.B) {
 		}
 		queries[i] = qc{q: q, cls: cls, canon: canonicalSSD(q, cls)}
 	}
+
+	// Collect the population build's garbage first: the collector's next cycle
+	// is then a whole heap away, not inside the measured passes, where it
+	// would empty the pooled scratch and read as 10× the B/op.
+	runtime.GC()
 
 	// One warm-up batch so pooled state (cluster, executor scratch) exists
 	// before measurement, like a daemon that has answered at least once.

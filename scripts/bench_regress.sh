@@ -31,9 +31,16 @@
 # replaced could not tell from a busy runner.
 # A daemon's intake of a 10⁵-row population (BenchmarkNewPopulation: the
 # contiguous cut plus live.NewPopulation, which keeps the column mirror) is gated on
-# B/op: the cut shares the relation's rows and the id index waits for the first
-# mutation, so splits copied at load or an index built eagerly read as
-# megabytes more.
+# B/op: the cut shares the relation's rows, the duplicate check is one pass
+# over IDs that ascend, and the id index waits for the first mutation, so
+# splits copied at load, a sorted copy of the IDs or an index built eagerly
+# read as megabytes more.
+# Generating that population (BenchmarkPopulation in internal/gen) is gated
+# on allocs/op and B/op: the relation is allocated once at its final size,
+# every tuple's attributes and name are cut from one allocation each, and IDs
+# that ascend need no hash set, so ≈ 30 allocations hold 10⁵ rows. A per-row
+# allocation coming back reads as hundreds of thousands of allocations, and a
+# hash set or the growth copies of an unsized tuple array as ≈ 25 MB more.
 # One standing query's stratum repair at 10⁵ rows (BenchmarkLiveRepair: 8
 # contiguous splits classified from the column mirror, a two- and a
 # four-stratum query) is gated on B/op: the repair streams the members it classifies into
@@ -75,6 +82,9 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 1x -cpu=1
   run ./internal/cps/ 'BenchmarkCPSRun$'
   run ./internal/live/ 'BenchmarkNewPopulation$|BenchmarkLiveRepair' bytes
+  # Five populations, not one: a lone run picks up a few of the runtime's own
+  # allocations (seen up to +6 on ≈ 30), more than the 10 % gate allows.
+  run ./internal/gen/ 'BenchmarkPopulation$' bytes 5x
 } >"$out"
 
 if [[ "${1:-}" == "--update" ]]; then
