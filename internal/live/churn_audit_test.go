@@ -76,7 +76,7 @@ func TestChurnInclusionBiasAudit(t *testing.T) {
 	} else if s.MaxStaleness > bound {
 		t.Fatalf("staleness %d exceeded bound %d", s.MaxStaleness, bound)
 	}
-	final, _, release := p0.Acquire()
+	final, release := p0.Acquire()
 	ref := make([]dataset.Split, len(final))
 	for i, b := range final {
 		ref[i] = append(dataset.Split(nil), b.Rows...)

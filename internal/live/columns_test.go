@@ -15,33 +15,20 @@ import (
 
 // checkMirror fails unless every block's column mirror equals its rows cell
 // for cell and its size column holds each row's wire size (a fresh
-// ResidentBlock of the rows), every row lies inside its block's bounding box,
-// a pass over the blocks answers and counts shuffle bytes exactly as a pass
-// over their rows alone, the resident-byte gauges match a recount and, once
-// it exists, the id index points at every member's block and row. It holds
-// the pass's read lock throughout, like the daemon's executor.
+// ResidentBlock of the rows), a pass over the blocks answers and counts
+// shuffle bytes exactly as a pass over their rows alone, the resident-byte
+// gauges match a recount and, once it exists, the id index points at every
+// member's block and row. It holds the pass's read lock throughout, like the
+// daemon's executor.
 func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) {
-	blocks, bounds, release := p.Acquire()
+	blocks, release := p.Acquire()
 	defer release()
-	if len(bounds) != len(blocks) {
-		t.Errorf("%d boxes for %d blocks", len(bounds), len(blocks))
-		return
-	}
 	var rowBytes, members int64
 	splits := make([]dataset.Split, len(blocks))
 	for si, b := range blocks {
 		if want := dataset.ResidentBlock(b.Rows, p.schema.NumFields()); !reflect.DeepEqual(b.Cols, want.Cols) || !reflect.DeepEqual(b.Sizes, want.Sizes) {
 			t.Errorf("block %d: columns differ from its rows\n mirror %v sizes %v\n rows   %v sizes %v", si, b.Cols, b.Sizes, want.Cols, want.Sizes)
 			return
-		}
-		for i := range b.Rows {
-			box := bounds[si]
-			for j, v := range b.Rows[i].Attrs {
-				if box == nil || v < box[j].Lo || v > box[j].Hi {
-					t.Errorf("block %d: member %d has %s = %d outside the block's box %v", si, b.Rows[i].ID, p.schema.Field(j).Name, v, box)
-					return
-				}
-			}
 		}
 		splits[si] = b.Rows
 		rowBytes += b.Rows.ResidentBytes()
@@ -88,7 +75,7 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 
 // locations reads every member's block and row off the blocks.
 func locations(p *Population) map[int64]tupleLoc {
-	blocks, _, release := p.Acquire()
+	blocks, release := p.Acquire()
 	defer release()
 	at := make(map[int64]tupleLoc)
 	for si, b := range blocks {

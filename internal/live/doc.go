@@ -47,7 +47,7 @@
 //
 // Resident layout. Each split is one dataset.Block — its rows, their column
 // mirror and their wire-size column — edited with one block call per
-// mutation (Append, Set, SwapRemove) under the write lock, beside a bounding
-// box per block. A pass takes the blocks and the boxes together
-// (Population.Acquire) and hands each block to its map task as one value.
+// mutation (Append, Set, SwapRemove) under the write lock. A pass takes the
+// blocks (Population.Acquire) and hands each block to its map task as one
+// value; every map task reads its whole split.
 package live

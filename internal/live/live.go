@@ -99,14 +99,14 @@ type tupleLoc struct {
 // registered standing SSD queries. It keeps the splits handed to it at
 // construction, each as a resident block (dataset.ResidentBlock: the rows,
 // the column-major mirror a pass, a registration and a repair classify from,
-// and the wire-size column a pass counts shuffle bytes from), beside its
-// bounding box, which pruning tests. Mutations edit the blocks, so engine
-// passes run over current data, and stratum repairs rescan them. A block's
-// rows may be shared with the relation they were cut from
-// (dataset.Partition), so the population never writes storage it did not
-// allocate: it copies a block's rows at that block's first edit, and from
-// then on edits its own copy in place, one block edit at each of insert,
-// update and removeAt, under the write lock; Rebalance builds new blocks.
+// and the wire-size column a pass counts shuffle bytes from). Mutations edit
+// the blocks, so engine passes run over current data, and stratum repairs
+// rescan them. A block's rows may be shared with the relation they were cut
+// from (dataset.Partition), so the population never writes storage it did
+// not allocate: it copies a block's rows at that block's first edit, and
+// from then on edits its own copy in place, one block edit at each of
+// insert, update and removeAt, under the write lock; Rebalance builds new
+// blocks.
 // The id index mutations look members up in is built by the first Apply
 // (and again by the first after a Rebalance), so a population nothing
 // mutates never holds one. All methods are safe for concurrent use;
@@ -119,10 +119,6 @@ type Population struct {
 	// owned[i] reports that blocks[i].Rows is storage the population
 	// allocated, which an edit may write in place.
 	owned []bool
-	// bounds[i] holds one inclusive interval per schema field that contains
-	// every row of blocks[i] — not always the tightest: a delete leaves it as
-	// it was. Nil for a block that has had no rows since the last build.
-	bounds [][]predicate.Interval
 	// loc finds a member's split and row by ID; nil until an Apply needs it.
 	loc     map[int64]tupleLoc
 	members int
@@ -204,35 +200,14 @@ func NewPopulation(schema *dataset.Schema, splits []dataset.Split, cfg Config) (
 }
 
 // setSplits installs splits as the resident blocks, their rows owned when the
-// population allocated them, and builds their boxes.
+// population allocated them.
 func (p *Population) setSplits(splits []dataset.Split, owned bool) {
 	p.blocks = make([]dataset.Block, len(splits))
 	p.owned = make([]bool, len(splits))
-	p.bounds = make([][]predicate.Interval, len(splits))
 	for si, split := range splits {
 		p.blocks[si] = dataset.ResidentBlock(split, p.schema.NumFields())
 		p.owned[si] = owned
-		for i := range split {
-			p.bounds[si] = widen(p.bounds[si], split[i].Attrs)
-		}
 	}
-}
-
-// widen returns box grown to contain attrs, in place; a nil box becomes the
-// point attrs.
-func widen(box []predicate.Interval, attrs []int64) []predicate.Interval {
-	if box == nil {
-		box = make([]predicate.Interval, len(attrs))
-		for j, v := range attrs {
-			box[j] = predicate.Interval{Lo: v, Hi: v}
-		}
-		return box
-	}
-	for j, v := range attrs {
-		box[j].Lo = min(box[j].Lo, v)
-		box[j].Hi = max(box[j].Hi, v)
-	}
-	return box
 }
 
 // classify walks the resident rows in block and row order, classBlock rows
@@ -274,16 +249,14 @@ func (p *Population) Seq() int64 { return p.seq.Load() }
 // StalenessBound returns the configured repair trigger.
 func (p *Population) StalenessBound() int { return p.bound }
 
-// Acquire hands an engine pass the resident blocks, one per split, their
-// bounding boxes (index-aligned: bounds[i] contains every row of blocks[i],
-// nil for a block that has had no rows since the last build) and a release
-// function. All of it is read-locked until released: mutations wait, which
-// is what keeps a pass's view consistent. It is the only way a pass reaches
-// the population, live or not; standing queries never need it — their
-// answers come from the warm reservoirs.
-func (p *Population) Acquire() (blocks []dataset.Block, bounds [][]predicate.Interval, release func()) {
+// Acquire hands an engine pass the resident blocks, one per split, and a
+// release function. The blocks are read-locked until released: mutations
+// wait, which is what keeps a pass's view consistent. It is the only way a
+// pass reaches the population, live or not; standing queries never need it —
+// their answers come from the warm reservoirs.
+func (p *Population) Acquire() (blocks []dataset.Block, release func()) {
 	p.mu.RLock()
-	return p.blocks, p.bounds, p.mu.RUnlock
+	return p.blocks, p.mu.RUnlock
 }
 
 // Splits returns the current number of resident splits (Rebalance re-cuts
@@ -383,7 +356,6 @@ func (p *Population) applyOne(m *Mutation) error {
 		p.next = (p.next + 1) % len(p.blocks)
 		b := p.own(int32(si))
 		b.Append(t)
-		p.bounds[si] = widen(p.bounds[si], t.Attrs)
 		p.rowBytes += t.ResidentBytes()
 		p.members++
 		p.loc[t.ID] = tupleLoc{split: int32(si), idx: int32(b.Len() - 1)}
@@ -411,7 +383,6 @@ func (p *Population) applyOne(m *Mutation) error {
 		}
 		old := p.blocks[l.split].Rows[l.idx]
 		p.own(l.split).Set(int(l.idx), t)
-		p.bounds[l.split] = widen(p.bounds[l.split], t.Attrs)
 		p.rowBytes += t.ResidentBytes() - old.ResidentBytes()
 		for _, st := range p.queries {
 			st.update(p, old, t)
@@ -423,8 +394,7 @@ func (p *Population) applyOne(m *Mutation) error {
 }
 
 // removeAt swap-removes the member at l from its block, fixing the moved
-// member's location index. The block's box stays as it was: too large still
-// prunes soundly.
+// member's location index.
 func (p *Population) removeAt(l tupleLoc) {
 	b := p.own(l.split)
 	delete(p.loc, b.Rows[l.idx].ID)
@@ -443,9 +413,8 @@ func (p *Population) removeAt(l tupleLoc) {
 // The relative order of members is preserved (concatenation order of the old
 // splits), so a member keeps its place exactly when its old and new split
 // share an index and a start offset. The new blocks are the population's own
-// storage, their columns and boxes built afresh (the boxes tight again), the
-// id index is dropped for the next Apply to rebuild, and the round-robin
-// insert cursor resets. Callers should
+// storage, their columns built afresh, the id index is dropped for the next
+// Apply to rebuild, and the round-robin insert cursor resets. Callers should
 // bump the daemon epoch afterwards: the re-cut changes split boundaries, which
 // changes per-split reservoir draws, so cached answers must not survive it.
 func (p *Population) Rebalance(k int) int {

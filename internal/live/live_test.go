@@ -244,7 +244,7 @@ func TestAcquireSplitsConsistency(t *testing.T) {
 		{Op: OpDelete, ID: 10}, {Op: OpDelete, ID: 11},
 		{Op: OpInsert, Tuple: tup(500, 1, 1)},
 	})
-	blocks, _, release := p.Acquire()
+	blocks, release := p.Acquire()
 	defer release()
 	seen := map[int64]bool{}
 	total := 0
@@ -303,7 +303,7 @@ func TestOnlyAMutationBuildsTheIndex(t *testing.T) {
 	if _, err := p.Register("g", genderSSD(5, 7), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, _, release := p.Acquire()
+	_, release := p.Acquire()
 	release()
 	p.Snapshot("g")
 	p.QueryVersion("g")

@@ -140,10 +140,11 @@ func (st *Standing) bump(s *stratumState) {
 // repair rebuilds stratum k's reservoir from the resident splits: one
 // classifying scan of the population, restricted to this query's predicate,
 // instead of a full MapReduce pass. The members stream into the fresh
-// reservoir in split and row order, and only those it accepts are copied:
-// Skip(1) before Add is AddSlice's own contract, so the draws are those of
-// AddSlice over a slice of the members, which the scan never builds. Counters
-// reset — the rebuilt reservoir is exact for the current membership.
+// reservoir in split and row order, one Add each, and only those it keeps
+// are stored: Add consumes the stream and the RNG as AddSlice does, so the
+// draws are those of AddSlice over a slice of the members, which the scan
+// never builds. Counters reset — the rebuilt reservoir is exact for the
+// current membership.
 func (st *Standing) repair(p *Population, k int) {
 	start := time.Now()
 	s := st.strata[k]
@@ -155,9 +156,7 @@ func (st *Standing) repair(p *Population, k int) {
 				continue
 			}
 			members++
-			if fresh.Skip(1) == 0 {
-				fresh.Add(rows[i])
-			}
+			fresh.Add(rows[i])
 		}
 	})
 	s.res = fresh

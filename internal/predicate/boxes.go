@@ -2,8 +2,9 @@ package predicate
 
 import "repro/internal/dataset"
 
-// Interval is an inclusive integer range [Lo, Hi].
-type Interval struct {
+// interval is an inclusive integer range [Lo, Hi], a cell's extent on one
+// attribute.
+type interval struct {
 	Lo, Hi int64
 }
 
@@ -12,21 +13,21 @@ type Interval struct {
 // the map is unconstrained). None means the formula is unsatisfiable over the
 // schema's domains. Its one caller is the bench harness's predicate.boxes_us
 // probe, which times the lowering through it.
-func Boxes(e Expr, schema *dataset.Schema) ([]map[string]Interval, error) {
+func Boxes(e Expr, schema *dataset.Schema) ([]map[string]interval, error) {
 	c, err := NewClassifier([]Expr{e}, schema)
 	if err != nil {
 		return nil, err
 	}
 	lo, hi, at := c.cellRange()
-	var boxes []map[string]Interval
+	var boxes []map[string]interval
 	c.eachCell(lo, hi, at, func(off int32, at []int32) bool {
 		if c.table[off] < 0 {
 			return true
 		}
-		box := make(map[string]Interval, len(c.dims))
+		box := make(map[string]interval, len(c.dims))
 		for d, dim := range c.dims {
 			f := schema.Field(dim.attr)
-			iv := Interval{f.Min, f.Max}
+			iv := interval{f.Min, f.Max}
 			if i := at[d]; i > 0 {
 				iv.Lo = dim.below[i-1] + 1
 			}

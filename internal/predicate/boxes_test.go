@@ -9,7 +9,7 @@ import (
 )
 
 // matchesBoxes is the semantics of a box set: some box contains the tuple.
-func matchesBoxes(boxes []map[string]Interval, schema *dataset.Schema, tp *dataset.Tuple) bool {
+func matchesBoxes(boxes []map[string]interval, schema *dataset.Schema, tp *dataset.Tuple) bool {
 	for _, b := range boxes {
 		ok := true
 		for attr, iv := range b {
@@ -58,11 +58,11 @@ func TestBoxesClipToDomain(t *testing.T) {
 	schema := predSchema()
 	for _, tc := range []struct {
 		src  string
-		want []map[string]Interval
+		want []map[string]interval
 	}{
 		{"a > 1000", nil},                     // outside [0,100]: unsatisfiable
-		{"a >= 0", []map[string]Interval{{}}}, // the whole domain: unconstrained
-		{"a < 50 or a > 1000", []map[string]Interval{{"a": {0, 49}}}},
+		{"a >= 0", []map[string]interval{{}}}, // the whole domain: unconstrained
+		{"a < 50 or a > 1000", []map[string]interval{{"a": {0, 49}}}},
 	} {
 		boxes, err := Boxes(MustParse(tc.src), schema)
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 
 // Classifier assigns a tuple to the first of a list of formulas it
 // satisfies — the stratum scan of the sampling map tasks — and is the one
-// lowering of a stratum list: SSD validation (Overlap), the daemon's cache
-// key (Key) and its split pruning (Meets) read the same object.
+// lowering of a stratum list: SSD validation (Overlap) and the daemon's cache
+// key (Key) read the same object.
 //
 // The lowering is a cell grid. Every atom "attr op v" changes truth only at
 // its bounds (v, and v+1 for <=, >, = and !=), so the bounds that fall
@@ -208,23 +208,6 @@ func (c *Classifier) Classify(t *dataset.Tuple) int {
 // domains.
 func (c *Classifier) Overlap() (i, j int, ok bool) {
 	return int(c.overlap[0]), int(c.overlap[1]), c.overlap[0] >= 0
-}
-
-// Meets reports whether some in-domain point of the box — bounds[j] on
-// schema field j, for every field — satisfies one of the formulas.
-func (c *Classifier) Meets(bounds []Interval) bool {
-	lo, hi, at := c.cellRange()
-	for d := range c.dims {
-		dim := &c.dims[d]
-		b := bounds[dim.attr]
-		lo[d], hi[d] = dim.cellOf(b.Lo), dim.cellOf(b.Hi)+1
-	}
-	met := false
-	c.eachCell(lo, hi, at, func(off int32, _ []int32) bool {
-		met = c.table[off] >= 0
-		return !met
-	})
-	return met
 }
 
 // Key renders what the classifier computes — the class of every in-domain

@@ -16,11 +16,10 @@
 //
 // Every atom changes truth only at its own bounds, so every formula is
 // constant on every cell, and a decision about the cells is a decision about
-// the formulas on all in-domain tuples. One grid therefore does four jobs:
+// the formulas on all in-domain tuples. One grid therefore does three jobs:
 // the stratum scan of the sampling map tasks (Classify, ClassifyColumns),
-// SSD validation (Overlap: two strata holding on one cell), the serve
+// SSD validation (Overlap: two strata holding on one cell), and the serve
 // daemon's canonical cache key (Key: the grid coarsened to the cuts that
 // separate two classes, which is unique, so equal keys mean equal
-// classifications), and its split pre-filtering (Meets: a split whose
-// bounding box meets no classed cell cannot contribute a tuple).
+// classifications).
 package predicate

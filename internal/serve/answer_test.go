@@ -10,14 +10,13 @@ import (
 	"repro/internal/gen"
 	"repro/internal/live"
 	"repro/internal/mapreduce"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/stratified"
 )
 
 // lineRelation builds a population whose single attribute x equals the tuple
-// index, so a contiguous partition gives each split a narrow bounding box —
-// the friendly case for box pre-filtering.
+// index, so under a contiguous partition a selective query's members sit in
+// a few splits and every other split contributes nothing.
 func lineRelation(t *testing.T, n int) *dataset.Relation {
 	t.Helper()
 	schema := dataset.MustSchema(dataset.Field{Name: "x", Min: 0, Max: int64(n - 1), Desc: "index"})
@@ -28,49 +27,10 @@ func lineRelation(t *testing.T, n int) *dataset.Relation {
 	return rel
 }
 
-func TestPruneSkipsIrrelevantSplits(t *testing.T) {
-	rel := lineRelation(t, 100)
-	schema := rel.Schema()
-	parts, err := dataset.Partition(rel, 10, dataset.Contiguous, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := live.NewPopulation(schema, parts, live.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, bounds, release := pop.Acquire()
-	defer release()
-
-	q, err := query.ParseSSD("Q", "x >= 90 : 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := q.ValidClassifier(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, n := pruneBlocks(blocks, bounds, []*predicate.Classifier{cls})
-	if n != 9 {
-		t.Fatalf("pruned %d splits, want 9 (only x∈[90,99] is relevant)", n)
-	}
-	if pruned[9].Len() != 10 || pruned[9].Cols == nil || pruned[9].Sizes == nil {
-		t.Fatal("the relevant block was pruned or lost its columns")
-	}
-	for i := 0; i < 9; i++ {
-		if b := pruned[i]; b.Rows != nil || b.Cols != nil || b.Sizes != nil {
-			t.Errorf("block %d should be pruned to the zero block", i)
-		}
-	}
-	if len(pruned) != len(blocks) {
-		t.Errorf("pruning changed the block count: %d vs %d (must be index-preserving)", len(pruned), len(blocks))
-	}
-}
-
-// TestPrunePreservesAnswerBytes: a daemon that prunes returns exactly the
-// sample a direct MR-SQE over the same, unpruned splits draws, because
-// pruning is index-preserving and only drops splits that cannot contribute.
-func TestPrunePreservesAnswerBytes(t *testing.T) {
+// TestSelectiveQueryMatchesDirectPass: for a query whose strata hold in a few
+// splits only, the daemon returns exactly the sample a direct MR-SQE over the
+// same splits draws.
+func TestSelectiveQueryMatchesDirectPass(t *testing.T) {
 	rel := lineRelation(t, 200)
 	const spec = "x >= 150 : 7 ; x < 20 : 4"
 	d := newTestDaemon(t, Config{
@@ -81,18 +41,14 @@ func TestPrunePreservesAnswerBytes(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if d.s.Stats().PrunedSplits == 0 {
-		t.Error("no splits pruned on a contiguous line population")
-	}
 	if want := directSQE(t, rel, spec, 5, 3); !reflect.DeepEqual(respIndividuals(r), want) {
-		t.Errorf("pruned answer differs from unpruned:\npruned   %v\nunpruned %v", respIndividuals(r), want)
+		t.Errorf("daemon answer differs from a direct pass:\ndaemon %v\ndirect %v", respIndividuals(r), want)
 	}
 }
 
-// TestPruneAgainstAuthorPopulation: pruning must never change answers on the
-// realistic population either, where bounding boxes are wide and little or
-// nothing is prunable.
-func TestPruneAgainstAuthorPopulation(t *testing.T) {
+// TestAuthorPopulationMatchesDirectPass: the daemon's answer on the
+// realistic population is the sample a direct MR-SQE draws.
+func TestAuthorPopulationMatchesDirectPass(t *testing.T) {
 	pop := gen.Population(1200, 1)
 	const spec = "nop >= 100 : 5 ; nop < 100 : 10"
 	d := newTestDaemon(t, Config{
@@ -104,15 +60,14 @@ func TestPruneAgainstAuthorPopulation(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	if !reflect.DeepEqual(respIndividuals(r), directSQE(t, pop, spec, 3, 1)) {
-		t.Error("pruned answer differs from unpruned on the author population")
+		t.Error("daemon answer differs from a direct pass on the author population")
 	}
 }
 
-// TestLivePassesPrune: a live daemon prunes with the bounds its population
-// keeps — widened by inserts and updates, left alone by deletes, rebuilt by
-// the epoch bump's re-cut — and its answers stay the bytes a direct MR-SQE
-// over the population's current, unpruned splits draws.
-func TestLivePassesPrune(t *testing.T) {
+// TestLivePassesMatchDirectPass: a live daemon's answers — at load, after
+// inserts, updates and deletes, and after the epoch bump's re-cut — are the
+// bytes a direct MR-SQE over the population's current splits draws.
+func TestLivePassesMatchDirectPass(t *testing.T) {
 	rel := lineRelation(t, 200)
 	const spec = "x >= 150 : 7 ; x < 20 : 4"
 	d := newTestDaemon(t, Config{
@@ -123,19 +78,15 @@ func TestLivePassesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// check asks once and fails unless the pass pruned a split and drew what
-	// a direct pass over the current splits draws.
+	// check asks once and fails unless the pass drew what a direct pass over
+	// the current splits draws.
 	check := func(when string) {
 		t.Helper()
-		before := d.s.Stats().PrunedSplits
 		r, code := d.post(t, map[string]any{"query": spec, "seed": 3, "nocache": true})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", when, code)
 		}
-		if d.s.Stats().PrunedSplits == before {
-			t.Errorf("%s: a live daemon pruned no splits on a contiguous line population", when)
-		}
-		blocks, _, release := d.s.pop.Acquire()
+		blocks, release := d.s.pop.Acquire()
 		splits := make([]dataset.Split, len(blocks))
 		for i, b := range blocks {
 			splits[i] = b.Rows
@@ -146,16 +97,16 @@ func TestLivePassesPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := ansIndividuals(ans); !reflect.DeepEqual(respIndividuals(r), want) {
-			t.Errorf("%s: pruned answer differs from a direct pass:\npruned %v\ndirect %v", when, respIndividuals(r), want)
+			t.Errorf("%s: daemon answer differs from a direct pass:\ndaemon %v\ndirect %v", when, respIndividuals(r), want)
 		}
 	}
 	check("at load")
 
 	// Most inserts and updates stay between the strata, so splits that held
-	// only middle values stay prunable. Two middle members move into a
-	// stratum and one insert lands in one (round robin puts the sixth insert
-	// in split 5, x ∈ [100, 120)), so their splits must not be pruned any
-	// more; deletes take members from everywhere.
+	// only middle values contribute nothing still. Two middle members move
+	// into a stratum and one insert lands in one (round robin puts the sixth
+	// insert in split 5, x ∈ [100, 120)), so their splits now contribute;
+	// deletes take members from everywhere.
 	muts := []map[string]any{
 		{"op": "update", "id": 130, "attrs": []int64{199}},
 		{"op": "update", "id": 50, "attrs": []int64{0}},

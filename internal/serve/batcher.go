@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/live"
 	"repro/internal/mapreduce"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/stratified"
 )
@@ -102,7 +101,6 @@ func (cur *batch) spanID() uint64 {
 // entry is one distinct query in a batch plus everyone waiting on it.
 type entry struct {
 	q        *query.SSD
-	cls      *predicate.Classifier // q's lowering, which pruning reads
 	canon    string
 	seed     int64
 	attached int // number of requests riding this entry
@@ -120,8 +118,8 @@ type entry struct {
 // executor runs one batch as engine passes over the resident population.
 type executor struct {
 	schema *dataset.Schema
-	// pop hands each pass the splits, their column mirrors and their bounding
-	// boxes under a read lock held for the pass.
+	// pop hands each pass its blocks (rows, column mirror, size column) under
+	// a read lock held for the pass.
 	pop *live.Population
 	// cluster is the template every pass copies: whatever the factory wired
 	// (tracer, progress tracker, Executor handle) is shared by all passes and
@@ -158,7 +156,7 @@ func newBatcher(window time.Duration, maxBatch int, adaptive bool, epoch func() 
 // trace/traceSpan identify the submitting request; the request that opens a
 // batch lends the batch its trace identity, so the whole batch — and every
 // engine pass under it — traces under the opener.
-func (b *batcher) submit(q *query.SSD, cls *predicate.Classifier, canon string, seed int64, trace string, traceSpan uint64) *entry {
+func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, traceSpan uint64) *entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cur == nil {
@@ -172,7 +170,7 @@ func (b *batcher) submit(q *query.SSD, cls *predicate.Classifier, canon string, 
 		e.attached++
 		b.stats.add(&b.stats.SingleFlight, 1)
 	} else {
-		e = &entry{q: q, cls: cls, canon: canon, seed: seed, attached: 1, done: make(chan struct{})}
+		e = &entry{q: q, canon: canon, seed: seed, attached: 1, done: make(chan struct{})}
 		cur.entries[key] = e
 		cur.order = append(cur.order, key)
 	}
@@ -394,16 +392,14 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 		}
 	}()
 	queries := make([]*query.SSD, len(g.entries))
-	classifiers := make([]*predicate.Classifier, len(g.entries))
 	requests := 0
 	for i, e := range g.entries {
-		queries[i], classifiers[i] = e.q, e.cls
+		queries[i] = e.q
 		requests += e.attached
 	}
 
-	blocks, bounds, release := x.pop.Acquire()
+	blocks, release := x.pop.Acquire()
 	defer release()
-	blocks, pruned := pruneBlocks(blocks, bounds, classifiers)
 
 	c := *x.cluster // this pass's own copy: the trace fields below are set on it
 	traced := x.traced(cur)
@@ -431,7 +427,7 @@ func (x *executor) runPass(g *seedGroup, cur *batch, idx int) {
 	if x.onMetrics != nil {
 		x.onMetrics(met)
 	}
-	x.stats.addPass(len(queries), requests, pruned)
+	x.stats.addPass(len(queries), requests)
 	for i, e := range g.entries {
 		e.passStart, e.passEnd = passStart, passEnd
 		e.ans = answers[i]

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -34,7 +33,6 @@ func BenchmarkServePass(b *testing.B) {
 
 	type qc struct {
 		q     *query.SSD
-		cls   *predicate.Classifier
 		canon string
 	}
 	queries := make([]qc, 8)
@@ -49,7 +47,7 @@ func BenchmarkServePass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		queries[i] = qc{q: q, cls: cls, canon: canonicalSSD(q, cls)}
+		queries[i] = qc{q: q, canon: canonicalSSD(q, cls)}
 	}
 
 	// Collect the population build's garbage first: the collector's next cycle
@@ -62,7 +60,7 @@ func BenchmarkServePass(b *testing.B) {
 	runBatch := func() {
 		entries := make([]*entry, len(queries))
 		for i, q := range queries {
-			entries[i] = s.batcher.submit(q.q, q.cls, q.canon, 1, "", 0)
+			entries[i] = s.batcher.submit(q.q, q.canon, 1, "", 0)
 		}
 		s.batcher.flush()
 		for _, e := range entries {

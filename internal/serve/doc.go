@@ -13,7 +13,7 @@
 // MR-MQE — which keeps its answer byte-identical to the one-shot
 // "strata sample" CLI path for matching parameters.
 //
-// Around the batcher sit four service layers:
+// Around the batcher sit three service layers:
 //
 //   - Canonicalization (canon.go): queries are keyed by the cell grid
 //     validation lowered them to (predicate.Classifier.Key) and their
@@ -23,10 +23,6 @@
 //     that holds one effective epoch (administrative epoch + mutation
 //     sequence). The first get or put at a newer epoch — after a bump or a
 //     mutation — drops every prior entry in O(1).
-//   - Pre-filtering (prune.go): the per-split bounding boxes the resident
-//     live.Population keeps let a pass skip splits that meet no cell a
-//     batched stratum holds on; pruning is index-preserving, so answers are
-//     byte-identical to a pass over every split.
 //   - Quotas (quota.go): per-tenant token buckets reject over-quota
 //     submissions with 429 before they reach the batcher.
 //
@@ -34,7 +30,7 @@
 // by the configured factory (the CLI injects its -trace/-progress-wired
 // one), pass metrics accumulate behind /metrics in Prometheus text form,
 // and service counters — batch occupancy, window latency, cache hit rate,
-// per-tenant rejections, pruned splits — are exported both there and as
+// per-tenant rejections — are exported both there and as
 // JSON at /v1/stats. DESIGN.md §12 documents the request lifecycle, the
 // window state machine, and the fallback matrix.
 package serve

@@ -477,7 +477,7 @@ func TestStatsJSONStaysFlat(t *testing.T) {
 	}
 	for _, key := range []string{
 		"queries", "cache_hits", "cache_misses", "passes", "pass_queries", "coalesced",
-		"single_flight", "pruned_splits", "errors", "batch_occupancy_mean", "batch_occupancy_max",
+		"single_flight", "errors", "batch_occupancy_mean", "batch_occupancy_max",
 		"window_latency_p50_us", "window_latency_p99_us", "latency_attribution", "live", "resident_bytes",
 		"cache_entries",
 	} {

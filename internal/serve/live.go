@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -157,23 +158,25 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "negative push trigger")
 		return
 	}
+	// A period under a millisecond is a busy ticker (or, rounded to 0 ns, no
+	// timer at all); one past time.Duration's range overflows it.
+	if secs := req.EverySeconds; secs != 0 && (secs < 1e-3 || secs >= time.Duration(math.MaxInt64).Seconds()) {
+		httpError(w, http.StatusBadRequest, "every_seconds %g: want 0 or a period of at least 0.001 that fits a time.Duration", secs)
+		return
+	}
 	if req.EveryMutations == 0 && req.EverySeconds == 0 {
 		req.EveryMutations = 1
 	}
 	key := liveKey(canon, seed)
-	if _, err := s.pop.Register(key, q, seed); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
 	trace := r.Header.Get("X-Strata-Trace")
 	if trace == "" {
 		trace = newTraceID()
 	}
 	w.Header().Set("X-Strata-Trace", trace)
 
-	sub, err := s.hub.add(key, q, seed, trace, req.EveryMutations, time.Duration(req.EverySeconds*float64(time.Second)))
+	sub, code, err := s.hub.add(key, q, seed, trace, req.EveryMutations, time.Duration(req.EverySeconds*float64(time.Second)))
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		httpError(w, code, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -349,9 +352,12 @@ func (sub *subscription) wait(ctx interface{ Done() <-chan struct{} }, after int
 type subHub struct {
 	s *Server
 
-	mu     sync.Mutex
-	subs   map[string]*subscription
-	closed bool
+	mu   sync.Mutex
+	subs map[string]*subscription
+	// reserved counts admitted subscriptions still registering their
+	// standing query; they hold a slot of the cap.
+	reserved int
+	closed   bool
 }
 
 const maxSubscriptions = 1024
@@ -360,11 +366,30 @@ func newSubHub(s *Server) *subHub {
 	return &subHub{s: s, subs: make(map[string]*subscription)}
 }
 
-func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMuts int64, every time.Duration) (*subscription, error) {
+// add admits a subscription to the standing query key and registers the
+// query with the population. Admission comes first: a subscription the cap
+// or a drain refuses (503) registers nothing, since a registration is a scan
+// under the write lock and the standing query is then maintained on every
+// mutation. A registration the population refuses (409: the key is
+// registered with another seed) gives the reserved slot back.
+func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMuts int64, every time.Duration) (*subscription, int, error) {
 	buf := make([]byte, 8)
 	if _, err := cryptorand.Read(buf); err != nil {
-		return nil, err
+		return nil, http.StatusInternalServerError, err
 	}
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("draining")
+	}
+	if len(h.subs)+h.reserved >= maxSubscriptions {
+		h.mu.Unlock()
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("too many subscriptions (%d)", maxSubscriptions)
+	}
+	h.reserved++
+	h.mu.Unlock()
+
+	_, err := h.s.pop.Register(key, q, seed)
 	sub := &subscription{
 		id: hex.EncodeToString(buf), key: key, q: q, seed: seed, trace: trace,
 		everyMuts: everyMuts, every: every,
@@ -373,13 +398,14 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 		stop:    make(chan struct{}),
 	}
 	h.mu.Lock()
-	if h.closed {
+	h.reserved--
+	switch {
+	case err != nil:
 		h.mu.Unlock()
-		return nil, fmt.Errorf("draining")
-	}
-	if len(h.subs) >= maxSubscriptions {
+		return nil, http.StatusConflict, err
+	case h.closed: // drained while registering; the query may be shared, so it stays
 		h.mu.Unlock()
-		return nil, fmt.Errorf("too many subscriptions (%d)", maxSubscriptions)
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("draining")
 	}
 	h.subs[sub.id] = sub
 	h.mu.Unlock()
@@ -387,7 +413,7 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 	if sub.every > 0 {
 		go h.timerLoop(sub)
 	}
-	return sub, nil
+	return sub, http.StatusOK, nil
 }
 
 // lookup resolves the ?id= and ?after= query params of a delivery endpoint,

@@ -130,9 +130,9 @@ type Server struct {
 	batcher *batcher
 	mux     *http.ServeMux
 
-	// pop is the resident population: the splits, their column mirrors and
-	// their bounding boxes. Only a Live daemon mutates it; hub, its
-	// subscription hub, is nil otherwise.
+	// pop is the resident population: the splits and their column mirrors.
+	// Only a Live daemon mutates it; hub, its subscription hub, is nil
+	// otherwise.
 	pop *live.Population
 	hub *subHub
 
@@ -146,9 +146,9 @@ type Server struct {
 	tickets *ticketStore
 }
 
-// NewServer partitions the population into a live.Population — which bounds
-// every split for pruning and mirrors its attributes column-major for the
-// stratum scan — and returns a ready daemon.
+// NewServer partitions the population into a live.Population — which mirrors
+// every split's attributes column-major for the stratum scan — and returns a
+// ready daemon.
 // It does not listen; mount Handler() on an http.Server.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Population == nil {
@@ -445,7 +445,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.stats.add(&s.stats.CacheMisses, 1)
 	}
 
-	e := s.batcher.submit(q, cls, canon, seed, trace, reqSpan)
+	e := s.batcher.submit(q, canon, seed, trace, reqSpan)
 	if req.Wait != nil && !*req.Wait {
 		id, err := s.tickets.add(&ticket{entry: e, q: q, seed: seed, epoch: epoch, start: start, trace: trace})
 		if err != nil {

@@ -22,7 +22,6 @@ type Counters struct {
 	PassQueries   int64 `json:"pass_queries"`
 	Coalesced     int64 `json:"coalesced"`
 	SingleFlight  int64 `json:"single_flight"`
-	PrunedSplits  int64 `json:"pruned_splits"`
 	Errors        int64 `json:"errors"`
 	PassPanics    int64 `json:"pass_panics,omitempty"`
 	AdaptiveFires int64 `json:"adaptive_fires,omitempty"`
@@ -51,7 +50,6 @@ func (c *Counters) families() []family {
 		{"strata_serve_pass_queries_total", "Distinct queries across all passes.", c.PassQueries},
 		{"strata_serve_coalesced_total", "Requests that shared a pass with an earlier request.", c.Coalesced},
 		{"strata_serve_single_flight_total", "Requests deduplicated onto an identical in-batch query.", c.SingleFlight},
-		{"strata_serve_pruned_splits_total", "Splits skipped by box pre-filtering.", c.PrunedSplits},
 		{"strata_serve_errors_total", "Failed passes or submissions.", c.Errors},
 		{"strata_serve_pass_panics_total", "Passes that panicked; their waiters were failed, the daemon kept serving.", c.PassPanics},
 		{"strata_serve_adaptive_fires_total", "Batches fired ahead of their window because the daemon was idle: opened with nothing in flight, or released when the in-flight count reached zero.", c.AdaptiveFires},
@@ -142,15 +140,14 @@ func (s *Stats) observePush(d time.Duration) {
 }
 
 // addPass records one executed engine pass: how many distinct queries it
-// answered, how many requests rode it, and how many splits were pruned.
-func (s *Stats) addPass(distinct, requests, pruned int) {
+// answered and how many requests rode it.
+func (s *Stats) addPass(distinct, requests int) {
 	s.mu.Lock()
 	s.Passes++
 	s.PassQueries += int64(distinct)
 	if requests > 1 {
 		s.Coalesced += int64(requests - 1)
 	}
-	s.PrunedSplits += int64(pruned)
 	s.batchOccupancy.Observe(int64(distinct))
 	s.mu.Unlock()
 }

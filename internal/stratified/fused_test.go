@@ -674,8 +674,8 @@ func randomSSD(rng *rand.Rand) *query.SSD {
 // boundaries) × 1/2/8 queries × exclude sets, as a block of rows alone and as
 // a resident block with its mirror and size column, MapSplit emits the
 // reference's keys, references, N and wire size in the reference's order
-// from the same seed and returns its match count, and the zero block a pass
-// prunes to emits nothing; through the engine the reservoir_size
+// from the same seed and returns its match count, and the zero block (no
+// rows, no columns) emits nothing; through the engine the reservoir_size
 // observations and every counter agree too.
 func TestFusedEqualsRowwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -717,8 +717,7 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 					return out, matches
 				}
 				// The gathered block reads its rows alone, the resident one
-				// its mirror and size column; the zero block is a pruned
-				// task's.
+				// its mirror and size column; the zero block holds nothing.
 				blocks := []dataset.Block{{Rows: split}, resident, {}}
 				stage := qsSamplingJob("", newSplitScan(classes, nil, excl), stratumFreqs(queries)).Mapper
 				for task, layout := range []string{"gathered", "resident", "zero"} {
