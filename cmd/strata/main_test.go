@@ -258,3 +258,22 @@ func TestCmdQueryCSVExport(t *testing.T) {
 		t.Fatalf("bad header %q", lines[0])
 	}
 }
+
+// TestWorkersFlagRefused: a worker count no pool can have is a usage error
+// from setup, before any worker starts. Only refused values are tried, so
+// the test starts no process.
+func TestWorkersFlagRefused(t *testing.T) {
+	for _, tc := range []struct {
+		backend string
+		workers int
+	}{{"subprocess", -3}, {"subprocess", 0}, {"tcp", -1}} {
+		o := obs{backend: tc.backend, workers: tc.workers}
+		err := o.setup()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-workers %d", tc.workers)) {
+			t.Errorf("-backend %s -workers %d: %v, want a usage error naming the count", tc.backend, tc.workers, err)
+		}
+		if o.executor != nil {
+			t.Errorf("-backend %s -workers %d started an executor", tc.backend, tc.workers)
+		}
+	}
+}

@@ -81,6 +81,11 @@ func parseGlobalFlags(args []string) ([]string, error) {
 // setup applies the parsed flags: configures slog, opens the span file, and
 // starts the debug server. Call close() when the command finishes.
 func (o *obs) setup() error {
+	// A tcp coordinator may start with no local worker and wait for external
+	// ones; a subprocess pool is nothing but its children.
+	if o.workers < 0 || (o.workers == 0 && o.backend == "subprocess") {
+		return fmt.Errorf("-workers %d: want at least 1 for -backend subprocess, 0 or more for tcp", o.workers)
+	}
 	level := slog.LevelInfo
 	switch {
 	case o.verbose, strings.EqualFold(o.logLevel, "debug"):

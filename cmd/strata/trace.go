@@ -34,8 +34,6 @@ var phaseOrder = []string{
 	mapreduce.PhaseWire,
 	mapreduce.PhaseDecode,
 	mapreduce.PhaseExec,
-	mapreduce.PhasePush,
-	mapreduce.PhaseRecv,
 	mapreduce.PhaseJob,
 }
 

@@ -42,7 +42,7 @@ type Cluster struct {
 	// is stamped with Trace/Run/ID/Parent, TaskSpecs shipped to remote
 	// workers carry the context (wire version ≥ 2; old peers simply run
 	// untraced), and each remote attempt decomposes into
-	// queue/wire/decode/exec/push/recv child spans. Nil keeps the PR 2
+	// queue/wire/decode/exec child spans. Nil keeps the PR 2
 	// span stream byte-for-byte unchanged.
 	TraceContext *TraceContext
 	// Clock, when non-nil, replaces time.Now for the engine's wall-clock

@@ -12,8 +12,8 @@
 // reduced. How a task executes and where its buckets stay is behind a
 // two-method backend seam with two implementations: in-process (closures,
 // typed buckets kept in memory, nothing encoded) and remote (TaskSpec →
-// Executor, buckets routed through the coordinator or pushed directly
-// between workers). Scheduling, metric folding, the virtual clock and span
+// Executor, a map result's buckets held by the coordinator until each
+// reduce spec carries its column). Scheduling, metric folding, the virtual clock and span
 // emission exist once, in the loop.
 //
 // A job's map stage is one whole-split call (Mapper.MapSplit) and the only

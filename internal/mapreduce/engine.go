@@ -137,16 +137,14 @@ func (m *mapOutcome) sent(bytes int64) {
 }
 
 // reduceOutcome is one reducer's result: In counts the shuffled records,
-// Groups the distinct keys, RecvWall the time from the reducer's start until
+// Groups the distinct keys, recvWall the time from the reducer's start until
 // its bucket column was assembled (the rest of the task is reduce work).
 type reduceOutcome[O any] struct {
 	attempt
 	out       []O
 	perKey    map[string]KeyStats
 	recvBytes int64
-	// recvWorker tags the shuffle-recv span when the receive ran on a
-	// worker (direct shuffle) rather than on the coordinator.
-	recvWorker string
+	recvWall  time.Duration
 }
 
 // inprocBackend runs tasks as closures on the calling goroutines. Buckets
@@ -193,7 +191,7 @@ func (b *inprocBackend[S, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 	// per-key reduce seeds without re-rendering.
 	names := groups.sortByName(b.job.keyString)
 	if b.elapsed != nil {
-		out.RecvWall = b.elapsed() - out.start
+		out.recvWall = b.elapsed() - out.start
 	}
 	run := execReduceTask(b.job, b.job.Seed, groups, names, r, b.perKey)
 	out.In, out.Groups = run.inRecs, int64(len(groups.keyOrder))
@@ -209,8 +207,8 @@ func (b *inprocBackend[S, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // With no Executor on the cluster tasks run in-process; with one, every task
 // is a TaskSpec round-trip to the executor's workers — which rebuild the job
 // from its (Maker, Config) registration, so a job without a Maker is an
-// error there — and the shuffle moves worker-to-worker (direct) or through
-// the coordinator (routed).
+// error there — and the shuffle's buckets ride the task frames through the
+// coordinator.
 //
 // Concurrency model: map tasks run on a bounded worker pool, then one unit
 // of work per reducer — assemble its bucket column, group, reduce — runs on
@@ -283,7 +281,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		backendName = exec.Name()
 		be = newRemoteBackend[S, O](exec, TaskSpec{
 			Job: job.Name, Maker: job.Maker, Config: job.Config, Seed: job.Seed,
-			NumReducers: numReducers, NumMapTasks: len(splits), Frozen: c.Clock != nil,
+			NumReducers: numReducers, Frozen: c.Clock != nil,
 		}, splits, tctx, perKey, clock)
 	} else {
 		be = &inprocBackend[S, K, V, O]{
@@ -294,7 +292,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	}
 
 	// emitAttempts emits one task's attempt spans: the attempts that died on
-	// a worker first (a crash, an expired lease, a lost shuffle — the only
+	// a worker first (a crash or an expired lease — the only
 	// failed attempts there are), then the one that succeeded, which carries
 	// the wall and simulated time, then its child spans when it ran remotely.
 	// s arrives holding the successful attempt's identity, counts and times.
@@ -413,9 +411,9 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 			// carry bytes only, to avoid double counting.
 			tr.Emit(Span{
 				Job: job.Name, Phase: PhaseShuffleRecv, Task: r,
-				Start: o.start, Wall: o.RecvWall,
+				Start: o.start, Wall: o.recvWall,
 				Simulated: time.Duration(o.recvBytes) * c.Cost.ShufflePerByte,
-				Records:   o.In, Bytes: o.recvBytes, Worker: o.recvWorker,
+				Records:   o.In, Bytes: o.recvBytes,
 			})
 		}
 	}
@@ -439,7 +437,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		reduceDurations[r] = c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord
 		met.ReduceTaskNanos.Observe(int64(reduceDurations[r]))
 		if tr != nil {
-			redStart := o.start + o.RecvWall
+			redStart := o.start + o.recvWall
 			emitAttempts(Span{
 				Job: job.Name, Phase: PhaseReduce, Task: r, Start: redStart,
 				Wall: o.end - redStart, Simulated: reduceDurations[r],

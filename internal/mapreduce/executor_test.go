@@ -315,8 +315,7 @@ func TestExecuteTaskRejectsBadSpec(t *testing.T) {
 		"negative reducers":   func(m, _ *TaskSpec) *TaskSpec { m.NumReducers = -1; return m },
 		"overflowed reducers": func(m, _ *TaskSpec) *TaskSpec { m.NumReducers = int(^uint64(0) >> 2); return m },
 		"negative task":       func(m, _ *TaskSpec) *TaskSpec { m.Task = -1; return m },
-		"huge map tasks":      func(_, r *TaskSpec) *TaskSpec { r.NumMapTasks = maxSpecTasks + 1; return r },
-		"too many buckets":    func(_, r *TaskSpec) *TaskSpec { r.NumMapTasks = 0; return r },
+		"too many buckets":    func(_, r *TaskSpec) *TaskSpec { r.Buckets = make([][]byte, maxSpecTasks+1); return r },
 	} {
 		m, r := *specs[1], *specs[2]
 		if _, err := ExecuteTask(mutate(&m, &r)); !errors.Is(err, ErrInvalidSpec) {

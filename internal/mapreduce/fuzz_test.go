@@ -14,7 +14,7 @@ import (
 // frames that reach the task cores, next to the round-trip fixtures.
 func sampleTasks(f testing.TB) ([]*TaskSpec, []*TaskResult) {
 	split, _ := encodeValue(records[int]{3, 56, 109, 4})
-	m := &TaskSpec{Job: "fuzz", Maker: "test-remote-modcount", Phase: "map", Seed: 5, NumReducers: 2, NumMapTasks: 1, Split: split}
+	m := &TaskSpec{Job: "fuzz", Maker: "test-remote-modcount", Phase: "map", Seed: 5, NumReducers: 2, Split: split}
 	mres, err := ExecuteTask(m)
 	if err != nil {
 		f.Fatal(err)

@@ -27,8 +27,8 @@ type Metrics struct {
 	OutputRecords     int64
 
 	// MapAttempts and ReduceAttempts count task attempts: one per task plus
-	// every attempt that died on a worker first (a crash, an expired lease,
-	// a lost shuffle). When nothing died they equal MapTasks and
+	// every attempt that died on a worker first (a crash or an expired
+	// lease). When nothing died they equal MapTasks and
 	// ReduceTasks — always, for in-process execution.
 	MapAttempts    int64
 	ReduceAttempts int64

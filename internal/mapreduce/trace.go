@@ -28,8 +28,7 @@ const (
 // Child phases of a remote task attempt, emitted only when the cluster has a
 // TraceContext: the attempt span decomposes into the coordinator-measured
 // queue wait and wire time plus the worker's own measurements, shipped back
-// inside the TaskResult (decode, exec, and push or recv depending on the
-// attempt's shuffle role).
+// inside the TaskResult (decode and exec).
 const (
 	// PhaseQueue is the time a task spent in the pool's dispatch queue
 	// before a worker slot picked it up (coordinator clock).
@@ -43,11 +42,10 @@ const (
 	PhaseDecode = "decode"
 	// PhaseExec is the worker's task core execution time.
 	PhaseExec = "exec"
-	// PhasePush is the worker's direct-shuffle bucket delivery time (map
-	// attempts running under a ShufflePlan).
+	// PhasePush and PhaseRecv name worker-side shuffle phases that nothing
+	// emits any more: buckets ride the task frames. Read by bench/ only,
+	// retired with ROADMAP item 10.
 	PhasePush = "push"
-	// PhaseRecv is the worker's wait for peer-delivered shuffle buckets
-	// (reduce attempts running under a ShufflePlan).
 	PhaseRecv = "recv"
 )
 
@@ -67,9 +65,8 @@ type Span struct {
 	// has attempts beyond the first only when earlier ones died on a worker.
 	Attempt int `json:"attempt,omitempty"`
 	// Failed marks an attempt that died on a worker (a crash, an expired
-	// lease, a lost shuffle); the task ran again elsewhere, so a Failed
-	// span is always followed by another attempt. In-process execution
-	// emits none.
+	// lease); the task ran again elsewhere, so a Failed span is always
+	// followed by another attempt. In-process execution emits none.
 	Failed bool `json:"failed,omitempty"`
 	// Start is the span's wall-clock start, as an offset from the start of
 	// Run (only meaningful relative to other spans of the same run).
@@ -87,7 +84,7 @@ type Span struct {
 	// Groups is the number of distinct keys a reduce span processed.
 	Groups int64 `json:"groups,omitempty"`
 	// Bytes is the byte volume a shuffle span moved (approximated from the
-	// in-memory pairs; worker push/recv child spans carry wire bytes).
+	// in-memory pairs; a worker's decode child span carries frame bytes).
 	Bytes int64 `json:"bytes,omitempty"`
 	// Worker identifies the worker that ran the attempt when the cluster
 	// executes on a worker pool (subprocess or tcp backend); empty for
@@ -118,7 +115,7 @@ type Span struct {
 // every span of a run and into every TaskSpec shipped to a worker. Setting
 // it (together with an enabled Tracer) turns on distributed tracing: each
 // span gains Trace/Run/ID/Parent stamps, and remote task attempts decompose
-// into queue/wire/decode/exec/push/recv child spans.
+// into queue/wire/decode/exec child spans.
 type TraceContext struct {
 	// Trace is the trace id, typically a random hex string minted by
 	// whatever admitted the request (the serve daemon, the CLI).

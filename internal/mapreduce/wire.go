@@ -16,8 +16,7 @@ import (
 // registered codec is an error, not a slower route.
 
 // payloadFormat leads every payload (split, bucket, output). Any other first
-// byte is wire.ErrCorrupt. Because the byte is always present a bucket
-// payload is never empty, which the engine relies on as its hole marker.
+// byte is wire.ErrCorrupt.
 const payloadFormat = 0x01
 
 // --- codec registries -------------------------------------------------------
@@ -229,12 +228,11 @@ func readHistogram(r *wire.Reader) (*Histogram, error) {
 
 // Spec/result flag bits.
 const (
-	specHasShuffle  = 1 << 0
-	specCollectKeys = 1 << 1
-	specFrozen      = 1 << 2
-	// specHasTrace marks a trace-context section after the shuffle
-	// section: trace id, run id, parent span id.
-	specHasTrace = 1 << 3
+	specCollectKeys = 1 << 0
+	specFrozen      = 1 << 1
+	// specHasTrace marks a trace-context section after the flags: trace
+	// id, run id, parent span id.
+	specHasTrace = 1 << 2
 )
 
 // AppendTaskSpec appends the spec's binary frame body. The layout mirrors
@@ -253,11 +251,7 @@ func AppendTaskSpec(buf []byte, s *TaskSpec) []byte {
 	for _, b := range s.Buckets {
 		buf = wire.AppendBytes(buf, b)
 	}
-	buf = wire.AppendUvarint(buf, uint64(s.NumMapTasks))
 	var flags byte
-	if s.Shuffle != nil {
-		flags |= specHasShuffle
-	}
 	if s.CollectKeys {
 		flags |= specCollectKeys
 	}
@@ -268,18 +262,6 @@ func AppendTaskSpec(buf []byte, s *TaskSpec) []byte {
 		flags |= specHasTrace
 	}
 	buf = append(buf, flags)
-	if s.Shuffle != nil {
-		buf = wire.AppendString(buf, s.Shuffle.Session)
-		buf = wire.AppendUvarint(buf, uint64(len(s.Shuffle.Workers)))
-		for _, w := range s.Shuffle.Workers {
-			buf = wire.AppendString(buf, w)
-		}
-		buf = wire.AppendUvarint(buf, uint64(len(s.Shuffle.Endpoints)))
-		for _, e := range s.Shuffle.Endpoints {
-			buf = wire.AppendString(buf, e)
-		}
-		buf = wire.AppendVarint(buf, s.Shuffle.TimeoutMs)
-	}
 	if s.Trace != "" {
 		buf = wire.AppendString(buf, s.Trace)
 		buf = wire.AppendString(buf, s.TraceRun)
@@ -307,28 +289,9 @@ func ReadTaskSpec(r *wire.Reader) (*TaskSpec, error) {
 			s.Buckets[i] = r.Bytes()
 		}
 	}
-	s.NumMapTasks = int(r.Uvarint())
 	flags := r.Byte()
 	s.CollectKeys = flags&specCollectKeys != 0
 	s.Frozen = flags&specFrozen != 0
-	if flags&specHasShuffle != 0 {
-		p := &ShufflePlan{}
-		p.Session = r.String()
-		if n := r.Count(1); n > 0 {
-			p.Workers = make([]string, n)
-			for i := range p.Workers {
-				p.Workers[i] = r.String()
-			}
-		}
-		if n := r.Count(1); n > 0 {
-			p.Endpoints = make([]string, n)
-			for i := range p.Endpoints {
-				p.Endpoints[i] = r.String()
-			}
-		}
-		p.TimeoutMs = r.Varint()
-		s.Shuffle = p
-	}
 	if flags&specHasTrace != 0 {
 		s.Trace = r.String()
 		s.TraceRun = r.String()
@@ -348,7 +311,6 @@ func AppendTaskResult(buf []byte, t *TaskResult) []byte {
 	for _, b := range t.Buckets {
 		buf = wire.AppendBytes(buf, b)
 	}
-	buf = wire.AppendVarint(buf, t.DirectBytes)
 	buf = wire.AppendBytes(buf, t.Output)
 	c := &t.Counters
 	buf = wire.AppendVarint(buf, c.In)
@@ -361,7 +323,6 @@ func AppendTaskResult(buf []byte, t *TaskResult) []byte {
 		buf = wire.AppendVarint(buf, v)
 	}
 	buf = wire.AppendVarint(buf, int64(c.MapWall))
-	buf = wire.AppendVarint(buf, int64(c.RecvWall))
 	buf = wire.AppendUvarint(buf, uint64(len(t.Custom)))
 	for _, name := range sortedKeys(t.Custom) {
 		buf = wire.AppendString(buf, name)
@@ -406,7 +367,6 @@ func ReadTaskResult(r *wire.Reader) (*TaskResult, error) {
 			t.Buckets[i] = r.Bytes()
 		}
 	}
-	t.DirectBytes = r.Varint()
 	t.Output = r.Bytes()
 	c := &t.Counters
 	c.In = r.Varint()
@@ -421,7 +381,6 @@ func ReadTaskResult(r *wire.Reader) (*TaskResult, error) {
 		}
 	}
 	c.MapWall = time.Duration(r.Varint())
-	c.RecvWall = time.Duration(r.Varint())
 	if n := r.Count(5); n > 0 {
 		t.Custom = make(map[string]*Histogram, n)
 		for i := 0; i < n; i++ {

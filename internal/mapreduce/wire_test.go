@@ -15,12 +15,7 @@ func sampleSpec() *TaskSpec {
 		Job: "mr-sqe:workers", Maker: "mr-sqe", Config: []byte(`{"query":1}`),
 		Phase: "reduce", Task: 1, Seed: -77, NumReducers: 2,
 		Split:       []byte{0x01, 0x07},
-		Buckets:     [][]byte{{0x00, 0x01}, nil, {0x01, 0x00}},
-		NumMapTasks: 3,
-		Shuffle: &ShufflePlan{
-			Session: "job#9", Workers: []string{"a", "b"},
-			Endpoints: []string{"127.0.0.1:1", "127.0.0.1:2"}, TimeoutMs: 15000,
-		},
+		Buckets:     [][]byte{{0x00, 0x01}, {0x01}, {0x01, 0x00}},
 		CollectKeys: true, Frozen: true,
 		Trace: "3fa9c1d2e4b50607", TraceRun: "b3.p0", TraceParent: 0xdeadbeef,
 	}
@@ -32,13 +27,12 @@ func sampleResult() *TaskResult {
 		h.Observe(v)
 	}
 	return &TaskResult{
-		Buckets:     [][]byte{nil, {0x01, 0x02}},
-		DirectBytes: 9999,
-		Output:      []byte{0x00, 0x2A},
+		Buckets: [][]byte{{0x01}, {0x01, 0x02}},
+		Output:  []byte{0x00, 0x2A},
 		Counters: TaskCounters{
 			In: 10, Out: 5, CombineIn: 10, CombineOut: 5, Groups: 2,
 			BucketSizes: []int64{100, -1},
-			MapWall:     2 * time.Second, RecvWall: time.Minute,
+			MapWall:     2 * time.Second,
 		},
 		Custom:         map[string]*Histogram{"reservoir_size": h},
 		PerKey:         map[string]KeyStats{"s000000": {Records: 5, Output: 1}},
@@ -47,7 +41,6 @@ func sampleResult() *TaskResult {
 		Spans: []WorkerSpan{
 			{Phase: PhaseDecode, Start: 1700000000000000000, Dur: 1500, Bytes: 4096},
 			{Phase: PhaseExec, Start: 1700000000000002000, Dur: 2 * time.Millisecond},
-			{Phase: PhasePush, Dur: time.Microsecond, Bytes: 12345},
 		},
 	}
 }
@@ -116,7 +109,7 @@ func TestTaskWireFieldComplete(t *testing.T) {
 	local := map[string]bool{"QueueNanos": true, "SentAtNanos": true, "RecvAtNanos": true,
 		"ClockOffsetNanos": true, "ClockOffsetOK": true}
 	spec, res := sampleSpec(), sampleResult()
-	for _, fixture := range []any{*spec, *spec.Shuffle, *res, res.Counters, res.Spans[0]} {
+	for _, fixture := range []any{*spec, *res, res.Counters, res.Spans[0]} {
 		v := reflect.ValueOf(fixture)
 		for i := 0; i < v.NumField(); i++ {
 			if name := v.Type().Field(i).Name; v.Field(i).IsZero() && !local[name] {
@@ -174,8 +167,7 @@ func TestEncodeDecodeBucket(t *testing.T) {
 	if _, err := decodeBucket[int, int64]([]byte("garbage")); err == nil {
 		t.Fatal("want decode error")
 	}
-	// Empty buckets still carry their format byte — never empty, the hole
-	// marker invariant the direct shuffle depends on.
+	// Empty buckets still carry their format byte: a payload is never empty.
 	empty, err := encodeBucket[int, int64](nil)
 	if err != nil || len(empty) == 0 {
 		t.Fatalf("empty bucket must be a non-empty payload: %v %v", empty, err)

@@ -4,8 +4,7 @@
 // results back.
 //
 // There is one transport and two ways to get processes onto it. TCPExecutor
-// listens on a socket; workers dial in, register with a hello frame and open
-// a shuffle receiver for direct worker-to-worker bucket delivery. They are
+// listens on a socket; workers dial in and register with a hello frame. They are
 // local goroutines (SpawnLocal), external processes ("strata worker
 // -connect"), or the children of a SubprocessExecutor — a TCPExecutor on an
 // ephemeral loopback port that starts a fixed pool of "worker -connect"
@@ -22,8 +21,11 @@
 // The protocol (protocol.go) is deliberately small: length-prefixed frames
 // in the binary wire codec (wire.go) carrying hello, task, result, heartbeat
 // and drain messages. A worker whose hello announces another wire version
-// is refused (ErrWireVersion). Task payloads reuse the engine's shuffle
-// encoding, and workers execute specs through mapreduce.ExecuteTask, so a
+// is refused (ErrWireVersion). The shuffle has one route: a map result
+// carries its buckets to the coordinator and each reduce task frame carries
+// its reducer's column, so a worker that dies at any point costs a retry of
+// its task on another worker and no map task ever runs again. Task payloads
+// reuse the engine's shuffle encoding, and workers execute specs through mapreduce.ExecuteTask, so a
 // job's output — and, under a frozen clock, its span file — is
 // byte-identical no matter which backend ran it.
 package worker

@@ -1,11 +1,9 @@
 package worker
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +53,6 @@ type taskReq struct {
 	spec     *mapreduce.TaskSpec
 	attempts []mapreduce.TaskAttempt
 	done     chan taskOutcome
-	// affine names the one worker this task must run on (shuffle affinity:
-	// the worker holds the task's peer-delivered buckets). An affine task is
-	// never reassigned — if its worker dies the outcome is a
-	// *mapreduce.ShuffleLostError, and the engine falls back to the routed
-	// path instead of retrying here.
-	affine string
 	// enqueuedAt (unix nanos) is set at submit time for traced, non-frozen
 	// specs; serveWorker turns it into the result's queue-wait attribution.
 	enqueuedAt int64
@@ -80,25 +72,21 @@ type taskOutcome struct {
 }
 
 // pool is the coordinator: a central task queue drained by one lease loop
-// per connected worker. TCPExecutor embeds it: the pool runs tasks (Execute,
-// ExecuteOn), the executor owns worker lifecycle (accepting, spawning).
+// per connected worker. TCPExecutor embeds it: the pool runs tasks
+// (Execute), the executor owns worker lifecycle (accepting, spawning).
 type pool struct {
 	cfg   Config
 	queue chan *taskReq
 	quit  chan struct{}
 
-	mu      sync.Mutex
-	live    int
-	closed  bool
-	workers map[string]*workerHandle // attached workers by id, for affinity
-	wg      sync.WaitGroup           // worker lease loops
+	mu     sync.Mutex
+	live   int
+	closed bool
+	wg     sync.WaitGroup // worker lease loops
 
-	// Shuffle data-plane accounting (see ShuffleStats): bucket bytes the
-	// coordinator carried inside task/result frames vs bytes the workers
-	// moved edge-to-edge, and how many direct attempts were lost.
+	// routedBucketBytes are the bucket payload bytes map results carried
+	// into the coordinator (see ShuffleStats).
 	routedBucketBytes atomic.Int64
-	directBytes       atomic.Int64
-	shuffleLost       atomic.Int64
 }
 
 func newPool(cfg Config) *pool {
@@ -107,9 +95,8 @@ func newPool(cfg Config) *pool {
 		// The buffer bounds nothing semantically — the engine has at most
 		// its worker-pool width of Executes in flight — it only keeps
 		// requeues from ever blocking a dying worker's loop.
-		queue:   make(chan *taskReq, 4096),
-		quit:    make(chan struct{}),
-		workers: make(map[string]*workerHandle),
+		queue: make(chan *taskReq, 4096),
+		quit:  make(chan struct{}),
 	}
 }
 
@@ -139,60 +126,11 @@ func (p *pool) submit(req *taskReq) error {
 	return nil
 }
 
-// ExecuteOn queues one task for a specific worker (shuffle affinity) and
-// waits for it — the mapreduce.DirectShuffler half of the executor. Unlike
-// Execute it never reassigns: when the worker is not attached, its affinity
-// queue is saturated, or it dies mid-attempt, the error is a
-// *mapreduce.ShuffleLostError and the caller falls back to the routed path.
-func (p *pool) ExecuteOn(worker string, spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	req := &taskReq{spec: spec, done: make(chan taskOutcome, 1), affine: worker}
-	req.markEnqueued()
-	p.mu.Lock()
-	w := p.workers[worker]
-	if p.closed || w == nil {
-		p.mu.Unlock()
-		return nil, p.lost(worker, req, "worker no longer attached", false)
-	}
-	select {
-	case w.affine <- req:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		return nil, p.lost(worker, req, "affinity queue saturated", false)
-	}
-	out := <-req.done
-	return out.res, out.err
-}
-
-// lost counts one lost direct shuffle and renders it for the engine.
-// attempted says whether the reduce attempt reached the worker at all.
-func (p *pool) lost(worker string, req *taskReq, reason string, attempted bool) *mapreduce.ShuffleLostError {
-	p.shuffleLost.Add(1)
-	return &mapreduce.ShuffleLostError{Worker: worker, Reducer: req.spec.Task, Reason: reason, Attempted: attempted}
-}
-
 // liveWorkers reports how many workers are currently attached.
 func (p *pool) liveWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.live
-}
-
-// shufflePeers lists the attached workers that announced a shuffle-receiver
-// endpoint, sorted by id so plans are stable for a given pool membership.
-func (p *pool) shufflePeers() (ids, endpoints []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id, w := range p.workers {
-		if w.shuffleAddr != "" {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		endpoints = append(endpoints, p.workers[id].shuffleAddr)
-	}
-	return ids, endpoints
 }
 
 // frameOrErr is one read-loop delivery: a frame, or the read error that
@@ -204,10 +142,9 @@ type frameOrErr struct {
 
 // helloInfo is what awaitHello extracts from a worker's hello frame.
 type helloInfo struct {
-	id          string
-	shuffleAddr string // the worker's shuffle-receiver endpoint, "" if none
-	clockOff    int64  // estimated worker−coordinator clock offset (nanos), from the hello's WallNanos
-	clockOK     bool   // whether clockOff is a real estimate: the hello carried a clock sample
+	id       string
+	clockOff int64 // estimated worker−coordinator clock offset (nanos), from the hello's WallNanos
+	clockOK  bool  // whether clockOff is a real estimate: the hello carried a clock sample
 }
 
 type workerHandle struct {
@@ -217,7 +154,6 @@ type workerHandle struct {
 	closeOnce sync.Once
 	seq       uint64
 	frames    chan frameOrErr
-	affine    chan *taskReq // tasks pinned to this worker (shuffle affinity)
 	gone      chan struct{} // closed by workerGone; unblocks the read loop
 }
 
@@ -229,10 +165,6 @@ func (p *pool) attach(h helloInfo, conn *frameConn, closeConn func()) {
 	w := &workerHandle{
 		helloInfo: h, conn: conn, closeConn: closeConn,
 		frames: make(chan frameOrErr),
-		// The affinity queue is deep enough for any realistic reducer count;
-		// ExecuteOn turns a saturated queue into a lost shuffle rather than
-		// blocking the engine.
-		affine: make(chan *taskReq, 1024),
 		gone:   make(chan struct{}),
 	}
 	p.mu.Lock()
@@ -242,9 +174,6 @@ func (p *pool) attach(h helloInfo, conn *frameConn, closeConn func()) {
 		return
 	}
 	p.live++
-	// Latest registration wins a contended id; the previous holder keeps
-	// running tasks from the shared queue but is no longer an affinity target.
-	p.workers[w.id] = w
 	p.wg.Add(1)
 	p.mu.Unlock()
 	go w.readLoop()
@@ -269,17 +198,13 @@ func (w *workerHandle) readLoop() {
 }
 
 // workerGone is called once per attached worker, when its lease loop ends.
-// Removing the registry entry under the same lock executeOn enqueues under
-// means every affine task either reached the queue before removal — and is
-// failed by the drain below — or finds the worker missing; none are stranded.
 func (p *pool) workerGone(w *workerHandle) {
+	defer p.wg.Done()
 	w.closeOnce.Do(w.closeConn)
 	close(w.gone)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.live--
-	if p.workers[w.id] == w {
-		delete(p.workers, w.id)
-	}
 	if p.live == 0 {
 		// The last worker just died: fail everything still queued. No loop
 		// remains to pick these up, and submit (which shares this lock)
@@ -295,16 +220,6 @@ func (p *pool) workerGone(w *workerHandle) {
 			default:
 			}
 			break
-		}
-	}
-	p.mu.Unlock()
-	for {
-		select {
-		case req := <-w.affine:
-			req.done <- taskOutcome{err: p.lost(w.id, req, "worker died before its affine task ran", false)}
-		default:
-			p.wg.Done()
-			return
 		}
 	}
 }
@@ -323,35 +238,20 @@ func (p *pool) serveWorker(w *workerHandle) {
 		case <-p.quit:
 			w.drain(p.cfg.LeaseTimeout)
 			return
-		case req = <-w.affine:
 		case req = <-p.queue:
-		}
-		for _, b := range req.spec.Buckets {
-			p.routedBucketBytes.Add(int64(len(b)))
 		}
 		res, taskErr, workerErr := w.do(req, p.cfg.LeaseTimeout)
 		switch {
 		case workerErr != nil:
 			slog.Warn("worker: attempt failed, dropping worker",
 				"worker", w.id, "job", req.spec.Job, "phase", req.spec.Phase,
-				"task", req.spec.Task, "affine", req.affine != "", "err", workerErr)
-			if req.affine != "" {
-				// An affine task cannot move: no other worker holds its
-				// peer-delivered buckets. Report the shuffle lost so the
-				// engine replays it over the routed path.
-				req.done <- taskOutcome{err: p.lost(w.id, req, workerErr.Error(), true)}
-				return
-			}
+				"task", req.spec.Task, "err", workerErr)
 			req.attempts = append(req.attempts, mapreduce.TaskAttempt{
 				Worker: w.id, Err: workerErr.Error(),
 			})
 			p.retryOrFail(req)
 			return
 		case taskErr != nil:
-			var lost *mapreduce.ShuffleLostError
-			if errors.As(taskErr, &lost) {
-				p.shuffleLost.Add(1)
-			}
 			req.done <- taskOutcome{err: taskErr}
 		default:
 			res.Worker = w.id
@@ -359,7 +259,6 @@ func (p *pool) serveWorker(w *workerHandle) {
 			for _, b := range res.Buckets {
 				p.routedBucketBytes.Add(int64(len(b)))
 			}
-			p.directBytes.Add(res.DirectBytes)
 			req.done <- taskOutcome{res: res}
 		}
 	}
@@ -439,14 +338,6 @@ func (w *workerHandle) do(req *taskReq, lease time.Duration) (res *mapreduce.Tas
 					return nil, nil, fmt.Errorf("result for task seq %d, want %d", f.env.Seq, seq)
 				}
 				if f.env.Err != "" {
-					if f.env.ShuffleLost {
-						// The worker is healthy but the attempt's peer
-						// buckets are gone; surface the typed error so the
-						// engine can fall back to the routed path.
-						return nil, &mapreduce.ShuffleLostError{
-							Worker: w.id, Reducer: req.spec.Task, Reason: f.env.Err, Attempted: true,
-						}, nil
-					}
 					return nil, fmt.Errorf("worker %s: %s", w.id, f.env.Err), nil
 				}
 				if f.env.Result == nil {
@@ -494,31 +385,24 @@ func (w *workerHandle) drain(wait time.Duration) {
 	}
 }
 
-// ShuffleStats reports where a pool's shuffle bucket bytes traveled — the
-// observable half of the direct-shuffle optimization. On a healthy direct
-// run RoutedBucketBytes is zero: no bucket payload ever crossed a
-// coordinator frame, in either direction.
+// ShuffleStats reports the shuffle bytes a pool's coordinator carried. Every
+// bucket rides the frames: a map result brings it in, a reduce spec takes it
+// out again.
 type ShuffleStats struct {
-	// DirectBytes are wire bytes workers pushed edge-to-edge (shuffle frame
-	// header + session + payload), bypassing the coordinator.
-	DirectBytes int64
-	// RoutedBucketBytes are bucket payload bytes the coordinator carried
-	// inside task and result frames: buckets a failed push retained, the
-	// replays of a lost shuffle, and the whole shuffle of a pool none of
-	// whose workers could open a receiver.
+	// DirectBytes is always 0: no bucket travels worker to worker. Read by
+	// bench/ only, retired with ROADMAP item 10.
+	DirectBytes int64 `json:"-"`
+	// RoutedBucketBytes are the bucket payload bytes map results carried
+	// into the coordinator.
 	RoutedBucketBytes int64
-	// Lost counts direct attempts that ended in a ShuffleLostError and fell
-	// back to the routed path.
-	Lost int64
+	// Lost is always 0: a worker that dies is an ordinary retry. Read by
+	// bench/ only, retired with ROADMAP item 10.
+	Lost int64 `json:"-"`
 }
 
-// ShuffleStats reports where the pool's shuffle bytes have traveled so far.
+// ShuffleStats reports the pool's shuffle bytes so far.
 func (p *pool) ShuffleStats() ShuffleStats {
-	return ShuffleStats{
-		DirectBytes:       p.directBytes.Load(),
-		RoutedBucketBytes: p.routedBucketBytes.Load(),
-		Lost:              p.shuffleLost.Load(),
-	}
+	return ShuffleStats{RoutedBucketBytes: p.routedBucketBytes.Load()}
 }
 
 // close drains the pool: no new tasks are accepted, every idle worker gets

@@ -40,11 +40,6 @@ type envelope struct {
 	WireVersion uint8
 	// ID is the worker id (hello frames).
 	ID string
-	// ShuffleAddr is the worker's shuffle-receiver endpoint (hello frames):
-	// the address peer workers push this worker's reduce buckets to. Empty
-	// when the worker could not open a receiver; the coordinator then keeps
-	// that worker off shuffle plans.
-	ShuffleAddr string
 	// WallNanos is the worker's wall clock when it sent its hello, in unix
 	// nanoseconds. The coordinator subtracts its own receive time to get a
 	// clock-offset estimate, used to align worker-side trace spans to the
@@ -60,11 +55,6 @@ type envelope struct {
 	// task-level failure (bad payload, unregistered job maker): it is
 	// deterministic, so the coordinator fails the task instead of retrying.
 	Err string
-	// ShuffleLost marks an Err as a lost direct shuffle (result frames): the
-	// peer-delivered buckets this reduce attempt needed never arrived or are
-	// unreachable. Unlike other task errors it is recoverable — the
-	// coordinator replays the buckets over the routed path.
-	ShuffleLost bool
 }
 
 // maxFrameSize bounds a single frame, as a guard against a corrupted or

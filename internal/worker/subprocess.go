@@ -27,8 +27,8 @@ type SubprocessConfig struct {
 
 // SubprocessExecutor is a TCPExecutor that brings its own workers: it
 // listens on an ephemeral loopback port and runs a fixed pool of child
-// processes that dial it as "worker -connect <addr>". The transport, the
-// pool and the direct shuffle are the TCPExecutor's; this layer only owns
+// processes that dial it as "worker -connect <addr>". The transport and the
+// pool are the TCPExecutor's; this layer only owns
 // the processes — it starts them, fails fast when one dies before
 // registering, can kill one on request, and reaps them all on Close.
 type SubprocessExecutor struct {

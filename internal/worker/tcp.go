@@ -5,10 +5,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/mapreduce"
 )
 
 // TCPConfig configures a TCPExecutor.
@@ -18,10 +15,6 @@ type TCPConfig struct {
 	// Addr is the listen address. Default "127.0.0.1:0" (an ephemeral
 	// loopback port, read back via Addr()).
 	Addr string
-	// ShuffleTimeout bounds how long a direct reduce attempt waits for its
-	// peer-delivered buckets before reporting a lost shuffle. Default: the
-	// pool's LeaseTimeout.
-	ShuffleTimeout time.Duration
 }
 
 // TCPExecutor runs task attempts on workers that register over TCP: each
@@ -30,14 +23,11 @@ type TCPConfig struct {
 // ("strata worker -connect <addr>"; SubprocessExecutor starts its own) or
 // in-process goroutines (SpawnLocal). It implements mapreduce.Executor.
 type TCPExecutor struct {
-	*pool // Execute, ExecuteOn and ShuffleStats are the pool's, as is cfg
+	*pool // Execute and ShuffleStats are the pool's, as is cfg
 	ln    net.Listener
-	// shuffleTimeout is TCPConfig.ShuffleTimeout with its default resolved.
-	shuffleTimeout time.Duration
 
 	spawned sync.WaitGroup // SpawnLocal serve loops
 	spawnN  int
-	planN   atomic.Int64 // shuffle sessions handed out
 }
 
 // NewTCPExecutor starts listening and accepting worker registrations. It
@@ -52,10 +42,7 @@ func NewTCPExecutor(cfg TCPConfig) (*TCPExecutor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker: listening on %s: %w", cfg.Addr, err)
 	}
-	e := &TCPExecutor{pool: newPool(cfg.Config), ln: ln, shuffleTimeout: cfg.ShuffleTimeout}
-	if e.shuffleTimeout <= 0 {
-		e.shuffleTimeout = e.cfg.LeaseTimeout
-	}
+	e := &TCPExecutor{pool: newPool(cfg.Config), ln: ln}
 	go e.acceptLoop()
 	return e, nil
 }
@@ -76,8 +63,7 @@ func (e *TCPExecutor) acceptLoop() {
 				conn.Close()
 				return
 			}
-			slog.Debug("worker: registered", "worker", h.id,
-				"remote", conn.RemoteAddr(), "shuffle_addr", h.shuffleAddr)
+			slog.Debug("worker: registered", "worker", h.id, "remote", conn.RemoteAddr())
 			e.pool.attach(h, fc, func() { conn.Close() })
 		}()
 	}
@@ -86,8 +72,7 @@ func (e *TCPExecutor) acceptLoop() {
 // awaitHello reads the worker's hello frame — the caller bounds the read
 // with a deadline on the connection — and rejects a peer that speaks another
 // wire version (ErrWireVersion). It returns the announced worker identity:
-// id, shuffle-receiver endpoint ("" for a worker that could not open one),
-// and a clock-offset estimate from the hello's wall-clock sample (clockOK
+// id and a clock-offset estimate from the hello's wall-clock sample (clockOK
 // false when the hello carried none). The estimate folds the hello's one-way
 // transit time into the offset, which is fine for its only use — aligning
 // trace spans — since transit is microseconds on the loopback sockets this
@@ -104,7 +89,7 @@ func awaitHello(conn *frameConn) (helloInfo, error) {
 		return helloInfo{}, fmt.Errorf("%w: worker %q speaks version %d, this build %d",
 			ErrWireVersion, env.ID, v, wireVersion)
 	}
-	info := helloInfo{id: env.ID, shuffleAddr: env.ShuffleAddr}
+	info := helloInfo{id: env.ID}
 	if env.WallNanos != 0 {
 		info.clockOff = env.WallNanos - time.Now().UnixNano()
 		info.clockOK = true
@@ -117,7 +102,7 @@ func (e *TCPExecutor) Addr() string { return e.ln.Addr().String() }
 
 // SpawnLocal starts n in-process workers, each dialing the coordinator
 // over a real loopback socket and serving until drained. The full protocol
-// — registration, heartbeats, leases, the direct-shuffle data plane — is
+// — registration, heartbeats, leases, buckets riding the task frames — is
 // exercised; only process isolation is skipped.
 func (e *TCPExecutor) SpawnLocal(n int) {
 	e.SpawnLocalOpts(n, ServeOptions{})
@@ -160,29 +145,6 @@ func (e *TCPExecutor) AwaitWorkers(n int, timeout time.Duration) error {
 
 // Name reports "tcp".
 func (e *TCPExecutor) Name() string { return "tcp" }
-
-// PlanShuffle assigns a job run's reducers round-robin over the attached
-// shuffle-capable workers and stamps the plan with a fresh session, so
-// back-to-back runs on one pool never mix buckets. It returns nil — meaning
-// "use the routed path" — when no attached worker announced a receiver
-// endpoint.
-func (e *TCPExecutor) PlanShuffle(job string, numReducers int) *mapreduce.ShufflePlan {
-	ids, endpoints := e.pool.shufflePeers()
-	if len(ids) == 0 || numReducers <= 0 {
-		return nil
-	}
-	plan := &mapreduce.ShufflePlan{
-		Session:   fmt.Sprintf("%s#%d", job, e.planN.Add(1)),
-		Workers:   make([]string, numReducers),
-		Endpoints: make([]string, numReducers),
-		TimeoutMs: e.shuffleTimeout.Milliseconds(),
-	}
-	for r := 0; r < numReducers; r++ {
-		plan.Workers[r] = ids[r%len(ids)]
-		plan.Endpoints[r] = endpoints[r%len(ids)]
-	}
-	return plan
-}
 
 // Close drains attached workers, stops accepting registrations and waits
 // for local workers to unwind.

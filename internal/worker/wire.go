@@ -13,18 +13,18 @@ import (
 // (ErrWireVersion otherwise): strata spawns or is dialled by itself, so a
 // different version is a misdeployment, not a peer to accommodate. Bump it
 // with any change to the envelope, TaskSpec or TaskResult layout, or to a
-// payload a spec carries (5: a split ships its rows as one TupleBatch, with
-// no layout byte and no per-tuple form).
-const wireVersion = 5
+// payload a spec carries (6: buckets ride only the task frames, so the
+// hello lost its shuffle endpoint, a spec its shuffle plan and map-task
+// count, a result its lost flag, direct-byte count and receive wall).
+const wireVersion = 6
 
 // ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
 var ErrWireVersion = errors.New("worker: wire version mismatch")
 
 // envelope flag bits in the binary frame encoding.
 const (
-	envShuffleLost = 1 << 0
-	envHasSpec     = 1 << 1
-	envHasResult   = 1 << 2
+	envHasSpec   = 1 << 0
+	envHasResult = 1 << 1
 )
 
 // appendEnvelope appends the binary form of one frame body: kind byte, flag
@@ -33,9 +33,6 @@ const (
 func appendEnvelope(buf []byte, env *envelope) []byte {
 	buf = append(buf, byte(env.Kind))
 	var flags byte
-	if env.ShuffleLost {
-		flags |= envShuffleLost
-	}
 	if env.Spec != nil {
 		flags |= envHasSpec
 	}
@@ -44,7 +41,6 @@ func appendEnvelope(buf []byte, env *envelope) []byte {
 	}
 	buf = append(buf, flags)
 	buf = wire.AppendString(buf, env.ID)
-	buf = wire.AppendString(buf, env.ShuffleAddr)
 	buf = wire.AppendUvarint(buf, env.Seq)
 	buf = wire.AppendString(buf, env.Err)
 	if env.Kind == msgHello {
@@ -69,9 +65,7 @@ func decodeEnvelope(payload []byte) (*envelope, error) {
 	env := &envelope{}
 	env.Kind = msgKind(r.Byte())
 	flags := r.Byte()
-	env.ShuffleLost = flags&envShuffleLost != 0
 	env.ID = r.String()
-	env.ShuffleAddr = r.String()
 	env.Seq = r.Uvarint()
 	env.Err = r.String()
 	if env.Kind == msgHello {

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -26,35 +25,27 @@ func sampleHistogram() *mapreduce.Histogram {
 // the table for round-trip tests and the fuzz seed corpus.
 func sampleEnvelopes() []*envelope {
 	return []*envelope{
-		{Kind: msgHello, ID: "tcp-1", ShuffleAddr: "127.0.0.1:4242", WireVersion: wireVersion, WallNanos: 1700000000000000001},
+		{Kind: msgHello, ID: "tcp-1", WireVersion: wireVersion, WallNanos: 1700000000000000001},
 		{Kind: msgHeartbeat},
 		{Kind: msgDrain},
 		{Kind: msgTask, Seq: 7, Spec: &mapreduce.TaskSpec{
 			Job: "mr-sqe", Maker: "mr-sqe", Config: []byte(`{"q":1}`),
 			Phase: "map", Task: 3, Seed: -42, NumReducers: 2,
-			Split: []byte{1, 2, 3}, NumMapTasks: 6, Frozen: true,
+			Split: []byte{1, 2, 3}, Frozen: true,
 		}},
 		{Kind: msgTask, Seq: 8, Spec: &mapreduce.TaskSpec{
 			Job: "mr-sqe", Maker: "mr-sqe", Phase: "reduce", Task: 0,
-			NumReducers: 2, NumMapTasks: 3,
-			Buckets:     [][]byte{{0x01, 0x00}, nil, {0x01, 0x02, 0x09}},
+			NumReducers: 2,
+			Buckets:     [][]byte{{0x01, 0x00}, {0x01}, {0x01, 0x02, 0x09}},
 			CollectKeys: true,
-			Shuffle: &mapreduce.ShufflePlan{
-				Session:   "job#1",
-				Workers:   []string{"tcp-1", "tcp-2"},
-				Endpoints: []string{"127.0.0.1:1", "127.0.0.1:2"},
-				TimeoutMs: 15000,
-			},
 		}},
 		{Kind: msgResult, Seq: 7, Result: &mapreduce.TaskResult{
-			Buckets:     [][]byte{{0x01, 0x00}, nil},
-			DirectBytes: 123,
-			Output:      []byte{0x00, 0xFF},
+			Buckets: [][]byte{{0x01, 0x00}, {0x01}},
+			Output:  []byte{0x00, 0xFF},
 			Counters: mapreduce.TaskCounters{
 				In: 100, Out: 50, CombineIn: 100, CombineOut: 50, Groups: 2,
 				BucketSizes: []int64{10, 20},
 				MapWall:     3 * time.Millisecond,
-				RecvWall:    time.Second,
 			},
 			Custom: map[string]*mapreduce.Histogram{"reservoir_size": sampleHistogram()},
 			PerKey: map[string]mapreduce.KeyStats{
@@ -64,7 +55,7 @@ func sampleEnvelopes() []*envelope {
 			Worker:         "sp-0",
 			FailedAttempts: []mapreduce.TaskAttempt{{Worker: "sp-1", Err: "lease expired"}},
 		}},
-		{Kind: msgResult, Seq: 9, Err: "no such maker", ShuffleLost: true},
+		{Kind: msgResult, Seq: 9, Err: "no such maker"},
 	}
 }
 
@@ -75,8 +66,8 @@ func sampleEnvelopes() []*envelope {
 func TestEnvelopeBinaryRoundTrip(t *testing.T) {
 	samples := sampleEnvelopes()
 	full := &envelope{
-		Kind: msgHello, WireVersion: wireVersion, ID: "w", ShuffleAddr: "127.0.0.1:1", WallNanos: -5,
-		Seq: 1 << 40, Spec: samples[4].Spec, Result: samples[5].Result, Err: "boom", ShuffleLost: true,
+		Kind: msgHello, WireVersion: wireVersion, ID: "w", WallNanos: -5,
+		Seq: 1 << 40, Spec: samples[4].Spec, Result: samples[5].Result, Err: "boom",
 	}
 	for v, i := reflect.ValueOf(*full), 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {
@@ -129,22 +120,20 @@ func TestHelloVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestServeAnswersBadSpecs: a spec whose counts are out of range — on the
-// direct-reduce path too, which sizes its bucket set before the task core
-// sees the spec — is answered with a task error, and the worker serves on.
+// TestServeAnswersBadSpecs: a spec whose counts are out of range is answered
+// with a task error, and the worker serves on.
 func TestServeAnswersBadSpecs(t *testing.T) {
 	coord, work := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- serve(work, work, ServeOptions{ID: "w", HeartbeatInterval: time.Hour}, nil) }()
+	go func() { done <- serve(work, work, ServeOptions{ID: "w", HeartbeatInterval: time.Hour}) }()
 	c := newFrameConn(coord, coord)
 	if _, err := c.read(); err != nil { // the hello
 		t.Fatal(err)
 	}
-	direct := &mapreduce.ShufflePlan{Session: "s"}
 	for i, spec := range []*mapreduce.TaskSpec{
 		{Phase: "map", NumReducers: 0},
-		{Phase: "reduce", NumReducers: 1, NumMapTasks: -1, Shuffle: direct},
-		{Phase: "reduce", NumReducers: 1, NumMapTasks: 1 << 40, Shuffle: direct},
+		{Phase: "reduce", NumReducers: -1},
+		{Phase: "reduce", NumReducers: 1, Task: -1},
 	} {
 		if err := c.write(&envelope{Kind: msgTask, Seq: uint64(i), Spec: spec}); err != nil {
 			t.Fatal(err)
@@ -228,34 +217,6 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			if _, err := decodeEnvelope(appendEnvelope(nil, env)); err != nil {
 				t.Fatalf("re-encode of valid decode failed: %v", err)
 			}
-		}
-	})
-}
-
-// FuzzShuffleHeader: whatever sixteen bytes a peer sends, the shuffle
-// receiver's header parse neither panics nor accepts lengths that would make
-// the reader allocate past maxFrameSize plus the 1 KiB session bound; headers
-// the sender writes round-trip.
-func FuzzShuffleHeader(f *testing.F) {
-	f.Add(appendShuffleFrame(nil, "job-1", 3, 2, []byte("payload")))
-	f.Add(appendShuffleFrame(nil, "s", 0, 0, nil))
-	f.Add(bytes.Repeat([]byte{0xFF}, shuffleHeaderSize))
-	f.Add(make([]byte, shuffleHeaderSize))
-	f.Add([]byte{0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var b [shuffleHeaderSize]byte
-		copy(b[:], data)
-		h, ok := parseShuffleHeader(&b)
-		if !ok {
-			return
-		}
-		if h.sessLen <= 0 || h.size < 0 || h.sessLen+h.size > maxFrameSize+maxShuffleSessionLen {
-			t.Fatalf("accepted header would allocate %d+%d bytes", h.sessLen, h.size)
-		}
-		back := appendShuffleFrame(nil, string(make([]byte, h.sessLen)), h.task, h.reducer, nil)
-		binary.BigEndian.PutUint32(back[12:], uint32(h.size))
-		if !bytes.Equal(back[:shuffleHeaderSize], b[:]) {
-			t.Fatalf("header %x re-encodes as %x", b, back[:shuffleHeaderSize])
 		}
 	})
 }

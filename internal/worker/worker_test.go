@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -390,8 +391,8 @@ func TestGoldenSpansAcrossBackends(t *testing.T) {
 // contract on the remote backends: with a TraceContext installed under a
 // frozen clock, repeated runs on one pool produce byte-identical span files
 // (up to worker ids), every span carries the trace identity, and the remote
-// attempts decompose into the same worker-side child phases on both — decode,
-// exec, push and recv: process workers and socket workers are one runtime.
+// attempts decompose into the same worker-side child phases on both — decode
+// and exec, nothing else: process workers and socket workers are one runtime.
 func TestGoldenDistributedSpans(t *testing.T) {
 	splits := testPopulation(t)
 
@@ -455,12 +456,20 @@ func TestGoldenDistributedSpans(t *testing.T) {
 					t.Fatalf("span %s task %d has no parent", s.Phase, s.Task)
 				}
 			}
-			for _, p := range []string{
+			remote := []string{
 				mapreduce.PhaseQueue, mapreduce.PhaseWire, // measured by the pool
-				mapreduce.PhaseDecode, mapreduce.PhaseExec, mapreduce.PhasePush, mapreduce.PhaseRecv, // only a worker can emit
-			} {
+				mapreduce.PhaseDecode, mapreduce.PhaseExec, // only a worker can emit
+			}
+			for _, p := range remote {
 				if phases[p] == 0 {
 					t.Errorf("no %q spans in traced %s run; phases: %v", p, b.name, phases)
+				}
+			}
+			known := append(remote, mapreduce.PhaseMap, mapreduce.PhaseCombine,
+				mapreduce.PhaseShuffleSend, mapreduce.PhaseShuffleRecv, mapreduce.PhaseReduce, mapreduce.PhaseJob)
+			for p := range phases {
+				if !slices.Contains(known, p) {
+					t.Errorf("traced %s run emitted %q spans; a worker measures decode and exec only", b.name, p)
 				}
 			}
 		})

@@ -47,6 +47,11 @@
 # the fresh reservoir and copies only those it accepts, a few KB; the member
 # slice it once built under the write lock read 5–11 MB, so one coming back
 # fails the gate.
+# The tcp engine jobs (BenchmarkEngine/backend=tcp/workers=3 and
+# BenchmarkEngine100k/backend=tcp/workers=3) are gated at what the one
+# shuffle route reads, the top of eight runs: buckets ride the task frames,
+# so a worker-to-worker data plane coming back — its listeners, dials and
+# frames — reads as the ≈ 650 and ≈ 1 200 allocs/op it cost there.
 # One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
