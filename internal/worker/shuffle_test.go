@@ -46,46 +46,53 @@ func (c *mapBucketCounter) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskRes
 	return res, err
 }
 
-// TestShuffleRidesTaskFrames: on both worker backends the job's answer and
+// TestDirectShuffleZeroRoutedBytes: on a tcp pool the job's answer and
 // metrics equal the in-process engine's, every bucket payload a map result
-// carried is counted through the coordinator, and none travels worker to
-// worker.
-func TestShuffleRidesTaskFrames(t *testing.T) {
-	splits := testPopulation(t)
-	want, wantMet := runSQE(t, nil, splits)
-
-	for name, start := range map[string]func() shuffleExecutor{
-		"tcp":        func() shuffleExecutor { return newTCP(t, 3, worker.TCPConfig{}) },
-		"subprocess": func() shuffleExecutor { return newSubprocess(t, 2, nil) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			exec := start()
-			defer exec.Close()
-			counted := &mapBucketCounter{Executor: exec}
-			got, gotMet := runSQE(t, counted, splits)
-
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("answer differs from in-process:\n in: %v\nout: %v", want, got)
-			}
-			if !reflect.DeepEqual(wantMet, gotMet) {
-				t.Errorf("metrics differ from in-process:\n in: %+v\nout: %+v", wantMet, gotMet)
-			}
-			st := exec.ShuffleStats()
-			if st.RoutedBucketBytes == 0 || st.RoutedBucketBytes != counted.bytes.Load() {
-				t.Errorf("coordinator carried %d bucket bytes, want the %d (> 0) the map results brought",
-					st.RoutedBucketBytes, counted.bytes.Load())
-			}
-			if st.DirectBytes != 0 {
-				t.Errorf("DirectBytes = %d, want 0: no bucket travels worker to worker", st.DirectBytes)
-			}
-		})
-	}
+// carried is counted through the coordinator, and the worker-to-worker byte
+// counter stays at zero.
+func TestDirectShuffleZeroRoutedBytes(t *testing.T) {
+	exec := newTCP(t, 3, worker.TCPConfig{})
+	defer exec.Close()
+	checkShuffleRidesTaskFrames(t, exec)
 }
 
-// shuffleExecutor is a worker pool that reports its shuffle bytes.
-type shuffleExecutor interface {
+// TestSubprocessShuffleDirect: worker child processes dial the coordinator
+// like every other remote worker, so their buckets ride the task frames the
+// same way: answer and metrics equal in-process, every bucket byte counted
+// through the coordinator, none worker to worker.
+func TestSubprocessShuffleDirect(t *testing.T) {
+	exec := newSubprocess(t, 2, nil)
+	defer exec.Close()
+	checkShuffleRidesTaskFrames(t, exec)
+}
+
+// checkShuffleRidesTaskFrames runs one MR-SQE job on exec and checks it
+// against the in-process engine and against the bucket bytes its map
+// results brought back.
+func checkShuffleRidesTaskFrames(t *testing.T, exec interface {
 	mapreduce.Executor
 	ShuffleStats() worker.ShuffleStats
+}) {
+	t.Helper()
+	splits := testPopulation(t)
+	want, wantMet := runSQE(t, nil, splits)
+	counted := &mapBucketCounter{Executor: exec}
+	got, gotMet := runSQE(t, counted, splits)
+
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("answer differs from in-process:\n in: %v\nout: %v", want, got)
+	}
+	if !reflect.DeepEqual(wantMet, gotMet) {
+		t.Errorf("metrics differ from in-process:\n in: %+v\nout: %+v", wantMet, gotMet)
+	}
+	st := exec.ShuffleStats()
+	if st.RoutedBucketBytes == 0 || st.RoutedBucketBytes != counted.bytes.Load() {
+		t.Errorf("coordinator carried %d bucket bytes, want the %d (> 0) the map results brought",
+			st.RoutedBucketBytes, counted.bytes.Load())
+	}
+	if st.DirectBytes != 0 {
+		t.Errorf("DirectBytes = %d, want 0: no bucket travels worker to worker", st.DirectBytes)
+	}
 }
 
 // killBeforeReduce forwards to a subprocess pool and kills child i when the
