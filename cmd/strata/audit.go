@@ -74,7 +74,7 @@ func cmdAudit(args []string) error {
 	}
 	rep := &audit.Report{Fill: fill, Bias: bias}
 	if *estimateAttr != "" {
-		est, err := audit.AuditEstimator(ans, q, pop, *estimateAttr)
+		est, err := audit.AuditEstimator(ans, pop.Schema(), *estimateAttr)
 		if err != nil {
 			return err
 		}

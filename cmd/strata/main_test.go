@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,13 +79,17 @@ func captureStdout(t *testing.T, fn func() error) string {
 // the binary printed before the split-level stage became the engine's only
 // map interface — the answers and the metrics line with its simulated time.
 // The golden files were captured from that binary; regenerate them only with
-// a change that means to move draws or the cost model.
+// a change that means to move draws or the cost model. sample_estimate.golden
+// adds -estimate and was captured from the binary whose estimate re-scanned
+// the population for its strata's sizes: the answer's own sizes must print
+// the same estimate.
 func TestCmdSampleGolden(t *testing.T) {
 	args := []string{"-n", "20000", "-seed", "7", "-slaves", "8", "-splits", "16", "-layout", "skewed",
 		"-query", "nop >= 100 : 5 ; nop < 100 and fy < 2000 : 10 ; nop < 100 and fy >= 2000 : 4"}
 	for golden, extra := range map[string][]string{
-		"sample_fused.golden": nil,
-		"sample_naive.golden": {"-naive"},
+		"sample_fused.golden":    nil,
+		"sample_naive.golden":    {"-naive"},
+		"sample_estimate.golden": {"-estimate", "nop"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", golden))
 		if err != nil {
@@ -259,21 +265,31 @@ func TestCmdQueryCSVExport(t *testing.T) {
 	}
 }
 
-// TestWorkersFlagRefused: a worker count no pool can have is a usage error
-// from setup, before any worker starts. Only refused values are tried, so
-// the test starts no process.
+// TestWorkersFlagRefused: a global flag value that cannot work — a worker
+// count no pool can have, an unknown -log level or -backend — is a usage
+// error: the binary names it and exits 2, as for an unknown flag, before any
+// worker starts. Only refused values are tried, so no worker ever starts.
 func TestWorkersFlagRefused(t *testing.T) {
 	for _, tc := range []struct {
-		backend string
-		workers int
-	}{{"subprocess", -3}, {"subprocess", 0}, {"tcp", -1}} {
-		o := obs{backend: tc.backend, workers: tc.workers}
-		err := o.setup()
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-workers %d", tc.workers)) {
-			t.Errorf("-backend %s -workers %d: %v, want a usage error naming the count", tc.backend, tc.workers, err)
+		args []string
+		want string
+	}{
+		{[]string{"-backend", "subprocess", "-workers", "-3"}, "-workers -3"},
+		{[]string{"-backend", "subprocess", "-workers", "0"}, "-workers 0"},
+		{[]string{"-backend", "tcp", "-workers", "-1"}, "-workers -1"},
+		{[]string{"-log", "loud"}, `unknown -log level "loud"`},
+		{[]string{"-backend", "carrier-pigeon"}, `unknown -backend "carrier-pigeon"`},
+	} {
+		out, err := exec.Command(os.Args[0], append(tc.args, "sample", "-n", "10")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2\n%s", tc.args, err, out)
 		}
-		if o.executor != nil {
-			t.Errorf("-backend %s -workers %d started an executor", tc.backend, tc.workers)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: output does not name %q:\n%s", tc.args, tc.want, out)
+		}
+		if strings.Contains(string(out), "worker pool started") || strings.Contains(string(out), "stratum 1") {
+			t.Errorf("%v: the command ran:\n%s", tc.args, out)
 		}
 	}
 }

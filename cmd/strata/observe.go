@@ -34,6 +34,8 @@ type obs struct {
 	backend   string
 	workers   int
 
+	level slog.Level // settled from -v and -log by check
+
 	executor mapreduce.Executor
 
 	tracer    *mapreduce.JSONLTracer
@@ -75,31 +77,48 @@ func parseGlobalFlags(args []string) ([]string, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if err := globalObs.check(); err != nil {
+		fmt.Fprintf(os.Stderr, "strata: %v\n", err)
+		return nil, err
+	}
 	return fs.Args(), nil
 }
 
-// setup applies the parsed flags: configures slog, opens the span file, and
-// starts the debug server. Call close() when the command finishes.
-func (o *obs) setup() error {
+// check refuses the global flag values that cannot work — every usage error
+// the global flags can make, found before anything starts — and settles the
+// log level.
+func (o *obs) check() error {
 	// A tcp coordinator may start with no local worker and wait for external
 	// ones; a subprocess pool is nothing but its children.
 	if o.workers < 0 || (o.workers == 0 && o.backend == "subprocess") {
 		return fmt.Errorf("-workers %d: want at least 1 for -backend subprocess, 0 or more for tcp", o.workers)
 	}
-	level := slog.LevelInfo
+	switch o.backend {
+	case "", "inproc", "subprocess", "tcp":
+	default:
+		return fmt.Errorf("unknown -backend %q (want inproc, subprocess or tcp)", o.backend)
+	}
+	o.level = slog.LevelInfo
 	switch {
 	case o.verbose, strings.EqualFold(o.logLevel, "debug"):
-		level = slog.LevelDebug
+		o.level = slog.LevelDebug
 	case o.logLevel == "", strings.EqualFold(o.logLevel, "info"):
 		// default
 	case strings.EqualFold(o.logLevel, "warn"):
-		level = slog.LevelWarn
+		o.level = slog.LevelWarn
 	case strings.EqualFold(o.logLevel, "error"):
-		level = slog.LevelError
+		o.level = slog.LevelError
 	default:
 		return fmt.Errorf("unknown -log level %q (want debug, info, warn or error)", o.logLevel)
 	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+	return nil
+}
+
+// setup applies the parsed and checked flags: configures slog, opens the
+// span file, starts the debug server and the worker runtime. Its errors are
+// I/O failures, not usage errors. Call close() when the command finishes.
+func (o *obs) setup() error {
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.level})))
 
 	o.started = time.Now()
 	if o.tracePath != "" {
@@ -133,13 +152,11 @@ func (o *obs) setup() error {
 	return o.setupExecutor()
 }
 
-// setupExecutor starts the worker runtime selected by -backend. The
-// executor is shared by every cluster the command builds (newCluster
-// installs it) and drained in close().
+// setupExecutor starts the worker runtime selected by -backend (none for
+// inproc). The executor is shared by every cluster the command builds
+// (newCluster installs it) and drained in close().
 func (o *obs) setupExecutor() error {
 	switch o.backend {
-	case "", "inproc":
-		return nil
 	case "subprocess":
 		exec, err := worker.NewSubprocessExecutor(worker.SubprocessConfig{Workers: o.workers})
 		if err != nil {
@@ -163,10 +180,8 @@ func (o *obs) setupExecutor() error {
 		slog.Info("worker pool started", "backend", "tcp", "addr", exec.Addr(),
 			"workers", o.workers, "join", "strata worker -connect "+exec.Addr())
 		o.executor = exec
-		return nil
-	default:
-		return fmt.Errorf("unknown -backend %q (want inproc, subprocess or tcp)", o.backend)
 	}
+	return nil
 }
 
 // startTicker prints the tracker's one-line summary to stderr a few times a

@@ -76,7 +76,7 @@ func cmdSample(args []string) error {
 	fmt.Printf("\n%s\n", met)
 
 	if *estimateAttr != "" {
-		sums, err := estimate.FromAnswer(ans, q, pop, *estimateAttr)
+		sums, err := estimate.FromAnswer(ans, pop.Schema(), *estimateAttr)
 		if err != nil {
 			return err
 		}

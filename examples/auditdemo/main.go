@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := audit.AuditEstimator(ans, q, pop, "nop")
+	est, err := audit.AuditEstimator(ans, pop.Schema(), "nop")
 	if err != nil {
 		log.Fatal(err)
 	}

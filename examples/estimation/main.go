@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pilotSums, err := estimate.FromAnswer(pilotAns, pilot, pop, "ndcc")
+	pilotSums, err := estimate.FromAnswer(pilotAns, schema, "ndcc")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sums, err := estimate.FromAnswer(ans, mainSSD, pop, "ndcc")
+	sums, err := estimate.FromAnswer(ans, schema, "ndcc")
 	if err != nil {
 		log.Fatal(err)
 	}

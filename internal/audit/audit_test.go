@@ -298,7 +298,7 @@ func TestAuditEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AuditEstimator(ans, q, r, "income")
+	rep, err := AuditEstimator(ans, r.Schema(), "income")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestReportRenderAndPassed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := AuditEstimator(ans, q, r, "income")
+	est, err := AuditEstimator(ans, r.Schema(), "income")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,10 @@ type EstimatorReport struct {
 }
 
 // AuditEstimator grades the answer's usefulness for estimating the mean of
-// attr over the population r.
-func AuditEstimator(ans *query.Answer, q *query.SSD, r *dataset.Relation, attr string) (*EstimatorReport, error) {
-	sums, err := estimate.FromAnswer(ans, q, r, attr)
+// attr over the population the answer was drawn from, whose strata's sizes
+// the answer carries.
+func AuditEstimator(ans *query.Answer, schema *dataset.Schema, attr string) (*EstimatorReport, error) {
+	sums, err := estimate.FromAnswer(ans, schema, attr)
 	if err != nil {
 		return nil, err
 	}

@@ -167,7 +167,7 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 	res.ResidualPerSurvey = make([]int, n)
 	dealt := make([][]int64, len(keys)) // per selection, per survey
 	for j, key := range keys {
-		dealt[j] = res.deal(plan.Assign[key], sels[j], combined[0][j], answers, chosen)
+		dealt[j] = res.deal(plan.Assign[key], sels[j], combined[0].Strata[j], answers, chosen)
 	}
 
 	// Step 6: residual phase — top up each survey's per-selection deficit
@@ -195,7 +195,7 @@ func run(c *mapreduce.Cluster, m *query.MSSD, schema *dataset.Schema, splits []d
 		}
 		res.Metrics.Add(met)
 		for i := range resid {
-			for j, sample := range resid[i] {
+			for j, sample := range resid[i].Strata {
 				if len(sample) == 0 {
 					continue // survey i may have no stratum in σ_j at all
 				}

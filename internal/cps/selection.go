@@ -9,8 +9,8 @@
 //     F(A_i, σ) from stratum-selection tries (SSTs) built over the initial
 //     answers;
 //  3. count the stratum-selection limits L(σ) with a MapReduce job
-//     (Figure 4) — the fused scan of internal/stratified, whose per-query
-//     classes of a tuple are its σ(t);
+//     (Figure 4) — the selection-sampling job of internal/stratified drawing
+//     nothing, whose reducer's summed N per selection σ(t) is its limit;
 //  4. formulate the linear program of Figure 3 over decision variables
 //     X_τ(σ) and solve it (per-σ decomposed by default — every constraint
 //     of Figure 3 touches a single σ, so the decomposition is exact; a

@@ -90,20 +90,21 @@ func SRSMean(values []float64, popSize int64) (Mean, error) {
 }
 
 // FromAnswer converts a query answer into stratum summaries for the named
-// attribute, using the relation to count each stratum's population.
-func FromAnswer(ans *query.Answer, q *query.SSD, r *dataset.Relation, attr string) ([]StratumSummary, error) {
-	idx, ok := r.Schema().Index(attr)
+// attribute, each stratum's population the size the answer carries
+// (query.Answer.Sizes). An answer without a size per stratum is an error: a
+// missing size is not an empty stratum.
+func FromAnswer(ans *query.Answer, schema *dataset.Schema, attr string) ([]StratumSummary, error) {
+	idx, ok := schema.Index(attr)
 	if !ok {
 		return nil, fmt.Errorf("estimate: unknown attribute %q", attr)
 	}
-	preds, err := q.Compile(r.Schema())
-	if err != nil {
-		return nil, err
+	if len(ans.Sizes) != len(ans.Strata) {
+		return nil, fmt.Errorf("estimate: the answer has %d strata and %d stratum sizes", len(ans.Strata), len(ans.Sizes))
 	}
-	out := make([]StratumSummary, len(q.Strata))
-	for k := range q.Strata {
-		out[k].PopSize = int64(r.Count(preds[k]))
-		for _, t := range ans.Strata[k] {
+	out := make([]StratumSummary, len(ans.Strata))
+	for k, sample := range ans.Strata {
+		out[k].PopSize = ans.Sizes[k]
+		for _, t := range sample {
 			out[k].Values = append(out[k].Values, float64(t.Attrs[idx]))
 		}
 	}

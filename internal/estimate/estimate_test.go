@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
@@ -109,7 +110,7 @@ func TestStratifiedBeatsSRS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums, err := FromAnswer(ans, q, r, "activity")
+		sums, err := FromAnswer(ans, r.Schema(), "activity")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestEstimatorsUnbiased(t *testing.T) {
 	var stratSum, srsSum float64
 	for run := 0; run < runs; run++ {
 		ans, _ := stratified.Sequential(q, r, rng)
-		sums, _ := FromAnswer(ans, q, r, "activity")
+		sums, _ := FromAnswer(ans, r.Schema(), "activity")
 		sm, _ := StratifiedMean(sums)
 		stratSum += sm.Estimate
 		srs := sampling.SRS(r.Tuples(), n, rng)
@@ -172,7 +173,7 @@ func TestStdErrCalibrated(t *testing.T) {
 	var sqErr, claimed float64
 	for run := 0; run < runs; run++ {
 		ans, _ := stratified.Sequential(q, r, rng)
-		sums, _ := FromAnswer(ans, q, r, "activity")
+		sums, _ := FromAnswer(ans, r.Schema(), "activity")
 		sm, _ := StratifiedMean(sums)
 		sqErr += (sm.Estimate - truth) * (sm.Estimate - truth)
 		claimed += sm.StdErr * sm.StdErr
@@ -245,8 +246,67 @@ func TestFromAnswerUnknownAttr(t *testing.T) {
 	r, _ := twoGroupPop(10, 10, 7)
 	q := query.NewSSD("g", query.Stratum{Cond: predicate.MustParse("group = 0"), Freq: 2})
 	ans, _ := stratified.Sequential(q, r, rand.New(rand.NewSource(1)))
-	if _, err := FromAnswer(ans, q, r, "nope"); err == nil {
+	if _, err := FromAnswer(ans, r.Schema(), "nope"); err == nil {
 		t.Fatal("want unknown-attribute error")
+	}
+}
+
+// relationCounts is the row-wise oracle for an answer's stratum sizes: one
+// scan of the relation per stratum.
+func relationCounts(t *testing.T, q *query.SSD, r *dataset.Relation) []int64 {
+	t.Helper()
+	preds, err := q.Compile(r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, len(preds))
+	for k, p := range preds {
+		counts[k] = int64(r.Count(p))
+	}
+	return counts
+}
+
+// TestFromAnswerReadsTheAnswersSizes: the populations FromAnswer weighs the
+// strata by are the answer's own sizes, equal to a re-scan of the relation —
+// for the sequential oracle and for MR-SQE over splits, a stratum no tuple
+// satisfies included — and an answer without sizes, or with a size short of
+// a stratum, is refused rather than read as empty strata.
+func TestFromAnswerReadsTheAnswersSizes(t *testing.T) {
+	r, _ := twoGroupPop(300, 40, 8)
+	q := query.NewSSD("g",
+		query.Stratum{Cond: predicate.MustParse("group = 0"), Freq: 5},
+		query.Stratum{Cond: predicate.MustParse("group = 1"), Freq: 7},
+		query.Stratum{Cond: predicate.MustParse("activity > 9000"), Freq: 2},
+	)
+	seq, err := stratified.Sequential(q, r, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := dataset.Partition(r, 4, dataset.Skewed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqe, _, err := stratified.RunSQE(mapreduce.NewCluster(2), q, r.Schema(), splits, stratified.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relationCounts(t, q, r)
+	for name, ans := range map[string]*query.Answer{"sequential": seq, "MR-SQE": sqe} {
+		sums, err := FromAnswer(ans, r.Schema(), "activity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range sums {
+			if s.PopSize != want[k] {
+				t.Errorf("%s stratum %d: population %d, a re-scan counts %d", name, k, s.PopSize, want[k])
+			}
+		}
+	}
+	for name, sizes := range map[string][]int64{"none": nil, "short": want[:2]} {
+		ans := &query.Answer{Strata: seq.Strata, Sizes: sizes}
+		if _, err := FromAnswer(ans, r.Schema(), "activity"); err == nil {
+			t.Errorf("%s sizes: an answer with %d sizes for %d strata was read", name, len(sizes), len(ans.Strata))
+		}
 	}
 }
 

@@ -52,6 +52,10 @@ func (m *MSSD) TotalFreq() int {
 type Answer struct {
 	// Strata holds, for stratum k of the query, the tuples selected for it.
 	Strata [][]dataset.Tuple
+	// Sizes holds, for stratum k, the population N_k the sample was drawn
+	// from: the rows the pass could draw (after any exclusion). It is nil
+	// where the answer's producer did not count its strata.
+	Sizes []int64
 }
 
 // NewAnswer allocates an answer with one empty slot per stratum.

@@ -399,13 +399,13 @@ func TestSelectionStagesUniformAndExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tally("Q′", counts[0], q[0], []int{4, 6, 9})
+			tally("Q′", counts[0], q[0].Strata, []int{4, 6, 9})
 			res, _, err := SampleSelections(zeroCluster(4), queries, r.Schema(), splits, sels, deficit, chosen, nil, int64(run))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tally("residual 0", counts[1], res[0], []int{3, 0, 5})
-			tally("residual 1", counts[2], res[1], []int{0, 4, 34})
+			tally("residual 0", counts[1], res[0].Strata, []int{3, 0, 5})
+			tally("residual 1", counts[2], res[1].Strata, []int{0, 4, 34})
 		}
 		for id := range chosen[0] {
 			if counts[1][id] != 0 {
@@ -581,7 +581,7 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 			return met, err
 		}, keyed(residual, deficitByKey))
 		run("limits", func() (mapreduce.Metrics, error) {
-			_, met, err := CountSelections(cluster(), queries, r.Schema(), splits, sels, exclude, 11)
+			_, met, err := SampleSelections(cluster(), queries, r.Schema(), splits, sels, nil, nil, exclude, 11)
 			return met, err
 		}, func() (mapreduce.Metrics, error) {
 			job := countReference(sigma, listed, exclude)
@@ -765,9 +765,6 @@ func TestFusedEqualsRowwiseReference(t *testing.T) {
 	}
 }
 
-// sampleJob is the type of every sampling job.
-type sampleJob = mapreduce.Job[dataset.Block, QSKey, refSample, qsOut]
-
 // tallyStage forwards a sampling stage's emissions and adds up the size the
 // shuffle counter owes each: 8 bytes for the key, 8 for N, and the
 // Tuple.ByteSize of every tuple the value references.
@@ -826,7 +823,9 @@ func TestShuffleBytesCountReferencedTuples(t *testing.T) {
 				return buildMQEJob(&naive, r.Schema())
 			},
 			"selections": func() (*sampleJob, error) {
-				return buildSelectionSampleJob(&selectionConfig{jobConfig: *mqe, Selections: sels, Freqs: freqs}, r.Schema())
+				sel := *mqe
+				sel.Selections, sel.Freqs = sels, freqs
+				return buildSelectionSampleJob(&sel, r.Schema())
 			},
 		}
 		for name, build := range builds {

@@ -41,19 +41,26 @@ type refSample struct {
 func (s refSample) ByteSize() int { return 8 + int(s.Bytes) }
 
 // qsOut is one reducer output of a sampling job: the final sample of one
-// stratum of one query, as references into the run's splits.
+// stratum of one query, as references into the run's splits, and N, the
+// stratum's size — the map tasks' N summed, as the unified sampler weighs
+// them (Algorithm 1).
 type qsOut struct {
 	Key  QSKey
 	Rows []rowRef
+	N    int64
 }
+
+// sampleJob is the shape of every job this package runs: blocks in, (key,
+// sample) pairs shuffled, one (sample, N) per key out.
+type sampleJob = mapreduce.Job[dataset.Block, QSKey, refSample, qsOut]
 
 // qsSamplingJob is the sampling job keyed by (vector, class): the fused stage
 // over the scan's class vectors, and the unified-sampler drawing
 // freqs[vector][class] references from the map tasks' samples of a key —
 // the same indexes it would draw over tuples, its randomness being blind to
-// what it draws.
-func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[dataset.Block, QSKey, refSample, qsOut] {
-	return &mapreduce.Job[dataset.Block, QSKey, refSample, qsOut]{
+// what it draws — beside the key's summed N.
+func qsSamplingJob(name string, scan splitScan, freqs [][]int) *sampleJob {
+	return &sampleJob{
 		Name:   name,
 		Mapper: &fusedStage{splitScan: scan, freqs: freqs},
 		Reducer: mapreduce.ReducerFunc[QSKey, refSample, qsOut](
@@ -62,37 +69,51 @@ func qsSamplingJob(name string, scan splitScan, freqs [][]int) *mapreduce.Job[da
 				for i, v := range vs {
 					parts[i] = sampling.Weighted[rowRef]{Sample: v.Rows, N: v.N}
 				}
-				emit(qsOut{Key: k, Rows: sampling.UnifiedSample(parts, freqs[k.Query][k.Stratum], ctx.Rand)})
+				emit(qsOut{Key: k, Rows: sampling.UnifiedSample(parts, freqs[k.Query][k.Stratum], ctx.Rand), N: sampling.TotalN(parts)})
 			}),
 		KeyString: func(k QSKey) string { return fmt.Sprintf("q%04d/s%06d", k.Query, k.Stratum) },
 	}
 }
 
-// samples builds the tuples of a sampling job's outputs from the run's
-// blocks and hands each key's to put: the one place a pass materialises its
-// answer, under whatever lock keeps the blocks still. An output may come
-// from a remote reducer, so a reference outside the blocks is an error.
-func samples(out []qsOut, blocks []dataset.Block, put func(QSKey, []dataset.Tuple)) error {
+// samples builds the answers of a job with frequency table freqs from its
+// outputs and the run's blocks — one per vector v, whose Strata[k] and
+// Sizes[k] are the sample and N of key (v, k): the one place a pass
+// materialises its answer, under whatever lock keeps the blocks still. A key
+// no output names reads (nil, 0). An output may come from a remote reducer,
+// so a key outside the table, a reference outside the blocks, or an N below
+// zero or below the sample's size is an error.
+func samples(out []qsOut, blocks []dataset.Block, freqs [][]int) (query.MultiAnswer, error) {
+	answers := make(query.MultiAnswer, len(freqs))
+	for v, f := range freqs {
+		answers[v] = &query.Answer{Strata: make([][]dataset.Tuple, len(f)), Sizes: make([]int64, len(f))}
+	}
 	for _, o := range out {
-		var sample []dataset.Tuple
+		v, k := o.Key.Query, o.Key.Stratum
+		if v < 0 || v >= len(freqs) || k < 0 || k >= len(freqs[v]) {
+			return nil, fmt.Errorf("stratified: a reduce output names %v, a key the job does not have", o.Key)
+		}
+		if o.N < int64(len(o.Rows)) {
+			return nil, fmt.Errorf("stratified: the reduce output of %v draws %d rows from a stratum of %d", o.Key, len(o.Rows), o.N)
+		}
+		ans := answers[v]
 		if len(o.Rows) > 0 {
-			sample = make([]dataset.Tuple, len(o.Rows))
+			ans.Strata[k] = make([]dataset.Tuple, len(o.Rows))
 		}
 		for i, r := range o.Rows {
 			if r.Split < 0 || int(r.Split) >= len(blocks) || r.Row < 0 || int(r.Row) >= blocks[r.Split].Len() {
-				return fmt.Errorf("stratified: the reduce output of %v names row %d of split %d, outside the run's %d splits",
+				return nil, fmt.Errorf("stratified: the reduce output of %v names row %d of split %d, outside the run's %d splits",
 					o.Key, r.Row, r.Split, len(blocks))
 			}
-			sample[i] = blocks[r.Split].Rows[r.Row]
+			ans.Strata[k][i] = blocks[r.Split].Rows[r.Row]
 		}
-		put(o.Key, sample)
+		ans.Sizes[k] = o.N
 	}
-	return nil
+	return answers, nil
 }
 
 // buildMQEJob constructs the MR-MQE job of the config's query set; a naive
 // config swaps the forwarding stage in for the sampling one.
-func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
+func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
 	classes, err := classifiers(cfg.Queries, schema)
 	if err != nil {
 		return nil, err
@@ -115,17 +136,15 @@ func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, 
 }
 
 // answer runs an MR-SQE or MR-MQE job over the blocks and builds one answer
-// per query, aligned with the queries slice.
-func answer(c *mapreduce.Cluster, job portable[jobConfig, QSKey, refSample, qsOut], queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
+// per query, aligned with the queries slice, each stratum's size beside its
+// sample (0 for a stratum no split matched).
+func answer(c *mapreduce.Cluster, job portable, queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
 	out, met, err := job.run(c, opts.config(schema, queries...), schema, blocks, opts.Seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	answers := make(query.MultiAnswer, len(queries))
-	for qi, q := range queries {
-		answers[qi] = query.NewAnswer(len(q.Strata))
-	}
-	if err := samples(out, blocks, func(k QSKey, sample []dataset.Tuple) { answers[k.Query].Strata[k.Stratum] = sample }); err != nil {
+	answers, err := samples(out, blocks, stratumFreqs(queries))
+	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
 	return answers, met, nil

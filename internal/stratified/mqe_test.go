@@ -138,23 +138,24 @@ func TestSampleSelectionsBasics(t *testing.T) {
 		query.NewSSD("young", query.Stratum{Cond: predicate.MustParse("income < 20"), Freq: 1}),
 	}
 	youngMen, otherMen, women := []int{0, 0}, []int{0, -1}, []int{1, -1}
-	out, _, err := SampleSelections(zeroCluster(3), queries, r.Schema(), splits,
+	answers, _, err := SampleSelections(zeroCluster(3), queries, r.Schema(), splits,
 		[][]int{youngMen, otherMen, women}, [][]int{{4, 0, 7}}, nil, nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || len(out[0][0]) != 4 || len(out[0][2]) != 7 {
-		t.Fatalf("sizes: young men %d, women %d", len(out[0][0]), len(out[0][2]))
+	out := answers[0].Strata
+	if len(answers) != 1 || len(out[0]) != 4 || len(out[2]) != 7 {
+		t.Fatalf("sizes: young men %d, women %d", len(out[0]), len(out[2]))
 	}
-	if out[0][1] != nil {
+	if out[1] != nil {
 		t.Fatal("selection without a frequency must be dropped")
 	}
-	for _, tp := range out[0][0] {
+	for _, tp := range out[0] {
 		if tp.Attrs[0] != 1 || tp.Attrs[1] >= 20 {
 			t.Fatalf("misclassified tuple %v sampled among the young men", tp)
 		}
 	}
-	for _, tp := range out[0][2] {
+	for _, tp := range out[2] {
 		if tp.Attrs[0] != 0 {
 			t.Fatalf("misclassified tuple %v sampled among the women", tp)
 		}
@@ -162,17 +163,20 @@ func TestSampleSelectionsBasics(t *testing.T) {
 }
 
 // TestCountStrataMatchesRelationCount: counting a query's own strata — each the
-// one-query selection naming it — over a skewed layout returns the relation's
-// counts.
+// one-query selection naming it — over a skewed layout, as the selection job
+// drawing nothing, returns the relation's counts and no tuple.
 func TestCountStrataMatchesRelationCount(t *testing.T) {
 	r := genderPop(123, 77)
 	splits, _ := dataset.Partition(r, 3, dataset.Skewed, nil)
-	counts, _, err := CountSelections(zeroCluster(3), []*query.SSD{genderSSD(1, 1)}, r.Schema(), splits, [][]int{{0}, {1}}, nil, 1)
+	counted, _, err := SampleSelections(zeroCluster(3), []*query.SSD{genderSSD(1, 1)}, r.Schema(), splits, [][]int{{0}, {1}}, nil, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts[0] != 123 || counts[1] != 77 {
-		t.Fatalf("counts = %v", counts)
+	if len(counted) != 1 || counted[0].Sizes[0] != 123 || counted[0].Sizes[1] != 77 {
+		t.Fatalf("counts = %v", counted[0].Sizes)
+	}
+	if counted[0].Size() != 0 {
+		t.Fatalf("the limits job drew %v", counted[0].Strata)
 	}
 }
 
@@ -196,8 +200,8 @@ func TestSelectionConfigChecked(t *testing.T) {
 			t.Errorf("%s: sampling job built from a malformed selection config", name)
 		}
 	}
-	if _, _, err := CountSelections(zeroCluster(2), queries, r.Schema(), splits, [][]int{{0, 0, 0}}, nil, 1); err == nil {
-		t.Error("counting job built from a selection of the wrong arity")
+	if _, _, err := SampleSelections(zeroCluster(2), queries, r.Schema(), splits, [][]int{{0, 0, 0}}, nil, nil, nil, 1); err == nil {
+		t.Error("limits job built from a selection of the wrong arity")
 	}
 }
 

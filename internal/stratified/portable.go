@@ -18,28 +18,23 @@ import (
 // mapreduce.ExecuteTask) construct a job with the same builder from the same
 // config, so a task executes identically wherever it lands.
 
-// jobConfig is the config of the makers over the queries' own strata.
-type jobConfig struct {
-	Queries []*query.SSD    `json:"queries"`
-	Fields  []dataset.Field `json:"fields"`
-	Naive   bool            `json:"naive,omitempty"`
-	Exclude []int64         `json:"exclude,omitempty"`
-}
-
-// selectionConfig is the config of the MR-CPS makers over derived strata
-// (selection.go): the ordered stratum selections; for the sampling job,
+// jobConfig is the config of every maker: the queries, the schema's fields,
+// the naive switch and the sorted exclusion set; for the MR-CPS maker over
+// derived strata (selection.go) also the ordered stratum selections,
 // Freqs[v][j] — the sample size of selection j in vector v, 0 meaning v does
-// not sample it — and Chosen[v], the IDs never offered to vector v (absent:
-// none). A type of its own so that an MR-SQE / MR-MQE pass never pays for
-// encoding fields it does not have.
-type selectionConfig struct {
-	jobConfig
-	Selections [][]int   `json:"selections"`
-	Freqs      [][]int   `json:"freqs,omitempty"`
-	Chosen     [][]int64 `json:"chosen,omitempty"`
+// not sample it, no Freqs meaning the limits job that counts every
+// selection — and Chosen[v], the IDs never offered to vector v (absent:
+// none). The derived fields are omitted when empty, so an MR-SQE / MR-MQE
+// config encodes only what it has.
+type jobConfig struct {
+	Queries    []*query.SSD    `json:"queries"`
+	Fields     []dataset.Field `json:"fields"`
+	Naive      bool            `json:"naive,omitempty"`
+	Exclude    []int64         `json:"exclude,omitempty"`
+	Selections [][]int         `json:"selections,omitempty"`
+	Freqs      [][]int         `json:"freqs,omitempty"`
+	Chosen     [][]int64       `json:"chosen,omitempty"`
 }
-
-func (cfg *jobConfig) fields() []dataset.Field { return cfg.Fields }
 
 // config renders the options and queries of a run as its job config, with
 // the exclusion set in sorted order so that a job's config bytes — and with
@@ -52,40 +47,39 @@ func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfi
 }
 
 // portable is one job family: its maker name and the builder both sides use
-// on a config of type C.
-type portable[C any, K comparable, V any, O any] struct {
+// on its config.
+type portable struct {
 	maker string
-	build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Block, K, V, O], error)
+	build func(*jobConfig, *dataset.Schema) (*sampleJob, error)
 }
 
 var (
 	sqeJob          = register("mr-sqe", buildSQEJob)
 	mqeJob          = register("mr-mqe", buildMQEJob)
 	selectionSample = register("mr-selection-sample", buildSelectionSampleJob)
-	selectionCount  = register("mr-selection-count", buildSelectionCountJob)
 )
 
 // register makes a family buildable from a TaskSpec's config bytes in every
 // binary that links this package, coordinator and workers alike.
-func register[C any, K comparable, V any, O any](maker string, build func(*C, *dataset.Schema) (*mapreduce.Job[dataset.Block, K, V, O], error)) portable[C, K, V, O] {
-	mapreduce.RegisterJobMaker(maker, func(config []byte) (*mapreduce.Job[dataset.Block, K, V, O], error) {
-		cfg := new(C)
+func register(maker string, build func(*jobConfig, *dataset.Schema) (*sampleJob, error)) portable {
+	mapreduce.RegisterJobMaker(maker, func(config []byte) (*sampleJob, error) {
+		cfg := new(jobConfig)
 		if err := json.Unmarshal(config, cfg); err != nil {
 			return nil, fmt.Errorf("stratified: decoding job config: %w", err)
 		}
-		schema, err := dataset.NewSchema(any(cfg).(interface{ fields() []dataset.Field }).fields()...)
+		schema, err := dataset.NewSchema(cfg.Fields...)
 		if err != nil {
 			return nil, fmt.Errorf("stratified: rebuilding schema: %w", err)
 		}
 		return build(cfg, schema)
 	})
-	return portable[C, K, V, O]{maker, build}
+	return portable{maker, build}
 }
 
 // run builds the job from cfg, attaches the (maker, config) pair that lets
 // remote workers rebuild it — the config encoded only when the cluster has an
 // executor to ship it — and runs it over the blocks, one map task each.
-func (p portable[C, K, V, O]) run(c *mapreduce.Cluster, cfg *C, schema *dataset.Schema, blocks []dataset.Block, seed int64) ([]O, mapreduce.Metrics, error) {
+func (p portable) run(c *mapreduce.Cluster, cfg *jobConfig, schema *dataset.Schema, blocks []dataset.Block, seed int64) ([]qsOut, mapreduce.Metrics, error) {
 	job, err := p.build(cfg, schema)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err

@@ -13,10 +13,12 @@ import (
 // queries' own: the stratum selections σ ∈ [[Q]]*. σ(t), the maximal
 // selection a tuple satisfies, is the tuple of its classes under the n
 // queries — what the fused scan computes per block — so the derived query Q′,
-// the residual top-up and the limits L(σ) are that scan with one more step
-// before the match lists or counters: look σ(t) up in the job's ordered
-// selection list and use its position as the class. Keys stay dense ints, so
-// the jobs shuffle and reduce like MR-MQE and need no codec of their own.
+// the residual top-up and the limits L(σ) are one job, that scan with one
+// more step before the match lists: look σ(t) up in the job's ordered
+// selection list and use its position as the class. The limits are the job
+// drawing nothing: every reducer output's N is a count. Keys stay dense
+// (vector, position) pairs, so the job shuffles and reduces like MR-MQE and
+// needs no codec of its own.
 
 // SelectionKey packs a stratum selection — per query, a stratum index or -1
 // for none — into a string usable as a map key: two big-endian bytes of
@@ -86,7 +88,7 @@ func (d *selections) apply(sc *classScan, queries [][]int32, rows []dataset.Tupl
 // selectionScan builds the scan of a job over the config's selection list;
 // freqs is the derive step's table, one row per derived vector. The config
 // may have crossed a socket, so every index it holds is checked.
-func selectionScan(cfg *selectionConfig, schema *dataset.Schema, freqs [][]int) (splitScan, error) {
+func selectionScan(cfg *jobConfig, schema *dataset.Schema, freqs [][]int) (splitScan, error) {
 	classes, err := classifiers(cfg.Queries, schema)
 	if err != nil {
 		return splitScan{}, err
@@ -130,45 +132,24 @@ func classifiers(queries []*query.SSD, schema *dataset.Schema) ([]*predicate.Cla
 }
 
 // buildSelectionSampleJob constructs the sampling job over derived strata:
-// MR-MQE's shuffle and reduce, keyed (vector, selection position).
-func buildSelectionSampleJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
-	scan, err := selectionScan(cfg, schema, cfg.Freqs)
+// MR-MQE's shuffle and reduce, keyed (vector, selection position). A config
+// without frequencies is the limits job of Figure 4: one vector classifying
+// every listed selection and drawing 0 of each, named apart so that progress,
+// traces and per-job metrics tell MR-CPS's limits from its draws.
+func buildSelectionSampleJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
+	name, derive, draw := "mr-selection-sample", cfg.Freqs, cfg.Freqs
+	if len(cfg.Freqs) == 0 {
+		every := make([]int, len(cfg.Selections))
+		for j := range every {
+			every[j] = 1
+		}
+		name, derive, draw = "mr-selection-limits", [][]int{every}, [][]int{make([]int, len(cfg.Selections))}
+	}
+	scan, err := selectionScan(cfg, schema, derive)
 	if err != nil {
 		return nil, err
 	}
-	return qsSamplingJob("mr-selection-sample", scan, cfg.Freqs), nil
-}
-
-// stratumCountOut is one output of the counting job.
-type stratumCountOut struct {
-	Stratum int
-	Count   int64
-}
-
-// buildSelectionCountJob constructs the job counting every listed selection:
-// the scan with a counter per position, summed per position by the reducer.
-func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, int, int64, stratumCountOut], error) {
-	every := make([]int, len(cfg.Selections)) // one vector wanting them all
-	for j := range every {
-		every[j] = 1
-	}
-	scan, err := selectionScan(cfg, schema, [][]int{every})
-	if err != nil {
-		return nil, err
-	}
-	return &mapreduce.Job[dataset.Block, int, int64, stratumCountOut]{
-		Name:   "mr-selection-count",
-		Mapper: &countStage{splitScan: scan, classes: len(every)},
-		Reducer: mapreduce.ReducerFunc[int, int64, stratumCountOut](
-			func(_ *mapreduce.TaskContext, k int, vs []int64, emit func(stratumCountOut)) {
-				var sum int64
-				for _, v := range vs {
-					sum += v
-				}
-				emit(stratumCountOut{Stratum: k, Count: sum})
-			}),
-		KeyString: func(k int) string { return fmt.Sprintf("s%06d", k) },
-	}, nil
+	return qsSamplingJob(name, scan, draw), nil
 }
 
 // SampleSelections draws, in one pass, for every vector v and listed
@@ -178,11 +159,18 @@ func buildSelectionCountJob(cfg *selectionConfig, schema *dataset.Schema) (*mapr
 // derived query Q′ with it — one vector, no chosen IDs: MR-SQE over the
 // strata σ, without constructing the conjunctions φ(σ) — and tops up its
 // residual deficits — one vector per survey: MR-MQE over per-survey derived
-// queries. samples[v][j] is nil where freqs[v][j] is 0.
+// queries. It returns one answer per vector whose strata are the listed
+// selections: Strata[j] is nil where freqs[v][j] is 0, and Sizes[j] is how
+// many tuples the sample was drawn from (0 where freqs[v][j] is 0).
+//
+// With no freqs it runs the MapReduce program of Figure 4, MR-CPS's limits
+// L(σ): one vector, drawing nothing, whose Sizes[j] counts the tuples
+// outside exclude whose maximal selection is sels[j].
 func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split,
 	sels [][]int, freqs [][]int, chosen []map[int64]struct{}, exclude map[int64]struct{}, seed int64,
-) ([][][]dataset.Tuple, mapreduce.Metrics, error) {
-	cfg := &selectionConfig{jobConfig: *Options{Exclude: exclude}.config(schema, queries...), Selections: sels, Freqs: freqs}
+) (query.MultiAnswer, mapreduce.Metrics, error) {
+	cfg := Options{Exclude: exclude}.config(schema, queries...)
+	cfg.Selections, cfg.Freqs = sels, freqs
 	for _, ids := range chosen {
 		cfg.Chosen = append(cfg.Chosen, sortedExclude(ids))
 	}
@@ -191,30 +179,12 @@ func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *datase
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	drawn := make([][][]dataset.Tuple, len(freqs))
-	for v := range drawn {
-		drawn[v] = make([][]dataset.Tuple, len(sels))
+	if len(freqs) == 0 { // the limits: one vector drawing nothing
+		freqs = [][]int{make([]int, len(sels))}
 	}
-	if err := samples(out, blocks, func(k QSKey, sample []dataset.Tuple) { drawn[k.Query][k.Stratum] = sample }); err != nil {
-		return nil, mapreduce.Metrics{}, err
-	}
-	return drawn, met, nil
-}
-
-// CountSelections runs the MapReduce program of Figure 4: one pass counting,
-// for every listed selection, the tuples outside exclude whose maximal
-// selection it is — MR-CPS's limits L(σ).
-func CountSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split,
-	sels [][]int, exclude map[int64]struct{}, seed int64,
-) ([]int64, mapreduce.Metrics, error) {
-	cfg := &selectionConfig{jobConfig: *Options{Exclude: exclude}.config(schema, queries...), Selections: sels}
-	out, met, err := selectionCount.run(c, cfg, schema, dataset.Blocks(splits), seed)
+	answers, err := samples(out, blocks, freqs)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	counts := make([]int64, len(sels))
-	for _, o := range out {
-		counts[o.Stratum] = o.Count
-	}
-	return counts, met, nil
+	return answers, met, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 )
@@ -14,42 +15,24 @@ import (
 // distributed algorithms must be statistically equivalent to, and the test
 // oracle for MR-SQE.
 func Sequential(q *query.SSD, r *dataset.Relation, rng *rand.Rand) (*query.Answer, error) {
-	preds, err := q.Compile(r.Schema())
+	answers, err := SequentialMulti([]*query.SSD{q}, r, rng)
 	if err != nil {
 		return nil, err
 	}
-	reservoirs := make([]*sampling.Reservoir[dataset.Tuple], len(q.Strata))
-	for k, s := range q.Strata {
-		reservoirs[k] = sampling.NewReservoir[dataset.Tuple](s.Freq, rng)
-	}
-	tuples := r.Tuples()
-	for i := range tuples {
-		if k := query.MatchStratum(preds, &tuples[i]); k >= 0 {
-			reservoirs[k].Add(tuples[i])
-		}
-	}
-	ans := query.NewAnswer(len(q.Strata))
-	for k, res := range reservoirs {
-		ans.Strata[k] = res.TakeSample()
-	}
-	return ans, nil
+	return answers[0], nil
 }
 
 // SequentialMulti answers several SSD queries in one sequential pass,
-// mirroring MR-MQE; it is the oracle for the multi-query case.
+// mirroring MR-MQE; it is the oracle for the multi-query case. Each answer's
+// sizes are the tuples offered to its strata's reservoirs.
 func SequentialMulti(queries []*query.SSD, r *dataset.Relation, rng *rand.Rand) (query.MultiAnswer, error) {
-	compiled := make([][]func(*dataset.Tuple) bool, len(queries))
+	preds := make([][]predicate.Pred, len(queries))
 	reservoirs := make([][]*sampling.Reservoir[dataset.Tuple], len(queries))
 	for qi, q := range queries {
-		preds, err := q.Compile(r.Schema())
-		if err != nil {
+		var err error
+		if preds[qi], err = q.Compile(r.Schema()); err != nil {
 			return nil, err
 		}
-		fs := make([]func(*dataset.Tuple) bool, len(preds))
-		for i, p := range preds {
-			fs[i] = p
-		}
-		compiled[qi] = fs
 		reservoirs[qi] = make([]*sampling.Reservoir[dataset.Tuple], len(q.Strata))
 		for k, s := range q.Strata {
 			reservoirs[qi][k] = sampling.NewReservoir[dataset.Tuple](s.Freq, rng)
@@ -57,20 +40,18 @@ func SequentialMulti(queries []*query.SSD, r *dataset.Relation, rng *rand.Rand) 
 	}
 	tuples := r.Tuples()
 	for i := range tuples {
-		for qi := range compiled {
-			for k, pred := range compiled[qi] {
-				if pred(&tuples[i]) {
-					reservoirs[qi][k].Add(tuples[i])
-					break
-				}
+		for qi := range queries {
+			if k := query.MatchStratum(preds[qi], &tuples[i]); k >= 0 {
+				reservoirs[qi][k].Add(tuples[i])
 			}
 		}
 	}
 	answers := make(query.MultiAnswer, len(queries))
-	for qi, q := range queries {
-		answers[qi] = query.NewAnswer(len(q.Strata))
-		for k := range q.Strata {
-			answers[qi].Strata[k] = reservoirs[qi][k].TakeSample()
+	for qi, strata := range reservoirs {
+		answers[qi] = query.NewAnswer(len(strata))
+		answers[qi].Sizes = make([]int64, len(strata))
+		for k, res := range strata {
+			answers[qi].Sizes[k], answers[qi].Strata[k] = res.Seen(), res.TakeSample()
 		}
 	}
 	return answers, nil

@@ -12,17 +12,20 @@
 //     that shows what sampling inside the map task saves.
 //   - MR-MQE (Section 5.1): the multi-query extension keyed by (Q_i, s_k)
 //     pairs, answering a whole set of SSD queries in a single pass over R.
-//   - the jobs of MR-CPS (Section 5.2.5) over derived strata — sampling and
-//     counting by stratum selection σ — as the same scan (selection.go).
+//   - the job of MR-CPS (Section 5.2.5) over derived strata — sampling by
+//     stratum selection σ, and counting as sampling that draws nothing — as
+//     the same scan (selection.go).
 //
 // Every job's split is a dataset.Block: a map task scans its own block, and
 // classifies from the block's column mirror when it carries one (a resident
 // population's, handed to Pass) or from its rows otherwise (the splits of
 // RunSQE, RunMQE and the MR-CPS entry points, and any block decoded on a
-// worker). The sampling jobs draw, shuffle and reduce references to rows of
-// the run's blocks, each sample carrying N and its tuples' wire size for the
-// shuffle byte counter; the entry points build the answer's tuples once,
-// from the blocks' rows, after the run.
+// worker). Every job has one shape: it draws, shuffles and reduces
+// references to rows of the run's blocks, each sample carrying N and its
+// tuples' wire size for the shuffle byte counter, and each reducer output
+// keeps its stratum's summed N beside the final sample; the entry points
+// build the answer's tuples once, from the blocks' rows, after the run, and
+// report each stratum's N as its size.
 package stratified
 
 import (
@@ -51,7 +54,7 @@ type Options struct {
 // job with one query, its keys named by stratum alone — the name seeds a
 // key's reduce stream, and an MR-SQE answer does not depend on what else a
 // pass could have carried.
-func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*mapreduce.Job[dataset.Block, QSKey, refSample, qsOut], error) {
+func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
 	if len(cfg.Queries) != 1 {
 		return nil, fmt.Errorf("stratified: MR-SQE answers one query, got %d", len(cfg.Queries))
 	}

@@ -12,10 +12,9 @@ import (
 // Wire codecs for every payload type of the portable jobs registered in
 // portable.go: a split ships as its rows, columnar (TupleBatch), and nothing
 // else — a block's mirror and size column stay with the coordinator's
-// population, and a worker reads the rows it decodes; the two shuffle pair
-// shapes — (query/stratum, row references) for the sampling jobs, (stratum,
-// count) for the counting job — and the two reduce output records get
-// hand-rolled codecs. A sampling job's shuffle and output carry references
+// population, and a worker reads the rows it decodes; the one shuffle pair
+// shape — (query/stratum, (row references, N)) — and the one reduce output
+// record get hand-rolled codecs. A job's shuffle and output carry references
 // into the run's splits, never tuples: the coordinator builds the answer's
 // tuples from its own splits. Registration lives in init alongside the job
 // makers so every binary that can run the jobs also speaks their payload
@@ -30,27 +29,7 @@ func init() {
 		AppendPair: appendRefPair,
 		ReadPair:   readRefPair,
 	})
-	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[int, int64]{
-		AppendPair: func(buf []byte, p mapreduce.Pair[int, int64]) []byte {
-			buf = wire.AppendVarint(buf, int64(p.Key))
-			return wire.AppendVarint(buf, p.Value)
-		},
-		ReadPair: func(r *wire.Reader) (mapreduce.Pair[int, int64], error) {
-			var p mapreduce.Pair[int, int64]
-			p.Key = int(r.Varint())
-			p.Value = r.Varint()
-			return p, r.Err()
-		},
-	})
 	mapreduce.RegisterCodec(mapreduce.RecordsCodec(appendQSOut, readQSOut))
-	mapreduce.RegisterCodec(mapreduce.RecordsCodec(
-		func(buf []byte, o stratumCountOut) []byte {
-			buf = wire.AppendVarint(buf, int64(o.Stratum))
-			return wire.AppendVarint(buf, o.Count)
-		},
-		func(r *wire.Reader) (stratumCountOut, error) {
-			return stratumCountOut{Stratum: int(r.Varint()), Count: r.Varint()}, r.Err()
-		}))
 }
 
 // appendBlock ships a block's rows as one TupleBatch. The rows of a split
@@ -100,12 +79,17 @@ func readRefPair(r *wire.Reader) (p mapreduce.Pair[QSKey, refSample], err error)
 	return p, err
 }
 
+// appendQSOut encodes one reduce output: the key, N, then the references.
+// Whether N can stand for the references is the reader's to check
+// (samples).
 func appendQSOut(buf []byte, o qsOut) []byte {
-	return appendRowRefs(appendQSKey(buf, o.Key), o.Rows)
+	buf = wire.AppendVarint(appendQSKey(buf, o.Key), o.N)
+	return appendRowRefs(buf, o.Rows)
 }
 
 func readQSOut(r *wire.Reader) (o qsOut, err error) {
 	o.Key = readQSKey(r)
+	o.N = r.Varint()
 	o.Rows, err = readRowRefs(r)
 	return o, err
 }

@@ -25,6 +25,14 @@ func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit
 }
 
 func init() {
+	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[int, int64]{
+		AppendPair: func(buf []byte, p mapreduce.Pair[int, int64]) []byte {
+			return wire.AppendVarint(wire.AppendVarint(buf, int64(p.Key)), p.Value)
+		},
+		ReadPair: func(r *wire.Reader) (mapreduce.Pair[int, int64], error) {
+			return mapreduce.Pair[int, int64]{Key: int(r.Varint()), Value: r.Varint()}, r.Err()
+		},
+	})
 	mapreduce.RegisterCodec(mapreduce.RecordsCodec(wire.AppendVarint,
 		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
 	mapreduce.RegisterJobMaker("test-panicky",

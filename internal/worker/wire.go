@@ -15,8 +15,10 @@ import (
 // with any change to the envelope, TaskSpec or TaskResult layout, or to a
 // payload a spec carries (6: buckets ride only the task frames, so the
 // hello lost its shuffle endpoint, a spec its shuffle plan and map-task
-// count, a result its lost flag, direct-byte count and receive wall).
-const wireVersion = 6
+// count, a result its lost flag, direct-byte count and receive wall; 7: a
+// sampling job's reduce output carries its stratum's N, and the counting
+// job's pair and output records are gone).
+const wireVersion = 7
 
 // ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
 var ErrWireVersion = errors.New("worker: wire version mismatch")

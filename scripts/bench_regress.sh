@@ -51,7 +51,12 @@
 # BenchmarkEngine100k/backend=tcp/workers=3) are gated at what the one
 # shuffle route reads, the top of eight runs: buckets ride the task frames,
 # so a worker-to-worker data plane coming back — its listeners, dials and
-# frames — reads as the ≈ 650 and ≈ 1 200 allocs/op it cost there.
+# frames — reads as the ≈ 650 and ≈ 1 200 allocs/op it cost there. They run
+# fifty jobs per op, not one: a lone job's count carries the pool's
+# per-connection start-up and read 1 684–1 843 and 737–764 over eight runs of
+# one tree (a spread near the 10 % margin), where fifty read within 0.5 %;
+# their lines were re-based down to the top of eight fifty-job runs (1 370
+# and 666, from 1 810 and 770).
 # One whole MR-CPS run (BenchmarkCPSRun) is gated because its three
 # derived jobs are fused scans: a per-tuple allocation creeping back in reads
 # as a million allocs/op there. Refresh the baseline intentionally (and
@@ -75,7 +80,8 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
 
 {
   run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkEngineTraced$|BenchmarkShuffleSerialized$|BenchmarkShuffleVolume'
-  run ./internal/worker/ 'BenchmarkEngine/backend=inproc$|BenchmarkEngine/backend=tcp'
+  run ./internal/worker/ 'BenchmarkEngine/backend=inproc$'
+  run ./internal/worker/ 'BenchmarkEngine/backend=tcp' '' 50x
   # Five passes, not one: a GC cycle landing inside a lone measured pass
   # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).
   run ./internal/serve/ 'BenchmarkServePass$' bytes 5x
