@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"slices"
 	"sync"
@@ -20,73 +19,53 @@ import (
 	"repro/internal/serve"
 )
 
-// cmdLoadgen drives a serve daemon with concurrent closed-loop clients and
-// reports achieved QPS plus latency percentiles. With -selfhost it starts an
-// in-process daemon (no network setup needed). Requests set "nocache": true so
-// every query exercises the engine, not the result cache. It drives load and
-// measures nothing else: throughput and latency numbers that are compared
-// across commits come from bench/ (EXPERIMENTS.md "One measurement story").
+// cmdLoadgen drives a serve daemon (-addr) with concurrent closed-loop
+// clients and reports achieved QPS plus latency percentiles. Requests set
+// "nocache": true so every query exercises the engine, not the result cache;
+// mutation batches update members drawn from the IDs the daemon's /healthz
+// reports. It drives load and measures nothing else: throughput and latency
+// numbers that are compared across commits come from bench/ (EXPERIMENTS.md
+// "One measurement story").
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	addr := fs.String("addr", "", "target daemon host:port (mutually exclusive with -selfhost)")
-	selfhost := fs.Bool("selfhost", false, "start an in-process daemon to drive")
+	addr := fs.String("addr", "", "target daemon host:port (a running \"strata serve\")")
 	clients := fs.Int("clients", 32, "concurrent client goroutines")
 	requests := fs.Int("requests", 2000, "total requests across all clients")
 	queries := fs.Int("queries", 8, "distinct query templates cycled by the clients")
-	n := fs.Int("n", 100000, "population size (selfhost)")
-	seed := fs.Int64("seed", 1, "population + partition + sampling seed (selfhost)")
-	slaves := fs.Int("slaves", 4, "cluster slaves per pass (selfhost)")
-	window := fs.Duration("window", 5*time.Millisecond, "batching window (selfhost)")
-	maxBatch := fs.Int("max-batch", 64, "batch size cap (selfhost)")
-	mutate := fs.Float64("mutate", 0, "fraction of requests that are mutation batches (0..1; needs a -live daemon, selfhost enables live mode)")
+	seed := fs.Int64("seed", 1, "sampling seed sent with every query")
+	mutate := fs.Float64("mutate", 0, "fraction of requests that are mutation batches (0..1; needs a -live daemon)")
 	mutBatch := fs.Int("mutate-batch", 8, "mutations per mutation request")
-	staleness := fs.Int("staleness", 0, "staleness bound for live daemons (0 = default)")
 	jsonOut := fs.String("json", "", "write the report as JSON to this file")
-	subUsage(fs, "strata loadgen -addr host:port | -selfhost [flags]")
+	subUsage(fs, "strata loadgen -addr host:port [flags]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*addr == "") == !*selfhost {
-		return fmt.Errorf("loadgen: give exactly one of -addr or -selfhost")
+	if *addr == "" {
+		return fmt.Errorf("loadgen: -addr is required (start a daemon with \"strata serve\")")
 	}
 	if *mutate < 0 || *mutate > 1 {
 		return fmt.Errorf("loadgen: -mutate must be in [0,1]")
 	}
 
+	baseURL := "http://" + *addr
+	popN, err := daemonPopulation(baseURL)
+	if err != nil {
+		return err
+	}
 	report := loadgenReport{
-		Clients: *clients, Requests: *requests, DistinctQueries: *queries,
-		Window: window.String(), MutateRatio: *mutate,
+		Population: popN, Clients: *clients, Requests: *requests, DistinctQueries: *queries,
+		MutateRatio: *mutate,
 	}
 	load := loadSpec{
 		clients: *clients, requests: *requests, queries: *queries, seed: *seed,
-		mutate: *mutate, mutBatch: *mutBatch, popN: *n, schema: gen.AuthorSchema(),
-	}
-	baseURL, label := "http://"+*addr, *addr
-	if *selfhost {
-		fmt.Printf("generating population of %d (seed %d)...\n", *n, *seed)
-		pop := gen.Population(*n, *seed)
-		report.Population = pop.Len()
-		srv, err := serve.NewServer(serve.Config{
-			Population: pop, Slaves: *slaves, PartitionSeed: *seed,
-			Window: *window, MaxBatch: *maxBatch, AdaptiveWindow: true,
-			Live: *mutate > 0, StalenessBound: *staleness,
-			NewCluster: newCluster, OnMetrics: recordMetrics,
-		})
-		if err != nil {
-			return err
-		}
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		defer srv.Drain()
-		defer srv.BeginDrain()
-		baseURL, label = ts.URL, fmt.Sprintf("window=%v", *window)
+		mutate: *mutate, mutBatch: *mutBatch, popN: popN, schema: gen.AuthorSchema(),
 	}
 	run, err := driveLoad(baseURL, load)
 	if err != nil {
 		return err
 	}
 	report.Batched = run
-	printRun(label, run)
+	printRun(*addr, run)
 
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
@@ -101,13 +80,32 @@ func cmdLoadgen(args []string) error {
 	return nil
 }
 
+// daemonPopulation reads the population size the daemon at baseURL reports
+// on /healthz; mutation batches update members with IDs below it.
+func daemonPopulation(baseURL string) (int, error) {
+	resp, err := http.Get(baseURL + "/healthz")
+	if err != nil {
+		return 0, fmt.Errorf("loadgen: %w", err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Population int `json:"population"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		return 0, fmt.Errorf("loadgen: reading /healthz: %w", err)
+	}
+	if hz.Population <= 0 {
+		return 0, fmt.Errorf("loadgen: the daemon at %s reports no population", baseURL)
+	}
+	return hz.Population, nil
+}
+
 // loadgenReport is the -json output shape.
 type loadgenReport struct {
-	Population      int        `json:"population,omitempty"`
+	Population      int        `json:"population"`
 	Clients         int        `json:"clients"`
 	Requests        int        `json:"requests"`
 	DistinctQueries int        `json:"distinct_queries"`
-	Window          string     `json:"window"`
 	MutateRatio     float64    `json:"mutate_ratio,omitempty"`
 	Batched         loadgenRun `json:"batched"`
 }

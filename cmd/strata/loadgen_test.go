@@ -77,13 +77,29 @@ func TestDriveLoadMixed(t *testing.T) {
 	}
 }
 
-// TestLoadgenReportKeys: -selfhost -json writes one run under "batched" and
-// nothing of the retired A/B arms.
+// TestLoadgenReportKeys: "strata loadgen -addr" against a running live
+// daemon of 2 000 members, given no population size, reads it from /healthz:
+// its mutation batches update members that exist, so none is rejected, and
+// -json writes one run under "batched" and nothing of the retired A/B arms
+// or of a self-hosted daemon's window.
 func TestLoadgenReportKeys(t *testing.T) {
+	const popN = 2000
+	srv, err := serve.NewServer(serve.Config{
+		Population: gen.Population(popN, 1), Slaves: 2, PartitionSeed: 1,
+		Window: time.Millisecond, AdaptiveWindow: true, Live: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+	defer srv.BeginDrain()
+
 	path := filepath.Join(t.TempDir(), "report.json")
 	captureStdout(t, func() error {
-		return cmdLoadgen([]string{"-selfhost", "-n", "2000", "-slaves", "2", "-clients", "4",
-			"-requests", "40", "-json", path})
+		return cmdLoadgen([]string{"-addr", strings.TrimPrefix(ts.URL, "http://"), "-clients", "4",
+			"-requests", "100", "-mutate", "0.2", "-json", path})
 	})
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -98,24 +114,31 @@ func TestLoadgenReportKeys(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	want := "batched clients distinct_queries population requests window"
+	want := "batched clients distinct_queries mutate_ratio population requests"
 	if got := strings.Join(keys, " "); got != want {
 		t.Fatalf("report keys %q, want %q", got, want)
+	}
+	if got := string(report["population"]); got != "2000" {
+		t.Fatalf("report population %s, want the daemon's 2000", got)
 	}
 	var run loadgenRun
 	if err := json.Unmarshal(report["batched"], &run); err != nil {
 		t.Fatal(err)
 	}
-	if run.OK != 40 || run.Failed != 0 || run.Stats.Passes == 0 {
-		t.Fatalf("batched run: ok %d failed %d passes %d", run.OK, run.Failed, run.Stats.Passes)
+	if run.OK != 80 || run.Mutations != 20 || run.Failed != 0 || run.Stats.Passes == 0 {
+		t.Fatalf("batched run: ok %d mutations %d failed %d passes %d", run.OK, run.Mutations, run.Failed, run.Stats.Passes)
+	}
+	if live := srv.Stats().Live; live == nil || live.Rejected != 0 || live.Updates == 0 {
+		t.Fatalf("daemon live stats %+v, want updates and 0 rejected mutations", live)
 	}
 }
 
-// TestLoadgenRetiredFlags: the A/B arms are gone, so their flags are unknown
-// and exit 2 like any other.
+// TestLoadgenRetiredFlags: the A/B arms and the self-hosted daemon are gone,
+// so their flags are unknown and exit 2 like any other, before any request.
 func TestLoadgenRetiredFlags(t *testing.T) {
-	for _, f := range []string{"-compare", "-freshness", "-rounds=4"} {
-		out, err := exec.Command(os.Args[0], "loadgen", "-selfhost", f).CombinedOutput()
+	for _, f := range []string{"-compare", "-freshness", "-rounds=4", "-n=2000",
+		"-slaves=2", "-window=5ms", "-max-batch=8", "-staleness=4"} {
+		out, err := exec.Command(os.Args[0], "loadgen", "-addr", "127.0.0.1:1", f).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Fatalf("loadgen %s: err %v, want exit status 2\n%s", f, err, out)

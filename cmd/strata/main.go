@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	strata [-v] [-log level] [-trace spans.jsonl] [-debug-addr addr] [-progress]
+//	strata [-log level] [-trace spans.jsonl] [-debug-addr addr] [-progress]
 //	       [-backend inproc|subprocess|tcp] [-workers n]
 //	       <command> ...
 //
-//	strata generate    -n 10000 [-uniform] [-graph] [-seed 1] [-stats] [-csv]
+//	strata generate    -n 10000 [-uniform] [-graph] [-seed 1] [-csv]
 //	strata sample      -n 10000 -query "nop >= 100 : 5; nop < 100 : 10" [-slaves 4]
 //	                   [-layout contiguous] [-naive] [-estimate ndcc]
 //	strata audit       -n 10000 -query "nop >= 100 : 5; nop < 100 : 10" [-runs 30]
@@ -18,10 +18,10 @@
 //	                   [-waves 3]
 //	strata query       -design design.json [-data pop.csv] [-ip] [-out answers.csv]
 //	strata serve       [-addr localhost:8372] [-n 100000] [-data pop.csv] [-seed 1]
-//	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-cache 1024]
-//	                   [-qps 0 -burst 16] [-drain-timeout 10s]
-//	strata loadgen     -addr host:port | -selfhost [-clients 32] [-requests 2000]
-//	                   [-queries 8] [-window 5ms] [-mutate 0.2] [-json report.json]
+//	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-qps 0 -burst 16]
+//	                   [-live [-staleness 64]] [-drain-timeout 10s]
+//	strata loadgen     -addr host:port [-clients 32] [-requests 2000] [-queries 8]
+//	                   [-mutate 0.2] [-json report.json]
 //	strata trace       [-top 5] spans.jsonl
 //	strata experiments [-run all|table2|figure6|figure7|figure8|optimality|uniform|
 //	                    scaling|scorecard] [-pop 20000] [-samples 100,1000]
@@ -29,9 +29,9 @@
 //	strata worker      -connect host:port [-id name]
 //
 // The serve command keeps the population resident and coalesces SSD queries
-// arriving within -window into a single MR-MQE pass; loadgen drives it with
-// concurrent closed-loop clients and prints achieved QPS plus latency
-// percentiles (DESIGN.md §12). Numbers compared across commits come from
+// arriving within -window into a single MR-MQE pass; loadgen drives a running
+// daemon with concurrent closed-loop clients and prints achieved QPS plus
+// latency percentiles (DESIGN.md §12). Numbers compared across commits come from
 // bench/ ("bash bench/run.sh"), not from loadgen.
 //
 // The -backend flag selects where engine tasks execute: in this process
@@ -41,7 +41,7 @@
 // -connect" process that joins the address it logs (tcp). Job output is
 // byte-for-byte identical across backends for a fixed seed.
 //
-// The global flags configure observability for every command: -v / -log set
+// The global flags configure observability for every command: -log sets
 // the structured-log level, -trace streams one JSON span per engine task to a
 // file ("strata trace" renders it), -progress prints a live per-phase task
 // progress line, and -debug-addr serves /metrics (Prometheus text), /progress

@@ -8,16 +8,18 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
 func TestCmdGenerate(t *testing.T) {
-	if err := cmdGenerate([]string{"-n", "500", "-stats=true"}); err != nil {
+	if err := cmdGenerate([]string{"-n", "500"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdGenerate([]string{"-n", "300", "-uniform"}); err != nil {
@@ -25,6 +27,37 @@ func TestCmdGenerate(t *testing.T) {
 	}
 	if err := cmdGenerate([]string{"-n", "300", "-graph"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenerateCSVReadsBack: "strata generate -csv" writes nothing but the
+// CSV to stdout (its summary goes to stderr), so what it prints reads back
+// through dataset.ReadCSV — as "strata serve -data" reads it — as the
+// population it generated.
+func TestGenerateCSVReadsBack(t *testing.T) {
+	const n, seed = 300, 5
+	cmd := exec.Command(os.Args[0], "generate", "-n", fmt.Sprint(n), "-seed", fmt.Sprint(seed), "-csv")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("generate -csv: %v\n%s", err, stderr.String())
+	}
+	got, err := dataset.ReadCSV(strings.NewReader(string(out)), gen.AuthorSchema())
+	if err != nil {
+		t.Fatalf("reading generate -csv output: %v", err)
+	}
+	want := gen.Population(n, seed)
+	if got.Len() != want.Len() {
+		t.Fatalf("read back %d rows, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if g, w := got.Tuple(i), want.Tuple(i); g.ID != w.ID || g.Name != w.Name || !slices.Equal(g.Attrs, w.Attrs) {
+			t.Fatalf("row %d: read back %+v, generated %+v", i, g, w)
+		}
+	}
+	if !strings.Contains(stderr.String(), fmt.Sprintf("population: %d individuals", n)) {
+		t.Fatalf("no summary on stderr:\n%s", stderr.String())
 	}
 }
 
@@ -268,19 +301,26 @@ func TestCmdQueryCSVExport(t *testing.T) {
 // TestWorkersFlagRefused: a global flag value that cannot work — a worker
 // count no pool can have, an unknown -log level or -backend — is a usage
 // error: the binary names it and exits 2, as for an unknown flag, before any
-// worker starts. Only refused values are tried, so no worker ever starts.
+// worker starts. So is a flag that was deleted (the global debug shorthand,
+// serve's cache size, loadgen's self-hosted daemon, generate's stats
+// switch): it is refused at flag parsing. Only refused values are tried, so
+// no worker, daemon or pass ever starts.
 func TestWorkersFlagRefused(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-backend", "subprocess", "-workers", "-3"}, "-workers -3"},
-		{[]string{"-backend", "subprocess", "-workers", "0"}, "-workers 0"},
-		{[]string{"-backend", "tcp", "-workers", "-1"}, "-workers -1"},
-		{[]string{"-log", "loud"}, `unknown -log level "loud"`},
-		{[]string{"-backend", "carrier-pigeon"}, `unknown -backend "carrier-pigeon"`},
+		{[]string{"-backend", "subprocess", "-workers", "-3", "sample", "-n", "10"}, "-workers -3"},
+		{[]string{"-backend", "subprocess", "-workers", "0", "sample", "-n", "10"}, "-workers 0"},
+		{[]string{"-backend", "tcp", "-workers", "-1", "sample", "-n", "10"}, "-workers -1"},
+		{[]string{"-log", "loud", "sample", "-n", "10"}, `unknown -log level "loud"`},
+		{[]string{"-backend", "carrier-pigeon", "sample", "-n", "10"}, `unknown -backend "carrier-pigeon"`},
+		{[]string{"-v", "sample", "-n", "10"}, "flag provided but not defined: -v"},
+		{[]string{"serve", "-cache", "1"}, "flag provided but not defined: -cache"},
+		{[]string{"loadgen", "-selfhost"}, "flag provided but not defined: -selfhost"},
+		{[]string{"generate", "-stats"}, "flag provided but not defined: -stats"},
 	} {
-		out, err := exec.Command(os.Args[0], append(tc.args, "sample", "-n", "10")...).CombinedOutput()
+		out, err := exec.Command(os.Args[0], tc.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%v: err %v, want exit status 2\n%s", tc.args, err, out)
@@ -288,8 +328,10 @@ func TestWorkersFlagRefused(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%v: output does not name %q:\n%s", tc.args, tc.want, out)
 		}
-		if strings.Contains(string(out), "worker pool started") || strings.Contains(string(out), "stratum 1") {
-			t.Errorf("%v: the command ran:\n%s", tc.args, out)
+		for _, ran := range []string{"worker pool started", "stratum 1", "serving population", "individuals, schema"} {
+			if strings.Contains(string(out), ran) {
+				t.Errorf("%v: the command ran:\n%s", tc.args, out)
+			}
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 // live progress tracker, the optional debug HTTP server, and the metrics
 // accumulated across every job the process runs.
 type obs struct {
-	verbose   bool
 	logLevel  string
 	tracePath string
 	debugAddr string
@@ -34,7 +33,7 @@ type obs struct {
 	backend   string
 	workers   int
 
-	level slog.Level // settled from -v and -log by check
+	level slog.Level // settled from -log by check
 
 	executor mapreduce.Executor
 
@@ -67,7 +66,6 @@ func parseGlobalFlags(args []string) ([]string, error) {
 	// global-flag listing; printing fs.PrintDefaults() too would show the
 	// same flags twice.
 	fs.Usage = usage
-	fs.BoolVar(&globalObs.verbose, "v", false, "debug logging (shorthand for -log debug)")
 	fs.StringVar(&globalObs.logLevel, "log", "", "log level: debug, info, warn or error")
 	fs.StringVar(&globalObs.tracePath, "trace", "", "write engine spans to this JSON-lines `file` (read back with \"strata trace\")")
 	fs.StringVar(&globalObs.debugAddr, "debug-addr", "", "serve /metrics, /progress, /quality, /debug/pprof and /debug/vars on this `addr` (e.g. localhost:6060)")
@@ -100,7 +98,7 @@ func (o *obs) check() error {
 	}
 	o.level = slog.LevelInfo
 	switch {
-	case o.verbose, strings.EqualFold(o.logLevel, "debug"):
+	case strings.EqualFold(o.logLevel, "debug"):
 		o.level = slog.LevelDebug
 	case o.logLevel == "", strings.EqualFold(o.logLevel, "info"):
 		// default

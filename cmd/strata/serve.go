@@ -34,7 +34,6 @@ func cmdServe(args []string) error {
 	layout := fs.String("layout", "contiguous", "data layout across machines: round-robin, contiguous, skewed, shuffled-contiguous")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window (0 = one pass per query)")
 	maxBatch := fs.Int("max-batch", 64, "fire a batch early at this many distinct queries")
-	cacheSize := fs.Int("cache", 1024, "result cache entries")
 	qps := fs.Float64("qps", 0, "per-tenant admission rate in queries/second (0 = unlimited)")
 	burst := fs.Int("burst", 16, "per-tenant token bucket capacity")
 	liveMode := fs.Bool("live", false, "mutable population: enable /v1/mutate + /v1/subscribe and warm standing-query answers")
@@ -74,7 +73,6 @@ func cmdServe(args []string) error {
 		PartitionSeed:  *seed,
 		Window:         *window,
 		MaxBatch:       *maxBatch,
-		CacheSize:      *cacheSize,
 		QuotaQPS:       *qps,
 		QuotaBurst:     *burst,
 		Live:           *liveMode,
@@ -116,7 +114,7 @@ func cmdServe(args []string) error {
 		"splits", effSplits, "max_passes", *maxPasses,
 		"adaptive_window", *adaptiveWindow,
 		"layout", strategy.String(), "window", window.String(), "max_batch", *maxBatch,
-		"cache", *cacheSize, "qps", *qps, "live", *liveMode)
+		"qps", *qps, "live", *liveMode)
 	mode := ""
 	if *liveMode {
 		mode = ", live"

@@ -10,7 +10,7 @@ import (
 // the top-level usage and every subcommand's -h print it, so the list cannot
 // drift per command.
 const globalFlagsHelp = `global flags (before the command):
-  -v, -log <level>          debug logging / explicit level (debug, info, warn, error)
+  -log <level>              log level: debug, info (default), warn or error
   -trace <spans.jsonl>      write one JSON span per engine task ("strata trace" renders it)
   -progress                 live per-phase task progress line on stderr
   -debug-addr <addr>        serve /metrics /progress /quality /debug/pprof /debug/vars

@@ -29,15 +29,15 @@ type PhaseProgress struct {
 	// JobObserver announcement was seen).
 	Done  int `json:"done"`
 	Total int `json:"total,omitempty"`
-	// Failed counts fault-injected attempts that had to be re-executed.
+	// Failed counts attempts that died on a worker (the worker process
+	// exited or its connection broke) and had to be re-executed.
 	Failed  int   `json:"failed,omitempty"`
 	Records int64 `json:"records,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 }
 
 // Straggler flags one task attempt whose simulated duration is an outlier
-// against its phase's median — the speculative-execution candidates of the
-// MapReduce fault model.
+// against its phase's median — the speculative-execution candidates.
 type Straggler struct {
 	Phase     string        `json:"phase"`
 	Task      int           `json:"task"`
@@ -231,7 +231,7 @@ func (j *trackedJob) stragglers(factor float64) []Straggler {
 
 // totals fills the expected unit count of each phase from the announced
 // task counts: map-side phases have one unit per map task, reduce-side one
-// per reducer. Map/reduce totals ignore fault re-attempts (Done counts only
+// per reducer. Map/reduce totals ignore re-attempts (Done counts only
 // successful attempts, so done==total still marks phase completion).
 func (j *trackedJob) totalFor(phase string) int {
 	switch phase {

@@ -36,10 +36,10 @@ type cacheEntry struct {
 	ans *query.Answer
 }
 
+// cacheSize is how many answers a daemon's result cache holds.
+const cacheSize = 1024
+
 func newResultCache(max int) *resultCache {
-	if max < 1 {
-		max = 1
-	}
 	return &resultCache{max: max, order: list.New(), byKey: make(map[cacheKey]*list.Element)}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/query"
 )
 
 // TestConcurrentPassesByteIdentical is the determinism contract of concurrent
@@ -34,7 +34,7 @@ func TestConcurrentPassesByteIdentical(t *testing.T) {
 	pop := gen.Population(popN, 1)
 
 	// collect answers one daemon's worth at a time: 8 distinct entries
-	// (4 specs x 2 seeds) submitted asynchronously IN ORDER — batch arrival
+	// (4 specs x 2 seeds) submitted to the batcher IN ORDER — batch arrival
 	// order fixes the MQE query indexes, so it must be identical across the
 	// two daemons for the comparison to isolate the scheduler — into one
 	// long-window batch that MaxBatch=8 fires as the last entry arrives. Two
@@ -46,57 +46,36 @@ func TestConcurrentPassesByteIdentical(t *testing.T) {
 			MaxPasses: maxPasses,
 		})
 		type pending struct {
-			key    string
-			ticket string
+			key   string
+			q     *query.SSD
+			entry *entry
 		}
-		var tickets []pending
+		var submitted []pending
 		for _, seed := range []int64{seedA, seedB} {
 			for _, spec := range specs {
-				raw, _ := json.Marshal(map[string]any{"query": spec, "seed": seed, "nocache": true, "wait": false})
-				resp, err := http.Post(d.ts.URL+"/v1/sample", "application/json", bytes.NewReader(raw))
+				q, cls, err := d.s.buildQuery(&sampleRequest{Query: spec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("seed %d %q: status %d, want 202", seed, spec, resp.StatusCode)
-				}
-				var sub struct {
-					ID string `json:"id"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				tickets = append(tickets, pending{key: fmt.Sprintf("%d|%s", seed, spec), ticket: sub.ID})
+				e := d.s.batcher.submit(q, canonicalSSD(q, cls), seed, "", 0)
+				submitted = append(submitted, pending{key: fmt.Sprintf("%d|%s", seed, spec), q: q, entry: e})
 			}
 		}
 		answers := make(map[string][]byte)
-		deadline := time.Now().Add(10 * time.Second)
-		for _, p := range tickets {
-			for {
-				resp, err := http.Get(d.ts.URL + "/v1/result?id=" + p.ticket)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode == http.StatusOK {
-					var out sampleResponse
-					if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-						t.Fatal(err)
-					}
-					resp.Body.Close()
-					raw, err := json.Marshal(out.Strata)
-					if err != nil {
-						t.Fatal(err)
-					}
-					answers[p.key] = raw
-					break
-				}
-				resp.Body.Close()
-				if time.Now().After(deadline) {
-					t.Fatalf("result for %s never became ready", p.key)
-				}
-				time.Sleep(time.Millisecond)
+		for _, p := range submitted {
+			select {
+			case <-p.entry.done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("answer for %s never arrived", p.key)
 			}
+			if p.entry.err != nil {
+				t.Fatalf("%s: %v", p.key, p.entry.err)
+			}
+			raw, err := json.Marshal(renderStrata(p.q, p.entry.ans))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[p.key] = raw
 		}
 		if snap := d.s.Stats(); snap.Passes != 2 {
 			t.Errorf("max-passes %d: passes = %d, want 2 (one per seed group)", maxPasses, snap.Passes)

@@ -21,9 +21,9 @@ import (
 // subscriptions. A subscription registers an SSD query with the live
 // population (which maintains per-stratum reservoirs incrementally) and a
 // push trigger — "every N mutations that touch the query" and/or "every T
-// seconds". Pushes are delivered over SSE (GET /v1/stream) or long-poll
-// (GET /v1/next); a slow consumer only ever sees the latest event
-// (latest-wins), never an unbounded backlog.
+// seconds". Pushes are delivered by long-poll (GET /v1/next?id=&after=); a
+// slow consumer only ever sees the latest event (latest-wins), never an
+// unbounded backlog, and resumes past the last push it read with ?after=.
 
 // liveKey names a standing query inside the live population: the canonical
 // query form plus the sampling seed, the same identity the result cache and
@@ -140,8 +140,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req subscribeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, cls, err := s.buildQuery(&req.sampleRequest)
@@ -187,62 +186,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		"every_seconds":   req.EverySeconds,
 		"version":         s.pop.QueryVersion(key),
 	})
-}
-
-// handleStream serves a subscription as Server-Sent Events: each push is one
-// "data:" frame holding a pushEvent; idle periods carry comment heartbeats so
-// intermediaries keep the connection alive. ?after= resumes past a known push
-// sequence (default 0: the latest unseen push arrives immediately).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.Live {
-		httpError(w, http.StatusBadRequest, "live mode disabled (start the daemon with -live)")
-		return
-	}
-	sub, after, ok := s.hub.lookup(w, r)
-	if !ok {
-		return
-	}
-	fl, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Strata-Trace", sub.trace)
-	w.WriteHeader(http.StatusOK)
-	if canFlush {
-		fl.Flush()
-	}
-	enc := json.NewEncoder(w)
-	for {
-		ev, status := sub.wait(r.Context(), after, 15*time.Second)
-		switch status {
-		case waitEvent:
-			if _, err := fmt.Fprintf(w, "data: "); err != nil {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "\n"); err != nil {
-				return
-			}
-			after = ev.Seq
-		case waitTimeout:
-			// Heartbeat comment; also detects a dead client via write error.
-			if _, err := fmt.Fprintf(w, ": heartbeat\n\n"); err != nil {
-				return
-			}
-		case waitClosed:
-			fmt.Fprintf(w, "event: close\ndata: {}\n\n")
-			if canFlush {
-				fl.Flush()
-			}
-			return
-		case waitGone:
-			return
-		}
-		if canFlush {
-			fl.Flush()
-		}
-	}
 }
 
 // handleNext long-polls one push: it returns the first push with sequence
@@ -316,10 +259,9 @@ type subscription struct {
 type waitStatus int
 
 const (
-	waitEvent   waitStatus = iota // a push newer than `after` is available
-	waitTimeout                   // nothing new within the timeout
-	waitClosed                    // the subscription was closed
-	waitGone                      // the client went away
+	waitEvent  waitStatus = iota // a push newer than `after` is available
+	waitNone                     // nothing new within the timeout, or the client went away
+	waitClosed                   // the subscription was closed
 )
 
 // wait blocks until a push with Seq > after exists, the timeout elapses, the
@@ -340,9 +282,9 @@ func (sub *subscription) wait(ctx interface{ Done() <-chan struct{} }, after int
 		select {
 		case <-wake:
 		case <-deadline.C:
-			return nil, waitTimeout
+			return nil, waitNone
 		case <-ctx.Done():
-			return nil, waitGone
+			return nil, waitNone
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -155,6 +153,65 @@ func TestLiveSubscribeMutatePush(t *testing.T) {
 	if ans3, _ := d.post(t, map[string]any{"query": q, "seed": 2}); !ans3.Live {
 		t.Fatal("warm path lost after unsubscribe")
 	}
+
+	// A push per mutation: one insert publishes push 1, whose members count
+	// it, and a long-poll without ?after= reads it.
+	d2 := newLiveDaemon(t, 100)
+	var sub2 struct {
+		Subscription string `json:"subscription"`
+	}
+	if code := d2.postJSON(t, "/v1/subscribe", map[string]any{
+		"query": "gender = 1 : 4 ; gender = 0 : 4", "seed": 3, "every_mutations": 1,
+	}, &sub2); code != http.StatusOK {
+		t.Fatalf("subscribe: status %d", code)
+	}
+	if code := d2.postJSON(t, "/v1/mutate", map[string]any{
+		"op": "insert", "id": 7000, "attrs": []int64{1, 5},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("mutate: status %d", code)
+	}
+	next := func(params string) (*pushEvent, int) {
+		t.Helper()
+		resp, err := http.Get(d2.ts.URL + "/v1/next?id=" + sub2.Subscription + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, resp.StatusCode
+		}
+		var ev pushEvent
+		if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		return &ev, resp.StatusCode
+	}
+	if ev, code := next("&timeout_ms=5000"); code != http.StatusOK || ev.Seq != 1 || ev.Meta[0].Members != 51 {
+		t.Fatalf("next: status %d push %+v, want seq 1 with 51 men", code, ev)
+	}
+
+	// A drain ends every waiter: a long-poll parked past the last push
+	// answers 410.
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(d2.ts.URL + "/v1/next?id=" + sub2.Subscription + "&after=1&timeout_ms=10000")
+		if err != nil {
+			parked <- 0
+			return
+		}
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	time.Sleep(200 * time.Millisecond) // let the long-poll park
+	d2.s.BeginDrain()
+	select {
+	case code := <-parked:
+		if code != http.StatusGone {
+			t.Fatalf("long-poll across a drain: status %d, want 410", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a drain left a long-poll waiting")
+	}
 }
 
 func TestLiveStalenessRepairOverHTTP(t *testing.T) {
@@ -185,58 +242,6 @@ func TestLiveStalenessRepairOverHTTP(t *testing.T) {
 	}
 	if snap.Pushes == 0 || snap.PushP99Usec < 0 {
 		t.Fatalf("pushes %d, want > 0", snap.Pushes)
-	}
-}
-
-func TestLiveSSEStream(t *testing.T) {
-	d := newLiveDaemon(t, 100)
-	var subResp struct {
-		Subscription string `json:"subscription"`
-	}
-	if code := d.postJSON(t, "/v1/subscribe", map[string]any{
-		"query": "gender = 1 : 4 ; gender = 0 : 4", "seed": 3, "every_mutations": 1,
-	}, &subResp); code != http.StatusOK {
-		t.Fatalf("subscribe: status %d", code)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, d.ts.URL+"/v1/stream?id="+subResp.Subscription, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-
-	events := make(chan pushEvent, 4)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var ev pushEvent
-			if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev) == nil {
-				events <- ev
-			}
-		}
-		close(events)
-	}()
-
-	if code := d.postJSON(t, "/v1/mutate", map[string]any{
-		"op": "insert", "id": 7000, "attrs": []int64{1, 5},
-	}, nil); code != http.StatusOK {
-		t.Fatalf("mutate: status %d", code)
-	}
-	ev, ok := <-events
-	if !ok {
-		t.Fatal("stream closed before the push arrived")
-	}
-	if ev.Seq != 1 || ev.Meta[0].Members != 51 {
-		t.Fatalf("push %+v, want seq 1 with 51 men", ev)
 	}
 }
 
@@ -314,15 +319,13 @@ func TestLiveEndpointsRejectWithoutLiveMode(t *testing.T) {
 			t.Fatalf("%s without -live: status %d, want 400", path, code)
 		}
 	}
-	for _, path := range []string{"/v1/stream", "/v1/next"} {
-		resp, err := http.Get(d.ts.URL + path + "?id=x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s without -live: status %d, want 400", path, resp.StatusCode)
-		}
+	resp, err := http.Get(d.ts.URL + "/v1/next?id=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/v1/next without -live: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -686,8 +689,7 @@ func TestExecutorDaemonMatchesInProcess(t *testing.T) {
 
 // TestDeliveryRejectsMalformedNumbers: ?after= and ?timeout_ms= are base-10
 // integers and nothing else — trailing text, an exponent or an empty value
-// is a 400 on both delivery endpoints, not the number's prefix or the
-// default.
+// is a 400 on /v1/next, not the number's prefix or the default.
 func TestDeliveryRejectsMalformedNumbers(t *testing.T) {
 	d := newLiveDaemon(t, 20)
 	var sub struct {
@@ -712,7 +714,6 @@ func TestDeliveryRejectsMalformedNumbers(t *testing.T) {
 		for _, c := range []struct{ path, params string }{
 			{"/v1/next", "&after=" + bad},
 			{"/v1/next", "&after=1&timeout_ms=" + bad},
-			{"/v1/stream", "&after=" + bad},
 		} {
 			if code := get(c.path, c.params); code != http.StatusBadRequest {
 				t.Errorf("%s%s: status %d, want 400", c.path, c.params, code)

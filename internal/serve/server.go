@@ -63,8 +63,6 @@ type Config struct {
 	// and saves more than the wait costs — and always when false, the window
 	// is strict: every batch waits out Window (or MaxBatch).
 	AdaptiveWindow bool
-	// CacheSize bounds the result cache (answers). Defaults to 1024.
-	CacheSize int
 	// QuotaQPS and QuotaBurst configure the per-tenant token bucket
 	// (tokens/second and bucket capacity). QuotaQPS <= 0 disables quotas.
 	QuotaQPS   float64
@@ -72,7 +70,7 @@ type Config struct {
 
 	// Live makes the population mutable: POST /v1/mutate ingests a mutation
 	// log, POST /v1/subscribe registers standing queries with push triggers
-	// (delivered on /v1/stream and /v1/next), a /v1/sample matching a
+	// (delivered on /v1/next), a /v1/sample matching a
 	// registered query answers warm from its incrementally maintained
 	// reservoirs, POST /v1/epoch also rebalances the splits, and /v1/stats and
 	// /metrics carry the live counters. It does not change how a pass reads
@@ -108,16 +106,13 @@ type Config struct {
 // Endpoints:
 //
 //	POST /v1/sample    submit a query ({"query": "cond : freq ; ...",
-//	                   "seed": 1}); blocks for the answer unless "wait": false,
-//	                   which returns {"id": ...} for later polling
-//	GET  /v1/result    poll an async answer (?id=...)
+//	                   "seed": 1}) and block for the answer
 //	GET  /v1/stats     service counters as JSON
 //	POST /v1/epoch     bump the population epoch; returns the new epoch and
 //	                   how many cached answers the bump dropped
 //	POST /v1/mutate    (live mode) apply a mutation-log batch
 //	POST /v1/subscribe (live mode) register a standing query with a push
 //	                   trigger; DELETE with ?id= unsubscribes
-//	GET  /v1/stream    (live mode) SSE stream of a subscription's pushes
 //	GET  /v1/next      (live mode) long-poll one push (?id=&after=)
 //	GET  /metrics      engine + service metrics, Prometheus text format
 //	GET  /healthz      liveness: population size, epoch, draining flag
@@ -142,8 +137,6 @@ type Server struct {
 
 	metMu sync.Mutex
 	met   mapreduce.Metrics
-
-	tickets *ticketStore
 }
 
 // NewServer partitions the population into a live.Population — which mirrors
@@ -166,9 +159,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxPasses <= 0 {
 		cfg.MaxPasses = 2 * runtime.GOMAXPROCS(0)
 	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 1024
-	}
 	if cfg.NewCluster == nil {
 		cfg.NewCluster = mapreduce.NewCluster
 	}
@@ -186,8 +176,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		schema:  schema,
 		stats:   newStats(),
-		cache:   newResultCache(cfg.CacheSize),
-		tickets: newTicketStore(),
+		cache:   newResultCache(cacheSize),
 		started: time.Now(),
 	}
 	if cfg.QuotaQPS > 0 {
@@ -223,12 +212,10 @@ func NewServer(cfg Config) (*Server, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/sample", s.handleSample)
-	mux.HandleFunc("/v1/result", s.handleResult)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/epoch", s.handleEpoch)
 	mux.HandleFunc("/v1/mutate", s.handleMutate)
 	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("/v1/stream", s.handleStream)
 	mux.HandleFunc("/v1/next", s.handleNext)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -296,7 +283,7 @@ func (s *Server) cacheEntries() int64 {
 
 // BeginDrain makes every subsequent submission fail with 503, fires the
 // collecting batch immediately so blocked requests resolve fast, and closes
-// every subscription stream.
+// every subscription, so each long-poll waiting on one answers 410.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 	s.batcher.flush()
@@ -322,7 +309,8 @@ func (s *Server) recordMetrics(m mapreduce.Metrics) {
 
 // sampleRequest is the JSON body of POST /v1/sample. The query can be given
 // either as the CLI text form ("query") or as structured strata; "seed"
-// defaults to 1, matching "strata sample".
+// defaults to 1, matching "strata sample". A body naming any other field is
+// refused (decodeBody).
 type sampleRequest struct {
 	Name   string `json:"name,omitempty"`
 	Query  string `json:"query,omitempty"`
@@ -331,7 +319,6 @@ type sampleRequest struct {
 		Freq int    `json:"freq"`
 	} `json:"strata,omitempty"`
 	Seed    *int64 `json:"seed,omitempty"`
-	Wait    *bool  `json:"wait,omitempty"`
 	NoCache bool   `json:"nocache,omitempty"`
 }
 
@@ -344,7 +331,7 @@ type stratumResult struct {
 	Individuals []string `json:"individuals"`
 }
 
-// sampleResponse is the JSON answer of POST /v1/sample and GET /v1/result.
+// sampleResponse is the JSON answer of POST /v1/sample.
 // Live/Version/LiveMeta appear only on answers served warm from a standing
 // query's reservoirs.
 type sampleResponse struct {
@@ -385,8 +372,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sampleRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, cls, err := s.buildQuery(&req)
@@ -446,17 +432,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 
 	e := s.batcher.submit(q, canon, seed, trace, reqSpan)
-	if req.Wait != nil && !*req.Wait {
-		id, err := s.tickets.add(&ticket{entry: e, q: q, seed: seed, epoch: epoch, start: start, trace: trace})
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": "pending", "trace": trace})
-		return
-	}
 	select {
 	case <-e.done:
 	case <-r.Context().Done():
@@ -592,39 +567,6 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp *sampleResponse) {
 	s.stats.observeWire(time.Since(t0))
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "missing id")
-		return
-	}
-	t, ok := s.tickets.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown or already-collected id %q", id)
-		return
-	}
-	select {
-	case <-t.entry.done:
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": "pending"})
-		return
-	}
-	s.tickets.remove(id)
-	w.Header().Set("X-Strata-Trace", t.trace)
-	if t.entry.err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", t.entry.err)
-		return
-	}
-	e := t.entry
-	s.stats.observeAttribution(e.firedAt.Sub(t.start), e.passStart.Sub(e.firedAt), e.passEnd.Sub(e.passStart))
-	s.respond(w, t.q, t.seed, t.epoch, t.trace, e.ans, false, t.start)
-	// The async request span closes at collection time: its Wall covers
-	// submission through pickup, which is what the client experienced.
-	s.emitRequestTrace(t.trace, requestSpanID(t.trace), t.start, 0, e)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -696,73 +638,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// decodeBody decodes a request body of at most 1 MB into v, refusing any
+// field v does not read: a client spelling a field the daemon ignores gets a
+// 400 rather than an answer to a request it did not make. It writes the error
+// response itself and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// ticketStore holds async submissions awaiting collection. Tickets are
-// deleted on first successful read; uncollected tickets expire after
-// ticketTTL. The store caps outstanding tickets so an abandoning client
-// cannot grow it without bound.
-type ticketStore struct {
-	mu      sync.Mutex
-	byID    map[string]*ticket
-	queue   []ticketAge // insertion order, for expiry
-	maxSize int
-}
-
-type ticket struct {
-	entry *entry
-	q     *query.SSD
-	seed  int64
-	epoch int64
-	start time.Time
-	trace string
-}
-
-type ticketAge struct {
-	id      string
-	created time.Time
-}
-
-const ticketTTL = 10 * time.Minute
-
-func newTicketStore() *ticketStore {
-	return &ticketStore{byID: make(map[string]*ticket), maxSize: 4096}
-}
-
-func (ts *ticketStore) add(t *ticket) (string, error) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	now := time.Now()
-	for len(ts.queue) > 0 && now.Sub(ts.queue[0].created) > ticketTTL {
-		delete(ts.byID, ts.queue[0].id)
-		ts.queue = ts.queue[1:]
-	}
-	if len(ts.byID) >= ts.maxSize {
-		return "", fmt.Errorf("too many outstanding async results (%d)", len(ts.byID))
-	}
-	buf := make([]byte, 12)
-	if _, err := cryptorand.Read(buf); err != nil {
-		return "", err
-	}
-	id := hex.EncodeToString(buf)
-	ts.byID[id] = t
-	ts.queue = append(ts.queue, ticketAge{id: id, created: now})
-	return id, nil
-}
-
-func (ts *ticketStore) get(id string) (*ticket, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t, ok := ts.byID[id]
-	return t, ok
-}
-
-func (ts *ticketStore) remove(id string) {
-	ts.mu.Lock()
-	delete(ts.byID, id)
-	ts.mu.Unlock()
 }

@@ -330,58 +330,50 @@ func TestQuotaRejectsOverBudgetTenant(t *testing.T) {
 	}
 }
 
-func TestAsyncSubmitAndPoll(t *testing.T) {
-	pop := gen.Population(1000, 1)
+// TestOneRoutePerAnswer: an answer is the blocking reply to POST /v1/sample
+// and a push is read by long-poll on /v1/next, so the async ticket route and
+// the event stream answer 404; a body naming a field the daemon does not
+// read — "wait" included — is a 400 on /v1/sample and /v1/subscribe, and
+// none of these requests counts a query, buys a pass or registers a
+// standing query.
+func TestOneRoutePerAnswer(t *testing.T) {
 	d := newTestDaemon(t, Config{
-		Population: pop, Slaves: 2, Layout: dataset.Contiguous, PartitionSeed: 1, Window: 0,
+		Population: livePopulation(200), Slaves: 2, Layout: dataset.RoundRobin,
+		Window: 0, Live: true,
 	})
-	raw, _ := json.Marshal(map[string]any{"query": "nop >= 30 : 3", "wait": false})
-	resp, err := http.Post(d.ts.URL+"/v1/sample", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	if _, code := d.post(t, map[string]any{"query": "gender = 1 : 2"}); code != http.StatusOK {
+		t.Fatalf("sample: status %d", code)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	before, queriesBefore := d.s.Stats(), d.s.pop.Stats().Queries
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(d.ts.URL + "/v1/result?id=" + sub.ID)
+	for _, path := range []string{"/v1/result?id=x", "/v1/stream?id=x"} {
+		resp, err := http.Get(d.ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode == http.StatusOK {
-			var out sampleResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if len(out.Strata) != 1 || out.Strata[0].Count != 3 {
-				t.Fatalf("async answer malformed: %+v", out)
-			}
-			break
-		}
 		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("async result never became ready")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	// The ticket is collected on read.
-	resp2, err := http.Get(d.ts.URL + "/v1/result?id=" + sub.ID)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/v1/sample", "/v1/subscribe"} {
+		for _, body := range []map[string]any{
+			{"query": "gender = 0 : 2", "wait": false},
+			{"query": "gender = 0 : 2", "sede": 7},
+		} {
+			if code := d.postJSON(t, path, body, nil); code != http.StatusBadRequest {
+				t.Errorf("POST %s %v: status %d, want 400", path, body, code)
+			}
+		}
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("re-poll after collection: status %d, want 404", resp2.StatusCode)
+
+	after := d.s.Stats()
+	if after.Queries != before.Queries || after.Passes != before.Passes || after.Subscriptions != 0 {
+		t.Errorf("refused requests moved the counters: queries %d -> %d, passes %d -> %d, subscriptions %d",
+			before.Queries, after.Queries, before.Passes, after.Passes, after.Subscriptions)
+	}
+	if q := d.s.pop.Stats().Queries; q != queriesBefore {
+		t.Errorf("refused subscriptions registered standing queries: %d -> %d", queriesBefore, q)
 	}
 }
 

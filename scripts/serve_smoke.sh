@@ -11,7 +11,9 @@
 #   4. SIGTERM drains gracefully;
 #   5. with default flags (work-conserving window) the first query fires
 #      alone and the rest ride the batch behind it: at most 2 passes, every
-#      answer still byte-identical to `strata sample`.
+#      answer still byte-identical to `strata sample`;
+#   6. `strata loadgen -addr` drives that same daemon: 200 ok, 0 failed, and
+#      its report carries the pass attribution and a 10-point QPS timeline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,21 +108,6 @@ PY
 }
 check_cli_identity "$tmp/resp"
 
-echo "== loadgen -selfhost (the load driver runs and its report is whole)"
-# No floor: throughput is measured and gated by bench/ (adhoc_1e5). This
-# checks that the driver completes against a warm daemon and that the report
-# carries the pass-attribution block and the QPS timeline.
-"$tmp/strata" loadgen -selfhost -n "$POP" -seed "$SEED" -slaves "$SLAVES" \
-  -clients 8 -requests 200 -json "$tmp/loadgen.json" >"$tmp/loadgen.out"
-python3 - "$tmp/loadgen.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))["batched"]
-assert r["ok"] == 200 and r["failed"] == 0, f"want 200 ok / 0 failed, got {r['ok']} / {r['failed']}"
-assert r["daemon_stats"].get("latency_attribution"), "no pass attribution in report"
-assert len(r.get("qps_timeline", [])) == 10, "missing QPS timeline"
-print(f"ok: {r['ok']} requests answered, attribution + timeline present")
-PY
-
 echo "== graceful drain on SIGTERM"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero on SIGTERM"; exit 1; }
@@ -141,6 +128,22 @@ print(f"ok: {s['passes']} passes, {s.get('adaptive_fires', 0)} early fires, "
       f"{s['cache_hits']} cache hits for {s['queries']} queries")
 PY
 check_cli_identity "$tmp/wc"
+
+echo "== loadgen -addr against the default-flags daemon (the load driver runs and its report is whole)"
+# No floor: throughput is measured and gated by bench/ (adhoc_1e5). This
+# checks that the driver completes against the daemon and that the report
+# carries the pass-attribution block and the QPS timeline.
+"$tmp/strata" loadgen -addr "$base" -seed "$SEED" \
+  -clients 8 -requests 200 -json "$tmp/loadgen.json" >"$tmp/loadgen.out"
+python3 - "$tmp/loadgen.json" <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))["batched"]
+assert r["ok"] == 200 and r["failed"] == 0, f"want 200 ok / 0 failed, got {r['ok']} / {r['failed']}"
+assert r["daemon_stats"].get("latency_attribution"), "no pass attribution in report"
+assert len(r.get("qps_timeline", [])) == 10, "missing QPS timeline"
+print(f"ok: {r['ok']} requests answered, attribution + timeline present")
+PY
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: default-flag daemon exited non-zero on SIGTERM"; exit 1; }
 
