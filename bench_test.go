@@ -9,7 +9,11 @@
 //	BenchmarkFigure8/*     — LP formulate+solve seconds            (Figure 8)
 //	BenchmarkOptimality/*  — residual fraction, C_A/C_IP           (§6.2.2)
 //	BenchmarkUniform/*     — cost ratio on the uniform dataset     (§6.2.1)
-//	BenchmarkAblation*     — combiner, LP decomposition, layout
+//	BenchmarkAblation*     — combiner, layout
+//
+// The LP-decomposition ablation (per-σ blocks against the joint Figure 3
+// program) lives beside the joint reference it times:
+// go test ./internal/cps -bench AblationLPDecomposition.
 package repro_test
 
 import (
@@ -255,37 +259,6 @@ func BenchmarkAblationCombiner(b *testing.B) {
 				shuffled += float64(met.ShuffleRecords)
 			}
 			b.ReportMetric(shuffled/float64(b.N), "shuffle-records")
-		})
-	}
-}
-
-// BenchmarkAblationLPDecomposition compares the per-σ decomposed LP (the
-// default) against the joint Figure 3 formulation: identical optimum, very
-// different tableau sizes.
-func BenchmarkAblationLPDecomposition(b *testing.B) {
-	w := buildBenchWorkload(b, gen.Medium, 400)
-	cluster := benchCluster(10)
-	for _, joint := range []bool{false, true} {
-		name := "decomposed"
-		if joint {
-			name = "joint"
-		}
-		b.Run(name, func(b *testing.B) {
-			var lpSec, obj float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := cps.Run(cluster, w.mssd, w.schema, w.splits, cps.Options{
-					Seed:  int64(i),
-					Solve: cps.SolveOptions{Joint: joint},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lpSec += res.LP.SolveTime.Seconds()
-				obj += res.LP.Objective
-			}
-			b.ReportMetric(lpSec/float64(b.N), "LP-sec")
-			b.ReportMetric(obj/float64(b.N), "LP-objective-$")
 		})
 	}
 }

@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cps"
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/mapreduce"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
@@ -187,6 +191,77 @@ func TestCmdMSSD(t *testing.T) {
 	}
 	if err := cmdMSSD([]string{"-group", "Nope"}); err == nil {
 		t.Fatal("want unknown-group error")
+	}
+}
+
+// TestCmdMSSDWavesHonourIPAndExplain: a campaign wave solves the program
+// -ip asks for and -explain prints its plan. At this seed the integer program
+// and the LP relaxation realise different costs, so the wave's cost line must
+// be the one of a direct integer-mode cps.Run at the wave's seed.
+func TestCmdMSSDWavesHonourIPAndExplain(t *testing.T) {
+	const n, seed, sample = 5000, 3, 32
+	got := captureStdout(t, func() error {
+		return cmdMSSD([]string{"-group", "Large", "-n", fmt.Sprint(n), "-seed", fmt.Sprint(seed),
+			"-sample", fmt.Sprint(sample), "-slaves", "2", "-waves", "1", "-ip", "-explain"})
+	})
+
+	pop := gen.Population(n, seed)
+	rng := rand.New(rand.NewSource(seed + 99))
+	queries, err := gen.QueryGroup(gen.Large, pop, sample, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := gen.DefaultPenaltyTable(gen.Large.N, rng)
+	m := query.NewMSSD(costs, queries...)
+	splits, err := dataset.Partition(pop, 20, dataset.Contiguous, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waveLine := func(integer bool) string {
+		res, err := cps.Run(mapreduce.NewCluster(2), m, pop.Schema(), splits, cps.Options{
+			Seed: seed, Solve: cps.SolveOptions{Integer: integer},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("wave 1: cost $%.0f, %d unique individuals (campaign total %d)\n",
+			res.Answers.Cost(costs), res.Answers.UniqueIndividuals(), res.Answers.UniqueIndividuals())
+	}
+	ip, relaxed := waveLine(true), waveLine(false)
+	if ip == relaxed {
+		t.Fatalf("IP and LP realise the same wave (%q): the check cannot tell them apart", ip)
+	}
+	if !strings.Contains(got, ip) {
+		t.Errorf("-waves 1 -ip printed\n%s\nwant the integer-mode line %q", got, ip)
+	}
+	if !strings.Contains(got, "sharing plan of the last wave:\n  {") {
+		t.Errorf("-waves 1 -explain printed no plan line:\n%s", got)
+	}
+}
+
+// lpTimeLine matches the wall-clock part of mssd's pipeline-time line.
+var lpTimeLine = regexp.MustCompile(`LP time: .*`)
+
+// TestCmdMSSDGolden: `strata mssd` prints the bytes of the binary that still
+// carried a joint formulation, a warm-start store and a parallelism knob beside
+// the per-σ solve — campaign waves, repeated runs with the sharing plan, and
+// the same under the integer program. The LP time is wall clock and masked.
+func TestCmdMSSDGolden(t *testing.T) {
+	args := []string{"-n", "3000", "-group", "Small", "-sample", "32", "-slaves", "2"}
+	for golden, extra := range map[string][]string{
+		"mssd_waves.golden":      {"-waves", "3"},
+		"mssd_explain.golden":    {"-runs", "2", "-explain"},
+		"mssd_explain_ip.golden": {"-runs", "2", "-explain", "-ip"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := captureStdout(t, func() error { return cmdMSSD(append(args[:len(args):len(args)], extra...)) })
+		got = lpTimeLine.ReplaceAllString(got, "LP time: (masked)")
+		if got != string(want) {
+			t.Errorf("%s: output moved\n--- got\n%s--- want\n%s", golden, got, want)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func cmdMSSD(args []string) error {
 	sample := fs.Int("sample", 100, "per-SSD sample size")
 	runs := fs.Int("runs", 5, "repetitions to average")
 	integer := fs.Bool("ip", false, "solve the exact integer program instead of the LP relaxation")
-	explain := fs.Bool("explain", false, "print the solved sharing plan of the last run")
+	explain := fs.Bool("explain", false, "print the solved sharing plan of the last run or wave")
 	waves := fs.Int("waves", 0, "instead of repeated runs, run this many campaign waves with cross-wave exclusion")
 	subUsage(fs, `strata mssd [-n 20000] [-group Small] [-sample 100] [-runs 5] [-ip] [-explain] [-waves 3]`)
 	if err := fs.Parse(args); err != nil {
@@ -59,16 +59,20 @@ func cmdMSSD(args []string) error {
 		group.Name, group.N, group.StrataPerSSD(), *sample, *n, *slaves)
 	fmt.Printf("penalised pairs: %d of %d\n\n", len(costs.Penalties), group.N*(group.N-1)/2)
 
+	solve := cps.SolveOptions{Integer: *integer}
 	if *waves > 0 {
 		camp := cps.NewCampaign(cluster, pop.Schema(), splits)
 		for w := 0; w < *waves; w++ {
-			res, err := camp.RunWave(m, cps.Options{Seed: *seed + int64(w)*7919})
+			res, err := camp.RunWave(m, cps.Options{Seed: *seed + int64(w)*7919, Solve: solve})
 			if err != nil {
 				return err
 			}
 			recordMetrics(res.Metrics)
 			fmt.Printf("wave %d: cost $%.0f, %d unique individuals (campaign total %d)\n",
 				w+1, res.Answers.Cost(costs), res.Answers.UniqueIndividuals(), camp.TotalSurveyed())
+		}
+		if *explain {
+			printPlan("last wave", camp.Waves[len(camp.Waves)-1])
 		}
 		return nil
 	}
@@ -82,7 +86,7 @@ func cmdMSSD(args []string) error {
 	for run := 0; run < *runs; run++ {
 		res, err := cps.Run(cluster, m, pop.Schema(), splits, cps.Options{
 			Seed:  *seed + int64(run)*7919,
-			Solve: cps.SolveOptions{Integer: *integer},
+			Solve: solve,
 		})
 		if err != nil {
 			return err
@@ -111,10 +115,15 @@ func cmdMSSD(args []string) error {
 		fmt.Printf("  i=%d: %5.1f%%\n", i, 100*hist[i]/histTotal)
 	}
 	if *explain && last != nil {
-		fmt.Println("\nsharing plan of the last run:")
-		for _, line := range last.Plan.Describe(last.Stats) {
-			fmt.Println("  " + line)
-		}
+		printPlan("last run", last)
 	}
 	return nil
+}
+
+// printPlan prints the solved sharing plan of one MR-CPS result (-explain).
+func printPlan(of string, res *cps.Result) {
+	fmt.Printf("\nsharing plan of the %s:\n", of)
+	for _, line := range res.Plan.Describe(res.Stats) {
+		fmt.Println("  " + line)
+	}
 }

@@ -20,9 +20,6 @@ type Campaign struct {
 	Surveyed map[int64]struct{}
 	// Waves holds each wave's result, in order.
 	Waves []*Result
-	// warm carries solved constraint-program blocks between waves, installed
-	// into each wave's SolveOptions unless the caller supplied their own.
-	warm *WarmStart
 }
 
 // NewCampaign prepares a campaign over the distributed population.
@@ -47,12 +44,6 @@ func (c *Campaign) RunWave(m *query.MSSD, opts Options) (*Result, error) {
 		merged[id] = struct{}{}
 	}
 	opts.Exclude = merged
-	if opts.Solve.WarmStart == nil && !opts.Solve.Integer && !opts.Solve.Joint {
-		if c.warm == nil {
-			c.warm = NewWarmStart()
-		}
-		opts.Solve.WarmStart = c.warm
-	}
 	res, err := Run(c.cluster, m, c.schema, c.splits, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cps: wave %d: %w", len(c.Waves)+1, err)

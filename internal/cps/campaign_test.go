@@ -1,6 +1,9 @@
 package cps
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestCampaignWavesDisjoint(t *testing.T) {
 	r := testPop(900)
@@ -61,6 +64,52 @@ func TestCampaignMergesCallerExclusions(t *testing.T) {
 	for id := range res.Answers.Assignments() {
 		if _, banned := ban[id]; banned {
 			t.Fatalf("banned individual %d surveyed", id)
+		}
+	}
+}
+
+// TestCampaignWaveEqualsRunWithExclusions: a campaign wave is an MR-CPS run
+// with the accumulated exclusion set and nothing more — bit-identical LP
+// objective, equal program size, plan and answers to a Run that replicates
+// RunWave's exclusion bookkeeping by hand.
+func TestCampaignWaveEqualsRunWithExclusions(t *testing.T) {
+	r := testPop(900)
+	m := example6MSSD(8, 8, 8, 8)
+	splits := splitsOf(t, r, 3)
+	camp := NewCampaign(zcluster(3), r.Schema(), splits)
+	surveyed := make(map[int64]struct{})
+
+	for wave := 0; wave < 3; wave++ {
+		waveRes, err := camp.RunWave(m, Options{Seed: int64(wave) * 101})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exclude := make(map[int64]struct{}, len(surveyed))
+		for id := range surveyed {
+			exclude[id] = struct{}{}
+		}
+		runRes, err := Run(zcluster(3), m, r.Schema(), splits, Options{
+			Seed: int64(wave) * 101, Exclude: exclude,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range runRes.Answers.Assignments() {
+			surveyed[id] = struct{}{}
+		}
+
+		if waveRes.LP.Objective != runRes.LP.Objective {
+			t.Errorf("wave %d: objective %x, run %x", wave, waveRes.LP.Objective, runRes.LP.Objective)
+		}
+		if waveRes.LP.Vars != runRes.LP.Vars || waveRes.LP.Constraints != runRes.LP.Constraints {
+			t.Errorf("wave %d: program %d×%d, run %d×%d", wave,
+				waveRes.LP.Vars, waveRes.LP.Constraints, runRes.LP.Vars, runRes.LP.Constraints)
+		}
+		if !reflect.DeepEqual(waveRes.Plan.Assign, runRes.Plan.Assign) {
+			t.Errorf("wave %d: wave and run plans differ", wave)
+		}
+		if !reflect.DeepEqual(waveRes.Answers, runRes.Answers) {
+			t.Errorf("wave %d: wave and run answers differ", wave)
 		}
 	}
 }

@@ -173,34 +173,6 @@ func TestCPSPlanInvariants(t *testing.T) {
 	}
 }
 
-func TestJointAndDecomposedLPAgree(t *testing.T) {
-	r := testPop(500)
-	m := example6MSSD(8, 9, 10, 7)
-	compiled, _ := CompileQueries(m.Queries, r.Schema())
-	initial, _, err := stratified.RunMQE(zcluster(2), m.Queries, r.Schema(), splitsOf(t, r, 2), stratified.Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsQ := CollectFrequencies(m.Queries, initial, compiled)
-	if _, err := CountLimitsInMemory(r, compiled, statsQ.Entries); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := SolvePlan(statsQ, m.Costs, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := SolvePlan(statsQ, m.Costs, SolveOptions{Joint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := dec.Objective - joint.Objective; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("decomposed %g vs joint %g", dec.Objective, joint.Objective)
-	}
-	if dec.Vars != joint.Vars {
-		t.Fatalf("vars %d vs %d", dec.Vars, joint.Vars)
-	}
-}
-
 func TestLPLowerBoundsIPLowerBoundsRealised(t *testing.T) {
 	r := testPop(500)
 	m := example6MSSD(8, 9, 10, 7)

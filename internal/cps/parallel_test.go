@@ -67,13 +67,13 @@ func wideStats(t testing.TB, n int) (*Stats, *query.MSSD) {
 	return statsQ, m
 }
 
-// The parallel decomposed solve must be indistinguishable from the serial
-// one: same assignments, same program sizes, and a byte-identical Objective —
-// the fold walks blocks in sorted key order precisely so float summation
-// order never depends on goroutine scheduling.
+// The decomposed solve must read the same at every pool width: same
+// assignments, same program sizes, and a byte-identical Objective — the fold
+// walks blocks in sorted key order precisely so float summation order never
+// depends on goroutine scheduling.
 func TestDecomposedParallelDeterministic(t *testing.T) {
 	statsQ, m := wideStats(t, 2000)
-	serial, err := SolvePlan(statsQ, m.Costs, SolveOptions{Parallelism: 1})
+	serial, err := solve(statsQ, m.Costs, SolveOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDecomposedParallelDeterministic(t *testing.T) {
 		t.Fatalf("want a wide program, got only %d selections", len(serial.Assign))
 	}
 	for _, par := range []int{2, 8, 32} {
-		plan, err := SolvePlan(statsQ, m.Costs, SolveOptions{Parallelism: par})
+		plan, err := solve(statsQ, m.Costs, SolveOptions{}, par)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -99,10 +99,10 @@ func TestDecomposedParallelDeterministic(t *testing.T) {
 	}
 }
 
-// The default (Parallelism 0 → GOMAXPROCS) must agree with serial too.
+// SolvePlan (a pool of GOMAXPROCS goroutines) must equal width 1.
 func TestDecomposedDefaultParallelismDeterministic(t *testing.T) {
 	statsQ, m := wideStats(t, 1200)
-	serial, err := SolvePlan(statsQ, m.Costs, SolveOptions{Parallelism: 1})
+	serial, err := solve(statsQ, m.Costs, SolveOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +115,16 @@ func TestDecomposedDefaultParallelismDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkLPParallel compares the decomposed constraint-program solve
-// serial vs parallel over a wide selection set (the per-σ blocks are
-// independent LPs; see SolveOptions.Parallelism).
+// BenchmarkLPParallel compares the decomposed constraint-program solve at
+// pool widths 1 to 8 over a wide selection set (the per-σ blocks are
+// independent LPs).
 func BenchmarkLPParallel(b *testing.B) {
 	statsQ, m := wideStats(b, 4000)
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SolvePlan(statsQ, m.Costs, SolveOptions{Parallelism: par}); err != nil {
+				if _, err := solve(statsQ, m.Costs, SolveOptions{}, par); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,14 +132,14 @@ func BenchmarkLPParallel(b *testing.B) {
 	}
 	b.Run("integer/parallelism=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SolvePlan(statsQ, m.Costs, SolveOptions{Integer: true, Parallelism: 1}); err != nil {
+			if _, err := solve(statsQ, m.Costs, SolveOptions{Integer: true}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("integer/parallelism=8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SolvePlan(statsQ, m.Costs, SolveOptions{Integer: true, Parallelism: 8}); err != nil {
+			if _, err := solve(statsQ, m.Costs, SolveOptions{Integer: true}, 8); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,10 +12,11 @@
 //     (Figure 4) — the selection-sampling job of internal/stratified drawing
 //     nothing, whose reducer's summed N per selection σ(t) is its limit;
 //  4. formulate the linear program of Figure 3 over decision variables
-//     X_τ(σ) and solve it (per-σ decomposed by default — every constraint
-//     of Figure 3 touches a single σ, so the decomposition is exact; a
-//     joint formulation and an exact integer-programming mode exist for
-//     the ablation and optimality analyses);
+//     X_τ(σ) and solve it, one block per σ on a pool of GOMAXPROCS
+//     goroutines — every constraint of Figure 3 touches a single σ, so the
+//     decomposition is exact (the joint program is the tests' reference;
+//     SolveOptions.Integer solves the exact integer program instead, for
+//     the optimality analysis);
 //  5. draw the combined answer for the derived query Q′ in one pass of the
 //     same scan, sampling by stratum selection, and deal X_τ(σ) tuples to
 //     the surveys of each τ;

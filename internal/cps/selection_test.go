@@ -254,14 +254,14 @@ func runInitial(t *testing.T, m *query.MSSD, r *dataset.Relation) (query.MultiAn
 func TestRoundAssignEpsilon(t *testing.T) {
 	taus := []query.Tau{query.NewTau(0), query.NewTau(1)}
 	x := []float64{2.99995, 1.2}
-	got := roundAssign(taus, x, 0, SolveOptions{})
+	got := roundAssign(taus, x, SolveOptions{})
 	if got[taus[0]] != 3 { // 2.99995 + 1e-4 floors to 3
 		t.Fatalf("X0 = %d, want 3 (epsilon absorbs solver error)", got[taus[0]])
 	}
 	if got[taus[1]] != 1 {
 		t.Fatalf("X1 = %d, want 1", got[taus[1]])
 	}
-	exact := roundAssign(taus, []float64{2.5, 0.4}, 0, SolveOptions{Integer: true})
+	exact := roundAssign(taus, []float64{2.5, 0.4}, SolveOptions{Integer: true})
 	if exact[taus[0]] != 3 {
 		t.Fatalf("integer mode rounds: %v", exact)
 	}

@@ -120,9 +120,6 @@ func (w *workload) runCPS(seed int64, solve cps.SolveOptions) (*cps.Result, erro
 	return cps.Run(w.cluster, w.mssd, w.schema, w.splits, cps.Options{Seed: seed, Solve: solve})
 }
 
-// defaultSolve is the MR-CPS production configuration: per-σ decomposed LP.
-func defaultSolve() cps.SolveOptions { return cps.SolveOptions{} }
-
 func (c Config) validate() error {
 	if c.PopulationSize < 1 {
 		return fmt.Errorf("experiments: population size %d", c.PopulationSize)

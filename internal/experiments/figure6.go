@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cps"
+)
 
 // Figure6Row is one query group's sharing profile: Share[i-1] is the
 // fraction of individuals assigned to exactly i surveys (i = 1..9), averaged
@@ -45,7 +49,7 @@ func Figure6(cfg Config) (*Figure6Result, error) {
 		var mqeShared, mqeIndividuals, mqeAssignments float64
 		for run := 0; run < cfg.Runs; run++ {
 			seed := cfg.Seed + int64(run)*104729
-			cpsRes, err := w.runCPS(seed, defaultSolve())
+			cpsRes, err := w.runCPS(seed, cps.SolveOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("figure6 %s run %d: %w", group.Name, run, err)
 			}

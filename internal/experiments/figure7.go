@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cps"
 	"repro/internal/mapreduce"
 )
 
@@ -51,7 +52,7 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 					}
 					mqeSim += met.SimulatedTotal()
 					mqeAgg.Add(met)
-					cpsRes, err := w.runCPS(seed, defaultSolve())
+					cpsRes, err := w.runCPS(seed, cps.SolveOptions{})
 					if err != nil {
 						return nil, fmt.Errorf("figure7 CPS %s: %w", group.Name, err)
 					}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/cps"
 )
 
 // Figure8Row is the LP cost of one (group, sample size) configuration.
@@ -44,7 +46,7 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 			var vars, cons, sels int
 			for run := 0; run < cfg.Runs; run++ {
 				seed := cfg.Seed + int64(run)*3571
-				cpsRes, err := w.runCPS(seed, defaultSolve())
+				cpsRes, err := w.runCPS(seed, cps.SolveOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("figure8 %s: %w", group.Name, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cps"
 	"repro/internal/gen"
 )
 
@@ -50,7 +51,7 @@ func DataScaling(cfg Config) (*ScalingResult, error) {
 				return nil, fmt.Errorf("scaling MQE at %d: %w", size, err)
 			}
 			mqeSim += met.SimulatedTotal()
-			cpsRes, err := w.runCPS(seed, defaultSolve())
+			cpsRes, err := w.runCPS(seed, cps.SolveOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("scaling CPS at %d: %w", size, err)
 			}

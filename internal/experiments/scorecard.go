@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
+	"repro/internal/cps"
 	"repro/internal/stratified"
 )
 
@@ -139,7 +140,7 @@ func Scorecard(cfg Config) (*ScorecardResult, error) {
 	add("Audit: per-stratum inclusion uniformity", "unbiased (p ≥ 1e-4)",
 		fmt.Sprintf("min p = %.3f over %d runs", bias.MinP(), bias.Runs), bias.Passed(1e-4))
 
-	cpsRes, err := w.runCPS(cfg.Seed, defaultSolve())
+	cpsRes, err := w.runCPS(cfg.Seed, cps.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cps"
+)
 
 // Table2Row is one query group's cost comparison.
 type Table2Row struct {
@@ -40,7 +44,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 		var mqeSum, cpsSum float64
 		for run := 0; run < cfg.Runs; run++ {
 			seed := cfg.Seed + int64(run)*7919
-			cpsRes, err := w.runCPS(seed, defaultSolve())
+			cpsRes, err := w.runCPS(seed, cps.SolveOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s run %d: %w", group.Name, run, err)
 			}

@@ -164,11 +164,4 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
-	// Basis records the optimal basis (Basis[i] = column basic in constraint
-	// row i, counting structural variables first, then slack/surplus columns
-	// in constraint order). It is filled only for Optimal solutions and is
-	// the seed SolveFrom warm-starts from. A redundant row may leave an
-	// artificial column basic at value zero; SolveFrom detects that and
-	// falls back to a cold solve.
-	Basis []int
 }

@@ -118,12 +118,7 @@ func Solve(p *Problem) (*Solution, error) {
 	for j := 0; j < n; j++ {
 		obj += p.Obj[j] * x[j]
 	}
-	return &Solution{
-		Status:    Optimal,
-		X:         x,
-		Objective: obj,
-		Basis:     append([]int(nil), t.basis...),
-	}, nil
+	return &Solution{Status: Optimal, X: x, Objective: obj}, nil
 }
 
 func flip(r Rel) Rel {

@@ -16,10 +16,6 @@ type Cluster struct {
 	SlotsPerSlave int
 	// Cost converts measured task counters into simulated durations.
 	Cost CostModel
-	// MaxParallelism caps the real goroutine parallelism used to execute
-	// tasks, independent of the simulated slot count. 0 means "as many as
-	// slots"; negative values are a configuration error.
-	MaxParallelism int
 	// Executor, when non-nil, runs task attempts on an execution backend
 	// instead of in-process goroutines: a worker pool (child processes or
 	// whoever dialed in) or any other Executor implementation — every task then
@@ -68,9 +64,6 @@ func (c *Cluster) Validate() error {
 	if c.SlotsPerSlave < 1 {
 		return fmt.Errorf("mapreduce: cluster needs at least 1 slot per slave, got %d", c.SlotsPerSlave)
 	}
-	if c.MaxParallelism < 0 {
-		return fmt.Errorf("mapreduce: cluster MaxParallelism must be >= 0, got %d", c.MaxParallelism)
-	}
 	if err := c.Cost.validate(); err != nil {
 		return err
 	}
@@ -79,13 +72,6 @@ func (c *Cluster) Validate() error {
 
 // Slots is the total number of simultaneous task slots.
 func (c *Cluster) Slots() int { return c.Slaves * c.SlotsPerSlave }
-
-func (c *Cluster) workers() int {
-	if c.MaxParallelism > 0 {
-		return c.MaxParallelism
-	}
-	return c.Slots()
-}
 
 // tracer returns the cluster's tracer if spans are wanted, else nil — the
 // single gate the engine checks per run.

@@ -316,7 +316,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	// after the phase: nothing touches shared counters per record.
 	maps := make([]mapOutcome, len(splits))
 	mapErrs := make([]error, len(splits))
-	runParallel(len(splits), c.workers(), func(t int) {
+	runParallel(len(splits), c.Slots(), func(t int) {
 		m := &maps[t]
 		if tr != nil {
 			m.start = elapsed()
@@ -387,7 +387,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	// ---- Shuffle receive + reduce: one unit of work per reducer ----
 	reds := make([]reduceOutcome[O], numReducers)
 	redErrs := make([]error, numReducers)
-	runParallel(numReducers, c.workers(), func(r int) {
+	runParallel(numReducers, c.Slots(), func(r int) {
 		o := &reds[r]
 		if tr != nil {
 			o.start = elapsed()

@@ -13,7 +13,6 @@ func goldenSpanRun(t *testing.T) []byte {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
 	c := NewCluster(3)
-	c.MaxParallelism = 4
 	c.Tracer = tr
 	c.Clock = FrozenClock(time.Unix(0, 0))
 	if _, err := Run(c, wordCountJob(5, true), wcSplits); err != nil {

@@ -74,6 +74,12 @@
 # allocates nothing per call (its scratch is the caller's), and the +5 moves
 # between benchmarks from run to run. A hundred ops spread such a one-off
 # below one allocation per op, while an allocation per call still reads ≥ 1.
+# One map task (BenchmarkFusedMapSplit, still at one P) and one stratum repair
+# (BenchmarkLiveRepair) run a hundred ops per measurement too, for the same
+# reason: their lines (16 / 32 and 2 allocs/op) sit close enough to a +5
+# one-off to fail on it. At a hundred ops they read their lines exactly
+# (16 / 32 with 1 024 / 28 672 B/op, and 2 with 2 752 / 4 928 B/op, three
+# runs each), so no line moved.
 # Refresh the baseline intentionally (and explain why in the commit) with:
 #
 #   scripts/bench_regress.sh --update
@@ -105,10 +111,13 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   # One P: the warm-up pass parks the scan scratch in its P's private pool
   # slot, which a goroutine rescheduled onto another P cannot steal — with two
   # or more, one run in four reallocated the match lists and read 335 for 16.
-  run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 1x -cpu=1
+  # A hundred ops, as the kernel above: its lines sit near a +5 one-off.
+  run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 100x -cpu=1
   # Five runs: a lone run was bimodal (+≈ 510 in two of eight).
   run ./internal/cps/ 'BenchmarkCPSRun$' '' 5x
-  run ./internal/live/ 'BenchmarkNewPopulation$|BenchmarkLiveRepair' bytes
+  run ./internal/live/ 'BenchmarkNewPopulation$' bytes
+  # A hundred repairs: a line of 2 allocs/op would fail on a +5 one-off.
+  run ./internal/live/ 'BenchmarkLiveRepair' bytes 100x
   # Five populations, not one: a lone run picks up a few of the runtime's own
   # allocations (seen up to +6 on ≈ 30), more than the 10 % gate allows.
   run ./internal/gen/ 'BenchmarkPopulation$' bytes 5x
