@@ -100,7 +100,6 @@ func cmdAudit(args []string) error {
 		rep.CPS = audit.AuditCPS(m, res)
 	}
 
-	recordQuality(rep)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

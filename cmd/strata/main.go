@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	strata [-log level] [-trace spans.jsonl] [-debug-addr addr] [-progress]
+//	strata [-log level] [-trace spans.jsonl] [-debug-addr addr]
 //	       [-backend inproc|subprocess|tcp] [-workers n]
 //	       <command> ...
 //
@@ -19,7 +19,7 @@
 //	strata query       -design design.json [-data pop.csv] [-ip] [-out answers.csv]
 //	strata serve       [-addr localhost:8372] [-n 100000] [-data pop.csv] [-seed 1]
 //	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-qps 0 -burst 16]
-//	                   [-live [-staleness 64]] [-drain-timeout 10s]
+//	                   [-live [-staleness 64]]
 //	strata loadgen     -addr host:port [-clients 32] [-requests 2000] [-queries 8]
 //	                   [-mutate 0.2] [-json report.json]
 //	strata trace       [-top 5] spans.jsonl
@@ -42,11 +42,11 @@
 // byte-for-byte identical across backends for a fixed seed.
 //
 // The global flags configure observability for every command: -log sets
-// the structured-log level, -trace streams one JSON span per engine task to a
-// file ("strata trace" renders it), -progress prints a live per-phase task
-// progress line, and -debug-addr serves /metrics (Prometheus text), /progress
-// (live JSON job progress), /quality (the latest audit report as Prometheus
-// gauges), /debug/pprof and /debug/vars while the command runs.
+// the structured-log level (at debug every job logs the end of its map phase,
+// of its shuffle and of the job), -trace streams one JSON span per engine task
+// to a file ("strata trace" renders it, -top naming the stragglers), and
+// -debug-addr serves /metrics (Prometheus text) and /debug/pprof while the
+// command runs, tracing nothing. "strata audit" prints its report to stdout.
 package main
 
 import (

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,12 +16,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cps"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/mapreduce"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/stratified"
 )
 
 func TestCmdGenerate(t *testing.T) {
@@ -139,25 +143,17 @@ func TestCmdSampleGolden(t *testing.T) {
 	}
 }
 
+// TestCmdAudit: the audit report goes to stdout — the scorecard with every
+// section asked for, then the verdict.
 func TestCmdAudit(t *testing.T) {
-	err := cmdAudit([]string{"-n", "2000", "-query", "nop >= 30 : 3 ; nop < 30 : 5",
-		"-runs", "5", "-slaves", "2", "-estimate", "nop"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The report must have been published for /quality.
-	globalObs.mu.Lock()
-	rep := globalObs.quality
-	custom := globalObs.metrics.Custom
-	globalObs.mu.Unlock()
-	if rep == nil || rep.Fill == nil || rep.Bias == nil || rep.Estimator == nil {
-		t.Fatalf("published quality report incomplete: %+v", rep)
-	}
-	if rep.Bias.Runs != 5 {
-		t.Fatalf("bias runs = %d", rep.Bias.Runs)
-	}
-	if custom["audit_fill_permille"] == nil {
-		t.Fatal("audit histograms not folded into process metrics")
+	out := captureStdout(t, func() error {
+		return cmdAudit([]string{"-n", "2000", "-query", "nop >= 30 : 3 ; nop < 30 : 5",
+			"-runs", "5", "-slaves", "2", "-estimate", "nop"})
+	})
+	for _, want := range []string{"quality scorecard", "bias audit: 5 runs", "estimator health", "audit PASSED"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("audit stdout lacks %q:\n%s", want, out)
+		}
 	}
 	if err := cmdAudit([]string{"-n", "100", "-query", "broken ::"}); err == nil {
 		t.Fatal("want parse error")
@@ -167,17 +163,22 @@ func TestCmdAudit(t *testing.T) {
 	}
 }
 
+// TestCmdAuditCPS: under -json the report on stdout carries the CPS section,
+// whose realized cost is at least the LP bound.
 func TestCmdAuditCPS(t *testing.T) {
-	err := cmdAudit([]string{"-n", "2500", "-query", "nop >= 30 : 3 ; nop < 30 : 5",
-		"-runs", "3", "-slaves", "2", "-cps", "-group", "Small", "-sample", "24", "-json"})
-	if err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error {
+		return cmdAudit([]string{"-n", "2500", "-query", "nop >= 30 : 3 ; nop < 30 : 5",
+			"-runs", "3", "-slaves", "2", "-cps", "-group", "Small", "-sample", "24", "-json"})
+	})
+	var rep audit.Report
+	if err := json.NewDecoder(strings.NewReader(out)).Decode(&rep); err != nil {
+		t.Fatalf("audit -json stdout does not start with a report: %v\n%s", err, out)
 	}
-	globalObs.mu.Lock()
-	rep := globalObs.quality
-	globalObs.mu.Unlock()
-	if rep == nil || rep.CPS == nil {
-		t.Fatal("CPS section missing from published report")
+	if rep.Fill == nil || rep.Bias == nil || rep.CPS == nil {
+		t.Fatalf("audit -json report incomplete: %+v", rep)
+	}
+	if rep.Bias.Runs != 3 {
+		t.Fatalf("bias runs = %d, want 3", rep.Bias.Runs)
 	}
 	if rep.CPS.CostRatio() < 1-1e-9 {
 		t.Fatalf("realized cost below LP bound: %v", rep.CPS.CostRatio())
@@ -376,9 +377,10 @@ func TestCmdQueryCSVExport(t *testing.T) {
 // TestWorkersFlagRefused: a global flag value that cannot work — a worker
 // count no pool can have, an unknown -log level or -backend — is a usage
 // error: the binary names it and exits 2, as for an unknown flag, before any
-// worker starts. So is a flag that was deleted (the global debug shorthand,
-// serve's cache size, loadgen's self-hosted daemon, generate's stats
-// switch): it is refused at flag parsing. Only refused values are tried, so
+// worker starts. So is a flag that was deleted (the global debug shorthand
+// and progress ticker, serve's cache size and drain budget, loadgen's
+// self-hosted daemon, generate's stats switch): it is refused at flag
+// parsing. Only refused values are tried, so
 // no worker, daemon or pass ever starts.
 func TestWorkersFlagRefused(t *testing.T) {
 	for _, tc := range []struct {
@@ -394,6 +396,8 @@ func TestWorkersFlagRefused(t *testing.T) {
 		{[]string{"serve", "-cache", "1"}, "flag provided but not defined: -cache"},
 		{[]string{"loadgen", "-selfhost"}, "flag provided but not defined: -selfhost"},
 		{[]string{"generate", "-stats"}, "flag provided but not defined: -stats"},
+		{[]string{"-progress", "sample", "-n", "10"}, "flag provided but not defined: -progress"},
+		{[]string{"serve", "-drain-timeout", "1s"}, "flag provided but not defined: -drain-timeout"},
 	} {
 		out, err := exec.Command(os.Args[0], tc.args...).CombinedOutput()
 		var exit *exec.ExitError
@@ -408,5 +412,85 @@ func TestWorkersFlagRefused(t *testing.T) {
 				t.Errorf("%v: the command ran:\n%s", tc.args, out)
 			}
 		}
+	}
+}
+
+// TestDebugAddrLeavesEngineUntraced: -debug-addr serves /metrics and
+// /debug/pprof and nothing else, and installs no tracer, so a profile taken
+// through it profiles the program that runs without one.
+func TestDebugAddrLeavesEngineUntraced(t *testing.T) {
+	o := &globalObs
+	logLevel, tracePath, debugAddr, backend, workers := o.logLevel, o.tracePath, o.debugAddr, o.backend, o.workers
+	logger := slog.Default()
+	t.Cleanup(func() {
+		o.logLevel, o.tracePath, o.debugAddr, o.backend, o.workers = logLevel, tracePath, debugAddr, backend, workers
+		o.debugLn = nil
+		slog.SetDefault(logger)
+	})
+	if _, err := parseGlobalFlags([]string{"-debug-addr", "localhost:0", "sample"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.setup(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.close()
+
+	if tr := newCluster(2).Tracer; tr != nil {
+		t.Errorf("-debug-addr installed a %T as the engine's tracer", tr)
+	}
+	base := "http://" + o.debugLn.Addr().String()
+	for path, want := range map[string]int{
+		"/metrics": http.StatusOK, "/debug/pprof/": http.StatusOK,
+		"/progress": http.StatusNotFound, "/quality": http.StatusNotFound, "/debug/vars": http.StatusNotFound,
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestTraceTopNamesTheStraggler: the slowest attempts of a job are read from
+// its span file with "strata trace -top". One split holds 2400 of the 2630
+// rows, so its map task's simulated duration is many times that of the
+// 10-row tasks around it, and it heads the list.
+func TestTraceTopNamesTheStraggler(t *testing.T) {
+	pop := gen.Population(2630, 1)
+	rows := pop.Tuples()
+	splits := []dataset.Split{rows[:2400]}
+	for rest := rows[2400:]; len(rest) > 0; rest = rest[10:] {
+		splits = append(splits, rest[:10])
+	}
+	q, err := parseSSD("Q", "nop >= 100 : 5 ; nop < 100 : 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := mapreduce.NewJSONLTracer(f)
+	c := mapreduce.NewCluster(4)
+	c.Tracer = tr
+	if _, _, err := stratified.RunSQE(c, q, pop.Schema(), splits, stratified.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	out := captureStdout(t, func() error { return cmdTrace([]string{"-top", "2", "-crit", "0", path}) })
+	_, list, ok := strings.Cut(out, "slowest task attempts:\n")
+	if !ok {
+		t.Fatalf("no slowest-attempts list:\n%s", out)
+	}
+	if !strings.HasPrefix(list, "  map    task 0 attempt 1: sim ") || !strings.Contains(list, " 2400 recs, ok\n") {
+		t.Errorf("the oversized split's map task does not head the list:\n%s", list)
 	}
 }

@@ -3,7 +3,7 @@ package main
 import (
 	cryptorand "crypto/rand"
 	"encoding/hex"
-	"expvar"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -16,20 +16,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/mapreduce"
 	"repro/internal/worker"
 )
 
 // obs is the process-wide observability state configured by the global flags
 // (strata [global flags] <command> ...). It owns the span file tracer, the
-// live progress tracker, the optional debug HTTP server, and the metrics
-// accumulated across every job the process runs.
+// optional debug HTTP server, and the metrics accumulated across every job
+// the process runs.
 type obs struct {
 	logLevel  string
 	tracePath string
 	debugAddr string
-	progress  bool
 	backend   string
 	workers   int
 
@@ -39,9 +37,7 @@ type obs struct {
 
 	tracer    *mapreduce.JSONLTracer
 	traceFile *os.File
-	tracker   *audit.Tracker
-	stopTick  chan struct{}
-	tickDone  chan struct{}
+	debugLn   net.Listener
 
 	// procTrace is the process's trace id when -trace is set: every cluster
 	// the command builds stamps its spans with it (runs numbered by runSeq),
@@ -53,7 +49,6 @@ type obs struct {
 
 	mu      sync.Mutex
 	metrics mapreduce.Metrics
-	quality *audit.Report
 }
 
 var globalObs obs
@@ -68,8 +63,7 @@ func parseGlobalFlags(args []string) ([]string, error) {
 	fs.Usage = usage
 	fs.StringVar(&globalObs.logLevel, "log", "", "log level: debug, info, warn or error")
 	fs.StringVar(&globalObs.tracePath, "trace", "", "write engine spans to this JSON-lines `file` (read back with \"strata trace\")")
-	fs.StringVar(&globalObs.debugAddr, "debug-addr", "", "serve /metrics, /progress, /quality, /debug/pprof and /debug/vars on this `addr` (e.g. localhost:6060)")
-	fs.BoolVar(&globalObs.progress, "progress", false, "print a live per-phase progress line to stderr while jobs run")
+	fs.StringVar(&globalObs.debugAddr, "debug-addr", "", "serve /metrics and /debug/pprof on this `addr` (e.g. localhost:6060)")
 	fs.StringVar(&globalObs.backend, "backend", "inproc", "task execution `backend`: inproc, subprocess (worker child processes) or tcp (workers register over TCP)")
 	fs.IntVar(&globalObs.workers, "workers", 2, "worker count for -backend subprocess or tcp")
 	if err := fs.Parse(args); err != nil {
@@ -133,19 +127,10 @@ func (o *obs) setup() error {
 			o.procTrace = "t-cli"
 		}
 	}
-
-	// The tracker consumes the span stream whenever someone can watch it:
-	// the -progress ticker or the debug server's /progress endpoint.
-	if o.progress || o.debugAddr != "" {
-		o.tracker = audit.NewTracker()
-	}
 	if o.debugAddr != "" {
 		if err := o.serveDebug(); err != nil {
 			return err
 		}
-	}
-	if o.progress {
-		o.startTicker()
 	}
 	return o.setupExecutor()
 }
@@ -182,43 +167,16 @@ func (o *obs) setupExecutor() error {
 	return nil
 }
 
-// startTicker prints the tracker's one-line summary to stderr a few times a
-// second, carriage-return style, until close().
-func (o *obs) startTicker() {
-	o.stopTick = make(chan struct{})
-	o.tickDone = make(chan struct{})
-	go func() {
-		defer close(o.tickDone)
-		tick := time.NewTicker(200 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-o.stopTick:
-				return
-			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "\r\033[K%s", o.tracker.Line())
-			}
-		}
-	}()
-}
-
-// serveDebug starts the debug HTTP server: pprof (via the blank import),
-// expvar at /debug/vars, and the accumulated job metrics in Prometheus text
-// format at /metrics. Listening happens synchronously so a bad address fails
-// the command instead of a background goroutine.
+// serveDebug starts the debug HTTP server: the accumulated job metrics in
+// Prometheus text format at /metrics and pprof (registered on the default
+// mux by the blank import) under /debug/pprof/, nothing else. It installs no
+// tracer, so a profile taken through it profiles the untraced program.
+// Listening happens synchronously so a bad address fails the command instead
+// of a background goroutine.
 func (o *obs) serveDebug() error {
-	expvar.Publish("strata_metrics", expvar.Func(func() any {
-		m := o.snapshot()
-		return m
-	}))
-	expvar.Publish("strata_shuffle", expvar.Func(func() any {
-		type shuffleStatser interface{ ShuffleStats() worker.ShuffleStats }
-		if s, ok := o.executor.(shuffleStatser); ok {
-			return s.ShuffleStats()
-		}
-		return worker.ShuffleStats{}
-	}))
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	mux := http.NewServeMux()
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		m := o.snapshot()
 		if err := m.WritePrometheus(w); err != nil {
@@ -227,46 +185,31 @@ func (o *obs) serveDebug() error {
 		}
 		mapreduce.NewPromWriter(w).BuildInfo(o.started)
 	})
-	http.Handle("/progress", o.tracker)
-	http.HandleFunc("/quality", func(w http.ResponseWriter, _ *http.Request) {
-		o.mu.Lock()
-		rep := o.quality
-		o.mu.Unlock()
-		if rep == nil {
-			http.Error(w, "no quality report yet — run \"strata audit\"", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := rep.WritePrometheus(w); err != nil {
-			slog.Error("writing /quality", "err", err)
-		}
-	})
 	ln, err := net.Listen("tcp", o.debugAddr)
 	if err != nil {
 		return fmt.Errorf("debug server: %w", err)
 	}
+	o.debugLn = ln
 	slog.Info("debug server listening", "addr", ln.Addr().String(),
-		"endpoints", "/metrics /progress /quality /debug/pprof /debug/vars")
+		"endpoints", "/metrics /debug/pprof")
 	go func() {
-		if err := http.Serve(ln, nil); err != nil {
+		if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
 			slog.Error("debug server", "err", err)
 		}
 	}()
 	return nil
 }
 
-// close drains the worker pool, stops the progress ticker and flushes the
-// span file, if any.
+// close drains the worker pool, stops the debug server and flushes the span
+// file, if any.
 func (o *obs) close() error {
+	if o.debugLn != nil {
+		o.debugLn.Close()
+	}
 	if o.executor != nil {
 		if err := o.executor.Close(); err != nil {
 			slog.Warn("draining worker pool", "err", err)
 		}
-	}
-	if o.stopTick != nil {
-		close(o.stopTick)
-		<-o.tickDone
-		fmt.Fprintf(os.Stderr, "\r\033[K%s\n", o.tracker.Line())
 	}
 	if o.tracer == nil {
 		return nil
@@ -282,7 +225,7 @@ func (o *obs) close() error {
 }
 
 // record folds one job pipeline's metrics into the process-wide accumulator
-// served at /metrics and /debug/vars.
+// served at /metrics.
 func (o *obs) record(m mapreduce.Metrics) {
 	o.mu.Lock()
 	o.metrics.Add(m)
@@ -300,23 +243,15 @@ func (o *obs) snapshot() mapreduce.Metrics {
 }
 
 // newCluster builds a cluster wired to the process observability state: the
-// span tracer when -trace is set, the progress tracker when -progress or
-// -debug-addr is set (both at once fan out through a TeeTracer), and per-key
-// metrics whenever someone is looking.
+// span tracer when -trace is set (nil otherwise: the engine's one off
+// switch), and per-key metrics whenever someone is looking.
 func newCluster(slaves int) *mapreduce.Cluster {
 	c := mapreduce.NewCluster(slaves)
-	switch {
-	case globalObs.tracer != nil && globalObs.tracker != nil:
-		c.Tracer = mapreduce.NewTeeTracer(globalObs.tracer, globalObs.tracker)
-	case globalObs.tracer != nil:
-		c.Tracer = globalObs.tracer
-	case globalObs.tracker != nil:
-		c.Tracer = globalObs.tracker
-	}
 	if globalObs.tracer != nil || globalObs.debugAddr != "" {
 		c.PerKeyMetrics = true
 	}
 	if globalObs.tracer != nil {
+		c.Tracer = globalObs.tracer
 		// Each cluster run of the process traces under the process trace id,
 		// runs numbered in creation order. The serve daemon overrides this
 		// with per-request trace contexts; one-shot commands keep it.
@@ -333,13 +268,3 @@ func newCluster(slaves int) *mapreduce.Cluster {
 
 // recordMetrics is the subcommand-facing wrapper around globalObs.record.
 func recordMetrics(m mapreduce.Metrics) { globalObs.record(m) }
-
-// recordQuality publishes a finished audit report: /quality serves it, and
-// its histogram series fold into the accumulated job metrics so they travel
-// the /metrics Prometheus path too.
-func recordQuality(rep *audit.Report) {
-	globalObs.mu.Lock()
-	globalObs.quality = rep
-	globalObs.metrics.MergeCustom(rep.Histograms())
-	globalObs.mu.Unlock()
-}

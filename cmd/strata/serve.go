@@ -17,6 +17,9 @@ import (
 	"repro/internal/serve"
 )
 
+// drainTimeout is the graceful shutdown budget on SIGTERM/SIGINT.
+const drainTimeout = 10 * time.Second
+
 // cmdServe runs the resident sampling daemon: it loads (or generates) a
 // population once, keeps it partitioned in memory, and answers SSD queries
 // over HTTP, coalescing queries that arrive within -window into one
@@ -38,7 +41,6 @@ func cmdServe(args []string) error {
 	burst := fs.Int("burst", 16, "per-tenant token bucket capacity")
 	liveMode := fs.Bool("live", false, "mutable population: enable /v1/mutate + /v1/subscribe and warm standing-query answers")
 	staleness := fs.Int("staleness", 0, "uncompensated deletions per stratum before reservoir repair (0 = default 64; needs -live)")
-	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM/SIGINT")
 	subUsage(fs, "strata serve [flags]")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,19 +93,11 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	// The PR 3 live-progress tracker, when someone can watch it (-progress
-	// or -debug-addr), is also mounted on the daemon's own port.
-	if globalObs.tracker != nil {
-		mux.Handle("/progress", globalObs.tracker)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 
 	effSplits := *numSplits
 	if effSplits <= 0 {
@@ -138,7 +132,7 @@ func cmdServe(args []string) error {
 	// in-flight handlers finish, then wait out the running passes.
 	slog.Info("draining", "timeout", drainTimeout.String())
 	srv.BeginDrain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		slog.Warn("http shutdown", "err", err)

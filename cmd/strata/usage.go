@@ -12,8 +12,7 @@ import (
 const globalFlagsHelp = `global flags (before the command):
   -log <level>              log level: debug, info (default), warn or error
   -trace <spans.jsonl>      write one JSON span per engine task ("strata trace" renders it)
-  -progress                 live per-phase task progress line on stderr
-  -debug-addr <addr>        serve /metrics /progress /quality /debug/pprof /debug/vars
+  -debug-addr <addr>        serve /metrics and /debug/pprof (traces nothing)
   -backend <b>              task execution: inproc (default), subprocess or tcp
   -workers <n>              worker count for -backend subprocess or tcp`
 

@@ -5,8 +5,7 @@
 // contract, tested by repeated-run chi-square), CPS cost at the LP lower
 // bound, and an estimator that actually gains precision from stratifying.
 // This program runs all four audits over a generated author population and
-// renders the combined quality scorecard, while a progress tracker watches
-// the span stream of every job the audit itself runs.
+// renders the combined quality scorecard.
 package main
 
 import (
@@ -32,11 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A progress tracker consumes the span stream of every job below; a
-	// server could expose it live at /progress via its ServeHTTP.
-	tracker := audit.NewTracker()
 	cluster := mapreduce.NewCluster(4)
-	cluster.Tracer = tracker
 
 	q := query.NewSSD("prolific",
 		query.Stratum{Cond: predicate.MustParse("nop >= 100"), Freq: 8},
@@ -89,8 +84,4 @@ func main() {
 	rep.Render(os.Stdout)
 
 	fmt.Printf("\nverdict: passed=%v (bias alpha 1e-4)\n", rep.Passed(1e-4))
-	fmt.Printf("\nwhat the progress tracker saw:\n  %s\n", tracker.Line())
-	for _, j := range tracker.Snapshot().Jobs {
-		fmt.Printf("  job %-28s runs=%-3d done=%v shuffled=%dB\n", j.Job, j.Runs, j.Done, j.ShuffleBytes)
-	}
 }

@@ -361,8 +361,8 @@ func TestReportRenderAndPassed(t *testing.T) {
 		}
 	}
 
-	// The report must survive a JSON round trip (it is the /quality payload
-	// seed and the scorecard attachment).
+	// The report must survive a JSON round trip (it is what strata audit
+	// -json prints).
 	blob, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -373,60 +373,5 @@ func TestReportRenderAndPassed(t *testing.T) {
 	}
 	if back.Fill.Rows[0].Achieved != fill.Rows[0].Achieved || back.Bias.Runs != 10 {
 		t.Fatal("JSON round trip lost report data")
-	}
-
-	hists := rep.Histograms()
-	if hists["audit_fill_permille"] == nil || hists["audit_fill_permille"].Count() != 2 {
-		t.Fatalf("fill histogram missing or wrong: %v", hists)
-	}
-	if hists["audit_inclusion_count"] == nil {
-		t.Fatal("inclusion histogram missing")
-	}
-	if hists["audit_reservoir_size"] == nil {
-		t.Fatal("reservoir histogram missing")
-	}
-}
-
-func TestReportWritePrometheus(t *testing.T) {
-	rep := &Report{
-		Fill: &FillReport{Query: "q", Rows: []FillRow{
-			{Stratum: "gender = 1", Required: 5, Achieved: 5, Population: 30},
-		}},
-		CPS: &CPSReport{
-			Surveys: 1, LPObjective: 10, RealizedCost: 12,
-			PlannedTuples: 9, ResidualTuples: 3,
-			PerSurvey: []SurveyCost{{Survey: 0, Name: "Q1", PlanCost: 9, ResidualSlots: 3}},
-		},
-	}
-	var a, b bytes.Buffer
-	if err := rep.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("prometheus rendering not deterministic")
-	}
-	out := a.String()
-	for _, want := range []string{
-		`strata_audit_fill_rate{query="q",stratum="gender = 1"} 1`,
-		"strata_audit_lp_objective 10",
-		"strata_audit_realized_cost 12",
-		`strata_audit_survey_residual_slots{survey="Q1"} 3`,
-		"# TYPE strata_audit_fill_rate gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-	// Label values go through the one escaper (mapreduce.PromWriter).
-	rep.Fill.Rows[0].Stratum = "a\nb\x01c"
-	a.Reset()
-	if err := rep.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if want := `stratum="a\nb\\x01c"`; !strings.Contains(a.String(), want) {
-		t.Fatalf("label not escaped: output lacks %s:\n%s", want, a.String())
 	}
 }

@@ -23,13 +23,10 @@
 //     standard error and the design effect against simple random sampling,
 //     from internal/estimate (Example 1's motivation).
 //
-// The package also provides Tracker, a streaming mapreduce.Tracer consumer
-// that aggregates the PR 2 span stream into live per-phase job progress
-// (tasks done/total, bytes shuffled, straggler flags) — served by cmd/strata
-// on the -debug-addr server at /progress and rendered as a -progress
-// terminal line.
+// A report renders as the scorecard strata audit prints, or as JSON under
+// -json. The engine's own progress is not this package's business: it is in
+// the -log debug lines of every job, the -trace span file and /metrics.
 //
 // Everything here is pull-based and allocation-free for the engine: audits
-// run outside the job hot path, and Tracker only sees spans when a tracer is
-// enabled, so the audit path is zero-cost when disabled.
+// run outside the job hot path.
 package audit

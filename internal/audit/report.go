@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/mapreduce"
 )
 
 // Report is one run's complete quality scorecard. Sections are optional:
@@ -88,86 +86,4 @@ func (r *Report) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  design effect: %.3f (%s)\n", e.DesignEffect, verdict)
 	}
-}
-
-// Histograms exports the audit's distributions in the engine's histogram
-// form, keyed like Metrics.Custom series: fold them into the process
-// metrics (Metrics.Add) and they travel the existing JSON and Prometheus
-// export paths unchanged.
-func (r *Report) Histograms() map[string]*mapreduce.Histogram {
-	out := make(map[string]*mapreduce.Histogram)
-	if r.Fill != nil {
-		h := &mapreduce.Histogram{}
-		for _, row := range r.Fill.Rows {
-			h.Observe(int64(1000 * row.FillRate())) // permille, log₂ buckets
-		}
-		out["audit_fill_permille"] = h
-	}
-	if r.Bias != nil {
-		inc := &mapreduce.Histogram{}
-		for _, s := range r.Bias.Strata {
-			inc.Merge(s.Inclusions)
-		}
-		if inc.Count() > 0 {
-			out["audit_inclusion_count"] = inc
-		}
-		if r.Bias.ReservoirSizes.Count() > 0 {
-			rs := r.Bias.ReservoirSizes
-			out["audit_reservoir_size"] = &rs
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// WritePrometheus renders the report as gauges in the Prometheus text
-// exposition format — the body of the CLI's /quality endpoint. Output order
-// is deterministic.
-func (r *Report) WritePrometheus(w io.Writer) error {
-	pw := mapreduce.NewPromWriter(w)
-	if f := r.Fill; f != nil {
-		pw.Family("strata_audit_fill_rate", "gauge", "Achieved/feasible-required sample size per stratum.")
-		for _, row := range f.Rows {
-			pw.Sample("strata_audit_fill_rate", row.FillRate(), "query", f.Query, "stratum", row.Stratum)
-		}
-		pw.Family("strata_audit_achieved", "gauge", "Achieved sample size per stratum.")
-		for _, row := range f.Rows {
-			pw.Sample("strata_audit_achieved", row.Achieved, "query", f.Query, "stratum", row.Stratum)
-		}
-		pw.Family("strata_audit_required", "gauge", "Required frequency f_k per stratum.")
-		for _, row := range f.Rows {
-			pw.Sample("strata_audit_required", row.Required, "query", f.Query, "stratum", row.Stratum)
-		}
-	}
-	if b := r.Bias; b != nil {
-		pw.Family("strata_audit_bias_p", "gauge", "Chi-square p-value of per-stratum inclusion uniformity.")
-		for _, s := range b.Strata {
-			pw.Sample("strata_audit_bias_p", s.P, "query", b.Query, "stratum", s.Stratum)
-		}
-		pw.Family("strata_audit_bias_runs", "gauge", "Runs accumulated by the bias audit.")
-		pw.Sample("strata_audit_bias_runs", b.Runs, "query", b.Query)
-	}
-	if c := r.CPS; c != nil {
-		pw.Gauge("strata_audit_lp_objective", "C_LP, the constraint-program lower bound.", c.LPObjective)
-		pw.Gauge("strata_audit_realized_cost", "Realized survey cost of the delivered answer set.", c.RealizedCost)
-		pw.Gauge("strata_audit_residual_tuples", "Individuals added by the residual phase.", c.ResidualTuples)
-		pw.Gauge("strata_audit_planned_tuples", "Individuals delivered by the rounded plan.", c.PlannedTuples)
-		pw.Family("strata_audit_survey_plan_cost", "gauge", "Equal-split plan cost attributed to one survey.")
-		for _, s := range c.PerSurvey {
-			pw.Sample("strata_audit_survey_plan_cost", s.PlanCost, "survey", s.Name)
-		}
-		pw.Family("strata_audit_survey_residual_slots", "gauge", "Residual top-up slots per survey.")
-		for _, s := range c.PerSurvey {
-			pw.Sample("strata_audit_survey_residual_slots", s.ResidualSlots, "survey", s.Name)
-		}
-	}
-	if e := r.Estimator; e != nil {
-		pw.Family("strata_audit_stratified_stderr", "gauge", "Standard error of the stratified mean estimator.")
-		pw.Sample("strata_audit_stratified_stderr", e.Stratified.StdErr, "attr", e.Attr)
-		pw.Family("strata_audit_design_effect", "gauge", "Var(stratified)/Var(SRS) at equal sample size.")
-		pw.Sample("strata_audit_design_effect", e.DesignEffect, "attr", e.Attr)
-	}
-	return pw.Err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -115,6 +116,7 @@ func BenchmarkLiveMaintenance(b *testing.B) {
 	}
 	const batch = 256
 	muts := make([]Mutation, 0, batch)
+	var applyNanos int64 // Apply's own time, without building the batches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -131,7 +133,9 @@ func BenchmarkLiveMaintenance(b *testing.B) {
 				muts = append(muts, Mutation{Op: OpDelete, ID: nextID - 1})
 			}
 		}
+		start := time.Now()
 		res := p.Apply(muts)
+		applyNanos += time.Since(start).Nanoseconds()
 		if len(res.Rejected) > 0 {
 			b.Fatalf("rejected: %+v", res.Rejected)
 		}
@@ -139,7 +143,7 @@ func BenchmarkLiveMaintenance(b *testing.B) {
 	}
 	b.StopTimer()
 	s := p.Stats()
-	b.ReportMetric(s.NsPerMutation, "maintain-ns/mut")
+	b.ReportMetric(float64(applyNanos)/float64(b.N), "maintain-ns/mut")
 	b.ReportMetric(float64(s.Repairs), "repairs")
 }
 

@@ -134,7 +134,6 @@ type Population struct {
 	repairs, repairScanned              int64
 	maxStaleness                        int64
 	maintainNanos                       mapreduce.Histogram // per Apply batch
-	maintainMuts                        int64
 	repairNanos                         mapreduce.Histogram
 
 	// Scratch of classify, used under the write lock only: one block's
@@ -312,7 +311,6 @@ func (p *Population) Apply(muts []Mutation) Applied {
 	res.Repairs = int(p.repairs - repairsBefore)
 	res.Seq = p.seq.Add(int64(res.Applied))
 	p.maintainNanos.Observe(time.Since(start).Nanoseconds())
-	p.maintainMuts += int64(res.Applied)
 	return res
 }
 

@@ -22,11 +22,6 @@ type Stats struct {
 	StalenessBound int   `json:"staleness_bound"`
 	// CurStaleness is the current worst staleness across all strata.
 	CurStaleness int64 `json:"cur_staleness"`
-	// NsPerMutation is mean maintenance time per applied mutation across all
-	// registered queries — the O(sample) incremental cost.
-	NsPerMutation float64 `json:"ns_per_mutation,omitempty"`
-	// RepairP99Usec summarizes repair cost.
-	RepairP99Usec int64 `json:"repair_p99_us,omitempty"`
 }
 
 // Stats snapshots the counters.
@@ -56,12 +51,6 @@ func (p *Population) statsLocked() Stats {
 				s.CurStaleness = d
 			}
 		}
-	}
-	if p.maintainMuts > 0 {
-		s.NsPerMutation = float64(p.maintainNanos.Sum()) / float64(p.maintainMuts)
-	}
-	if p.repairNanos.Count() > 0 {
-		s.RepairP99Usec = p.repairNanos.Quantile(0.99) / 1000
 	}
 	return s
 }

@@ -24,16 +24,15 @@ type Cluster struct {
 	// Executors require portable jobs (Job.Maker set); Run refuses any
 	// other.
 	Executor Executor
-	// Tracer, when non-nil and enabled, receives one Span per task attempt,
-	// combine, shuffle leg and job (see the Phase* constants). A nil or
-	// disabled tracer keeps the engine's hot path free of span assembly and
-	// wall-clock reads.
+	// Tracer, when non-nil, receives one Span per task attempt, combine,
+	// shuffle leg and job (see the Phase* constants). A nil tracer keeps the
+	// engine's hot path free of span assembly and wall-clock reads.
 	Tracer Tracer
 	// PerKeyMetrics asks the engine to fill Metrics.PerKey with per-key
-	// (per-stratum) reduce counters. It is implied by an enabled Tracer;
+	// (per-stratum) reduce counters. It is implied by a non-nil Tracer;
 	// off by default because a wide key space would make Metrics large.
 	PerKeyMetrics bool
-	// TraceContext, when non-nil and combined with an enabled Tracer,
+	// TraceContext, when non-nil and combined with a non-nil Tracer,
 	// threads a cross-process trace identity through the run: every span
 	// is stamped with Trace/Run/ID/Parent, TaskSpecs shipped to remote
 	// workers carry the context (wire version ≥ 2; old peers simply run
@@ -72,15 +71,6 @@ func (c *Cluster) Validate() error {
 
 // Slots is the total number of simultaneous task slots.
 func (c *Cluster) Slots() int { return c.Slaves * c.SlotsPerSlave }
-
-// tracer returns the cluster's tracer if spans are wanted, else nil — the
-// single gate the engine checks per run.
-func (c *Cluster) tracer() Tracer {
-	if c.Tracer != nil && c.Tracer.Enabled() {
-		return c.Tracer
-	}
-	return nil
-}
 
 // now returns the cluster's wall clock: Clock when set, time.Now otherwise.
 func (c *Cluster) now() func() time.Time {

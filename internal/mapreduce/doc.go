@@ -47,8 +47,9 @@
 // renders into a per-phase timeline. Metrics carries per-phase Histograms
 // (task latency, shuffle bucket bytes), user histograms observed through
 // TaskContext.Observe, and optional per-key counters, and exports itself as
-// JSON or Prometheus text. With a nil (or disabled) tracer every hook
-// compiles down to a branch, keeping the hot path at its benchmarked speed.
+// JSON or Prometheus text. A nil Tracer is the one off switch: every hook
+// then compiles down to a branch, keeping the hot path at its benchmarked
+// speed.
 //
 // # Determinism
 //

@@ -118,7 +118,7 @@ type attempt struct {
 	attr   *taskAttribution
 	// start and end are the task's offsets from the run start, stamped by
 	// the loop around the backend call; like every duration in an outcome
-	// they are read only when a tracer is enabled.
+	// they are read only when a tracer is set.
 	start, end time.Duration
 }
 
@@ -217,7 +217,7 @@ func (b *inprocBackend[S, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // and every map task and reduce key has a private deterministically-seeded
 // random source.
 //
-// Observability: when the cluster carries an enabled Tracer, the engine
+// Observability: when the cluster carries a Tracer, the engine
 // measures per-task wall times and emits one Span per task attempt (the
 // attempts that died on a worker included), per-task combine spans
 // (of a job that combined anything; they carry the logical counts and no time
@@ -245,7 +245,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		numReducers = c.Slaves
 	}
 
-	tr := c.tracer()
+	tr := c.Tracer
 	var tctx *TraceContext
 	if tr != nil && c.TraceContext != nil {
 		// Distributed tracing: stamp every span of this run with the
@@ -257,11 +257,6 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	}
 	perKey := c.PerKeyMetrics || tr != nil
 	logDebug := slog.Default().Enabled(context.Background(), slog.LevelDebug)
-	if jo, ok := tr.(JobObserver); ok {
-		// Announce the run before any task executes so live-progress
-		// consumers know the per-phase totals from the start.
-		jo.JobStarted(job.Name, len(splits), numReducers)
-	}
 
 	now := c.now()
 	start := now()
@@ -348,7 +343,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		met.CombineOutputRecs += m.CombineOut
 		met.ShuffleBytes += m.shuffleBytes
 		met.BucketBytes.Merge(m.bucketBytes)
-		met.MergeCustom(m.custom)
+		met.mergeCustom(m.custom)
 		met.MapAttempts += int64(1 + len(m.failed))
 		mapDurations[t] = c.Cost.TaskOverhead +
 			time.Duration(m.In)*c.Cost.MapPerRecord +
@@ -431,7 +426,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		met.ReduceInputGroups += o.Groups
 		met.ReduceInputRecs += o.In
 		met.OutputRecords += int64(len(o.out))
-		met.MergeCustom(o.custom)
+		met.mergeCustom(o.custom)
 		met.mergePerKey(o.perKey)
 		met.ReduceAttempts += int64(1 + len(o.failed))
 		reduceDurations[r] = c.Cost.TaskOverhead + time.Duration(o.In)*c.Cost.ReducePerRecord

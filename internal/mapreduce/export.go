@@ -85,7 +85,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // PromWriter is the one renderer of the Prometheus text exposition format:
-// every /metrics and /quality body is written through it (CI fails if another
+// every /metrics body is written through it (CI fails if another
 // non-test file spells "# HELP"). Labels are key, value, … pairs, escaped
 // here; a sample value is an integer, printed as one, or a float64, printed %g.
 type PromWriter struct {

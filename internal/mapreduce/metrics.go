@@ -7,7 +7,7 @@ import (
 
 // Metrics reports what a job did. Record and byte counters are measured;
 // the *Simulated* durations come from the cluster's cost model and virtual
-// scheduler. Apart from WallTime — and the wall-clock spans an enabled
+// scheduler. Apart from WallTime — and the wall-clock spans a
 // Tracer sees — every field is deterministic for a given job, seed and
 // cluster, so metrics can be compared across runs and machines.
 type Metrics struct {
@@ -61,7 +61,7 @@ type Metrics struct {
 
 	// PerKey counts reduce input and output per key (for the paper's jobs:
 	// per stratum). Collected only when the cluster asks for it
-	// (Cluster.PerKeyMetrics, or any enabled Tracer); nil otherwise, so
+	// (Cluster.PerKeyMetrics, or any non-nil Tracer); nil otherwise, so
 	// wide key spaces cost nothing by default.
 	PerKey map[string]KeyStats
 }
@@ -102,13 +102,13 @@ func (m *Metrics) Add(o Metrics) {
 	m.MapTaskNanos.Merge(o.MapTaskNanos)
 	m.ReduceTaskNanos.Merge(o.ReduceTaskNanos)
 	m.BucketBytes.Merge(o.BucketBytes)
-	m.MergeCustom(o.Custom)
+	m.mergeCustom(o.Custom)
 	m.mergePerKey(o.PerKey)
 }
 
-// MergeCustom folds observed histograms (one task's, another job's, an audit
-// report's) into Metrics.Custom by name.
-func (m *Metrics) MergeCustom(custom map[string]*Histogram) {
+// mergeCustom folds observed histograms (one task's, another job's) into
+// Metrics.Custom by name.
+func (m *Metrics) mergeCustom(custom map[string]*Histogram) {
 	for name, h := range custom {
 		if m.Custom == nil {
 			m.Custom = make(map[string]*Histogram, len(custom))

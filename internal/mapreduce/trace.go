@@ -113,7 +113,7 @@ type Span struct {
 
 // TraceContext is the cross-process trace identity a Cluster propagates into
 // every span of a run and into every TaskSpec shipped to a worker. Setting
-// it (together with an enabled Tracer) turns on distributed tracing: each
+// it (together with a non-nil Tracer) turns on distributed tracing: each
 // span gains Trace/Run/ID/Parent stamps, and remote task attempts decompose
 // into queue/wire/decode/exec child spans.
 type TraceContext struct {
@@ -185,9 +185,6 @@ func stampTracer(ctx TraceContext, inner Tracer) Tracer {
 	return &spanStamper{ctx: ctx, inner: inner}
 }
 
-// Enabled reports true: the engine only wraps an enabled tracer.
-func (t *spanStamper) Enabled() bool { return true }
-
 // Emit stamps and forwards the span.
 func (t *spanStamper) Emit(s Span) {
 	if s.Trace == "" {
@@ -210,86 +207,14 @@ func (t *spanStamper) Emit(s Span) {
 	t.inner.Emit(s)
 }
 
-// JobStarted forwards the announcement when the wrapped tracer observes jobs.
-func (t *spanStamper) JobStarted(job string, mapTasks, reduceTasks int) {
-	if jo, ok := t.inner.(JobObserver); ok {
-		jo.JobStarted(job, mapTasks, reduceTasks)
-	}
-}
-
 // Tracer receives spans from the engine. Implementations must be safe for
 // concurrent Emit calls; the engine currently emits from its serial
 // accounting sections, in deterministic order, but that is not part of the
-// contract. A nil Tracer on the Cluster — or one whose Enabled returns false
-// — keeps the hot path free of all timing and span work.
+// contract. A nil Tracer on the Cluster is the one off switch: it keeps the
+// hot path free of all timing and span work.
 type Tracer interface {
-	// Enabled reports whether spans are wanted; the engine checks it once
-	// per Run and skips all span assembly (including wall-clock reads) when
-	// it is false.
-	Enabled() bool
 	// Emit delivers one finished span.
 	Emit(Span)
-}
-
-// JobObserver is an optional extension of Tracer. When the cluster's enabled
-// tracer implements it, the engine announces each run *before* any task
-// executes, carrying the per-phase task totals the span stream alone cannot
-// provide (spans only exist for finished work). Live progress consumers —
-// audit.Tracker behind the CLI's /progress endpoint — need the totals to
-// render "done/total" meaningfully from the first moment of a run.
-type JobObserver interface {
-	// JobStarted reports a run about to execute: its name and how many map
-	// and reduce tasks it will schedule.
-	JobStarted(job string, mapTasks, reduceTasks int)
-}
-
-// TeeTracer fans every span out to several tracers — e.g. a JSONLTracer
-// writing the span file and a progress tracker feeding /progress. It is
-// enabled when any member is enabled, and forwards only to the enabled
-// members; JobStarted reaches every enabled member that implements
-// JobObserver.
-type TeeTracer struct {
-	tracers []Tracer
-}
-
-// NewTeeTracer combines the given tracers; nil entries are dropped.
-func NewTeeTracer(tracers ...Tracer) *TeeTracer {
-	t := &TeeTracer{}
-	for _, tr := range tracers {
-		if tr != nil {
-			t.tracers = append(t.tracers, tr)
-		}
-	}
-	return t
-}
-
-// Enabled reports whether any member wants spans.
-func (t *TeeTracer) Enabled() bool {
-	for _, tr := range t.tracers {
-		if tr.Enabled() {
-			return true
-		}
-	}
-	return false
-}
-
-// Emit forwards the span to every enabled member.
-func (t *TeeTracer) Emit(s Span) {
-	for _, tr := range t.tracers {
-		if tr.Enabled() {
-			tr.Emit(s)
-		}
-	}
-}
-
-// JobStarted forwards the announcement to every enabled member that
-// implements JobObserver.
-func (t *TeeTracer) JobStarted(job string, mapTasks, reduceTasks int) {
-	for _, tr := range t.tracers {
-		if jo, ok := tr.(JobObserver); ok && tr.Enabled() {
-			jo.JobStarted(job, mapTasks, reduceTasks)
-		}
-	}
 }
 
 // MemTracer collects spans in memory, for tests and in-process reporting.
@@ -300,9 +225,6 @@ type MemTracer struct {
 
 // NewMemTracer returns an empty in-memory tracer.
 func NewMemTracer() *MemTracer { return &MemTracer{} }
-
-// Enabled reports true.
-func (t *MemTracer) Enabled() bool { return true }
 
 // Emit appends the span.
 func (t *MemTracer) Emit(s Span) {
@@ -342,9 +264,6 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer {
 	bw := bufio.NewWriter(w)
 	return &JSONLTracer{bw: bw, enc: json.NewEncoder(bw)}
 }
-
-// Enabled reports true.
-func (t *JSONLTracer) Enabled() bool { return true }
 
 // Emit encodes the span as one JSON line. The first encoding error sticks
 // and is reported by Close.

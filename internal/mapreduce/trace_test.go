@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,20 +95,11 @@ func TestTracedSpansMatchAttempts(t *testing.T) {
 	}
 }
 
-// disabledTracer is a non-nil Tracer that reports itself disabled.
-type disabledTracer struct{}
-
-func (disabledTracer) Enabled() bool { return false }
-func (disabledTracer) Emit(Span)     {}
-
 // TestTracerOffMatchesOn: tracing must not change output or deterministic
-// metrics, and a disabled tracer must behave like no tracer at all.
+// metrics, and a nil tracer — the one off switch — collects no per-key
+// counters.
 func TestTracerOffMatchesOn(t *testing.T) {
 	plain, err := Run(NewCluster(3), wordCountJob(2, true), wcSplits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nop, err := Run(tracedCluster(disabledTracer{}), wordCountJob(2, true), wcSplits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +107,60 @@ func TestTracerOffMatchesOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sortedWC(plain.Output), sortedWC(nop.Output)) ||
-		!reflect.DeepEqual(sortedWC(plain.Output), sortedWC(traced.Output)) {
+	if !reflect.DeepEqual(sortedWC(plain.Output), sortedWC(traced.Output)) {
 		t.Fatal("tracer changed job output")
 	}
-	if nop.Metrics.PerKey != nil {
-		t.Fatal("disabled tracer triggered per-key collection")
+	if plain.Metrics.PerKey != nil {
+		t.Fatal("untraced run collected per-key counters")
 	}
 	if traced.Metrics.PerKey == nil {
-		t.Fatal("enabled tracer did not trigger per-key collection")
+		t.Fatal("traced run did not collect per-key counters")
 	}
 	if plain.Metrics.ShuffleBytes != traced.Metrics.ShuffleBytes ||
 		plain.Metrics.MapOutputRecords != traced.Metrics.MapOutputRecords {
 		t.Fatal("tracer changed deterministic counters")
+	}
+}
+
+// TestDebugLogReportsEachPhase: with no tracer, a run at debug level logs
+// the end of its map phase, of its shuffle and of the job, in that order,
+// with the counts of its Metrics — the per-phase progress of every job a
+// command runs under -log debug.
+func TestDebugLogReportsEachPhase(t *testing.T) {
+	var buf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	defer slog.SetDefault(prev)
+
+	res, err := Run(NewCluster(3), wordCountJob(2, true), wcSplits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		Msg, Job       string
+		Tasks, Records int64
+		RecordsIn      int64 `json:"records_in"`
+		OutRecords     int64 `json:"output_records"`
+	}
+	var got []line
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var l line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Job == "wordcount" {
+			got = append(got, l)
+		}
+	}
+	m := res.Metrics
+	want := []line{
+		{Msg: "mapreduce map phase done", Job: "wordcount", Tasks: int64(m.MapTasks), RecordsIn: m.MapInputRecords},
+		{Msg: "mapreduce shuffle done", Job: "wordcount", Records: m.ShuffleRecords},
+		{Msg: "mapreduce job done", Job: "wordcount", OutRecords: m.OutputRecords},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("debug lines %+v, want %+v", got, want)
 	}
 }
 

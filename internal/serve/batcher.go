@@ -122,8 +122,8 @@ type executor struct {
 	// a read lock held for the pass.
 	pop *live.Population
 	// cluster is the template every pass copies: whatever the factory wired
-	// (tracer, progress tracker, Executor handle) is shared by all passes and
-	// outlives them; only the copy's trace fields are set per pass.
+	// (tracer, Executor handle) is shared by all passes and outlives them;
+	// only the copy's trace fields are set per pass.
 	cluster   *mapreduce.Cluster
 	onMetrics func(mapreduce.Metrics)
 	cache     *resultCache
@@ -132,7 +132,7 @@ type executor struct {
 	// one batch run in parallel under it, and overlapping batches pipeline
 	// through it instead of queueing behind each other.
 	sem chan struct{}
-	// tracer, when enabled, receives batch/pass/demux spans and threads a
+	// tracer, when set, receives batch/pass/demux spans and threads a
 	// TraceContext into every pass cluster; base is the daemon start time all
 	// serve span offsets are measured from.
 	tracer mapreduce.Tracer
@@ -141,7 +141,7 @@ type executor struct {
 
 // traced reports whether this batch should emit spans.
 func (x *executor) traced(cur *batch) bool {
-	return x.tracer != nil && x.tracer.Enabled() && cur.trace != ""
+	return x.tracer != nil && cur.trace != ""
 }
 
 func newBatcher(window time.Duration, maxBatch int, adaptive bool, epoch func() int64, exec *executor, stats *Stats) *batcher {

@@ -27,9 +27,9 @@
 //     submissions with 429 before they reach the batcher.
 //
 // Observability rides the existing stack: each pass runs on a cluster built
-// by the configured factory (the CLI injects its -trace/-progress-wired
-// one), pass metrics accumulate behind /metrics in Prometheus text form,
-// and service counters — batch occupancy, window latency, cache hit rate,
+// by the configured factory (the CLI injects its -trace-wired one), pass
+// metrics accumulate behind /metrics in Prometheus text form, and service
+// counters — batch occupancy, window latency, cache hit rate,
 // per-tenant rejections — are exported both there and as
 // JSON at /v1/stats. DESIGN.md §12 documents the request lifecycle, the
 // window state machine, and the fallback matrix.

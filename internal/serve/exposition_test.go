@@ -16,9 +16,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
-	"repro/internal/audit"
 	"repro/internal/dataset"
-	"repro/internal/estimate"
 	"repro/internal/gen"
 	"repro/internal/mapreduce"
 )
@@ -234,8 +232,8 @@ func (d *testDaemon) sampleAs(tenant string) int {
 
 // expositions drives every endpoint that renders Prometheus text and returns
 // the bodies by name: a static daemon, a live daemon after sample + mutate +
-// subscribe (with a push) + a quota reject, engine metrics with PerKey and
-// Custom set, and a quality report with all four sections.
+// subscribe (with a push) + a quota reject, and engine metrics with PerKey
+// and Custom set.
 func expositions(t *testing.T) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -274,38 +272,17 @@ func expositions(t *testing.T) map[string]string {
 	var h mapreduce.Histogram
 	h.Observe(3)
 	h.Observe(40)
-	rep := &audit.Report{
-		Fill: &audit.FillReport{Query: "q", Rows: []audit.FillRow{
-			{Stratum: "gender = 1", Required: 5, Achieved: 5, Population: 30},
-			{Stratum: `name = "x\y"`, Required: 4, Achieved: 2, Population: 30},
-		}},
-		Bias: &audit.BiasReport{Query: "q", Runs: 200, ReservoirSizes: h, Strata: []audit.BiasStratum{
-			{Stratum: "gender = 1", P: 0.25, Inclusions: h}, {Stratum: `name = "x\y"`, P: 1e-7},
-		}},
-		CPS: &audit.CPSReport{
-			Surveys: 1, LPObjective: 10.5, RealizedCost: 12, PlannedTuples: 9, ResidualTuples: 3,
-			PerSurvey: []audit.SurveyCost{{Name: "Q1", PlanCost: 9, ResidualSlots: 3}},
-		},
-		Estimator: &audit.EstimatorReport{Attr: "income", Stratified: estimate.Mean{StdErr: 0.125}, DesignEffect: 0.5},
-	}
 	m := mapreduce.Metrics{
 		Job: "wordcount", MapTasks: 3, MapInputRecords: 16_000_000, WallTime: 1500 * 1e6,
-		MapTaskNanos: h, Custom: rep.Histograms(), // as recordQuality folds them into -debug-addr's /metrics
+		MapTaskNanos: h, Custom: map[string]*mapreduce.Histogram{"reservoir_size": &h},
 		PerKey: map[string]mapreduce.KeyStats{"a": {Records: 3, Output: 1}, "\x00\x01b": {Records: 1, Output: 1}},
 	}
-	m.Custom["reservoir_size"] = &h
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	mapreduce.NewPromWriter(&buf).BuildInfo(static.s.started)
 	out["-debug-addr /metrics"] = buf.String()
-
-	buf.Reset()
-	if err := rep.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out["/quality"] = buf.String()
 	return out
 }
 
@@ -337,13 +314,6 @@ func TestExpositionLint(t *testing.T) {
 			`strata_reservoir_size_bucket{job="wordcount",le="+Inf"} 2` + "\n",
 			`strata_key_output_records_total{job="wordcount",key="\\x00\\x01b"} 1` + "\n",
 			"strata_build_info{go_version=",
-		},
-		"/quality": {
-			`strata_audit_fill_rate{query="q",stratum="name = \"x\\y\""} 0.5` + "\n",
-			`strata_audit_bias_p{query="q",stratum="gender = 1"} 0.25` + "\n",
-			`strata_audit_bias_runs{query="q"} 200` + "\n",
-			"strata_audit_lp_objective 10.5\n",
-			`strata_audit_design_effect{attr="income"} 0.5` + "\n",
 		},
 	} {
 		for _, want := range wants {

@@ -505,7 +505,7 @@ func (h *subHub) maybePush(sub *subscription, timed bool) {
 // to the mutations that caused them.
 func (h *subHub) emitPushTrace(sub *subscription, start time.Time) {
 	tr := h.s.cfg.Tracer
-	if tr == nil || !tr.Enabled() || sub.trace == "" {
+	if tr == nil || sub.trace == "" {
 		return
 	}
 	run := fmt.Sprintf("push%d", sub.seq)

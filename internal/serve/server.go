@@ -183,9 +183,9 @@ func NewServer(cfg Config) (*Server, error) {
 		s.quotas = newQuotaTable(cfg.QuotaQPS, cfg.QuotaBurst)
 	}
 	s.epoch.Store(1)
-	// One cluster, built once: the factory wires tracer, progress tracker and
-	// above all the Executor handle (a dialed, handshaken worker pool), and a
-	// pass runs on a value copy, so concurrent passes share that wiring and
+	// One cluster, built once: the factory wires the tracer and above all
+	// the Executor handle (a dialed, handshaken worker pool), and a pass
+	// runs on a value copy, so concurrent passes share that wiring and
 	// nothing else. A pass carries a trace identity only when its batch is
 	// traced, never the factory's.
 	cluster := cfg.NewCluster(cfg.Slaves)
@@ -459,7 +459,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 // engine spans are emitted by the batcher's executor under the same trace.
 func (s *Server) emitRequestTrace(trace string, reqSpan uint64, start time.Time, cacheDur time.Duration, e *entry) {
 	tr := s.cfg.Tracer
-	if tr == nil || !tr.Enabled() || trace == "" {
+	if tr == nil || trace == "" {
 		return
 	}
 	startOff := start.Sub(s.started)

@@ -134,8 +134,8 @@ func classifiers(queries []*query.SSD, schema *dataset.Schema) ([]*predicate.Cla
 // buildSelectionSampleJob constructs the sampling job over derived strata:
 // MR-MQE's shuffle and reduce, keyed (vector, selection position). A config
 // without frequencies is the limits job of Figure 4: one vector classifying
-// every listed selection and drawing 0 of each, named apart so that progress,
-// traces and per-job metrics tell MR-CPS's limits from its draws.
+// every listed selection and drawing 0 of each, named apart so that the -log
+// lines, traces and per-job metrics tell MR-CPS's limits from its draws.
 func buildSelectionSampleJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
 	name, derive, draw := "mr-selection-sample", cfg.Freqs, cfg.Freqs
 	if len(cfg.Freqs) == 0 {
