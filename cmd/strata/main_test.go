@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/cps"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/stratified"
+	"repro/internal/worker"
 )
 
 func TestCmdGenerate(t *testing.T) {
@@ -451,6 +453,67 @@ func TestDebugAddrLeavesEngineUntraced(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestTraceCritNamesThePath: "strata trace -crit" rebuilds the trace tree of
+// a distributed run and descends its critical path from the job span to the
+// longest map attempt and the worker that ran it, beside the job's map,
+// shuffle and reduce rows; under a frozen clock, on a one-worker pool, two
+// runs read back byte-identical.
+func TestTraceCritNamesThePath(t *testing.T) {
+	pop := gen.Population(2000, 1)
+	splits, err := dataset.Partition(pop, 4, dataset.Contiguous, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parseSSD("Q", "nop >= 100 : 5 ; nop < 100 : 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := worker.NewTCPExecutor(worker.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	exec.SpawnLocal(1)
+	if err := exec.AwaitWorkers(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	trace := func(name string) string {
+		path := filepath.Join(t.TempDir(), name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		tr := mapreduce.NewJSONLTracer(f)
+		c := mapreduce.NewCluster(2)
+		c.Executor, c.Tracer, c.Clock = exec, tr, mapreduce.FrozenClock(time.Unix(0, 0))
+		c.TraceContext = &mapreduce.TraceContext{Trace: "t-crit", Run: "r1"}
+		if _, _, err := stratified.RunSQE(c, q, pop.Schema(), splits, stratified.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return captureStdout(t, func() error { return cmdTrace([]string{"-top", "0", "-crit", "2", path}) })
+	}
+	out := trace("first.jsonl")
+	table, crit, ok := strings.Cut(out, "traces: 1 ")
+	if !ok {
+		t.Fatalf("no critical paths:\n%s", out)
+	}
+	for _, row := range []string{"map", "shuffle-send", "shuffle-recv", "reduce"} {
+		if !regexp.MustCompile(`(?m)^ +` + row + ` +[1-9]`).MatchString(table) {
+			t.Errorf("the job's table has no %q row:\n%s", row, table)
+		}
+	}
+	if !regexp.MustCompile(`\n  job "mr-sqe:Q" \[r1\] [^\n]*\n    map task \d \[r1\] @tcp-\d+ `).MatchString(crit) {
+		t.Errorf("the critical path does not descend from the job to a map attempt on its worker:\n%s", crit)
+	}
+	if again := trace("second.jsonl"); again != out {
+		t.Errorf("two frozen-clock runs read back differently:\n--- first ---\n%s\n--- second ---\n%s", out, again)
 	}
 }
 

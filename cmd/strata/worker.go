@@ -8,8 +8,8 @@ import (
 )
 
 // cmdWorker turns this process into a task worker: it dials a coordinator,
-// registers, and serves map and reduce attempts through the same job
-// registry the coordinator uses, until the coordinator drains it.
+// registers, and serves map and reduce attempts through stratified.Inproc —
+// the job builder the coordinator uses — until the coordinator drains it.
 // "-backend subprocess" starts its children this way; "-backend tcp" logs
 // the address any further "strata worker -connect host:port" can join.
 func cmdWorker(args []string) error {

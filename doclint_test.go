@@ -232,7 +232,7 @@ func goFiles(t *testing.T) (paths, bases map[string]bool) {
 // strata binary on a line of a fenced block must be one cmd/strata defines or
 // a listed go-tool flag — so a PR that deletes or renames code, or retires a
 // flag, fails until the prose follows. It is the mechanical half of ROADMAP
-// item 11.
+// item 13.
 func TestDocLint(t *testing.T) {
 	pkgs := parseInternal(t)
 	paths, bases := goFiles(t)

@@ -10,8 +10,8 @@ import (
 )
 
 // The benchmark and test jobs use (int, int64) pairs, records[int] splits
-// and []int64 outputs; their codecs are registered here the way production
-// jobs register theirs next to RegisterJobMaker.
+// and []int64 outputs, and carry these codecs; testInproc rebuilds them from
+// their config — the job's name — the way a worker rebuilds its one job.
 var intPairCodec = BucketCodec[int, int64]{
 	AppendPair: func(buf []byte, p Pair[int, int64]) []byte {
 		buf = wire.AppendVarint(buf, int64(p.Key))
@@ -24,26 +24,38 @@ var intPairCodec = BucketCodec[int, int64]{
 	},
 }
 
-func init() {
-	RegisterBucketCodec(intPairCodec)
-	ints := RecordsCodec(
-		func(buf []byte, x int) []byte { return wire.AppendVarint(buf, int64(x)) },
-		func(r *wire.Reader) (int, error) { return int(r.Varint()), r.Err() })
-	RegisterCodec(Codec[records[int]]{
-		Append: func(buf []byte, s records[int]) []byte { return ints.Append(buf, s) },
-		Read:   func(r *wire.Reader) (records[int], error) { return ints.Read(r) },
-	})
-	RegisterCodec(RecordsCodec(wire.AppendVarint,
-		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
+var ints = RecordsCodec(
+	func(buf []byte, x int) []byte { return wire.AppendVarint(buf, int64(x)) },
+	func(r *wire.Reader) (int, error) { return int(r.Varint()), r.Err() })
+
+var splitCodec = Codec[records[int]]{
+	Append: func(buf []byte, s records[int]) []byte { return ints.Append(buf, s) },
+	Read:   func(r *wire.Reader) (records[int], error) { return ints.Read(r) },
 }
+
+var testCodecs = &Codecs[records[int], int, int64, int64]{
+	Split: splitCodec,
+	Pair:  intPairCodec,
+	Output: RecordsCodec(wire.AppendVarint,
+		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }),
+}
+
+var testInproc = NewInproc(func(config []byte) (*Job[records[int], int, int64, int64], error) {
+	switch string(config) {
+	case "remote-modcount":
+		return portableJob(0), nil
+	case "shuffle-heavy":
+		return shuffleHeavyJob(), nil
+	}
+	return nil, fmt.Errorf("no test job %q", config)
+})
 
 // shuffleHeavyJob forwards every record unchanged under a wide key space,
 // so nearly all engine time is spent moving, grouping and byte-accounting
 // shuffle pairs rather than in map or reduce user code.
 func shuffleHeavyJob() *Job[records[int], int, int64, int64] {
 	return &Job[records[int], int, int64, int64]{
-		Name:  "shuffle-heavy",
-		Maker: "test-shuffle-heavy",
+		Name: "shuffle-heavy",
 		Mapper: forwardStage[int, int, int64](func(_ *TaskContext, v int, emit func(int, int64)) {
 			emit(v%997, int64(v))
 		}),
@@ -51,12 +63,9 @@ func shuffleHeavyJob() *Job[records[int], int, int64, int64] {
 			emit(int64(len(vs)))
 		}),
 		KeyString: func(k int) string { return strconv.Itoa(k) },
+		Config:    []byte("shuffle-heavy"),
+		Codecs:    testCodecs,
 	}
-}
-
-func init() {
-	RegisterJobMaker("test-shuffle-heavy",
-		func([]byte) (*Job[records[int], int, int64, int64], error) { return shuffleHeavyJob(), nil })
 }
 
 // benchShuffle runs the shuffle-heavy job in memory (exec nil) or serialized
@@ -97,10 +106,10 @@ func BenchmarkShuffleTraced(b *testing.B) {
 }
 
 // BenchmarkShuffleSerialized measures the serialized shuffle route: every
-// task a TaskSpec through InprocExecutor — encode, routed hand-over, decode,
+// task a TaskSpec through NewInproc's executor — encode, routed hand-over, decode,
 // group.
 func BenchmarkShuffleSerialized(b *testing.B) {
-	benchShuffle(b, &InprocExecutor{}, nil, 4000)
+	benchShuffle(b, testInproc, nil, 4000)
 }
 
 // BenchmarkShuffleVolume scales the serialized shuffle's record volume to
@@ -109,7 +118,7 @@ func BenchmarkShuffleSerialized(b *testing.B) {
 func BenchmarkShuffleVolume(b *testing.B) {
 	for _, rows := range []int{4000, 16000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchShuffle(b, &InprocExecutor{}, nil, rows)
+			benchShuffle(b, testInproc, nil, rows)
 		})
 	}
 }

@@ -19,10 +19,10 @@ type Cluster struct {
 	// Executor, when non-nil, runs task attempts on an execution backend
 	// instead of in-process goroutines: a worker pool (child processes or
 	// whoever dialed in) or any other Executor implementation — every task then
-	// travels as a serialized TaskSpec, even with an *InprocExecutor. A nil
-	// Executor keeps tasks as in-process closures that never encode.
-	// Executors require portable jobs (Job.Maker set); Run refuses any
-	// other.
+	// travels as a serialized TaskSpec, even with NewInproc's executor. A
+	// nil Executor keeps tasks as in-process closures that never encode.
+	// Executors require jobs that carry their codecs (Job.Codecs set); Run
+	// refuses any other.
 	Executor Executor
 	// Tracer, when non-nil, receives one Span per task attempt, combine,
 	// shuffle leg and job (see the Phase* constants). A nil tracer keeps the

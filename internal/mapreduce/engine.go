@@ -206,9 +206,9 @@ func (b *inprocBackend[S, K, V, O]) runReduce(r int, out *reduceOutcome[O]) erro
 // There is one loop and two implementations of the backend seam it drives.
 // With no Executor on the cluster tasks run in-process; with one, every task
 // is a TaskSpec round-trip to the executor's workers — which rebuild the job
-// from its (Maker, Config) registration, so a job without a Maker is an
-// error there — and the shuffle's buckets ride the task frames through the
-// coordinator.
+// from its Config, and whose payloads travel through its Codecs, so a job
+// without Codecs is an error there — and the shuffle's buckets ride the task
+// frames through the coordinator.
 //
 // Concurrency model: map tasks run on a bounded worker pool, then one unit
 // of work per reducer — assemble its bucket column, group, reduce — runs on
@@ -237,8 +237,8 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	if job.Reducer == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no reducer", job.Name)
 	}
-	if c.Executor != nil && job.Maker == "" {
-		return nil, fmt.Errorf("mapreduce: job %q has no Maker for the %s executor's workers to rebuild it from", job.Name, c.Executor.Name())
+	if c.Executor != nil && job.Codecs == nil {
+		return nil, fmt.Errorf("mapreduce: job %q has no codecs to cross the %s executor's wire", job.Name, c.Executor.Name())
 	}
 	numReducers := job.NumReducers
 	if numReducers <= 0 {
@@ -274,8 +274,8 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	backendName := "inproc"
 	if exec := c.Executor; exec != nil {
 		backendName = exec.Name()
-		be = newRemoteBackend[S, O](exec, TaskSpec{
-			Job: job.Name, Maker: job.Maker, Config: job.Config, Seed: job.Seed,
+		be = newRemoteBackend(exec, job.Codecs.Split, job.Codecs.Output, TaskSpec{
+			Job: job.Name, Config: job.Config, Seed: job.Seed,
 			NumReducers: numReducers, Frozen: c.Clock != nil,
 		}, splits, tctx, perKey, clock)
 	} else {

@@ -6,13 +6,17 @@ import (
 )
 
 // remoteBackend runs every task as a TaskSpec round-trip through an Executor
-// (a worker pool, the in-process registry loopback): payloads travel
+// (a worker pool, or NewInproc's loopback): payloads travel
 // serialized, a map result brings its buckets back here and each reduce spec
 // carries its reducer's column of them, and worker failures come back as
 // extra failed attempts. The engine loop (Run) is the same as for in-process
 // execution.
 type remoteBackend[S sized, O any] struct {
 	exec Executor
+	// split and output are the job's codecs for what the coordinator
+	// encodes and decodes itself; buckets pass through it as bytes.
+	split  Codec[S]
+	output Codec[[]O]
 	// spec is the template every task spec starts from: job identity, seed,
 	// reducer count and the frozen-clock flag. Any injected clock cannot be
 	// shared with a worker process, so under one workers report zero wall
@@ -30,11 +34,11 @@ type remoteBackend[S sized, O any] struct {
 }
 
 func newRemoteBackend[S sized, O any](
-	exec Executor, spec TaskSpec, splits []S,
+	exec Executor, split Codec[S], output Codec[[]O], spec TaskSpec, splits []S,
 	tctx *TraceContext, perKey bool, elapsed func() time.Duration,
 ) *remoteBackend[S, O] {
 	return &remoteBackend[S, O]{
-		exec: exec, spec: spec, splits: splits, tctx: tctx, perKey: perKey, elapsed: elapsed,
+		exec: exec, split: split, output: output, spec: spec, splits: splits, tctx: tctx, perKey: perKey, elapsed: elapsed,
 		payloads: make([][][]byte, len(splits)),
 		sizes:    make([][]int64, len(splits)),
 	}
@@ -75,10 +79,7 @@ func (b *remoteBackend[S, O]) fold(res *TaskResult, a *attempt) {
 func (b *remoteBackend[S, O]) runMap(task int, out *mapOutcome) error {
 	spec := b.newSpec("map", task)
 	b.stamp(spec)
-	var err error
-	if spec.Split, err = encodeValue(b.splits[task]); err != nil {
-		return fmt.Errorf("encoding split of map task %d: %w", task, err)
-	}
+	spec.Split = encodeValue(b.split, b.splits[task])
 	res, err := b.exec.Execute(spec)
 	if err != nil {
 		return fmt.Errorf("map task %d on %s executor: %w", task, b.exec.Name(), err)
@@ -118,8 +119,8 @@ func (b *remoteBackend[S, O]) runReduce(r int, out *reduceOutcome[O]) error {
 	}
 	b.fold(res, &out.attempt)
 	out.perKey = res.PerKey
-	if out.out, err = DecodeTaskOutput[O](res.Output); err != nil {
-		return fmt.Errorf("reducer %d: %w", r, err)
+	if out.out, err = decodeValue(b.output, res.Output); err != nil {
+		return fmt.Errorf("reducer %d: mapreduce: decoding reduce output: %w", r, err)
 	}
 	return nil
 }

@@ -370,7 +370,7 @@ func TestBatchMapperLogicalCounters(t *testing.T) {
 		{"forwarding", shuffleHeavyJob(), splits, total, 0, 0, total, 0},
 		{"combining nothing", portableJob(1), []records[int]{{}, {}}, 0, 0, 0, 0, 0},
 	} {
-		for backend, exec := range map[string]Executor{"inproc": nil, "executor": &InprocExecutor{}} {
+		for backend, exec := range map[string]Executor{"inproc": nil, "executor": testInproc} {
 			mem := NewMemTracer()
 			cluster := remoteTestCluster()
 			cluster.Tracer, cluster.Executor = mem, exec

@@ -7,17 +7,15 @@ import (
 )
 
 // TaskSpec is one task attempt in backend-portable form: everything a worker
-// process needs to reconstruct the job (Maker + Config), seed its RNGs
+// process needs to reconstruct the job (Config), seed its RNGs
 // identically to an in-process run (Seed, Task, Phase), and the input bytes.
 // Payloads lead with a one-byte format byte (see wire.go).
 type TaskSpec struct {
 	// Job is the job name, used in task contexts and error messages.
 	Job string
-	// Maker names the job factory registered with RegisterJobMaker; Config
-	// is its serialized argument. Together they make the job portable: a
-	// worker that links the same registrations rebuilds map stage, reducer,
-	// partitioner and key renderer from them.
-	Maker  string
+	// Config is the job's serialized argument: the worker's builder
+	// (NewInproc) rebuilds map stage, reducer, key renderer and codecs from
+	// it.
 	Config []byte
 	// Phase is "map" or "reduce".
 	Phase string
@@ -184,21 +182,3 @@ type Executor interface {
 	// outlives individual jobs; close it when the process is done.
 	Close() error
 }
-
-// InprocExecutor executes task specs in this process through the same
-// registry path remote workers use: splits, buckets and outputs are encoded
-// and decoded, only the process boundary is missing. It is how tests and
-// benchmarks hold the serialized route byte-identical to closure execution
-// (a nil Cluster.Executor) without spawning workers.
-type InprocExecutor struct{}
-
-// Name reports "inproc".
-func (*InprocExecutor) Name() string { return "inproc" }
-
-// Execute runs the spec through the job-maker registry in this process.
-func (*InprocExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
-	return ExecuteTask(spec)
-}
-
-// Close is a no-op.
-func (*InprocExecutor) Close() error { return nil }

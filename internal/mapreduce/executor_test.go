@@ -13,8 +13,8 @@ import (
 )
 
 // The tests here pin the executor seam's core contract: a job routed
-// through the portable path — (Maker, Config) registry, serialized splits
-// and buckets, TaskSpec/TaskResult round-trips via InprocExecutor — produces output,
+// through the portable path — rebuilt from its Config, serialized splits
+// and buckets, TaskSpec/TaskResult round-trips via NewInproc's executor — produces output,
 // metrics and (under a frozen clock) span streams byte-identical to the
 // in-process engine.
 
@@ -41,13 +41,6 @@ func remoteModCountJob() *Job[records[int], int, int64, int64] {
 	}
 }
 
-func init() {
-	RegisterJobMaker("test-remote-modcount",
-		func(config []byte) (*Job[records[int], int, int64, int64], error) {
-			return remoteModCountJob(), nil
-		})
-}
-
 func remoteTestSplits() []records[int] {
 	splits := make([]records[int], 7)
 	for s := range splits {
@@ -69,8 +62,7 @@ func remoteTestCluster() *Cluster {
 
 func portableJob(seed int64) *Job[records[int], int, int64, int64] {
 	job := remoteModCountJob()
-	job.Seed = seed
-	job.Maker = "test-remote-modcount"
+	job.Seed, job.Config, job.Codecs = seed, []byte("remote-modcount"), testCodecs
 	return job
 }
 
@@ -81,7 +73,7 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := remoteTestCluster()
-	remote.Executor = &InprocExecutor{}
+	remote.Executor = testInproc
 	got, err := Run(remote, portableJob(42), splits)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +88,7 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 
 // TestRemoteGoldenSpans locks the executor seam's observability contract:
 // under a frozen clock the remote path's span file is byte-identical to the
-// in-process one (InprocExecutor reports no worker id, so not even
+// in-process one (NewInproc's executor reports no worker id, so not even
 // normalization is needed).
 func TestRemoteGoldenSpans(t *testing.T) {
 	splits := remoteTestSplits()
@@ -119,7 +111,7 @@ func TestRemoteGoldenSpans(t *testing.T) {
 		return buf.Bytes()
 	}
 	inproc := run(nil)
-	remote := run(&InprocExecutor{})
+	remote := run(testInproc)
 	if !bytes.Equal(inproc, remote) {
 		t.Errorf("span files differ between in-process and remote execution:\n--- inproc ---\n%s\n--- remote ---\n%s", inproc, remote)
 	}
@@ -130,7 +122,7 @@ func TestRemoteGoldenSpans(t *testing.T) {
 // failed attempts ahead of the one that succeeded — which is all the engine
 // ever learns of a failure.
 type dyingExecutor struct {
-	InprocExecutor
+	Executor
 	died map[string]int
 	// gaveUp, when set, names a task whose attempt budget the pool spent.
 	gaveUp string
@@ -140,7 +132,7 @@ func (e *dyingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 	if task := fmt.Sprintf("%s/%d", spec.Phase, spec.Task); task == e.gaveUp {
 		return nil, fmt.Errorf("worker: %s failed after 3 attempts, last on w-dead2: worker exited mid-task", task)
 	}
-	res, err := e.InprocExecutor.Execute(spec)
+	res, err := e.Executor.Execute(spec)
 	if err == nil {
 		res.Worker = "w-live"
 		for i := 0; i < e.died[fmt.Sprintf("%s/%d", spec.Phase, spec.Task)]; i++ {
@@ -155,7 +147,7 @@ func (e *dyingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 // of map task 2, one of reduce task 1.
 func dyingCluster() *Cluster {
 	c := remoteTestCluster()
-	c.Executor = &dyingExecutor{died: map[string]int{"map/2": 2, "reduce/1": 1}}
+	c.Executor = &dyingExecutor{Executor: testInproc, died: map[string]int{"map/2": 2, "reduce/1": 1}}
 	return c
 }
 
@@ -192,7 +184,7 @@ func TestFaultsDoNotChangeOutput(t *testing.T) {
 // it gives up on a task the job aborts with its error, naming job and task.
 func TestFaultsAbortAfterMaxAttempts(t *testing.T) {
 	c := remoteTestCluster()
-	c.Executor = &dyingExecutor{gaveUp: "reduce/1"}
+	c.Executor = &dyingExecutor{Executor: testInproc, gaveUp: "reduce/1"}
 	_, err := Run(c, portableJob(1), remoteTestSplits())
 	for _, want := range []string{`job "remote-modcount"`, "reduce task 1", "failed after 3 attempts"} {
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -201,31 +193,32 @@ func TestFaultsAbortAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// countingExecutor counts the specs an InprocExecutor is handed.
+// countingExecutor counts the specs an executor is handed.
 type countingExecutor struct {
-	InprocExecutor
+	Executor
 	specs atomic.Int64
 }
 
 func (e *countingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 	e.specs.Add(1)
-	return e.InprocExecutor.Execute(spec)
+	return e.Executor.Execute(spec)
 }
 
-// TestMakerlessJobOnExecutorIsAnError: workers rebuild a job from its
-// (Maker, Config) registration, so a closure-only job on a cluster with an
-// executor cannot run there — and does not quietly run here instead: Run
-// returns an error naming the job and the executor before any task starts.
-func TestMakerlessJobOnExecutorIsAnError(t *testing.T) {
-	exec := &countingExecutor{}
+// TestCodeclessJobOnExecutorIsAnError: an executor's workers move a job's
+// payloads with the codecs it carries, so a job without them on a cluster
+// with an executor cannot run there — and does not quietly run here instead:
+// Run returns an error naming the job and the executor before any task
+// starts.
+func TestCodeclessJobOnExecutorIsAnError(t *testing.T) {
+	exec := &countingExecutor{Executor: testInproc}
 	c := remoteTestCluster()
 	c.Executor = exec
-	job := remoteModCountJob() // no Maker set
+	job := remoteModCountJob() // no Codecs set
 	res, err := Run(c, job, remoteTestSplits())
 	if err == nil {
-		t.Fatalf("maker-less job ran on an executor cluster: %d output records", len(res.Output))
+		t.Fatalf("codec-less job ran on an executor cluster: %d output records", len(res.Output))
 	}
-	for _, want := range []string{job.Name, exec.Name(), "Maker"} {
+	for _, want := range []string{job.Name, exec.Name(), "codecs"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
@@ -235,13 +228,13 @@ func TestMakerlessJobOnExecutorIsAnError(t *testing.T) {
 	}
 	// The same job is fine where nothing has to travel.
 	if _, err := Run(remoteTestCluster(), job, remoteTestSplits()); err != nil {
-		t.Errorf("maker-less job without an executor: %v", err)
+		t.Errorf("codec-less job without an executor: %v", err)
 	}
 }
 
-// TestRunnerCacheIsBounded: the worker-side job cache is a fixed-size LRU.
+// TestRunnerCacheIsBounded: an executor's job cache is a fixed-size LRU.
 // One more distinct config than it holds leaves it full, not larger, and a
-// spec whose runner was evicted is rebuilt and executes.
+// spec whose job was evicted is rebuilt and executes.
 func TestRunnerCacheIsBounded(t *testing.T) {
 	specs, _ := sampleTasks(t)
 	spec := func(i int) *TaskSpec {
@@ -249,32 +242,34 @@ func TestRunnerCacheIsBounded(t *testing.T) {
 		s.Config = []byte(fmt.Sprintf("cfg-%d", i))
 		return &s
 	}
+	e := NewInproc(func([]byte) (*Job[records[int], int, int64, int64], error) { return portableJob(0), nil })
+	in := e.(*inproc[records[int], int, int64, int64])
 	cached := func() int {
-		registry.Lock()
-		defer registry.Unlock()
-		return len(registry.cache)
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return len(in.cache)
 	}
 	holds := func(s *TaskSpec) bool {
-		registry.Lock()
-		defer registry.Unlock()
-		for _, e := range registry.cache {
-			if e.maker == s.Maker && e.job == s.Job && bytes.Equal(e.config, s.Config) {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		for _, b := range in.cache {
+			if b.name == s.Job && bytes.Equal(b.config, s.Config) {
 				return true
 			}
 		}
 		return false
 	}
 	for i := 0; i <= runnerCacheSize; i++ {
-		if _, err := ExecuteTask(spec(i)); err != nil {
+		if _, err := e.Execute(spec(i)); err != nil {
 			t.Fatal(err)
 		}
 		// Keep config 0 the most recently used but one: it must survive.
-		if _, err := ExecuteTask(spec(0)); err != nil {
+		if _, err := e.Execute(spec(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := cached(); n != runnerCacheSize {
-		t.Fatalf("%d runners cached after %d distinct configs, want %d", n, runnerCacheSize+1, runnerCacheSize)
+		t.Fatalf("%d jobs cached after %d distinct configs, want %d", n, runnerCacheSize+1, runnerCacheSize)
 	}
 	if !holds(spec(0)) || !holds(spec(runnerCacheSize)) {
 		t.Error("the two most recently used configs are not cached")
@@ -282,26 +277,36 @@ func TestRunnerCacheIsBounded(t *testing.T) {
 	if holds(spec(1)) {
 		t.Error("the least recently used config was not the one evicted")
 	}
-	want, err := ExecuteTask(spec(0))
+	want, err := e.Execute(spec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteTask(spec(1)) // evicted: rebuilt
+	got, err := e.Execute(spec(1)) // evicted: rebuilt
 	if err != nil {
 		t.Fatalf("re-sent evicted config: %v", err)
 	}
 	if !reflect.DeepEqual(got.Buckets, want.Buckets) {
-		t.Error("a rebuilt runner produced different buckets")
+		t.Error("a rebuilt job produced different buckets")
 	}
 	if n := cached(); n != runnerCacheSize {
-		t.Errorf("%d runners cached after the rebuild, want %d", n, runnerCacheSize)
+		t.Errorf("%d jobs cached after the rebuild, want %d", n, runnerCacheSize)
 	}
 }
 
-func TestExecuteTaskUnknownMaker(t *testing.T) {
-	_, err := ExecuteTask(&TaskSpec{Job: "x", Maker: "no-such-maker", Phase: "map", NumReducers: 1})
-	if err == nil || !strings.Contains(err.Error(), "no-such-maker") {
-		t.Fatalf("want an error naming the unregistered maker, got %v", err)
+// TestInprocRefusesUnknownConfig: a config the builder refuses, or a job it
+// builds without codecs, is a task error naming the job (and the builder's
+// reason) before any payload is touched.
+func TestInprocRefusesUnknownConfig(t *testing.T) {
+	spec := &TaskSpec{Job: "x", Config: []byte("no-such-job"), Phase: "map", NumReducers: 1}
+	_, err := testInproc.Execute(spec)
+	for _, want := range []string{`job "x"`, "no-such-job"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want an error naming %q, got %v", want, err)
+		}
+	}
+	codecless := NewInproc(func([]byte) (*Job[records[int], int, int64, int64], error) { return remoteModCountJob(), nil })
+	if _, err := codecless.Execute(spec); err == nil || !strings.Contains(err.Error(), `job "x"`) || !strings.Contains(err.Error(), "codecs") {
+		t.Fatalf("want an error naming the job built without codecs, got %v", err)
 	}
 }
 
@@ -318,7 +323,7 @@ func TestExecuteTaskRejectsBadSpec(t *testing.T) {
 		"too many buckets":    func(_, r *TaskSpec) *TaskSpec { r.Buckets = make([][]byte, maxSpecTasks+1); return r },
 	} {
 		m, r := *specs[1], *specs[2]
-		if _, err := ExecuteTask(mutate(&m, &r)); !errors.Is(err, ErrInvalidSpec) {
+		if _, err := testInproc.Execute(mutate(&m, &r)); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("%s: %v, want ErrInvalidSpec", name, err)
 		}
 	}
@@ -326,10 +331,10 @@ func TestExecuteTaskRejectsBadSpec(t *testing.T) {
 
 // shortResultExecutor answers map specs the way a skewed or hostile peer
 // might: a well-formed result whose per-reducer slices are one entry short.
-type shortResultExecutor struct{ InprocExecutor }
+type shortResultExecutor struct{ Executor }
 
 func (e *shortResultExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
-	res, err := e.InprocExecutor.Execute(spec)
+	res, err := e.Executor.Execute(spec)
 	if err == nil && spec.Phase == "map" && spec.Task == 2 {
 		res.Worker = "w-short"
 		res.Buckets = res.Buckets[:len(res.Buckets)-1]
@@ -343,7 +348,7 @@ func (e *shortResultExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 // an error naming task and worker — not panic an engine goroutine.
 func TestShortMapResultFailsJob(t *testing.T) {
 	c := remoteTestCluster()
-	c.Executor = &shortResultExecutor{}
+	c.Executor = &shortResultExecutor{testInproc}
 	_, err := Run(c, portableJob(1), remoteTestSplits())
 	if err == nil {
 		t.Fatal("short map result went unnoticed")

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -10,23 +9,6 @@ import (
 	"time"
 	"unicode/utf8"
 )
-
-// MarshalJSONIndent renders the metrics as indented JSON. Histograms use
-// their bucket wire form, so the output round-trips through
-// encoding/json back into an equal Metrics value.
-func (m Metrics) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
-}
-
-// WriteJSON writes the metrics as one indented JSON object.
-func (m Metrics) WriteJSON(w io.Writer) error {
-	data, err := m.MarshalJSONIndent()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
 
 // WritePrometheus renders the metrics in the Prometheus text exposition
 // format (counters, gauges and cumulative-bucket histograms), every series
@@ -210,17 +192,4 @@ func promEscape(s string) string {
 		i += size
 	}
 	return b.String()
-}
-
-// PhaseBreakdown returns the paper-style per-phase simulated time split
-// (map, shuffle, reduce) as fractions of SimulatedTotal; all zeros when the
-// total is zero.
-func (m Metrics) PhaseBreakdown() (mapFrac, shuffleFrac, reduceFrac float64) {
-	total := m.SimulatedTotal()
-	if total <= 0 {
-		return 0, 0, 0
-	}
-	return float64(m.SimulatedMap) / float64(total),
-		float64(m.SimulatedShuffle) / float64(total),
-		float64(m.SimulatedReduce) / float64(total)
 }

@@ -9,19 +9,20 @@ import (
 // Fuzz targets for what a worker or coordinator decodes straight off a
 // socket and then acts on: hostile bytes may be rejected, never panic.
 
-// sampleTasks runs a well-formed map attempt of the test-remote-modcount job
-// and the reduce attempt its first bucket feeds, so the corpora start from
-// frames that reach the task cores, next to the round-trip fixtures.
+// sampleTasks runs a well-formed map attempt of the remote-modcount job
+// through testInproc and the reduce attempt its first bucket feeds, so the
+// corpora start from frames that reach the task cores, next to the
+// round-trip fixtures.
 func sampleTasks(f testing.TB) ([]*TaskSpec, []*TaskResult) {
-	split, _ := encodeValue(records[int]{3, 56, 109, 4})
-	m := &TaskSpec{Job: "fuzz", Maker: "test-remote-modcount", Phase: "map", Seed: 5, NumReducers: 2, Split: split}
-	mres, err := ExecuteTask(m)
+	split := encodeValue(testCodecs.Split, records[int]{3, 56, 109, 4})
+	m := &TaskSpec{Job: "fuzz", Config: []byte("remote-modcount"), Phase: "map", Seed: 5, NumReducers: 2, Split: split}
+	mres, err := testInproc.Execute(m)
 	if err != nil {
 		f.Fatal(err)
 	}
 	r := *m
 	r.Phase, r.Split, r.Buckets, r.CollectKeys = "reduce", nil, mres.Buckets[:1], true
-	rres, err := ExecuteTask(&r)
+	rres, err := testInproc.Execute(&r)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -35,9 +36,9 @@ func FuzzReadTaskSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if spec, err := ReadTaskSpec(wire.NewReader(data)); err == nil {
-			// One runner: the registry caches per (maker, job, config).
-			spec.Job, spec.Maker, spec.Config = "fuzz", "test-remote-modcount", nil
-			_, _ = ExecuteTask(spec)
+			// One job: the executor caches per (job, config).
+			spec.Job, spec.Config = "fuzz", []byte("remote-modcount")
+			_, _ = testInproc.Execute(spec)
 		}
 	})
 }
@@ -50,9 +51,9 @@ func FuzzReadTaskResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if res, err := ReadTaskResult(wire.NewReader(data)); err == nil {
 			// What the coordinator does with a result: decode its payloads.
-			_, _ = DecodeTaskOutput[int64](res.Output)
+			_, _ = decodeValue(testCodecs.Output, res.Output)
 			for _, b := range res.Buckets {
-				_, _ = decodeBucket[int, int64](b)
+				_, _ = decodeBucket(testCodecs.Pair, b)
 			}
 		}
 	})
@@ -63,5 +64,5 @@ func FuzzDecodeBucket(f *testing.F) {
 	for _, b := range results[1].Buckets {
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { _, _ = decodeBucket[int, int64](data) })
+	f.Fuzz(func(t *testing.T, data []byte) { _, _ = decodeBucket(testCodecs.Pair, data) })
 }

@@ -36,7 +36,7 @@ type Mapper[S any, K comparable, V any] interface {
 
 // sized bounds a job's split type: the engine reads only a split's record
 // count (its map-input records); what a split holds is its Mapper's business,
-// and how it travels its registered Codec's.
+// and how it travels its job's Codecs'.
 type sized interface{ Len() int }
 
 // Reducer merges all values of one key into zero or more output records.
@@ -70,13 +70,12 @@ type Job[S sized, K comparable, V any, O any] struct {
 	KeyString func(K) string
 	// Seed makes the job's task RNGs — and hence its output — reproducible.
 	Seed int64
-	// Maker names the job factory registered with RegisterJobMaker and
-	// Config carries its serialized argument. Together they make the job
-	// portable: a remote executor ships (Maker, Config) to worker processes
-	// that rebuild the job locally. A job with an empty Maker runs only on a
-	// cluster without an Executor.
-	Maker  string
+	// Config is the job's serialized argument and Codecs its wire formats:
+	// an Executor's workers rebuild the job from Config through their one
+	// builder (NewInproc) and move its payloads with Codecs. A job without
+	// Codecs runs only on a cluster without an Executor.
 	Config []byte
+	Codecs *Codecs[S, K, V, O]
 }
 
 func (j *Job[S, K, V, O]) keyString(k K) string {

@@ -8,9 +8,8 @@ import (
 
 func pipelineStressJob() *Job[records[int], int, int64, Pair[int, int64]] {
 	return &Job[records[int], int, int64, Pair[int, int64]]{
-		Name:  "pipeline-stress",
-		Maker: "test-pipeline-stress",
-		Seed:  42,
+		Name: "pipeline-stress",
+		Seed: 42,
 		Mapper: forwardStage[int, int, int64](func(ctx *TaskContext, v int, emit func(int, int64)) {
 			// Draw from the task RNG so determinism depends on correct
 			// per-task seeding, not just on pure data flow.
@@ -25,21 +24,17 @@ func pipelineStressJob() *Job[records[int], int, int64, Pair[int, int64]] {
 		}),
 		NumReducers: 8,
 		KeyString:   func(k int) string { return strconv.Itoa(k) },
+		// Output records are pairs, encoded like the shuffle pairs.
+		Codecs: &Codecs[records[int], int, int64, Pair[int, int64]]{
+			Split: splitCodec, Pair: intPairCodec,
+			Output: RecordsCodec(intPairCodec.AppendPair, intPairCodec.ReadPair),
+		},
 	}
-}
-
-func init() {
-	RegisterJobMaker("test-pipeline-stress",
-		func([]byte) (*Job[records[int], int, int64, Pair[int, int64]], error) {
-			return pipelineStressJob(), nil
-		})
-	// Output records are pairs, encoded like the shuffle pairs of bench_test.go.
-	RegisterCodec(RecordsCodec(intPairCodec.AppendPair, intPairCodec.ReadPair))
 }
 
 // TestPipelinedShuffleStress drives the shuffle hard — many map tasks
 // racing to hand buckets to many reducers, in memory and serialized through
-// InprocExecutor — and checks the output is byte-identical to a fully serial
+// NewInproc's executor — and checks the output is byte-identical to a fully serial
 // (one-slot) run. Under `go test -race` this is the main concurrency check
 // for the map→shuffle→reduce pipeline on both backend implementations.
 func TestPipelinedShuffleStress(t *testing.T) {
@@ -76,5 +71,7 @@ func TestPipelinedShuffleStress(t *testing.T) {
 		}
 	}
 	wide("in-memory", nil)
-	wide("serialized", &InprocExecutor{})
+	wide("serialized", NewInproc(func([]byte) (*Job[records[int], int, int64, Pair[int, int64]], error) {
+		return pipelineStressJob(), nil
+	}))
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the backend-independent task cores. The in-process engine
-// (engine.go) and remote workers (via the registry in registry.go) both
+// (engine.go) and remote workers (via NewInproc's executor, inproc.go) both
 // execute map and reduce attempts through these functions; sharing the
 // implementation — same seeding, same partitioning, same per-key reduce RNG —
 // is what keeps job output byte-identical across execution backends.

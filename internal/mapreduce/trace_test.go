@@ -169,7 +169,7 @@ func TestDebugLogReportsEachPhase(t *testing.T) {
 // send spans per map task, the recv spans per reducer each sum to
 // Metrics.ShuffleBytes, in process and through the serialized route.
 func TestShuffleSpanBytesSumToShuffleBytes(t *testing.T) {
-	for name, exec := range map[string]Executor{"inproc": nil, "executor": &InprocExecutor{}} {
+	for name, exec := range map[string]Executor{"inproc": nil, "executor": testInproc} {
 		tr := NewMemTracer()
 		c := tracedCluster(tr)
 		c.Executor = exec
@@ -282,7 +282,7 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.Metrics.MarshalJSONIndent()
+	data, err := json.MarshalIndent(res.Metrics, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPrometheusExport(t *testing.T) {
 // corruptingExecutor corrupts one map task's entry in every routed reduce
 // spec's bucket column, to prove decode failures name the originating task.
 type corruptingExecutor struct {
-	InprocExecutor
+	Executor
 	task int
 }
 
@@ -363,7 +363,7 @@ func (e *corruptingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 	if spec.Phase == "reduce" {
 		spec.Buckets[e.task] = append([]byte("garbage:"), spec.Buckets[e.task]...)
 	}
-	return e.InprocExecutor.Execute(spec)
+	return e.Executor.Execute(spec)
 }
 
 // TestDecodeErrorNamesOriginatingTask is the shuffle-decode bugfix
@@ -371,7 +371,7 @@ func (e *corruptingExecutor) Execute(spec *TaskSpec) (*TaskResult, error) {
 // task sent it.
 func TestDecodeErrorNamesOriginatingTask(t *testing.T) {
 	c := NewCluster(3)
-	c.Executor = &corruptingExecutor{task: 1}
+	c.Executor = &corruptingExecutor{Executor: testInproc, task: 1}
 	_, err := Run(c, portableJob(1), remoteTestSplits())
 	if err == nil {
 		t.Fatal("corrupted shuffle payload went unnoticed")

@@ -2,8 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -12,14 +10,14 @@ import (
 // This file is the engine's side of the wire codec: payload encodings for
 // task splits, shuffle buckets and reduce outputs, plus the
 // TaskSpec/TaskResult frame bodies the worker protocol embeds. It is the only
-// serialization that crosses a process boundary; a payload type without a
-// registered codec is an error, not a slower route.
+// serialization that crosses a process boundary, and every payload goes
+// through the codecs its job carries (Job.Codecs).
 
 // payloadFormat leads every payload (split, bucket, output). Any other first
 // byte is wire.ErrCorrupt.
 const payloadFormat = 0x01
 
-// --- codec registries -------------------------------------------------------
+// --- codecs -----------------------------------------------------------------
 
 // BucketCodec encodes/decodes one shuffle pair of a concrete (K, V)
 // instantiation. AppendPair appends one pair's binary form; ReadPair
@@ -61,34 +59,13 @@ func RecordsCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) (T,
 	}
 }
 
-// codecs maps the reflect.Type of a *BucketCodec[K,V] or *Codec[T] to the
-// registered codec — keyed by the codec's type, so a value codec and a
-// bucket codec never collide. sync.Map: written during init, read on the hot
-// path.
-var codecs sync.Map
-
-// RegisterBucketCodec installs the codec for one pair type. Call it from an
-// init function alongside RegisterJobMaker, so coordinator and worker
-// binaries agree on the format.
-func RegisterBucketCodec[K comparable, V any](c BucketCodec[K, V]) {
-	codecs.Store(reflect.TypeOf((*BucketCodec[K, V])(nil)), c)
-}
-
-// RegisterCodec installs the codec for payloads of type T: a job's split
-// type, and the []O of its output records.
-func RegisterCodec[T any](c Codec[T]) {
-	codecs.Store(reflect.TypeOf((*Codec[T])(nil)), c)
-}
-
-// lookupCodec returns the registered codec of type C, whose payloads are of
-// type T, or an error naming T.
-func lookupCodec[C, T any]() (C, error) {
-	v, ok := codecs.Load(reflect.TypeOf((*C)(nil)))
-	if !ok {
-		var zero C
-		return zero, fmt.Errorf("mapreduce: no wire codec registered for %v", reflect.TypeOf((*T)(nil)).Elem())
-	}
-	return v.(C), nil
+// Codecs are a job's wire formats: its split, its shuffle pair and its
+// reduce output records. A job carries them (Job.Codecs) to run on an
+// Executor, which is the only place its payloads are encoded.
+type Codecs[S any, K comparable, V any, O any] struct {
+	Split  Codec[S]
+	Pair   BucketCodec[K, V]
+	Output Codec[[]O]
 }
 
 // payloadReader checks a payload's format byte and returns a reader over
@@ -105,23 +82,15 @@ func payloadReader(payload []byte) (*wire.Reader, error) {
 
 // --- value payloads (splits, reduce outputs) --------------------------------
 
-// encodeValue serializes a payload with its type's registered codec.
-func encodeValue[T any](v T) ([]byte, error) {
-	c, err := lookupCodec[Codec[T], T]()
-	if err != nil {
-		return nil, err
-	}
+// encodeValue serializes a payload with codec c.
+func encodeValue[T any](c Codec[T], v T) []byte {
 	buf := make([]byte, 1, 64)
 	buf[0] = payloadFormat
-	return c.Append(buf, v), nil
+	return c.Append(buf, v)
 }
 
 // decodeValue reverses encodeValue.
-func decodeValue[T any](payload []byte) (v T, err error) {
-	c, err := lookupCodec[Codec[T], T]()
-	if err != nil {
-		return v, err
-	}
+func decodeValue[T any](c Codec[T], payload []byte) (v T, err error) {
 	r, err := payloadReader(payload)
 	if err != nil {
 		return v, err
@@ -135,27 +104,19 @@ func decodeValue[T any](payload []byte) (v T, err error) {
 // --- bucket payloads (shuffle) ----------------------------------------------
 
 // encodeBucket serializes one map task's pairs for one reducer: the format
-// byte, the pair count, then each pair through the registered codec.
-func encodeBucket[K comparable, V any](pairs []Pair[K, V]) ([]byte, error) {
-	c, err := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
-	if err != nil {
-		return nil, err
-	}
+// byte, the pair count, then each pair through codec c.
+func encodeBucket[K comparable, V any](c BucketCodec[K, V], pairs []Pair[K, V]) []byte {
 	buf := make([]byte, 1, 64)
 	buf[0] = payloadFormat
 	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
 	for _, p := range pairs {
 		buf = c.AppendPair(buf, p)
 	}
-	return buf, nil
+	return buf
 }
 
 // decodeBucket reverses encodeBucket.
-func decodeBucket[K comparable, V any](payload []byte) ([]Pair[K, V], error) {
-	c, err := lookupCodec[BucketCodec[K, V], Pair[K, V]]()
-	if err != nil {
-		return nil, err
-	}
+func decodeBucket[K comparable, V any](c BucketCodec[K, V], payload []byte) ([]Pair[K, V], error) {
 	r, err := payloadReader(payload)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
@@ -240,7 +201,6 @@ const (
 // payloads carry their own format byte).
 func AppendTaskSpec(buf []byte, s *TaskSpec) []byte {
 	buf = wire.AppendString(buf, s.Job)
-	buf = wire.AppendString(buf, s.Maker)
 	buf = wire.AppendBytes(buf, s.Config)
 	buf = wire.AppendString(buf, s.Phase)
 	buf = wire.AppendUvarint(buf, uint64(s.Task))
@@ -276,7 +236,6 @@ func AppendTaskSpec(buf []byte, s *TaskSpec) []byte {
 func ReadTaskSpec(r *wire.Reader) (*TaskSpec, error) {
 	s := &TaskSpec{}
 	s.Job = r.String()
-	s.Maker = r.String()
 	s.Config = r.Bytes()
 	s.Phase = r.String()
 	s.Task = int(r.Uvarint())

@@ -12,12 +12,13 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/mapreduce"
+	"repro/internal/stratified"
 )
 
 // panickyExecutor panics inside the engine's task goroutines while armed and
 // executes tasks in-process otherwise.
 type panickyExecutor struct {
-	mapreduce.InprocExecutor
+	mapreduce.Executor
 	armed atomic.Bool
 }
 
@@ -27,14 +28,14 @@ func (p *panickyExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResu
 	if p.armed.Load() {
 		panic("executor blew up")
 	}
-	return p.InprocExecutor.Execute(spec)
+	return p.Executor.Execute(spec)
 }
 
 // TestPassPanicFailsWaitersNotDaemon: a panic inside a pass — here on an
 // engine worker goroutine — answers every request waiting on that pass with
 // a 500, is counted, and leaves the daemon serving the next request.
 func TestPassPanicFailsWaitersNotDaemon(t *testing.T) {
-	exec := &panickyExecutor{}
+	exec := &panickyExecutor{Executor: stratified.Inproc}
 	exec.armed.Store(true)
 	d := newTestDaemon(t, Config{
 		Population: gen.Population(2000, 1), Slaves: 2, Layout: dataset.Contiguous,

@@ -560,7 +560,7 @@ func TestHealthzSplitsFollowRebalance(t *testing.T) {
 // they do to remote workers, but execute in this process.
 func executorCluster(slaves int) *mapreduce.Cluster {
 	c := mapreduce.NewCluster(slaves)
-	c.Executor = &mapreduce.InprocExecutor{}
+	c.Executor = stratified.Inproc
 	return c
 }
 

@@ -14,13 +14,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/mapreduce"
+	"repro/internal/stratified"
 )
 
 // gatedExecutor holds every task at a gate until the test opens it, so a
 // pass stays "running" for exactly as long as the test wants. No test here
 // depends on how long anything takes: each waits on an event.
 type gatedExecutor struct {
-	mapreduce.InprocExecutor
+	mapreduce.Executor
 	gate    chan struct{} // Execute blocks until this closes
 	entered chan struct{} // closed when the first task reaches the gate
 	once    sync.Once
@@ -31,7 +32,7 @@ func (*gatedExecutor) Name() string { return "gated" }
 func (g *gatedExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
 	g.once.Do(func() { close(g.entered) })
 	<-g.gate
-	return g.InprocExecutor.Execute(spec)
+	return g.Executor.Execute(spec)
 }
 
 const gatedPop, gatedSlaves, gatedSeed = 2000, 2, int64(1)
@@ -40,7 +41,7 @@ const gatedPop, gatedSlaves, gatedSeed = 2000, 2, int64(1)
 // returned executor's gate. The gate is opened at cleanup if the test has not.
 func newGatedDaemon(t *testing.T, window time.Duration) (*testDaemon, *gatedExecutor) {
 	t.Helper()
-	g := &gatedExecutor{gate: make(chan struct{}), entered: make(chan struct{})}
+	g := &gatedExecutor{Executor: stratified.Inproc, gate: make(chan struct{}), entered: make(chan struct{})}
 	d := newTestDaemon(t, Config{
 		Population: gen.Population(gatedPop, gatedSeed), Slaves: gatedSlaves,
 		Layout: dataset.Contiguous, PartitionSeed: gatedSeed,

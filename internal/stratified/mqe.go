@@ -72,6 +72,7 @@ func qsSamplingJob(name string, scan splitScan, freqs [][]int) *sampleJob {
 				emit(qsOut{Key: k, Rows: sampling.UnifiedSample(parts, freqs[k.Query][k.Stratum], ctx.Rand), N: sampling.TotalN(parts)})
 			}),
 		KeyString: func(k QSKey) string { return fmt.Sprintf("q%04d/s%06d", k.Query, k.Stratum) },
+		Codecs:    sampleCodecs,
 	}
 }
 
@@ -132,14 +133,16 @@ func buildMQEJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
 // It returns one answer per query, aligned with the queries slice. RunSQE's
 // in-domain precondition on the splits applies.
 func RunMQE(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
-	return answer(c, mqeJob, queries, schema, dataset.Blocks(splits), opts)
+	return answer(c, jobMQE, queries, schema, dataset.Blocks(splits), opts)
 }
 
 // answer runs an MR-SQE or MR-MQE job over the blocks and builds one answer
 // per query, aligned with the queries slice, each stratum's size beside its
 // sample (0 for a stratum no split matched).
-func answer(c *mapreduce.Cluster, job portable, queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
-	out, met, err := job.run(c, opts.config(schema, queries...), schema, blocks, opts.Seed)
+func answer(c *mapreduce.Cluster, job string, queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
+	cfg := opts.config(schema, queries...)
+	cfg.Job = job
+	out, met, err := run(c, cfg, schema, blocks, opts.Seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}

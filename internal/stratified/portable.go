@@ -10,23 +10,30 @@ import (
 	"repro/internal/query"
 )
 
-// The paper's jobs travel to worker processes as (maker, config) pairs: the
-// maker name selects one of the builders registered here, and the config —
-// JSON, with stratum conditions in the textual formula syntax — carries
-// everything needed to rebuild the exact same job on the other side. The
-// coordinator (RunSQE & co., through portable.run) and the worker (through
-// mapreduce.ExecuteTask) construct a job with the same builder from the same
-// config, so a task executes identically wherever it lands.
+// The paper's jobs travel to worker processes as their config — JSON, with
+// stratum conditions in the textual formula syntax — which names the job to
+// build and carries everything needed to rebuild it exactly. The coordinator
+// (run) and the worker (Inproc) construct a job with the same builder,
+// buildJob, from the same config, so a task executes identically wherever it
+// lands.
 
-// jobConfig is the config of every maker: the queries, the schema's fields,
-// the naive switch and the sorted exclusion set; for the MR-CPS maker over
-// derived strata (selection.go) also the ordered stratum selections,
-// Freqs[v][j] — the sample size of selection j in vector v, 0 meaning v does
-// not sample it, no Freqs meaning the limits job that counts every
-// selection — and Chosen[v], the IDs never offered to vector v (absent:
-// none). The derived fields are omitted when empty, so an MR-SQE / MR-MQE
-// config encodes only what it has.
+// The jobs a config can name.
+const (
+	jobSQE       = "sqe"       // MR-SQE (sqe.go)
+	jobMQE       = "mqe"       // MR-MQE (mqe.go)
+	jobSelection = "selection" // MR-CPS's sampling over derived strata (selection.go)
+)
+
+// jobConfig is the config of every job: which job it is, the queries, the
+// schema's fields, the naive switch and the sorted exclusion set; for the
+// MR-CPS job over derived strata (selection.go) also the ordered stratum
+// selections, Freqs[v][j] — the sample size of selection j in vector v, 0
+// meaning v does not sample it, no Freqs meaning the limits job that counts
+// every selection — and Chosen[v], the IDs never offered to vector v
+// (absent: none). The derived fields are omitted when empty, so an MR-SQE /
+// MR-MQE config encodes only what it has.
 type jobConfig struct {
+	Job        string          `json:"job"`
 	Queries    []*query.SSD    `json:"queries"`
 	Fields     []dataset.Field `json:"fields"`
 	Naive      bool            `json:"naive,omitempty"`
@@ -46,48 +53,45 @@ func (o Options) config(schema *dataset.Schema, queries ...*query.SSD) *jobConfi
 	}
 }
 
-// portable is one job family: its maker name and the builder both sides use
-// on its config.
-type portable struct {
-	maker string
-	build func(*jobConfig, *dataset.Schema) (*sampleJob, error)
+// Inproc is the executor a worker process runs every task spec through:
+// buildJob over the config the coordinator shipped.
+var Inproc = mapreduce.NewInproc(func(config []byte) (*sampleJob, error) {
+	cfg := new(jobConfig)
+	if err := json.Unmarshal(config, cfg); err != nil {
+		return nil, fmt.Errorf("stratified: decoding job config: %w", err)
+	}
+	schema, err := dataset.NewSchema(cfg.Fields...)
+	if err != nil {
+		return nil, fmt.Errorf("stratified: rebuilding schema: %w", err)
+	}
+	return buildJob(cfg, schema)
+})
+
+// buildJob builds the job the config names, codecs included.
+func buildJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
+	switch cfg.Job {
+	case jobSQE:
+		return buildSQEJob(cfg, schema)
+	case jobMQE:
+		return buildMQEJob(cfg, schema)
+	case jobSelection:
+		return buildSelectionSampleJob(cfg, schema)
+	}
+	return nil, fmt.Errorf("stratified: no job %q to build", cfg.Job)
 }
 
-var (
-	sqeJob          = register("mr-sqe", buildSQEJob)
-	mqeJob          = register("mr-mqe", buildMQEJob)
-	selectionSample = register("mr-selection-sample", buildSelectionSampleJob)
-)
-
-// register makes a family buildable from a TaskSpec's config bytes in every
-// binary that links this package, coordinator and workers alike.
-func register(maker string, build func(*jobConfig, *dataset.Schema) (*sampleJob, error)) portable {
-	mapreduce.RegisterJobMaker(maker, func(config []byte) (*sampleJob, error) {
-		cfg := new(jobConfig)
-		if err := json.Unmarshal(config, cfg); err != nil {
-			return nil, fmt.Errorf("stratified: decoding job config: %w", err)
-		}
-		schema, err := dataset.NewSchema(cfg.Fields...)
-		if err != nil {
-			return nil, fmt.Errorf("stratified: rebuilding schema: %w", err)
-		}
-		return build(cfg, schema)
-	})
-	return portable{maker, build}
-}
-
-// run builds the job from cfg, attaches the (maker, config) pair that lets
-// remote workers rebuild it — the config encoded only when the cluster has an
-// executor to ship it — and runs it over the blocks, one map task each.
-func (p portable) run(c *mapreduce.Cluster, cfg *jobConfig, schema *dataset.Schema, blocks []dataset.Block, seed int64) ([]qsOut, mapreduce.Metrics, error) {
-	job, err := p.build(cfg, schema)
+// run builds the job cfg names and runs it over the blocks, one map task
+// each, its config encoded only when the cluster has an executor to ship it
+// to.
+func run(c *mapreduce.Cluster, cfg *jobConfig, schema *dataset.Schema, blocks []dataset.Block, seed int64) ([]qsOut, mapreduce.Metrics, error) {
+	job, err := buildJob(cfg, schema)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
-	job.Seed, job.Maker = seed, p.maker
+	job.Seed = seed
 	if c.Executor != nil {
 		if job.Config, err = json.Marshal(cfg); err != nil {
-			return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", p.maker, err)
+			return nil, mapreduce.Metrics{}, fmt.Errorf("stratified: encoding %s job config: %w", cfg.Job, err)
 		}
 	}
 	res, err := mapreduce.Run(c, job, blocks)

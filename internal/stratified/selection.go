@@ -170,12 +170,12 @@ func SampleSelections(c *mapreduce.Cluster, queries []*query.SSD, schema *datase
 	sels [][]int, freqs [][]int, chosen []map[int64]struct{}, exclude map[int64]struct{}, seed int64,
 ) (query.MultiAnswer, mapreduce.Metrics, error) {
 	cfg := Options{Exclude: exclude}.config(schema, queries...)
-	cfg.Selections, cfg.Freqs = sels, freqs
+	cfg.Job, cfg.Selections, cfg.Freqs = jobSelection, sels, freqs
 	for _, ids := range chosen {
 		cfg.Chosen = append(cfg.Chosen, sortedExclude(ids))
 	}
 	blocks := dataset.Blocks(splits)
-	out, met, err := selectionSample.run(c, cfg, schema, blocks, seed)
+	out, met, err := run(c, cfg, schema, blocks, seed)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}

@@ -12,7 +12,7 @@ import (
 
 // The split-local sampler lives here, not in the package API: nothing serves
 // it. It is the deliberately wrong baseline these tests grade — the fixture
-// ROADMAP item 8's sampler zoo starts from.
+// ROADMAP item 11's sampler zoo starts from.
 
 // splitClassifier assigns every tuple of a split to its stratum in one call,
 // through the fused stage's split → class-vector step. Its scratch is reused

@@ -76,7 +76,7 @@ func buildSQEJob(cfg *jobConfig, schema *dataset.Schema) (*sampleJob, error) {
 // int32 cells (predicate.Classifier.ClassifyColumns), so an out-of-domain
 // value may land in a stratum it does not satisfy.
 func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits []dataset.Split, opts Options) (*query.Answer, mapreduce.Metrics, error) {
-	answers, met, err := answer(c, sqeJob, []*query.SSD{q}, schema, dataset.Blocks(splits), opts)
+	answers, met, err := answer(c, jobSQE, []*query.SSD{q}, schema, dataset.Blocks(splits), opts)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, err
 	}
@@ -91,9 +91,9 @@ func RunSQE(c *mapreduce.Cluster, q *query.SSD, schema *dataset.Schema, splits [
 // the rows are the answer either way. RunSQE's in-domain precondition
 // applies.
 func Pass(c *mapreduce.Cluster, queries []*query.SSD, schema *dataset.Schema, blocks []dataset.Block, opts Options) (query.MultiAnswer, mapreduce.Metrics, error) {
-	job := mqeJob
+	job := jobMQE
 	if len(queries) == 1 {
-		job = sqeJob
+		job = jobSQE
 	}
 	return answer(c, job, queries, schema, blocks, opts)
 }

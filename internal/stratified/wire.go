@@ -9,27 +9,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire codecs for every payload type of the portable jobs registered in
-// portable.go: a split ships as its rows, columnar (TupleBatch), and nothing
-// else — a block's mirror and size column stay with the coordinator's
-// population, and a worker reads the rows it decodes; the one shuffle pair
-// shape — (query/stratum, (row references, N)) — and the one reduce output
-// record get hand-rolled codecs. A job's shuffle and output carry references
-// into the run's splits, never tuples: the coordinator builds the answer's
-// tuples from its own splits. Registration lives in init alongside the job
-// makers so every binary that can run the jobs also speaks their payload
-// format.
-
-func init() {
-	mapreduce.RegisterCodec(mapreduce.Codec[dataset.Block]{
-		Append: appendBlock,
-		Read:   readBlock,
-	})
-	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[QSKey, refSample]{
-		AppendPair: appendRefPair,
-		ReadPair:   readRefPair,
-	})
-	mapreduce.RegisterCodec(mapreduce.RecordsCodec(appendQSOut, readQSOut))
+// sampleCodecs are the wire formats every job of this package carries: a
+// split ships as its rows, columnar (TupleBatch), and nothing else — a
+// block's mirror and size column stay with the coordinator's population, and
+// a worker reads the rows it decodes; the one shuffle pair shape —
+// (query/stratum, (row references, N)) — and the one reduce output record
+// get hand-rolled codecs. A job's shuffle and output carry references into
+// the run's splits, never tuples: the coordinator builds the answer's tuples
+// from its own splits.
+var sampleCodecs = &mapreduce.Codecs[dataset.Block, QSKey, refSample, qsOut]{
+	Split:  mapreduce.Codec[dataset.Block]{Append: appendBlock, Read: readBlock},
+	Pair:   mapreduce.BucketCodec[QSKey, refSample]{AppendPair: appendRefPair, ReadPair: readRefPair},
+	Output: mapreduce.RecordsCodec(appendQSOut, readQSOut),
 }
 
 // appendBlock ships a block's rows as one TupleBatch. The rows of a split

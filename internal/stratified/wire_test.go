@@ -95,12 +95,12 @@ func TestReadRowRefsRejectsOverflow(t *testing.T) {
 // reduce output for out: what a worker that answered for another run's
 // splits, or miscounted its strata, would send.
 type forgedExecutor struct {
-	mapreduce.InprocExecutor
+	mapreduce.Executor
 	out qsOut
 }
 
 func (e *forgedExecutor) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	res, err := e.InprocExecutor.Execute(spec)
+	res, err := e.Executor.Execute(spec)
 	if err != nil || spec.Phase != "reduce" {
 		return res, err
 	}
@@ -120,7 +120,7 @@ func forgedRuns(t *testing.T, out qsOut) map[string]error {
 	}
 	q := genderSSD(2, 2)
 	c := zeroCluster(2)
-	c.Executor = &forgedExecutor{out: out}
+	c.Executor = &forgedExecutor{Inproc, out}
 	_, _, errSQE := RunSQE(c, q, r.Schema(), splits, Options{Seed: 1})
 	_, _, errMQE := RunMQE(c, []*query.SSD{q, q}, r.Schema(), splits, Options{Seed: 1})
 	_, _, errSel := SampleSelections(c, []*query.SSD{q}, r.Schema(), splits, [][]int{{0}, {1}}, [][]int{{1, 1}}, nil, nil, 1)

@@ -25,7 +25,9 @@
 // carries its buckets to the coordinator and each reduce task frame carries
 // its reducer's column, so a worker that dies at any point costs a retry of
 // its task on another worker and no map task ever runs again. Task payloads
-// reuse the engine's shuffle encoding, and workers execute specs through mapreduce.ExecuteTask, so a
-// job's output — and, under a frozen clock, its span file — is
-// byte-identical no matter which backend ran it.
+// are the engine's encodings through the job's own codecs, and a worker
+// runs every spec through stratified.Inproc — the one job, rebuilt from the
+// spec's config by the task cores the engine uses — so a job's output and,
+// under a frozen clock, its span file are byte-identical no matter which
+// backend ran it.
 package worker

@@ -24,30 +24,51 @@ func (s panickyStage) MapSplit(ctx *mapreduce.TaskContext, b dataset.Block, emit
 	return n, n
 }
 
-func init() {
-	mapreduce.RegisterBucketCodec(mapreduce.BucketCodec[int, int64]{
+var panickyCodecs = &mapreduce.Codecs[dataset.Block, int, int64, int64]{
+	// The stage reads only a block's length, so the length is the block.
+	Split: mapreduce.Codec[dataset.Block]{
+		Append: func(buf []byte, b dataset.Block) []byte { return wire.AppendUvarint(buf, uint64(b.Len())) },
+		Read: func(r *wire.Reader) (dataset.Block, error) {
+			return dataset.Block{Rows: make([]dataset.Tuple, r.Uvarint())}, r.Err()
+		},
+	},
+	Pair: mapreduce.BucketCodec[int, int64]{
 		AppendPair: func(buf []byte, p mapreduce.Pair[int, int64]) []byte {
 			return wire.AppendVarint(wire.AppendVarint(buf, int64(p.Key)), p.Value)
 		},
 		ReadPair: func(r *wire.Reader) (mapreduce.Pair[int, int64], error) {
 			return mapreduce.Pair[int, int64]{Key: int(r.Varint()), Value: r.Varint()}, r.Err()
 		},
-	})
-	mapreduce.RegisterCodec(mapreduce.RecordsCodec(wire.AppendVarint,
-		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }))
-	mapreduce.RegisterJobMaker("test-panicky",
-		func([]byte) (*mapreduce.Job[dataset.Block, int, int64, int64], error) { return panickyJob(), nil })
+	},
+	Output: mapreduce.RecordsCodec(wire.AppendVarint,
+		func(r *wire.Reader) (int64, error) { return r.Varint(), r.Err() }),
 }
 
 func panickyJob() *mapreduce.Job[dataset.Block, int, int64, int64] {
 	return &mapreduce.Job[dataset.Block, int, int64, int64]{
-		Name: "panicky", Maker: "test-panicky",
+		Name:   "panicky",
 		Mapper: panickyStage{task: 2},
 		Reducer: mapreduce.ReducerFunc[int, int64, int64](func(_ *mapreduce.TaskContext, _ int, vs []int64, emit func(int64)) {
 			emit(int64(len(vs)))
 		}),
 		KeyString: func(int) string { return "k" },
+		Codecs:    panickyCodecs,
 	}
+}
+
+// testInproc is the executor this test binary's workers run: the panicking
+// job's for its specs, the production one's for every other.
+type testInproc struct{ mapreduce.Executor }
+
+var panicky = mapreduce.NewInproc(func([]byte) (*mapreduce.Job[dataset.Block, int, int64, int64], error) {
+	return panickyJob(), nil
+})
+
+func (e testInproc) Execute(spec *mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
+	if spec.Job == "panicky" {
+		return panicky.Execute(spec)
+	}
+	return e.Executor.Execute(spec)
 }
 
 // TestTaskPanicIsTaskError: a map task that panics on a worker fails its job

@@ -52,7 +52,7 @@ type envelope struct {
 	// Result is the executed attempt's outcome (result frames)...
 	Result *mapreduce.TaskResult
 	// ...or Err the reason it could not be produced. A non-empty Err is a
-	// task-level failure (bad payload, unregistered job maker): it is
+	// task-level failure (bad payload, a config no job builds from): it is
 	// deterministic, so the coordinator fails the task instead of retrying.
 	Err string
 }

@@ -12,7 +12,12 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/stratified"
 )
+
+// inproc runs every task spec a worker in this process receives: the
+// executor of the one job, rebuilt from each spec's config.
+var inproc = stratified.Inproc
 
 // ChaosExitEnv, when set to n > 0 in a worker's environment, makes the
 // worker exit (status 3) upon receiving its n-th task, before executing it.
@@ -58,7 +63,7 @@ func (o ServeOptions) fill() ServeOptions {
 }
 
 // serve runs one worker over a byte stream: announce the hello, then execute
-// task frames serially through mapreduce.ExecuteTask until the coordinator
+// task frames serially through inproc until the coordinator
 // drains the worker or the stream closes. A heartbeat ticker keeps the
 // coordinator's lease alive while tasks execute.
 func serve(r io.Reader, w io.Writer, opts ServeOptions) error {
@@ -156,7 +161,7 @@ func (rec *spanRecorder) add(phase string, startNanos int64, dur time.Duration, 
 	rec.spans = append(rec.spans, ws)
 }
 
-// executeSpec runs one task attempt through mapreduce.ExecuteTask. Every
+// executeSpec runs one task attempt through inproc. Every
 // error — a panic in the task's code included — is a deterministic task
 // failure. rec, when non-nil, collects the attempt's worker-side spans.
 func executeSpec(spec *mapreduce.TaskSpec, rec *spanRecorder) (res *mapreduce.TaskResult, err error) {
@@ -173,7 +178,7 @@ func executeSpec(spec *mapreduce.TaskSpec, rec *spanRecorder) (res *mapreduce.Ta
 	if rec != nil {
 		t0 = time.Now()
 	}
-	if res, err = mapreduce.ExecuteTask(spec); err != nil {
+	if res, err = inproc.Execute(spec); err != nil {
 		return nil, err
 	}
 	if rec != nil {

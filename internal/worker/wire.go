@@ -17,8 +17,9 @@ import (
 // hello lost its shuffle endpoint, a spec its shuffle plan and map-task
 // count, a result its lost flag, direct-byte count and receive wall; 7: a
 // sampling job's reduce output carries its stratum's N, and the counting
-// job's pair and output records are gone).
-const wireVersion = 7
+// job's pair and output records are gone; 8: a spec lost its maker name,
+// since a worker builds its one job from the config alone).
+const wireVersion = 8
 
 // ErrWireVersion rejects a hello whose WireVersion is not wireVersion.
 var ErrWireVersion = errors.New("worker: wire version mismatch")

@@ -29,12 +29,12 @@ func sampleEnvelopes() []*envelope {
 		{Kind: msgHeartbeat},
 		{Kind: msgDrain},
 		{Kind: msgTask, Seq: 7, Spec: &mapreduce.TaskSpec{
-			Job: "mr-sqe", Maker: "mr-sqe", Config: []byte(`{"q":1}`),
+			Job: "mr-sqe", Config: []byte(`{"job":"sqe"}`),
 			Phase: "map", Task: 3, Seed: -42, NumReducers: 2,
 			Split: []byte{1, 2, 3}, Frozen: true,
 		}},
 		{Kind: msgTask, Seq: 8, Spec: &mapreduce.TaskSpec{
-			Job: "mr-sqe", Maker: "mr-sqe", Phase: "reduce", Task: 0,
+			Job: "mr-sqe", Phase: "reduce", Task: 0,
 			NumReducers: 2,
 			Buckets:     [][]byte{{0x01, 0x00}, {0x01}, {0x01, 0x02, 0x09}},
 			CollectKeys: true,

@@ -23,8 +23,10 @@ import (
 // these tests re-executes the test binary itself as "<binary> -connect
 // <addr>", and the environment flag flips the child into a protocol worker
 // before any test machinery (flag parsing included) runs — the strata CLI's
-// "worker -connect" subcommand in three lines.
+// "worker -connect" subcommand in three lines. Workers of either kind run
+// the panicking job of panic_test.go beside the production one.
 func TestMain(m *testing.M) {
+	worker.SetInproc(testInproc{stratified.Inproc})
 	if os.Getenv("STRATA_TEST_WORKER") == "1" {
 		if err := worker.ServeTCP(os.Args[len(os.Args)-1], worker.ServeOptions{}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -251,7 +253,7 @@ func TestSeedDeterminismAcrossBackends(t *testing.T) {
 // for the Figure 1 baseline, the one job whose map stage forwards instead of
 // sampling: with an exclusion set, the same seed gives the same individuals
 // and the same metrics — every match shuffled, nothing combined — in-process,
-// through InprocExecutor, on subprocess workers and on tcp workers.
+// through stratified.Inproc, on subprocess workers and on tcp workers.
 func TestNaiveDeterminismAcrossBackends(t *testing.T) {
 	splits := testPopulation(t)
 	opts := stratified.Options{Seed: 7, Naive: true, Exclude: map[int64]struct{}{3: {}, 401: {}, 899: {}}}
@@ -271,7 +273,7 @@ func TestNaiveDeterminismAcrossBackends(t *testing.T) {
 	defer sub.Close()
 	tcp := newTCP(t, 2, worker.TCPConfig{})
 	defer tcp.Close()
-	for name, exec := range map[string]mapreduce.Executor{"executor": &mapreduce.InprocExecutor{}, "subprocess": sub, "tcp": tcp} {
+	for name, exec := range map[string]mapreduce.Executor{"executor": stratified.Inproc, "subprocess": sub, "tcp": tcp} {
 		got, gotMet := run(exec)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s naive answer differs from in-process:\n in: %v\nout: %v", name, want, got)
