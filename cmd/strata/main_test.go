@@ -327,6 +327,33 @@ func TestCmdExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestCmdExperimentsRenderers: the Figure 8, optimality and uniform
+// experiments render through cmdExperiments as their table — the title, the
+// column header and one row per query group.
+func TestCmdExperimentsRenderers(t *testing.T) {
+	for _, tc := range []struct {
+		run, title, header string
+	}{
+		{"figure8", "== Figure 8: LP formulate+solve times ==", "Group   Sample  |[[Q]]*|  vars   cons  formulate  solve   pipeline(sim)"},
+		{"optimality", "== Section 6.2.2: optimality analysis (C_LP <= C_IP <= C_A) ==", "Group   C_LP  C_IP  C_A   (C_A-C_IP)/C_A  residual"},
+		{"uniform", "== Section 6.2.1: value-distribution robustness ==", "Group   ratio (Table-1 data)  ratio (uniform data)"},
+	} {
+		out := captureStdout(t, func() error {
+			return cmdExperiments([]string{"-run", tc.run, "-pop", "2000", "-runs", "1", "-samples", "20"})
+		})
+		lines := strings.Split(out, "\n")
+		if len(lines) < 3 || lines[0] != tc.title || lines[1] != tc.header || strings.Trim(lines[2], "- ") != "" {
+			t.Errorf("-run %s: want title %q and header %q, got:\n%s", tc.run, tc.title, tc.header, out)
+			continue
+		}
+		for _, group := range []string{"Small", "Medium", "Large"} {
+			if n := len(regexp.MustCompile(`(?m)^`+group+` +\S`).FindAllString(out, -1)); n != 1 {
+				t.Errorf("-run %s: %d %s rows, want 1:\n%s", tc.run, n, group, out)
+			}
+		}
+	}
+}
+
 func TestParseSSDSpec(t *testing.T) {
 	q, err := parseSSD("Q", "a < 5 : 2 ; a >= 5 : 3")
 	if err != nil {
@@ -459,8 +486,9 @@ func TestDebugAddrLeavesEngineUntraced(t *testing.T) {
 // TestTraceCritNamesThePath: "strata trace -crit" rebuilds the trace tree of
 // a distributed run and descends its critical path from the job span to the
 // longest map attempt and the worker that ran it, beside the job's map,
-// shuffle and reduce rows; under a frozen clock, on a one-worker pool, two
-// runs read back byte-identical.
+// shuffle and reduce rows; the path ends at that attempt, since under the
+// frozen clock its queue, decode and exec children take no time. Two runs
+// on a one-worker pool read back byte-identical.
 func TestTraceCritNamesThePath(t *testing.T) {
 	pop := gen.Population(2000, 1)
 	splits, err := dataset.Partition(pop, 4, dataset.Contiguous, nil)
@@ -509,8 +537,8 @@ func TestTraceCritNamesThePath(t *testing.T) {
 			t.Errorf("the job's table has no %q row:\n%s", row, table)
 		}
 	}
-	if !regexp.MustCompile(`\n  job "mr-sqe:Q" \[r1\] [^\n]*\n    map task \d \[r1\] @tcp-\d+ `).MatchString(crit) {
-		t.Errorf("the critical path does not descend from the job to a map attempt on its worker:\n%s", crit)
+	if !regexp.MustCompile(`\n  job "mr-sqe:Q" \[r1\] [^\n]*\n    map task \d \[r1\] @tcp-\d+ [^\n]*\n+$`).MatchString(crit) {
+		t.Errorf("the critical path does not descend from the job to a map attempt on its worker and end there:\n%s", crit)
 	}
 	if again := trace("second.jsonl"); again != out {
 		t.Errorf("two frozen-clock runs read back differently:\n--- first ---\n%s\n--- second ---\n%s", out, again)

@@ -359,10 +359,13 @@ func printCriticalPaths(spans []mapreduce.Span, n int) {
 				d.Round(time.Microsecond), 100*frac(d, total))
 			// Critical child: the one contributing the most time. Durations,
 			// not end offsets, so spans from different processes (whose Start
-			// offsets have different time bases) compare meaningfully.
+			// offsets have different time bases) compare meaningfully. A
+			// child that took no time is on no path: among zero-duration
+			// siblings (a frozen clock's queue, decode and exec) the first
+			// would be an arbitrary stop.
 			var next *mapreduce.Span
 			for _, c := range t.children[s.ID] {
-				if next == nil || spanDur(*c) > spanDur(*next) {
+				if d := spanDur(*c); d > 0 && (next == nil || d > spanDur(*next)) {
 					next = c
 				}
 			}

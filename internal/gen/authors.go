@@ -3,8 +3,11 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -72,8 +75,10 @@ func AuthorAttrs() []AttrSpec {
 
 // AuthorSchema returns the schema of the author dataset (Table 1 without the
 // free-text id and name columns, which live on the Tuple itself).
-func AuthorSchema() *dataset.Schema {
-	specs := AuthorAttrs()
+func AuthorSchema() *dataset.Schema { return schemaOf(AuthorAttrs()) }
+
+// schemaOf returns the schema of specs' fields, in order.
+func schemaOf(specs []AttrSpec) *dataset.Schema {
 	fields := make([]dataset.Field, len(specs))
 	for i, s := range specs {
 		fields[i] = s.Field
@@ -81,39 +86,88 @@ func AuthorSchema() *dataset.Schema {
 	return dataset.MustSchema(fields...)
 }
 
+// minRowsPerWorker is the smallest share of rows the transform phase of
+// Population hands one goroutine: below it the fan-out costs more than the
+// quantiles it spreads, so small populations stay on the caller.
+const minRowsPerWorker = 4096
+
 // Population generates n authors with the Table 1 marginals and correlated
 // ranks (Gaussian copula over a per-author latent factor). The generation is
 // deterministic in the seed. Publication-year sanity (ly ≥ fy) is enforced.
+//
+// It runs in two phases. The draw consumes the seed's one random stream on
+// the calling goroutine, row by row — the latent factor, then one copula
+// normal per attribute — and parks each normal's float64 bits in the
+// attribute's own slot of the tuple arena. The transform, Φ → clip →
+// quantile → clamp and the fy/ly swap, is a pure function of those bits, so
+// it runs over contiguous shares of rows on up to GOMAXPROCS goroutines. The
+// relation's bytes are the same at any GOMAXPROCS.
 func Population(n int, seed int64) *dataset.Relation {
 	specs := AuthorAttrs()
-	schema := AuthorSchema()
+	schema := schemaOf(specs)
 	rel := dataset.NewRelation(schema)
 	rel.Grow(n)
-	next := AuthorTuples(n, len(specs))
+	k := len(specs)
+	arena, next := AuthorTuples(n, k)
 	rng := rand.New(rand.NewSource(seed))
-	fyIdx, _ := schema.Index("fy")
-	lyIdx, _ := schema.Index("ly")
-	for id := 0; id < n; id++ {
+	// z's expression is the one-loop generator's, verbatim: rewritten, it may
+	// round (or fuse into an FMA) differently and move the bytes.
+	for row := 0; row < len(arena); row += k {
 		latent := rng.NormFloat64()
-		t := next()
-		attrs := t.Attrs
 		for j, s := range specs {
 			z := s.Rho*latent + math.Sqrt(1-s.Rho*s.Rho)*rng.NormFloat64()
-			u := stdNormalCDF(z)
+			arena[row+j] = int64(math.Float64bits(z))
+		}
+	}
+	fyIdx, _ := schema.Index("fy")
+	lyIdx, _ := schema.Index("ly")
+	// One closure for every worker: each takes the next share index, so the
+	// fan-out allocates the same two objects at any width.
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/minRowsPerWorker))
+	var fan struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	share := func() {
+		i := int(fan.next.Add(1) - 1)
+		lo, hi := i*n/workers, (i+1)*n/workers
+		transformRows(arena[lo*k:hi*k], specs, fyIdx, lyIdx)
+		fan.wg.Done()
+	}
+	fan.wg.Add(workers)
+	for i := 1; i < workers; i++ {
+		go share()
+	}
+	share()
+	fan.wg.Wait()
+	for id := 0; id < n; id++ {
+		rel.MustAdd(next())
+	}
+	return rel
+}
+
+// transformRows turns the copula normals Population's draw parked in attrs —
+// whole rows of len(specs) float64 bit patterns — into attribute values in
+// place: each normal through Φ, clipped into (0, 1), inverted by its law's
+// quantile and clamped into its domain; then ly ≥ fy by swapping.
+func transformRows(attrs []int64, specs []AttrSpec, fyIdx, lyIdx int) {
+	k := len(specs)
+	for row := 0; row < len(attrs); row += k {
+		a := attrs[row : row+k : row+k]
+		for j, s := range specs {
+			u := stdNormalCDF(math.Float64frombits(uint64(a[j])))
 			if u <= 0 {
 				u = 1e-12
 			}
 			if u >= 1 {
 				u = 1 - 1e-12
 			}
-			attrs[j] = ClampInt(s.Dist.Quantile(u), s.Field.Min, s.Field.Max)
+			a[j] = ClampInt(s.Dist.Quantile(u), s.Field.Min, s.Field.Max)
 		}
-		if attrs[lyIdx] < attrs[fyIdx] {
-			attrs[fyIdx], attrs[lyIdx] = attrs[lyIdx], attrs[fyIdx]
+		if a[lyIdx] < a[fyIdx] {
+			a[fyIdx], a[lyIdx] = a[lyIdx], a[fyIdx]
 		}
-		rel.MustAdd(t)
 	}
-	return rel
 }
 
 // UniformPopulation generates n authors over the same schema with every
@@ -125,7 +179,7 @@ func UniformPopulation(n int, seed int64) *dataset.Relation {
 	rel := dataset.NewRelation(schema)
 	rel.Grow(n)
 	numFields := schema.NumFields()
-	next := AuthorTuples(n, numFields)
+	_, next := AuthorTuples(n, numFields)
 	rng := rand.New(rand.NewSource(seed))
 	for id := 0; id < n; id++ {
 		t := next()
@@ -138,15 +192,16 @@ func UniformPopulation(n int, seed int64) *dataset.Relation {
 	return rel
 }
 
-// AuthorTuples returns a function that yields the tuples of n authors, IDs
-// 0, 1, … in order, each named "author-" and its ID zero-padded to seven
-// digits, with attributes zero for the caller to fill. All attributes are cut
-// from one []int64 and all names from one string, so a population costs two
-// allocations beyond its tuple array, not two per author. Each tuple's Attrs
-// has its capacity equal to its length: appending to one author's attributes
-// copies them rather than writing its neighbour's. The function must be
-// called at most n times.
-func AuthorTuples(n, fields int) func() dataset.Tuple {
+// AuthorTuples returns the attribute arena of n authors and a function that
+// yields their tuples, IDs 0, 1, … in order, each named "author-" and its ID
+// zero-padded to seven digits, with attributes zero for the caller to fill.
+// All attributes are cut from the one arena — row-major, fields values a row,
+// so tuple i's Attrs is arena[i*fields:(i+1)*fields] — and all names from one
+// string, so a population costs two allocations beyond its tuple array, not
+// two per author. Each tuple's Attrs has its capacity equal to its length:
+// appending to one author's attributes copies them rather than writing its
+// neighbour's. The function must be called at most n times.
+func AuthorTuples(n, fields int) ([]int64, func() dataset.Tuple) {
 	arena := make([]int64, n*fields)
 	// A name is "author-" and at least seven digits; every ID at or above
 	// 10⁷, 10⁸, … has one digit more.
@@ -157,7 +212,7 @@ func AuthorTuples(n, fields int) func() dataset.Tuple {
 	var names strings.Builder
 	names.Grow(size)
 	id := 0
-	return func() dataset.Tuple {
+	return arena, func() dataset.Tuple {
 		start := names.Len()
 		var digits [20]byte
 		d := strconv.AppendInt(digits[:0], int64(id), 10)

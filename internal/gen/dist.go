@@ -3,6 +3,11 @@
 // distributions of Table 1 (Dagum, Burr XII and Power-function laws, sampled
 // by inverse CDF), the Small/Medium/Large query groups of Section 6.1.2, and
 // the penalty-based shared-survey cost tables the experiments use.
+//
+// Population generates in two phases: one goroutine draws every copula
+// normal from the seed's stream in row order, then the inverse-CDF transform
+// of those normals, a pure function of each row, runs on up to GOMAXPROCS
+// goroutines. The population is byte-identical at any GOMAXPROCS.
 package gen
 
 import (
@@ -101,9 +106,20 @@ func openUniform(rng *rand.Rand) float64 {
 }
 
 // ClampInt rounds x and clamps it into [min, max] — attribute domains are
-// finite while the laws of Table 1 have unbounded tails.
+// finite while the laws of Table 1 have unbounded tails. The rounded value is
+// compared against int64's range in float64 before it is converted, since Go
+// leaves the conversion of a value outside that range (±Inf included)
+// implementation-defined: +Inf and a tail quantile like 1e300 clamp to max,
+// -Inf and -1e300 to min, on every architecture. NaN clamps to min.
 func ClampInt(x float64, min, max int64) int64 {
-	v := int64(math.Round(x))
+	r := math.Round(x)
+	switch {
+	case r >= 1<<63:
+		return max
+	case !(r >= -1<<63): // below int64's range, or NaN
+		return min
+	}
+	v := int64(r)
 	if v < min {
 		return min
 	}

@@ -209,7 +209,7 @@ func (g *Coauthorship) Population(seed int64) (*dataset.Relation, error) {
 
 	stats := g.Stats(rng)
 	rel.Grow(len(stats))
-	next := gen.AuthorTuples(len(stats), schema.NumFields())
+	_, next := gen.AuthorTuples(len(stats), schema.NumFields())
 	for _, s := range stats {
 		t := next()
 		attrs := t.Attrs

@@ -41,6 +41,13 @@
 # that ascend need no hash set, so ≈ 30 allocations hold 10⁵ rows. A per-row
 # allocation coming back reads as hundreds of thousands of allocations, and a
 # hash set or the growth copies of an unsized tuple array as ≈ 25 MB more.
+# It runs at -cpu=4 whatever the runner's core count: the generator's
+# transform fans out over GOMAXPROCS goroutines, and each one the runtime has
+# no free goroutine for costs an allocation, so the count would otherwise
+# follow the runner. At four Ps it reads 24–27 on a two-core host: 24 at any
+# width, plus one for each of the three helper goroutines allocated afresh.
+# The line stays at 31, the count before the fan-out; Population also
+# stopped building its eight attribute laws twice, which was 9 of the 31.
 # One standing query's stratum repair at 10⁵ rows (BenchmarkLiveRepair: 8
 # contiguous splits classified from the column mirror, a two- and a
 # four-stratum query) is gated on B/op: the repair streams the members it classifies into
@@ -120,7 +127,8 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   run ./internal/live/ 'BenchmarkLiveRepair' bytes 100x
   # Five populations, not one: a lone run picks up a few of the runtime's own
   # allocations (seen up to +6 on ≈ 30), more than the 10 % gate allows.
-  run ./internal/gen/ 'BenchmarkPopulation$' bytes 5x
+  # Four Ps on any runner: the transform's fan-out follows GOMAXPROCS.
+  run ./internal/gen/ 'BenchmarkPopulation$' bytes 5x -cpu=4
 } >"$out"
 
 if [[ "${1:-}" == "--update" ]]; then
