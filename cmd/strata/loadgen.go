@@ -31,10 +31,8 @@ func cmdLoadgen(args []string) error {
 	addr := fs.String("addr", "", "target daemon host:port (a running \"strata serve\")")
 	clients := fs.Int("clients", 32, "concurrent client goroutines")
 	requests := fs.Int("requests", 2000, "total requests across all clients")
-	queries := fs.Int("queries", 8, "distinct query templates cycled by the clients")
 	seed := fs.Int64("seed", 1, "sampling seed sent with every query")
 	mutate := fs.Float64("mutate", 0, "fraction of requests that are mutation batches (0..1; needs a -live daemon)")
-	mutBatch := fs.Int("mutate-batch", 8, "mutations per mutation request")
 	jsonOut := fs.String("json", "", "write the report as JSON to this file")
 	subUsage(fs, "strata loadgen -addr host:port [flags]")
 	if err := fs.Parse(args); err != nil {
@@ -53,12 +51,12 @@ func cmdLoadgen(args []string) error {
 		return err
 	}
 	report := loadgenReport{
-		Population: popN, Clients: *clients, Requests: *requests, DistinctQueries: *queries,
+		Population: popN, Clients: *clients, Requests: *requests, DistinctQueries: loadQueries,
 		MutateRatio: *mutate,
 	}
 	load := loadSpec{
-		clients: *clients, requests: *requests, queries: *queries, seed: *seed,
-		mutate: *mutate, mutBatch: *mutBatch, popN: popN, schema: gen.AuthorSchema(),
+		clients: *clients, requests: *requests, seed: *seed,
+		mutate: *mutate, popN: popN, schema: gen.AuthorSchema(),
 	}
 	run, err := driveLoad(baseURL, load)
 	if err != nil {
@@ -128,7 +126,7 @@ type loadgenRun struct {
 	// width.
 	TimelineBucketMS int64          `json:"timeline_bucket_ms,omitempty"`
 	QPSTimeline      []float64      `json:"qps_timeline,omitempty"`
-	Mutations        int            `json:"mutations,omitempty"` // mutation requests (each -mutate-batch ops)
+	Mutations        int            `json:"mutations,omitempty"` // mutation requests (each mutationBatchSize ops)
 	MutP50MS         float64        `json:"mutate_p50_ms,omitempty"`
 	MutP99MS         float64        `json:"mutate_p99_ms,omitempty"`
 	Stats            serve.Snapshot `json:"daemon_stats"`
@@ -137,15 +135,18 @@ type loadgenRun struct {
 
 // loadSpec parameterizes one driveLoad call.
 type loadSpec struct {
-	clients, requests, queries int
-	seed                       int64
+	clients, requests int
+	seed              int64
 	// mutate makes that fraction of requests POST /v1/mutate batches of
-	// mutBatch operations (insert/update/delete over popN + schema).
-	mutate   float64
-	mutBatch int
-	popN     int
-	schema   *dataset.Schema
+	// mutationBatchSize operations (insert/update/delete over popN + schema).
+	mutate float64
+	popN   int
+	schema *dataset.Schema
 }
+
+// loadQueries is how many distinct query templates the clients cycle, and
+// mutationBatchSize how many mutations one mutation request carries.
+const loadQueries, mutationBatchSize = 8, 8
 
 // loadQuery returns the i-th query template. Templates are distinct
 // single-attribute SSDs over nop so any subset coalesces into one MQE pass.
@@ -186,12 +187,12 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 				var err error
 				t0 := time.Now()
 				if isMutation(i) {
-					err = postMutations(client, baseURL, mutationBatch(i, spec.popN, spec.schema, spec.mutBatch))
+					err = postMutations(client, baseURL, mutationBatch(i, spec.popN, spec.schema))
 					results[i] = result{d: time.Since(t0), at: time.Since(start), err: err, mutation: true}
 					continue
 				}
 				body, _ := json.Marshal(map[string]any{
-					"query": loadQuery(i % spec.queries), "seed": spec.seed, "nocache": true,
+					"query": loadQuery(i % loadQueries), "seed": spec.seed, "nocache": true,
 				})
 				resp, err := client.Post(baseURL+"/v1/sample", "application/json", bytes.NewReader(body))
 				if err == nil {
@@ -287,7 +288,8 @@ func driveLoad(baseURL string, spec loadSpec) (loadgenRun, error) {
 // clients never collide), updates originals, then deletes half of the fresh
 // inserts again — applied in order, so the batch is rejection-free and the
 // population stays near its starting size.
-func mutationBatch(i int, popN int, schema *dataset.Schema, size int) []map[string]any {
+func mutationBatch(i int, popN int, schema *dataset.Schema) []map[string]any {
+	const size = mutationBatchSize
 	rng := rand.New(rand.NewSource(int64(i) + 1))
 	attrs := func() []int64 {
 		a := make([]int64, schema.NumFields())

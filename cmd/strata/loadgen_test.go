@@ -48,8 +48,8 @@ func TestDriveLoadMixed(t *testing.T) {
 	defer srv.BeginDrain()
 
 	run, err := driveLoad(ts.URL, loadSpec{
-		clients: 4, requests: requests, queries: 8, seed: 1,
-		mutate: 0.2, mutBatch: 8, popN: popN, schema: pop.Schema(),
+		clients: 4, requests: requests, seed: 1,
+		mutate: 0.2, popN: popN, schema: pop.Schema(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@
 //	                   [-waves 3]
 //	strata query       -design design.json [-data pop.csv] [-ip] [-out answers.csv]
 //	strata serve       [-addr localhost:8372] [-n 100000] [-data pop.csv] [-seed 1]
-//	                   [-slaves 4] [-window 5ms] [-max-batch 64] [-qps 0 -burst 16]
+//	                   [-slaves 4] [-window 5ms] [-qps 0 -burst 16]
 //	                   [-live [-staleness 64]]
-//	strata loadgen     -addr host:port [-clients 32] [-requests 2000] [-queries 8]
+//	strata loadgen     -addr host:port [-clients 32] [-requests 2000]
 //	                   [-mutate 0.2] [-json report.json]
 //	strata trace       [-top 5] spans.jsonl
 //	strata experiments [-run all|table2|figure6|figure7|figure8|optimality|uniform|

@@ -268,6 +268,51 @@ func TestCmdMSSDGolden(t *testing.T) {
 	}
 }
 
+// experimentClock matches a JSON cell whose value `strata experiments`
+// reads from a wall clock, keeping the key.
+var experimentClock = regexp.MustCompile(`^(\s*"(?:Formulate|Solve|Simulated)": )\d+`)
+
+// maskExperimentClocks blanks the wall-clock cells of `strata experiments
+// -json`: Figure 8's Formulate and Solve, and the Simulated time of Figure 7's
+// CPS cells, which adds the LP's formulate and solve times to the virtual
+// clock. Every other cell is the same at any GOMAXPROCS and on every run.
+func maskExperimentClocks(out string) string {
+	lines := strings.SplitAfter(out, "\n")
+	experiment, algorithm := "", ""
+	for i, line := range lines {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, `"experiment": `):
+			experiment = strings.Trim(strings.TrimPrefix(trimmed, `"experiment": `), `",`)
+		case strings.HasPrefix(trimmed, `"Algorithm": `):
+			algorithm = strings.Trim(strings.TrimPrefix(trimmed, `"Algorithm": `), `",`)
+		}
+		mask := experiment == "figure8" && (strings.HasPrefix(trimmed, `"Formulate": `) || strings.HasPrefix(trimmed, `"Solve": `)) ||
+			experiment == "figure7" && algorithm == "CPS" && strings.HasPrefix(trimmed, `"Simulated": `)
+		if mask {
+			lines[i] = experimentClock.ReplaceAllString(line, "${1}0")
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// TestCmdExperimentsGolden: the reproduction's tables and figures, at a size
+// that runs in seconds, print the bytes they printed before the daemon's and
+// the engine's single-value settings became constants. Only the wall-clock
+// cells are masked (maskExperimentClocks).
+func TestCmdExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "experiments_small.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() error {
+		return cmdExperiments([]string{"-run", "all", "-pop", "2000", "-samples", "20", "-runs", "1", "-slaves", "2", "-json"})
+	})
+	if got = maskExperimentClocks(got); got != string(want) {
+		t.Errorf("experiments_small.golden: output moved\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
 func TestCmdQueryFromFiles(t *testing.T) {
 	dir := t.TempDir()
 
@@ -407,9 +452,10 @@ func TestCmdQueryCSVExport(t *testing.T) {
 // count no pool can have, an unknown -log level or -backend — is a usage
 // error: the binary names it and exits 2, as for an unknown flag, before any
 // worker starts. So is a flag that was deleted (the global debug shorthand
-// and progress ticker, serve's cache size and drain budget, loadgen's
-// self-hosted daemon, generate's stats switch): it is refused at flag
-// parsing. Only refused values are tried, so
+// and progress ticker, serve's cache size, drain budget, pass cap and batch
+// cap, loadgen's self-hosted daemon, template count and mutation batch size,
+// generate's stats switch): it is refused at flag parsing. Only refused
+// values are tried, so
 // no worker, daemon or pass ever starts.
 func TestWorkersFlagRefused(t *testing.T) {
 	for _, tc := range []struct {
@@ -427,6 +473,10 @@ func TestWorkersFlagRefused(t *testing.T) {
 		{[]string{"generate", "-stats"}, "flag provided but not defined: -stats"},
 		{[]string{"-progress", "sample", "-n", "10"}, "flag provided but not defined: -progress"},
 		{[]string{"serve", "-drain-timeout", "1s"}, "flag provided but not defined: -drain-timeout"},
+		{[]string{"serve", "-max-passes", "4"}, "flag provided but not defined: -max-passes"},
+		{[]string{"serve", "-max-batch", "64"}, "flag provided but not defined: -max-batch"},
+		{[]string{"loadgen", "-queries", "8"}, "flag provided but not defined: -queries"},
+		{[]string{"loadgen", "-mutate-batch", "8"}, "flag provided but not defined: -mutate-batch"},
 	} {
 		out, err := exec.Command(os.Args[0], tc.args...).CombinedOutput()
 		var exit *exec.ExitError

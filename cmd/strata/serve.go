@@ -32,11 +32,9 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 1, "population + partition seed (match strata sample's -seed for identical answers)")
 	slaves := fs.Int("slaves", 4, "cluster slaves per pass")
 	numSplits := fs.Int("splits", 0, "resident partition splits (0 = max(2*slaves, 2*GOMAXPROCS); match strata sample's -splits for identical answers)")
-	maxPasses := fs.Int("max-passes", 0, "concurrent engine passes (0 = 2*GOMAXPROCS)")
 	adaptiveWindow := fs.Bool("adaptive-window", true, "a batch waits only behind a running pass, -window bounding that wait, unless shared passes outlast -window; false waits out the full window every time")
 	layout := fs.String("layout", "contiguous", "data layout across machines: round-robin, contiguous, skewed, shuffled-contiguous")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window (0 = one pass per query)")
-	maxBatch := fs.Int("max-batch", 64, "fire a batch early at this many distinct queries")
 	qps := fs.Float64("qps", 0, "per-tenant admission rate in queries/second (0 = unlimited)")
 	burst := fs.Int("burst", 16, "per-tenant token bucket capacity")
 	liveMode := fs.Bool("live", false, "mutable population: enable /v1/mutate + /v1/subscribe and warm standing-query answers")
@@ -69,12 +67,10 @@ func cmdServe(args []string) error {
 		Population:     pop,
 		Slaves:         *slaves,
 		Splits:         *numSplits,
-		MaxPasses:      *maxPasses,
 		AdaptiveWindow: *adaptiveWindow,
 		Layout:         strategy,
 		PartitionSeed:  *seed,
 		Window:         *window,
-		MaxBatch:       *maxBatch,
 		QuotaQPS:       *qps,
 		QuotaBurst:     *burst,
 		Live:           *liveMode,
@@ -105,16 +101,15 @@ func cmdServe(args []string) error {
 	}
 	slog.Info("strata serve listening",
 		"addr", ln.Addr().String(), "population", pop.Len(), "slaves", *slaves,
-		"splits", effSplits, "max_passes", *maxPasses,
-		"adaptive_window", *adaptiveWindow,
-		"layout", strategy.String(), "window", window.String(), "max_batch", *maxBatch,
+		"splits", effSplits, "adaptive_window", *adaptiveWindow,
+		"layout", strategy.String(), "window", window.String(),
 		"qps", *qps, "live", *liveMode)
 	mode := ""
 	if *liveMode {
 		mode = ", live"
 	}
-	fmt.Printf("serving population of %d on http://%s (window %v, max batch %d%s)\n",
-		pop.Len(), ln.Addr().String(), *window, *maxBatch, mode)
+	fmt.Printf("serving population of %d on http://%s (window %v%s)\n",
+		pop.Len(), ln.Addr().String(), *window, mode)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

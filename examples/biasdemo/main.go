@@ -62,7 +62,7 @@ func main() {
 	// MR-SQE: combiner samples are weighted by their source-set size and
 	// merged by the unified-sampler.
 	q := query.NewSSD("men", query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: sampleSize})
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	correct := make([]int, pop.Len())
 	for r := 0; r < runs; r++ {
 		ans, _, err := stratified.RunSQE(cluster, q, schema, splits, stratified.Options{Seed: int64(r)})

@@ -45,7 +45,7 @@ func genderSSD(fMen, fWomen int) *query.SSD {
 }
 
 func zeroCluster(slaves int) *mapreduce.Cluster {
-	return &mapreduce.Cluster{Slaves: slaves, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	return &mapreduce.Cluster{Slaves: slaves, Cost: mapreduce.ZeroCostModel()}
 }
 
 func splitsOf(t *testing.T, r *dataset.Relation, k int) []dataset.Split {

@@ -46,7 +46,7 @@ func example6MSSD(f1m, f1f, f2lo, f2hi int) *query.MSSD {
 }
 
 func zcluster(n int) *mapreduce.Cluster {
-	return &mapreduce.Cluster{Slaves: n, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	return &mapreduce.Cluster{Slaves: n, Cost: mapreduce.ZeroCostModel()}
 }
 
 func splitsOf(t *testing.T, r *dataset.Relation, k int) []dataset.Split {

@@ -34,7 +34,7 @@ func ExampleRun() {
 	)
 	mssd := query.NewMSSD(query.PenaltyCosts{Interview: 4}, men, income)
 
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	res, err := cps.Run(cluster, mssd, schema, splits, cps.Options{Seed: 3})
 	if err != nil {
 		fmt.Println(err)

@@ -114,15 +114,3 @@ func Projection(queries []*query.SSD, s Selection, i int) predicate.Expr {
 	}
 	return predicate.Not{X: cover}
 }
-
-// Formula returns φ(σ) = π_1(σ) ∧ ... ∧ π_n(σ), the stratum condition of the
-// derived query Q′ for this selection. MR-CPS samples by selection key
-// instead of evaluating this formula, but it is exposed for CPS-as-described
-// and for tests.
-func Formula(queries []*query.SSD, s Selection) predicate.Expr {
-	parts := make([]predicate.Expr, len(queries))
-	for i := range queries {
-		parts[i] = Projection(queries, s, i)
-	}
-	return predicate.AndAll(parts...)
-}

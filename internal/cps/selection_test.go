@@ -126,13 +126,25 @@ func TestProjectionWithoutStratumIsCoverageNegation(t *testing.T) {
 	}
 }
 
+// formula returns φ(σ) = π_1(σ) ∧ ... ∧ π_n(σ), the stratum condition of the
+// derived query Q′ for this selection (CPS as the paper describes it). MR-CPS
+// samples by selection key instead of evaluating it; the test checks the two
+// select the same tuples.
+func formula(queries []*query.SSD, s Selection) predicate.Expr {
+	parts := make([]predicate.Expr, len(queries))
+	for i := range queries {
+		parts[i] = Projection(queries, s, i)
+	}
+	return predicate.AndAll(parts...)
+}
+
 func TestFormulaSelectsExactlyMatchingTuples(t *testing.T) {
 	queries := selQueries()
 	schema := testSchema()
 	compiled, _ := CompileQueries(queries, schema)
 	r := testPop(300)
 	for _, sel := range []Selection{{0, 0}, {1, None}, {0, 1}} {
-		f := Formula(queries, sel)
+		f := formula(queries, sel)
 		pred, err := predicate.Compile(f, schema)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +199,11 @@ func TestCountLimitsMapReduceMatchesInMemory(t *testing.T) {
 		if a.Limit != b.Limit {
 			t.Fatalf("selection %s: in-memory limit %d, MapReduce limit %d", a.Sel, a.Limit, b.Limit)
 		}
-		if a.Limit < a.TotalFreq()/int64(len(m.Queries)) {
+		var total int64 // Σ_i F(A_i, σ)
+		for _, f := range a.Freq {
+			total += f
+		}
+		if a.Limit < total/int64(len(m.Queries)) {
 			t.Fatalf("selection %s: limit %d below any single F", a.Sel, a.Limit)
 		}
 	}

@@ -18,15 +18,6 @@ type SelEntry struct {
 	Limit int64   // L(σ) = |{t ∈ R : σ(t) = σ}|
 }
 
-// TotalFreq returns Σ_i F(A_i, σ).
-func (e *SelEntry) TotalFreq() int64 {
-	var n int64
-	for _, f := range e.Freq {
-		n += f
-	}
-	return n
-}
-
 // Stats holds the relevant stratum selections [[Q]]* keyed by Selection.Key,
 // plus the query count.
 type Stats struct {

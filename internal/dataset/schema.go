@@ -96,12 +96,6 @@ func (s *Schema) Index(name string) (int, bool) {
 	return i, ok
 }
 
-// Has reports whether the schema contains a field with the given name.
-func (s *Schema) Has(name string) bool {
-	_, ok := s.index[name]
-	return ok
-}
-
 // String renders the schema as "(name[min..max], ...)".
 func (s *Schema) String() string {
 	var b strings.Builder

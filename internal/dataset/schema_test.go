@@ -57,9 +57,6 @@ func TestSchemaIndexAndField(t *testing.T) {
 	if f := s.Field(2); f.Name != "gender" || f.Max != 1 {
 		t.Fatalf("Field(2) = %+v", f)
 	}
-	if !s.Has("age") || s.Has("nope") {
-		t.Fatal("Has misbehaves")
-	}
 }
 
 func TestSchemaFieldsReturnsCopy(t *testing.T) {

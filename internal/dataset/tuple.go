@@ -16,16 +16,6 @@ type Tuple struct {
 	Attrs []int64
 }
 
-// Attr returns the value of the i-th attribute.
-func (t *Tuple) Attr(i int) int64 { return t.Attrs[i] }
-
-// Clone returns a deep copy of the tuple.
-func (t *Tuple) Clone() Tuple {
-	attrs := make([]int64, len(t.Attrs))
-	copy(attrs, t.Attrs)
-	return Tuple{ID: t.ID, Name: t.Name, Attrs: attrs}
-}
-
 // ResidentBytes estimates the memory the tuple occupies in a resident split:
 // its header (ID, string and slice headers) plus name bytes and attribute
 // values.

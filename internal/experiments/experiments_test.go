@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 )
@@ -225,13 +226,33 @@ func TestDataScalingLinear(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
+	// linearity is time(full)/time(fraction) for the algorithm; for a
+	// perfectly linear algorithm it equals 1/fraction (up to fixed overheads).
+	linearity := func(algorithm string, fraction float64) float64 {
+		var full, part time.Duration
+		for _, row := range res.Rows {
+			if row.Algorithm != algorithm {
+				continue
+			}
+			if row.Fraction == 1.0 {
+				full = row.Simulated
+			}
+			if row.Fraction == fraction {
+				part = row.Simulated
+			}
+		}
+		if part == 0 {
+			return 0
+		}
+		return float64(full) / float64(part)
+	}
 	for _, alg := range []string{"MQE", "CPS"} {
 		// time(100%)/time(50%) should be near 2; overheads pull it down.
-		r2 := res.LinearityRatio(alg, 0.5)
+		r2 := linearity(alg, 0.5)
 		if r2 < 1.5 || r2 > 2.3 {
 			t.Fatalf("%s: full/half ratio %.2f, want ≈2 (linear)", alg, r2)
 		}
-		r10 := res.LinearityRatio(alg, 0.1)
+		r10 := linearity(alg, 0.1)
 		if r10 < 4 || r10 > 11 {
 			t.Fatalf("%s: full/tenth ratio %.2f, want ≈10 (linear, minus fixed overheads)", alg, r10)
 		}

@@ -66,27 +66,6 @@ func DataScaling(cfg Config) (*ScalingResult, error) {
 	return res, nil
 }
 
-// LinearityRatio returns time(full)/time(fraction) for the algorithm; for a
-// perfectly linear algorithm it equals 1/fraction (up to fixed overheads).
-func (r *ScalingResult) LinearityRatio(algorithm string, fraction float64) float64 {
-	var full, part time.Duration
-	for _, row := range r.Rows {
-		if row.Algorithm != algorithm {
-			continue
-		}
-		if row.Fraction == 1.0 {
-			full = row.Simulated
-		}
-		if row.Fraction == fraction {
-			part = row.Simulated
-		}
-	}
-	if part == 0 {
-		return 0
-	}
-	return float64(full) / float64(part)
-}
-
 // Table renders the result.
 func (r *ScalingResult) Table() *Table {
 	t := &Table{

@@ -181,9 +181,9 @@ func TestPopulationGolden(t *testing.T) {
 				t.Fatalf("%s: tuple %d has cap(Attrs) %d, len %d", tc.name, i, cap(a), len(a))
 			}
 		}
-		next := tuples[1].Clone()
+		next := slices.Clone(tuples[1].Attrs)
 		_ = append(tuples[0].Attrs, -1)
-		if fmt.Sprint(tuples[1].Attrs) != fmt.Sprint(next.Attrs) {
+		if fmt.Sprint(tuples[1].Attrs) != fmt.Sprint(next) {
 			t.Errorf("%s: appending to tuple 0's attributes changed tuple 1's to %v", tc.name, tuples[1].Attrs)
 		}
 	}

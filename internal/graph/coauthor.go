@@ -238,22 +238,3 @@ func clampField(f dataset.Field, v int64) int64 {
 	}
 	return v
 }
-
-// DegreeHistogram returns how many authors have each paper count, capped at
-// the last bucket; useful for eyeballing the heavy tail.
-func (g *Coauthorship) DegreeHistogram(buckets int) []int {
-	counts := make([]int, g.N)
-	for _, p := range g.Papers {
-		for _, a := range p.Authors {
-			counts[a]++
-		}
-	}
-	hist := make([]int, buckets)
-	for _, c := range counts {
-		if c >= buckets {
-			c = buckets - 1
-		}
-		hist[c]++
-	}
-	return hist
-}

@@ -111,7 +111,18 @@ func TestPreferentialAttachmentIsHeavyTailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := g.DegreeHistogram(20)
+	// hist counts the authors with each paper count, 19 or more in the last
+	// bucket.
+	papers := make([]int, g.N)
+	for _, p := range g.Papers {
+		for _, a := range p.Authors {
+			papers[a]++
+		}
+	}
+	hist := make([]int, 20)
+	for _, c := range papers {
+		hist[min(c, len(hist)-1)]++
+	}
 	// Most authors have few papers; a nontrivial tail has many.
 	low := hist[0] + hist[1] + hist[2]
 	tail := hist[19]

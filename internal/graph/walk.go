@@ -42,9 +42,6 @@ func (g *Coauthorship) Adjacency() Adjacency {
 	return adj
 }
 
-// Degree returns the number of distinct coauthors of node a.
-func (adj Adjacency) Degree(a int) int { return len(adj[a]) }
-
 // MeanDegree returns the average degree over all nodes.
 func (adj Adjacency) MeanDegree() float64 {
 	var sum int

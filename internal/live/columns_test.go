@@ -53,7 +53,7 @@ func checkMirror(t *testing.T, p *Population, queries []*query.SSD, seed int64) 
 		}
 	}
 	cluster := func() *mapreduce.Cluster {
-		return &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+		return &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	}
 	with, withMet, err := stratified.Pass(cluster(), queries, p.schema, blocks, stratified.Options{Seed: seed})
 	if err != nil {

@@ -487,15 +487,6 @@ func (p *Population) Register(key string, q *query.SSD, seed int64) (*Standing, 
 	return st, nil
 }
 
-// Unregister drops a standing query. It reports whether the key existed.
-func (p *Population) Unregister(key string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.queries[key]
-	delete(p.queries, key)
-	return ok
-}
-
 // QueryVersion returns the standing query's version — bumped once per
 // mutation that touched any of its strata — or 0 for an unknown key.
 func (p *Population) QueryVersion(key string) int64 {

@@ -79,7 +79,7 @@ func benchShuffle(b *testing.B, exec Executor, tr Tracer, rows int) {
 		}
 		splits[s] = split
 	}
-	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr, Executor: exec}
+	cluster := &Cluster{Slaves: 4, Cost: ZeroCostModel(), Tracer: tr, Executor: exec}
 	job := shuffleHeavyJob()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -152,7 +152,7 @@ func benchEngine(b *testing.B, tr Tracer) {
 		Reducer:   sumReducer(func(_ int, n int64) int64 { return n }),
 		KeyString: func(k int) string { return strconv.Itoa(k) },
 	}
-	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr}
+	cluster := &Cluster{Slaves: 4, Cost: ZeroCostModel(), Tracer: tr}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

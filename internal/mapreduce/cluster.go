@@ -6,14 +6,14 @@ import (
 )
 
 // Cluster models the distributed system the job runs on: a number of slave
-// machines, each offering task slots, and a cost model for the virtual clock.
+// machines, each running one task at a time, and a cost model for the
+// virtual clock.
 // The master is implicit. It corresponds to the paper's EC2 deployment of
 // one master plus 1–10 slaves.
 type Cluster struct {
-	// Slaves is the number of worker machines (≥ 1).
+	// Slaves is the number of worker machines (≥ 1): the engine runs up to
+	// Slaves tasks at once, and a job has one reducer per slave.
 	Slaves int
-	// SlotsPerSlave is how many tasks a slave can run at once (≥ 1).
-	SlotsPerSlave int
 	// Cost converts measured task counters into simulated durations.
 	Cost CostModel
 	// Executor, when non-nil, runs task attempts on an execution backend
@@ -49,10 +49,9 @@ type Cluster struct {
 	Clock func() time.Time
 }
 
-// NewCluster returns a cluster with n slaves, one slot per slave, and the
-// default cost model.
+// NewCluster returns a cluster with n slaves and the default cost model.
 func NewCluster(n int) *Cluster {
-	return &Cluster{Slaves: n, SlotsPerSlave: 1, Cost: DefaultCostModel()}
+	return &Cluster{Slaves: n, Cost: DefaultCostModel()}
 }
 
 // Validate reports a configuration error, if any.
@@ -60,17 +59,11 @@ func (c *Cluster) Validate() error {
 	if c.Slaves < 1 {
 		return fmt.Errorf("mapreduce: cluster needs at least 1 slave, got %d", c.Slaves)
 	}
-	if c.SlotsPerSlave < 1 {
-		return fmt.Errorf("mapreduce: cluster needs at least 1 slot per slave, got %d", c.SlotsPerSlave)
-	}
 	if err := c.Cost.validate(); err != nil {
 		return err
 	}
 	return nil
 }
-
-// Slots is the total number of simultaneous task slots.
-func (c *Cluster) Slots() int { return c.Slaves * c.SlotsPerSlave }
 
 // now returns the cluster's wall clock: Clock when set, time.Now otherwise.
 func (c *Cluster) now() func() time.Time {

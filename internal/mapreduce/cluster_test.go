@@ -17,7 +17,6 @@ func TestClusterValidate(t *testing.T) {
 		{name: "zero cost model via constructor", mutate: func(c *Cluster) { c.Cost = ZeroCostModel() }},
 		{name: "no slaves", mutate: func(c *Cluster) { c.Slaves = 0 }, wantErr: "at least 1 slave"},
 		{name: "negative slaves", mutate: func(c *Cluster) { c.Slaves = -2 }, wantErr: "at least 1 slave"},
-		{name: "no slots", mutate: func(c *Cluster) { c.SlotsPerSlave = 0 }, wantErr: "slot per slave"},
 		{name: "forgotten cost model", mutate: func(c *Cluster) { c.Cost = CostModel{} }, wantErr: "no cost model"},
 		{name: "negative map rate", mutate: func(c *Cluster) { c.Cost.MapPerRecord = -time.Millisecond }, wantErr: "MapPerRecord is negative"},
 		{name: "negative shuffle rate", mutate: func(c *Cluster) { c.Cost.ShufflePerByte = -1 }, wantErr: "ShufflePerByte is negative"},
@@ -48,9 +47,9 @@ func TestClusterValidate(t *testing.T) {
 // doing any work.
 func TestRunRejectsInvalidCluster(t *testing.T) {
 	c := NewCluster(2)
-	c.SlotsPerSlave = 0
+	c.Slaves = 0
 	_, err := Run(c, remoteModCountJob(), []records[int]{{1, 2, 3}})
-	if err == nil || !strings.Contains(err.Error(), "slot per slave") {
-		t.Fatalf("Run = %v, want SlotsPerSlave validation error", err)
+	if err == nil || !strings.Contains(err.Error(), "at least 1 slave") {
+		t.Fatalf("Run = %v, want Slaves validation error", err)
 	}
 }

@@ -240,10 +240,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	if c.Executor != nil && job.Codecs == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no codecs to cross the %s executor's wire", job.Name, c.Executor.Name())
 	}
-	numReducers := job.NumReducers
-	if numReducers <= 0 {
-		numReducers = c.Slaves
-	}
+	numReducers := c.Slaves
 
 	tr := c.Tracer
 	var tctx *TraceContext
@@ -311,7 +308,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	// after the phase: nothing touches shared counters per record.
 	maps := make([]mapOutcome, len(splits))
 	mapErrs := make([]error, len(splits))
-	runParallel(len(splits), c.Slots(), func(t int) {
+	runParallel(len(splits), c.Slaves, func(t int) {
 		m := &maps[t]
 		if tr != nil {
 			m.start = elapsed()
@@ -371,7 +368,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 			})
 		}
 	}
-	met.SimulatedMap = makespan(mapDurations, c.Slots())
+	met.SimulatedMap = makespan(mapDurations, c.Slaves)
 	if logDebug {
 		slog.Debug("mapreduce map phase done", "job", job.Name, "backend", backendName,
 			"tasks", met.MapTasks, "attempts", met.MapAttempts,
@@ -382,7 +379,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 	// ---- Shuffle receive + reduce: one unit of work per reducer ----
 	reds := make([]reduceOutcome[O], numReducers)
 	redErrs := make([]error, numReducers)
-	runParallel(numReducers, c.Slots(), func(r int) {
+	runParallel(numReducers, c.Slaves, func(r int) {
 		o := &reds[r]
 		if tr != nil {
 			o.start = elapsed()
@@ -441,7 +438,7 @@ func Run[S sized, K comparable, V any, O any](c *Cluster, job *Job[S, K, V, O], 
 		}
 		final = append(final, o.out...)
 	}
-	met.SimulatedReduce = makespan(reduceDurations, c.Slots())
+	met.SimulatedReduce = makespan(reduceDurations, c.Slaves)
 	met.WallTime = elapsed()
 	if tr != nil {
 		tr.Emit(Span{

@@ -190,11 +190,11 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 			}),
 		}
 	}
-	r1, err := Run(&Cluster{Slaves: 1, SlotsPerSlave: 1, Cost: ZeroCostModel()}, mkJob(), wcSplits)
+	r1, err := Run(&Cluster{Slaves: 1, Cost: ZeroCostModel()}, mkJob(), wcSplits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(&Cluster{Slaves: 8, SlotsPerSlave: 2, Cost: ZeroCostModel()}, mkJob(), wcSplits)
+	r8, err := Run(&Cluster{Slaves: 8, Cost: ZeroCostModel()}, mkJob(), wcSplits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSeedChangesRandomness(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	job := wordCountJob(1, false)
-	if _, err := Run(&Cluster{Slaves: 0, SlotsPerSlave: 1}, job, wcSplits); err == nil {
+	if _, err := Run(&Cluster{Slaves: 0}, job, wcSplits); err == nil {
 		t.Fatal("want cluster validation error")
 	}
 	bad := wordCountJob(1, false)
@@ -392,7 +392,7 @@ func TestBatchMapperLogicalCounters(t *testing.T) {
 					durations[task] += time.Duration(len(split)) * cluster.Cost.CombinePerRecord
 				}
 			}
-			if want := makespan(durations, cluster.Slots()); m.SimulatedMap != want {
+			if want := makespan(durations, cluster.Slaves); m.SimulatedMap != want {
 				t.Errorf("%s/%s: simulated map %v, want %v", c.name, backend, m.SimulatedMap, want)
 			}
 			var combines int

@@ -168,7 +168,7 @@ type WorkerSpan struct {
 // scheduling, metrics folding and span emission; an
 // executor only answers "run this spec, give me the result", possibly on
 // another process or machine. Execute must be safe for concurrent calls —
-// the engine issues up to Cluster.Slots() of them at once. Execute is
+// the engine issues up to Cluster.Slaves of them at once. Execute is
 // expected to retry transient worker failures internally (recording them in
 // TaskResult.FailedAttempts) and return an error only when the task is
 // undeliverable.

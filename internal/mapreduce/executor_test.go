@@ -55,7 +55,7 @@ func remoteTestSplits() []records[int] {
 
 func remoteTestCluster() *Cluster {
 	return &Cluster{
-		Slaves: 3, SlotsPerSlave: 2, Cost: DefaultCostModel(),
+		Slaves: 3, Cost: DefaultCostModel(),
 		Clock: FrozenClock(time.Unix(0, 0)),
 	}
 }

@@ -66,9 +66,6 @@ func (h Histogram) Count() int64 { return h.count }
 // Sum is the total of all observations.
 func (h Histogram) Sum() int64 { return h.sum }
 
-// Min is the smallest observation (0 when empty).
-func (h Histogram) Min() int64 { return h.min }
-
 // Max is the largest observation (0 when empty).
 func (h Histogram) Max() int64 { return h.max }
 

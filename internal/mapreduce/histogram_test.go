@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// Min is the smallest observation (0 when empty).
+func (h Histogram) Min() int64 { return h.min }
+
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
 	if h.String() != "empty" || h.Quantile(0.5) != 0 {

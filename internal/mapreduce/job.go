@@ -53,7 +53,8 @@ func (f ReducerFunc[K, V, O]) Reduce(ctx *TaskContext, key K, values []V, emit f
 }
 
 // Job describes one MapReduce program. A Mapper and a Reducer are required;
-// KeyString and NumReducers have sensible defaults.
+// KeyString has a sensible default. A job runs one reduce task per slave of
+// its cluster.
 type Job[S sized, K comparable, V any, O any] struct {
 	// Name labels the job in metrics and errors.
 	Name string
@@ -61,9 +62,6 @@ type Job[S sized, K comparable, V any, O any] struct {
 	Mapper Mapper[S, K, V]
 	// Reducer merges the values of each key.
 	Reducer Reducer[K, V, O]
-	// NumReducers is the number of reduce tasks (default: the cluster's
-	// slave count, at least 1).
-	NumReducers int
 	// KeyString renders a key canonically; it drives partitioning,
 	// deterministic reduce ordering and per-key RNG seeding (default:
 	// fmt.Sprint).

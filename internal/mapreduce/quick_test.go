@@ -48,7 +48,7 @@ func TestQuickCountingInvariant(t *testing.T) {
 		if combining {
 			job.Mapper = sumStage[int, int]{fn: one}
 		}
-		cluster := &Cluster{Slaves: slaves, SlotsPerSlave: 1, Cost: ZeroCostModel()}
+		cluster := &Cluster{Slaves: slaves, Cost: ZeroCostModel()}
 		res, err := Run(cluster, job, splits)
 		if err != nil {
 			return false

@@ -66,7 +66,7 @@ func TestExample5DistributedSampling(t *testing.T) {
 		query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: 5},
 		query.Stratum{Cond: predicate.MustParse("gender = 0"), Freq: 6},
 	)
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	ans, met, err := stratified.RunSQE(cluster, q, r.Schema(), splits, stratified.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestExample5MenUniform(t *testing.T) {
 	const runs = 6000
 	r, splits := example5Population()
 	q := query.NewSSD("ex5men", query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: 5})
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	counts := make([]int64, 0, 30)
 	perID := map[int64]int64{}
 	for run := 0; run < runs; run++ {
@@ -147,7 +147,7 @@ func TestExample6RepresentativeSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 
 	// Over many runs, the fraction of women among Q1's answers must stay
 	// 15/25 — CPS must not skew it to maximise sharing with Q2 (the trap

@@ -38,26 +38,6 @@ func (o Op) String() string {
 	}
 }
 
-// Negate returns the complementary operator: ¬(a < v) ≡ a >= v, etc.
-func (o Op) Negate() Op {
-	switch o {
-	case Lt:
-		return Ge
-	case Le:
-		return Gt
-	case Gt:
-		return Le
-	case Ge:
-		return Lt
-	case Eq:
-		return Ne
-	case Ne:
-		return Eq
-	default:
-		panic(fmt.Sprintf("predicate: bad op %d", int(o)))
-	}
-}
-
 // Holds evaluates "x o v".
 func (o Op) Holds(x, v int64) bool {
 	switch o {

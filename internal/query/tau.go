@@ -36,9 +36,6 @@ func (t Tau) With(i int) Tau {
 	return t | 1<<uint(i)
 }
 
-// Without returns the set with index i removed.
-func (t Tau) Without(i int) Tau { return t &^ (1 << uint(i)) }
-
 // Contains reports whether index i is in the set.
 func (t Tau) Contains(i int) bool { return t&(1<<uint(i)) != 0 }
 
@@ -64,9 +61,6 @@ func (t Tau) SubsetOf(o Tau) bool { return t&^o == 0 }
 
 // Union returns t ∪ o.
 func (t Tau) Union(o Tau) Tau { return t | o }
-
-// Intersect returns t ∩ o.
-func (t Tau) Intersect(o Tau) Tau { return t & o }
 
 // String renders the set as "{1,3}" using 1-based indexes, matching the
 // paper's notation.

@@ -21,17 +21,14 @@ func TestTauBasics(t *testing.T) {
 	if tau.String() != "{1,3,6}" {
 		t.Fatalf("String = %q", tau.String())
 	}
-	if tau.Without(2).Contains(2) {
-		t.Fatal("Without failed")
-	}
 	if !NewTau().Empty() || tau.Empty() {
 		t.Fatal("Empty wrong")
 	}
 	if !NewTau(0, 2).SubsetOf(tau) || tau.SubsetOf(NewTau(0, 2)) {
 		t.Fatal("SubsetOf wrong")
 	}
-	if tau.Union(NewTau(1)).Size() != 4 || tau.Intersect(NewTau(2, 3)).Size() != 1 {
-		t.Fatal("Union/Intersect wrong")
+	if tau.Union(NewTau(1)).Size() != 4 {
+		t.Fatal("Union wrong")
 	}
 }
 

@@ -212,9 +212,6 @@ func (r *Reservoir[T]) Readmit(item T) {
 // Seen returns the number of items offered so far.
 func (r *Reservoir[T]) Seen() int64 { return r.seen }
 
-// Cap returns the reservoir capacity k.
-func (r *Reservoir[T]) Cap() int { return r.k }
-
 // Sample returns the current sample. The returned slice is owned by the
 // reservoir: a later Add may overwrite its elements in place. Callers that
 // keep it past further Add calls must copy it (or use TakeSample, which

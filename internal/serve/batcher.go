@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"log/slog"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -32,7 +33,7 @@ import (
 //	collecting --query--> collecting                (attach or add entry)
 //	collecting --idle--> executing                  (the machine came free)
 //	collecting --timeout--> executing               (the window bounds the wait)
-//	collecting --size==max--> executing
+//	collecting --size==maxBatch--> executing
 //	collecting --last waiter hung up--> discarded   (no pass)
 //	executing --done--> entries resolved
 //
@@ -52,7 +53,6 @@ import (
 // ("strata sample" with matching population parameters and seed).
 type batcher struct {
 	window   time.Duration
-	maxBatch int
 	adaptive bool
 	epoch    func() int64
 	exec     *executor
@@ -72,6 +72,15 @@ type batcher struct {
 	lastShared time.Duration
 	wg         sync.WaitGroup // running passes, for graceful drain
 }
+
+// maxBatch fires a collecting batch early once it holds this many distinct
+// queries: it bounds one MR-MQE pass's query set, whatever the window.
+const maxBatch = 64
+
+// maxPasses bounds the engine passes executing at once, daemon-wide.
+// Concurrency never changes answers — each pass owns its seed, cluster and
+// output slots.
+func maxPasses() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // batch is one collecting (then executing) admission window.
 type batch struct {
@@ -128,9 +137,9 @@ type executor struct {
 	onMetrics func(mapreduce.Metrics)
 	cache     *resultCache
 	stats     *Stats
-	// sem bounds concurrently executing passes daemon-wide: seed groups of
-	// one batch run in parallel under it, and overlapping batches pipeline
-	// through it instead of queueing behind each other.
+	// sem bounds concurrently executing passes daemon-wide (maxPasses):
+	// seed groups of one batch run in parallel under it, and overlapping
+	// batches pipeline through it instead of queueing behind each other.
 	sem chan struct{}
 	// tracer, when set, receives batch/pass/demux spans and threads a
 	// TraceContext into every pass cluster; base is the daemon start time all
@@ -142,13 +151,6 @@ type executor struct {
 // traced reports whether this batch should emit spans.
 func (x *executor) traced(cur *batch) bool {
 	return x.tracer != nil && cur.trace != ""
-}
-
-func newBatcher(window time.Duration, maxBatch int, adaptive bool, epoch func() int64, exec *executor, stats *Stats) *batcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	return &batcher{window: window, maxBatch: maxBatch, adaptive: adaptive, epoch: epoch, exec: exec, stats: stats}
 }
 
 // submit admits one query into the current batch (opening one if needed) and
@@ -175,7 +177,7 @@ func (b *batcher) submit(q *query.SSD, canon string, seed int64, trace string, t
 		cur.order = append(cur.order, key)
 	}
 	switch {
-	case len(cur.entries) >= b.maxBatch || b.window <= 0:
+	case len(cur.entries) >= maxBatch || b.window <= 0:
 		b.fireLocked(cur)
 	case b.idleLocked():
 		b.stats.add(&b.stats.AdaptiveFires, 1)

@@ -10,88 +10,74 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/mapreduce"
 	"repro/internal/query"
+	"repro/internal/stratified"
 )
 
 // TestConcurrentPassesByteIdentical is the determinism contract of concurrent
-// pass scheduling: the same batch of queries answered under -max-passes 1
-// (fully serial) and -max-passes 8 (seed groups racing through the semaphore)
-// produces byte-identical answer sections per query. Concurrency may reorder
-// which pass finishes first, but each pass owns its seed, its query order and
-// its cluster, so the sampled individuals cannot change.
+// pass scheduling: a batch whose two seed groups race through the pass
+// semaphore (maxPasses is at least 2) answers each query with the bytes a
+// serial, direct stratified.Pass over the same blocks draws. Concurrency may
+// reorder which pass finishes first, but each pass owns its seed, its query
+// order and its cluster, so the sampled individuals cannot change.
 func TestConcurrentPassesByteIdentical(t *testing.T) {
-	const (
-		popN  = 3000
-		seedA = int64(3)
-		seedB = int64(11)
-	)
+	const slaves = 2
+	seeds := []int64{3, 11}
 	specs := []string{
 		"nop >= 100 : 3",
 		"nop >= 50 : 4",
 		"ayp >= 5 : 2",
 		"nop < 50 : 6",
 	}
-	pop := gen.Population(popN, 1)
+	d := newTestDaemon(t, Config{
+		Population: gen.Population(3000, 1), Slaves: slaves, Layout: dataset.Contiguous,
+		PartitionSeed: 1, Window: 30 * time.Second,
+	})
 
-	// collect answers one daemon's worth at a time: 8 distinct entries
-	// (4 specs x 2 seeds) submitted to the batcher IN ORDER — batch arrival
-	// order fixes the MQE query indexes, so it must be identical across the
-	// two daemons for the comparison to isolate the scheduler — into one
-	// long-window batch that MaxBatch=8 fires as the last entry arrives. Two
-	// seed groups -> two passes, concurrent when the semaphore allows it.
-	collect := func(maxPasses int) map[string][]byte {
-		d := newTestDaemon(t, Config{
-			Population: pop, Slaves: 2, Layout: dataset.Contiguous,
-			PartitionSeed: 1, Window: 30 * time.Second, MaxBatch: 8,
-			MaxPasses: maxPasses,
-		})
-		type pending struct {
-			key   string
-			q     *query.SSD
-			entry *entry
+	// 8 distinct entries (4 specs x 2 seeds) submitted to the batcher in
+	// order — arrival order fixes the MQE query indexes — into one
+	// long-window batch the flush fires: two seed groups, two passes,
+	// concurrent under the semaphore.
+	queries := make([]*query.SSD, len(specs))
+	entries := make(map[int64][]*entry)
+	for i, spec := range specs {
+		q, cls, err := d.s.buildQuery(&sampleRequest{Query: spec})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var submitted []pending
-		for _, seed := range []int64{seedA, seedB} {
-			for _, spec := range specs {
-				q, cls, err := d.s.buildQuery(&sampleRequest{Query: spec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := d.s.batcher.submit(q, canonicalSSD(q, cls), seed, "", 0)
-				submitted = append(submitted, pending{key: fmt.Sprintf("%d|%s", seed, spec), q: q, entry: e})
-			}
+		queries[i] = q
+		for _, seed := range seeds {
+			entries[seed] = append(entries[seed], d.s.batcher.submit(q, canonicalSSD(q, cls), seed, "", 0))
 		}
-		answers := make(map[string][]byte)
-		for _, p := range submitted {
+	}
+	d.s.batcher.flush()
+
+	for _, seed := range seeds {
+		blocks, release := d.s.pop.Acquire()
+		want, _, err := stratified.Pass(mapreduce.NewCluster(slaves), queries, d.s.schema, blocks, stratified.Options{Seed: seed})
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries[seed] {
 			select {
-			case <-p.entry.done:
+			case <-e.done:
 			case <-time.After(10 * time.Second):
-				t.Fatalf("answer for %s never arrived", p.key)
+				t.Fatalf("seed %d, %s: answer never arrived", seed, specs[i])
 			}
-			if p.entry.err != nil {
-				t.Fatalf("%s: %v", p.key, p.entry.err)
+			if e.err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, specs[i], e.err)
 			}
-			raw, err := json.Marshal(renderStrata(p.q, p.entry.ans))
-			if err != nil {
-				t.Fatal(err)
+			got, _ := json.Marshal(renderStrata(queries[i], e.ans))
+			direct, _ := json.Marshal(renderStrata(queries[i], want[i]))
+			if string(got) != string(direct) {
+				t.Errorf("seed %d, %s: concurrent answer differs from a serial direct pass\ndirect     %s\nconcurrent %s", seed, specs[i], direct, got)
 			}
-			answers[p.key] = raw
 		}
-		if snap := d.s.Stats(); snap.Passes != 2 {
-			t.Errorf("max-passes %d: passes = %d, want 2 (one per seed group)", maxPasses, snap.Passes)
-		}
-		return answers
 	}
-
-	serial := collect(1)
-	concurrent := collect(8)
-	if len(serial) != len(specs)*2 || len(concurrent) != len(serial) {
-		t.Fatalf("collected %d serial vs %d concurrent answers, want %d", len(serial), len(concurrent), len(specs)*2)
-	}
-	for k, want := range serial {
-		if got := concurrent[k]; string(got) != string(want) {
-			t.Errorf("%s: concurrent answer differs from serial\nserial     %s\nconcurrent %s", k, want, got)
-		}
+	if snap := d.s.Stats(); snap.Passes != 2 {
+		t.Errorf("passes = %d, want 2 (one per seed group)", snap.Passes)
 	}
 }
 
@@ -103,7 +89,7 @@ func TestConcurrentPassesByteIdentical(t *testing.T) {
 func TestOverlappingBatchesLiveMutationsRace(t *testing.T) {
 	d := newTestDaemon(t, Config{
 		Population: livePopulation(500), Slaves: 2, Layout: dataset.RoundRobin,
-		Window: time.Millisecond, MaxBatch: 4, MaxPasses: 4,
+		Window:         time.Millisecond,
 		AdaptiveWindow: true, Live: true, StalenessBound: 8,
 	})
 	// A standing query keeps the subscriber-maintenance path in the mix.

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,8 +19,8 @@ import (
 // The live-mode HTTP surface: mutation ingest and standing-query
 // subscriptions. A subscription registers an SSD query with the live
 // population (which maintains per-stratum reservoirs incrementally) and a
-// push trigger — "every N mutations that touch the query" and/or "every T
-// seconds". Pushes are delivered by long-poll (GET /v1/next?id=&after=); a
+// push trigger — "every N mutations that touch the query". Pushes are
+// delivered by long-poll (GET /v1/next?id=&after=); a
 // slow consumer only ever sees the latest event (latest-wins), never an
 // unbounded backlog, and resumes past the last push it read with ?after=.
 
@@ -102,13 +101,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 // subscribeRequest is the POST /v1/subscribe body: a query (same forms as
-// /v1/sample) plus the push trigger. EveryMutations counts mutations that
-// touched the query's strata; EverySeconds pushes on a timer when anything
-// changed since the last push. Both zero defaults to EveryMutations=1.
+// /v1/sample) plus the push trigger: EveryMutations counts mutations that
+// touched the query's strata, and zero means 1.
 type subscribeRequest struct {
 	sampleRequest
-	EveryMutations int64   `json:"every_mutations,omitempty"`
-	EverySeconds   float64 `json:"every_seconds,omitempty"`
+	EveryMutations int64 `json:"every_mutations,omitempty"`
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
@@ -153,17 +150,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		seed = *req.Seed
 	}
 	canon := canonicalSSD(q, cls)
-	if req.EveryMutations < 0 || req.EverySeconds < 0 {
+	if req.EveryMutations < 0 {
 		httpError(w, http.StatusBadRequest, "negative push trigger")
 		return
 	}
-	// A period under a millisecond is a busy ticker (or, rounded to 0 ns, no
-	// timer at all); one past time.Duration's range overflows it.
-	if secs := req.EverySeconds; secs != 0 && (secs < 1e-3 || secs >= time.Duration(math.MaxInt64).Seconds()) {
-		httpError(w, http.StatusBadRequest, "every_seconds %g: want 0 or a period of at least 0.001 that fits a time.Duration", secs)
-		return
-	}
-	if req.EveryMutations == 0 && req.EverySeconds == 0 {
+	if req.EveryMutations == 0 {
 		req.EveryMutations = 1
 	}
 	key := liveKey(canon, seed)
@@ -173,7 +164,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Strata-Trace", trace)
 
-	sub, code, err := s.hub.add(key, q, seed, trace, req.EveryMutations, time.Duration(req.EverySeconds*float64(time.Second)))
+	sub, code, err := s.hub.add(key, q, seed, trace, req.EveryMutations)
 	if err != nil {
 		httpError(w, code, "%v", err)
 		return
@@ -183,7 +174,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		"subscription":    sub.id,
 		"trace":           trace,
 		"every_mutations": req.EveryMutations,
-		"every_seconds":   req.EverySeconds,
 		"version":         s.pop.QueryVersion(key),
 	})
 }
@@ -245,14 +235,12 @@ type subscription struct {
 	seed      int64
 	trace     string
 	everyMuts int64
-	every     time.Duration
 
 	mu      sync.Mutex
 	lastVer int64 // standing-query version at the last push
 	seq     int64
 	latest  *pushEvent
 	wake    chan struct{} // closed and replaced on each publish (and on close)
-	stop    chan struct{} // closes the timer goroutine
 	closed  bool
 }
 
@@ -290,7 +278,7 @@ func (sub *subscription) wait(ctx interface{ Done() <-chan struct{} }, after int
 }
 
 // subHub owns the daemon's subscriptions: registration, mutation-triggered
-// pushes (kick), timer-triggered pushes, and teardown on drain.
+// pushes (kick), and teardown on drain.
 type subHub struct {
 	s *Server
 
@@ -314,7 +302,7 @@ func newSubHub(s *Server) *subHub {
 // under the write lock and the standing query is then maintained on every
 // mutation. A registration the population refuses (409: the key is
 // registered with another seed) gives the reserved slot back.
-func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMuts int64, every time.Duration) (*subscription, int, error) {
+func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMuts int64) (*subscription, int, error) {
 	buf := make([]byte, 8)
 	if _, err := cryptorand.Read(buf); err != nil {
 		return nil, http.StatusInternalServerError, err
@@ -334,10 +322,9 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 	_, err := h.s.pop.Register(key, q, seed)
 	sub := &subscription{
 		id: hex.EncodeToString(buf), key: key, q: q, seed: seed, trace: trace,
-		everyMuts: everyMuts, every: every,
-		lastVer: h.s.pop.QueryVersion(key),
-		wake:    make(chan struct{}),
-		stop:    make(chan struct{}),
+		everyMuts: everyMuts,
+		lastVer:   h.s.pop.QueryVersion(key),
+		wake:      make(chan struct{}),
 	}
 	h.mu.Lock()
 	h.reserved--
@@ -352,9 +339,6 @@ func (h *subHub) add(key string, q *query.SSD, seed int64, trace string, everyMu
 	h.subs[sub.id] = sub
 	h.mu.Unlock()
 	h.s.stats.add(&h.s.stats.Subscriptions, 1)
-	if sub.every > 0 {
-		go h.timerLoop(sub)
-	}
 	return sub, http.StatusOK, nil
 }
 
@@ -408,7 +392,6 @@ func (h *subHub) closeSub(sub *subscription) {
 		sub.closed = true
 		close(sub.wake)
 		sub.wake = make(chan struct{})
-		close(sub.stop)
 	}
 	sub.mu.Unlock()
 }
@@ -439,42 +422,22 @@ func (h *subHub) kick() {
 	}
 	h.mu.Unlock()
 	for _, sub := range subs {
-		h.maybePush(sub, false)
+		h.maybePush(sub)
 	}
 }
 
-// timerLoop publishes on the subscription's period whenever the query changed
-// since the last push.
-func (h *subHub) timerLoop(sub *subscription) {
-	t := time.NewTicker(sub.every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			h.maybePush(sub, true)
-		case <-sub.stop:
-			return
-		}
-	}
-}
-
-// maybePush publishes a snapshot when the subscription's trigger is due:
-// timed pushes fire on any change since the last push, mutation-triggered
-// pushes once the standing query's version advanced by everyMuts. Publication
-// is latest-wins: the new event replaces the previous one and every waiter is
-// woken. The push latency recorded is trigger-to-publication.
-func (h *subHub) maybePush(sub *subscription, timed bool) {
+// maybePush publishes a snapshot when the subscription's trigger is due: the
+// standing query's version advanced by everyMuts since the last push.
+// Publication is latest-wins: the new event replaces the previous one and
+// every waiter is woken. The push latency recorded is trigger-to-publication.
+func (h *subHub) maybePush(sub *subscription) {
 	start := time.Now()
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.closed {
 		return
 	}
-	ver := h.s.pop.QueryVersion(sub.key)
-	if ver <= sub.lastVer {
-		return
-	}
-	if !timed && (sub.everyMuts <= 0 || ver-sub.lastVer < sub.everyMuts) {
+	if ver := h.s.pop.QueryVersion(sub.key); ver-sub.lastVer < sub.everyMuts {
 		return
 	}
 	ans, metas, ver, ok := h.s.pop.Snapshot(sub.key)

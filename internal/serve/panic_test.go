@@ -39,7 +39,7 @@ func TestPassPanicFailsWaitersNotDaemon(t *testing.T) {
 	exec.armed.Store(true)
 	d := newTestDaemon(t, Config{
 		Population: gen.Population(2000, 1), Slaves: 2, Layout: dataset.Contiguous,
-		PartitionSeed: 1, Window: 40 * time.Millisecond, MaxBatch: 16,
+		PartitionSeed: 1, Window: 40 * time.Millisecond,
 		NewCluster: func(slaves int) *mapreduce.Cluster {
 			c := mapreduce.NewCluster(slaves)
 			c.Executor = exec

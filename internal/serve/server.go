@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,23 +44,16 @@ type Config struct {
 	PartitionSeed int64
 
 	// Window is the batching window: queries arriving within it coalesce
-	// into one pass. Zero runs one pass per query (no batching).
+	// into one pass, which fires early at maxBatch distinct queries. Zero
+	// runs one pass per query (no batching).
 	Window time.Duration
-	// MaxBatch fires a batch early once it holds this many distinct
-	// queries. Defaults to 64.
-	MaxBatch int
-	// MaxPasses bounds concurrently executing engine passes daemon-wide:
-	// seed groups of one batch run in parallel under it and overlapping
-	// batches pipeline through it. 0 means 2*GOMAXPROCS. Concurrency never
-	// changes answers — each pass owns its seed, cluster and output slots.
-	MaxPasses int
 	// AdaptiveWindow makes the window work-conserving: a batch opened with
 	// none in flight fires at once, and a batch collecting behind running
 	// passes fires as soon as the last of them finishes, so Window only
 	// bounds how long a query may queue behind running work. While batches
 	// that had company run Window or longer — a batch-mate is then likely
 	// and saves more than the wait costs — and always when false, the window
-	// is strict: every batch waits out Window (or MaxBatch).
+	// is strict: every batch waits out Window (or fills to maxBatch).
 	AdaptiveWindow bool
 	// QuotaQPS and QuotaBurst configure the per-tenant token bucket
 	// (tokens/second and bucket capacity). QuotaQPS <= 0 disables quotas.
@@ -153,12 +145,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Splits <= 0 {
 		cfg.Splits = dataset.DefaultSplits(cfg.Slaves)
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxPasses <= 0 {
-		cfg.MaxPasses = 2 * runtime.GOMAXPROCS(0)
-	}
 	if cfg.NewCluster == nil {
 		cfg.NewCluster = mapreduce.NewCluster
 	}
@@ -206,9 +192,9 @@ func NewServer(cfg Config) (*Server, error) {
 		stats:     s.stats,
 		tracer:    cfg.Tracer,
 		base:      s.started,
-		sem:       make(chan struct{}, cfg.MaxPasses),
+		sem:       make(chan struct{}, maxPasses()),
 	}
-	s.batcher = newBatcher(cfg.Window, cfg.MaxBatch, cfg.AdaptiveWindow, s.effectiveEpoch, exec, s.stats)
+	s.batcher = &batcher{window: cfg.Window, adaptive: cfg.AdaptiveWindow, epoch: s.effectiveEpoch, exec: exec, stats: s.stats}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/sample", s.handleSample)
@@ -252,21 +238,11 @@ func (s *Server) Stats() Snapshot {
 	return snap
 }
 
-// Epoch returns the current population epoch.
-func (s *Server) Epoch() int64 { return s.epoch.Load() }
-
-// BumpEpoch advances the population epoch and with it the result cache,
-// which drops every answer it held; every answer computed from now on
-// carries the new epoch. It models an administrative invalidation boundary
-// (in live mode, each mutation moves the effective epoch too).
-func (s *Server) BumpEpoch() int64 {
-	e, _ := s.bumpEpoch()
-	return e
-}
-
-// bumpEpoch advances the epoch, moves the cache to the new effective epoch,
-// and reports how many cached answers that move dropped, recording both in
-// the stats.
+// bumpEpoch advances the population epoch and moves the result cache to the
+// new effective epoch, which drops every answer it held, and reports how many
+// that was, recording both in the stats. It models an administrative
+// invalidation boundary (in live mode, each mutation moves the effective
+// epoch too).
 func (s *Server) bumpEpoch() (int64, int) {
 	e := s.epoch.Add(1)
 	n := s.cache.advance(s.effectiveEpoch())

@@ -191,7 +191,7 @@ func TestDistinctQueriesOneMQEPass(t *testing.T) {
 	pop := gen.Population(2000, 1)
 	d := newTestDaemon(t, Config{
 		Population: pop, Slaves: 2, Layout: dataset.Contiguous,
-		PartitionSeed: 1, Window: 30 * time.Second, MaxBatch: 3,
+		PartitionSeed: 1, Window: 30 * time.Second,
 	})
 	specs := []string{
 		"nop >= 100 : 3",
@@ -208,7 +208,12 @@ func TestDistinctQueriesOneMQEPass(t *testing.T) {
 			}
 		}(i, spec)
 	}
-	// MaxBatch=3 fires the batch as the third distinct query arrives.
+	// The strict window holds all three; the flush fires them as one batch.
+	waitFor(t, "the three queries to collect", func() bool {
+		entries, _, _ := d.window()
+		return entries == len(specs)
+	})
+	d.s.batcher.flush()
 	wg.Wait()
 
 	snap := d.s.Stats()
@@ -333,9 +338,9 @@ func TestQuotaRejectsOverBudgetTenant(t *testing.T) {
 // TestOneRoutePerAnswer: an answer is the blocking reply to POST /v1/sample
 // and a push is read by long-poll on /v1/next, so the async ticket route and
 // the event stream answer 404; a body naming a field the daemon does not
-// read — "wait" included — is a 400 on /v1/sample and /v1/subscribe, and
-// none of these requests counts a query, buys a pass or registers a
-// standing query.
+// read — "wait" and "every_seconds" included — is a 400 on /v1/sample and
+// /v1/subscribe, and none of these requests counts a query, buys a pass or
+// registers a standing query.
 func TestOneRoutePerAnswer(t *testing.T) {
 	d := newTestDaemon(t, Config{
 		Population: livePopulation(200), Slaves: 2, Layout: dataset.RoundRobin,
@@ -360,6 +365,7 @@ func TestOneRoutePerAnswer(t *testing.T) {
 		for _, body := range []map[string]any{
 			{"query": "gender = 0 : 2", "wait": false},
 			{"query": "gender = 0 : 2", "sede": 7},
+			{"query": "gender = 0 : 2", "every_seconds": 0.02},
 		} {
 			if code := d.postJSON(t, path, body, nil); code != http.StatusBadRequest {
 				t.Errorf("POST %s %v: status %d, want 400", path, body, code)

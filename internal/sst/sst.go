@@ -22,7 +22,6 @@ type Trie struct {
 	depth int
 	root  *node
 	leafs int
-	total int64
 }
 
 type node struct {
@@ -38,14 +37,8 @@ func New(depth int) *Trie {
 	return &Trie{depth: depth, root: &node{}}
 }
 
-// Depth returns the number of levels (queries).
-func (t *Trie) Depth() int { return t.depth }
-
 // Len returns the number of distinct selections inserted.
 func (t *Trie) Len() int { return t.leafs }
-
-// Total returns the sum of all instance counts.
-func (t *Trie) Total() int64 { return t.total }
 
 // Insert adds `delta` instances of the selection. It panics when the path
 // length does not match the trie depth or delta is negative.
@@ -72,23 +65,6 @@ func (t *Trie) Insert(path []int, delta int64) {
 		t.leafs++
 	}
 	n.count += delta
-	t.total += delta
-}
-
-// Count returns the instance count of the selection (0 when absent).
-func (t *Trie) Count(path []int) int64 {
-	if len(path) != t.depth {
-		panic(fmt.Sprintf("sst: path length %d, trie depth %d", len(path), t.depth))
-	}
-	n := t.root
-	for _, b := range path {
-		child, ok := n.children[b]
-		if !ok {
-			return 0
-		}
-		n = child
-	}
-	return n.count
 }
 
 // String renders the trie's leaves like Figure 5 of the paper: one line per

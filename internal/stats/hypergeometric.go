@@ -16,17 +16,6 @@ func HypergeometricPMF(r, c, x, y int64) float64 {
 	return math.Exp(lnChoose(c, y) + lnChoose(r-c, x-y) - lnChoose(r, x))
 }
 
-// HypergeometricMean is E[Y] = x·c/r.
-func HypergeometricMean(r, c, x int64) float64 {
-	return float64(x) * float64(c) / float64(r)
-}
-
-// HypergeometricVar is Var[Y] = x·(c/r)·(1−c/r)·(r−x)/(r−1).
-func HypergeometricVar(r, c, x int64) float64 {
-	p := float64(c) / float64(r)
-	return float64(x) * p * (1 - p) * float64(r-x) / float64(r-1)
-}
-
 // lnChoose returns ln C(n, k).
 func lnChoose(n, k int64) float64 {
 	if k < 0 || k > n {

@@ -28,9 +28,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // PearsonCorr returns the sample Pearson correlation of two equal-length
 // series (0 when degenerate).
 func PearsonCorr(xs, ys []float64) float64 {

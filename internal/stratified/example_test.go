@@ -28,7 +28,7 @@ func ExampleRunSQE() {
 		query.Stratum{Cond: predicate.MustParse("gender = 1"), Freq: 5},
 		query.Stratum{Cond: predicate.MustParse("gender = 0"), Freq: 6},
 	)
-	cluster := &mapreduce.Cluster{Slaves: 2, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	cluster := &mapreduce.Cluster{Slaves: 2, Cost: mapreduce.ZeroCostModel()}
 	ans, _, _ := stratified.RunSQE(cluster, q, schema, splits, stratified.Options{Seed: 1})
 	fmt.Printf("men sampled: %d, women sampled: %d\n", len(ans.Strata[0]), len(ans.Strata[1]))
 	// Output:

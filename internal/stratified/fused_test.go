@@ -449,7 +449,7 @@ func TestFusedCountersMatchPerRecordPath(t *testing.T) {
 	r := genderPop(500, 450)
 	splits, _ := dataset.Partition(r, 5, dataset.Skewed, nil)
 	cluster := func() *mapreduce.Cluster {
-		return &mapreduce.Cluster{Slaves: 3, SlotsPerSlave: 1, Cost: mapreduce.DefaultCostModel()}
+		return &mapreduce.Cluster{Slaves: 3, Cost: mapreduce.DefaultCostModel()}
 	}
 	counters := func(m mapreduce.Metrics) string {
 		return fmt.Sprintf("map in %d out %d, combine in %d out %d, shuffle %d, groups %d, simulated map %v, reservoir sizes %v",

@@ -41,7 +41,7 @@ func genderSSD(fMen, fWomen int) *query.SSD {
 }
 
 func zeroCluster(slaves int) *mapreduce.Cluster {
-	return &mapreduce.Cluster{Slaves: slaves, SlotsPerSlave: 1, Cost: mapreduce.ZeroCostModel()}
+	return &mapreduce.Cluster{Slaves: slaves, Cost: mapreduce.ZeroCostModel()}
 }
 
 // TestSQEExactCounts: the paper's Example 5 setting — 30 men and 34 women on

@@ -37,7 +37,7 @@ func BenchmarkEngine100k(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := &mapreduce.Cluster{
-				Slaves: 3, SlotsPerSlave: 2,
+				Slaves:   3,
 				Cost:     mapreduce.ZeroCostModel(),
 				Executor: exec,
 			}

@@ -53,7 +53,7 @@ func frameErrRun(t testing.TB, exec mapreduce.Executor, splits []dataset.Split) 
 		query.Stratum{Cond: predicate.MustParse("gender = 0"), Freq: 9},
 	)
 	c := &mapreduce.Cluster{
-		Slaves: 3, SlotsPerSlave: 2,
+		Slaves:   3,
 		Cost:     mapreduce.DefaultCostModel(),
 		Clock:    mapreduce.FrozenClock(time.Unix(0, 0)),
 		Executor: exec,

@@ -106,19 +106,6 @@ func NewSubprocessExecutor(cfg SubprocessConfig) (*SubprocessExecutor, error) {
 // Name reports "subprocess".
 func (e *SubprocessExecutor) Name() string { return "subprocess" }
 
-// Kill force-kills the i-th worker process and returns once it is gone — a
-// chaos hook for tests that need a worker to die at a point of their
-// choosing. The pool learns of the death when it next leases that worker a
-// task.
-func (e *SubprocessExecutor) Kill(i int) error {
-	if i < 0 || i >= len(e.procs) {
-		return fmt.Errorf("worker: no subprocess %d", i)
-	}
-	err := e.procs[i].cmd.Process.Kill()
-	<-e.procs[i].done
-	return err
-}
-
 // Close drains the pool and reaps every worker process, killing any that
 // has not exited within the lease timeout. Exit statuses are uninteresting
 // here: drained workers exit 0, killed or crashed ones don't, and the pool

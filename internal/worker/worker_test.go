@@ -97,7 +97,7 @@ func testQuery() *query.SSD {
 // backends; exec == nil is the in-process reference.
 func testCluster(exec mapreduce.Executor) *mapreduce.Cluster {
 	return &mapreduce.Cluster{
-		Slaves: 3, SlotsPerSlave: 2,
+		Slaves:   3,
 		Cost:     mapreduce.DefaultCostModel(),
 		Clock:    mapreduce.FrozenClock(time.Unix(0, 0)),
 		Executor: exec,
@@ -519,7 +519,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := &mapreduce.Cluster{
-				Slaves: 3, SlotsPerSlave: 2,
+				Slaves:   3,
 				Cost:     mapreduce.ZeroCostModel(),
 				Executor: exec,
 			}

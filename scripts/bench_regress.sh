@@ -109,15 +109,24 @@ run() { # pkg bench-regex [bytes [benchtime [go test flags]]]: prints "name allo
   run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkEngineTraced$|BenchmarkShuffleSerialized$|BenchmarkShuffleVolume'
   run ./internal/worker/ 'BenchmarkEngine/backend=inproc$'
   run ./internal/worker/ 'BenchmarkEngine/backend=tcp' '' 50x
-  # Five passes, not one: a GC cycle landing inside a lone measured pass
-  # empties the pooled scan scratch and reads +12 % B/op (seen 1 run in 13).
-  run ./internal/serve/ 'BenchmarkServePass$' bytes 5x
+  # Five passes, at one P, which keeps the default split count off the
+  # runner's core count. A pass's map tasks run on its Slaves goroutines,
+  # and each task that holds a scan scratch while another does needs its
+  # own: a task preempted mid-scan let a measured pass hold one more at once
+  # than a one-batch warm-up had, and growing it read +1.7 MB in that run
+  # (441 KB for 101 KB B/op, 2 of 6 runs beside another go test; at one P
+  # still 7 of 40 beside two loaded processes). The benchmark now warms up on
+  # one P per slave, so every scratch a pass can hold exists before
+  # measurement (0 of 100 then). Scratches sit on a free list: the sync.Pool
+  # before it also dropped idle ones at collections, and a warm daemon
+  # regrew one every few hundred passes.
+  run ./internal/serve/ 'BenchmarkServePass$' bytes 5x -cpu=1
   # A hundred ops: a one-off of the process inside a lone op read +5.
   run ./internal/predicate/ 'BenchmarkClassifyColumns' '' 100x
   run ./internal/query/ 'BenchmarkValidate' '' 100x
-  # One P: the warm-up pass parks the scan scratch in its P's private pool
-  # slot, which a goroutine rescheduled onto another P cannot steal — with two
-  # or more, one run in four reallocated the match lists and read 335 for 16.
+  # One P, as for the daemon pass above. (Under the sync.Pool the scratch
+  # used to live in, a warm-up scratch parked in one P's private slot could
+  # not serve a task on another P: one run in four read 335 for 16.)
   # A hundred ops, as the kernel above: its lines sit near a +5 one-off.
   run ./internal/stratified/ 'BenchmarkFusedMapSplit' bytes 100x -cpu=1
   # Five runs: a lone run was bimodal (+≈ 510 in two of eight).

@@ -58,8 +58,7 @@ echo
 SUB="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["subscription"])' "$tmp/sub.json")"
 
 echo "== drive mixed churn (20% mutation batches)"
-"$tmp/strata" loadgen -addr "$base" -clients 8 -requests 200 -mutate 0.2 \
-  -mutate-batch 8 -seed "$SEED" >"$tmp/loadgen.out"
+"$tmp/strata" loadgen -addr "$base" -clients 8 -requests 200 -mutate 0.2 -seed "$SEED" >"$tmp/loadgen.out"
 grep 'mutations:' "$tmp/loadgen.out"
 
 echo "== subscription observed pushes"

@@ -6,7 +6,9 @@
 // scripts/unused_exports.txt, which may only shrink: a name that is not
 // listed fails, and so does a listed name that has found a caller or is gone
 // (delete its line). cmd/, examples/ and the bench/ module count as callers.
-// Methods are not listed: interfaces reach them invisibly.
+// An exported method is listed, as Type.Method with a !, when no non-test
+// file names it at all and no interface declares a method of its name
+// (String, Error, MarshalJSON, Len, ...), through which it may be called.
 //
 //	go run scripts/unused_exports.go          # check against the allow-list
 //	go run scripts/unused_exports.go -update  # rewrite the allow-list
@@ -38,9 +40,10 @@ const (
 	module    = "repro"
 	allowList = "scripts/unused_exports.txt"
 	header    = `# Exported identifiers under internal/ with no reference from a non-test file
-# outside their package (cmd/, examples/ and bench/ count as callers; methods
-# are not listed). A trailing ! marks a name no non-test file references at
-# all, its own package included. Generated by
+# outside their package (cmd/, examples/ and bench/ count as callers). A
+# trailing ! marks a name no non-test file references at all, its own package
+# included. A method (Type.Method) is listed only with the !, and only when no
+# interface declares a method of its name. Generated by
 #   go run scripts/unused_exports.go -update
 # CI runs the same program without -update and fails when this list and the
 # tree disagree: it may only shrink.
@@ -97,7 +100,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
 	conf := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	l.pkgs[path] = &loaded{pkg, info}
@@ -145,10 +148,15 @@ func main() {
 	}
 
 	// Who references what: outside marks a package-level object used from
-	// another package, inside one used by its own.
-	outside, inside := map[string]bool{}, map[string]bool{}
+	// another package, inside one used by its own; called marks a method
+	// named from anywhere.
+	outside, inside, called := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, p := range l.pkgs {
 		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				called[l.key(fn.Origin())] = true
+				continue
+			}
 			if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 				continue
 			}
@@ -159,6 +167,7 @@ func main() {
 			}
 		}
 	}
+	viaInterface := l.interfaceMethods()
 	var unused []string
 	for path, p := range l.pkgs {
 		if !strings.HasPrefix(path, module+"/internal/") {
@@ -175,6 +184,21 @@ func main() {
 				line += " !"
 			}
 			unused = append(unused, line)
+		}
+		// An exported method no non-test file names is dead unless an
+		// interface may call it.
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if k := l.key(m); m.Exported() && !called[k] && !viaInterface[m.Name()] {
+					unused = append(unused, path+"."+name+"."+m.Name()+" !")
+				}
+			}
 		}
 	}
 	sort.Strings(unused)
@@ -212,6 +236,48 @@ func main() {
 		fatal(fmt.Errorf("%d lines differ from %s: a NEW name needs a caller outside its package (or to lose its capital), a STALE line is to be deleted", bad, allowList))
 	}
 	fmt.Printf("ok: %d exported names under internal/ without an outside caller, all in %s\n", len(unused), allowList)
+}
+
+// interfaceMethods returns the method names an interface can call: those
+// of every interface type the tree can name (the named ones of its packages
+// and of the standard library packages they import, the interface literals
+// its code writes, and error), plus Unwrap, which errors.Is and errors.As
+// call through interfaces declared inside their bodies. A method is matched
+// on its name alone, so generic interfaces and constraints count too.
+func (l *loader) interfaceMethods() map[string]bool {
+	names := map[string]bool{"Unwrap": true}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				names[it.Method(i).Name()] = true
+			}
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if pkg == nil || seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range l.pkgs {
+		walk(p.pkg)
+		for _, tv := range p.info.Types {
+			add(tv.Type)
+		}
+	}
+	return names
 }
 
 func readAllowList() (map[string]bool, error) {
